@@ -165,6 +165,12 @@ def cmd_superpose(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if not 0 <= args.seed < 2**64:
+        sys.stderr.write(f"search: the seed must lie in [0, 2^64), got {args.seed}\n")
+        return 2
+    if args.budget < 1:
+        sys.stderr.write(f"search: --budget must be at least 1, got {args.budget}\n")
+        return 2
     witness = search_nonsquared_counterexample(seed=args.seed, budget=args.budget)
     if witness is None:
         _emit({"result": "NotFound", "budget": args.budget, "seed": args.seed}, args.output)

@@ -11,12 +11,13 @@ orthocomplement ("primed") triple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateTripleError, DimensionMismatchError, OrthogonalPairError
-from .linalg import ANGLE_GUARD, DEFAULT_TOL, Tolerance, carg, inner, wrap_angle
+from .linalg import ANGLE_GUARD, DEFAULT_TOL, TWO_PI, Tolerance, inner
 from .rays import ZERO, Ray, Subspace, project_vec, ray_from, rays_equal
 
 
@@ -29,6 +30,22 @@ class Triple:
     z: Ray
 
 
+def a_sims(u, v) -> np.ndarray:
+    """Overlaps |<u, v>| of stacked unit vectors, shape (..., d) → (...).
+
+    Clipped to [0, 1] so rounding never pushes a similarity above one.
+    The modulus is libm's hypot, as for Python complex numbers.
+    """
+    c = np.vecdot(v, u)
+    return np.minimum(np.hypot(c.real, c.imag), 1.0)
+
+
+def p_sims(u, v) -> np.ndarray:
+    """Similarities |<u, v>|² of stacked unit vectors, shape (..., d) → (...)."""
+    a = a_sims(u, v)
+    return a * a
+
+
 def a_sim(x: Ray, y: Ray) -> float:
     """Overlap |<u, v>| of unit representatives, in [0, 1].
 
@@ -37,13 +54,14 @@ def a_sim(x: Ray, y: Ray) -> float:
     """
     if x.dim != y.dim:
         raise DimensionMismatchError(f"dimensions {x.dim} vs {y.dim}")
-    return min(abs(inner(x.rep, y.rep)), 1.0)
+    return float(a_sims(x.rep, y.rep))
 
 
 def p_sim(x: Ray, y: Ray) -> float:
     """Similarity (transition probability) between two rays: a_sim²."""
-    a = a_sim(x, y)
-    return a * a
+    if x.dim != y.dim:
+        raise DimensionMismatchError(f"dimensions {x.dim} vs {y.dim}")
+    return float(p_sims(x.rep, y.rep))
 
 
 def p_prop(x: Ray, a: Subspace) -> float:
@@ -61,43 +79,62 @@ def p_prop(x: Ray, a: Subspace) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def triple_phase(
-    u, v, w, tol: Tolerance = DEFAULT_TOL, angle_guard: float = ANGLE_GUARD
-) -> float:
-    """Triple phase from explicit representatives (any nonzero vectors).
+#: The pairs of a triple, in the order the phase guard checks them.
+_PAIRS = (("x", "y"), ("y", "z"), ("z", "x"))
 
-    arg<u,v> + arg<v,w> + arg<w,u>, reduced mod 2π to (−π, π].  The sum
-    is invariant under rescaling any argument by a nonzero complex
-    number, which is what makes the ray-level quantity well defined.
+
+def triple_phases(u, v, w, angle_guard: float = ANGLE_GUARD) -> np.ndarray:
+    """Triple phases of stacked representatives, shape (..., d) → (...).
+
+    The argument of the Bargmann product <u,v><v,w><w,u>, in (−π, π]:
+    one product and one atan2 per row.  Equal to arg<u,v> + arg<v,w> +
+    arg<w,u> mod 2π, and invariant under rescaling any argument by a
+    nonzero complex number, which is what makes the ray-level quantity
+    well defined.
 
     Raises
     ------
     OrthogonalPairError
-        If any normalized pairwise overlap is at most ``angle_guard``
-        (the argument of a near-zero inner product is meaningless).
+        If some normalized pairwise overlap is at most ``angle_guard``
+        (the argument of a near-zero inner product is meaningless);
+        names the first such pair of the first such row.
+    DimensionMismatchError
+        If the vectors have different lengths.
     """
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
-    nu, nv, nw = (float(np.linalg.norm(t)) for t in (u, v, w))
-    pairs = (
-        ("x", "y", inner(u, v), nu * nv),
-        ("y", "z", inner(v, w), nv * nw),
-        ("z", "x", inner(w, u), nw * nu),
-    )
-    total = 0.0
-    for name1, name2, c, scale in pairs:
-        if scale <= 0.0 or abs(c) <= angle_guard * scale:
-            raise OrthogonalPairError((name1, name2))
-        total += carg(c, tol)
-    return wrap_angle(total)
+    if not (u.shape[-1] == v.shape[-1] == w.shape[-1]):
+        raise DimensionMismatchError(f"dimensions {u.shape}, {v.shape}, {w.shape}")
+    c = (np.vecdot(v, u), np.vecdot(w, v), np.vecdot(u, w))  # <u,v>, <v,w>, <w,u>
+    n = [np.vecdot(t, t).real ** 0.5 for t in (u, v, w)]
+    ok = [abs(c[k]) > angle_guard * n[k] * n[(k + 1) % 3] for k in range(3)]
+    if not (ok[0] & ok[1] & ok[2]).all():
+        bad = ~np.stack(ok).reshape(3, -1)
+        first = int(np.argmax(bad.any(axis=0)))
+        raise OrthogonalPairError(_PAIRS[int(np.argmax(bad[:, first]))])
+    b = c[0] * c[1] * c[2]
+    angle = np.arctan2(b.imag, b.real)
+    return angle + TWO_PI * (angle <= -math.pi)  # atan2 can return −π; the branch is (−π, π]
+
+
+def triple_phase(u, v, w, angle_guard: float = ANGLE_GUARD) -> float:
+    """Triple phase from explicit representatives (any nonzero vectors).
+
+    The single-triple form of :func:`triple_phases`.
+
+    Raises
+    ------
+    OrthogonalPairError
+        If any normalized pairwise overlap is at most ``angle_guard``.
+    """
+    return float(triple_phases(u, v, w, angle_guard))
 
 
 def theta(
     x: Ray,
     y: Ray,
     z: Ray,
-    tol: Tolerance = DEFAULT_TOL,
     angle_guard: float = ANGLE_GUARD,
 ) -> float:
     """Triple phase of three pairwise non-orthogonal rays, in (−π, π].
@@ -113,7 +150,7 @@ def theta(
     """
     if not (x.dim == y.dim == z.dim):
         raise DimensionMismatchError(f"dimensions {x.dim}, {y.dim}, {z.dim}")
-    return triple_phase(x.rep, y.rep, z.rep, tol, angle_guard)
+    return triple_phase(x.rep, y.rep, z.rep, angle_guard)
 
 
 def complement_projection(x: Ray, y: Ray, tol: Tolerance = DEFAULT_TOL):

@@ -1,16 +1,29 @@
 """Verification harness: named laws over seeded random instances.
 
 Each registered law pairs an instance generator flavor with a residual
-checker.  Running a law draws per-(law, dim, trial) substreams (see
-:mod:`raygeo.sampling`), evaluates the checker on every cell, and
-produces a :class:`LawReport` that is a pure function of the law id and
-the :class:`GeneratorSpec` — same seed, same bytes.
+checker.  Running a law evaluates the checker on every (dim, trial)
+cell and produces a :class:`LawReport` that is a pure function of the
+law id and the :class:`GeneratorSpec` — same seed, same bytes.
+
+A law is checked in one of two ways (see :mod:`raygeo.sampling` for
+the key scheme):
+
+* trial by trial: ``checker`` runs once per cell on the substream
+  keyed by (law, dim, trial);
+* in blocks: ``batch`` runs once per block of at most
+  :data:`BLOCK_TRIALS` trials on the substream keyed by (law, dim,
+  block), and returns the residuals of the whole block at once.
+  Trial ``t`` of a dimension is entry ``t % BLOCK_TRIALS`` of block
+  ``t // BLOCK_TRIALS``.
 
 Checkers return the trial residual, or ``None`` to *skip* a trial whose
 instance is too degenerate to measure (near-orthogonal where strict
-non-orthogonality is required, vanishing closed-form denominators).
-A law passes when its worst residual is within tolerance, nothing
-raised unexpectedly, and the skip rate stays below the cap.
+non-orthogonality is required, vanishing closed-form denominators);
+batched checkers return a skip mask instead.  A law passes when its
+worst residual is within tolerance, every residual is finite (a
+checker that raises counts as an infinite residual), and the skip rate
+stays below the cap.  The counterexample of a failing law names its
+first failing (dim, trial) cell.
 
 Negative-control laws invert the game: they assert that an identity
 *fails* on generic instances exactly as predicted, and they pass when
@@ -20,9 +33,12 @@ it does.
 from __future__ import annotations
 
 import fnmatch
+import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import UnknownLawError
 from .linalg import DEFAULT_TOL, Tolerance
@@ -41,6 +57,11 @@ FLAVORS = (
 
 #: Ceiling on the fraction of skipped trials before a law fails outright.
 MAX_SKIP_RATE = 0.05
+
+#: Trials per block of a batched law, and so per substream.  Bounds the
+#: memory of one block's stacks: at d = 8 a block of 256 interference
+#: trials peaks near 2 MB, and larger blocks run no faster.
+BLOCK_TRIALS = 256
 
 
 @dataclass(frozen=True)
@@ -93,14 +114,30 @@ class LawReport:
     elapsed_ms: float
 
 
+class Block(NamedTuple):
+    """What a batched checker returns for a block of ``n`` trials.
+
+    ``residuals`` and ``skipped`` have shape (n,); the residuals of
+    skipped trials are ignored.  ``record(i)`` is the serializable
+    description of trial ``i`` of the block (used for counterexamples).
+    """
+
+    residuals: np.ndarray
+    skipped: np.ndarray
+    record: Callable[[int], dict]
+
+
 @dataclass(frozen=True)
 class Law:
     """A named law: generator flavor + checker + pass criteria.
 
+    Exactly one of ``checker`` and ``batch`` is set.
     ``checker(rng, dim, tol, record)`` returns the trial residual or
     None to skip; when ``record`` is a dict the checker fills it with a
     serializable description of the instance (used to attach a
     counterexample after a failing trial is replayed).
+    ``batch(rng, dim, n, tol)`` checks ``n`` trials from one stream and
+    returns a :class:`Block`.
 
     ``aggregate``, when set, converts the full residual list into the
     (passed, reported_worst) verdict; used by negative controls that
@@ -110,13 +147,14 @@ class Law:
     id: str
     description: str
     flavor: str
-    checker: Callable
+    checker: Callable | None = None
     tolerance: float = 1e-10
     dims: tuple[int, ...] | None = None
     trials_per_dim: int | None = None
     negative_control: bool = False
     aggregate: Callable | None = None
     max_skip_rate: float = MAX_SKIP_RATE
+    batch: Callable | None = None
 
 
 _REGISTRY: dict[str, Law] = {}
@@ -128,6 +166,8 @@ def register(law: Law) -> Law:
         raise ValueError(f"duplicate law id {law.id!r}")
     if law.flavor not in FLAVORS:
         raise ValueError(f"law {law.id!r} declares unknown flavor {law.flavor!r}")
+    if (law.checker is None) == (law.batch is None):
+        raise ValueError(f"law {law.id!r} needs exactly one of checker and batch")
     _REGISTRY[law.id] = law
     _ORDER.append(law.id)
     return law
@@ -143,6 +183,118 @@ def registry() -> dict[str, Law]:
 def law_ids() -> list[str]:
     registry()
     return list(_ORDER)
+
+
+def _worse(worst: float, value: float) -> float:
+    """The worse of two residuals; NaN is worse than anything."""
+    if math.isnan(worst):
+        return worst
+    return value if math.isnan(value) or value > worst else worst
+
+
+class _Chunk(NamedTuple):
+    """Consecutive trials of one dimension, starting at trial ``start``.
+
+    ``errors`` maps chunk indices whose checker raised (residual +inf)
+    to the error text; ``describe(i)`` replays index ``i`` and returns
+    its counterexample record.
+    """
+
+    start: int
+    residuals: np.ndarray
+    skipped: np.ndarray
+    errors: dict[int, str]
+    describe: Callable[[int], dict]
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _trial_chunks(law: Law, seed: int, dim: int, trials: int, tol: Tolerance):
+    """All trials of a per-trial law in one dimension, as one chunk."""
+    residuals = np.zeros(trials)
+    skipped = np.zeros(trials, dtype=bool)
+    errors: dict[int, str] = {}
+    for trial in range(trials):
+        try:
+            residual = law.checker(substream(seed, law.id, dim, trial), dim, tol, None)
+        except Exception as exc:  # a checker must never raise on a legal instance
+            residuals[trial] = math.inf
+            errors[trial] = _error_text(exc)
+            continue
+        if residual is None:
+            skipped[trial] = True
+        else:
+            residuals[trial] = float(residual)
+
+    def describe(trial: int) -> dict:
+        record: dict = {}
+        try:
+            law.checker(substream(seed, law.id, dim, trial), dim, tol, record)
+        except Exception:
+            pass
+        return record
+
+    yield _Chunk(0, residuals, skipped, errors, describe)
+
+
+def _block_chunks(law: Law, seed: int, dim: int, trials: int, tol: Tolerance):
+    """The blocks of a batched law in one dimension, one chunk each."""
+    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+        n = min(BLOCK_TRIALS, trials - start)
+
+        def describe(i: int, block=block, n=n) -> dict:
+            try:
+                return law.batch(substream(seed, law.id, dim, block), dim, n, tol).record(i)
+            except Exception:
+                return {}
+
+        try:
+            result = law.batch(substream(seed, law.id, dim, block), dim, n, tol)
+            residuals = np.asarray(result.residuals, dtype=np.float64)
+            skipped = np.asarray(result.skipped, dtype=bool)
+            if residuals.shape != (n,) or skipped.shape != (n,):
+                raise ValueError(f"block of {n} trials gave shapes {residuals.shape}, {skipped.shape}")
+        except Exception as exc:  # a checker must never raise on a legal instance
+            yield _Chunk(start, np.full(n, math.inf), np.zeros(n, dtype=bool), {0: _error_text(exc)}, describe)
+            continue
+        yield _Chunk(start, residuals, skipped, {}, describe)
+
+
+class _Tally:
+    """Counts, worst residual and first failure of one law run."""
+
+    def __init__(self, law: Law):
+        self.law = law
+        self.run = 0
+        self.skipped = 0
+        self.worst = 0.0
+        self.nonfinite = False
+        self.failure: dict | None = None
+        self.values: list[float] | None = [] if law.aggregate is not None else None
+
+    def add(self, dim: int, chunk: _Chunk) -> None:
+        checked = np.flatnonzero(~chunk.skipped)
+        residuals = chunk.residuals[checked]
+        self.skipped += chunk.skipped.size - checked.size
+        self.run += checked.size
+        if checked.size == 0:
+            return
+        if self.values is not None:
+            self.values.extend(residuals.tolist())
+        self.worst = _worse(self.worst, float(residuals.max()))
+        bad = ~np.isfinite(residuals)
+        self.nonfinite = self.nonfinite or bool(bad.any())
+        if self.law.aggregate is None:
+            bad |= residuals > self.law.tolerance
+        if self.failure is None and bad.any():
+            i = int(checked[np.argmax(bad)])
+            cell = {"dim": dim, "trial": chunk.start + i}
+            if i in chunk.errors:
+                self.failure = {**cell, "error": chunk.errors[i]}
+            else:
+                self.failure = {**cell, "residual": float(chunk.residuals[i]), **chunk.describe(i)}
 
 
 def run_law(law_id: str, gen: GeneratorSpec, tol: Tolerance = DEFAULT_TOL) -> LawReport:
@@ -164,51 +316,23 @@ def run_law(law_id: str, gen: GeneratorSpec, tol: Tolerance = DEFAULT_TOL) -> La
     trials = law.trials_per_dim if law.trials_per_dim is not None else gen.trials_per_dim
 
     started = time.perf_counter()
-    residuals: list[float] = []
-    skipped = 0
-    failure: dict | None = None
-    worst = 0.0
-
+    tally = _Tally(law)
+    chunks = _trial_chunks if law.batch is None else _block_chunks
     for dim in dims:
-        for trial in range(trials):
-            rng = substream(gen.seed, law.id, dim, trial)
-            try:
-                residual = law.checker(rng, dim, tol, None)
-            except Exception as exc:  # a checker must never raise on a legal instance
-                failure = {
-                    "dim": dim,
-                    "trial": trial,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-                residual = float("inf")
-            if residual is None:
-                skipped += 1
-                continue
-            residual = float(residual)
-            residuals.append(residual)
-            if law.aggregate is None and residual > worst:
-                worst = residual
-                if residual > law.tolerance and failure is None:
-                    record: dict = {}
-                    replay = substream(gen.seed, law.id, dim, trial)
-                    try:
-                        law.checker(replay, dim, tol, record)
-                    except Exception:
-                        pass
-                    failure = {"dim": dim, "trial": trial, "residual": residual, **record}
+        for chunk in chunks(law, gen.seed, dim, trials, tol):
+            tally.add(dim, chunk)
 
+    failure = tally.failure
     total_cells = len(dims) * trials
-    run = len(residuals)
-    skip_rate = skipped / total_cells if total_cells else 0.0
-
+    skip_rate = tally.skipped / total_cells if total_cells else 0.0
     if law.aggregate is not None:
-        passed, worst = law.aggregate(residuals)
+        passed, worst = law.aggregate(tally.values)
         if not passed and failure is None:
             failure = {"note": "aggregate criterion not met", "metric": worst}
     else:
+        worst = tally.worst
         passed = worst <= law.tolerance
-
-    if failure is not None and "error" in failure:
+    if tally.nonfinite:
         passed = False
     if skip_rate > law.max_skip_rate:
         passed = False
@@ -222,8 +346,8 @@ def run_law(law_id: str, gen: GeneratorSpec, tol: Tolerance = DEFAULT_TOL) -> La
         law_id=law.id,
         passed=bool(passed),
         negative_control=law.negative_control,
-        trials_run=run,
-        trials_skipped=skipped,
+        trials_run=tally.run,
+        trials_skipped=tally.skipped,
         worst_residual=float(worst),
         tolerance=law.tolerance,
         seed=gen.seed,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import sampling
 from .errors import OrthogonalComponentsError
-from .lawcheck import Law, register
+from .lawcheck import Block, Law, register
 from .linalg import circular_distance, inner, norm, orthonormalize, wrap_angle
 from .rays import (
     ZERO,
@@ -58,10 +58,10 @@ from .probability import (
     check_chain_rule,
     check_complement,
     check_inclusion_exclusion,
-    check_interference_inequality,
     check_ortho_additivity,
     check_total_probability,
     decompose_commuting,
+    interference_margins,
     search_nonsquared_counterexample,
 )
 from .morphisms import (
@@ -711,41 +711,32 @@ def _check_local_total_probability(rng, dim, tol, record=None):
     return check_total_probability(x, a, b)
 
 
-def _check_interference_inequality_law(rng, dim, tol, record=None):
-    # Inlined arithmetic of check_interference_inequality (the unit
-    # suite pins the two computations against each other); this law
-    # runs 10^4 trials per dimension, so it avoids object overhead.
-    ra = int(rng.integers(1, dim))
-    rb = int(rng.integers(1, dim))
-    g = rng.standard_normal((dim, ra)) + 1j * rng.standard_normal((dim, ra))
-    qa = np.linalg.qr(g)[0]
-    g = rng.standard_normal((dim, rb)) + 1j * rng.standard_normal((dim, rb))
-    qb = np.linalg.qr(g)[0]
-    c = rng.standard_normal(ra) + 1j * rng.standard_normal(ra)
-    x = qa @ c
-    x /= np.linalg.norm(x)
-    bx = qb @ (qb.conj().T @ x)
-    p_xb = float(np.real(np.vdot(bx, bx)))
-    if p_xb <= 1e-12:
-        return None
-    bxu = bx / math.sqrt(p_xb)
-    abx = qa @ (qa.conj().T @ bxu)
-    p_bxa = float(np.real(np.vdot(abx, abx)))
-    if p_bxa <= 1e-12:
-        return None
-    abxu = abx / math.sqrt(p_bxa)
-    coeff = qb.conj().T @ abxu
-    p_abxb = float(np.real(np.vdot(coeff, coeff)))
-    margin = p_bxa * (1.0 - p_abxb) - p_xb * (1.0 - p_bxa) ** 2
-    if record is not None:
+def _batch_interference_inequality(rng, dim, n, tol):
+    # 10^4 trials per dimension, checked as stacks: one frame per
+    # proposition, padded with zero columns beyond its rank.
+    ra = rng.integers(1, dim, size=n)
+    rb = rng.integers(1, dim, size=n)
+    in_a = np.arange(dim) < ra[:, np.newaxis]
+    qa = sampling.random_frames(rng, n, dim)
+    qa *= in_a[:, np.newaxis, :]
+    qb = sampling.random_frames(rng, n, dim)
+    qb *= (np.arange(dim) < rb[:, np.newaxis])[:, np.newaxis, :]
+    x = (qa @ (sampling.gaussian_stack(rng, (n, dim)) * in_a)[..., np.newaxis])[..., 0]
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    margin, undefined = interference_margins(qa, qb, x)
+
+    def record(i):
+        described: dict = {}
         _note(
-            record,
-            alpha=Subspace.from_orthonormal(qa.T, dim),
-            beta=Subspace.from_orthonormal(qb.T, dim),
-            x=ray_from(x),
-            margin=margin,
+            described,
+            alpha=Subspace.from_orthonormal(qa[i, :, : ra[i]].T, dim),
+            beta=Subspace.from_orthonormal(qb[i, :, : rb[i]].T, dim),
+            x=ray_from(x[i]),
+            margin=float(margin[i]),
         )
-    return max(0.0, -margin)
+        return described
+
+    return Block(np.maximum(0.0, -margin), undefined, record)
 
 
 def _check_interference_membership(rng, dim, tol, record=None):
@@ -1254,7 +1245,7 @@ register(Law(
     id="theorem.interference_inequality",
     description="p(x,b)(1−p(b(x),a))² ≤ p(b(x),a)(1−p(a(b(x)),b)) for x in a",
     flavor="generic-complex",
-    checker=_check_interference_inequality_law,
+    batch=_batch_interference_inequality,
     tolerance=1e-12,
     dims=(3, 4, 5, 6, 7, 8),
     trials_per_dim=10_000,

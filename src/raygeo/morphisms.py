@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DimensionMismatchError, NotIsometryError
 from .linalg import DEFAULT_TOL, Tolerance, circular_distance
 from .rays import Ray, ray_from
-from .geometry import a_sim, p_sim, theta
-from .superposition import SuperpositionSpec, superpose
+from .geometry import a_sims, p_sims, triple_phases
+from .superposition import superpose_vectors
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,18 @@ class PreservationReport:
     witness: tuple[Ray, Ray, float] | None
 
 
+def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` uniformly random unit vectors of C^dim, shape (count, dim)."""
+    g = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+
+def _image_rows(f: RegularMap, u: np.ndarray) -> np.ndarray:
+    """Unit representatives of the images of stacked vectors under f."""
+    m = u @ f.underlying.matrix.T
+    return m / np.linalg.norm(m, axis=-1, keepdims=True)
+
+
 def preserves_superpositions(
     f: RegularMap,
     trials: int = 500,
@@ -136,37 +148,38 @@ def preserves_superpositions(
     """Sampled check that the induced map carries superpositions to
     superpositions of the images.
 
-    Draws non-orthogonal pairs (y, z) and weights r; requires the image
-    pair to stay non-orthogonal and the image of the superposition to
-    equal the superposition of the images.  Stops at the first failure
-    (the witness is recorded).  A negative verdict is a proof; a
-    positive verdict is sampled evidence — the exact criterion is the
-    isometry check, and the harness validates their agreement.
+    Draws pairs (y, z) and weights r as stacks, and keeps the pairs
+    with overlap above 1e-6; requires the image pair to stay
+    non-orthogonal and the image of the superposition to equal the
+    superposition of the images.  The verdict stops at the first
+    failure: ``trials_run`` and ``worst_residual`` count the kept
+    samples up to it, and the witness is that sample.  A negative
+    verdict is a proof; a positive verdict is sampled evidence — the
+    exact criterion is the isometry check, and the harness validates
+    their agreement.
     """
     rng = np.random.Generator(
         np.random.Philox(key=np.array([np.uint64(seed), np.uint64(0x5052455345525645)], dtype=np.uint64))
     )
-    d = f.dim_in
-    worst = 0.0
-    run = 0
-    for _ in range(int(trials)):
-        y = ray_from(rng.standard_normal(d) + 1j * rng.standard_normal(d), tol)
-        z = ray_from(rng.standard_normal(d) + 1j * rng.standard_normal(d), tol)
-        if a_sim(y, z) <= 1e-6:
-            continue
-        r = float(rng.uniform(0.0, 1.0))
-        run += 1
-        fy = apply_ray(f, y, tol)
-        fz = apply_ray(f, z, tol)
-        if a_sim(fy, fz) <= tol.eps_abs:
-            return PreservationReport(False, 1.0, run, seed, (y, z, r))
-        mapped = apply_ray(f, superpose(SuperpositionSpec(y=y, z=z, r=r), tol), tol)
-        direct = superpose(SuperpositionSpec(y=fy, z=fz, r=r), tol)
-        residual = 1.0 - a_sim(mapped, direct)
-        worst = max(worst, residual)
-        if residual > tol.eps_abs:
-            return PreservationReport(False, worst, run, seed, (y, z, r))
-    return PreservationReport(True, worst, run, seed, None)
+    trials = max(int(trials), 0)
+    y = _unit_rows(rng, trials, f.dim_in)
+    z = _unit_rows(rng, trials, f.dim_in)
+    r = rng.uniform(0.0, 1.0, trials)
+    kept = a_sims(y, z) > 1e-6
+    y, z, r = y[kept], z[kept], r[kept]
+    fy = _image_rows(f, y)
+    fz = _image_rows(f, z)
+    collapsed = a_sims(fy, fz) <= tol.eps_abs
+    mapped = _image_rows(f, superpose_vectors(y, z, r, tol))
+    direct = superpose_vectors(fy, fz, r, tol)
+    direct = direct / np.linalg.norm(direct, axis=-1, keepdims=True)
+    residual = np.where(collapsed, 1.0, 1.0 - a_sims(mapped, direct))
+    failed = collapsed | (residual > tol.eps_abs)
+    if not failed.any():
+        return PreservationReport(True, float(residual.max(initial=0.0)), len(r), seed, None)
+    k = int(np.argmax(failed))
+    witness = (ray_from(y[k], tol), ray_from(z[k], tol), float(r[k]))
+    return PreservationReport(False, float(residual[: k + 1].max()), k + 1, seed, witness)
 
 
 def check_char_morph(
@@ -205,20 +218,14 @@ def check_preserves_p_theta(
     rng = np.random.Generator(
         np.random.Philox(key=np.array([np.uint64(seed), np.uint64(0x5051554E54)], dtype=np.uint64))
     )
-    d = f.dim_in
-    worst_p = 0.0
-    worst_t = 0.0
-    run = 0
-    for _ in range(int(trials)):
-        x = ray_from(rng.standard_normal(d) + 1j * rng.standard_normal(d), tol)
-        y = ray_from(rng.standard_normal(d) + 1j * rng.standard_normal(d), tol)
-        z = ray_from(rng.standard_normal(d) + 1j * rng.standard_normal(d), tol)
-        if min(a_sim(x, y), a_sim(y, z), a_sim(z, x)) <= 1e-6:
-            continue
-        run += 1
-        fx, fy, fz = (apply_ray(f, t, tol) for t in (x, y, z))
-        worst_p = max(worst_p, abs(p_sim(fx, fy) - p_sim(x, y)))
-        worst_t = max(
-            worst_t, circular_distance(theta(fx, fy, fz, tol), theta(x, y, z, tol))
-        )
-    return QuantityResiduals(p_residual=worst_p, theta_residual=worst_t, trials_run=run)
+    trials = max(int(trials), 0)
+    x, y, z = (_unit_rows(rng, trials, f.dim_in) for _ in range(3))
+    kept = np.minimum(np.minimum(a_sims(x, y), a_sims(y, z)), a_sims(z, x)) > 1e-6
+    x, y, z = x[kept], y[kept], z[kept]
+    fx, fy, fz = (_image_rows(f, t) for t in (x, y, z))
+    p_residual = np.abs(p_sims(fx, fy) - p_sims(x, y)).max(initial=0.0)
+    phases = zip(triple_phases(fx, fy, fz).tolist(), triple_phases(x, y, z).tolist())
+    theta_residual = max((circular_distance(a, b) for a, b in phases), default=0.0)
+    return QuantityResiduals(
+        p_residual=float(p_residual), theta_residual=theta_residual, trials_run=len(x)
+    )

@@ -175,6 +175,43 @@ def check_interference_inequality(
     return rhs - lhs
 
 
+def _project_stack(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Projections of stacked vectors (..., d) onto the column spans of
+    stacked orthonormal-column matrices (..., d, k)."""
+    coeff = (v.conj()[..., np.newaxis, :] @ q).conj()  # (..., 1, k), no copy of q
+    return (coeff @ q.swapaxes(-1, -2))[..., 0, :]
+
+
+#: Rows of :func:`interference_margins` with p(x, b) or p(b(x), a) at
+#: or below this have no meaningful conditional projection.
+MIN_CONDITIONING_P = 1e-12
+
+
+def interference_margins(qa, qb, x) -> tuple[np.ndarray, np.ndarray]:
+    """Batched margin of the interference inequality, the stacked form
+    of :func:`check_interference_inequality`.
+
+    ``qa`` and ``qb`` have shape (..., d, k) and orthonormal columns
+    spanning alpha and beta (zero columns span nothing, so stacks of
+    mixed rank pad with zeros); ``x`` holds unit vectors in alpha,
+    shape (..., d).  Returns ``(margin, undefined)``: RHS − LHS per
+    row, and a mask of the rows where p(x, b) or p(b(x), a) is at most
+    :data:`MIN_CONDITIONING_P`, whose margins are meaningless.
+    """
+    bx = _project_stack(qb, x)
+    p_xb = np.vecdot(bx, bx).real
+    undefined = p_xb <= MIN_CONDITIONING_P
+    bxu = bx / np.sqrt(np.where(undefined, 1.0, p_xb))[..., np.newaxis]
+    abx = _project_stack(qa, bxu)
+    p_bxa = np.vecdot(abx, abx).real
+    undefined |= p_bxa <= MIN_CONDITIONING_P
+    abxu = abx / np.sqrt(np.where(undefined, 1.0, p_bxa))[..., np.newaxis]
+    babx = _project_stack(qb, abxu)
+    p_abxb = np.vecdot(babx, babx).real
+    margin = p_bxa * (1.0 - p_abxb) - p_xb * (1.0 - p_bxa) ** 2
+    return margin, undefined
+
+
 @dataclass(frozen=True)
 class InterferenceWitness:
     """A real 3-dimensional instance violating the NON-squared variant.

@@ -1,14 +1,17 @@
 """Seeded random instance generators for the law harness.
 
-Reproducibility contract: every (law, dimension, trial) cell draws from
-its own substream of the Philox-4x64 counter-based generator.  The
-2x64-bit Philox key is
+Reproducibility contract: every stream is a substream of the
+Philox-4x64 counter-based generator, keyed by the 2x64-bit key
 
-    key = [ seed XOR blake2b-64(law_id),  (dim << 32) XOR trial ]
+    key = [ seed XOR blake2b-64(law_id),  (dim << 32) XOR index ]
 
-so reports are a pure function of (law id, generator spec) and trial
-batches can run in any order, or in parallel, without changing a
-single drawn number.
+where ``index`` is the trial number for a law checked trial by trial,
+and the block number for a law checked in blocks of trials (one
+substream feeds every trial of the block, drawn as stacks).  Reports
+are therefore a pure function of (law id, generator spec, stream
+version), and cells or blocks can run in any order, or in parallel,
+without changing a single drawn number.  :data:`STREAM_VERSION` names
+the scheme; it is bumped whenever a change alters what a law draws.
 
 Flavors (what kind of instance a law consumes):
 
@@ -38,28 +41,41 @@ MIN_OVERLAP = 1e-6
 
 _REJECTION_LIMIT = 64
 
+#: Version of the stream scheme, written into every serialized report.
+#: 1: one substream per (law, dim, trial).  2: batched laws draw one
+#: substream per (law, dim, block) and the morphism samplers draw
+#: their samples as stacks.
+STREAM_VERSION = 2
+
 
 def law_stream_key(law_id: str) -> int:
     """Stable 64-bit key for a law id (blake2b-8 digest)."""
     return int.from_bytes(hashlib.blake2b(law_id.encode(), digest_size=8).digest(), "little")
 
 
-def substream(seed: int, law_id: str, dim: int, trial: int) -> np.random.Generator:
-    """The dedicated generator for one (law, dimension, trial) cell."""
+def substream(seed: int, law_id: str, dim: int, index: int) -> np.random.Generator:
+    """The dedicated generator for one (law, dimension, trial) cell, or
+    for one (law, dimension, block) of a batched law."""
     key = np.array(
         [
             np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ np.uint64(law_stream_key(law_id)),
-            (np.uint64(dim) << np.uint64(32)) ^ np.uint64(trial),
+            (np.uint64(dim) << np.uint64(32)) ^ np.uint64(index),
         ],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def gaussian_vector(rng: np.random.Generator, dim: int, real: bool = False) -> np.ndarray:
+def gaussian_stack(rng: np.random.Generator, shape, real: bool = False) -> np.ndarray:
+    """Standard complex Gaussian entries of the given shape (imaginary
+    parts zero when ``real``)."""
     if real:
-        return rng.standard_normal(dim).astype(np.complex128)
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return rng.standard_normal(shape).astype(np.complex128)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def gaussian_vector(rng: np.random.Generator, dim: int, real: bool = False) -> np.ndarray:
+    return gaussian_stack(rng, dim, real)
 
 
 def random_ray(
@@ -103,13 +119,21 @@ def nonorthogonal_triple(
     return None
 
 
+def random_frames(
+    rng: np.random.Generator, count: int, dim: int, real: bool = False
+) -> np.ndarray:
+    """``count`` Haar-random unitary matrices, shape (count, dim, dim):
+    the Q factors of stacked Gaussian draws.  The first k columns of
+    each span a Haar-random k-dimensional subspace."""
+    g = rng.standard_normal((count, dim, dim))
+    if not real:
+        g = g + 1j * rng.standard_normal((count, dim, dim))
+    return np.linalg.qr(g)[0].astype(np.complex128, copy=False)
+
+
 def random_frame(rng: np.random.Generator, dim: int, real: bool = False) -> np.ndarray:
     """A random orthonormal frame: rows are orthonormal vectors."""
-    g = rng.standard_normal((dim, dim))
-    if not real:
-        g = g + 1j * rng.standard_normal((dim, dim))
-    q = np.linalg.qr(g)[0]
-    return q.T.astype(np.complex128)
+    return random_frames(rng, 1, dim, real)[0].T
 
 
 def random_subspace(

@@ -9,24 +9,30 @@ Encodings (stable, documented, round-trippable):
 * Subspace            ``{"dim": d, "basis": [<vector>, ...]}``
 * LinearMap           ``{"dim_in": a, "dim_out": b, "matrix": <matrix>}``
 * interference witness ``{"x", "alpha_basis", "beta_basis", "p_values", "margin"}``
-* LawReport           ``{"law_id", "pass", "trials_run", "trials_skipped",
-                        "worst_residual", "seed", "dim_range", "counterexample"}``
+* LawReport           ``{"law_id", "pass", "negative_control", "trials_run",
+                        "trials_skipped", "worst_residual", "tolerance", "seed",
+                        "stream_version", "dim_range", "counterexample"}``
 
 Decoding re-canonicalizes rays and re-orthonormalizes subspace bases,
 so a round trip restores the library invariants.  Serialized law
 reports intentionally omit wall-clock timing: reports of two runs with
-identical configuration must be byte-identical.
+identical configuration must be byte-identical.  They are strict JSON:
+a non-finite number anywhere in a report (a failing law's
+``worst_residual``, say) is written as one of the strings ``"NaN"``,
+``"Infinity"`` and ``"-Infinity"``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance
 from .rays import Ray, Subspace, ray_from
 from .morphisms import LinearMap, RegularMap
+from .sampling import STREAM_VERSION
 from .superposition import SuperpositionSpec
 
 
@@ -140,14 +146,30 @@ def law_report_to_json(report) -> dict:
         "worst_residual": report.worst_residual,
         "tolerance": report.tolerance,
         "seed": report.seed,
+        "stream_version": STREAM_VERSION,
         "dim_range": list(report.dim_range),
         "counterexample": report.counterexample,
     }
 
 
+_NONFINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _finite(value):
+    """``value`` with every non-finite float replaced by its string name."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else _NONFINITE[value]
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def dumps_reports(reports) -> str:
-    """Canonical JSON text for a list of law reports (deterministic)."""
-    return json.dumps([law_report_to_json(r) for r in reports], indent=2) + "\n"
+    """Canonical strict-JSON text for a list of law reports (deterministic)."""
+    rows = [_finite(law_report_to_json(r)) for r in reports]
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 def to_jsonable(value):

@@ -29,7 +29,7 @@ from .errors import (
     InvalidWeightError,
     OrthogonalComponentsError,
 )
-from .linalg import ANGLE_GUARD, DEFAULT_TOL, Tolerance, inner
+from .linalg import ANGLE_GUARD, DEFAULT_TOL, Tolerance
 from .rays import Ray, Subspace, is_orthogonal, join, ray_from, rays_equal
 from .geometry import a_sim, p_sim, theta
 
@@ -60,6 +60,36 @@ class SuperpositionSpec:
             )
 
 
+def _superposition_rows(v, w, r, tol: Tolerance):
+    """sqrt(r)·v + sqrt(1−r)·w′ per row, with the masks of the rows whose
+    superposition is a component instead: (gives v, gives w)."""
+    r = np.asarray(r, dtype=np.float64)[()]  # a numpy scalar for a single row
+    c = np.vecdot(w, v)  # <v, w>
+    a = np.hypot(c.real, c.imag)
+    cw = (1.0 - r) ** 0.5 * (c / (a + (a == 0.0)))  # w′ = w·c/|c| makes <v, w′> = |c|
+    take_v = (r >= 1.0) | (a > 1.0 - tol.eps_abs)
+    take_w = (r <= 0.0) & ~take_v
+    return (r**0.5)[..., np.newaxis] * v + cw[..., np.newaxis] * w, take_v, take_w
+
+
+def superpose_vectors(v, w, r, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Un-normalized superposition vectors of stacked components.
+
+    ``v`` and ``w`` are unit representatives of shape (..., d) and ``r``
+    the weights in [0, 1], shape (...).  Each row is
+    sqrt(r)·v + sqrt(1−r)·w′, with w′ the representative of w that
+    makes <v, w′> real and positive; its squared norm is
+    omega(r, y, z).  The boundary rows follow the ray rules:
+    coinciding components (overlap above 1 − eps_abs) or r = 1 give v,
+    and r = 0 gives w.  Rows whose components are orthogonal are
+    outside the domain and meaningless.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    w = np.asarray(w, dtype=np.complex128)
+    u, take_v, take_w = _superposition_rows(v, w, r, tol)
+    return np.where(take_v[..., np.newaxis], v, np.where(take_w[..., np.newaxis], w, u))
+
+
 def superpose(spec: SuperpositionSpec, tol: Tolerance = DEFAULT_TOL) -> Ray:
     """The superposed ray of ``spec``.
 
@@ -68,17 +98,11 @@ def superpose(spec: SuperpositionSpec, tol: Tolerance = DEFAULT_TOL) -> Ray:
     them.  Boundary weights short-circuit: r=1 gives y, r=0 gives z,
     and superposing a state with itself gives that state back.
     """
-    y, z, r = spec.y, spec.z, float(spec.r)
-    if rays_equal(y, z, tol):
-        return y
-    if r >= 1.0:
-        return y
-    if r <= 0.0:
-        return z
-    v = y.rep
-    c = inner(v, z.rep)
-    w = z.rep * (c / abs(c))  # now inner(v, w) = |c| > 0
-    u = math.sqrt(r) * v + math.sqrt(1.0 - r) * w
+    u, take_y, take_z = _superposition_rows(spec.y.rep, spec.z.rep, spec.r, tol)
+    if take_y:
+        return spec.y
+    if take_z:
+        return spec.z
     return ray_from(u, tol)
 
 
@@ -121,7 +145,7 @@ def p_of_superposition_closed_form(
     if cross <= (angle_guard * angle_guard) ** 2:
         interference = 0.0
     else:
-        interference = 2.0 * math.cos(theta(x, y, z, tol, angle_guard)) * math.sqrt(cross)
+        interference = 2.0 * math.cos(theta(x, y, z, angle_guard)) * math.sqrt(cross)
     return (r * p_yx + (1.0 - r) * p_zx + interference) / w
 
 
@@ -192,7 +216,7 @@ def cos_theta_prime(
     if (1.0 - p_xy) <= tol.eps_abs or (1.0 - p_xz) <= tol.eps_abs:
         raise DegenerateTripleError("denominator factor vanished (p(x,·) = 1)")
     p_yz = p_sim(y, z)
-    num = math.sqrt(p_yz) - math.cos(theta(x, y, z, tol, angle_guard)) * math.sqrt(p_xy * p_xz)
+    num = math.sqrt(p_yz) - math.cos(theta(x, y, z, angle_guard)) * math.sqrt(p_xy * p_xz)
     return num / math.sqrt(den_sq)
 
 
@@ -208,4 +232,4 @@ def theta_of_superposition(
     No closed form is claimed for this quantity; it is supported
     numerically through the constructed ray only.
     """
-    return theta(superpose(spec, tol), x1, x2, tol, angle_guard)
+    return theta(superpose(spec, tol), x1, x2, angle_guard)

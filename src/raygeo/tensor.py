@@ -66,10 +66,10 @@ def check_theta_product(
     the product triple pairwise non-orthogonal as well; raises
     OrthogonalPairError otherwise (propagated from the phase guards).
     """
-    t1 = theta(x1, y1, z1, tol, angle_guard)
-    t2 = theta(x2, y2, z2, tol, angle_guard)
+    t1 = theta(x1, y1, z1, angle_guard)
+    t2 = theta(x2, y2, z2, angle_guard)
     tx = tensor_ray(x1, x2, tol).combined
     ty = tensor_ray(y1, y2, tol).combined
     tz = tensor_ray(z1, z2, tol).combined
-    t_prod = theta(tx, ty, tz, tol, angle_guard)
+    t_prod = theta(tx, ty, tz, angle_guard)
     return circular_distance(t_prod, wrap_angle(t1 + t2))

@@ -198,10 +198,30 @@ class TestSuperpose:
 
 
 class TestSearch:
-    def test_budget_zero_not_found(self, capsys):
-        code, out, _ = run_cli(capsys, "search", "--budget", "0")
+    def test_budget_exhausted_not_found(self, capsys):
+        # seed 0 finds its first witness at trial index 1
+        code, out, _ = run_cli(capsys, "search", "--seed", "0", "--budget", "1")
         assert code == 1
         assert json.loads(out)["result"] == "NotFound"
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_usage_error(self, capsys, budget):
+        code, out, err = run_cli(capsys, "search", "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert "--budget" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, seed):
+        code, out, err = run_cli(capsys, "search", "--seed", seed, "--budget", "10")
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "--seed", str(2**64 - 1), "--budget", "100000")
+        assert code == 0
+        assert json.loads(out)["margin"] > 0
 
     def test_default_seed_finds_witness(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--seed", "42", "--budget", "100000")

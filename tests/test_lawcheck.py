@@ -2,10 +2,13 @@
 
 import importlib.resources
 import json
+import math
 
 import numpy as np
 import pytest
 
+from raygeo import lawcheck
+from raygeo.lawcheck import Block, Law
 from raygeo import (
     GeneratorSpec,
     UnknownLawError,
@@ -17,7 +20,7 @@ from raygeo import (
     run_law,
     sample_instance,
 )
-from raygeo.sampling import law_stream_key, substream
+from raygeo.sampling import STREAM_VERSION, law_stream_key, substream
 from raygeo.serialize import dumps_reports
 
 
@@ -229,3 +232,147 @@ def test_small_full_run_all_passes():
     assert len(reports) == len(law_ids())
     failing = [r.law_id for r in reports if not r.passed]
     assert all_passed(reports), failing
+
+
+def _raise(*_args):
+    raise RuntimeError("boom")
+
+
+def _constant_trials(value):
+    return lambda rng, dim, tol, record: value
+
+
+def _constant_blocks(value, skipped=False):
+    def batch(rng, dim, n, tol):
+        return Block(np.full(n, value), np.full(n, skipped), lambda i: {"value": value})
+
+    return batch
+
+
+#: Each broken law in its per-trial and its batched form.
+BROKEN = {
+    "nan": (dict(checker=_constant_trials(math.nan)), dict(batch=_constant_blocks(math.nan))),
+    "raise": (dict(checker=_raise), dict(batch=_raise)),
+    "wrong": (dict(checker=_constant_trials(0.5)), dict(batch=_constant_blocks(0.5))),
+    "skip_all": (dict(checker=_constant_trials(None)), dict(batch=_constant_blocks(0.0, True))),
+}
+
+
+class TestBrokenLawsFail:
+    """The harness never passes a law silently: a NaN, an exception, a
+    wrong answer or a skip flood fails it, trial by trial or in blocks.
+    The broken laws live in a registry copy that monkeypatch restores."""
+
+    GEN = GeneratorSpec(dims=(2, 3), trials_per_dim=3, seed=18)
+
+    @pytest.fixture
+    def private_registry(self, monkeypatch):
+        registry()  # the real laws register before the copy is taken
+        monkeypatch.setattr(lawcheck, "_REGISTRY", dict(lawcheck._REGISTRY))
+        monkeypatch.setattr(lawcheck, "_ORDER", list(lawcheck._ORDER))
+
+        def add(law_id, **kwargs):
+            lawcheck.register(Law(id=law_id, description="broken", flavor="generic-complex", **kwargs))
+            return run_law(law_id, self.GEN)
+
+        return add
+
+    @pytest.mark.parametrize("form", [0, 1], ids=["per_trial", "batched"])
+    @pytest.mark.parametrize("kind", sorted(BROKEN))
+    def test_broken_law_fails(self, private_registry, kind, form):
+        law_id = f"broken.{kind}"
+        report = private_registry(law_id, **BROKEN[kind][form])
+        assert not report.passed
+        assert report.counterexample is not None
+        text = dumps_reports([report])
+        rows = json.loads(text, parse_constant=lambda name: pytest.fail(f"bare {name} in report"))
+        assert rows[0]["pass"] is False
+        if kind == "skip_all":
+            assert report.trials_skipped == 6 and report.trials_run == 0
+        else:
+            assert report.trials_run == 6
+            assert report.counterexample["dim"] == 2 and report.counterexample["trial"] == 0
+        if kind == "nan":
+            assert rows[0]["worst_residual"] == "NaN"
+        if kind == "raise":
+            assert rows[0]["worst_residual"] == "Infinity"
+            assert "RuntimeError: boom" in report.counterexample["error"]
+
+    def test_broken_laws_left_no_trace(self):
+        assert not any(i.startswith("broken.") for i in law_ids())
+
+    def test_first_failure_is_named_not_the_last(self, private_registry):
+        def fails_from_trial_one(rng, dim, tol, record=None):
+            value = float(rng.uniform(0.0, 1.0))
+            if record is not None:
+                record["value"] = value
+            return 0.0 if dim == 2 and value == first_value[0] else 1.0
+
+        first_value = [float(substream(18, "broken.late", 2, 0).uniform(0.0, 1.0))]
+        report = private_registry("broken.late", checker=fails_from_trial_one)
+        assert not report.passed
+        assert (report.counterexample["dim"], report.counterexample["trial"]) == (2, 1)
+        expected = float(substream(18, "broken.late", 2, 1).uniform(0.0, 1.0))
+        assert report.counterexample["value"] == expected  # replayed record of that cell
+
+    def test_nan_fails_a_negative_control(self, private_registry):
+        report = private_registry(
+            "broken.nan_control",
+            checker=lambda rng, dim, tol, record: math.nan,
+            negative_control=True,
+            aggregate=lambda residuals: (True, 0.0),
+        )
+        assert not report.passed
+
+    def test_law_needs_exactly_one_checker(self, private_registry):
+        with pytest.raises(ValueError):
+            private_registry("broken.none")
+        with pytest.raises(ValueError):
+            private_registry("broken.both", checker=_constant_trials(0.0), batch=_constant_blocks(0.0))
+
+
+class TestBlockRunner:
+    def test_block_boundary(self, monkeypatch):
+        registry()
+        monkeypatch.setattr(lawcheck, "_REGISTRY", dict(lawcheck._REGISTRY))
+        monkeypatch.setattr(lawcheck, "_ORDER", list(lawcheck._ORDER))
+        block = lawcheck.BLOCK_TRIALS
+        trials = 1000
+        full, last = divmod(trials, block)
+        assert full >= 1 and last > 5  # 1000 trials end in a partial block
+        sizes = []
+
+        def batch(rng, dim, n, tol):
+            sizes.append((dim, n))
+            residuals = rng.uniform(0.0, 1e-11, n)
+            skipped = residuals > 9.8e-12
+            if n == last:  # the partial block: trials full * block .. 999
+                residuals[5], skipped[5] = 1.0, False
+            return Block(residuals, skipped, lambda i: {"residual_check": float(residuals[i])})
+
+        lawcheck.register(Law(id="blocks.boundary", description="d", flavor="generic-complex", batch=batch))
+        gen = GeneratorSpec(dims=(2, 3), trials_per_dim=trials, seed=19)
+        first = run_law("blocks.boundary", gen)
+        one_dim = [block] * full + [last]
+        replay = [last]  # the failing block is replayed once for its record
+        assert [n for _, n in sizes] == one_dim + replay + one_dim
+        assert [d for d, _ in sizes] == [2] * (full + 2) + [3] * (full + 1)
+        second = run_law("blocks.boundary", gen)
+        assert first.trials_run + first.trials_skipped == 2 * trials
+        assert 0 < first.trials_skipped < 2 * trials * 0.05
+        assert not first.passed
+        assert first.counterexample["dim"] == 2
+        assert first.counterexample["trial"] == full * block + 5
+        assert first.counterexample["residual"] == 1.0
+        assert first.counterexample["residual_check"] == 1.0  # record from the replayed block
+        assert dumps_reports([first]) == dumps_reports([second])
+
+    def test_interference_law_is_blocked_and_valid(self):
+        gen = GeneratorSpec(seed=20)
+        report = run_law("theorem.interference_inequality", gen)
+        assert registry()["theorem.interference_inequality"].batch is not None
+        assert report.passed
+        assert report.trials_run + report.trials_skipped == 6 * 10_000
+        assert report.worst_residual <= 1e-12
+        row = json.loads(dumps_reports([report]))[0]
+        assert row["stream_version"] == STREAM_VERSION

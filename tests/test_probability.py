@@ -333,29 +333,33 @@ def test_finite_additivity_four_parts():
     assert p_prop(x, joined) == pytest.approx(sum(p_prop(x, p) for p in parts), abs=1e-12)
 
 
-def test_law_inline_matches_public_interference_check():
-    # the high-volume law inlines this arithmetic; pin the two together
+def test_batched_interference_margins_match_scalar_check():
+    # the high-volume law checks its instances in stacks; pin its margins
+    # and residuals to the scalar reference on the same instances
     from raygeo import DEFAULT_TOL
-    from raygeo.laws import _check_interference_inequality_law
+    from raygeo.laws import _batch_interference_inequality
     from raygeo.sampling import substream
+    from raygeo.serialize import ray_from_json, subspace_from_json
 
-    for trial in range(50):
-        rng = substream(99, "pin.interference", 4, trial)
-        ra = int(rng.integers(1, 4))
-        rb = int(rng.integers(1, 4))
-        g = rng.standard_normal((4, ra)) + 1j * rng.standard_normal((4, ra))
-        qa = np.linalg.qr(g)[0]
-        g = rng.standard_normal((4, rb)) + 1j * rng.standard_normal((4, rb))
-        qb = np.linalg.qr(g)[0]
-        c = rng.standard_normal(ra) + 1j * rng.standard_normal(ra)
-        xv = qa @ c
-        a = Subspace.from_orthonormal(qa.T, 4)
-        b = Subspace.from_orthonormal(qb.T, 4)
-        x = ray_from(xv)
-        try:
-            margin = check_interference_inequality(x, a, b)
-        except PreconditionUnmetError:
-            continue
-        rerun = substream(99, "pin.interference", 4, trial)
-        residual = _check_interference_inequality_law(rerun, 4, DEFAULT_TOL)
-        assert residual == pytest.approx(max(0.0, -margin), abs=1e-12)
+    compared = 0
+    for dim in (3, 4, 6):
+        block = _batch_interference_inequality(
+            substream(99, "pin.interference", dim, 0), dim, 100, DEFAULT_TOL
+        )
+        for i in range(100):
+            record = block.record(i)
+            x = ray_from_json(record["x"])
+            a = subspace_from_json(record["alpha"])
+            b = subspace_from_json(record["beta"])
+            assert a.rank == np.linalg.matrix_rank(a.basis) and 1 <= a.rank < dim
+            try:
+                margin = check_interference_inequality(x, a, b)
+            except PreconditionUnmetError:
+                assert block.skipped[i]
+                continue
+            if block.skipped[i]:
+                continue
+            assert record["margin"] == pytest.approx(margin, abs=1e-12)
+            assert block.residuals[i] == pytest.approx(max(0.0, -margin), abs=1e-12)
+            compared += 1
+    assert compared >= 290

@@ -98,6 +98,23 @@ class TestReports:
         assert payload["law_id"] == "principle.triviality"
         assert payload["pass"] is True
 
+    def test_reports_are_strict_json_with_stream_version(self):
+        from raygeo import LawReport
+        from raygeo.sampling import STREAM_VERSION
+
+        report = LawReport(
+            law_id="some.law", passed=False, negative_control=False, trials_run=2,
+            trials_skipped=0, worst_residual=math.inf, tolerance=1e-10, seed=1,
+            dim_range=(2,), elapsed_ms=0.0,
+            counterexample={"dim": 2, "trial": 0, "residual": math.nan, "values": [-math.inf, 1.5]},
+        )
+        text = serialize.dumps_reports([report])
+        row = json.loads(text, parse_constant=lambda name: pytest.fail(f"bare {name}"))[0]
+        assert row["worst_residual"] == "Infinity"
+        assert row["counterexample"]["residual"] == "NaN"
+        assert row["counterexample"]["values"] == ["-Infinity", 1.5]
+        assert row["stream_version"] == STREAM_VERSION
+
     def test_witness_schema(self):
         from raygeo import search_nonsquared_counterexample
 
