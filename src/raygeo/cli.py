@@ -18,7 +18,7 @@ from .errors import RayGeoError
 from .lawcheck import GeneratorSpec, all_passed, run_all
 from .rays import Ray, Subspace, project_ray, ray_from, ZERO
 from .geometry import coplanar, p_prop, p_sim, theta
-from .superposition import SuperpositionSpec, p_of_superposition_closed_form, superpose
+from .superposition import p_of_superposition_closed_form, superpose
 from .probability import search_nonsquared_counterexample
 from . import serialize
 
@@ -43,7 +43,10 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_ray(path: str) -> Ray:
@@ -52,9 +55,9 @@ def _load_ray(path: str) -> Ray:
 
 def _load_ray_or_subspace(path: str):
     data = _load_json(path)
-    if "rep" in data:
+    if isinstance(data, dict) and "rep" in data:
         return serialize.ray_from_json(data)
-    if "basis" in data:
+    if isinstance(data, dict) and "basis" in data:
         return serialize.subspace_from_json(data)
     raise ValueError(f"{path}: neither a ray (rep) nor a subspace (basis)")
 
@@ -196,11 +199,12 @@ DEFAULT_TWO_SLIT = {
 
 def cmd_demo_two_slit(args) -> int:
     config = _load_json(args.config) if args.config else DEFAULT_TWO_SLIT
-    y = serialize.ray_from_json(config["y"])
-    z = serialize.ray_from_json(config["z"])
-    r = float(config["r"])
-    detectors = [serialize.ray_from_json(d) for d in config["detectors"]]
-    spec = SuperpositionSpec(y=y, z=z, r=r)
+    spec = serialize.superposition_spec_from_json(config)
+    y, z, r = spec.y, spec.z, spec.r
+    detectors = config.get("detectors")
+    if not isinstance(detectors, list):
+        raise ValueError("the configuration needs a list of detector rays")
+    detectors = [serialize.ray_from_json(d) for d in detectors]
     state = superpose(spec)
     rows = []
     for i, x in enumerate(detectors):

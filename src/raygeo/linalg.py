@@ -132,6 +132,9 @@ def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     Vectors whose residual norm after projecting out the basis built so
     far is ``<= tol.eps_abs`` are dropped, so the output size equals the
     numerical rank of the input set.  Empty input yields an empty list.
+    The input is coerced once into a 2-D array and the basis is filled
+    in place; once it spans the whole space the remaining vectors are
+    dependent and skipped.
 
     Parameters
     ----------
@@ -144,23 +147,44 @@ def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     -------
     list of numpy.ndarray
         Pairwise-orthonormal unit vectors spanning the input.
+
+    Raises
+    ------
+    ValueError
+        If a vector is empty, not one-dimensional, or not finite.
+    DimensionMismatchError
+        If the vectors differ in length.
     """
-    basis: list[np.ndarray] = []
-    stack: np.ndarray | None = None  # rows = basis, kept in sync
-    for v in vectors:
-        v = as_vector(v)
-        if basis and v.shape[0] != basis[0].shape[0]:
+    rows = list(vectors)
+    if not rows:
+        return []
+    try:
+        mat = np.asarray(rows, dtype=np.complex128)
+    except ValueError:
+        if len({np.shape(v) for v in rows}) > 1 and all(np.ndim(v) == 1 for v in rows):
             raise DimensionMismatchError(
-                f"vector of dim {v.shape[0]} in a set of dim {basis[0].shape[0]}"
-            )
-        w = v.astype(np.complex128, copy=True)
-        if stack is not None:
-            for _ in range(2):  # MGS + one re-orthogonalization pass
-                w = w - stack.T @ (stack.conj() @ w)
-        nrm = float(np.linalg.norm(w))
+                f"vectors of dims {sorted({len(v) for v in rows})} in one set"
+            ) from None
+        raise
+    if mat.ndim != 2 or mat.shape[1] == 0:
+        raise ValueError("expected non-empty one-dimensional vectors")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("vector entries must be finite")
+    n, d = mat.shape
+    basis = np.empty((min(n, d), d), dtype=np.complex128)
+    conj = np.empty_like(basis)  # conj(basis), kept in sync
+    k = 0
+    for w in mat:
+        if k == d:  # the span is already the whole space
+            break
+        for _ in range(2):  # MGS + one re-orthogonalization pass
+            w = w - basis[:k].T @ (conj[:k] @ w)
+        # np.linalg.norm's own formula for a complex vector, without its wrapper
+        nrm = math.sqrt(w.real @ w.real + w.imag @ w.imag)
         if nrm > tol.eps_abs:
-            w = w / nrm
-            w.flags.writeable = False
-            basis.append(w)
-            stack = np.vstack([stack, w]) if stack is not None else w[np.newaxis, :]
-    return basis
+            basis[k] = w / nrm
+            conj[k] = basis[k].conj()
+            k += 1
+    basis = basis[:k]
+    basis.flags.writeable = False
+    return list(basis)

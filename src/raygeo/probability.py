@@ -312,8 +312,10 @@ def decompose_commuting(
 ) -> CommutingDecomposition:
     """Constructive decomposition of a commuting pair.
 
-    gamma1 = a∧b, gamma2 = a∧¬b, gamma3 = ¬a∧b.  Verifies pairwise
-    orthogonality and that the two joins reproduce a and b.
+    gamma1 = a∧b, gamma2 = a∧¬b, gamma3 = ¬a∧b.  The complements are
+    formed once and each part is one meet, which complements nothing
+    itself.  Verifies pairwise orthogonality and that the two joins
+    reproduce a and b.
 
     Raises
     ------

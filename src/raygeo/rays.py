@@ -14,6 +14,7 @@ use requires no synchronization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,11 +93,15 @@ def ray_from(v, tol: Tolerance = DEFAULT_TOL) -> Ray:
     ------
     ZeroVectorError
         If ``norm(v) <= tol.eps_abs``.
+    ValueError
+        If ``v`` is not a finite vector, or its norm overflows.
     """
     v = as_vector(v)
     n = float(np.linalg.norm(v))
     if n <= tol.eps_abs:
         raise ZeroVectorError(f"cannot span a ray from a vector of norm {n:.3e}")
+    if n == math.inf:
+        raise ValueError("the vector norm overflows the float range")
     u = v / n
     sig = np.flatnonzero(np.abs(u) > tol.eps_abs)
     k = int(sig[0])  # nonempty: a unit vector has an entry of modulus >= 1/sqrt(d)
@@ -228,24 +233,51 @@ def project_ray(a: Subspace, x, tol: Tolerance = DEFAULT_TOL):
 
 def ortho_complement(a: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Orthogonal complement; rank is ``dim − rank(a)`` and the double
-    complement returns the original subspace."""
-    seed = list(a.basis) + list(np.eye(a.dim, dtype=np.complex128))
-    full = orthonormalize(seed, tol)
-    return Subspace.from_orthonormal(np.array(full[a.rank :], dtype=np.complex128), a.dim)
+    complement returns the original subspace.
+
+    The trailing ``dim − rank`` columns of a complete (Householder) QR
+    of the basis columns; falsehood maps to truth.  There is no rank
+    cut, so ``tol`` goes unused: the basis rows are orthonormal and
+    their rank is exact.
+    """
+    q = np.linalg.qr(a.basis.T, mode="complete")[0]
+    return Subspace.from_orthonormal(np.ascontiguousarray(q[:, a.rank :].T), a.dim)
+
+
+def _residual_rows(rows: np.ndarray, a: Subspace) -> np.ndarray:
+    """``rows`` with their projection onto ``a`` removed, block-wise, in
+    two passes (the second restores orthogonality lost to rounding)."""
+    for _ in range(2):
+        rows = rows - (rows @ a.basis.conj().T) @ a.basis
+    return rows
 
 
 def join(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Disjunction: the closed linear sum, containing both operands."""
+    """Disjunction: the closed linear sum, containing both operands.
+
+    ``b``'s basis is projected off ``a`` as a block; one thin SVD of the
+    residual rows yields the right singular vectors with singular value
+    ``s > tol.eps_abs``, stacked under ``a``'s basis, whose rows stay
+    first.
+    """
     _require_dim(a, b)
-    rows = orthonormalize(list(a.basis) + list(b.basis), tol)
-    return Subspace.from_orthonormal(np.array(rows, dtype=np.complex128).reshape(-1, a.dim), a.dim)
+    _, s, vh = np.linalg.svd(_residual_rows(b.basis, a), full_matrices=False)
+    return Subspace.from_orthonormal(np.vstack([a.basis, vh[s > tol.eps_abs]]), a.dim)
 
 
 def meet(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Conjunction: the intersection, via ``¬(¬a ∨ ¬b)`` (exact in
-    finite dimension)."""
+    """Conjunction: the intersection, the principal vectors of angle 0.
+
+    One thin SVD of ``a``'s basis projected off ``b``: its singular
+    values are the sines of the principal angles between ``a`` and
+    ``b`` (Björck & Golub, Math. Comp. 27, 1973).  The left singular
+    vectors with ``s <= tol.eps_abs`` are the coefficients, in ``a``'s
+    basis, of an orthonormal basis of the intersection.
+    """
     _require_dim(a, b)
-    return ortho_complement(join(ortho_complement(a, tol), ortho_complement(b, tol), tol), tol)
+    u, s, _ = np.linalg.svd(_residual_rows(a.basis, b), full_matrices=False)
+    coeffs = u[:, np.count_nonzero(s > tol.eps_abs) :].conj().T
+    return Subspace.from_orthonormal(coeffs @ a.basis, a.dim)
 
 
 def is_member(x: Ray, a: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -36,14 +36,45 @@ from .sampling import STREAM_VERSION
 from .superposition import SuperpositionSpec
 
 
+def _field(data, key: str, what: str):
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{what} lacks the field {key!r}")
+    return data[key]
+
+
+def _list(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON array, got {type(data).__name__}")
+    return data
+
+
+def _number(data, what: str) -> float:
+    if isinstance(data, bool) or not isinstance(data, (int, float)):
+        raise ValueError(f"{what} must be a number, got {type(data).__name__}")
+    try:
+        return float(data)
+    except OverflowError:
+        raise ValueError(f"{what} is out of the float range") from None
+
+
+def _size(data, what: str) -> int:
+    """A dimension or matrix size: a positive JSON integer."""
+    if isinstance(data, bool) or not isinstance(data, int) or data < 1:
+        raise ValueError(f"{what} must be a positive integer, got {data!r}")
+    return data
+
+
 def complex_to_json(c) -> list[float]:
     c = complex(c)
     return [c.real, c.imag]
 
 
 def complex_from_json(data) -> complex:
-    re, im = float(data[0]), float(data[1])
-    return complex(re, im)
+    if not isinstance(data, list) or len(data) != 2:
+        raise ValueError(f"a complex number must be a pair [re, im], got {data!r}")
+    return complex(_number(data[0], "re"), _number(data[1], "im"))
 
 
 def vec_to_json(v) -> list[list[float]]:
@@ -52,7 +83,8 @@ def vec_to_json(v) -> list[list[float]]:
 
 
 def vec_from_json(data) -> np.ndarray:
-    return np.array([complex(float(p[0]), float(p[1])) for p in data], dtype=np.complex128)
+    entries = _list(data, "a vector")
+    return np.array([complex_from_json(p) for p in entries], dtype=np.complex128)
 
 
 def mat_to_json(m) -> dict:
@@ -66,11 +98,11 @@ def mat_to_json(m) -> dict:
 
 
 def mat_from_json(data) -> np.ndarray:
-    rows, cols = int(data["rows"]), int(data["cols"])
-    entries = data["entries"]
-    if len(entries) != rows * cols:
-        raise ValueError(f"matrix entries count {len(entries)} != rows*cols {rows * cols}")
-    flat = np.array([complex(float(p[0]), float(p[1])) for p in entries], dtype=np.complex128)
+    rows = _size(_field(data, "rows", "a matrix"), "rows")
+    cols = _size(_field(data, "cols", "a matrix"), "cols")
+    flat = vec_from_json(_field(data, "entries", "a matrix"))
+    if len(flat) != rows * cols:
+        raise ValueError(f"matrix entries count {len(flat)} != rows*cols {rows * cols}")
     return flat.reshape(rows, cols)
 
 
@@ -79,8 +111,9 @@ def ray_to_json(x: Ray) -> dict:
 
 
 def ray_from_json(data, tol: Tolerance = DEFAULT_TOL) -> Ray:
-    rep = vec_from_json(data["rep"])
-    if len(rep) != int(data["dim"]):
+    dim = _size(_field(data, "dim", "a ray"), "dim")
+    rep = vec_from_json(_field(data, "rep", "a ray"))
+    if len(rep) != dim:
         raise ValueError("ray dim does not match representative length")
     return ray_from(rep, tol)
 
@@ -90,8 +123,8 @@ def subspace_to_json(a: Subspace) -> dict:
 
 
 def subspace_from_json(data, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    dim = int(data["dim"])
-    vectors = [vec_from_json(row) for row in data["basis"]]
+    dim = _size(_field(data, "dim", "a subspace"), "dim")
+    vectors = [vec_from_json(row) for row in _list(_field(data, "basis", "a subspace"), "basis")]
     for v in vectors:
         if len(v) != dim:
             raise ValueError("subspace dim does not match basis vector length")
@@ -104,17 +137,19 @@ def linear_map_to_json(f) -> dict:
 
 
 def regular_map_from_json(data) -> RegularMap:
-    m = mat_from_json(data["matrix"])
-    if m.shape != (int(data["dim_out"]), int(data["dim_in"])):
+    m = mat_from_json(_field(data, "matrix", "a map"))
+    dim_out = _size(_field(data, "dim_out", "a map"), "dim_out")
+    dim_in = _size(_field(data, "dim_in", "a map"), "dim_in")
+    if m.shape != (dim_out, dim_in):
         raise ValueError("matrix shape does not match declared dimensions")
     return RegularMap(underlying=LinearMap(matrix=m))
 
 
 def superposition_spec_from_json(data, tol: Tolerance = DEFAULT_TOL) -> SuperpositionSpec:
     return SuperpositionSpec(
-        y=ray_from_json(data["y"], tol),
-        z=ray_from_json(data["z"], tol),
-        r=float(data["r"]),
+        y=ray_from_json(_field(data, "y", "a superposition spec"), tol),
+        z=ray_from_json(_field(data, "z", "a superposition spec"), tol),
+        r=_number(_field(data, "r", "a superposition spec"), "r"),
     )
 
 

@@ -1,12 +1,16 @@
 """CLI contract: commands, JSON outputs, and the exit-code table
 (0 success, 1 law/search negative, 2 usage, 3 domain precondition)."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from raygeo.cli import main
 
@@ -145,6 +149,32 @@ class TestCompute:
         bad.write_text("{not json", encoding="utf-8")
         code, _, err = run_cli(capsys, "compute", "p", "--a", str(bad), "--b", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dim": 2, "rep": 5},
+            {"dim": 2, "rep": [[1], [0, 1]]},
+            5,
+            pytest.param(
+                {"dim": 2, "rep": [[1e200, 0.0], [1e200, 0.0]]},
+                marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+            ),
+        ],
+        ids=["rep-not-a-list", "entry-not-a-pair", "not-an-object", "norm-overflows"],
+    )
+    def test_malformed_shape_exit_2(self, capsys, tmp_path, rays, payload):
+        bad = write_json(tmp_path / "bad.json", payload)
+        code, out, err = run_cli(capsys, "compute", "p", "--a", rays["e1"], "--b", bad)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path, rays):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, _, err = run_cli(capsys, "compute", "p", "--a", rays["e1"], "--b", str(bad))
+        assert code == 2 and "nested too deeply" in err
 
 
 class TestSuperpose:
@@ -320,3 +350,54 @@ def test_env_seed_is_honored(capsys, monkeypatch):
         capsys, "verify", "--dims", "2", "--trials", "5", "--laws", "linalg.cauchy*", "--seed", "7"
     )
     assert json.loads(out)[0]["seed"] == 7
+
+
+# -- fuzz: arbitrary JSON into every decoder ------------------------------
+
+_numbers = st.integers(-2, 4) | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+_vectors = st.lists(st.lists(_numbers, max_size=3), max_size=4)
+_rays = st.fixed_dictionaries({"dim": _numbers, "rep": _vectors})
+_subspaces = st.fixed_dictionaries({"dim": _numbers, "basis": st.lists(_vectors, max_size=3)})
+_any_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["dim", "rep", "basis", "y", "z", "r", "detectors"]) | st.text(max_size=3),
+        inner,
+        max_size=5,
+    ),
+    max_leaves=16,
+)
+_specs = st.fixed_dictionaries(
+    {"y": _rays | _any_json, "z": _rays | _any_json, "r": _numbers | _any_json},
+    optional={"detectors": st.lists(_rays | _any_json, max_size=3) | _any_json},
+)
+_payloads = _any_json | _rays | _subspaces | _specs
+
+GOOD_RAY = ray_json(1, 1j)
+GOOD_SPEC = {"y": ray_json(1, 0), "z": ray_json(1, 1), "r": 0.5}
+
+
+def _fuzz_commands(bad, good_ray, good_spec):
+    return [
+        ["compute", "p", "--a", good_ray, "--b", bad],
+        ["compute", "p", "--a", bad, "--b", good_ray],
+        ["compute", "project", "--a", good_ray, "--b", bad],
+        ["compute", "theta", "--a", good_ray, "--b", good_ray, "--c", bad],
+        ["superpose", "--spec", bad],
+        ["superpose", "--spec", good_spec, "--report-p", bad],
+        ["demo-two-slit", "--config", bad, "--format", "json"],
+    ]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_payloads, which=st.integers(0, 6))
+def test_decoders_never_raise(tmp_path, payload, which):
+    """Arbitrary JSON, non-finite numbers included, exits 0, 2 or 3."""
+    bad = write_json(tmp_path / "fuzz.json", payload)
+    good_ray = write_json(tmp_path / "ray.json", GOOD_RAY)
+    good_spec = write_json(tmp_path / "spec.json", GOOD_SPEC)
+    argv = _fuzz_commands(bad, good_ray, good_spec)[which]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)  # an exception here is a traceback for the user
+    assert code in (0, 2, 3), (argv, payload)

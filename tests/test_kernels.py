@@ -1,8 +1,11 @@
-"""Batched p / theta / superposition kernels against loop references.
+"""Batched kernels and block lattice operations against loop references.
 
 The references below are the per-row formulas written out one row at a
 time; the theta reference is the sum of the three cyclic inner-product
-arguments, compared by circular distance.
+arguments, compared by circular distance.  The subspace lattice
+(complement, join, meet) is pinned to Gram–Schmidt written one vector
+at a time: complement against the identity, join over the stacked
+bases, and meet as ``¬(¬a ∨ ¬b)``.
 """
 
 import cmath
@@ -11,7 +14,18 @@ import math
 import numpy as np
 import pytest
 
-from raygeo import DEFAULT_TOL, OrthogonalPairError, SuperpositionSpec, ray_from, superpose
+from raygeo import (
+    DEFAULT_TOL,
+    OrthogonalPairError,
+    Subspace,
+    SuperpositionSpec,
+    join,
+    meet,
+    ortho_complement,
+    ray_from,
+    subspaces_equal,
+    superpose,
+)
 from raygeo.geometry import a_sims, p_sims, triple_phases
 from raygeo.linalg import circular_distance
 from raygeo.sampling import gaussian_stack, random_frames
@@ -125,3 +139,114 @@ def test_stacked_draws():
     np.testing.assert_allclose(frames.conj().swapaxes(-1, -2) @ frames, eye, atol=1e-12)
     real = gaussian_stack(np.random.default_rng(7), (5, 3), real=True)
     assert real.dtype == np.complex128 and not real.imag.any()
+
+
+# -- subspace lattice -----------------------------------------------------
+
+
+def _gram_schmidt(rows, dim):
+    """Span of ``rows`` by Gram–Schmidt, one vector at a time, with one
+    re-orthogonalization pass; residuals <= eps_abs are dropped."""
+    basis = np.zeros((0, dim), dtype=np.complex128)
+    for v in rows:
+        w = np.array(v, dtype=np.complex128)
+        for _ in range(2):
+            w = w - basis.T @ (basis.conj() @ w)
+        n = np.linalg.norm(w)
+        if n > DEFAULT_TOL.eps_abs:
+            basis = np.vstack([basis, w / n])
+    return Subspace.from_orthonormal(basis, dim)
+
+
+def _ref_complement(a):
+    full = _gram_schmidt(list(a.basis) + list(np.eye(a.dim)), a.dim)
+    return Subspace.from_orthonormal(full.basis[a.rank :], a.dim)
+
+
+def _ref_join(a, b):
+    return _gram_schmidt(list(a.basis) + list(b.basis), a.dim)
+
+
+def _ref_meet(a, b):
+    return _ref_complement(_ref_join(_ref_complement(a), _ref_complement(b)))
+
+
+def _span(rng, rows, dim):
+    """The span of orthonormal ``rows`` under a random basis of it."""
+    k = rows.shape[0]
+    mix = np.linalg.qr(_units(rng, (k, k)) if k else np.zeros((0, 0)))[0]
+    return Subspace.from_orthonormal(mix.T @ rows, dim)
+
+
+def _tilted(rng, frame, ra, dim, angle):
+    """span(frame[:ra]) with its last direction tilted by ``angle``
+    towards frame[ra]; the span itself when there is no room."""
+    rows = frame[:ra].copy()
+    if 0 < ra < dim:
+        rows[-1] = math.cos(angle) * frame[ra - 1] + math.sin(angle) * frame[ra]
+    return _span(rng, rows, dim)
+
+
+def _pairs(rng, dim, ra, rb):
+    """(kind, a, b, rank of a ∧ b) for one pair of ranks."""
+    frame = random_frames(rng, 1, dim)[0]
+    a = _span(rng, frame[:ra], dim)
+    big = max(ra, rb)
+    shared = min(ra, rb) // 2
+    commuting_b = np.concatenate([frame[:shared], frame[ra : ra + max(0, rb - shared)]])
+    rest = min(rb, dim - ra)
+    yield "generic", a, _span(rng, random_frames(rng, 1, dim)[0][:rb], dim), max(0, ra + rb - dim)
+    yield "a in b", a, _span(rng, frame[:big], dim), ra
+    yield "b in a", _span(rng, frame[:big], dim), a, ra
+    yield "commuting", a, _span(rng, commuting_b, dim), shared
+    yield "identical", a, _span(rng, frame[:ra], dim), ra
+    yield "orthogonal", a, _span(rng, frame[ra : ra + rest], dim), 0
+    # principal angle 1e-4 keeps the spans apart, 1e-13 falls under the eps_abs cut
+    yield "tilted", a, _tilted(rng, frame, ra, dim, 1e-4), ra - 1 if 0 < ra < dim else ra
+    yield "tilted below the cut", a, _tilted(rng, frame, ra, dim, 1e-13), ra
+    yield "truth", a, Subspace.truth(dim), ra
+    yield "falsehood", a, Subspace.falsehood(dim), 0
+
+
+def _assert_orthonormal(s):
+    gram = s.basis @ s.basis.conj().T
+    assert np.max(np.abs(gram - np.eye(s.rank)), initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 32])
+def test_lattice_ops_match_gram_schmidt(dim):
+    rng = np.random.default_rng(40 + dim)
+    truth = Subspace.truth(dim)
+    for ra in range(dim + 1):
+        rb = int(rng.integers(0, dim + 1))
+        for kind, a, b, meet_rank in _pairs(rng, dim, ra, rb):
+            where = (kind, a.rank, b.rank)
+            na = ortho_complement(a)
+            assert na.rank == dim - a.rank, where
+            assert subspaces_equal(na, _ref_complement(a)), where
+            _assert_orthonormal(na)
+            assert np.max(np.abs(a.basis @ na.basis.conj().T), initial=0.0) < 1e-12, where
+            assert subspaces_equal(join(a, na), truth), where
+
+            j = join(a, b)
+            ref = _ref_join(a, b)
+            assert j.rank == ref.rank and subspaces_equal(j, ref), where
+            np.testing.assert_array_equal(j.basis[: a.rank], a.basis)
+            _assert_orthonormal(j)
+
+            m = meet(a, b)
+            ref = _ref_meet(a, b)
+            assert m.rank == ref.rank == meet_rank, where
+            assert subspaces_equal(m, ref), where
+            _assert_orthonormal(m)
+
+
+def test_lattice_ops_on_truth_and_falsehood():
+    for dim in (1, 2, 5):
+        t, f = Subspace.truth(dim), Subspace.falsehood(dim)
+        assert ortho_complement(f) == t
+        assert ortho_complement(t).rank == 0
+        assert subspaces_equal(join(f, t), t) and join(t, f) == t
+        assert join(f, f).rank == 0
+        assert subspaces_equal(meet(t, t), t)
+        assert meet(t, f).rank == meet(f, t).rank == meet(f, f).rank == 0

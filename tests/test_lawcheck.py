@@ -10,6 +10,7 @@ import pytest
 from raygeo import lawcheck
 from raygeo.lawcheck import Block, Law
 from raygeo import (
+    DEFAULT_TOL,
     GeneratorSpec,
     UnknownLawError,
     all_passed,
@@ -80,7 +81,15 @@ class TestRunLaw:
         r1 = run_law("theorem.p_chain", gen1)
         r2 = run_law("theorem.p_chain", gen2)
         assert r1.passed and r2.passed
-        assert r1.worst_residual != r2.worst_residual  # different instances
+        # different instances: trial 0 as the runner draws it under each seed
+        # (the worst residuals are rounding noise and may coincide)
+        law = registry()["theorem.p_chain"]
+        records = []
+        for gen in (gen1, gen2):
+            record = {}
+            law.checker(substream(gen.seed, law.id, 3, 0), 3, DEFAULT_TOL, record)
+            records.append(record)
+        assert records[0] and records[1] and records[0] != records[1]
 
     def test_dims_pinned_by_law(self):
         gen = GeneratorSpec(dims=(2,), trials_per_dim=5, seed=3)

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from raygeo import Subspace, ray_from
+from raygeo import RayGeoError, Subspace, ray_from
 from raygeo.morphisms import RegularMap
 from raygeo import serialize
 
@@ -81,6 +83,40 @@ class TestSuperpositionSpec:
         spec = serialize.superposition_spec_from_json(data)
         assert spec.r == 0.5
         assert spec.y.dim == 2
+
+
+_numbers = st.integers(-1, 3) | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["dim", "rep", "basis", "rows", "cols", "entries", "matrix",
+                         "dim_in", "dim_out", "y", "z", "r"]),
+        inner,
+        max_size=6,
+    ),
+    max_leaves=16,
+)
+_DECODERS = [
+    serialize.vec_from_json,
+    serialize.mat_from_json,
+    serialize.ray_from_json,
+    serialize.subspace_from_json,
+    serialize.superposition_spec_from_json,
+    serialize.regular_map_from_json,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_json, which=st.integers(0, len(_DECODERS) - 1))
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_decoders_refuse_malformed_data_with_value_error(data, which):
+    """A decoder returns a value, or raises ValueError (malformed) or a
+    RayGeoError (a domain precondition); never TypeError or IndexError."""
+    try:
+        _DECODERS[which](data)
+    except (ValueError, RayGeoError):
+        pass
 
 
 class TestReports:
