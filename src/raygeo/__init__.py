@@ -22,13 +22,11 @@ from .errors import (
     PreconditionUnmetError,
     RayGeoError,
     UnknownLawError,
-    ZeroArgumentError,
     ZeroVectorError,
 )
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    carg,
     circular_distance,
     inner,
     norm,
@@ -108,7 +106,6 @@ from .lawcheck import (
     registry,
     run_all,
     run_law,
-    sample_instance,
 )
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 law failure or search exhausted, 2 usage or
 malformed input, 3 domain precondition violation (reported as
 structured error JSON).  The seed defaults to the RAYGEO_SEED
-environment variable, then 42; a --seed flag overrides both.
+environment variable, then 42; a --seed flag overrides both.  Seeds
+must lie in [0, 2^64).
 """
 
 from __future__ import annotations
@@ -20,17 +21,18 @@ from .rays import Ray, Subspace, project_ray, ray_from, ZERO
 from .geometry import coplanar, p_prop, p_sim, theta
 from .superposition import p_of_superposition_closed_form, superpose
 from .probability import search_nonsquared_counterexample
+from .sampling import check_seed
 from . import serialize
 
 
 def _default_seed() -> int:
     env = os.environ.get("RAYGEO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise SystemExit(f"RAYGEO_SEED must be an integer, got {env!r}") from exc
-    return 42
+    if env is None:
+        return 42
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"RAYGEO_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -168,9 +170,7 @@ def cmd_superpose(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if not 0 <= args.seed < 2**64:
-        sys.stderr.write(f"search: the seed must lie in [0, 2^64), got {args.seed}\n")
-        return 2
+    check_seed(args.seed)
     if args.budget < 1:
         sys.stderr.write(f"search: --budget must be at least 1, got {args.budget}\n")
         return 2
@@ -287,13 +287,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     if getattr(args, "command", None) == "compute" and args.quantity in ("theta", "coplanar"):
         if args.c is None:
             sys.stderr.write("compute theta/coplanar needs --a, --b and --c\n")
             return 2
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except RayGeoError as exc:
         return _domain_error(exc)

@@ -18,10 +18,6 @@ class ZeroVectorError(RayGeoError):
     """A (near-)zero vector was given where a direction is required."""
 
 
-class ZeroArgumentError(RayGeoError):
-    """Complex argument requested for a number of (near-)zero modulus."""
-
-
 class OrthogonalPairError(RayGeoError):
     """Two of the rays entering a triple phase are orthogonal.
 

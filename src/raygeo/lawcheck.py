@@ -1,9 +1,9 @@
 """Verification harness: named laws over seeded random instances.
 
-Each registered law pairs an instance generator flavor with a residual
-checker.  Running a law evaluates the checker on every (dim, trial)
-cell and produces a :class:`LawReport` that is a pure function of the
-law id and the :class:`GeneratorSpec` — same seed, same bytes.
+Each registered law pairs a residual checker with its pass criteria.
+Running a law evaluates the checker on every (dim, trial) cell and
+produces a :class:`LawReport` that is a pure function of the law id
+and the :class:`GeneratorSpec` — same seed, same bytes.
 
 A law is checked in one of two ways (see :mod:`raygeo.sampling` for
 the key scheme):
@@ -42,18 +42,7 @@ import numpy as np
 
 from .errors import UnknownLawError
 from .linalg import DEFAULT_TOL, Tolerance
-from .sampling import substream
-
-FLAVORS = (
-    "generic-complex",
-    "real-only",
-    "coplanar",
-    "commuting-pair",
-    "nested-pair",
-    "classical-orthogonal",
-    "isometry",
-    "non-isometry",
-)
+from .sampling import check_seed, substream
 
 #: Ceiling on the fraction of skipped trials before a law fails outright.
 MAX_SKIP_RATE = 0.05
@@ -75,16 +64,12 @@ class GeneratorSpec:
     trials_per_dim : int
         Trials per law per dimension (laws may pin their own count).
     seed : int
-        64-bit base seed for the substream scheme.
-    flavor : str or None
-        Optional default flavor; laws declare their own and that
-        declaration wins (flavor is part of a law's statement).
+        Base seed for the substream scheme, in [0, 2**64).
     """
 
     dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
     trials_per_dim: int = 1000
     seed: int = 42
-    flavor: str | None = None
 
     def __post_init__(self):
         if not self.dims:
@@ -93,8 +78,7 @@ class GeneratorSpec:
             raise ValueError("dims must lie within [2, 32]")
         if self.trials_per_dim < 1:
             raise ValueError("trials_per_dim must be at least 1")
-        if self.flavor is not None and self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -129,7 +113,7 @@ class Block(NamedTuple):
 
 @dataclass(frozen=True)
 class Law:
-    """A named law: generator flavor + checker + pass criteria.
+    """A named law: checker + pass criteria.
 
     Exactly one of ``checker`` and ``batch`` is set.
     ``checker(rng, dim, tol, record)`` returns the trial residual or
@@ -146,14 +130,12 @@ class Law:
 
     id: str
     description: str
-    flavor: str
     checker: Callable | None = None
     tolerance: float = 1e-10
     dims: tuple[int, ...] | None = None
     trials_per_dim: int | None = None
     negative_control: bool = False
     aggregate: Callable | None = None
-    max_skip_rate: float = MAX_SKIP_RATE
     batch: Callable | None = None
 
 
@@ -164,8 +146,6 @@ _ORDER: list[str] = []
 def register(law: Law) -> Law:
     if law.id in _REGISTRY:
         raise ValueError(f"duplicate law id {law.id!r}")
-    if law.flavor not in FLAVORS:
-        raise ValueError(f"law {law.id!r} declares unknown flavor {law.flavor!r}")
     if (law.checker is None) == (law.batch is None):
         raise ValueError(f"law {law.id!r} needs exactly one of checker and batch")
     _REGISTRY[law.id] = law
@@ -334,7 +314,7 @@ def run_law(law_id: str, gen: GeneratorSpec, tol: Tolerance = DEFAULT_TOL) -> La
         passed = worst <= law.tolerance
     if tally.nonfinite:
         passed = False
-    if skip_rate > law.max_skip_rate:
+    if skip_rate > MAX_SKIP_RATE:
         passed = False
         failure = failure or {
             "note": "skip rate above cap",
@@ -373,47 +353,3 @@ def run_all(
 
 def all_passed(reports) -> bool:
     return all(r.passed for r in reports)
-
-
-def sample_instance(gen: GeneratorSpec, kind: str, dim: int | None = None, trial: int = 0):
-    """Draw one instance of the given flavor (documented surface of the
-    sampling policy; laws compose the same primitives internally).
-
-    Returns a dict of library values whose keys depend on the flavor.
-    """
-    from . import sampling
-
-    if kind not in FLAVORS:
-        raise ValueError(f"unknown flavor {kind!r}")
-    d = int(dim) if dim is not None else gen.dims[0]
-    rng = substream(gen.seed, f"sample.{kind}", d, trial)
-    if kind == "generic-complex":
-        pair = sampling.nonorthogonal_pair(rng, d)
-        x, y = pair if pair else (sampling.random_ray(rng, d), sampling.random_ray(rng, d))
-        return {"x": x, "y": y, "subspace": sampling.random_subspace(rng, d)}
-    if kind == "real-only":
-        pair = sampling.nonorthogonal_pair(rng, d, real=True)
-        x, y = pair if pair else (
-            sampling.random_ray(rng, d, real=True),
-            sampling.random_ray(rng, d, real=True),
-        )
-        return {"x": x, "y": y, "subspace": sampling.random_subspace(rng, d, real=True)}
-    if kind == "coplanar":
-        triple = sampling.coplanar_triple(rng, d)
-        if triple is None:
-            raise ValueError("rejection limit reached while sampling a coplanar triple")
-        x, y, z = triple
-        return {"x": x, "y": y, "z": z}
-    if kind == "commuting-pair":
-        a, b = sampling.commuting_pair(rng, d)
-        return {"alpha": a, "beta": b}
-    if kind == "nested-pair":
-        a, b = sampling.nested_pair(rng, d)
-        return {"alpha": a, "beta": b}
-    if kind == "classical-orthogonal":
-        count = min(3, d)
-        rays = sampling.classical_rays(rng, d, count)
-        return {"rays": rays}
-    if kind == "isometry":
-        return {"map": sampling.isometry_map(rng, d)}
-    return {"map": sampling.non_isometry_map(rng, d)}

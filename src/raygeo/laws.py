@@ -63,6 +63,7 @@ from .probability import (
     decompose_commuting,
     interference_margins,
     search_nonsquared_counterexample,
+    total_probability_residual,
 )
 from .morphisms import (
     apply_ray,
@@ -763,20 +764,6 @@ def _check_interference_membership(rng, dim, tol, record=None):
     return float(np.linalg.norm(project_vec(a, bx.rep) - bx.rep))
 
 
-def _total_probability_residual(x, a, b, tol):
-    na = ortho_complement(a)
-    total = 0.0
-    for prop in (a, na):
-        weight = p_prop(x, prop)
-        if weight <= tol.eps_abs:
-            continue
-        px = project_ray(prop, x)
-        if px is ZERO:
-            continue
-        total += weight * p_prop(px, b)
-    return abs(p_prop(x, b) - total)
-
-
 def _check_total_probability_generic(rng, dim, tol, record=None):
     a = sampling.random_subspace(rng, dim)
     b = sampling.random_subspace(rng, dim)
@@ -784,7 +771,7 @@ def _check_total_probability_generic(rng, dim, tol, record=None):
         return None  # not an applicable generic (non-commuting) instance
     x = sampling.random_ray(rng, dim)
     _note(record, alpha=a, beta=b, x=x)
-    return _total_probability_residual(x, a, b, tol)
+    return total_probability_residual(x, a, b, tol)
 
 
 def _aggregate_must_fail(residuals):
@@ -799,7 +786,7 @@ def _check_total_probability_2d(rng, dim, tol, record=None):
     alpha = Subspace.from_orthonormal(np.eye(2, dtype=np.complex128)[:1], 2)
     x = ray_from(np.array([math.cos(t), math.sin(t)], dtype=np.complex128))
     beta = Subspace.from_ray(x)
-    measured = _total_probability_residual(x, alpha, beta, tol)
+    measured = total_probability_residual(x, alpha, beta, tol)
     analytic = abs(1.0 - math.cos(t) ** 4 - math.sin(t) ** 4)
     _note(record, angle=t, measured=measured, analytic=analytic)
     return abs(measured - analytic)
@@ -928,44 +915,37 @@ def _check_tensor_theta_additive(rng, dim, tol, record=None):
 register(Law(
     id="linalg.inner_linearity",
     description="inner product linear in its first argument, conjugate-symmetric",
-    flavor="generic-complex",
     checker=_check_inner_linearity,
 ))
 register(Law(
     id="linalg.cauchy_schwarz",
     description="|<u,v>| never exceeds ||u||·||v||",
-    flavor="generic-complex",
     checker=_check_cauchy_schwarz,
 ))
 register(Law(
     id="linalg.orthonormalize_contract",
     description="orthonormalize returns an orthonormal basis of the span, size = rank, idempotent",
-    flavor="generic-complex",
     checker=_check_orthonormalize_contract,
     trials_per_dim=400,
 ))
 register(Law(
     id="ray.canonical_representative",
     description="rays are scale-invariant with a canonical unit representative",
-    flavor="generic-complex",
     checker=_check_ray_canonical,
 ))
 register(Law(
     id="subspace.projector_laws",
     description="projectors are Hermitian and idempotent",
-    flavor="generic-complex",
     checker=_check_projector_laws,
 ))
 register(Law(
     id="subspace.projection_residual",
     description="the projection residual is orthogonal to the subspace",
-    flavor="generic-complex",
     checker=_check_projection_residual,
 ))
 register(Law(
     id="subspace.complement_involution",
     description="complement ranks add to dim; double complement returns the subspace",
-    flavor="generic-complex",
     checker=_check_complement_involution,
     tolerance=0.5,
     trials_per_dim=400,
@@ -973,14 +953,12 @@ register(Law(
 register(Law(
     id="subspace.orthomodular_identity",
     description="for nested subspaces, b = a ∨ (¬a ∧ b)",
-    flavor="nested-pair",
     checker=_check_orthomodular_identity,
     trials_per_dim=250,
 ))
 register(Law(
     id="subspace.commutes_complement",
     description="commuting survives complementation of either argument",
-    flavor="commuting-pair",
     checker=_check_commutes_complement,
     tolerance=0.5,
     trials_per_dim=400,
@@ -988,14 +966,12 @@ register(Law(
 register(Law(
     id="lemma.commuting_decomposition",
     description="commuting pairs decompose into three orthogonal parts and back",
-    flavor="commuting-pair",
     checker=_check_commuting_decomposition,
     trials_per_dim=150,
 ))
 register(Law(
     id="corollary.contained_or_orthogonal_commute",
     description="nested or orthogonal propositions commute",
-    flavor="nested-pair",
     checker=_check_contained_or_orthogonal_commute,
     tolerance=0.5,
     trials_per_dim=400,
@@ -1003,43 +979,36 @@ register(Law(
 register(Law(
     id="classical.no_disturbance",
     description="with pairwise-orthogonal states, measuring ¬x leaves any other state intact",
-    flavor="classical-orthogonal",
     checker=_check_classical_no_disturbance,
 ))
 register(Law(
     id="lemma.a_properties",
     description="overlap lies in [0,1], symmetric, 1 iff equal, 0 iff orthogonal",
-    flavor="generic-complex",
     checker=_check_a_properties,
 ))
 register(Law(
     id="lemma.p_properties",
     description="similarity = overlap², symmetric, equals <u,y(u)> and ||y(u)||²",
-    flavor="generic-complex",
     checker=_check_p_properties,
 ))
 register(Law(
     id="corollary.satisfaction",
     description="membership is equivalent to similarity one",
-    flavor="generic-complex",
     checker=_check_satisfaction,
 ))
 register(Law(
     id="lemma.born_rule",
     description="p(x,a) = ||a(u)||²/||u||² for any nonzero u in x",
-    flavor="generic-complex",
     checker=_check_born_rule,
 ))
 register(Law(
     id="theorem.p_chain",
     description="p(x,y) factors through the projection: p(x,a(x))·p(a(x),y) for y in a",
-    flavor="generic-complex",
     checker=_check_p_chain,
 ))
 register(Law(
     id="corollary.p_max",
     description="the projection is the unique most-similar state inside a subspace",
-    flavor="generic-complex",
     checker=_check_p_max,
     tolerance=0.5,
     trials_per_dim=500,
@@ -1047,13 +1016,11 @@ register(Law(
 register(Law(
     id="lemma.p_bounds",
     description="0 ≤ p(x,a) ≤ 1 always",
-    flavor="generic-complex",
     checker=_check_p_bounds,
 ))
 register(Law(
     id="principle.reciprocity",
     description="equal projections on ¬x imply equal projections on ¬y",
-    flavor="coplanar",
     checker=_check_reciprocity,
     tolerance=0.5,
     trials_per_dim=400,
@@ -1061,7 +1028,6 @@ register(Law(
 register(Law(
     id="coplanarity.permutation_invariance",
     description="coplanarity is a property of the unordered triple",
-    flavor="coplanar",
     checker=_check_coplanarity_permutations,
     tolerance=0.5,
     trials_per_dim=300,
@@ -1069,28 +1035,24 @@ register(Law(
 register(Law(
     id="theta.representative_independence",
     description="the triple phase ignores the representatives chosen",
-    flavor="generic-complex",
     checker=_check_theta_representative_independence,
     tolerance=ANGLE_TOL,
 ))
 register(Law(
     id="lemma.theta_cyclic",
     description="triple phase is cyclic and antisymmetric under transposition",
-    flavor="generic-complex",
     checker=_check_theta_cyclic,
     tolerance=ANGLE_TOL,
 ))
 register(Law(
     id="lemma.theta_cocycle",
     description="theta(x,y,w) = theta(x,y,z) + theta(x,z,w) + theta(z,y,w) mod 2π",
-    flavor="generic-complex",
     checker=_check_theta_cocycle,
     tolerance=ANGLE_TOL,
 ))
 register(Law(
     id="lemma.theta_prime",
     description="the orthocomplement triple negates the triple phase",
-    flavor="coplanar",
     checker=_check_theta_prime,
     tolerance=ANGLE_TOL,
     trials_per_dim=300,
@@ -1098,74 +1060,63 @@ register(Law(
 register(Law(
     id="theta.euclidean_real",
     description="real instances have phase 0 or π; positive overlaps give exactly 0",
-    flavor="real-only",
     checker=_check_theta_euclidean,
     tolerance=ANGLE_TOL,
 ))
 register(Law(
     id="principle.superposition_domain",
     description="superposition is undefined exactly for orthogonal components",
-    flavor="classical-orthogonal",
     checker=_check_superposition_domain,
 ))
 register(Law(
     id="principle.triviality",
     description="superposing a state with itself returns the state",
-    flavor="generic-complex",
     checker=_check_triviality,
 ))
 register(Law(
     id="lemma.superpose_identity_commutative",
     description="weight 1 returns the first component; swap components by r ↔ 1−r",
-    flavor="generic-complex",
     checker=_check_superpose_identity_commutative,
 ))
 register(Law(
     id="principle.coplanarity",
     description="a superposition is coplanar with its components",
-    flavor="generic-complex",
     checker=_check_superposition_coplanarity,
     tolerance=0.5,
 ))
 register(Law(
     id="lemma.prop1_theta_zero",
     description="the phase of (superposition, y, z) vanishes",
-    flavor="generic-complex",
     checker=_check_superposition_theta_zero,
     tolerance=ANGLE_TOL,
 ))
 register(Law(
     id="lemma.p_basis",
     description="closed-form superposition probability matches the constructed ray",
-    flavor="generic-complex",
     checker=_check_p_basis,
     tolerance=1e-9,
 ))
 register(Law(
     id="lemma.prop1_component_form",
     description="similarity to a component: 1 − (1−r)(1−p(y,z))/ω",
-    flavor="generic-complex",
     checker=_check_prop1_component_form,
     tolerance=1e-9,
 ))
 register(Law(
     id="lemma.prop1_dominance",
     description="mixing in y strictly increases similarity to y beyond p(y,z)",
-    flavor="generic-complex",
     checker=_check_prop1_dominance,
     tolerance=0.0,
 ))
 register(Law(
     id="counterexample.dominance_boundary",
     description="at r=0 the strict dominance degrades to equality, as predicted",
-    flavor="generic-complex",
     checker=_check_dominance_boundary,
     negative_control=True,
 ))
 register(Law(
     id="corollary.cos_theta_prime",
     description="closed-form cosine of the phase after an in-plane complement swap",
-    flavor="coplanar",
     checker=_check_cos_theta_prime,
     tolerance=ANGLE_TOL,
     trials_per_dim=500,
@@ -1173,70 +1124,60 @@ register(Law(
 register(Law(
     id="superposition.theta_consistency",
     description="phases of superposed rays are representative-independent (numeric-only support)",
-    flavor="generic-complex",
     checker=_check_superposition_theta_consistency,
     tolerance=ANGLE_TOL,
 ))
 register(Law(
     id="lemma.ortho_additivity",
     description="similarity adds over a disjunction of orthogonal propositions",
-    flavor="commuting-pair",
     checker=_check_ortho_additivity_law,
     trials_per_dim=400,
 ))
 register(Law(
     id="corollary.ortho_additivity_family",
     description="similarity adds over families of 2..4 orthogonal propositions",
-    flavor="commuting-pair",
     checker=_check_ortho_additivity_family,
     trials_per_dim=300,
 ))
 register(Law(
     id="lemma.complement_sum",
     description="p(x,a) + p(x,¬a) = 1",
-    flavor="generic-complex",
     checker=_check_complement_sum,
     trials_per_dim=400,
 ))
 register(Law(
     id="lemma.inclusion_exclusion",
     description="inclusion–exclusion for commuting propositions",
-    flavor="commuting-pair",
     checker=_check_inclusion_exclusion_law,
     trials_per_dim=250,
 ))
 register(Law(
     id="lemma.conjunction_chain",
     description="p(x, a∧b) = p(x,a)·p(a(x),b) for commuting propositions",
-    flavor="commuting-pair",
     checker=_check_conjunction_chain,
     trials_per_dim=250,
 ))
 register(Law(
     id="corollary.monotone",
     description="similarity is monotone under containment",
-    flavor="nested-pair",
     checker=_check_monotone_law,
     trials_per_dim=400,
 ))
 register(Law(
     id="corollary.total_probability",
     description="total probability decomposition over a commuting complement pair",
-    flavor="commuting-pair",
     checker=_check_total_probability_law,
     trials_per_dim=300,
 ))
 register(Law(
     id="lemma.orthomodular_equality",
     description="when both conditional projections satisfy b, every term equals one",
-    flavor="generic-complex",
     checker=_check_orthomodular_equality,
     trials_per_dim=400,
 ))
 register(Law(
     id="lemma.local_total_probability",
     description="total probability needs only commutation at the state itself",
-    flavor="generic-complex",
     checker=_check_local_total_probability,
     dims=(4, 5, 6, 7, 8),
     trials_per_dim=300,
@@ -1244,7 +1185,6 @@ register(Law(
 register(Law(
     id="theorem.interference_inequality",
     description="p(x,b)(1−p(b(x),a))² ≤ p(b(x),a)(1−p(a(b(x)),b)) for x in a",
-    flavor="generic-complex",
     batch=_batch_interference_inequality,
     tolerance=1e-12,
     dims=(3, 4, 5, 6, 7, 8),
@@ -1253,14 +1193,12 @@ register(Law(
 register(Law(
     id="corollary.interference_membership",
     description="if a(b(x)) satisfies b (x in a), then b(x) satisfies a",
-    flavor="commuting-pair",
     checker=_check_interference_membership,
     trials_per_dim=400,
 ))
 register(Law(
     id="counterexample.total_probability",
     description="the total-probability identity FAILS on generic non-commuting pairs",
-    flavor="generic-complex",
     checker=_check_total_probability_generic,
     tolerance=0.1,
     trials_per_dim=400,
@@ -1270,7 +1208,6 @@ register(Law(
 register(Law(
     id="counterexample.total_probability_2d",
     description="the planar family violates total probability by exactly |1 − cos⁴ − sin⁴|",
-    flavor="generic-complex",
     checker=_check_total_probability_2d,
     tolerance=1e-9,
     dims=(2,),
@@ -1279,7 +1216,6 @@ register(Law(
 register(Law(
     id="counterexample.nonsquared_interference",
     description="dropping the square breaks the interference inequality in real 3-space",
-    flavor="real-only",
     checker=_check_nonsquared_search,
     tolerance=0.5,
     dims=(3,),
@@ -1289,7 +1225,6 @@ register(Law(
 register(Law(
     id="morphism.scale_invariance",
     description="scaling the matrix by a nonzero complex number induces the same ray map",
-    flavor="isometry",
     checker=_check_morphism_scale_invariance,
     tolerance=1e-9,
     dims=(2, 3, 4, 5),
@@ -1298,7 +1233,6 @@ register(Law(
 register(Law(
     id="morphism.isometry_inner_products",
     description="a linear isometry preserves inner products",
-    flavor="isometry",
     checker=_check_isometry_inner_products,
     dims=(2, 3, 4, 5),
     trials_per_dim=400,
@@ -1306,7 +1240,6 @@ register(Law(
 register(Law(
     id="lemma.isometry_preserves_all",
     description="isometries (up to scale) preserve similarity, phase, and superpositions",
-    flavor="isometry",
     checker=_check_isometry_preserves_all,
     dims=(2, 3, 4, 5),
     trials_per_dim=60,
@@ -1314,7 +1247,6 @@ register(Law(
 register(Law(
     id="morphism.noniso_breaks_superpositions",
     description="every sampled non-isometry exhibits a concrete broken superposition",
-    flavor="non-isometry",
     checker=_check_noniso_breaks_superpositions,
     tolerance=0.5,
     dims=(2, 3, 4, 5),
@@ -1323,7 +1255,6 @@ register(Law(
 register(Law(
     id="theorem.char_morph",
     description="superposition preservation coincides with being an isometry",
-    flavor="isometry",
     checker=_check_char_morph_law,
     tolerance=0.5,
     dims=(2, 3, 4, 5),
@@ -1332,7 +1263,6 @@ register(Law(
 register(Law(
     id="morphism.injective_distinct",
     description="injective maps send distinct rays to distinct rays",
-    flavor="non-isometry",
     checker=_check_injective_distinct,
     tolerance=0.5,
     dims=(2, 3, 4, 5),
@@ -1341,21 +1271,18 @@ register(Law(
 register(Law(
     id="tensor.inner_factorization",
     description="inner products factor across Kronecker products",
-    flavor="generic-complex",
     checker=_check_tensor_inner,
     dims=(2, 3),
 ))
 register(Law(
     id="tensor.p_product",
     description="similarity multiplies across product states",
-    flavor="generic-complex",
     checker=_check_tensor_p_product,
     dims=(2, 3),
 ))
 register(Law(
     id="tensor.theta_additive",
     description="triple phases add across product states (mod 2π)",
-    flavor="generic-complex",
     checker=_check_tensor_theta_additive,
     dims=(2, 3),
 ))

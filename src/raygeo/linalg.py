@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroArgumentError
+from .errors import DimensionMismatchError
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,21 +91,6 @@ def inner(u, v) -> complex:
 def norm(u) -> float:
     """Euclidean norm ``sqrt(inner(u, u))``."""
     return float(np.linalg.norm(np.asarray(u, dtype=np.complex128)))
-
-
-def carg(c, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Complex argument of ``c`` in the branch (−π, π].
-
-    Raises
-    ------
-    ZeroArgumentError
-        If ``|c| <= tol.eps_abs``: the argument of a near-zero number
-        carries no information.
-    """
-    c = complex(c)
-    if abs(c) <= tol.eps_abs:
-        raise ZeroArgumentError(f"argument undefined for |c| = {abs(c):.3e}")
-    return wrap_angle(math.atan2(c.imag, c.real))
 
 
 def wrap_angle(angle: float) -> float:

@@ -81,16 +81,11 @@ def apply_ray(f: RegularMap, x: Ray, tol: Tolerance = DEFAULT_TOL) -> Ray:
     return ray_from(f.underlying.matrix @ x.rep, tol)
 
 
-def isometry_scale(
-    f: RegularMap,
-    probes: int = 8,
-    tol: Tolerance = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
-) -> float | None:
+def isometry_scale(f: RegularMap, tol: Tolerance = DEFAULT_TOL) -> float | None:
     """The uniform scale c with ‖m·u‖ = c‖u‖ for all u, or None.
 
     Decided exactly through the Gram matrix m†m = c²·I on the standard
-    basis; ``probes`` random vectors cross-check the verdict.
+    basis.
     """
     m = f.underlying.matrix
     gram = m.conj().T @ m
@@ -100,16 +95,7 @@ def isometry_scale(
     dev = float(np.max(np.abs(gram - c2 * np.eye(f.dim_in))))
     if dev > tol.eps_rel * c2:
         return None
-    c = float(np.sqrt(c2))
-    if probes > 0:
-        if rng is None:
-            rng = np.random.Generator(np.random.Philox(key=[0x52415947454F, probes]))
-        for _ in range(probes):
-            u = rng.standard_normal(f.dim_in) + 1j * rng.standard_normal(f.dim_in)
-            nu = float(np.linalg.norm(u))
-            if abs(float(np.linalg.norm(m @ u)) - c * nu) > tol.eps_rel * c * nu:
-                return None
-    return c
+    return float(np.sqrt(c2))
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ def check_ortho_additivity(x: Ray, a: Subspace, b: Subspace, tol: Tolerance = DE
 
 def check_complement(x: Ray, a: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
     """|p(x, a) + p(x, ¬a) − 1|."""
-    return abs(p_prop(x, a) + p_prop(x, ortho_complement(a, tol)) - 1.0)
+    return abs(p_prop(x, a) + p_prop(x, ortho_complement(a)) - 1.0)
 
 
 def check_inclusion_exclusion(x: Ray, a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -132,7 +132,14 @@ def check_total_probability(x: Ray, a: Subspace, b: Subspace, tol: Tolerance = D
             "commuting or locally-commuting-at-x",
             "propositions neither commute nor locally commute at the given state",
         )
-    na = ortho_complement(a, tol)
+    return total_probability_residual(x, a, b, tol)
+
+
+def total_probability_residual(x: Ray, a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
+    """The residual of :func:`check_total_probability` without its
+    precondition check; on non-commuting propositions it measures how
+    far the law of total probability fails."""
+    na = ortho_complement(a)
     total = 0.0
     for prop in (a, na):
         weight = p_prop(x, prop)
@@ -324,8 +331,8 @@ def decompose_commuting(
     """
     if not commutes(a, b, tol=tol):
         raise NotCommutingError("decomposition exists only for commuting propositions")
-    nb = ortho_complement(b, tol)
-    na = ortho_complement(a, tol)
+    nb = ortho_complement(b)
+    na = ortho_complement(a)
     g1 = meet(a, b, tol)
     g2 = meet(a, nb, tol)
     g3 = meet(na, b, tol)

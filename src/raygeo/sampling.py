@@ -13,16 +13,8 @@ version), and cells or blocks can run in any order, or in parallel,
 without changing a single drawn number.  :data:`STREAM_VERSION` names
 the scheme; it is bumped whenever a change alters what a law draws.
 
-Flavors (what kind of instance a law consumes):
-
-* ``generic-complex``     standard complex Gaussian rays/subspaces
-* ``real-only``           imaginary parts zeroed (Euclidean regime)
-* ``coplanar``            a triple mixed inside one 2-plane
-* ``commuting-pair``      two subspaces built on one orthonormal frame
-* ``nested-pair``         two subspaces with one containing the other
-* ``classical-orthogonal`` distinct standard-basis rays
-* ``isometry``            a scaled unitary-column map
-* ``non-isometry``        an injective map with one singular value bumped
+Base seeds lie in [0, 2**64), the range of the key's first word
+(:func:`check_seed`).
 """
 
 from __future__ import annotations
@@ -51,6 +43,12 @@ STREAM_VERSION = 2
 def law_stream_key(law_id: str) -> int:
     """Stable 64-bit key for a law id (blake2b-8 digest)."""
     return int.from_bytes(hashlib.blake2b(law_id.encode(), digest_size=8).digest(), "little")
+
+
+def check_seed(seed: int) -> None:
+    """Raise ``ValueError`` unless ``seed`` is a base seed in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"the seed must lie in [0, 2^64), got {seed}")
 
 
 def substream(seed: int, law_id: str, dim: int, index: int) -> np.random.Generator:

@@ -352,6 +352,41 @@ def test_env_seed_is_honored(capsys, monkeypatch):
     assert json.loads(out)[0]["seed"] == 7
 
 
+SMALL_VERIFY = ("verify", "--dims", "2", "--trials", "5", "--laws", "linalg.cauchy*")
+
+
+def test_env_seed_not_an_integer_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("RAYGEO_SEED", "abc")
+    code, out, err = run_cli(capsys, *SMALL_VERIFY)
+    assert code == 2
+    assert out == ""
+    assert "RAYGEO_SEED" in err
+
+
+@pytest.mark.parametrize("command", [SMALL_VERIFY, ("search", "--budget", "10")])
+def test_env_seed_outside_64_bits_is_usage_error(capsys, monkeypatch, command):
+    monkeypatch.setenv("RAYGEO_SEED", str(2**64))
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_verify_seed_outside_64_bits_is_usage_error(capsys, seed):
+    code, out, err = run_cli(capsys, *SMALL_VERIFY, "--seed", str(seed))
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_verify_seed_bounds_accepted(capsys, seed):
+    code, out, _ = run_cli(capsys, *SMALL_VERIFY, "--seed", str(seed))
+    assert code == 0
+    assert json.loads(out)[0]["seed"] == seed
+
+
 # -- fuzz: arbitrary JSON into every decoder ------------------------------
 
 _numbers = st.integers(-2, 4) | st.integers() | st.floats(allow_nan=True, allow_infinity=True)

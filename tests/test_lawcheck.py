@@ -14,12 +14,10 @@ from raygeo import (
     GeneratorSpec,
     UnknownLawError,
     all_passed,
-    commutes,
     law_ids,
     registry,
     run_all,
     run_law,
-    sample_instance,
 )
 from raygeo.sampling import STREAM_VERSION, law_stream_key, substream
 from raygeo.serialize import dumps_reports
@@ -40,6 +38,11 @@ class TestGeneratorSpec:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             GeneratorSpec(trials_per_dim=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            GeneratorSpec(seed=seed)
 
 
 class TestSubstreams:
@@ -186,55 +189,6 @@ class TestNegativeControls:
         assert report.passed and report.worst_residual < 1e-10
 
 
-class TestSampleInstance:
-    def test_commuting_pairs_commute(self):
-        gen = GeneratorSpec(seed=11)
-        for trial in range(20):
-            inst = sample_instance(gen, "commuting-pair", dim=5, trial=trial)
-            assert commutes(inst["alpha"], inst["beta"])
-
-    def test_classical_rays_orthogonal(self):
-        from raygeo import is_orthogonal
-
-        gen = GeneratorSpec(seed=12)
-        inst = sample_instance(gen, "classical-orthogonal", dim=4)
-        rays = inst["rays"]
-        for i in range(len(rays)):
-            for j in range(i + 1, len(rays)):
-                assert is_orthogonal(rays[i], rays[j])
-
-    def test_coplanar_triples_coplanar(self):
-        from raygeo import coplanar
-
-        gen = GeneratorSpec(seed=13)
-        for trial in range(20):
-            inst = sample_instance(gen, "coplanar", dim=4, trial=trial)
-            assert coplanar(inst["x"], inst["y"], inst["z"])
-
-    def test_generic_pair_nonorthogonal(self):
-        from raygeo import a_sim
-
-        gen = GeneratorSpec(seed=14)
-        inst = sample_instance(gen, "generic-complex", dim=3)
-        assert a_sim(inst["x"], inst["y"]) > 1e-6
-
-    def test_real_only_is_real(self):
-        gen = GeneratorSpec(seed=15)
-        inst = sample_instance(gen, "real-only", dim=3)
-        assert np.max(np.abs(inst["x"].rep.imag)) < 1e-14
-
-    def test_isometry_flavors(self):
-        from raygeo import isometry_scale
-
-        gen = GeneratorSpec(seed=16)
-        assert isometry_scale(sample_instance(gen, "isometry", dim=3)["map"]) is not None
-        assert isometry_scale(sample_instance(gen, "non-isometry", dim=3)["map"]) is None
-
-    def test_unknown_flavor(self):
-        with pytest.raises(ValueError):
-            sample_instance(GeneratorSpec(), "no-such-flavor")
-
-
 def test_small_full_run_all_passes():
     gen = GeneratorSpec(dims=(2, 3), trials_per_dim=25, seed=17)
     reports = run_all(gen)
@@ -281,7 +235,7 @@ class TestBrokenLawsFail:
         monkeypatch.setattr(lawcheck, "_ORDER", list(lawcheck._ORDER))
 
         def add(law_id, **kwargs):
-            lawcheck.register(Law(id=law_id, description="broken", flavor="generic-complex", **kwargs))
+            lawcheck.register(Law(id=law_id, description="broken", **kwargs))
             return run_law(law_id, self.GEN)
 
         return add
@@ -359,7 +313,7 @@ class TestBlockRunner:
                 residuals[5], skipped[5] = 1.0, False
             return Block(residuals, skipped, lambda i: {"residual_check": float(residuals[i])})
 
-        lawcheck.register(Law(id="blocks.boundary", description="d", flavor="generic-complex", batch=batch))
+        lawcheck.register(Law(id="blocks.boundary", description="d", batch=batch))
         gen = GeneratorSpec(dims=(2, 3), trials_per_dim=trials, seed=19)
         first = run_law("blocks.boundary", gen)
         one_dim = [block] * full + [last]

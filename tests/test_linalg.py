@@ -1,7 +1,7 @@
-"""Substrate checks: inner products, norms, arguments, orthonormalization.
+"""Substrate checks: inner products, norms, angles, orthonormalization.
 
 Expected values are hand-derived from the defining formulas (the inner
-product expansion, Pythagoras, arctangents, Gram-Schmidt by hand).
+product expansion, Pythagoras, Gram-Schmidt by hand).
 """
 
 import math
@@ -15,8 +15,6 @@ from raygeo import (
     DEFAULT_TOL,
     DimensionMismatchError,
     Tolerance,
-    ZeroArgumentError,
-    carg,
     circular_distance,
     inner,
     norm,
@@ -53,26 +51,6 @@ class TestNorm:
 
     def test_complex_unit(self):
         assert norm([1 / RT2, 1j / RT2]) == pytest.approx(1.0)
-
-
-class TestCarg:
-    def test_positive_real(self):
-        assert carg(1) == 0.0
-
-    def test_imaginary_unit(self):
-        assert carg(1j) == pytest.approx(math.pi / 2)
-
-    def test_hand_arctangent(self):
-        assert carg(0.5 - 0.5j) == pytest.approx(-math.pi / 4)
-
-    def test_negative_real_takes_principal_branch(self):
-        assert carg(-1) == pytest.approx(math.pi)
-
-    def test_zero_raises(self):
-        with pytest.raises(ZeroArgumentError):
-            carg(0)
-        with pytest.raises(ZeroArgumentError):
-            carg(1e-12)
 
 
 class TestWrapAngle:
