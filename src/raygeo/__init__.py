@@ -25,8 +25,6 @@ from .errors import (
     ZeroVectorError,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
     circular_distance,
     inner,
     norm,

@@ -16,12 +16,11 @@ import os
 import sys
 
 from .errors import RayGeoError
-from .lawcheck import GeneratorSpec, all_passed, run_all
+from .lawcheck import MAX_DIM, MIN_DIM, GeneratorSpec, all_passed, run_all
 from .rays import Ray, Subspace, project_ray, ray_from, ZERO
 from .geometry import coplanar, p_prop, p_sim, theta
 from .superposition import p_of_superposition_closed_form, superpose
 from .probability import search_nonsquared_counterexample
-from .sampling import check_seed
 from . import serialize
 
 
@@ -38,8 +37,10 @@ def _default_seed() -> int:
 def _parse_dims(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(end) for end in text.split("..", 1))
+        if lo <= hi and (lo < MIN_DIM or hi > MAX_DIM):  # before the range is built
+            raise ValueError(f"dims must lie within [{MIN_DIM}, {MAX_DIM}]")
+        return tuple(range(lo, hi + 1))
     return tuple(int(part) for part in text.split(","))
 
 
@@ -170,7 +171,6 @@ def cmd_superpose(args) -> int:
 
 
 def cmd_search(args) -> int:
-    check_seed(args.seed)
     if args.budget < 1:
         sys.stderr.write(f"search: --budget must be at least 1, got {args.budget}\n")
         return 2

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTripleError, DimensionMismatchError, OrthogonalPairError
-from .linalg import ANGLE_GUARD, DEFAULT_TOL, TWO_PI, Tolerance, inner
+from .linalg import ANGLE_GUARD, EPS_ABS, TWO_PI, inner
 from .rays import ZERO, Ray, Subspace, project_vec, ray_from, rays_equal
 
 
@@ -83,7 +83,7 @@ def p_prop(x: Ray, a: Subspace) -> float:
 _PAIRS = (("x", "y"), ("y", "z"), ("z", "x"))
 
 
-def triple_phases(u, v, w, angle_guard: float = ANGLE_GUARD) -> np.ndarray:
+def triple_phases(u, v, w) -> np.ndarray:
     """Triple phases of stacked representatives, shape (..., d) → (...).
 
     The argument of the Bargmann product <u,v><v,w><w,u>, in (−π, π]:
@@ -95,7 +95,7 @@ def triple_phases(u, v, w, angle_guard: float = ANGLE_GUARD) -> np.ndarray:
     Raises
     ------
     OrthogonalPairError
-        If some normalized pairwise overlap is at most ``angle_guard``
+        If some normalized pairwise overlap is at most ``ANGLE_GUARD``
         (the argument of a near-zero inner product is meaningless);
         names the first such pair of the first such row.
     DimensionMismatchError
@@ -108,7 +108,7 @@ def triple_phases(u, v, w, angle_guard: float = ANGLE_GUARD) -> np.ndarray:
         raise DimensionMismatchError(f"dimensions {u.shape}, {v.shape}, {w.shape}")
     c = (np.vecdot(v, u), np.vecdot(w, v), np.vecdot(u, w))  # <u,v>, <v,w>, <w,u>
     n = [np.vecdot(t, t).real ** 0.5 for t in (u, v, w)]
-    ok = [abs(c[k]) > angle_guard * n[k] * n[(k + 1) % 3] for k in range(3)]
+    ok = [abs(c[k]) > ANGLE_GUARD * n[k] * n[(k + 1) % 3] for k in range(3)]
     if not (ok[0] & ok[1] & ok[2]).all():
         bad = ~np.stack(ok).reshape(3, -1)
         first = int(np.argmax(bad.any(axis=0)))
@@ -118,7 +118,7 @@ def triple_phases(u, v, w, angle_guard: float = ANGLE_GUARD) -> np.ndarray:
     return angle + TWO_PI * (angle <= -math.pi)  # atan2 can return −π; the branch is (−π, π]
 
 
-def triple_phase(u, v, w, angle_guard: float = ANGLE_GUARD) -> float:
+def triple_phase(u, v, w) -> float:
     """Triple phase from explicit representatives (any nonzero vectors).
 
     The single-triple form of :func:`triple_phases`.
@@ -126,17 +126,12 @@ def triple_phase(u, v, w, angle_guard: float = ANGLE_GUARD) -> float:
     Raises
     ------
     OrthogonalPairError
-        If any normalized pairwise overlap is at most ``angle_guard``.
+        If any normalized pairwise overlap is at most ``ANGLE_GUARD``.
     """
-    return float(triple_phases(u, v, w, angle_guard))
+    return float(triple_phases(u, v, w))
 
 
-def theta(
-    x: Ray,
-    y: Ray,
-    z: Ray,
-    angle_guard: float = ANGLE_GUARD,
-) -> float:
+def theta(x: Ray, y: Ray, z: Ray) -> float:
     """Triple phase of three pairwise non-orthogonal rays, in (−π, π].
 
     Cyclic in its arguments and antisymmetric under transpositions
@@ -146,14 +141,14 @@ def theta(
     ------
     OrthogonalPairError
         Naming the offending pair, when any two rays have overlap at
-        most ``angle_guard``.
+        most ``ANGLE_GUARD``.
     """
     if not (x.dim == y.dim == z.dim):
         raise DimensionMismatchError(f"dimensions {x.dim}, {y.dim}, {z.dim}")
-    return triple_phase(x.rep, y.rep, z.rep, angle_guard)
+    return triple_phase(x.rep, y.rep, z.rep)
 
 
-def complement_projection(x: Ray, y: Ray, tol: Tolerance = DEFAULT_TOL):
+def complement_projection(x: Ray, y: Ray):
     """Projection of y onto the orthocomplement of the ray x.
 
     Computed directly as y − <y, x>·x, which is the rank-(d−1)
@@ -161,16 +156,12 @@ def complement_projection(x: Ray, y: Ray, tol: Tolerance = DEFAULT_TOL):
     :data:`ZERO` when y lies on x.
     """
     v = y.rep - inner(y.rep, x.rep) * x.rep
-    if float(np.linalg.norm(v)) <= tol.eps_abs:
+    if float(np.linalg.norm(v)) <= EPS_ABS:
         return ZERO
-    return ray_from(v, tol)
+    return ray_from(v)
 
 
-def _projections_onto_complement(x: Ray, y: Ray, z: Ray, tol: Tolerance):
-    return complement_projection(x, y, tol), complement_projection(x, z, tol)
-
-
-def coplanar(x: Ray, y: Ray, z: Ray, tol: Tolerance = DEFAULT_TOL) -> bool:
+def coplanar(x: Ray, y: Ray, z: Ray) -> bool:
     """Whether three rays lie in a common two-dimensional subspace.
 
     True when two of the three coincide, or when all three are distinct
@@ -178,21 +169,15 @@ def coplanar(x: Ray, y: Ray, z: Ray, tol: Tolerance = DEFAULT_TOL) -> bool:
     A zero projection means the pair coincides numerically after all,
     so it routes to the two-equal branch.
     """
-    if rays_equal(x, y, tol) or rays_equal(x, z, tol) or rays_equal(y, z, tol):
+    if rays_equal(x, y) or rays_equal(x, z) or rays_equal(y, z):
         return True
-    py, pz = _projections_onto_complement(x, y, z, tol)
+    py, pz = complement_projection(x, y), complement_projection(x, z)
     if py is ZERO or pz is ZERO:
         return True
-    return rays_equal(py, pz, tol)
+    return rays_equal(py, pz)
 
 
-def prime_triple(
-    x: Ray,
-    y: Ray,
-    z: Ray,
-    tol: Tolerance = DEFAULT_TOL,
-    angle_guard: float = ANGLE_GUARD,
-) -> Triple:
+def prime_triple(x: Ray, y: Ray, z: Ray) -> Triple:
     """The orthocomplement triple (x', y', z') of a coplanar triple.
 
     x' is the projection of y (equivalently z) on the orthocomplement
@@ -205,28 +190,28 @@ def prime_triple(
         If the rays are not pairwise distinct, not pairwise
         non-orthogonal, or not coplanar.
     """
-    if rays_equal(x, y, tol) or rays_equal(y, z, tol) or rays_equal(z, x, tol):
+    if rays_equal(x, y) or rays_equal(y, z) or rays_equal(z, x):
         raise DegenerateTripleError("rays must be pairwise distinct")
     for u, v in ((x, y), (y, z), (z, x)):
-        if a_sim(u, v) <= angle_guard:
+        if a_sim(u, v) <= ANGLE_GUARD:
             raise DegenerateTripleError("rays must be pairwise non-orthogonal")
-    if not coplanar(x, y, z, tol):
+    if not coplanar(x, y, z):
         raise DegenerateTripleError("rays must be coplanar")
-    x1 = complement_projection(x, y, tol)
-    y1 = complement_projection(y, z, tol)
-    z1 = complement_projection(z, x, tol)
+    x1 = complement_projection(x, y)
+    y1 = complement_projection(y, z)
+    z1 = complement_projection(z, x)
     if x1 is ZERO or y1 is ZERO or z1 is ZERO:
         raise DegenerateTripleError("projection collapsed; rays too close")
     return Triple(x=x1, y=y1, z=z1)
 
 
-def _proj_equal(p, q, tol: Tolerance) -> bool:
+def _proj_equal(p, q) -> bool:
     if p is ZERO or q is ZERO:
         return p is ZERO and q is ZERO
-    return rays_equal(p, q, tol)
+    return rays_equal(p, q)
 
 
-def reciprocity_holds(x: Ray, y: Ray, z: Ray, tol: Tolerance = DEFAULT_TOL) -> bool:
+def reciprocity_holds(x: Ray, y: Ray, z: Ray) -> bool:
     """The reciprocity implication for one instance.
 
     If y and z project to the same ray on the orthocomplement of x,
@@ -234,9 +219,7 @@ def reciprocity_holds(x: Ray, y: Ray, z: Ray, tol: Tolerance = DEFAULT_TOL) -> b
     of y.  Vacuously true when the antecedent fails — in particular on
     any triple of pairwise-orthogonal (classical) states.
     """
-    py, pz = _projections_onto_complement(x, y, z, tol)
-    if not _proj_equal(py, pz, tol):
+    py, pz = complement_projection(x, y), complement_projection(x, z)
+    if not _proj_equal(py, pz):
         return True
-    return _proj_equal(
-        complement_projection(y, z, tol), complement_projection(y, x, tol), tol
-    )
+    return _proj_equal(complement_projection(y, z), complement_projection(y, x))

@@ -23,7 +23,9 @@ batched checkers return a skip mask instead.  A law passes when its
 worst residual is within tolerance, every residual is finite (a
 checker that raises counts as an infinite residual), and the skip rate
 stays below the cap.  The counterexample of a failing law names its
-first failing (dim, trial) cell.
+first failing (dim, trial) cell.  The library calls inside a checker
+apply the fixed thresholds of :mod:`raygeo.linalg`; the law's
+``tolerance`` judges the residual.
 
 Negative-control laws invert the game: they assert that an identity
 *fails* on generic instances exactly as predicted, and they pass when
@@ -41,11 +43,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import UnknownLawError
-from .linalg import DEFAULT_TOL, Tolerance
 from .sampling import check_seed, substream
 
 #: Ceiling on the fraction of skipped trials before a law fails outright.
 MAX_SKIP_RATE = 0.05
+
+#: The range of ambient dimensions a run may sweep.
+MIN_DIM, MAX_DIM = 2, 32
 
 #: Trials per block of a batched law, and so per substream.  Bounds the
 #: memory of one block's stacks: at d = 8 a block of 256 interference
@@ -60,7 +64,7 @@ class GeneratorSpec:
     Attributes
     ----------
     dims : tuple of int
-        Ambient dimensions to sweep (each in [2, 32]).
+        Ambient dimensions to sweep (each in [MIN_DIM, MAX_DIM]).
     trials_per_dim : int
         Trials per law per dimension (laws may pin their own count).
     seed : int
@@ -74,8 +78,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if not self.dims:
             raise ValueError("dims must be non-empty")
-        if any(d < 2 or d > 32 for d in self.dims):
-            raise ValueError("dims must lie within [2, 32]")
+        if any(d < MIN_DIM or d > MAX_DIM for d in self.dims):
+            raise ValueError(f"dims must lie within [{MIN_DIM}, {MAX_DIM}]")
         if self.trials_per_dim < 1:
             raise ValueError("trials_per_dim must be at least 1")
         check_seed(self.seed)
@@ -116,11 +120,11 @@ class Law:
     """A named law: checker + pass criteria.
 
     Exactly one of ``checker`` and ``batch`` is set.
-    ``checker(rng, dim, tol, record)`` returns the trial residual or
+    ``checker(rng, dim, record)`` returns the trial residual or
     None to skip; when ``record`` is a dict the checker fills it with a
     serializable description of the instance (used to attach a
     counterexample after a failing trial is replayed).
-    ``batch(rng, dim, n, tol)`` checks ``n`` trials from one stream and
+    ``batch(rng, dim, n)`` checks ``n`` trials from one stream and
     returns a :class:`Block`.
 
     ``aggregate``, when set, converts the full residual list into the
@@ -191,14 +195,14 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _trial_chunks(law: Law, seed: int, dim: int, trials: int, tol: Tolerance):
+def _trial_chunks(law: Law, seed: int, dim: int, trials: int):
     """All trials of a per-trial law in one dimension, as one chunk."""
     residuals = np.zeros(trials)
     skipped = np.zeros(trials, dtype=bool)
     errors: dict[int, str] = {}
     for trial in range(trials):
         try:
-            residual = law.checker(substream(seed, law.id, dim, trial), dim, tol, None)
+            residual = law.checker(substream(seed, law.id, dim, trial), dim, None)
         except Exception as exc:  # a checker must never raise on a legal instance
             residuals[trial] = math.inf
             errors[trial] = _error_text(exc)
@@ -211,7 +215,7 @@ def _trial_chunks(law: Law, seed: int, dim: int, trials: int, tol: Tolerance):
     def describe(trial: int) -> dict:
         record: dict = {}
         try:
-            law.checker(substream(seed, law.id, dim, trial), dim, tol, record)
+            law.checker(substream(seed, law.id, dim, trial), dim, record)
         except Exception:
             pass
         return record
@@ -219,19 +223,19 @@ def _trial_chunks(law: Law, seed: int, dim: int, trials: int, tol: Tolerance):
     yield _Chunk(0, residuals, skipped, errors, describe)
 
 
-def _block_chunks(law: Law, seed: int, dim: int, trials: int, tol: Tolerance):
+def _block_chunks(law: Law, seed: int, dim: int, trials: int):
     """The blocks of a batched law in one dimension, one chunk each."""
     for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
         n = min(BLOCK_TRIALS, trials - start)
 
         def describe(i: int, block=block, n=n) -> dict:
             try:
-                return law.batch(substream(seed, law.id, dim, block), dim, n, tol).record(i)
+                return law.batch(substream(seed, law.id, dim, block), dim, n).record(i)
             except Exception:
                 return {}
 
         try:
-            result = law.batch(substream(seed, law.id, dim, block), dim, n, tol)
+            result = law.batch(substream(seed, law.id, dim, block), dim, n)
             residuals = np.asarray(result.residuals, dtype=np.float64)
             skipped = np.asarray(result.skipped, dtype=bool)
             if residuals.shape != (n,) or skipped.shape != (n,):
@@ -277,7 +281,7 @@ class _Tally:
                 self.failure = {**cell, "residual": float(chunk.residuals[i]), **chunk.describe(i)}
 
 
-def run_law(law_id: str, gen: GeneratorSpec, tol: Tolerance = DEFAULT_TOL) -> LawReport:
+def run_law(law_id: str, gen: GeneratorSpec) -> LawReport:
     """Check one law against seeded random instances.
 
     Deterministic given (law_id, gen): identical inputs produce an
@@ -299,7 +303,7 @@ def run_law(law_id: str, gen: GeneratorSpec, tol: Tolerance = DEFAULT_TOL) -> La
     tally = _Tally(law)
     chunks = _trial_chunks if law.batch is None else _block_chunks
     for dim in dims:
-        for chunk in chunks(law, gen.seed, dim, trials, tol):
+        for chunk in chunks(law, gen.seed, dim, trials):
             tally.add(dim, chunk)
 
     failure = tally.failure
@@ -337,18 +341,14 @@ def run_law(law_id: str, gen: GeneratorSpec, tol: Tolerance = DEFAULT_TOL) -> La
     )
 
 
-def run_all(
-    gen: GeneratorSpec,
-    pattern: str | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> list[LawReport]:
+def run_all(gen: GeneratorSpec, pattern: str | None = None) -> list[LawReport]:
     """Run every registered law (optionally filtered by a glob on ids),
     in registration order.  Aggregate success means every report passed
     — negative controls included, which pass when their target identity
     fails as predicted."""
     registry()
     ids = [i for i in _ORDER if pattern is None or fnmatch.fnmatch(i, pattern)]
-    return [run_law(law_id, gen, tol) for law_id in ids]
+    return [run_law(law_id, gen) for law_id in ids]
 
 
 def all_passed(reports) -> bool:

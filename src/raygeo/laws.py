@@ -18,7 +18,7 @@ import numpy as np
 from . import sampling
 from .errors import OrthogonalComponentsError
 from .lawcheck import Block, Law, register
-from .linalg import circular_distance, inner, norm, orthonormalize, wrap_angle
+from .linalg import EPS_ABS, circular_distance, inner, norm, orthonormalize, wrap_angle
 from .rays import (
     ZERO,
     Subspace,
@@ -98,7 +98,7 @@ def _ray_gap(x, y) -> float:
 # linalg substrate
 
 
-def _check_inner_linearity(rng, dim, tol, record=None):
+def _check_inner_linearity(rng, dim, record=None):
     u = sampling.gaussian_vector(rng, dim)
     v = sampling.gaussian_vector(rng, dim)
     w = sampling.gaussian_vector(rng, dim)
@@ -112,14 +112,14 @@ def _check_inner_linearity(rng, dim, tol, record=None):
     return max(abs(lhs - rhs) / scale, sym / scale)
 
 
-def _check_cauchy_schwarz(rng, dim, tol, record=None):
+def _check_cauchy_schwarz(rng, dim, record=None):
     u = sampling.gaussian_vector(rng, dim)
     v = sampling.gaussian_vector(rng, dim)
     _note(record, u=u, v=v)
     return max(0.0, abs(inner(u, v)) - norm(u) * norm(v))
 
 
-def _check_orthonormalize_contract(rng, dim, tol, record=None):
+def _check_orthonormalize_contract(rng, dim, record=None):
     k = int(rng.integers(1, dim + 1))
     independent = [sampling.gaussian_vector(rng, dim) for _ in range(k)]
     if np.linalg.matrix_rank(np.array(independent), tol=1e-8) < k:
@@ -146,25 +146,25 @@ def _check_orthonormalize_contract(rng, dim, tol, record=None):
 # rays and subspaces
 
 
-def _check_ray_canonical(rng, dim, tol, record=None):
+def _check_ray_canonical(rng, dim, record=None):
     v = sampling.gaussian_vector(rng, dim)
     x = ray_from(v)
     scaled = ray_from(v * (_unit_phase(rng) * float(rng.uniform(0.1, 10.0))))
     unit_defect = abs(norm(x.rep) - 1.0)
-    lead = x.rep[np.flatnonzero(np.abs(x.rep) > tol.eps_abs)[0]]
+    lead = x.rep[np.flatnonzero(np.abs(x.rep) > EPS_ABS)[0]]
     canon_defect = abs(lead.imag) + max(0.0, -lead.real)
     _note(record, v=v)
     return max(_ray_gap(x, scaled), float(np.max(np.abs(x.rep - scaled.rep))), unit_defect, canon_defect)
 
 
-def _check_projector_laws(rng, dim, tol, record=None):
+def _check_projector_laws(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     p = a.projector()
     _note(record, alpha=a)
     return float(max(np.max(np.abs(p @ p - p)), np.max(np.abs(p - p.conj().T))))
 
 
-def _check_projection_residual(rng, dim, tol, record=None):
+def _check_projection_residual(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim)
     u = sampling.gaussian_vector(rng, dim)
     resid = u - project_vec(a, u)
@@ -174,7 +174,7 @@ def _check_projection_residual(rng, dim, tol, record=None):
     return float(np.max(np.abs(a.basis.conj() @ resid)))
 
 
-def _check_complement_involution(rng, dim, tol, record=None):
+def _check_complement_involution(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     na = ortho_complement(a)
     nna = ortho_complement(na)
@@ -184,7 +184,7 @@ def _check_complement_involution(rng, dim, tol, record=None):
     return float(rank_defect + ortho_defect)
 
 
-def _check_orthomodular_identity(rng, dim, tol, record=None):
+def _check_orthomodular_identity(rng, dim, record=None):
     a, b = sampling.nested_pair(rng, dim)
     rebuilt = join(a, meet(ortho_complement(a), b))
     _note(record, alpha=a, beta=b)
@@ -193,7 +193,7 @@ def _check_orthomodular_identity(rng, dim, tol, record=None):
     return max(containment_defect(rebuilt, b), containment_defect(b, rebuilt))
 
 
-def _check_commutes_complement(rng, dim, tol, record=None):
+def _check_commutes_complement(rng, dim, record=None):
     if int(rng.integers(0, 2)) == 0:
         a, b = sampling.commuting_pair(rng, dim)
         expect_commuting = True
@@ -210,7 +210,7 @@ def _check_commutes_complement(rng, dim, tol, record=None):
     return 1.0 if bad else 0.0
 
 
-def _check_commuting_decomposition(rng, dim, tol, record=None):
+def _check_commuting_decomposition(rng, dim, record=None):
     a, b = sampling.commuting_pair(rng, dim)
     parts = decompose_commuting(a, b)  # raises on any verification defect
     residual = max(
@@ -231,7 +231,7 @@ def _check_commuting_decomposition(rng, dim, tol, record=None):
     return residual
 
 
-def _check_contained_or_orthogonal_commute(rng, dim, tol, record=None):
+def _check_contained_or_orthogonal_commute(rng, dim, record=None):
     a, b = sampling.nested_pair(rng, dim)
     ok_nested = commutes(a, b)
     frame = sampling.random_frame(rng, dim)
@@ -243,7 +243,7 @@ def _check_contained_or_orthogonal_commute(rng, dim, tol, record=None):
     return 0.0 if (ok_nested and ok_orth) else 1.0
 
 
-def _check_classical_no_disturbance(rng, dim, tol, record=None):
+def _check_classical_no_disturbance(rng, dim, record=None):
     x, y = sampling.classical_rays(rng, dim, 2)
     py = complement_projection(x, y)
     _note(record, x=x, y=y)
@@ -256,7 +256,7 @@ def _check_classical_no_disturbance(rng, dim, tol, record=None):
 # similarity and phase geometry
 
 
-def _check_a_properties(rng, dim, tol, record=None):
+def _check_a_properties(rng, dim, record=None):
     pair = sampling.nonorthogonal_pair(rng, dim)
     if pair is None:
         return None
@@ -273,7 +273,7 @@ def _check_a_properties(rng, dim, tol, record=None):
     return residual
 
 
-def _check_p_properties(rng, dim, tol, record=None):
+def _check_p_properties(rng, dim, record=None):
     x = sampling.random_ray(rng, dim)
     y = sampling.random_ray(rng, dim)
     a = a_sim(x, y)
@@ -289,7 +289,7 @@ def _check_p_properties(rng, dim, tol, record=None):
     return residual
 
 
-def _check_satisfaction(rng, dim, tol, record=None):
+def _check_satisfaction(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim)
     member = sampling.member_ray(rng, a)
     residual = abs(p_prop(member, a) - 1.0)
@@ -301,7 +301,7 @@ def _check_satisfaction(rng, dim, tol, record=None):
     return residual if agree else max(residual, 1.0)
 
 
-def _check_born_rule(rng, dim, tol, record=None):
+def _check_born_rule(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     x = sampling.random_ray(rng, dim)
     u = x.rep * (_unit_phase(rng) * float(rng.uniform(0.1, 10.0)))
@@ -310,7 +310,7 @@ def _check_born_rule(rng, dim, tol, record=None):
     return abs(p_prop(x, a) - born)
 
 
-def _check_p_chain(rng, dim, tol, record=None):
+def _check_p_chain(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim)
     x = sampling.random_ray(rng, dim)
     ax = project_ray(a, x)
@@ -321,7 +321,7 @@ def _check_p_chain(rng, dim, tol, record=None):
     return abs(p_sim(x, y) - p_prop(x, a) * p_sim(ax, y))
 
 
-def _check_p_max(rng, dim, tol, record=None):
+def _check_p_max(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim)
     x = sampling.random_ray(rng, dim)
     ax = project_ray(a, x)
@@ -339,7 +339,7 @@ def _check_p_max(rng, dim, tol, record=None):
     return float(violations)
 
 
-def _check_p_bounds(rng, dim, tol, record=None):
+def _check_p_bounds(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     x = sampling.random_ray(rng, dim)
     p = p_prop(x, a)
@@ -347,7 +347,7 @@ def _check_p_bounds(rng, dim, tol, record=None):
     return max(0.0, -p, p - 1.0)
 
 
-def _check_reciprocity(rng, dim, tol, record=None):
+def _check_reciprocity(rng, dim, record=None):
     if int(rng.integers(0, 2)) == 0 or dim < 3:
         triple = sampling.coplanar_triple(rng, dim)
         if triple is None:
@@ -359,7 +359,7 @@ def _check_reciprocity(rng, dim, tol, record=None):
     return 0.0 if reciprocity_holds(x, y, z) else 1.0
 
 
-def _check_coplanarity_permutations(rng, dim, tol, record=None):
+def _check_coplanarity_permutations(rng, dim, record=None):
     constructed = int(rng.integers(0, 2)) == 0
     if constructed:
         triple = sampling.coplanar_triple(rng, dim)
@@ -379,7 +379,7 @@ def _check_coplanarity_permutations(rng, dim, tol, record=None):
     return 0.0
 
 
-def _check_theta_representative_independence(rng, dim, tol, record=None):
+def _check_theta_representative_independence(rng, dim, record=None):
     triple = sampling.nonorthogonal_triple(rng, dim)
     if triple is None:
         return None
@@ -394,7 +394,7 @@ def _check_theta_representative_independence(rng, dim, tol, record=None):
     return circular_distance(reference, scrambled)
 
 
-def _check_theta_cyclic(rng, dim, tol, record=None):
+def _check_theta_cyclic(rng, dim, record=None):
     triple = sampling.nonorthogonal_triple(rng, dim)
     if triple is None:
         return None
@@ -407,7 +407,7 @@ def _check_theta_cyclic(rng, dim, tol, record=None):
     )
 
 
-def _check_theta_cocycle(rng, dim, tol, record=None):
+def _check_theta_cocycle(rng, dim, record=None):
     rays = [sampling.random_ray(rng, dim) for _ in range(4)]
     for u, v in itertools.combinations(rays, 2):
         if a_sim(u, v) <= MIN_OVERLAP:
@@ -419,7 +419,7 @@ def _check_theta_cocycle(rng, dim, tol, record=None):
     return circular_distance(lhs, wrap_angle(rhs))
 
 
-def _check_theta_prime(rng, dim, tol, record=None):
+def _check_theta_prime(rng, dim, record=None):
     triple = sampling.coplanar_triple(rng, dim)
     if triple is None:
         return None
@@ -436,7 +436,7 @@ def _check_theta_prime(rng, dim, tol, record=None):
     return circular_distance(theta(primed.x, primed.y, primed.z), -theta(x, y, z))
 
 
-def _check_theta_euclidean(rng, dim, tol, record=None):
+def _check_theta_euclidean(rng, dim, record=None):
     triple = sampling.nonorthogonal_triple(rng, dim, real=True)
     if triple is None:
         return None
@@ -453,7 +453,7 @@ def _check_theta_euclidean(rng, dim, tol, record=None):
 # superpositions
 
 
-def _spec(rng, dim, tol):
+def _spec(rng, dim):
     pair = sampling.nonorthogonal_pair(rng, dim)
     if pair is None:
         return None
@@ -461,7 +461,7 @@ def _spec(rng, dim, tol):
     return SuperpositionSpec(y=y, z=z, r=float(rng.uniform(0.0, 1.0)))
 
 
-def _check_superposition_domain(rng, dim, tol, record=None):
+def _check_superposition_domain(rng, dim, record=None):
     x, y = sampling.classical_rays(rng, dim, 2)
     r = float(rng.uniform(0.0, 1.0))
     try:
@@ -475,15 +475,15 @@ def _check_superposition_domain(rng, dim, tol, record=None):
     return _ray_gap(trivial, x)
 
 
-def _check_triviality(rng, dim, tol, record=None):
+def _check_triviality(rng, dim, record=None):
     y = sampling.random_ray(rng, dim)
     r = float(rng.uniform(0.0, 1.0))
     _note(record, y=y, r=r)
     return _ray_gap(superpose(SuperpositionSpec(y=y, z=y, r=r)), y)
 
 
-def _check_superpose_identity_commutative(rng, dim, tol, record=None):
-    spec = _spec(rng, dim, tol)
+def _check_superpose_identity_commutative(rng, dim, record=None):
+    spec = _spec(rng, dim)
     if spec is None:
         return None
     y, z, r = spec.y, spec.z, spec.r
@@ -495,8 +495,8 @@ def _check_superpose_identity_commutative(rng, dim, tol, record=None):
     return residual
 
 
-def _check_superposition_coplanarity(rng, dim, tol, record=None):
-    spec = _spec(rng, dim, tol)
+def _check_superposition_coplanarity(rng, dim, record=None):
+    spec = _spec(rng, dim)
     if spec is None:
         return None
     x = superpose(spec)
@@ -504,8 +504,8 @@ def _check_superposition_coplanarity(rng, dim, tol, record=None):
     return 0.0 if coplanar(x, spec.y, spec.z) else 1.0
 
 
-def _check_superposition_theta_zero(rng, dim, tol, record=None):
-    spec = _spec(rng, dim, tol)
+def _check_superposition_theta_zero(rng, dim, record=None):
+    spec = _spec(rng, dim)
     if spec is None or rays_equal(spec.y, spec.z):
         return None
     if spec.r < 1e-6 or spec.r > 1.0 - 1e-6:
@@ -517,8 +517,8 @@ def _check_superposition_theta_zero(rng, dim, tol, record=None):
     return circular_distance(theta(x, spec.y, spec.z), 0.0)
 
 
-def _check_p_basis(rng, dim, tol, record=None):
-    spec = _spec(rng, dim, tol)
+def _check_p_basis(rng, dim, record=None):
+    spec = _spec(rng, dim)
     if spec is None:
         return None
     x = sampling.random_ray(rng, dim)
@@ -530,8 +530,8 @@ def _check_p_basis(rng, dim, tol, record=None):
     return abs(closed - direct)
 
 
-def _check_prop1_component_form(rng, dim, tol, record=None):
-    spec = _spec(rng, dim, tol)
+def _check_prop1_component_form(rng, dim, record=None):
+    spec = _spec(rng, dim)
     if spec is None:
         return None
     direct = p_sim(superpose(spec), spec.y)
@@ -540,7 +540,7 @@ def _check_prop1_component_form(rng, dim, tol, record=None):
     return abs(closed - direct)
 
 
-def _check_prop1_dominance(rng, dim, tol, record=None):
+def _check_prop1_dominance(rng, dim, record=None):
     pair = sampling.nonorthogonal_pair(rng, dim)
     if pair is None:
         return None
@@ -551,10 +551,10 @@ def _check_prop1_dominance(rng, dim, tol, record=None):
         return None  # margin shrinks to zero at the boundary r=0 and at y=z
     margin = p_sim(superpose(SuperpositionSpec(y=y, z=z, r=r)), y) - p_yz
     _note(record, y=y, z=z, r=r, margin=margin)
-    return max(0.0, tol.eps_abs - margin)
+    return max(0.0, EPS_ABS - margin)
 
 
-def _check_dominance_boundary(rng, dim, tol, record=None):
+def _check_dominance_boundary(rng, dim, record=None):
     pair = sampling.nonorthogonal_pair(rng, dim)
     if pair is None:
         return None
@@ -564,18 +564,18 @@ def _check_dominance_boundary(rng, dim, tol, record=None):
     return abs(p_sim(x0, y) - p_sim(y, z))
 
 
-def _plane_ray(rng, b1, b2, tol):
+def _plane_ray(rng, b1, b2):
     c = sampling.gaussian_vector(rng, 2)
     return ray_from(c[0] * b1 + c[1] * b2), c
 
 
-def _check_cos_theta_prime(rng, dim, tol, record=None):
+def _check_cos_theta_prime(rng, dim, record=None):
     frame = sampling.random_frame(rng, dim)
     b1, b2 = frame[0], frame[1]
     for _ in range(24):
-        x, cx = _plane_ray(rng, b1, b2, tol)
-        y, _ = _plane_ray(rng, b1, b2, tol)
-        z, _ = _plane_ray(rng, b1, b2, tol)
+        x, cx = _plane_ray(rng, b1, b2)
+        y, _ = _plane_ray(rng, b1, b2)
+        z, _ = _plane_ray(rng, b1, b2)
         nx = np.linalg.norm(cx)
         xp = ray_from(-np.conj(cx[1] / nx) * b1 + np.conj(cx[0] / nx) * b2)
         overlaps = [a_sim(x, y), a_sim(x, z), a_sim(y, z), a_sim(xp, y), a_sim(xp, z)]
@@ -590,8 +590,8 @@ def _check_cos_theta_prime(rng, dim, tol, record=None):
     return None
 
 
-def _check_superposition_theta_consistency(rng, dim, tol, record=None):
-    spec = _spec(rng, dim, tol)
+def _check_superposition_theta_consistency(rng, dim, record=None):
+    spec = _spec(rng, dim)
     if spec is None:
         return None
     x1 = sampling.random_ray(rng, dim)
@@ -612,7 +612,7 @@ def _check_superposition_theta_consistency(rng, dim, tol, record=None):
 # probability calculus
 
 
-def _check_ortho_additivity_law(rng, dim, tol, record=None):
+def _check_ortho_additivity_law(rng, dim, record=None):
     frame = sampling.random_frame(rng, dim)
     cut = int(rng.integers(0, dim + 1))
     keep = int(rng.integers(cut, dim + 1))
@@ -623,7 +623,7 @@ def _check_ortho_additivity_law(rng, dim, tol, record=None):
     return check_ortho_additivity(x, a, b)
 
 
-def _check_ortho_additivity_family(rng, dim, tol, record=None):
+def _check_ortho_additivity_family(rng, dim, record=None):
     k = int(rng.integers(2, min(4, dim) + 1))
     frame = sampling.random_frame(rng, dim)
     cuts = sorted(rng.choice(dim + 1, size=k - 1, replace=True))
@@ -641,42 +641,42 @@ def _check_ortho_additivity_family(rng, dim, tol, record=None):
     return abs(p_prop(x, joined) - total)
 
 
-def _check_complement_sum(rng, dim, tol, record=None):
+def _check_complement_sum(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     x = sampling.random_ray(rng, dim)
     _note(record, alpha=a, x=x)
     return check_complement(x, a)
 
 
-def _check_inclusion_exclusion_law(rng, dim, tol, record=None):
+def _check_inclusion_exclusion_law(rng, dim, record=None):
     a, b = sampling.commuting_pair(rng, dim)
     x = sampling.random_ray(rng, dim)
     _note(record, alpha=a, beta=b, x=x)
     return check_inclusion_exclusion(x, a, b)
 
 
-def _check_conjunction_chain(rng, dim, tol, record=None):
+def _check_conjunction_chain(rng, dim, record=None):
     a, b = sampling.commuting_pair(rng, dim)
     x = sampling.random_ray(rng, dim)
     _note(record, alpha=a, beta=b, x=x)
     return check_chain_rule(x, a, b)
 
 
-def _check_monotone_law(rng, dim, tol, record=None):
+def _check_monotone_law(rng, dim, record=None):
     a, b = sampling.nested_pair(rng, dim)
     x = sampling.random_ray(rng, dim)
     _note(record, alpha=a, beta=b, x=x)
     return max(0.0, p_prop(x, a) - p_prop(x, b))
 
 
-def _check_total_probability_law(rng, dim, tol, record=None):
+def _check_total_probability_law(rng, dim, record=None):
     a, b = sampling.commuting_pair(rng, dim)
     x = sampling.random_ray(rng, dim)
     _note(record, alpha=a, beta=b, x=x)
     return check_total_probability(x, a, b)
 
 
-def _check_orthomodular_equality(rng, dim, tol, record=None):
+def _check_orthomodular_equality(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim)
     x = sampling.random_ray(rng, dim)
     ax = project_ray(a, x)
@@ -690,7 +690,7 @@ def _check_orthomodular_equality(rng, dim, tol, record=None):
     return max(residual, abs(rhs - 1.0))
 
 
-def _check_local_total_probability(rng, dim, tol, record=None):
+def _check_local_total_probability(rng, dim, record=None):
     frame = sampling.random_frame(rng, dim)
     shared = frame[0]
     wing1, wing2 = frame[1], frame[2]
@@ -712,7 +712,7 @@ def _check_local_total_probability(rng, dim, tol, record=None):
     return check_total_probability(x, a, b)
 
 
-def _batch_interference_inequality(rng, dim, n, tol):
+def _batch_interference_inequality(rng, dim, n):
     # 10^4 trials per dimension, checked as stacks: one frame per
     # proposition, padded with zero columns beyond its rank.
     ra = rng.integers(1, dim, size=n)
@@ -740,7 +740,7 @@ def _batch_interference_inequality(rng, dim, n, tol):
     return Block(np.maximum(0.0, -margin), undefined, record)
 
 
-def _check_interference_membership(rng, dim, tol, record=None):
+def _check_interference_membership(rng, dim, record=None):
     # Commuting pair with a forced shared direction, so the antecedent
     # (a(b(x)) inside b) is realizable rather than vacuous.
     frame = sampling.random_frame(rng, dim)
@@ -764,14 +764,14 @@ def _check_interference_membership(rng, dim, tol, record=None):
     return float(np.linalg.norm(project_vec(a, bx.rep) - bx.rep))
 
 
-def _check_total_probability_generic(rng, dim, tol, record=None):
+def _check_total_probability_generic(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim)
     b = sampling.random_subspace(rng, dim)
     if commutes(a, b):
         return None  # not an applicable generic (non-commuting) instance
     x = sampling.random_ray(rng, dim)
     _note(record, alpha=a, beta=b, x=x)
-    return total_probability_residual(x, a, b, tol)
+    return total_probability_residual(x, a, b)
 
 
 def _aggregate_must_fail(residuals):
@@ -781,24 +781,24 @@ def _aggregate_must_fail(residuals):
     return fraction > 0.9, 1.0 - fraction
 
 
-def _check_total_probability_2d(rng, dim, tol, record=None):
+def _check_total_probability_2d(rng, dim, record=None):
     t = float(rng.uniform(0.0, 2.0 * math.pi))
     alpha = Subspace.from_orthonormal(np.eye(2, dtype=np.complex128)[:1], 2)
     x = ray_from(np.array([math.cos(t), math.sin(t)], dtype=np.complex128))
     beta = Subspace.from_ray(x)
-    measured = total_probability_residual(x, alpha, beta, tol)
+    measured = total_probability_residual(x, alpha, beta)
     analytic = abs(1.0 - math.cos(t) ** 4 - math.sin(t) ** 4)
     _note(record, angle=t, measured=measured, analytic=analytic)
     return abs(measured - analytic)
 
 
-def _check_nonsquared_search(rng, dim, tol, record=None):
+def _check_nonsquared_search(rng, dim, record=None):
     seed = int(rng.integers(0, 2**63 - 1))
     witness = search_nonsquared_counterexample(seed=seed, budget=100_000)
     if witness is None:
         _note(record, seed=seed, found=False)
         return 1.0
-    ok = witness.nonsquared_excess > tol.eps_abs and witness.squared_margin >= -1e-12
+    ok = witness.nonsquared_excess > EPS_ABS and witness.squared_margin >= -1e-12
     if record is not None:
         record["witness"] = witness_to_json(witness)
     return 0.0 if ok else 1.0
@@ -808,7 +808,7 @@ def _check_nonsquared_search(rng, dim, tol, record=None):
 # morphisms
 
 
-def _check_morphism_scale_invariance(rng, dim, tol, record=None):
+def _check_morphism_scale_invariance(rng, dim, record=None):
     base = sampling.isometry_map(rng, dim, scale=1.0)
     s = float(rng.uniform(0.5, 2.0))
     c = _unit_phase(rng) * s
@@ -821,7 +821,7 @@ def _check_morphism_scale_invariance(rng, dim, tol, record=None):
     return residual
 
 
-def _check_isometry_inner_products(rng, dim, tol, record=None):
+def _check_isometry_inner_products(rng, dim, record=None):
     f = sampling.isometry_map(rng, dim, scale=1.0)
     u = sampling.gaussian_vector(rng, dim)
     v = sampling.gaussian_vector(rng, dim)
@@ -830,7 +830,7 @@ def _check_isometry_inner_products(rng, dim, tol, record=None):
     return abs(inner(m @ u, m @ v) - inner(u, v))
 
 
-def _check_isometry_preserves_all(rng, dim, tol, record=None):
+def _check_isometry_preserves_all(rng, dim, record=None):
     f = sampling.isometry_map(rng, dim)
     quantities = check_preserves_p_theta(f, trials=20, seed=int(rng.integers(0, 2**32)))
     report = preserves_superpositions(f, trials=10, seed=int(rng.integers(0, 2**32)))
@@ -841,7 +841,7 @@ def _check_isometry_preserves_all(rng, dim, tol, record=None):
     return residual
 
 
-def _check_noniso_breaks_superpositions(rng, dim, tol, record=None):
+def _check_noniso_breaks_superpositions(rng, dim, record=None):
     f = sampling.non_isometry_map(rng, dim)
     if isometry_scale(f) is not None:
         return 1.0
@@ -850,7 +850,7 @@ def _check_noniso_breaks_superpositions(rng, dim, tol, record=None):
     return 1.0 if report.preserves else 0.0
 
 
-def _check_char_morph_law(rng, dim, tol, record=None):
+def _check_char_morph_law(rng, dim, record=None):
     if int(rng.integers(0, 2)) == 0:
         f = sampling.isometry_map(rng, dim)
     else:
@@ -860,7 +860,7 @@ def _check_char_morph_law(rng, dim, tol, record=None):
     return 0.0 if ok else 1.0
 
 
-def _check_injective_distinct(rng, dim, tol, record=None):
+def _check_injective_distinct(rng, dim, record=None):
     if int(rng.integers(0, 2)) == 0:
         f = sampling.isometry_map(rng, dim)
     else:
@@ -877,7 +877,7 @@ def _check_injective_distinct(rng, dim, tol, record=None):
 # tensor products
 
 
-def _check_tensor_inner(rng, dim, tol, record=None):
+def _check_tensor_inner(rng, dim, record=None):
     d1 = 2
     u1, v1 = sampling.gaussian_vector(rng, d1), sampling.gaussian_vector(rng, d1)
     u2, v2 = sampling.gaussian_vector(rng, dim), sampling.gaussian_vector(rng, dim)
@@ -887,7 +887,7 @@ def _check_tensor_inner(rng, dim, tol, record=None):
     return abs(lhs - rhs)
 
 
-def _check_tensor_p_product(rng, dim, tol, record=None):
+def _check_tensor_p_product(rng, dim, record=None):
     d1 = 2
     x1, y1 = sampling.random_ray(rng, d1), sampling.random_ray(rng, d1)
     x2, y2 = sampling.random_ray(rng, dim), sampling.random_ray(rng, dim)
@@ -897,7 +897,7 @@ def _check_tensor_p_product(rng, dim, tol, record=None):
     return max(check_p_product(x1, y1, x2, y2), unit_defect)
 
 
-def _check_tensor_theta_additive(rng, dim, tol, record=None):
+def _check_tensor_theta_additive(rng, dim, record=None):
     d1 = 2
     t1 = sampling.nonorthogonal_triple(rng, d1)
     t2 = sampling.nonorthogonal_triple(rng, dim)

@@ -8,12 +8,15 @@ matrices are two-dimensional arrays.  The inner product is linear in its
 
 which fixes the sign conventions of every phase computed downstream.
 All functions are pure and never mutate their arguments.
+
+The numerical thresholds of the library are fixed constants defined
+here: :data:`EPS_ABS` for zero norms, ray equality and rank cuts, and
+:data:`ANGLE_GUARD` for the overlaps whose phase a triple phase reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,31 +24,10 @@ from .errors import DimensionMismatchError
 
 TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Comparison policy for floating-point checks.
-
-    ``eps_abs`` applies to quantities expected near 0 or 1 (residuals,
-    probabilities at their extremes); ``eps_rel`` applies elsewhere.
-
-    Parameters
-    ----------
-    eps_abs : float
-        Absolute tolerance, strictly positive.
-    eps_rel : float
-        Relative tolerance, strictly positive.
-    """
-
-    eps_abs: float = 1e-10
-    eps_rel: float = 1e-9
-
-    def __post_init__(self):
-        if not (self.eps_abs > 0.0 and self.eps_rel > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
+#: Absolute threshold for quantities expected at 0 or 1: vector norms
+#: below it are zero, overlaps within it of 1 are equal rays, and the
+#: lattice operations cut singular values at it.
+EPS_ABS = 1e-10
 
 #: Below this overlap, arg() of an inner product is numerically meaningless;
 #: triple phases refuse pairs closer to orthogonal than this.
@@ -109,14 +91,14 @@ def circular_distance(a: float, b: float) -> float:
     return abs(wrap_angle(a - b))
 
 
-def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+def orthonormalize(vectors) -> list[np.ndarray]:
     """Orthonormal basis of the span of ``vectors``.
 
     Modified Gram–Schmidt with a single re-orthogonalization pass, which
     is stable at the ambient dimensions this library targets (d ≤ 32).
     Vectors whose residual norm after projecting out the basis built so
-    far is ``<= tol.eps_abs`` are dropped, so the output size equals the
-    numerical rank of the input set.  Empty input yields an empty list.
+    far is at most :data:`EPS_ABS` are dropped, so the output size
+    equals the numerical rank of the input set.  Empty input yields an empty list.
     The input is coerced once into a 2-D array and the basis is filled
     in place; once it spans the whole space the remaining vectors are
     dependent and skipped.
@@ -125,8 +107,6 @@ def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     ----------
     vectors : iterable of array_like
         Vectors of a common dimension.
-    tol : Tolerance
-        Supplies the drop threshold ``eps_abs``.
 
     Returns
     -------
@@ -166,7 +146,7 @@ def orthonormalize(vectors, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
             w = w - basis[:k].T @ (conj[:k] @ w)
         # np.linalg.norm's own formula for a complex vector, without its wrapper
         nrm = math.sqrt(w.real @ w.real + w.imag @ w.imag)
-        if nrm > tol.eps_abs:
+        if nrm > EPS_ABS:
             basis[k] = w / nrm
             conj[k] = basis[k].conj()
             k += 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotIsometryError
-from .linalg import DEFAULT_TOL, Tolerance, circular_distance
+from .linalg import EPS_ABS, circular_distance
 from .rays import Ray, ray_from
 from .geometry import a_sims, p_sims, triple_phases
 from .superposition import superpose_vectors
@@ -29,7 +29,7 @@ class LinearMap:
     ------
     ValueError
         If the matrix is not numerically injective (smallest singular
-        value at or below ``eps_abs``) or contains non-finite entries.
+        value at or below ``EPS_ABS``) or contains non-finite entries.
     """
 
     matrix: np.ndarray
@@ -41,7 +41,7 @@ class LinearMap:
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         smin = float(np.linalg.svd(m, compute_uv=False)[-1])
-        if m.shape[0] < m.shape[1] or smin <= DEFAULT_TOL.eps_abs:
+        if m.shape[0] < m.shape[1] or smin <= EPS_ABS:
             raise ValueError(f"matrix is not injective (smallest singular value {smin:.3e})")
         object.__setattr__(self, "matrix", m)
         m.flags.writeable = False
@@ -74,18 +74,18 @@ class RegularMap:
         return self.underlying.dim_out
 
 
-def apply_ray(f: RegularMap, x: Ray, tol: Tolerance = DEFAULT_TOL) -> Ray:
+def apply_ray(f: RegularMap, x: Ray) -> Ray:
     """Image of a ray under the induced map."""
     if x.dim != f.dim_in:
         raise DimensionMismatchError(f"ray dim {x.dim} vs map input dim {f.dim_in}")
-    return ray_from(f.underlying.matrix @ x.rep, tol)
+    return ray_from(f.underlying.matrix @ x.rep)
 
 
-def isometry_scale(f: RegularMap, tol: Tolerance = DEFAULT_TOL) -> float | None:
+def isometry_scale(f: RegularMap) -> float | None:
     """The uniform scale c with ‖m·u‖ = c‖u‖ for all u, or None.
 
     Decided exactly through the Gram matrix m†m = c²·I on the standard
-    basis.
+    basis, to 1e-9 relative to c².
     """
     m = f.underlying.matrix
     gram = m.conj().T @ m
@@ -93,7 +93,7 @@ def isometry_scale(f: RegularMap, tol: Tolerance = DEFAULT_TOL) -> float | None:
     if c2 <= 0.0:
         return None
     dev = float(np.max(np.abs(gram - c2 * np.eye(f.dim_in))))
-    if dev > tol.eps_rel * c2:
+    if dev > 1e-9 * c2:
         return None
     return float(np.sqrt(c2))
 
@@ -125,12 +125,7 @@ def _image_rows(f: RegularMap, u: np.ndarray) -> np.ndarray:
     return m / np.linalg.norm(m, axis=-1, keepdims=True)
 
 
-def preserves_superpositions(
-    f: RegularMap,
-    trials: int = 500,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> PreservationReport:
+def preserves_superpositions(f: RegularMap, trials: int = 500, seed: int = 0) -> PreservationReport:
     """Sampled check that the induced map carries superpositions to
     superpositions of the images.
 
@@ -143,10 +138,15 @@ def preserves_superpositions(
     verdict is a proof; a positive verdict is sampled evidence — the
     exact criterion is the isometry check, and the harness validates
     their agreement.
+
+    Raises
+    ------
+    ValueError
+        If ``seed`` lies outside [0, 2**64).
     """
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([np.uint64(seed), np.uint64(0x5052455345525645)], dtype=np.uint64))
-    )
+    from .sampling import keyed_generator  # imported here: sampling imports this module
+
+    rng = keyed_generator(seed, 0x5052455345525645)
     trials = max(int(trials), 0)
     y = _unit_rows(rng, trials, f.dim_in)
     z = _unit_rows(rng, trials, f.dim_in)
@@ -155,26 +155,24 @@ def preserves_superpositions(
     y, z, r = y[kept], z[kept], r[kept]
     fy = _image_rows(f, y)
     fz = _image_rows(f, z)
-    collapsed = a_sims(fy, fz) <= tol.eps_abs
-    mapped = _image_rows(f, superpose_vectors(y, z, r, tol))
-    direct = superpose_vectors(fy, fz, r, tol)
+    collapsed = a_sims(fy, fz) <= EPS_ABS
+    mapped = _image_rows(f, superpose_vectors(y, z, r))
+    direct = superpose_vectors(fy, fz, r)
     direct = direct / np.linalg.norm(direct, axis=-1, keepdims=True)
     residual = np.where(collapsed, 1.0, 1.0 - a_sims(mapped, direct))
-    failed = collapsed | (residual > tol.eps_abs)
+    failed = collapsed | (residual > EPS_ABS)
     if not failed.any():
         return PreservationReport(True, float(residual.max(initial=0.0)), len(r), seed, None)
     k = int(np.argmax(failed))
-    witness = (ray_from(y[k], tol), ray_from(z[k], tol), float(r[k]))
+    witness = (ray_from(y[k]), ray_from(z[k]), float(r[k]))
     return PreservationReport(False, float(residual[: k + 1].max()), k + 1, seed, witness)
 
 
-def check_char_morph(
-    f: RegularMap, trials: int = 500, seed: int = 0, tol: Tolerance = DEFAULT_TOL
-) -> bool:
+def check_char_morph(f: RegularMap, trials: int = 500, seed: int = 0) -> bool:
     """Agreement of the exact isometry criterion with the sampled
     superposition-preservation verdict; true for every regular map."""
-    is_iso = isometry_scale(f, tol=tol) is not None
-    return is_iso == preserves_superpositions(f, trials, seed, tol).preserves
+    is_iso = isometry_scale(f) is not None
+    return is_iso == preserves_superpositions(f, trials, seed).preserves
 
 
 @dataclass(frozen=True)
@@ -186,9 +184,7 @@ class QuantityResiduals:
     trials_run: int
 
 
-def check_preserves_p_theta(
-    f: RegularMap, trials: int = 200, seed: int = 0, tol: Tolerance = DEFAULT_TOL
-) -> QuantityResiduals:
+def check_preserves_p_theta(f: RegularMap, trials: int = 200, seed: int = 0) -> QuantityResiduals:
     """Worst |p(f x, f y) − p(x, y)| and phase deviation over samples.
 
     Both quantities are blind to a uniform scale, so any isometry up to
@@ -198,12 +194,14 @@ def check_preserves_p_theta(
     ------
     NotIsometryError
         If the map is not an isometry up to scale.
+    ValueError
+        If ``seed`` lies outside [0, 2**64).
     """
-    if isometry_scale(f, tol=tol) is None:
+    if isometry_scale(f) is None:
         raise NotIsometryError("p/theta preservation holds only for isometries")
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([np.uint64(seed), np.uint64(0x5051554E54)], dtype=np.uint64))
-    )
+    from .sampling import keyed_generator  # imported here: sampling imports this module
+
+    rng = keyed_generator(seed, 0x5051554E54)
     trials = max(int(trials), 0)
     x, y, z = (_unit_rows(rng, trials, f.dim_in) for _ in range(3))
     kept = np.minimum(np.minimum(a_sims(x, y), a_sims(y, z)), a_sims(z, x)) > 1e-6

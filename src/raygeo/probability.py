@@ -26,7 +26,7 @@ from .errors import (
     NotOrthogonalError,
     PreconditionUnmetError,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import EPS_ABS
 from .rays import (
     ZERO,
     Ray,
@@ -44,9 +44,10 @@ from .rays import (
     subspaces_equal,
 )
 from .geometry import p_prop
+from .sampling import keyed_generator
 
 
-def check_ortho_additivity(x: Ray, a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
+def check_ortho_additivity(x: Ray, a: Subspace, b: Subspace) -> float:
     """|p(x, a∨b) − p(x, a) − p(x, b)| for orthogonal a, b.
 
     Raises
@@ -54,67 +55,67 @@ def check_ortho_additivity(x: Ray, a: Subspace, b: Subspace, tol: Tolerance = DE
     NotOrthogonalError
         If the subspaces are not orthogonal.
     """
-    if not is_orthogonal(a, b, tol):
+    if not is_orthogonal(a, b):
         raise NotOrthogonalError("additivity requires orthogonal propositions")
-    return abs(p_prop(x, join(a, b, tol)) - p_prop(x, a) - p_prop(x, b))
+    return abs(p_prop(x, join(a, b)) - p_prop(x, a) - p_prop(x, b))
 
 
-def check_complement(x: Ray, a: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
+def check_complement(x: Ray, a: Subspace) -> float:
     """|p(x, a) + p(x, ¬a) − 1|."""
     return abs(p_prop(x, a) + p_prop(x, ortho_complement(a)) - 1.0)
 
 
-def check_inclusion_exclusion(x: Ray, a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
+def check_inclusion_exclusion(x: Ray, a: Subspace, b: Subspace) -> float:
     """|p(x, a∨b) − p(x, a) − p(x, b) + p(x, a∧b)| for commuting a, b."""
-    if not commutes(a, b, tol=tol):
+    if not commutes(a, b):
         raise NotCommutingError("inclusion-exclusion requires commuting propositions")
     return abs(
-        p_prop(x, join(a, b, tol))
+        p_prop(x, join(a, b))
         - p_prop(x, a)
         - p_prop(x, b)
-        + p_prop(x, meet(a, b, tol))
+        + p_prop(x, meet(a, b))
     )
 
 
-def check_chain_rule(x: Ray, a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
+def check_chain_rule(x: Ray, a: Subspace, b: Subspace) -> float:
     """|p(x, a∧b) − p(x, a)·p(a(x), b)| for commuting a, b.
 
     When x ⊥ a the conditional is on a null event; the term is
     0-weighted and the residual degenerates to p(x, a∧b) itself, which
     must vanish.
     """
-    if not commutes(a, b, tol=tol):
+    if not commutes(a, b):
         raise NotCommutingError("the chain rule requires commuting propositions")
     p_xa = p_prop(x, a)
-    p_meet = p_prop(x, meet(a, b, tol))
-    ax = project_ray(a, x, tol)
-    if ax is ZERO or p_xa <= tol.eps_abs:
+    p_meet = p_prop(x, meet(a, b))
+    ax = project_ray(a, x)
+    if ax is ZERO or p_xa <= EPS_ABS:
         return p_meet
     return abs(p_meet - p_xa * p_prop(ax, b))
 
 
-def check_monotone(x: Ray, a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """p(x, a) ≤ p(x, b) + eps_abs for nested a ⊆ b.
+def check_monotone(x: Ray, a: Subspace, b: Subspace) -> bool:
+    """p(x, a) ≤ p(x, b) + EPS_ABS for nested a ⊆ b.
 
     Raises
     ------
     NotContainedError
         If a is not contained in b.
     """
-    if containment_defect(a, b) > tol.eps_abs:
+    if containment_defect(a, b) > EPS_ABS:
         raise NotContainedError("monotonicity requires a ⊆ b")
-    return p_prop(x, a) <= p_prop(x, b) + tol.eps_abs
+    return p_prop(x, a) <= p_prop(x, b) + EPS_ABS
 
 
-def _locally_commute(x: Ray, a: Subspace, b: Subspace, tol: Tolerance) -> bool:
-    ab = project_ray(a, project_ray(b, x, tol), tol)
-    ba = project_ray(b, project_ray(a, x, tol), tol)
+def _locally_commute(x: Ray, a: Subspace, b: Subspace) -> bool:
+    ab = project_ray(a, project_ray(b, x))
+    ba = project_ray(b, project_ray(a, x))
     if ab is ZERO or ba is ZERO:
         return ab is ZERO and ba is ZERO
-    return rays_equal(ab, ba, tol)
+    return rays_equal(ab, ba)
 
 
-def check_total_probability(x: Ray, a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
+def check_total_probability(x: Ray, a: Subspace, b: Subspace) -> float:
     """Residual of p(x,b) = p(x,a)·p(a(x),b) + p(x,¬a)·p(¬a(x),b).
 
     Requires either globally commuting propositions or the weaker local
@@ -127,15 +128,15 @@ def check_total_probability(x: Ray, a: Subspace, b: Subspace, tol: Tolerance = D
     PreconditionUnmetError
         When the propositions neither commute nor locally commute at x.
     """
-    if not commutes(a, b, tol=tol) and not _locally_commute(x, a, b, tol):
+    if not commutes(a, b) and not _locally_commute(x, a, b):
         raise PreconditionUnmetError(
             "commuting or locally-commuting-at-x",
             "propositions neither commute nor locally commute at the given state",
         )
-    return total_probability_residual(x, a, b, tol)
+    return total_probability_residual(x, a, b)
 
 
-def total_probability_residual(x: Ray, a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> float:
+def total_probability_residual(x: Ray, a: Subspace, b: Subspace) -> float:
     """The residual of :func:`check_total_probability` without its
     precondition check; on non-commuting propositions it measures how
     far the law of total probability fails."""
@@ -143,18 +144,16 @@ def total_probability_residual(x: Ray, a: Subspace, b: Subspace, tol: Tolerance 
     total = 0.0
     for prop in (a, na):
         weight = p_prop(x, prop)
-        if weight <= tol.eps_abs:
+        if weight <= EPS_ABS:
             continue
-        px = project_ray(prop, x, tol)
+        px = project_ray(prop, x)
         if px is ZERO:
             continue
         total += weight * p_prop(px, b)
     return abs(p_prop(x, b) - total)
 
 
-def check_interference_inequality(
-    x: Ray, a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def check_interference_inequality(x: Ray, a: Subspace, b: Subspace) -> float:
     """Margin of the quantitative interference inequality.
 
     With x in a, returns RHS − LHS of
@@ -168,13 +167,13 @@ def check_interference_inequality(
     PreconditionUnmetError
         If x is not in a, x ⊥ b, or b(x) ⊥ a.
     """
-    if not is_member(x, a, tol):
+    if not is_member(x, a):
         raise PreconditionUnmetError("x in alpha")
-    bx = project_ray(b, x, tol)
+    bx = project_ray(b, x)
     if bx is ZERO:
         raise PreconditionUnmetError("x not orthogonal to beta")
     p_bx_a = p_prop(bx, a)
-    abx = project_ray(a, bx, tol)
+    abx = project_ray(a, bx)
     if abx is ZERO:
         raise PreconditionUnmetError("beta(x) not orthogonal to alpha")
     lhs = p_prop(x, b) * (1.0 - p_bx_a) ** 2
@@ -240,11 +239,7 @@ class InterferenceWitness:
     trial_index: int
 
 
-def search_nonsquared_counterexample(
-    seed: int,
-    budget: int,
-    tol: Tolerance = DEFAULT_TOL,
-) -> InterferenceWitness | None:
+def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitness | None:
     """Random search over real 3-dimensional instances for a violation of
 
         p(x,b)·(1 − p(b(x),a))  ≤  p(b(x),a)·(1 − p(a(b(x)),b)).
@@ -255,12 +250,15 @@ def search_nonsquared_counterexample(
     implementation scans sequentially.  Returns ``None`` when the
     budget is exhausted.  Any witness returned also satisfies the
     squared inequality, which is a theorem.
+
+    Raises
+    ------
+    ValueError
+        If ``seed`` lies outside [0, 2**64) and ``budget`` is positive.
     """
     dim = 3
     for trial in range(int(budget)):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([np.uint64(seed), np.uint64(trial)], dtype=np.uint64))
-        )
+        rng = keyed_generator(seed, trial)
         ranks = rng.integers(1, dim, size=2)  # 1 or 2
         qa = np.linalg.qr(rng.standard_normal((dim, int(ranks[0]))))[0]
         qb = np.linalg.qr(rng.standard_normal((dim, int(ranks[1]))))[0]
@@ -269,26 +267,26 @@ def search_nonsquared_counterexample(
         coeff = rng.standard_normal(int(ranks[0]))
         vec = qa @ coeff
         nrm = float(np.linalg.norm(vec))
-        if nrm <= tol.eps_abs:
+        if nrm <= EPS_ABS:
             continue
-        x = ray_from(vec.astype(np.complex128), tol)
+        x = ray_from(vec.astype(np.complex128))
         p_xb = p_prop(x, beta)
         if p_xb <= 1e-6:
             continue
-        bx = project_ray(beta, x, tol)
+        bx = project_ray(beta, x)
         if bx is ZERO:
             continue
         p_bx_a = p_prop(bx, alpha)
         if p_bx_a <= 1e-6:
             continue
-        abx = project_ray(alpha, bx, tol)
+        abx = project_ray(alpha, bx)
         if abx is ZERO:
             continue
         p_abx_b = p_prop(abx, beta)
         lhs_ns = p_xb * (1.0 - p_bx_a)
         rhs_ns = p_bx_a * (1.0 - p_abx_b)
         excess = lhs_ns - rhs_ns
-        if excess > tol.eps_abs:
+        if excess > EPS_ABS:
             squared_margin = p_bx_a * (1.0 - p_abx_b) - p_xb * (1.0 - p_bx_a) ** 2
             return InterferenceWitness(
                 x=x,
@@ -314,9 +312,7 @@ class CommutingDecomposition:
     gamma3: Subspace
 
 
-def decompose_commuting(
-    a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> CommutingDecomposition:
+def decompose_commuting(a: Subspace, b: Subspace) -> CommutingDecomposition:
     """Constructive decomposition of a commuting pair.
 
     gamma1 = a∧b, gamma2 = a∧¬b, gamma3 = ¬a∧b.  The complements are
@@ -329,18 +325,16 @@ def decompose_commuting(
     NotCommutingError
         If the propositions do not commute.
     """
-    if not commutes(a, b, tol=tol):
+    if not commutes(a, b):
         raise NotCommutingError("decomposition exists only for commuting propositions")
     nb = ortho_complement(b)
     na = ortho_complement(a)
-    g1 = meet(a, b, tol)
-    g2 = meet(a, nb, tol)
-    g3 = meet(na, b, tol)
+    g1 = meet(a, b)
+    g2 = meet(a, nb)
+    g3 = meet(na, b)
     for p, q in ((g1, g2), (g1, g3), (g2, g3)):
-        if not is_orthogonal(p, q, tol):
+        if not is_orthogonal(p, q):
             raise NotCommutingError("decomposition parts are not orthogonal")
-    if not subspaces_equal(join(g1, g2, tol), a, tol) or not subspaces_equal(
-        join(g1, g3, tol), b, tol
-    ):
+    if not subspaces_equal(join(g1, g2), a) or not subspaces_equal(join(g1, g3), b):
         raise NotCommutingError("decomposition does not regenerate the pair")
     return CommutingDecomposition(gamma1=g1, gamma2=g2, gamma3=g3)

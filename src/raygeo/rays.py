@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
-from .linalg import DEFAULT_TOL, Tolerance, as_vector, inner, orthonormalize
+from .linalg import EPS_ABS, as_vector, inner, orthonormalize
 
 
 class ZeroProjection:
@@ -51,7 +51,7 @@ class Ray:
     """A one-dimensional subspace of C^d, as a canonical representative.
 
     The representative is a unit vector whose first entry of modulus
-    above ``eps_abs`` is real and strictly positive.  Build instances
+    above ``EPS_ABS`` is real and strictly positive.  Build instances
     with :func:`ray_from`; the canonical form makes representative
     comparison a valid ray-equality check.  ``==`` is exact entrywise
     equality of representatives; use :func:`rays_equal` for the
@@ -83,7 +83,7 @@ class Ray:
         return f"Ray({np.array2string(self.rep, precision=6, suppress_small=True)})"
 
 
-def ray_from(v, tol: Tolerance = DEFAULT_TOL) -> Ray:
+def ray_from(v) -> Ray:
     """The ray spanned by ``v``, with canonical representative.
 
     Scale-invariant: ``ray_from(c * v)`` equals ``ray_from(v)`` for any
@@ -92,28 +92,28 @@ def ray_from(v, tol: Tolerance = DEFAULT_TOL) -> Ray:
     Raises
     ------
     ZeroVectorError
-        If ``norm(v) <= tol.eps_abs``.
+        If ``norm(v) <= EPS_ABS``.
     ValueError
         If ``v`` is not a finite vector, or its norm overflows.
     """
     v = as_vector(v)
     n = float(np.linalg.norm(v))
-    if n <= tol.eps_abs:
+    if n <= EPS_ABS:
         raise ZeroVectorError(f"cannot span a ray from a vector of norm {n:.3e}")
     if n == math.inf:
         raise ValueError("the vector norm overflows the float range")
     u = v / n
-    sig = np.flatnonzero(np.abs(u) > tol.eps_abs)
+    sig = np.flatnonzero(np.abs(u) > EPS_ABS)
     k = int(sig[0])  # nonempty: a unit vector has an entry of modulus >= 1/sqrt(d)
     u = u * (np.conj(u[k]) / abs(u[k]))
     return Ray(rep=u)
 
 
-def rays_equal(x: Ray, y: Ray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether two rays coincide, via overlap |<x, y>| > 1 − eps_abs."""
+def rays_equal(x: Ray, y: Ray) -> bool:
+    """Whether two rays coincide, via overlap |<x, y>| > 1 − EPS_ABS."""
     if x.dim != y.dim:
         raise DimensionMismatchError(f"dimensions {x.dim} vs {y.dim}")
-    return abs(inner(x.rep, y.rep)) > 1.0 - tol.eps_abs
+    return abs(inner(x.rep, y.rep)) > 1.0 - EPS_ABS
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +153,9 @@ class Subspace:
         return hash((self.dim, self.basis.tobytes()))
 
     @classmethod
-    def from_vectors(cls, vectors, dim=None, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
+    def from_vectors(cls, vectors, dim=None) -> "Subspace":
         """Span of arbitrary vectors; orthonormalizes and drops dependents."""
-        rows = orthonormalize(vectors, tol)
+        rows = orthonormalize(vectors)
         if rows:
             d = rows[0].shape[0]
         elif dim is not None:
@@ -216,7 +216,7 @@ def project_vec(a: Subspace, u) -> np.ndarray:
     return a.basis.T @ (a.basis.conj() @ u)
 
 
-def project_ray(a: Subspace, x, tol: Tolerance = DEFAULT_TOL):
+def project_ray(a: Subspace, x):
     """Projection of a ray onto a subspace: a Ray, or ZERO if orthogonal.
 
     Idempotent, and extends to the zero result: projecting ZERO yields
@@ -226,9 +226,9 @@ def project_ray(a: Subspace, x, tol: Tolerance = DEFAULT_TOL):
         return ZERO
     _require_dim(a, x)
     p = project_vec(a, x.rep)
-    if float(np.linalg.norm(p)) <= tol.eps_abs:
+    if float(np.linalg.norm(p)) <= EPS_ABS:
         return ZERO
-    return ray_from(p, tol)
+    return ray_from(p)
 
 
 def ortho_complement(a: Subspace) -> Subspace:
@@ -251,39 +251,39 @@ def _residual_rows(rows: np.ndarray, a: Subspace) -> np.ndarray:
     return rows
 
 
-def join(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def join(a: Subspace, b: Subspace) -> Subspace:
     """Disjunction: the closed linear sum, containing both operands.
 
     ``b``'s basis is projected off ``a`` as a block; one thin SVD of the
     residual rows yields the right singular vectors with singular value
-    ``s > tol.eps_abs``, stacked under ``a``'s basis, whose rows stay
+    ``s > EPS_ABS``, stacked under ``a``'s basis, whose rows stay
     first.
     """
     _require_dim(a, b)
     _, s, vh = np.linalg.svd(_residual_rows(b.basis, a), full_matrices=False)
-    return Subspace.from_orthonormal(np.vstack([a.basis, vh[s > tol.eps_abs]]), a.dim)
+    return Subspace.from_orthonormal(np.vstack([a.basis, vh[s > EPS_ABS]]), a.dim)
 
 
-def meet(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def meet(a: Subspace, b: Subspace) -> Subspace:
     """Conjunction: the intersection, the principal vectors of angle 0.
 
     One thin SVD of ``a``'s basis projected off ``b``: its singular
     values are the sines of the principal angles between ``a`` and
     ``b`` (Björck & Golub, Math. Comp. 27, 1973).  The left singular
-    vectors with ``s <= tol.eps_abs`` are the coefficients, in ``a``'s
+    vectors with ``s <= EPS_ABS`` are the coefficients, in ``a``'s
     basis, of an orthonormal basis of the intersection.
     """
     _require_dim(a, b)
     u, s, _ = np.linalg.svd(_residual_rows(a.basis, b), full_matrices=False)
-    coeffs = u[:, np.count_nonzero(s > tol.eps_abs) :].conj().T
+    coeffs = u[:, np.count_nonzero(s > EPS_ABS) :].conj().T
     return Subspace.from_orthonormal(coeffs @ a.basis, a.dim)
 
 
-def is_member(x: Ray, a: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_member(x: Ray, a: Subspace) -> bool:
     """Whether the ray lies inside the subspace (projection fixes it)."""
     _require_dim(a, x)
     residual = float(np.linalg.norm(project_vec(a, x.rep) - x.rep))
-    return residual <= tol.eps_abs
+    return residual <= EPS_ABS
 
 
 def _basis_rows(obj) -> np.ndarray:
@@ -294,11 +294,11 @@ def _basis_rows(obj) -> np.ndarray:
     raise TypeError(f"expected Ray or Subspace, got {type(obj).__name__}")
 
 
-def is_orthogonal(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_orthogonal(p, q) -> bool:
     """Whether two rays/subspaces are orthogonal (symmetric).
 
     True iff every pairwise basis inner product has modulus at most
-    ``eps_abs``; vacuously true for falsehood.
+    ``EPS_ABS``; vacuously true for falsehood.
     """
     rows_p = _basis_rows(p)
     rows_q = _basis_rows(q)
@@ -307,10 +307,10 @@ def is_orthogonal(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
     if rows_p.shape[0] == 0 or rows_q.shape[0] == 0:
         return True
     gram = rows_p @ rows_q.conj().T
-    return float(np.max(np.abs(gram))) <= tol.eps_abs
+    return float(np.max(np.abs(gram))) <= EPS_ABS
 
 
-def subspaces_equal(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def subspaces_equal(a: Subspace, b: Subspace) -> bool:
     """Whether two subspaces coincide (equal ranks, mutual containment)."""
     _require_dim(a, b)
     if a.rank != b.rank:
@@ -318,7 +318,7 @@ def subspaces_equal(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> b
     if a.rank == 0:
         return True
     defect = containment_defect(a, b)
-    return defect <= tol.eps_abs
+    return defect <= EPS_ABS
 
 
 def containment_defect(a: Subspace, b: Subspace) -> float:
@@ -334,7 +334,7 @@ def containment_defect(a: Subspace, b: Subspace) -> float:
     return float(np.max(np.linalg.norm(proj - a.basis.T, axis=0)))
 
 
-def commutes(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def commutes(a: Subspace, b: Subspace) -> bool:
     """Whether the projection operators of two propositions commute.
 
     Decided at the operator level — matrix equality of the two composite
@@ -344,4 +344,4 @@ def commutes(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     _require_dim(a, b)
     pa = a.projector()
     pb = b.projector()
-    return float(np.max(np.abs(pa @ pb - pb @ pa))) <= tol.eps_abs
+    return float(np.max(np.abs(pa @ pb - pb @ pa))) <= EPS_ABS

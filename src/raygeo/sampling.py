@@ -13,8 +13,11 @@ version), and cells or blocks can run in any order, or in parallel,
 without changing a single drawn number.  :data:`STREAM_VERSION` names
 the scheme; it is bumped whenever a change alters what a law draws.
 
-Base seeds lie in [0, 2**64), the range of the key's first word
-(:func:`check_seed`).
+The library functions that take a base seed outside the harness (the
+witness search and the morphism preservation checks) key their
+generator as ``[seed, word]``, with a word of their own.  Every key is
+built by :func:`keyed_generator`, which refuses base seeds outside
+[0, 2**64), the range of the key's first word (:func:`check_seed`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import hashlib
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance
 from .rays import Ray, Subspace, ray_from
 from .morphisms import LinearMap, RegularMap
 
@@ -51,17 +53,22 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"the seed must lie in [0, 2^64), got {seed}")
 
 
+def keyed_generator(seed: int, word: int) -> np.random.Generator:
+    """The Philox generator keyed by ``[seed, word]``.
+
+    Raises
+    ------
+    ValueError
+        If ``seed`` lies outside [0, 2**64).
+    """
+    check_seed(seed)
+    return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
+
+
 def substream(seed: int, law_id: str, dim: int, index: int) -> np.random.Generator:
     """The dedicated generator for one (law, dimension, trial) cell, or
     for one (law, dimension, block) of a batched law."""
-    key = np.array(
-        [
-            np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ np.uint64(law_stream_key(law_id)),
-            (np.uint64(dim) << np.uint64(32)) ^ np.uint64(index),
-        ],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return keyed_generator(seed ^ law_stream_key(law_id), (dim << 32) ^ index)
 
 
 def gaussian_stack(rng: np.random.Generator, shape, real: bool = False) -> np.ndarray:
@@ -76,70 +83,49 @@ def gaussian_vector(rng: np.random.Generator, dim: int, real: bool = False) -> n
     return gaussian_stack(rng, dim, real)
 
 
-def random_ray(
-    rng: np.random.Generator, dim: int, real: bool = False, tol: Tolerance = DEFAULT_TOL
-) -> Ray:
-    return ray_from(gaussian_vector(rng, dim, real), tol)
+def random_ray(rng: np.random.Generator, dim: int, real: bool = False) -> Ray:
+    return ray_from(gaussian_vector(rng, dim, real))
 
 
-def nonorthogonal_pair(
-    rng: np.random.Generator,
-    dim: int,
-    real: bool = False,
-    min_overlap: float = MIN_OVERLAP,
-    tol: Tolerance = DEFAULT_TOL,
-) -> tuple[Ray, Ray] | None:
-    """Two rays with overlap above the rejection threshold, or None."""
+def nonorthogonal_pair(rng: np.random.Generator, dim: int) -> tuple[Ray, Ray] | None:
+    """Two rays with overlap above :data:`MIN_OVERLAP`, or None."""
     for _ in range(_REJECTION_LIMIT):
-        x = random_ray(rng, dim, real, tol)
-        y = random_ray(rng, dim, real, tol)
-        if abs(np.vdot(y.rep, x.rep)) > min_overlap:
+        x = random_ray(rng, dim)
+        y = random_ray(rng, dim)
+        if abs(np.vdot(y.rep, x.rep)) > MIN_OVERLAP:
             return x, y
     return None
 
 
 def nonorthogonal_triple(
-    rng: np.random.Generator,
-    dim: int,
-    real: bool = False,
-    min_overlap: float = MIN_OVERLAP,
-    tol: Tolerance = DEFAULT_TOL,
+    rng: np.random.Generator, dim: int, real: bool = False
 ) -> tuple[Ray, Ray, Ray] | None:
-    """Three pairwise non-orthogonal rays, or None after rejections."""
+    """Three rays with pairwise overlaps above :data:`MIN_OVERLAP`, or
+    None after rejections."""
     for _ in range(_REJECTION_LIMIT):
-        rays = [random_ray(rng, dim, real, tol) for _ in range(3)]
+        rays = [random_ray(rng, dim, real) for _ in range(3)]
         overlaps = [
             abs(np.vdot(rays[j].rep, rays[i].rep))
             for i, j in ((0, 1), (1, 2), (2, 0))
         ]
-        if min(overlaps) > min_overlap:
+        if min(overlaps) > MIN_OVERLAP:
             return rays[0], rays[1], rays[2]
     return None
 
 
-def random_frames(
-    rng: np.random.Generator, count: int, dim: int, real: bool = False
-) -> np.ndarray:
+def random_frames(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """``count`` Haar-random unitary matrices, shape (count, dim, dim):
     the Q factors of stacked Gaussian draws.  The first k columns of
     each span a Haar-random k-dimensional subspace."""
-    g = rng.standard_normal((count, dim, dim))
-    if not real:
-        g = g + 1j * rng.standard_normal((count, dim, dim))
-    return np.linalg.qr(g)[0].astype(np.complex128, copy=False)
+    return np.linalg.qr(gaussian_stack(rng, (count, dim, dim)))[0]
 
 
-def random_frame(rng: np.random.Generator, dim: int, real: bool = False) -> np.ndarray:
+def random_frame(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A random orthonormal frame: rows are orthonormal vectors."""
-    return random_frames(rng, 1, dim, real)[0].T
+    return random_frames(rng, 1, dim)[0].T
 
 
-def random_subspace(
-    rng: np.random.Generator,
-    dim: int,
-    rank: int | None = None,
-    real: bool = False,
-) -> Subspace:
+def random_subspace(rng: np.random.Generator, dim: int, rank: int | None = None) -> Subspace:
     """A random subspace; rank defaults to uniform over 1..dim−1
     (use the explicit constructors for truth/falsehood)."""
     if rank is None:
@@ -148,32 +134,25 @@ def random_subspace(
         return Subspace.falsehood(dim)
     if rank >= dim:
         return Subspace.truth(dim)
-    g = rng.standard_normal((dim, rank))
-    if not real:
-        g = g + 1j * rng.standard_normal((dim, rank))
-    q = np.linalg.qr(g)[0]
+    q = np.linalg.qr(gaussian_stack(rng, (dim, rank)))[0]
     return Subspace.from_orthonormal(q.T.astype(np.complex128), dim)
 
 
-def member_ray(
-    rng: np.random.Generator, a: Subspace, real: bool = False, tol: Tolerance = DEFAULT_TOL
-) -> Ray:
+def member_ray(rng: np.random.Generator, a: Subspace) -> Ray:
     """A random ray inside a subspace of positive rank."""
     if a.rank == 0:
         raise ValueError("falsehood contains no ray")
-    coeff = gaussian_vector(rng, a.rank, real)
-    return ray_from(a.basis.T @ coeff, tol)
+    coeff = gaussian_vector(rng, a.rank)
+    return ray_from(a.basis.T @ coeff)
 
 
-def commuting_pair(
-    rng: np.random.Generator, dim: int, real: bool = False
-) -> tuple[Subspace, Subspace]:
+def commuting_pair(rng: np.random.Generator, dim: int) -> tuple[Subspace, Subspace]:
     """Two commuting subspaces: spans of index subsets of one frame.
 
     Commuting pairs have measure zero among random pairs, so they are
     generated by construction, never by rejection.
     """
-    frame = random_frame(rng, dim, real)
+    frame = random_frame(rng, dim)
     in_a = rng.random(dim) < 0.5
     in_b = rng.random(dim) < 0.5
     a = Subspace.from_orthonormal(frame[in_a], dim)
@@ -181,9 +160,9 @@ def commuting_pair(
     return a, b
 
 
-def nested_pair(rng: np.random.Generator, dim: int, real: bool = False) -> tuple[Subspace, Subspace]:
+def nested_pair(rng: np.random.Generator, dim: int) -> tuple[Subspace, Subspace]:
     """Two subspaces with the first contained in the second."""
-    frame = random_frame(rng, dim, real)
+    frame = random_frame(rng, dim)
     r2 = int(rng.integers(1, dim + 1))
     r1 = int(rng.integers(0, r2 + 1))
     return (
@@ -192,19 +171,17 @@ def nested_pair(rng: np.random.Generator, dim: int, real: bool = False) -> tuple
     )
 
 
-def coplanar_triple(
-    rng: np.random.Generator, dim: int, real: bool = False, tol: Tolerance = DEFAULT_TOL
-) -> tuple[Ray, Ray, Ray] | None:
+def coplanar_triple(rng: np.random.Generator, dim: int) -> tuple[Ray, Ray, Ray] | None:
     """Three rays inside one two-dimensional subspace."""
-    pair = nonorthogonal_pair(rng, dim, real, tol=tol)
+    pair = nonorthogonal_pair(rng, dim)
     if pair is None:
         return None
     y, z = pair
     for _ in range(_REJECTION_LIMIT):
-        c = gaussian_vector(rng, 2, real)
+        c = gaussian_vector(rng, 2)
         vec = c[0] * y.rep + c[1] * z.rep
         if float(np.linalg.norm(vec)) > 1e-3:
-            return ray_from(vec, tol), y, z
+            return ray_from(vec), y, z
     return None
 
 

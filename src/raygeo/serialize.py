@@ -29,7 +29,6 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance
 from .rays import Ray, Subspace, ray_from
 from .morphisms import LinearMap, RegularMap
 from .sampling import STREAM_VERSION
@@ -110,25 +109,25 @@ def ray_to_json(x: Ray) -> dict:
     return {"dim": x.dim, "rep": vec_to_json(x.rep)}
 
 
-def ray_from_json(data, tol: Tolerance = DEFAULT_TOL) -> Ray:
+def ray_from_json(data) -> Ray:
     dim = _size(_field(data, "dim", "a ray"), "dim")
     rep = vec_from_json(_field(data, "rep", "a ray"))
     if len(rep) != dim:
         raise ValueError("ray dim does not match representative length")
-    return ray_from(rep, tol)
+    return ray_from(rep)
 
 
 def subspace_to_json(a: Subspace) -> dict:
     return {"dim": a.dim, "basis": [vec_to_json(row) for row in a.basis]}
 
 
-def subspace_from_json(data, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def subspace_from_json(data) -> Subspace:
     dim = _size(_field(data, "dim", "a subspace"), "dim")
     vectors = [vec_from_json(row) for row in _list(_field(data, "basis", "a subspace"), "basis")]
     for v in vectors:
         if len(v) != dim:
             raise ValueError("subspace dim does not match basis vector length")
-    return Subspace.from_vectors(vectors, dim=dim, tol=tol)
+    return Subspace.from_vectors(vectors, dim=dim)
 
 
 def linear_map_to_json(f) -> dict:
@@ -145,10 +144,10 @@ def regular_map_from_json(data) -> RegularMap:
     return RegularMap(underlying=LinearMap(matrix=m))
 
 
-def superposition_spec_from_json(data, tol: Tolerance = DEFAULT_TOL) -> SuperpositionSpec:
+def superposition_spec_from_json(data) -> SuperpositionSpec:
     return SuperpositionSpec(
-        y=ray_from_json(_field(data, "y", "a superposition spec"), tol),
-        z=ray_from_json(_field(data, "z", "a superposition spec"), tol),
+        y=ray_from_json(_field(data, "y", "a superposition spec")),
+        z=ray_from_json(_field(data, "z", "a superposition spec")),
         r=_number(_field(data, "r", "a superposition spec"), "r"),
     )
 

@@ -29,7 +29,7 @@ from .errors import (
     InvalidWeightError,
     OrthogonalComponentsError,
 )
-from .linalg import ANGLE_GUARD, DEFAULT_TOL, Tolerance
+from .linalg import ANGLE_GUARD, EPS_ABS
 from .rays import Ray, Subspace, is_orthogonal, join, ray_from, rays_equal
 from .geometry import a_sim, p_sim, theta
 
@@ -54,25 +54,25 @@ class SuperpositionSpec:
         r = float(self.r)
         if not (math.isfinite(r) and 0.0 <= r <= 1.0):
             raise InvalidWeightError(f"weight r={self.r!r} outside [0, 1]")
-        if a_sim(self.y, self.z) <= DEFAULT_TOL.eps_abs:
+        if a_sim(self.y, self.z) <= EPS_ABS:
             raise OrthogonalComponentsError(
                 "superpositions of orthogonal states are undefined"
             )
 
 
-def _superposition_rows(v, w, r, tol: Tolerance):
+def _superposition_rows(v, w, r):
     """sqrt(r)·v + sqrt(1−r)·w′ per row, with the masks of the rows whose
     superposition is a component instead: (gives v, gives w)."""
     r = np.asarray(r, dtype=np.float64)[()]  # a numpy scalar for a single row
     c = np.vecdot(w, v)  # <v, w>
     a = np.hypot(c.real, c.imag)
     cw = (1.0 - r) ** 0.5 * (c / (a + (a == 0.0)))  # w′ = w·c/|c| makes <v, w′> = |c|
-    take_v = (r >= 1.0) | (a > 1.0 - tol.eps_abs)
+    take_v = (r >= 1.0) | (a > 1.0 - EPS_ABS)
     take_w = (r <= 0.0) & ~take_v
     return (r**0.5)[..., np.newaxis] * v + cw[..., np.newaxis] * w, take_v, take_w
 
 
-def superpose_vectors(v, w, r, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def superpose_vectors(v, w, r) -> np.ndarray:
     """Un-normalized superposition vectors of stacked components.
 
     ``v`` and ``w`` are unit representatives of shape (..., d) and ``r``
@@ -80,17 +80,17 @@ def superpose_vectors(v, w, r, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     sqrt(r)·v + sqrt(1−r)·w′, with w′ the representative of w that
     makes <v, w′> real and positive; its squared norm is
     omega(r, y, z).  The boundary rows follow the ray rules:
-    coinciding components (overlap above 1 − eps_abs) or r = 1 give v,
+    coinciding components (overlap above 1 − EPS_ABS) or r = 1 give v,
     and r = 0 gives w.  Rows whose components are orthogonal are
     outside the domain and meaningless.
     """
     v = np.asarray(v, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
-    u, take_v, take_w = _superposition_rows(v, w, r, tol)
+    u, take_v, take_w = _superposition_rows(v, w, r)
     return np.where(take_v[..., np.newaxis], v, np.where(take_w[..., np.newaxis], w, u))
 
 
-def superpose(spec: SuperpositionSpec, tol: Tolerance = DEFAULT_TOL) -> Ray:
+def superpose(spec: SuperpositionSpec) -> Ray:
     """The superposed ray of ``spec``.
 
     Independent of the representative chosen for the first component;
@@ -98,12 +98,12 @@ def superpose(spec: SuperpositionSpec, tol: Tolerance = DEFAULT_TOL) -> Ray:
     them.  Boundary weights short-circuit: r=1 gives y, r=0 gives z,
     and superposing a state with itself gives that state back.
     """
-    u, take_y, take_z = _superposition_rows(spec.y.rep, spec.z.rep, spec.r, tol)
+    u, take_y, take_z = _superposition_rows(spec.y.rep, spec.z.rep, spec.r)
     if take_y:
         return spec.y
     if take_z:
         return spec.z
-    return ray_from(u, tol)
+    return ray_from(u)
 
 
 def omega(r: float, y: Ray, z: Ray) -> float:
@@ -115,19 +115,14 @@ def omega(r: float, y: Ray, z: Ray) -> float:
     if not (math.isfinite(r) and 0.0 <= r <= 1.0):
         raise InvalidWeightError(f"weight r={r!r} outside [0, 1]")
     a = a_sim(y, z)
-    if a <= DEFAULT_TOL.eps_abs:
+    if a <= EPS_ABS:
         raise OrthogonalComponentsError(
             "superpositions of orthogonal states are undefined"
         )
     return 1.0 + 2.0 * math.sqrt(max(r * (1.0 - r), 0.0)) * a
 
 
-def p_of_superposition_closed_form(
-    spec: SuperpositionSpec,
-    x: Ray,
-    tol: Tolerance = DEFAULT_TOL,
-    angle_guard: float = ANGLE_GUARD,
-) -> float:
+def p_of_superposition_closed_form(spec: SuperpositionSpec, x: Ray) -> float:
     """Closed-form similarity between a superposition and a test state.
 
     [ r·p(y,x) + (1−r)·p(z,x) + 2·cos(theta(x,y,z))·sqrt(r(1−r)·p(y,x)·p(z,x)) ] / omega
@@ -142,10 +137,10 @@ def p_of_superposition_closed_form(
     p_zx = p_sim(z, x)
     w = omega(r, y, z)
     cross = r * (1.0 - r) * p_yx * p_zx
-    if cross <= (angle_guard * angle_guard) ** 2:
+    if cross <= (ANGLE_GUARD * ANGLE_GUARD) ** 2:
         interference = 0.0
     else:
-        interference = 2.0 * math.cos(theta(x, y, z, angle_guard)) * math.sqrt(cross)
+        interference = 2.0 * math.cos(theta(x, y, z)) * math.sqrt(cross)
     return (r * p_yx + (1.0 - r) * p_zx + interference) / w
 
 
@@ -157,7 +152,7 @@ def p_component_closed_form(spec: SuperpositionSpec) -> float:
     return 1.0 - (1.0 - r) * (1.0 - p_yz) / omega(r, spec.y, spec.z)
 
 
-def p_superposed_vs_component(spec: SuperpositionSpec, tol: Tolerance = DEFAULT_TOL) -> float:
+def p_superposed_vs_component(spec: SuperpositionSpec) -> float:
     """Similarity between the superposed ray and its first component.
 
     For r in (0, 1] and distinct components this is strictly larger
@@ -173,19 +168,12 @@ def p_superposed_vs_component(spec: SuperpositionSpec, tol: Tolerance = DEFAULT_
     """
     if float(spec.r) <= 0.0:
         raise InvalidWeightError("r must be strictly positive here")
-    if rays_equal(spec.y, spec.z, tol):
+    if rays_equal(spec.y, spec.z):
         raise DegenerateTripleError("components must be distinct rays")
-    return p_sim(superpose(spec, tol), spec.y)
+    return p_sim(superpose(spec), spec.y)
 
 
-def cos_theta_prime(
-    x: Ray,
-    x_perp: Ray,
-    y: Ray,
-    z: Ray,
-    tol: Tolerance = DEFAULT_TOL,
-    angle_guard: float = ANGLE_GUARD,
-) -> float:
+def cos_theta_prime(x: Ray, x_perp: Ray, y: Ray, z: Ray) -> float:
     """Closed-form cosine of the triple phase after swapping x for its
     in-plane orthocomplement x_perp.
 
@@ -201,35 +189,29 @@ def cos_theta_prime(
     DegenerateTripleError
         On any violated precondition or a vanishing denominator factor.
     """
-    if not is_orthogonal(x, x_perp, tol):
+    if not is_orthogonal(x, x_perp):
         raise DegenerateTripleError("x and x_perp must be orthogonal")
-    plane = join(join(Subspace.from_ray(x), Subspace.from_ray(y), tol), Subspace.from_ray(z), tol)
-    plane_all = join(plane, Subspace.from_ray(x_perp), tol)
+    plane = join(join(Subspace.from_ray(x), Subspace.from_ray(y)), Subspace.from_ray(z))
+    plane_all = join(plane, Subspace.from_ray(x_perp))
     if plane_all.rank > 2:
         raise DegenerateTripleError("the four rays must be coplanar")
     for u, v in ((x, y), (x, z), (y, z), (x_perp, y), (x_perp, z)):
-        if a_sim(u, v) <= angle_guard:
+        if a_sim(u, v) <= ANGLE_GUARD:
             raise DegenerateTripleError("required non-orthogonality fails")
     p_xy = p_sim(x, y)
     p_xz = p_sim(x, z)
     den_sq = (1.0 - p_xy) * (1.0 - p_xz)
-    if (1.0 - p_xy) <= tol.eps_abs or (1.0 - p_xz) <= tol.eps_abs:
+    if (1.0 - p_xy) <= EPS_ABS or (1.0 - p_xz) <= EPS_ABS:
         raise DegenerateTripleError("denominator factor vanished (p(x,·) = 1)")
     p_yz = p_sim(y, z)
-    num = math.sqrt(p_yz) - math.cos(theta(x, y, z, angle_guard)) * math.sqrt(p_xy * p_xz)
+    num = math.sqrt(p_yz) - math.cos(theta(x, y, z)) * math.sqrt(p_xy * p_xz)
     return num / math.sqrt(den_sq)
 
 
-def theta_of_superposition(
-    spec: SuperpositionSpec,
-    x1: Ray,
-    x2: Ray,
-    tol: Tolerance = DEFAULT_TOL,
-    angle_guard: float = ANGLE_GUARD,
-) -> float:
+def theta_of_superposition(spec: SuperpositionSpec, x1: Ray, x2: Ray) -> float:
     """Triple phase of (superposed ray, x1, x2), by construction.
 
     No closed form is claimed for this quantity; it is supported
     numerically through the constructed ray only.
     """
-    return theta(superpose(spec, tol), x1, x2, angle_guard)
+    return theta(superpose(spec), x1, x2)

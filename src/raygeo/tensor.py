@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ANGLE_GUARD, DEFAULT_TOL, Tolerance, circular_distance, wrap_angle
+from .linalg import circular_distance, wrap_angle
 from .rays import Ray, ray_from
 from .geometry import p_sim, theta
 
@@ -33,32 +33,23 @@ class ProductRay:
     combined: Ray
 
 
-def tensor_ray(x1: Ray, x2: Ray, tol: Tolerance = DEFAULT_TOL) -> ProductRay:
+def tensor_ray(x1: Ray, x2: Ray) -> ProductRay:
     """The product state of two rays; factor phases do not matter."""
     return ProductRay(
         factor1=x1,
         factor2=x2,
-        combined=ray_from(np.kron(x1.rep, x2.rep), tol),
+        combined=ray_from(np.kron(x1.rep, x2.rep)),
     )
 
 
-def check_p_product(x1: Ray, y1: Ray, x2: Ray, y2: Ray, tol: Tolerance = DEFAULT_TOL) -> float:
+def check_p_product(x1: Ray, y1: Ray, x2: Ray, y2: Ray) -> float:
     """|p(x1⊗x2, y1⊗y2) − p(x1,y1)·p(x2,y2)|."""
-    px = tensor_ray(x1, x2, tol).combined
-    py = tensor_ray(y1, y2, tol).combined
+    px = tensor_ray(x1, x2).combined
+    py = tensor_ray(y1, y2).combined
     return abs(p_sim(px, py) - p_sim(x1, y1) * p_sim(x2, y2))
 
 
-def check_theta_product(
-    x1: Ray,
-    y1: Ray,
-    z1: Ray,
-    x2: Ray,
-    y2: Ray,
-    z2: Ray,
-    tol: Tolerance = DEFAULT_TOL,
-    angle_guard: float = ANGLE_GUARD,
-) -> float:
+def check_theta_product(x1: Ray, y1: Ray, z1: Ray, x2: Ray, y2: Ray, z2: Ray) -> float:
     """Circular distance between theta on products and the sum of the
     factor phases (mod 2π).
 
@@ -66,10 +57,10 @@ def check_theta_product(
     the product triple pairwise non-orthogonal as well; raises
     OrthogonalPairError otherwise (propagated from the phase guards).
     """
-    t1 = theta(x1, y1, z1, angle_guard)
-    t2 = theta(x2, y2, z2, angle_guard)
-    tx = tensor_ray(x1, x2, tol).combined
-    ty = tensor_ray(y1, y2, tol).combined
-    tz = tensor_ray(z1, z2, tol).combined
-    t_prod = theta(tx, ty, tz, angle_guard)
+    t1 = theta(x1, y1, z1)
+    t2 = theta(x2, y2, z2)
+    tx = tensor_ray(x1, x2).combined
+    ty = tensor_ray(y1, y2).combined
+    tz = tensor_ray(z1, z2).combined
+    t_prod = theta(tx, ty, tz)
     return circular_distance(t_prod, wrap_angle(t1 + t2))

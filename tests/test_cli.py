@@ -79,6 +79,14 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--dims", "1..1", "--trials", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("dims", ["2..1000000000000000", "-1000000000000000..3"])
+    def test_huge_dims_range_is_usage_error(self, capsys, dims):
+        # the bounds are checked before the range is built, so nothing is allocated
+        code, out, err = run_cli(capsys, "verify", f"--dims={dims}", "--trials", "5")
+        assert code == 2
+        assert out == ""
+        assert "dims must lie within [2, 32]" in err
+
     def test_determinism_byte_identical(self, capsys, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"

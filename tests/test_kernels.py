@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from raygeo import (
-    DEFAULT_TOL,
     OrthogonalPairError,
     Subspace,
     SuperpositionSpec,
@@ -27,7 +26,7 @@ from raygeo import (
     superpose,
 )
 from raygeo.geometry import a_sims, p_sims, triple_phases
-from raygeo.linalg import circular_distance
+from raygeo.linalg import EPS_ABS, circular_distance
 from raygeo.sampling import gaussian_stack, random_frames
 from raygeo.superposition import superpose_vectors
 
@@ -106,7 +105,7 @@ def test_superpose_matches_loop(dim):
     got = superpose_vectors(v, w, r)
     for i in range(150):
         c = _inner(v[i], w[i])
-        if r[i] >= 1.0 or abs(c) > 1.0 - DEFAULT_TOL.eps_abs:
+        if r[i] >= 1.0 or abs(c) > 1.0 - EPS_ABS:
             reference = v[i]
         elif r[i] <= 0.0:
             reference = w[i]
@@ -146,14 +145,14 @@ def test_stacked_draws():
 
 def _gram_schmidt(rows, dim):
     """Span of ``rows`` by Gram–Schmidt, one vector at a time, with one
-    re-orthogonalization pass; residuals <= eps_abs are dropped."""
+    re-orthogonalization pass; residuals <= EPS_ABS are dropped."""
     basis = np.zeros((0, dim), dtype=np.complex128)
     for v in rows:
         w = np.array(v, dtype=np.complex128)
         for _ in range(2):
             w = w - basis.T @ (basis.conj() @ w)
         n = np.linalg.norm(w)
-        if n > DEFAULT_TOL.eps_abs:
+        if n > EPS_ABS:
             basis = np.vstack([basis, w / n])
     return Subspace.from_orthonormal(basis, dim)
 
@@ -201,7 +200,7 @@ def _pairs(rng, dim, ra, rb):
     yield "commuting", a, _span(rng, commuting_b, dim), shared
     yield "identical", a, _span(rng, frame[:ra], dim), ra
     yield "orthogonal", a, _span(rng, frame[ra : ra + rest], dim), 0
-    # principal angle 1e-4 keeps the spans apart, 1e-13 falls under the eps_abs cut
+    # principal angle 1e-4 keeps the spans apart, 1e-13 falls under the EPS_ABS cut
     yield "tilted", a, _tilted(rng, frame, ra, dim, 1e-4), ra - 1 if 0 < ra < dim else ra
     yield "tilted below the cut", a, _tilted(rng, frame, ra, dim, 1e-13), ra
     yield "truth", a, Subspace.truth(dim), ra

@@ -10,7 +10,6 @@ import pytest
 from raygeo import lawcheck
 from raygeo.lawcheck import Block, Law
 from raygeo import (
-    DEFAULT_TOL,
     GeneratorSpec,
     UnknownLawError,
     all_passed,
@@ -90,7 +89,7 @@ class TestRunLaw:
         records = []
         for gen in (gen1, gen2):
             record = {}
-            law.checker(substream(gen.seed, law.id, 3, 0), 3, DEFAULT_TOL, record)
+            law.checker(substream(gen.seed, law.id, 3, 0), 3, record)
             records.append(record)
         assert records[0] and records[1] and records[0] != records[1]
 
@@ -202,11 +201,11 @@ def _raise(*_args):
 
 
 def _constant_trials(value):
-    return lambda rng, dim, tol, record: value
+    return lambda rng, dim, record: value
 
 
 def _constant_blocks(value, skipped=False):
-    def batch(rng, dim, n, tol):
+    def batch(rng, dim, n):
         return Block(np.full(n, value), np.full(n, skipped), lambda i: {"value": value})
 
     return batch
@@ -265,7 +264,7 @@ class TestBrokenLawsFail:
         assert not any(i.startswith("broken.") for i in law_ids())
 
     def test_first_failure_is_named_not_the_last(self, private_registry):
-        def fails_from_trial_one(rng, dim, tol, record=None):
+        def fails_from_trial_one(rng, dim, record=None):
             value = float(rng.uniform(0.0, 1.0))
             if record is not None:
                 record["value"] = value
@@ -281,7 +280,7 @@ class TestBrokenLawsFail:
     def test_nan_fails_a_negative_control(self, private_registry):
         report = private_registry(
             "broken.nan_control",
-            checker=lambda rng, dim, tol, record: math.nan,
+            checker=lambda rng, dim, record: math.nan,
             negative_control=True,
             aggregate=lambda residuals: (True, 0.0),
         )
@@ -305,7 +304,7 @@ class TestBlockRunner:
         assert full >= 1 and last > 5  # 1000 trials end in a partial block
         sizes = []
 
-        def batch(rng, dim, n, tol):
+        def batch(rng, dim, n):
             sizes.append((dim, n))
             residuals = rng.uniform(0.0, 1e-11, n)
             skipped = residuals > 9.8e-12

@@ -12,15 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raygeo import (
-    DEFAULT_TOL,
     DimensionMismatchError,
-    Tolerance,
     circular_distance,
     inner,
     norm,
     orthonormalize,
     wrap_angle,
 )
+from raygeo.linalg import ANGLE_GUARD, EPS_ABS
 
 RT2 = math.sqrt(2.0)
 
@@ -105,13 +104,8 @@ class TestOrthonormalize:
 
 class TestTolerance:
     def test_defaults(self):
-        assert DEFAULT_TOL.eps_abs == 1e-10
-        assert DEFAULT_TOL.eps_rel == 1e-9
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-9])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            Tolerance(eps_abs=bad)
+        assert EPS_ABS == 1e-10
+        assert ANGLE_GUARD == 1e-8
 
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)

@@ -336,16 +336,13 @@ def test_finite_additivity_four_parts():
 def test_batched_interference_margins_match_scalar_check():
     # the high-volume law checks its instances in stacks; pin its margins
     # and residuals to the scalar reference on the same instances
-    from raygeo import DEFAULT_TOL
     from raygeo.laws import _batch_interference_inequality
     from raygeo.sampling import substream
     from raygeo.serialize import ray_from_json, subspace_from_json
 
     compared = 0
     for dim in (3, 4, 6):
-        block = _batch_interference_inequality(
-            substream(99, "pin.interference", dim, 0), dim, 100, DEFAULT_TOL
-        )
+        block = _batch_interference_inequality(substream(99, "pin.interference", dim, 0), dim, 100)
         for i in range(100):
             record = block.record(i)
             x = ray_from_json(record["x"])

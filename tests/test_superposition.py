@@ -234,7 +234,7 @@ class TestCosThetaPrime:
     def test_rejects_unit_similarity_denominator(self):
         x = ray_from([1.0, 0.0])
         xp = ray_from([0.0, 1.0])
-        near_x = ray_from([1.0, 1e-6])  # 1 − p(x, near_x) below eps_abs
+        near_x = ray_from([1.0, 1e-6])  # 1 − p(x, near_x) below EPS_ABS
         with pytest.raises(DegenerateTripleError):
             cos_theta_prime(x, xp, near_x, ray_from([1.0, 0.5]))
 
