@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTripleError, DimensionMismatchError, OrthogonalPairError
-from .linalg import ANGLE_GUARD, EPS_ABS, TWO_PI, inner
-from .rays import ZERO, Ray, Subspace, project_vec, ray_from, rays_equal
+from .linalg import ANGLE_GUARD, EPS_ABS, TWO_PI, inners, norms
+from .rays import ZERO, Ray, Subspace, a_sims, equal_rays, project_vec, rays_from
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,6 @@ class Triple:
     x: Ray
     y: Ray
     z: Ray
-
-
-def a_sims(u, v) -> np.ndarray:
-    """Overlaps |<u, v>| of stacked unit vectors, shape (..., d) → (...).
-
-    Clipped to [0, 1] so rounding never pushes a similarity above one.
-    The modulus is libm's hypot, as for Python complex numbers.
-    """
-    c = np.vecdot(v, u)
-    return np.minimum(np.hypot(c.real, c.imag), 1.0)
 
 
 def p_sims(u, v) -> np.ndarray:
@@ -148,41 +138,97 @@ def theta(x: Ray, y: Ray, z: Ray) -> float:
     return triple_phase(x.rep, y.rep, z.rep)
 
 
-def complement_projection(x: Ray, y: Ray):
-    """Projection of y onto the orthocomplement of the ray x.
+def _require_dims(*rays: Ray) -> None:
+    if len({x.dim for x in rays}) > 1:
+        raise DimensionMismatchError(f"dimensions {', '.join(str(x.dim) for x in rays)}")
 
-    Computed directly as y − <y, x>·x, which is the rank-(d−1)
-    complement projection without materializing its basis; returns
-    :data:`ZERO` when y lies on x.
+
+def complement_projections(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Projections of stacked rays v onto the orthocomplements of the
+    stacked rays u, shape (..., d).
+
+    Computed directly as v − <v, u>·u, the rank-(d−1) complement
+    projection without materializing its basis.  Returns the canonical
+    representatives and the mask of the rows whose projection has norm
+    at most ``EPS_ABS`` (v lies on u: the result is :data:`ZERO`, and
+    the row holds u as a placeholder).
     """
-    v = y.rep - inner(y.rep, x.rep) * x.rep
-    if float(np.linalg.norm(v)) <= EPS_ABS:
-        return ZERO
-    return ray_from(v)
+    u = np.asarray(u, dtype=np.complex128)
+    v = np.asarray(v, dtype=np.complex128)
+    w = v - inners(v, u)[..., np.newaxis] * u
+    zero = norms(w) <= EPS_ABS
+    return rays_from(np.where(zero[..., np.newaxis], u, w)), zero
+
+
+def complement_projection(x: Ray, y: Ray):
+    """Projection of y onto the orthocomplement of the ray x, or
+    :data:`ZERO` when y lies on x: the single-pair form of
+    :func:`complement_projections`."""
+    _require_dims(x, y)
+    rep, zero = complement_projections(x.rep, y.rep)
+    return ZERO if zero else Ray(rep=rep)
+
+
+def coplanar_rows(u, v, w) -> np.ndarray:
+    """Whether the stacked rays u, v, w lie in a common two-dimensional
+    subspace, shape (..., d) → (...).
+
+    True when two of the three coincide, or when all three are distinct
+    and v and w project to the same ray on the orthocomplement of u.
+    A zero projection means the pair coincides numerically after all,
+    so it counts as the two-equal case.
+    """
+    pv, zero_v = complement_projections(u, v)
+    pw, zero_w = complement_projections(u, w)
+    return (
+        equal_rays(u, v) | equal_rays(u, w) | equal_rays(v, w)
+        | zero_v | zero_w | equal_rays(pv, pw)
+    )
 
 
 def coplanar(x: Ray, y: Ray, z: Ray) -> bool:
-    """Whether three rays lie in a common two-dimensional subspace.
+    """Whether three rays lie in a common two-dimensional subspace: the
+    single-triple form of :func:`coplanar_rows`."""
+    _require_dims(x, y, z)
+    return bool(coplanar_rows(x.rep, y.rep, z.rep))
 
-    True when two of the three coincide, or when all three are distinct
-    and y and z project to the same ray on the orthocomplement of x.
-    A zero projection means the pair coincides numerically after all,
-    so it routes to the two-equal branch.
+
+#: Why a row of :func:`prime_triples` has no primed triple, by defect code.
+_PRIME_DEFECTS = (
+    None,
+    "rays must be pairwise distinct",
+    "rays must be pairwise non-orthogonal",
+    "rays must be coplanar",
+    "projection collapsed; rays too close",
+)
+
+
+def prime_triples(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The orthocomplement triples (u', v', w') of stacked coplanar
+    triples, shape (..., d).
+
+    u' is the projection of v (equivalently w) on the orthocomplement
+    of u, and cyclically.  Its triple phase is the negation of the
+    original one (mod 2π).  Returns the three stacks and a defect code
+    per row: 0 for a valid row, else the index in :data:`_PRIME_DEFECTS`
+    of the first precondition the row violates (its primed rays are
+    then meaningless).
     """
-    if rays_equal(x, y) or rays_equal(x, z) or rays_equal(y, z):
-        return True
-    py, pz = complement_projection(x, y), complement_projection(x, z)
-    if py is ZERO or pz is ZERO:
-        return True
-    return rays_equal(py, pz)
+    x1, zero_x = complement_projections(u, v)
+    y1, zero_y = complement_projections(v, w)
+    z1, zero_z = complement_projections(w, u)
+    defects = [
+        equal_rays(u, v) | equal_rays(v, w) | equal_rays(w, u),
+        (a_sims(u, v) <= ANGLE_GUARD) | (a_sims(v, w) <= ANGLE_GUARD) | (a_sims(w, u) <= ANGLE_GUARD),
+        ~coplanar_rows(u, v, w),
+        zero_x | zero_y | zero_z,
+    ]
+    return x1, y1, z1, np.select(defects, list(range(1, len(_PRIME_DEFECTS))), 0)
 
 
 def prime_triple(x: Ray, y: Ray, z: Ray) -> Triple:
-    """The orthocomplement triple (x', y', z') of a coplanar triple.
-
-    x' is the projection of y (equivalently z) on the orthocomplement
-    of x, and cyclically.  Its triple phase is the negation of the
-    original one (mod 2π).
+    """The orthocomplement triple (x', y', z') of a coplanar triple: the
+    single-triple form of :func:`prime_triples`.
 
     Raises
     ------
@@ -190,36 +236,32 @@ def prime_triple(x: Ray, y: Ray, z: Ray) -> Triple:
         If the rays are not pairwise distinct, not pairwise
         non-orthogonal, or not coplanar.
     """
-    if rays_equal(x, y) or rays_equal(y, z) or rays_equal(z, x):
-        raise DegenerateTripleError("rays must be pairwise distinct")
-    for u, v in ((x, y), (y, z), (z, x)):
-        if a_sim(u, v) <= ANGLE_GUARD:
-            raise DegenerateTripleError("rays must be pairwise non-orthogonal")
-    if not coplanar(x, y, z):
-        raise DegenerateTripleError("rays must be coplanar")
-    x1 = complement_projection(x, y)
-    y1 = complement_projection(y, z)
-    z1 = complement_projection(z, x)
-    if x1 is ZERO or y1 is ZERO or z1 is ZERO:
-        raise DegenerateTripleError("projection collapsed; rays too close")
-    return Triple(x=x1, y=y1, z=z1)
+    _require_dims(x, y, z)
+    x1, y1, z1, defect = prime_triples(x.rep, y.rep, z.rep)
+    if defect:
+        raise DegenerateTripleError(_PRIME_DEFECTS[int(defect)])
+    return Triple(x=Ray(rep=x1), y=Ray(rep=y1), z=Ray(rep=z1))
 
 
-def _proj_equal(p, q) -> bool:
-    if p is ZERO or q is ZERO:
-        return p is ZERO and q is ZERO
-    return rays_equal(p, q)
+def _projections_equal(p, zero_p, q, zero_q) -> np.ndarray:
+    return np.where(zero_p | zero_q, zero_p & zero_q, equal_rays(p, q))
+
+
+def reciprocity_rows(u, v, w) -> np.ndarray:
+    """The reciprocity implication for stacked triples, shape (..., d) → (...).
+
+    If v and w project to the same ray on the orthocomplement of u,
+    then w and u must project to the same ray on the orthocomplement
+    of v.  Vacuously true when the antecedent fails — in particular on
+    any triple of pairwise-orthogonal (classical) states.
+    """
+    antecedent = _projections_equal(*complement_projections(u, v), *complement_projections(u, w))
+    consequent = _projections_equal(*complement_projections(v, w), *complement_projections(v, u))
+    return ~antecedent | consequent
 
 
 def reciprocity_holds(x: Ray, y: Ray, z: Ray) -> bool:
-    """The reciprocity implication for one instance.
-
-    If y and z project to the same ray on the orthocomplement of x,
-    then z and x must project to the same ray on the orthocomplement
-    of y.  Vacuously true when the antecedent fails — in particular on
-    any triple of pairwise-orthogonal (classical) states.
-    """
-    py, pz = complement_projection(x, y), complement_projection(x, z)
-    if not _proj_equal(py, pz):
-        return True
-    return _proj_equal(complement_projection(y, z), complement_projection(y, x))
+    """The reciprocity implication for one instance: the single-triple
+    form of :func:`reciprocity_rows`."""
+    _require_dims(x, y, z)
+    return bool(reciprocity_rows(x.rep, y.rep, z.rep))

@@ -12,9 +12,15 @@ the key scheme):
   keyed by (law, dim, trial);
 * in blocks: ``batch`` runs once per block of at most
   :data:`BLOCK_TRIALS` trials on the substream keyed by (law, dim,
-  block), and returns the residuals of the whole block at once.
-  Trial ``t`` of a dimension is entry ``t % BLOCK_TRIALS`` of block
-  ``t // BLOCK_TRIALS``.
+  block): it samples the whole block as stacks of instances (leading
+  axis = trial) and returns their residuals at once.  Trial ``t`` of a
+  dimension is row ``t % BLOCK_TRIALS`` of block ``t // BLOCK_TRIALS``.
+
+Laws whose instances keep one shape from trial to trial (rays, phases,
+superpositions, tensor products) are batched; laws whose instances
+change shape (subspaces of random rank, the morphism samplers, the
+search) run trial by trial.  Either way the runner holds at most one
+block of :data:`BLOCK_TRIALS` trials at a time.
 
 Checkers return the trial residual, or ``None`` to *skip* a trial whose
 instance is too degenerate to measure (near-orthogonal where strict
@@ -23,9 +29,11 @@ batched checkers return a skip mask instead.  A law passes when its
 worst residual is within tolerance, every residual is finite (a
 checker that raises counts as an infinite residual), and the skip rate
 stays below the cap.  The counterexample of a failing law names its
-first failing (dim, trial) cell.  The library calls inside a checker
-apply the fixed thresholds of :mod:`raygeo.linalg`; the law's
-``tolerance`` judges the residual.
+first failing (dim, trial) cell and describes its instance: a
+per-trial law replays the cell to record it, and a batched law's
+counterexample is row ``i`` of the block's instance stacks.  The
+library calls inside a checker apply the fixed thresholds of
+:mod:`raygeo.linalg`; the law's ``tolerance`` judges the residual.
 
 Negative-control laws invert the game: they assert that an identity
 *fails* on generic instances exactly as predicted, and they pass when
@@ -44,6 +52,7 @@ import numpy as np
 
 from .errors import UnknownLawError
 from .sampling import check_seed, substream
+from .serialize import to_jsonable
 
 #: Ceiling on the fraction of skipped trials before a law fails outright.
 MAX_SKIP_RATE = 0.05
@@ -53,8 +62,15 @@ MIN_DIM, MAX_DIM = 2, 32
 
 #: Trials per block of a batched law, and so per substream.  Bounds the
 #: memory of one block's stacks: at d = 8 a block of 256 interference
-#: trials peaks near 2 MB, and larger blocks run no faster.
+#: trials peaks near 2 MB, and larger blocks run no faster.  Per-trial
+#: laws are tallied in chunks of the same size.
 BLOCK_TRIALS = 256
+
+#: The largest trial count per law and dimension a run may ask for.
+#: Memory stays bounded at any count (trials are streamed in blocks),
+#: but at a few hundred microseconds per per-trial cell a million
+#: trials already keep one law busy for minutes per dimension.
+MAX_TRIALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -80,8 +96,8 @@ class GeneratorSpec:
             raise ValueError("dims must be non-empty")
         if any(d < MIN_DIM or d > MAX_DIM for d in self.dims):
             raise ValueError(f"dims must lie within [{MIN_DIM}, {MAX_DIM}]")
-        if self.trials_per_dim < 1:
-            raise ValueError("trials_per_dim must be at least 1")
+        if not 1 <= self.trials_per_dim <= MAX_TRIALS:
+            raise ValueError(f"trials_per_dim must lie within [1, {MAX_TRIALS}]")
         check_seed(self.seed)
 
 
@@ -106,13 +122,15 @@ class Block(NamedTuple):
     """What a batched checker returns for a block of ``n`` trials.
 
     ``residuals`` and ``skipped`` have shape (n,); the residuals of
-    skipped trials are ignored.  ``record(i)`` is the serializable
-    description of trial ``i`` of the block (used for counterexamples).
+    skipped trials are ignored.  ``instance`` maps names to the stacks
+    the block was checked on, each with leading axis n (trial); row
+    ``i`` of every stack, through :func:`raygeo.serialize.to_jsonable`,
+    is the counterexample record of trial ``i``.
     """
 
     residuals: np.ndarray
     skipped: np.ndarray
-    record: Callable[[int], dict]
+    instance: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -124,8 +142,8 @@ class Law:
     None to skip; when ``record`` is a dict the checker fills it with a
     serializable description of the instance (used to attach a
     counterexample after a failing trial is replayed).
-    ``batch(rng, dim, n)`` checks ``n`` trials from one stream and
-    returns a :class:`Block`.
+    ``batch(rng, dim, n)`` samples ``n`` trials as stacks from one
+    stream, checks them at once and returns a :class:`Block`.
 
     ``aggregate``, when set, converts the full residual list into the
     (passed, reported_worst) verdict; used by negative controls that
@@ -180,8 +198,8 @@ class _Chunk(NamedTuple):
     """Consecutive trials of one dimension, starting at trial ``start``.
 
     ``errors`` maps chunk indices whose checker raised (residual +inf)
-    to the error text; ``describe(i)`` replays index ``i`` and returns
-    its counterexample record.
+    to the error text; ``describe(i)`` returns the counterexample record
+    of index ``i``.
     """
 
     start: int
@@ -196,21 +214,8 @@ def _error_text(exc: Exception) -> str:
 
 
 def _trial_chunks(law: Law, seed: int, dim: int, trials: int):
-    """All trials of a per-trial law in one dimension, as one chunk."""
-    residuals = np.zeros(trials)
-    skipped = np.zeros(trials, dtype=bool)
-    errors: dict[int, str] = {}
-    for trial in range(trials):
-        try:
-            residual = law.checker(substream(seed, law.id, dim, trial), dim, None)
-        except Exception as exc:  # a checker must never raise on a legal instance
-            residuals[trial] = math.inf
-            errors[trial] = _error_text(exc)
-            continue
-        if residual is None:
-            skipped[trial] = True
-        else:
-            residuals[trial] = float(residual)
+    """The trials of a per-trial law in one dimension, in chunks of at
+    most :data:`BLOCK_TRIALS`; a failing cell is replayed for its record."""
 
     def describe(trial: int) -> dict:
         record: dict = {}
@@ -220,29 +225,45 @@ def _trial_chunks(law: Law, seed: int, dim: int, trials: int):
             pass
         return record
 
-    yield _Chunk(0, residuals, skipped, errors, describe)
+    for start in range(0, trials, BLOCK_TRIALS):
+        n = min(BLOCK_TRIALS, trials - start)
+        residuals = np.zeros(n)
+        skipped = np.zeros(n, dtype=bool)
+        errors: dict[int, str] = {}
+        for i in range(n):
+            try:
+                residual = law.checker(substream(seed, law.id, dim, start + i), dim, None)
+            except Exception as exc:  # a checker must never raise on a legal instance
+                residuals[i] = math.inf
+                errors[i] = _error_text(exc)
+                continue
+            if residual is None:
+                skipped[i] = True
+            else:
+                residuals[i] = float(residual)
+        yield _Chunk(start, residuals, skipped, errors, lambda i, start=start: describe(start + i))
 
 
 def _block_chunks(law: Law, seed: int, dim: int, trials: int):
     """The blocks of a batched law in one dimension, one chunk each."""
     for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
         n = min(BLOCK_TRIALS, trials - start)
-
-        def describe(i: int, block=block, n=n) -> dict:
-            try:
-                return law.batch(substream(seed, law.id, dim, block), dim, n).record(i)
-            except Exception:
-                return {}
-
         try:
-            result = law.batch(substream(seed, law.id, dim, block), dim, n)
-            residuals = np.asarray(result.residuals, dtype=np.float64)
-            skipped = np.asarray(result.skipped, dtype=bool)
+            residuals, skipped, instance = law.batch(substream(seed, law.id, dim, block), dim, n)
+            residuals = np.asarray(residuals, dtype=np.float64)
+            skipped = np.asarray(skipped, dtype=bool)
             if residuals.shape != (n,) or skipped.shape != (n,):
                 raise ValueError(f"block of {n} trials gave shapes {residuals.shape}, {skipped.shape}")
         except Exception as exc:  # a checker must never raise on a legal instance
-            yield _Chunk(start, np.full(n, math.inf), np.zeros(n, dtype=bool), {0: _error_text(exc)}, describe)
+            yield _Chunk(start, np.full(n, math.inf), np.zeros(n, dtype=bool), {0: _error_text(exc)}, lambda i: {})
             continue
+
+        def describe(i: int, instance=instance) -> dict:
+            try:
+                return {name: to_jsonable(stack[i]) for name, stack in instance.items()}
+            except Exception:  # the residual and the cell still name the failure
+                return {}
+
         yield _Chunk(start, residuals, skipped, {}, describe)
 
 

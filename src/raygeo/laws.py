@@ -1,7 +1,11 @@
 """The law registry: one named, checkable law per verified statement.
 
 Each law is a residual checker over seeded random instances; see
-:mod:`raygeo.lawcheck` for the execution model.  Unless noted, the
+:mod:`raygeo.lawcheck` for the execution model.  A ``_batch_*`` law
+samples a block of trials as stacks and computes their residuals with
+the stacked kernels of the library (the functions whose single-instance
+forms users call); a ``_check_*`` law runs one trial at a time.  Unless
+noted, the
 residual for a ray-equality claim is ``1 − overlap`` of the two rays
 (zero exactly at equality), and the residual for a numeric identity is
 the absolute deviation.  Angle identities compare by circular distance
@@ -18,12 +22,23 @@ import numpy as np
 from . import sampling
 from .errors import OrthogonalComponentsError
 from .lawcheck import Block, Law, register
-from .linalg import EPS_ABS, circular_distance, inner, norm, orthonormalize, wrap_angle
+from .linalg import (
+    EPS_ABS,
+    circular_distances,
+    inner,
+    inners,
+    norm,
+    norms,
+    orthonormalize,
+    wrap_angles,
+)
 from .rays import (
     ZERO,
     Subspace,
+    a_sims,
     commutes,
     containment_defect,
+    equal_rays,
     is_member,
     is_orthogonal,
     join,
@@ -33,26 +48,28 @@ from .rays import (
     project_vec,
     ray_from,
     rays_equal,
+    rays_from,
     subspaces_equal,
 )
 from .geometry import (
     a_sim,
-    complement_projection,
-    coplanar,
+    complement_projections,
+    coplanar_rows,
     p_prop,
     p_sim,
-    prime_triple,
-    reciprocity_holds,
+    p_sims,
+    prime_triples,
+    reciprocity_rows,
     theta,
-    triple_phase,
+    triple_phases,
 )
 from .superposition import (
     SuperpositionSpec,
     cos_theta_prime,
-    omega,
-    p_component_closed_form,
-    p_of_superposition_closed_form,
+    p_component_closed_forms,
+    p_of_superposition_closed_forms,
     superpose,
+    superposed_rays,
 )
 from .probability import (
     check_chain_rule,
@@ -64,6 +81,7 @@ from .probability import (
     interference_margins,
     search_nonsquared_counterexample,
     total_probability_residual,
+    total_probability_residuals,
 )
 from .morphisms import (
     apply_ray,
@@ -72,7 +90,7 @@ from .morphisms import (
     isometry_scale,
     preserves_superpositions,
 )
-from .tensor import check_p_product, check_theta_product, tensor_ray
+from .tensor import kron_rows, p_product_residuals, product_rays, theta_product_residuals
 from .serialize import to_jsonable, witness_to_json
 
 ANGLE_TOL = 1e-8
@@ -85,38 +103,55 @@ def _note(record, **values):
             record[key] = to_jsonable(value)
 
 
+def _block(residuals, skipped=None, **instance) -> Block:
+    """The :class:`Block` of a batched law; no trial skipped by default."""
+    if skipped is None:
+        skipped = np.zeros(len(residuals), dtype=bool)
+    return Block(residuals, skipped, instance)
+
+
+def _flat(skip, *stacks):
+    """The stacks with the rows of skipped trials replaced by the first
+    basis vector, so that the guarded kernels (phases, primed triples)
+    see a legal instance there; those rows' residuals are ignored."""
+    return tuple(np.where(skip[:, np.newaxis], np.eye(1, s.shape[-1]), s) for s in stacks)
+
+
 def _unit_phase(rng) -> complex:
     angle = float(rng.uniform(0.0, 2.0 * math.pi))
     return complex(math.cos(angle), math.sin(angle))
+
+
+def _unit_phases(rng, n) -> np.ndarray:
+    angle = rng.uniform(0.0, 2.0 * math.pi, n)
+    return np.cos(angle) + 1j * np.sin(angle)
 
 
 def _ray_gap(x, y) -> float:
     return 1.0 - a_sim(x, y)
 
 
+def _ray_gaps(u, v) -> np.ndarray:
+    return 1.0 - a_sims(u, v)
+
+
 # ---------------------------------------------------------------------------
 # linalg substrate
 
 
-def _check_inner_linearity(rng, dim, record=None):
-    u = sampling.gaussian_vector(rng, dim)
-    v = sampling.gaussian_vector(rng, dim)
-    w = sampling.gaussian_vector(rng, dim)
-    a = complex(*rng.standard_normal(2))
-    b = complex(*rng.standard_normal(2))
-    lhs = inner(a * u + b * v, w)
-    rhs = a * inner(u, w) + b * inner(v, w)
-    scale = (abs(a) * norm(u) + abs(b) * norm(v)) * norm(w) + 1.0
-    sym = abs(inner(v, u) - np.conj(inner(u, v)))
-    _note(record, u=u, v=v, w=w, a=a, b=b)
-    return max(abs(lhs - rhs) / scale, sym / scale)
+def _batch_inner_linearity(rng, dim, n):
+    u, v, w = sampling.gaussian_stack(rng, (3, n, dim))
+    a, b = sampling.gaussian_stack(rng, (2, n))
+    lhs = inners(a[:, np.newaxis] * u + b[:, np.newaxis] * v, w)
+    rhs = a * inners(u, w) + b * inners(v, w)
+    scale = (np.abs(a) * norms(u) + np.abs(b) * norms(v)) * norms(w) + 1.0
+    sym = np.abs(inners(v, u) - np.conj(inners(u, v)))
+    return _block(np.maximum(np.abs(lhs - rhs), sym) / scale, u=u, v=v, w=w, a=a, b=b)
 
 
-def _check_cauchy_schwarz(rng, dim, record=None):
-    u = sampling.gaussian_vector(rng, dim)
-    v = sampling.gaussian_vector(rng, dim)
-    _note(record, u=u, v=v)
-    return max(0.0, abs(inner(u, v)) - norm(u) * norm(v))
+def _batch_cauchy_schwarz(rng, dim, n):
+    u, v = sampling.gaussian_stack(rng, (2, n, dim))
+    return _block(np.maximum(0.0, np.abs(inners(u, v)) - norms(u) * norms(v)), u=u, v=v)
 
 
 def _check_orthonormalize_contract(rng, dim, record=None):
@@ -146,15 +181,19 @@ def _check_orthonormalize_contract(rng, dim, record=None):
 # rays and subspaces
 
 
-def _check_ray_canonical(rng, dim, record=None):
-    v = sampling.gaussian_vector(rng, dim)
-    x = ray_from(v)
-    scaled = ray_from(v * (_unit_phase(rng) * float(rng.uniform(0.1, 10.0))))
-    unit_defect = abs(norm(x.rep) - 1.0)
-    lead = x.rep[np.flatnonzero(np.abs(x.rep) > EPS_ABS)[0]]
-    canon_defect = abs(lead.imag) + max(0.0, -lead.real)
-    _note(record, v=v)
-    return max(_ray_gap(x, scaled), float(np.max(np.abs(x.rep - scaled.rep))), unit_defect, canon_defect)
+def _batch_ray_canonical(rng, dim, n):
+    v = sampling.gaussian_stack(rng, (n, dim))
+    c = _unit_phases(rng, n) * rng.uniform(0.1, 10.0, n)
+    x = rays_from(v)
+    scaled = rays_from(v * c[:, np.newaxis])
+    lead = x[np.arange(n), np.argmax(np.abs(x) > EPS_ABS, axis=1)]
+    residual = np.maximum.reduce([
+        _ray_gaps(x, scaled),
+        np.abs(x - scaled).max(axis=1),
+        np.abs(norms(x) - 1.0),  # unit representative
+        np.abs(lead.imag) + np.maximum(0.0, -lead.real),  # canonical phase
+    ])
+    return _block(residual, v=v, c=c)
 
 
 def _check_projector_laws(rng, dim, record=None):
@@ -243,50 +282,44 @@ def _check_contained_or_orthogonal_commute(rng, dim, record=None):
     return 0.0 if (ok_nested and ok_orth) else 1.0
 
 
-def _check_classical_no_disturbance(rng, dim, record=None):
-    x, y = sampling.classical_rays(rng, dim, 2)
-    py = complement_projection(x, y)
-    _note(record, x=x, y=y)
-    if py is ZERO:
-        return 1.0
-    return _ray_gap(py, y)
+def _batch_classical_no_disturbance(rng, dim, n):
+    x, y = sampling.classical_ray_stacks(rng, n, dim, 2)
+    py, zero = complement_projections(x, y)
+    return _block(np.where(zero, 1.0, _ray_gaps(py, y)), x=x, y=y)
 
 
 # ---------------------------------------------------------------------------
 # similarity and phase geometry
 
 
-def _check_a_properties(rng, dim, record=None):
-    pair = sampling.nonorthogonal_pair(rng, dim)
-    if pair is None:
-        return None
-    x, y = pair
-    a_xy = a_sim(x, y)
-    residual = max(0.0, a_xy - 1.0, -a_xy)
-    residual = max(residual, abs(a_xy - a_sim(y, x)))
-    residual = max(residual, abs(a_sim(x, x) - 1.0))
-    frame = sampling.random_frame(rng, dim)
-    e = ray_from(frame[0])
-    f = ray_from(frame[1])
-    residual = max(residual, a_sim(e, f))
-    _note(record, x=x, y=y)
-    return residual
+def _batch_a_properties(rng, dim, n):
+    x, y, skip = sampling.nonorthogonal_pairs(rng, n, dim)
+    a_xy = a_sims(x, y)
+    frame = sampling.random_frames(rng, n, dim, 2)
+    e, f = rays_from(frame[:, :, 0]), rays_from(frame[:, :, 1])
+    residual = np.maximum.reduce([
+        np.maximum(a_xy - 1.0, -a_xy),
+        np.abs(a_xy - a_sims(y, x)),
+        np.abs(a_sims(x, x) - 1.0),
+        a_sims(e, f),
+    ])
+    return _block(residual, skip, x=x, y=y)
 
 
-def _check_p_properties(rng, dim, record=None):
-    x = sampling.random_ray(rng, dim)
-    y = sampling.random_ray(rng, dim)
-    a = a_sim(x, y)
-    p = p_sim(x, y)
-    residual = abs(p - a * a)
-    residual = max(residual, abs(p - p_sim(y, x)))
-    u = x.rep
-    proj = inner(u, y.rep) * y.rep  # projection of u on y
-    residual = max(residual, abs(p - float(np.real(inner(u, proj)))))
-    residual = max(residual, abs(p - norm(proj) ** 2))
-    residual = max(residual, abs(p_sim(x, x) - 1.0))
-    _note(record, x=x, y=y)
-    return residual
+def _batch_p_properties(rng, dim, n):
+    x = sampling.random_rays(rng, n, dim)
+    y = sampling.random_rays(rng, n, dim)
+    a = a_sims(x, y)
+    p = p_sims(x, y)
+    proj = inners(x, y)[:, np.newaxis] * y  # projection of x on y
+    residual = np.maximum.reduce([
+        np.abs(p - a * a),
+        np.abs(p - p_sims(y, x)),
+        np.abs(p - inners(x, proj).real),
+        np.abs(p - norms(proj) ** 2),
+        np.abs(p_sims(x, x) - 1.0),
+    ])
+    return _block(residual, x=x, y=y)
 
 
 def _check_satisfaction(rng, dim, record=None):
@@ -347,118 +380,92 @@ def _check_p_bounds(rng, dim, record=None):
     return max(0.0, -p, p - 1.0)
 
 
-def _check_reciprocity(rng, dim, record=None):
-    if int(rng.integers(0, 2)) == 0 or dim < 3:
-        triple = sampling.coplanar_triple(rng, dim)
-        if triple is None:
-            return None
-        x, y, z = triple
-    else:
-        x, y, z = sampling.classical_rays(rng, dim, 3)
-    _note(record, x=x, y=y, z=z)
-    return 0.0 if reciprocity_holds(x, y, z) else 1.0
+def _batch_reciprocity(rng, dim, n):
+    constructed = (rng.integers(0, 2, n) == 0) | (dim < 3)
+    x, y, z, skip = sampling.coplanar_triples(rng, n, dim)
+    if dim >= 3:
+        classical = sampling.classical_ray_stacks(rng, n, dim, 3)
+        x, y, z = (np.where(constructed[:, np.newaxis], s, c) for s, c in zip((x, y, z), classical))
+    failed = ~reciprocity_rows(x, y, z)
+    return _block(failed.astype(float), skip & constructed, x=x, y=y, z=z)
 
 
-def _check_coplanarity_permutations(rng, dim, record=None):
-    constructed = int(rng.integers(0, 2)) == 0
-    if constructed:
-        triple = sampling.coplanar_triple(rng, dim)
-        if triple is None:
-            return None
-        x, y, z = triple
-    else:
-        x = sampling.random_ray(rng, dim)
-        y = sampling.random_ray(rng, dim)
-        z = sampling.random_ray(rng, dim)
-    verdicts = {coplanar(*perm) for perm in itertools.permutations((x, y, z))}
-    _note(record, x=x, y=y, z=z, constructed=constructed)
-    if len(verdicts) != 1:
-        return 1.0
-    if constructed and verdicts != {True}:
-        return 1.0
-    return 0.0
+def _batch_coplanarity_permutations(rng, dim, n):
+    constructed = rng.integers(0, 2, n) == 0
+    planar = sampling.coplanar_triples(rng, n, dim)
+    free = [sampling.random_rays(rng, n, dim) for _ in range(3)]
+    x, y, z = (np.where(constructed[:, np.newaxis], c, f) for c, f in zip(planar[:3], free))
+    verdicts = np.stack([coplanar_rows(*perm) for perm in itertools.permutations((x, y, z))])
+    agree = verdicts.all(axis=0)
+    bad = (verdicts.any(axis=0) != agree) | (constructed & ~agree)
+    return _block(bad.astype(float), planar[3] & constructed, x=x, y=y, z=z, constructed=constructed)
 
 
-def _check_theta_representative_independence(rng, dim, record=None):
-    triple = sampling.nonorthogonal_triple(rng, dim)
-    if triple is None:
-        return None
-    x, y, z = triple
-    reference = theta(x, y, z)
-    scrambled = triple_phase(
-        x.rep * _unit_phase(rng),
-        y.rep * (_unit_phase(rng) * float(rng.uniform(0.1, 10.0))),
-        z.rep * _unit_phase(rng),
+def _batch_theta_representative_independence(rng, dim, n):
+    x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim)
+    x, y, z = _flat(skip, x, y, z)
+    reference = triple_phases(x, y, z)
+    scrambled = triple_phases(
+        x * _unit_phases(rng, n)[:, np.newaxis],
+        y * (_unit_phases(rng, n) * rng.uniform(0.1, 10.0, n))[:, np.newaxis],
+        z * _unit_phases(rng, n)[:, np.newaxis],
     )
-    _note(record, x=x, y=y, z=z)
-    return circular_distance(reference, scrambled)
+    return _block(circular_distances(reference, scrambled), skip, x=x, y=y, z=z)
 
 
-def _check_theta_cyclic(rng, dim, record=None):
-    triple = sampling.nonorthogonal_triple(rng, dim)
-    if triple is None:
-        return None
-    x, y, z = triple
-    t = theta(x, y, z)
-    _note(record, x=x, y=y, z=z)
-    return max(
-        circular_distance(theta(y, z, x), t),
-        circular_distance(theta(x, z, y), -t),
+def _batch_theta_cyclic(rng, dim, n):
+    x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim)
+    x, y, z = _flat(skip, x, y, z)
+    t = triple_phases(x, y, z)
+    residual = np.maximum(
+        circular_distances(triple_phases(y, z, x), t),
+        circular_distances(triple_phases(x, z, y), -t),
     )
+    return _block(residual, skip, x=x, y=y, z=z)
 
 
-def _check_theta_cocycle(rng, dim, record=None):
-    rays = [sampling.random_ray(rng, dim) for _ in range(4)]
+def _batch_theta_cocycle(rng, dim, n):
+    rays = [sampling.random_rays(rng, n, dim) for _ in range(4)]
+    skip = np.zeros(n, dtype=bool)
     for u, v in itertools.combinations(rays, 2):
-        if a_sim(u, v) <= MIN_OVERLAP:
-            return None
-    x, y, z, w = rays
-    lhs = theta(x, y, w)
-    rhs = theta(x, y, z) + theta(x, z, w) + theta(z, y, w)
-    _note(record, x=x, y=y, z=z, w=w)
-    return circular_distance(lhs, wrap_angle(rhs))
+        skip |= a_sims(u, v) <= MIN_OVERLAP
+    x, y, z, w = _flat(skip, *rays)
+    lhs = triple_phases(x, y, w)
+    rhs = triple_phases(x, y, z) + triple_phases(x, z, w) + triple_phases(z, y, w)
+    return _block(circular_distances(lhs, wrap_angles(rhs)), skip, x=x, y=y, z=z, w=w)
 
 
-def _check_theta_prime(rng, dim, record=None):
-    triple = sampling.coplanar_triple(rng, dim)
-    if triple is None:
-        return None
-    x, y, z = triple
-    if (
-        rays_equal(x, y)
-        or rays_equal(y, z)
-        or rays_equal(z, x)
-        or min(a_sim(x, y), a_sim(y, z), a_sim(z, x)) <= MIN_OVERLAP
-    ):
-        return None
-    primed = prime_triple(x, y, z)
-    _note(record, x=x, y=y, z=z)
-    return circular_distance(theta(primed.x, primed.y, primed.z), -theta(x, y, z))
+def _batch_theta_prime(rng, dim, n):
+    x, y, z, skip = sampling.coplanar_triples(rng, n, dim)
+    overlap = np.minimum.reduce([a_sims(x, y), a_sims(y, z), a_sims(z, x)])
+    skip |= equal_rays(x, y) | equal_rays(y, z) | equal_rays(z, x) | (overlap <= MIN_OVERLAP)
+    x, y, z = _flat(skip, x, y, z)
+    x1, y1, z1, defect = prime_triples(x, y, z)
+    primed = triple_phases(*_flat(defect != 0, x1, y1, z1))
+    residual = np.where(defect != 0, math.inf, circular_distances(primed, -triple_phases(x, y, z)))
+    return _block(residual, skip, x=x, y=y, z=z, defect=defect)
 
 
-def _check_theta_euclidean(rng, dim, record=None):
-    triple = sampling.nonorthogonal_triple(rng, dim, real=True)
-    if triple is None:
-        return None
-    x, y, z = triple
-    t = theta(x, y, z)
-    residual = min(circular_distance(t, 0.0), circular_distance(t, math.pi))
-    positive = [ray_from(np.abs(rng.standard_normal(dim)) + 0.1) for _ in range(3)]
-    residual = max(residual, circular_distance(theta(*positive), 0.0))
-    _note(record, x=x, y=y, z=z)
-    return residual
+def _batch_theta_euclidean(rng, dim, n):
+    x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim, real=True)
+    x, y, z = _flat(skip, x, y, z)
+    t = triple_phases(x, y, z)
+    positive = [rays_from(np.abs(rng.standard_normal((n, dim))) + 0.1) for _ in range(3)]
+    residual = np.maximum(
+        np.minimum(circular_distances(t, 0.0), circular_distances(t, math.pi)),
+        circular_distances(triple_phases(*positive), 0.0),
+    )
+    return _block(residual, skip, x=x, y=y, z=z)
 
 
 # ---------------------------------------------------------------------------
 # superpositions
 
 
-def _spec(rng, dim):
-    pair = sampling.nonorthogonal_pair(rng, dim)
-    if pair is None:
-        return None
-    y, z = pair
-    return SuperpositionSpec(y=y, z=z, r=float(rng.uniform(0.0, 1.0)))
+def _pairs_and_weights(rng, dim, n):
+    """Superposition components (y, z), skip mask and weights r."""
+    y, z, skip = sampling.nonorthogonal_pairs(rng, n, dim)
+    return y, z, skip, rng.uniform(0.0, 1.0, n)
 
 
 def _check_superposition_domain(rng, dim, record=None):
@@ -475,93 +482,67 @@ def _check_superposition_domain(rng, dim, record=None):
     return _ray_gap(trivial, x)
 
 
-def _check_triviality(rng, dim, record=None):
-    y = sampling.random_ray(rng, dim)
-    r = float(rng.uniform(0.0, 1.0))
-    _note(record, y=y, r=r)
-    return _ray_gap(superpose(SuperpositionSpec(y=y, z=y, r=r)), y)
+def _batch_triviality(rng, dim, n):
+    y = sampling.random_rays(rng, n, dim)
+    r = rng.uniform(0.0, 1.0, n)
+    return _block(_ray_gaps(superposed_rays(y, y, r), y), y=y, r=r)
 
 
-def _check_superpose_identity_commutative(rng, dim, record=None):
-    spec = _spec(rng, dim)
-    if spec is None:
-        return None
-    y, z, r = spec.y, spec.z, spec.r
-    residual = _ray_gap(superpose(SuperpositionSpec(y=y, z=z, r=1.0)), y)
-    residual = max(residual, _ray_gap(superpose(SuperpositionSpec(y=y, z=z, r=0.0)), z))
-    flipped = superpose(SuperpositionSpec(y=z, z=y, r=1.0 - r))
-    residual = max(residual, _ray_gap(superpose(spec), flipped))
-    _note(record, y=y, z=z, r=r)
-    return residual
+def _batch_superpose_identity_commutative(rng, dim, n):
+    y, z, skip, r = _pairs_and_weights(rng, dim, n)
+    residual = np.maximum.reduce([
+        _ray_gaps(superposed_rays(y, z, np.ones(n)), y),
+        _ray_gaps(superposed_rays(y, z, np.zeros(n)), z),
+        _ray_gaps(superposed_rays(y, z, r), superposed_rays(z, y, 1.0 - r)),
+    ])
+    return _block(residual, skip, y=y, z=z, r=r)
 
 
-def _check_superposition_coplanarity(rng, dim, record=None):
-    spec = _spec(rng, dim)
-    if spec is None:
-        return None
-    x = superpose(spec)
-    _note(record, y=spec.y, z=spec.z, r=spec.r)
-    return 0.0 if coplanar(x, spec.y, spec.z) else 1.0
+def _batch_superposition_coplanarity(rng, dim, n):
+    y, z, skip, r = _pairs_and_weights(rng, dim, n)
+    failed = ~coplanar_rows(superposed_rays(y, z, r), y, z)
+    return _block(failed.astype(float), skip, y=y, z=z, r=r)
 
 
-def _check_superposition_theta_zero(rng, dim, record=None):
-    spec = _spec(rng, dim)
-    if spec is None or rays_equal(spec.y, spec.z):
-        return None
-    if spec.r < 1e-6 or spec.r > 1.0 - 1e-6:
-        return None  # x collapses onto a component; theta degenerates
-    x = superpose(spec)
-    if min(a_sim(x, spec.y), a_sim(x, spec.z)) <= MIN_OVERLAP:
-        return None
-    _note(record, y=spec.y, z=spec.z, r=spec.r)
-    return circular_distance(theta(x, spec.y, spec.z), 0.0)
+def _batch_superposition_theta_zero(rng, dim, n):
+    y, z, skip, r = _pairs_and_weights(rng, dim, n)
+    # near r = 0 or 1 the superposition collapses onto a component
+    skip |= equal_rays(y, z) | (r < 1e-6) | (r > 1.0 - 1e-6)
+    x = superposed_rays(y, z, r)
+    skip |= np.minimum(a_sims(x, y), a_sims(x, z)) <= MIN_OVERLAP
+    x, y, z = _flat(skip, x, y, z)
+    return _block(circular_distances(triple_phases(x, y, z), 0.0), skip, y=y, z=z, r=r)
 
 
-def _check_p_basis(rng, dim, record=None):
-    spec = _spec(rng, dim)
-    if spec is None:
-        return None
-    x = sampling.random_ray(rng, dim)
-    if min(a_sim(x, spec.y), a_sim(x, spec.z)) <= MIN_OVERLAP:
-        return None
-    direct = p_sim(superpose(spec), x)
-    closed = p_of_superposition_closed_form(spec, x)
-    _note(record, y=spec.y, z=spec.z, r=spec.r, x=x, direct=direct, closed=closed)
-    return abs(closed - direct)
+def _batch_p_basis(rng, dim, n):
+    y, z, skip, r = _pairs_and_weights(rng, dim, n)
+    x = sampling.random_rays(rng, n, dim)
+    skip |= np.minimum(a_sims(x, y), a_sims(x, z)) <= MIN_OVERLAP
+    x, y, z = _flat(skip, x, y, z)
+    direct = p_sims(superposed_rays(y, z, r), x)
+    closed = p_of_superposition_closed_forms(r, y, z, x)
+    return _block(np.abs(closed - direct), skip, y=y, z=z, r=r, x=x, direct=direct, closed=closed)
 
 
-def _check_prop1_component_form(rng, dim, record=None):
-    spec = _spec(rng, dim)
-    if spec is None:
-        return None
-    direct = p_sim(superpose(spec), spec.y)
-    closed = p_component_closed_form(spec)
-    _note(record, y=spec.y, z=spec.z, r=spec.r)
-    return abs(closed - direct)
+def _batch_prop1_component_form(rng, dim, n):
+    y, z, skip, r = _pairs_and_weights(rng, dim, n)
+    direct = p_sims(superposed_rays(y, z, r), y)
+    closed = p_component_closed_forms(r, y, z)
+    return _block(np.abs(closed - direct), skip, y=y, z=z, r=r)
 
 
-def _check_prop1_dominance(rng, dim, record=None):
-    pair = sampling.nonorthogonal_pair(rng, dim)
-    if pair is None:
-        return None
-    y, z = pair
-    r = float(rng.uniform(0.0, 1.0))
-    p_yz = p_sim(y, z)
-    if r < 1e-6 or (1.0 - p_yz) < 1e-6:
-        return None  # margin shrinks to zero at the boundary r=0 and at y=z
-    margin = p_sim(superpose(SuperpositionSpec(y=y, z=z, r=r)), y) - p_yz
-    _note(record, y=y, z=z, r=r, margin=margin)
-    return max(0.0, EPS_ABS - margin)
+def _batch_prop1_dominance(rng, dim, n):
+    y, z, skip, r = _pairs_and_weights(rng, dim, n)
+    p_yz = p_sims(y, z)
+    skip |= (r < 1e-6) | (1.0 - p_yz < 1e-6)  # the margin shrinks to zero at r = 0 and at y = z
+    margin = p_sims(superposed_rays(y, z, r), y) - p_yz
+    return _block(np.maximum(0.0, EPS_ABS - margin), skip, y=y, z=z, r=r, margin=margin)
 
 
-def _check_dominance_boundary(rng, dim, record=None):
-    pair = sampling.nonorthogonal_pair(rng, dim)
-    if pair is None:
-        return None
-    y, z = pair
-    x0 = superpose(SuperpositionSpec(y=y, z=z, r=0.0))
-    _note(record, y=y, z=z)
-    return abs(p_sim(x0, y) - p_sim(y, z))
+def _batch_dominance_boundary(rng, dim, n):
+    y, z, skip = sampling.nonorthogonal_pairs(rng, n, dim)
+    x0 = superposed_rays(y, z, np.zeros(n))
+    return _block(np.abs(p_sims(x0, y) - p_sims(y, z)), skip, y=y, z=z)
 
 
 def _plane_ray(rng, b1, b2):
@@ -590,22 +571,16 @@ def _check_cos_theta_prime(rng, dim, record=None):
     return None
 
 
-def _check_superposition_theta_consistency(rng, dim, record=None):
-    spec = _spec(rng, dim)
-    if spec is None:
-        return None
-    x1 = sampling.random_ray(rng, dim)
-    x2 = sampling.random_ray(rng, dim)
-    s = superpose(spec)
-    pairs = [(s, x1), (x1, x2), (x2, s)]
-    if min(a_sim(u, v) for u, v in pairs) <= MIN_OVERLAP:
-        return None
-    reference = theta(s, x1, x2)
-    scrambled = triple_phase(
-        s.rep * _unit_phase(rng), x1.rep * _unit_phase(rng), x2.rep * _unit_phase(rng)
-    )
-    _note(record, y=spec.y, z=spec.z, r=spec.r, x1=x1, x2=x2)
-    return circular_distance(reference, scrambled)
+def _batch_superposition_theta_consistency(rng, dim, n):
+    y, z, skip, r = _pairs_and_weights(rng, dim, n)
+    x1 = sampling.random_rays(rng, n, dim)
+    x2 = sampling.random_rays(rng, n, dim)
+    s = superposed_rays(y, z, r)
+    skip |= np.minimum.reduce([a_sims(s, x1), a_sims(x1, x2), a_sims(x2, s)]) <= MIN_OVERLAP
+    s, x1, x2 = _flat(skip, s, x1, x2)
+    reference = triple_phases(s, x1, x2)
+    scrambled = triple_phases(*(v * _unit_phases(rng, n)[:, np.newaxis] for v in (s, x1, x2)))
+    return _block(circular_distances(reference, scrambled), skip, y=y, z=z, r=r, x1=x1, x2=x2)
 
 
 # ---------------------------------------------------------------------------
@@ -713,31 +688,18 @@ def _check_local_total_probability(rng, dim, record=None):
 
 
 def _batch_interference_inequality(rng, dim, n):
-    # 10^4 trials per dimension, checked as stacks: one frame per
-    # proposition, padded with zero columns beyond its rank.
+    # 10^4 trials per dimension: one frame of d − 1 columns per
+    # proposition, its columns beyond the rank zeroed.
     ra = rng.integers(1, dim, size=n)
     rb = rng.integers(1, dim, size=n)
-    in_a = np.arange(dim) < ra[:, np.newaxis]
-    qa = sampling.random_frames(rng, n, dim)
-    qa *= in_a[:, np.newaxis, :]
-    qb = sampling.random_frames(rng, n, dim)
-    qb *= (np.arange(dim) < rb[:, np.newaxis])[:, np.newaxis, :]
-    x = (qa @ (sampling.gaussian_stack(rng, (n, dim)) * in_a)[..., np.newaxis])[..., 0]
-    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    cols = np.arange(dim - 1)
+    qa = sampling.random_frames(rng, n, dim, dim - 1) * (cols < ra[:, np.newaxis])[:, np.newaxis, :]
+    qb = sampling.random_frames(rng, n, dim, dim - 1) * (cols < rb[:, np.newaxis])[:, np.newaxis, :]
+    x = (qa @ sampling.gaussian_stack(rng, (n, dim - 1))[..., np.newaxis])[..., 0]
+    x /= norms(x)[:, np.newaxis]
     margin, undefined = interference_margins(qa, qb, x)
-
-    def record(i):
-        described: dict = {}
-        _note(
-            described,
-            alpha=Subspace.from_orthonormal(qa[i, :, : ra[i]].T, dim),
-            beta=Subspace.from_orthonormal(qb[i, :, : rb[i]].T, dim),
-            x=ray_from(x[i]),
-            margin=float(margin[i]),
-        )
-        return described
-
-    return Block(np.maximum(0.0, -margin), undefined, record)
+    instance = dict(alpha=qa, alpha_rank=ra, beta=qb, beta_rank=rb, x=x, margin=margin)
+    return Block(np.maximum(0.0, -margin), undefined, instance)
 
 
 def _check_interference_membership(rng, dim, record=None):
@@ -781,15 +743,14 @@ def _aggregate_must_fail(residuals):
     return fraction > 0.9, 1.0 - fraction
 
 
-def _check_total_probability_2d(rng, dim, record=None):
-    t = float(rng.uniform(0.0, 2.0 * math.pi))
-    alpha = Subspace.from_orthonormal(np.eye(2, dtype=np.complex128)[:1], 2)
-    x = ray_from(np.array([math.cos(t), math.sin(t)], dtype=np.complex128))
-    beta = Subspace.from_ray(x)
-    measured = total_probability_residual(x, alpha, beta)
-    analytic = abs(1.0 - math.cos(t) ** 4 - math.sin(t) ** 4)
-    _note(record, angle=t, measured=measured, analytic=analytic)
-    return abs(measured - analytic)
+def _batch_total_probability_2d(rng, dim, n):
+    t = rng.uniform(0.0, 2.0 * math.pi, n)
+    x = rays_from(np.stack([np.cos(t), np.sin(t)], axis=-1))
+    eye = np.eye(2, dtype=np.complex128)
+    alpha, not_alpha = (np.broadcast_to(eye[:, k : k + 1], (n, 2, 1)) for k in range(2))
+    measured = total_probability_residuals(alpha, not_alpha, x[:, :, np.newaxis], x)
+    analytic = np.abs(1.0 - np.cos(t) ** 4 - np.sin(t) ** 4)
+    return _block(np.abs(measured - analytic), angle=t, measured=measured, analytic=analytic)
 
 
 def _check_nonsquared_search(rng, dim, record=None):
@@ -877,36 +838,30 @@ def _check_injective_distinct(rng, dim, record=None):
 # tensor products
 
 
-def _check_tensor_inner(rng, dim, record=None):
-    d1 = 2
-    u1, v1 = sampling.gaussian_vector(rng, d1), sampling.gaussian_vector(rng, d1)
-    u2, v2 = sampling.gaussian_vector(rng, dim), sampling.gaussian_vector(rng, dim)
-    lhs = inner(np.kron(u1, u2), np.kron(v1, v2))
-    rhs = inner(u1, v1) * inner(u2, v2)
-    _note(record, u1=u1, v1=v1, u2=u2, v2=v2)
-    return abs(lhs - rhs)
+def _batch_tensor_inner(rng, dim, n):
+    u1, v1 = sampling.gaussian_stack(rng, (2, n, 2))
+    u2, v2 = sampling.gaussian_stack(rng, (2, n, dim))
+    lhs = inners(kron_rows(u1, u2), kron_rows(v1, v2))
+    rhs = inners(u1, v1) * inners(u2, v2)
+    return _block(np.abs(lhs - rhs), u1=u1, v1=v1, u2=u2, v2=v2)
 
 
-def _check_tensor_p_product(rng, dim, record=None):
-    d1 = 2
-    x1, y1 = sampling.random_ray(rng, d1), sampling.random_ray(rng, d1)
-    x2, y2 = sampling.random_ray(rng, dim), sampling.random_ray(rng, dim)
-    combined = tensor_ray(x1, x2).combined
-    unit_defect = abs(norm(combined.rep) - 1.0)
-    _note(record, x1=x1, y1=y1, x2=x2, y2=y2)
-    return max(check_p_product(x1, y1, x2, y2), unit_defect)
+def _batch_tensor_p_product(rng, dim, n):
+    x1, y1 = (sampling.random_rays(rng, n, 2) for _ in range(2))
+    x2, y2 = (sampling.random_rays(rng, n, dim) for _ in range(2))
+    unit_defect = np.abs(norms(product_rays(x1, x2)) - 1.0)
+    residual = np.maximum(p_product_residuals(x1, y1, x2, y2), unit_defect)
+    return _block(residual, x1=x1, y1=y1, x2=x2, y2=y2)
 
 
-def _check_tensor_theta_additive(rng, dim, record=None):
-    d1 = 2
-    t1 = sampling.nonorthogonal_triple(rng, d1)
-    t2 = sampling.nonorthogonal_triple(rng, dim)
-    if t1 is None or t2 is None:
-        return None
-    x1, y1, z1 = t1
-    x2, y2, z2 = t2
-    _note(record, x1=x1, y1=y1, z1=z1, x2=x2, y2=y2, z2=z2)
-    return check_theta_product(x1, y1, z1, x2, y2, z2)
+def _batch_tensor_theta_additive(rng, dim, n):
+    *t1, skip1 = sampling.nonorthogonal_triples(rng, n, 2)
+    *t2, skip2 = sampling.nonorthogonal_triples(rng, n, dim)
+    skip = skip1 | skip2
+    x1, y1, z1 = _flat(skip, *t1)
+    x2, y2, z2 = _flat(skip, *t2)
+    residual = theta_product_residuals(x1, y1, z1, x2, y2, z2)
+    return _block(residual, skip, x1=x1, y1=y1, z1=z1, x2=x2, y2=y2, z2=z2)
 
 
 # ---------------------------------------------------------------------------
@@ -915,12 +870,12 @@ def _check_tensor_theta_additive(rng, dim, record=None):
 register(Law(
     id="linalg.inner_linearity",
     description="inner product linear in its first argument, conjugate-symmetric",
-    checker=_check_inner_linearity,
+    batch=_batch_inner_linearity,
 ))
 register(Law(
     id="linalg.cauchy_schwarz",
     description="|<u,v>| never exceeds ||u||·||v||",
-    checker=_check_cauchy_schwarz,
+    batch=_batch_cauchy_schwarz,
 ))
 register(Law(
     id="linalg.orthonormalize_contract",
@@ -931,7 +886,7 @@ register(Law(
 register(Law(
     id="ray.canonical_representative",
     description="rays are scale-invariant with a canonical unit representative",
-    checker=_check_ray_canonical,
+    batch=_batch_ray_canonical,
 ))
 register(Law(
     id="subspace.projector_laws",
@@ -979,17 +934,17 @@ register(Law(
 register(Law(
     id="classical.no_disturbance",
     description="with pairwise-orthogonal states, measuring ¬x leaves any other state intact",
-    checker=_check_classical_no_disturbance,
+    batch=_batch_classical_no_disturbance,
 ))
 register(Law(
     id="lemma.a_properties",
     description="overlap lies in [0,1], symmetric, 1 iff equal, 0 iff orthogonal",
-    checker=_check_a_properties,
+    batch=_batch_a_properties,
 ))
 register(Law(
     id="lemma.p_properties",
     description="similarity = overlap², symmetric, equals <u,y(u)> and ||y(u)||²",
-    checker=_check_p_properties,
+    batch=_batch_p_properties,
 ))
 register(Law(
     id="corollary.satisfaction",
@@ -1021,46 +976,46 @@ register(Law(
 register(Law(
     id="principle.reciprocity",
     description="equal projections on ¬x imply equal projections on ¬y",
-    checker=_check_reciprocity,
+    batch=_batch_reciprocity,
     tolerance=0.5,
     trials_per_dim=400,
 ))
 register(Law(
     id="coplanarity.permutation_invariance",
     description="coplanarity is a property of the unordered triple",
-    checker=_check_coplanarity_permutations,
+    batch=_batch_coplanarity_permutations,
     tolerance=0.5,
     trials_per_dim=300,
 ))
 register(Law(
     id="theta.representative_independence",
     description="the triple phase ignores the representatives chosen",
-    checker=_check_theta_representative_independence,
+    batch=_batch_theta_representative_independence,
     tolerance=ANGLE_TOL,
 ))
 register(Law(
     id="lemma.theta_cyclic",
     description="triple phase is cyclic and antisymmetric under transposition",
-    checker=_check_theta_cyclic,
+    batch=_batch_theta_cyclic,
     tolerance=ANGLE_TOL,
 ))
 register(Law(
     id="lemma.theta_cocycle",
     description="theta(x,y,w) = theta(x,y,z) + theta(x,z,w) + theta(z,y,w) mod 2π",
-    checker=_check_theta_cocycle,
+    batch=_batch_theta_cocycle,
     tolerance=ANGLE_TOL,
 ))
 register(Law(
     id="lemma.theta_prime",
     description="the orthocomplement triple negates the triple phase",
-    checker=_check_theta_prime,
+    batch=_batch_theta_prime,
     tolerance=ANGLE_TOL,
     trials_per_dim=300,
 ))
 register(Law(
     id="theta.euclidean_real",
     description="real instances have phase 0 or π; positive overlaps give exactly 0",
-    checker=_check_theta_euclidean,
+    batch=_batch_theta_euclidean,
     tolerance=ANGLE_TOL,
 ))
 register(Law(
@@ -1071,47 +1026,47 @@ register(Law(
 register(Law(
     id="principle.triviality",
     description="superposing a state with itself returns the state",
-    checker=_check_triviality,
+    batch=_batch_triviality,
 ))
 register(Law(
     id="lemma.superpose_identity_commutative",
     description="weight 1 returns the first component; swap components by r ↔ 1−r",
-    checker=_check_superpose_identity_commutative,
+    batch=_batch_superpose_identity_commutative,
 ))
 register(Law(
     id="principle.coplanarity",
     description="a superposition is coplanar with its components",
-    checker=_check_superposition_coplanarity,
+    batch=_batch_superposition_coplanarity,
     tolerance=0.5,
 ))
 register(Law(
     id="lemma.prop1_theta_zero",
     description="the phase of (superposition, y, z) vanishes",
-    checker=_check_superposition_theta_zero,
+    batch=_batch_superposition_theta_zero,
     tolerance=ANGLE_TOL,
 ))
 register(Law(
     id="lemma.p_basis",
     description="closed-form superposition probability matches the constructed ray",
-    checker=_check_p_basis,
+    batch=_batch_p_basis,
     tolerance=1e-9,
 ))
 register(Law(
     id="lemma.prop1_component_form",
     description="similarity to a component: 1 − (1−r)(1−p(y,z))/ω",
-    checker=_check_prop1_component_form,
+    batch=_batch_prop1_component_form,
     tolerance=1e-9,
 ))
 register(Law(
     id="lemma.prop1_dominance",
     description="mixing in y strictly increases similarity to y beyond p(y,z)",
-    checker=_check_prop1_dominance,
+    batch=_batch_prop1_dominance,
     tolerance=0.0,
 ))
 register(Law(
     id="counterexample.dominance_boundary",
     description="at r=0 the strict dominance degrades to equality, as predicted",
-    checker=_check_dominance_boundary,
+    batch=_batch_dominance_boundary,
     negative_control=True,
 ))
 register(Law(
@@ -1124,7 +1079,7 @@ register(Law(
 register(Law(
     id="superposition.theta_consistency",
     description="phases of superposed rays are representative-independent (numeric-only support)",
-    checker=_check_superposition_theta_consistency,
+    batch=_batch_superposition_theta_consistency,
     tolerance=ANGLE_TOL,
 ))
 register(Law(
@@ -1208,7 +1163,7 @@ register(Law(
 register(Law(
     id="counterexample.total_probability_2d",
     description="the planar family violates total probability by exactly |1 − cos⁴ − sin⁴|",
-    checker=_check_total_probability_2d,
+    batch=_batch_total_probability_2d,
     tolerance=1e-9,
     dims=(2,),
     negative_control=True,
@@ -1271,18 +1226,18 @@ register(Law(
 register(Law(
     id="tensor.inner_factorization",
     description="inner products factor across Kronecker products",
-    checker=_check_tensor_inner,
+    batch=_batch_tensor_inner,
     dims=(2, 3),
 ))
 register(Law(
     id="tensor.p_product",
     description="similarity multiplies across product states",
-    checker=_check_tensor_p_product,
+    batch=_batch_tensor_p_product,
     dims=(2, 3),
 ))
 register(Law(
     id="tensor.theta_additive",
     description="triple phases add across product states (mod 2π)",
-    checker=_check_tensor_theta_additive,
+    batch=_batch_tensor_theta_additive,
     dims=(2, 3),
 ))

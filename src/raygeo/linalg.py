@@ -51,8 +51,15 @@ def as_vector(values) -> np.ndarray:
     return v
 
 
+def inners(u, v) -> np.ndarray:
+    """Inner products ``sum_i u_i * conj(v_i)`` of stacked vectors,
+    shape (..., d) → (...)."""
+    return np.vecdot(v, u)  # vecdot conjugates its first argument
+
+
 def inner(u, v) -> complex:
-    """Inner product ``sum_i u_i * conj(v_i)``.
+    """Inner product ``sum_i u_i * conj(v_i)``: the single-pair form of
+    :func:`inners`.
 
     Linear in ``u``, conjugate-linear in ``v``; conjugate-symmetric:
     ``inner(v, u) == conj(inner(u, v))``.
@@ -66,29 +73,44 @@ def inner(u, v) -> complex:
     v = np.asarray(v, dtype=np.complex128)
     if u.shape != v.shape:
         raise DimensionMismatchError(f"dimensions {u.shape} vs {v.shape}")
-    # np.vdot conjugates its first argument.
-    return complex(np.vdot(v, u))
+    return complex(inners(u, v))
+
+
+def norms(u) -> np.ndarray:
+    """Euclidean norms of stacked vectors, shape (..., d) → (...)."""
+    u = np.asarray(u, dtype=np.complex128)
+    return np.sqrt(np.vecdot(u, u).real)
 
 
 def norm(u) -> float:
-    """Euclidean norm ``sqrt(inner(u, u))``."""
-    return float(np.linalg.norm(np.asarray(u, dtype=np.complex128)))
+    """Euclidean norm ``sqrt(inner(u, u))``: the single-vector form of
+    :func:`norms`."""
+    return float(norms(u))
+
+
+def wrap_angles(angle) -> np.ndarray:
+    """Angles reduced modulo 2π to the canonical branch (−π, π]."""
+    a = np.asarray(angle, dtype=np.float64) % TWO_PI  # in [0, 2π)
+    return a - TWO_PI * (a > math.pi)
 
 
 def wrap_angle(angle: float) -> float:
     """Reduce an angle modulo 2π to the canonical branch (−π, π]."""
-    a = float(angle) % TWO_PI  # in [0, 2π)
-    if a > math.pi:
-        a -= TWO_PI
-    return a
+    return float(wrap_angles(angle))
 
 
-def circular_distance(a: float, b: float) -> float:
-    """Distance between two angles on the circle, in [0, π].
+def circular_distances(a, b) -> np.ndarray:
+    """Distances between stacked angles on the circle, in [0, π].
 
     Immune to branch cuts: comparing θ and θ ± 2π gives 0.
     """
-    return abs(wrap_angle(a - b))
+    return np.abs(wrap_angles(np.subtract(a, b)))
+
+
+def circular_distance(a: float, b: float) -> float:
+    """Distance between two angles on the circle, in [0, π]; the
+    single-pair form of :func:`circular_distances`."""
+    return float(circular_distances(a, b))
 
 
 def orthonormalize(vectors) -> list[np.ndarray]:

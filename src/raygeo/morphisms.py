@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotIsometryError
-from .linalg import EPS_ABS, circular_distance
+from .linalg import EPS_ABS, circular_distances
 from .rays import Ray, ray_from
 from .geometry import a_sims, p_sims, triple_phases
 from .superposition import superpose_vectors
@@ -208,8 +208,7 @@ def check_preserves_p_theta(f: RegularMap, trials: int = 200, seed: int = 0) -> 
     x, y, z = x[kept], y[kept], z[kept]
     fx, fy, fz = (_image_rows(f, t) for t in (x, y, z))
     p_residual = np.abs(p_sims(fx, fy) - p_sims(x, y)).max(initial=0.0)
-    phases = zip(triple_phases(fx, fy, fz).tolist(), triple_phases(x, y, z).tolist())
-    theta_residual = max((circular_distance(a, b) for a, b in phases), default=0.0)
+    theta_residual = circular_distances(triple_phases(fx, fy, fz), triple_phases(x, y, z)).max(initial=0.0)
     return QuantityResiduals(
-        p_residual=float(p_residual), theta_residual=theta_residual, trials_run=len(x)
+        p_residual=float(p_residual), theta_residual=float(theta_residual), trials_run=len(x)
     )

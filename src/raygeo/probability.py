@@ -136,21 +136,33 @@ def check_total_probability(x: Ray, a: Subspace, b: Subspace) -> float:
     return total_probability_residual(x, a, b)
 
 
+def total_probability_residuals(qa, qna, qb, x) -> np.ndarray:
+    """Stacked residuals of the total probability decomposition
+    p(x,b) = p(x,a)·p(a(x),b) + p(x,¬a)·p(¬a(x),b).
+
+    ``qa``, ``qna`` and ``qb`` have shape (..., d, k) and orthonormal
+    columns spanning a, ¬a and b (zero columns span nothing); ``x``
+    holds unit vectors, shape (..., d).  A term conditioned on a null
+    event (weight at most ``EPS_ABS``) contributes zero.
+    """
+    total = 0.0
+    for q in (qa, qna):
+        px = _project_stack(q, x)
+        weight = np.vecdot(px, px).real
+        kept = weight > EPS_ABS
+        bpx = _project_stack(qb, px / np.sqrt(np.where(kept, weight, 1.0))[..., np.newaxis])
+        total = total + np.where(kept, weight * np.vecdot(bpx, bpx).real, 0.0)
+    bx = _project_stack(qb, x)
+    return np.abs(np.vecdot(bx, bx).real - total)
+
+
 def total_probability_residual(x: Ray, a: Subspace, b: Subspace) -> float:
     """The residual of :func:`check_total_probability` without its
     precondition check; on non-commuting propositions it measures how
-    far the law of total probability fails."""
-    na = ortho_complement(a)
-    total = 0.0
-    for prop in (a, na):
-        weight = p_prop(x, prop)
-        if weight <= EPS_ABS:
-            continue
-        px = project_ray(prop, x)
-        if px is ZERO:
-            continue
-        total += weight * p_prop(px, b)
-    return abs(p_prop(x, b) - total)
+    far the law of total probability fails.  The single form of
+    :func:`total_probability_residuals`."""
+    columns = (a.basis.T, ortho_complement(a).basis.T, b.basis.T)
+    return float(total_probability_residuals(*columns, x.rep))
 
 
 def check_interference_inequality(x: Ray, a: Subspace, b: Subspace) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
-from .linalg import EPS_ABS, as_vector, inner, orthonormalize
+from .linalg import EPS_ABS, as_vector, norms, orthonormalize
 
 
 class ZeroProjection:
@@ -109,11 +109,55 @@ def ray_from(v) -> Ray:
     return Ray(rep=u)
 
 
+def rays_from(v) -> np.ndarray:
+    """Canonical representatives of the rays spanned by the rows of a
+    (..., d) stack: the stacked form of :func:`ray_from`, row for row
+    the same unit vector and the same leading entry.
+
+    Raises
+    ------
+    ZeroVectorError
+        If some row has norm ``<= EPS_ABS``.
+    ValueError
+        If some entry is not finite, or some row norm overflows.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ValueError("expected a stack of non-empty vectors")
+    if not np.isfinite(v).all():
+        raise ValueError("vector entries must be finite")
+    n = norms(v)[..., np.newaxis]
+    if (n <= EPS_ABS).any():
+        raise ZeroVectorError(f"cannot span a ray from a vector of norm {n.min():.3e}")
+    if (n == math.inf).any():
+        raise ValueError("the vector norm overflows the float range")
+    u = v / n
+    # the first entry of modulus above EPS_ABS; a unit row has one of modulus >= 1/sqrt(d)
+    lead = np.take_along_axis(u, np.argmax(np.abs(u) > EPS_ABS, axis=-1)[..., np.newaxis], axis=-1)
+    return u * (np.conj(lead) / np.abs(lead))
+
+
+def a_sims(u, v) -> np.ndarray:
+    """Overlaps |<u, v>| of stacked unit vectors, shape (..., d) → (...).
+
+    Clipped to [0, 1] so rounding never pushes a similarity above one.
+    The modulus is libm's hypot, as for Python complex numbers.
+    """
+    c = np.vecdot(v, u)
+    return np.minimum(np.hypot(c.real, c.imag), 1.0)
+
+
+def equal_rays(u, v) -> np.ndarray:
+    """Whether the rays of stacked unit representatives coincide, via
+    overlap above ``1 − EPS_ABS``; shape (..., d) → (...)."""
+    return a_sims(u, v) > 1.0 - EPS_ABS
+
+
 def rays_equal(x: Ray, y: Ray) -> bool:
-    """Whether two rays coincide, via overlap |<x, y>| > 1 − EPS_ABS."""
+    """Whether two rays coincide: the single-pair form of :func:`equal_rays`."""
     if x.dim != y.dim:
         raise DimensionMismatchError(f"dimensions {x.dim} vs {y.dim}")
-    return abs(inner(x.rep, y.rep)) > 1.0 - EPS_ABS
+    return bool(equal_rays(x.rep, y.rep))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,17 @@ substream feeds every trial of the block, drawn as stacks).  Reports
 are therefore a pure function of (law id, generator spec, stream
 version), and cells or blocks can run in any order, or in parallel,
 without changing a single drawn number.  :data:`STREAM_VERSION` names
-the scheme; it is bumped whenever a change alters what a law draws.
+the scheme; it is bumped whenever a change alters what a law draws:
+
+* version 1: one substream per (law, dim, trial) for every law;
+* version 2: batched laws draw one substream per (law, dim, block), and
+  the morphism samplers draw their samples as stacks;
+* version 3: the ray, phase, superposition and tensor laws are batched
+  too, drawing their instances from the stacked samplers below
+  (``random_rays``, ``nonorthogonal_pairs``, ``nonorthogonal_triples``,
+  ``coplanar_triples``, ``classical_ray_stacks``), where a rejected
+  draw is a skipped trial instead of a redraw; ``random_frames`` draws
+  only the columns its caller uses.
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
@@ -26,20 +36,23 @@ import hashlib
 
 import numpy as np
 
-from .rays import Ray, Subspace, ray_from
+from .linalg import norms
+from .rays import Ray, Subspace, a_sims, ray_from, rays_from
 from .morphisms import LinearMap, RegularMap
 
-#: Rejection threshold where a law needs non-orthogonality: pairs with
-#: overlap at or below this are redrawn (or the trial is skipped).
+#: Rejection threshold where a law needs non-orthogonality: trials
+#: whose pairs have overlap at or below this are skipped.
 MIN_OVERLAP = 1e-6
-
-_REJECTION_LIMIT = 64
 
 #: Version of the stream scheme, written into every serialized report.
 #: 1: one substream per (law, dim, trial).  2: batched laws draw one
 #: substream per (law, dim, block) and the morphism samplers draw
-#: their samples as stacks.
-STREAM_VERSION = 2
+#: their samples as stacks.  3: the ray, phase, superposition and
+#: tensor laws are batched too, rejection sampling skips a trial
+#: instead of redrawing it, ``random_frames`` draws only the columns
+#: its caller uses, and ``classical_rays`` draws through
+#: ``classical_ray_stacks``.
+STREAM_VERSION = 3
 
 
 def law_stream_key(law_id: str) -> int:
@@ -87,42 +100,61 @@ def random_ray(rng: np.random.Generator, dim: int, real: bool = False) -> Ray:
     return ray_from(gaussian_vector(rng, dim, real))
 
 
-def nonorthogonal_pair(rng: np.random.Generator, dim: int) -> tuple[Ray, Ray] | None:
-    """Two rays with overlap above :data:`MIN_OVERLAP`, or None."""
-    for _ in range(_REJECTION_LIMIT):
-        x = random_ray(rng, dim)
-        y = random_ray(rng, dim)
-        if abs(np.vdot(y.rep, x.rep)) > MIN_OVERLAP:
-            return x, y
-    return None
+def random_rays(rng: np.random.Generator, count: int, dim: int, real: bool = False) -> np.ndarray:
+    """Canonical representatives of ``count`` random rays, shape (count, dim)."""
+    return rays_from(gaussian_stack(rng, (count, dim), real))
 
 
-def nonorthogonal_triple(
-    rng: np.random.Generator, dim: int, real: bool = False
-) -> tuple[Ray, Ray, Ray] | None:
-    """Three rays with pairwise overlaps above :data:`MIN_OVERLAP`, or
-    None after rejections."""
-    for _ in range(_REJECTION_LIMIT):
-        rays = [random_ray(rng, dim, real) for _ in range(3)]
-        overlaps = [
-            abs(np.vdot(rays[j].rep, rays[i].rep))
-            for i, j in ((0, 1), (1, 2), (2, 0))
-        ]
-        if min(overlaps) > MIN_OVERLAP:
-            return rays[0], rays[1], rays[2]
-    return None
+def nonorthogonal_pairs(rng: np.random.Generator, count: int, dim: int):
+    """``count`` random ray pairs ``(x, y, skip)``: stacks of shape
+    (count, dim) and the mask of the pairs with overlap at or below
+    :data:`MIN_OVERLAP`, which a law skips."""
+    x = random_rays(rng, count, dim)
+    y = random_rays(rng, count, dim)
+    return x, y, a_sims(x, y) <= MIN_OVERLAP
 
 
-def random_frames(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """``count`` Haar-random unitary matrices, shape (count, dim, dim):
-    the Q factors of stacked Gaussian draws.  The first k columns of
-    each span a Haar-random k-dimensional subspace."""
-    return np.linalg.qr(gaussian_stack(rng, (count, dim, dim)))[0]
+def nonorthogonal_triples(rng: np.random.Generator, count: int, dim: int, real: bool = False):
+    """``count`` random ray triples ``(x, y, z, skip)``: stacks of shape
+    (count, dim) and the mask of the triples with some pairwise overlap
+    at or below :data:`MIN_OVERLAP`."""
+    x, y, z = (random_rays(rng, count, dim, real) for _ in range(3))
+    overlap = np.minimum(np.minimum(a_sims(x, y), a_sims(y, z)), a_sims(z, x))
+    return x, y, z, overlap <= MIN_OVERLAP
+
+
+def coplanar_triples(rng: np.random.Generator, count: int, dim: int):
+    """``count`` ray triples ``(x, y, z, skip)`` inside one two-dimensional
+    subspace each: x is a random combination of the pair (y, z).  A
+    triple is skipped when y and z are near-orthogonal or the
+    combination nearly vanishes (norm at most 1e-3)."""
+    y, z, skip = nonorthogonal_pairs(rng, count, dim)
+    c = gaussian_stack(rng, (count, 2))
+    vec = c[:, :1] * y + c[:, 1:] * z
+    small = norms(vec) <= 1e-3
+    return rays_from(np.where(small[:, np.newaxis], y, vec)), y, z, skip | small
+
+
+def classical_ray_stacks(rng: np.random.Generator, count: int, dim: int, k: int) -> np.ndarray:
+    """``count`` sets of ``k`` distinct standard-basis rays, shape
+    (k, count, dim): the regime where all distinct states are
+    orthogonal."""
+    if k > dim:
+        raise ValueError("cannot draw more distinct basis rays than dim")
+    idx = rng.permuted(np.tile(np.arange(dim), (count, 1)), axis=-1)[:, :k]
+    return np.eye(dim, dtype=np.complex128)[idx.T]
+
+
+def random_frames(rng: np.random.Generator, count: int, dim: int, cols: int) -> np.ndarray:
+    """``count`` orthonormal column sets, shape (count, dim, cols): the Q
+    factors of stacked Gaussian (dim, cols) draws.  Each spans a
+    Haar-random ``cols``-dimensional subspace."""
+    return np.linalg.qr(gaussian_stack(rng, (count, dim, cols)))[0]
 
 
 def random_frame(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A random orthonormal frame: rows are orthonormal vectors."""
-    return random_frames(rng, 1, dim)[0].T
+    return random_frames(rng, 1, dim, dim)[0].T
 
 
 def random_subspace(rng: np.random.Generator, dim: int, rank: int | None = None) -> Subspace:
@@ -171,28 +203,10 @@ def nested_pair(rng: np.random.Generator, dim: int) -> tuple[Subspace, Subspace]
     )
 
 
-def coplanar_triple(rng: np.random.Generator, dim: int) -> tuple[Ray, Ray, Ray] | None:
-    """Three rays inside one two-dimensional subspace."""
-    pair = nonorthogonal_pair(rng, dim)
-    if pair is None:
-        return None
-    y, z = pair
-    for _ in range(_REJECTION_LIMIT):
-        c = gaussian_vector(rng, 2)
-        vec = c[0] * y.rep + c[1] * z.rep
-        if float(np.linalg.norm(vec)) > 1e-3:
-            return ray_from(vec), y, z
-    return None
-
-
 def classical_rays(rng: np.random.Generator, dim: int, count: int) -> list[Ray]:
-    """Distinct standard-basis rays: the regime where all distinct
-    states are orthogonal."""
-    if count > dim:
-        raise ValueError("cannot draw more distinct basis rays than dim")
-    idx = rng.permutation(dim)[:count]
-    eye = np.eye(dim, dtype=np.complex128)
-    return [Ray(rep=eye[i].copy()) for i in idx]
+    """Distinct standard-basis rays: the single form of
+    :func:`classical_ray_stacks`."""
+    return [Ray(rep=rep) for rep in classical_ray_stacks(rng, 1, dim, count)[:, 0]]
 
 
 def isometry_map(

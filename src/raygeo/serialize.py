@@ -210,7 +210,8 @@ def to_jsonable(value):
     """Best-effort conversion of library values to JSON-ready data.
 
     Used when capturing counterexample payloads: dispatches on Ray,
-    Subspace, maps, numpy scalars/arrays, and containers.
+    Subspace, maps, numpy scalars/arrays (a row of a batched law's
+    instance stack is one of these), and containers.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -224,6 +225,8 @@ def to_jsonable(value):
         return subspace_to_json(value)
     if isinstance(value, (RegularMap, LinearMap)):
         return linear_map_to_json(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.integer):

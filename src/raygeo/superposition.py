@@ -30,8 +30,8 @@ from .errors import (
     OrthogonalComponentsError,
 )
 from .linalg import ANGLE_GUARD, EPS_ABS
-from .rays import Ray, Subspace, is_orthogonal, join, ray_from, rays_equal
-from .geometry import a_sim, p_sim, theta
+from .rays import Ray, Subspace, a_sims, is_orthogonal, join, ray_from, rays_equal, rays_from
+from .geometry import a_sim, p_sim, p_sims, theta, triple_phases
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,14 @@ def superpose_vectors(v, w, r) -> np.ndarray:
     return np.where(take_v[..., np.newaxis], v, np.where(take_w[..., np.newaxis], w, u))
 
 
+def superposed_rays(v, w, r) -> np.ndarray:
+    """Canonical representatives of the superposed rays of stacked
+    components: :func:`superpose_vectors`, normalized.  Rows whose
+    superposition is a component give that component back (up to
+    rounding)."""
+    return rays_from(superpose_vectors(v, w, r))
+
+
 def superpose(spec: SuperpositionSpec) -> Ray:
     """The superposed ray of ``spec``.
 
@@ -106,50 +114,83 @@ def superpose(spec: SuperpositionSpec) -> Ray:
     return ray_from(u)
 
 
-def omega(r: float, y: Ray, z: Ray) -> float:
-    """Normalization 1 + 2·sqrt(r(1−r)·p(y,z)), in [1, 2].
+def omegas(r, v, w) -> np.ndarray:
+    """Normalizations 1 + 2·sqrt(r(1−r)·p(v,w)) of stacked components
+    (unit representatives, shape (..., d); weights, shape (...)), in
+    [1, 2]: the squared norms of the un-normalized superposition
+    vectors."""
+    r = np.asarray(r, dtype=np.float64)
+    return 1.0 + 2.0 * np.sqrt(np.maximum(r * (1.0 - r), 0.0)) * a_sims(v, w)
 
-    The squared norm of the un-normalized superposition vector.
+
+def omega(r: float, y: Ray, z: Ray) -> float:
+    """Normalization 1 + 2·sqrt(r(1−r)·p(y,z)), in [1, 2]: the single
+    form of :func:`omegas`.
+
+    Raises
+    ------
+    InvalidWeightError
+        If r lies outside [0, 1].
+    OrthogonalComponentsError
+        If the components are orthogonal.
     """
     r = float(r)
     if not (math.isfinite(r) and 0.0 <= r <= 1.0):
         raise InvalidWeightError(f"weight r={r!r} outside [0, 1]")
-    a = a_sim(y, z)
-    if a <= EPS_ABS:
+    if a_sim(y, z) <= EPS_ABS:
         raise OrthogonalComponentsError(
             "superpositions of orthogonal states are undefined"
         )
-    return 1.0 + 2.0 * math.sqrt(max(r * (1.0 - r), 0.0)) * a
+    return float(omegas(r, y.rep, z.rep))
+
+
+def p_of_superposition_closed_forms(r, v, w, x) -> np.ndarray:
+    """Closed-form similarities between stacked superpositions of (v, w)
+    with weights r and test states x, shape (..., d) → (...):
+
+    [ r·p(v,x) + (1−r)·p(w,x) + 2·cos(theta(x,v,w))·sqrt(r(1−r)·p(v,x)·p(w,x)) ] / omega
+
+    Must agree with the direct similarity to the constructed ray.  In
+    rows where the test state is orthogonal to a component the
+    interference term vanishes identically, so the phase is not read
+    there rather than letting a meaningless arg() poison the value.
+
+    Raises
+    ------
+    OrthogonalPairError
+        If a row whose phase is read has a pair closer to orthogonal
+        than ``ANGLE_GUARD`` (from :func:`triple_phases`).
+    """
+    r = np.asarray(r, dtype=np.float64)
+    p_vx = p_sims(v, x)
+    p_wx = p_sims(w, x)
+    cross = r * (1.0 - r) * p_vx * p_wx
+    read = (cross > (ANGLE_GUARD * ANGLE_GUARD) ** 2)[..., np.newaxis]
+    # rows that are not read get the flat triple (v, v, v)
+    phase = triple_phases(np.where(read, x, v), v, np.where(read, w, v))
+    interference = np.where(read[..., 0], 2.0 * np.cos(phase) * np.sqrt(cross), 0.0)
+    return (r * p_vx + (1.0 - r) * p_wx + interference) / omegas(r, v, w)
 
 
 def p_of_superposition_closed_form(spec: SuperpositionSpec, x: Ray) -> float:
-    """Closed-form similarity between a superposition and a test state.
+    """Closed-form similarity between a superposition and a test state:
+    the single form of :func:`p_of_superposition_closed_forms`."""
+    if x.dim != spec.y.dim:
+        raise DimensionMismatchError(f"dimensions {spec.y.dim} vs {x.dim}")
+    return float(p_of_superposition_closed_forms(spec.r, spec.y.rep, spec.z.rep, x.rep))
 
-    [ r·p(y,x) + (1−r)·p(z,x) + 2·cos(theta(x,y,z))·sqrt(r(1−r)·p(y,x)·p(z,x)) ] / omega
 
-    Must agree with the direct similarity to the constructed ray.  When
-    the test state is orthogonal to a component the interference term
-    vanishes identically, so the phase is skipped rather than letting
-    a meaningless arg() poison the value.
-    """
-    y, z, r = spec.y, spec.z, float(spec.r)
-    p_yx = p_sim(y, x)
-    p_zx = p_sim(z, x)
-    w = omega(r, y, z)
-    cross = r * (1.0 - r) * p_yx * p_zx
-    if cross <= (ANGLE_GUARD * ANGLE_GUARD) ** 2:
-        interference = 0.0
-    else:
-        interference = 2.0 * math.cos(theta(x, y, z)) * math.sqrt(cross)
-    return (r * p_yx + (1.0 - r) * p_zx + interference) / w
+def p_component_closed_forms(r, v, w) -> np.ndarray:
+    """Closed-form similarities between stacked superpositions and their
+    first components: 1 − (1−r)(1−p(v,w)) / omega(r, v, w)."""
+    r = np.asarray(r, dtype=np.float64)
+    return 1.0 - (1.0 - r) * (1.0 - p_sims(v, w)) / omegas(r, v, w)
 
 
 def p_component_closed_form(spec: SuperpositionSpec) -> float:
     """Closed-form similarity between a superposition and its first
-    component: 1 − (1−r)(1−p(y,z)) / omega(r, y, z)."""
-    r = float(spec.r)
-    p_yz = p_sim(spec.y, spec.z)
-    return 1.0 - (1.0 - r) * (1.0 - p_yz) / omega(r, spec.y, spec.z)
+    component: the single form of :func:`p_component_closed_forms`."""
+    return float(p_component_closed_forms(spec.r, spec.y.rep, spec.z.rep))
 
 
 def p_superposed_vs_component(spec: SuperpositionSpec) -> float:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import circular_distance, wrap_angle
-from .rays import Ray, ray_from
-from .geometry import p_sim, theta
+from .linalg import circular_distances, wrap_angles
+from .rays import Ray, rays_from
+from .geometry import p_sims, triple_phases
 
 
 @dataclass(frozen=True)
@@ -33,34 +33,52 @@ class ProductRay:
     combined: Ray
 
 
+def kron_rows(u, v) -> np.ndarray:
+    """Row-wise Kronecker products of stacked vectors: shapes (..., d1)
+    and (..., d2) give (..., d1·d2), entry (i·d2 + j) = u_i · v_j."""
+    u = np.asarray(u, dtype=np.complex128)
+    v = np.asarray(v, dtype=np.complex128)
+    return (u[..., :, np.newaxis] * v[..., np.newaxis, :]).reshape(*u.shape[:-1], -1)
+
+
+def product_rays(u, v) -> np.ndarray:
+    """Canonical representatives of the product rays of stacked factor
+    representatives."""
+    return rays_from(kron_rows(u, v))
+
+
 def tensor_ray(x1: Ray, x2: Ray) -> ProductRay:
     """The product state of two rays; factor phases do not matter."""
-    return ProductRay(
-        factor1=x1,
-        factor2=x2,
-        combined=ray_from(np.kron(x1.rep, x2.rep)),
-    )
+    return ProductRay(factor1=x1, factor2=x2, combined=Ray(rep=product_rays(x1.rep, x2.rep)))
+
+
+def p_product_residuals(x1, y1, x2, y2) -> np.ndarray:
+    """|p(x1⊗x2, y1⊗y2) − p(x1,y1)·p(x2,y2)| over stacked factor rays."""
+    return np.abs(p_sims(product_rays(x1, x2), product_rays(y1, y2)) - p_sims(x1, y1) * p_sims(x2, y2))
 
 
 def check_p_product(x1: Ray, y1: Ray, x2: Ray, y2: Ray) -> float:
-    """|p(x1⊗x2, y1⊗y2) − p(x1,y1)·p(x2,y2)|."""
-    px = tensor_ray(x1, x2).combined
-    py = tensor_ray(y1, y2).combined
-    return abs(p_sim(px, py) - p_sim(x1, y1) * p_sim(x2, y2))
+    """|p(x1⊗x2, y1⊗y2) − p(x1,y1)·p(x2,y2)|: the single form of
+    :func:`p_product_residuals`."""
+    return float(p_product_residuals(x1.rep, y1.rep, x2.rep, y2.rep))
 
 
-def check_theta_product(x1: Ray, y1: Ray, z1: Ray, x2: Ray, y2: Ray, z2: Ray) -> float:
-    """Circular distance between theta on products and the sum of the
-    factor phases (mod 2π).
+def theta_product_residuals(x1, y1, z1, x2, y2, z2) -> np.ndarray:
+    """Circular distances between theta on stacked product triples and
+    the sums of the factor phases (mod 2π).
 
     Requires both factor triples pairwise non-orthogonal, which makes
     the product triple pairwise non-orthogonal as well; raises
     OrthogonalPairError otherwise (propagated from the phase guards).
     """
-    t1 = theta(x1, y1, z1)
-    t2 = theta(x2, y2, z2)
-    tx = tensor_ray(x1, x2).combined
-    ty = tensor_ray(y1, y2).combined
-    tz = tensor_ray(z1, z2).combined
-    t_prod = theta(tx, ty, tz)
-    return circular_distance(t_prod, wrap_angle(t1 + t2))
+    t1 = triple_phases(x1, y1, z1)
+    t2 = triple_phases(x2, y2, z2)
+    t_prod = triple_phases(product_rays(x1, x2), product_rays(y1, y2), product_rays(z1, z2))
+    return circular_distances(t_prod, wrap_angles(t1 + t2))
+
+
+def check_theta_product(x1: Ray, y1: Ray, z1: Ray, x2: Ray, y2: Ray, z2: Ray) -> float:
+    """Circular distance between theta on products and the sum of the
+    factor phases (mod 2π): the single form of
+    :func:`theta_product_residuals`."""
+    return float(theta_product_residuals(x1.rep, y1.rep, z1.rep, x2.rep, y2.rep, z2.rep))

@@ -87,6 +87,14 @@ class TestVerify:
         assert out == ""
         assert "dims must lie within [2, 32]" in err
 
+    @pytest.mark.parametrize("trials", ["1000000000000", "1000001", "0"])
+    def test_trial_count_outside_bounds_is_usage_error(self, capsys, trials):
+        # rejected when the run is configured, before any law draws a trial
+        code, out, err = run_cli(capsys, "verify", "--dims", "2", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "trials_per_dim must lie within [1, 1000000]" in err
+
     def test_determinism_byte_identical(self, capsys, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"

@@ -15,20 +15,53 @@ import numpy as np
 import pytest
 
 from raygeo import (
+    ZERO,
     OrthogonalPairError,
+    Ray,
     Subspace,
     SuperpositionSpec,
+    ZeroVectorError,
+    complement_projection,
+    coplanar,
     join,
     meet,
     ortho_complement,
+    p_component_closed_form,
+    p_of_superposition_closed_form,
     ray_from,
+    reciprocity_holds,
     subspaces_equal,
     superpose,
 )
-from raygeo.geometry import a_sims, p_sims, triple_phases
-from raygeo.linalg import EPS_ABS, circular_distance
-from raygeo.sampling import gaussian_stack, random_frames
-from raygeo.superposition import superpose_vectors
+from raygeo import sampling
+from raygeo.geometry import (
+    a_sims,
+    complement_projections,
+    coplanar_rows,
+    p_sims,
+    prime_triples,
+    reciprocity_rows,
+    triple_phases,
+)
+from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distance
+from raygeo.rays import equal_rays, rays_from
+from raygeo.sampling import MIN_OVERLAP, gaussian_stack, random_frames
+from raygeo.superposition import (
+    omega as omega_scalar,
+    omegas,
+    p_component_closed_forms,
+    p_of_superposition_closed_forms,
+    superpose_vectors,
+    superposed_rays,
+)
+from raygeo.tensor import (
+    check_p_product,
+    check_theta_product,
+    kron_rows,
+    p_product_residuals,
+    product_rays,
+    theta_product_residuals,
+)
 
 
 def _units(rng, shape):
@@ -132,12 +165,246 @@ def test_scalar_superpose_is_the_kernel_row():
 
 
 def test_stacked_draws():
-    frames = random_frames(np.random.default_rng(6), 7, 4)
-    assert frames.shape == (7, 4, 4)
-    eye = np.broadcast_to(np.eye(4), (7, 4, 4))
-    np.testing.assert_allclose(frames.conj().swapaxes(-1, -2) @ frames, eye, atol=1e-12)
+    for cols in (4, 2):  # full frames, and only the columns a caller uses
+        frames = random_frames(np.random.default_rng(6), 7, 4, cols)
+        assert frames.shape == (7, 4, cols)
+        eye = np.broadcast_to(np.eye(cols), (7, cols, cols))
+        np.testing.assert_allclose(frames.conj().swapaxes(-1, -2) @ frames, eye, atol=1e-12)
     real = gaussian_stack(np.random.default_rng(7), (5, 3), real=True)
     assert real.dtype == np.complex128 and not real.imag.any()
+
+
+# -- stacked ray primitives ---------------------------------------------------
+#
+# References: the former one-instance implementations, written out row by row.
+
+DIMS = range(2, 9)
+
+
+def _ref_equal(u, v):
+    return abs(_inner(u, v)) > 1.0 - EPS_ABS
+
+
+def _ref_projection(u, v):
+    """Projection of v on the orthocomplement of u, or None (ZERO)."""
+    w = v - _inner(v, u) * u
+    return None if np.linalg.norm(w) <= EPS_ABS else ray_from(w).rep
+
+
+def _ref_same(p, q):
+    return p is None and q is None if p is None or q is None else _ref_equal(p, q)
+
+
+def _ref_coplanar(x, y, z):
+    if _ref_equal(x, y) or _ref_equal(x, z) or _ref_equal(y, z):
+        return True
+    py, pz = _ref_projection(x, y), _ref_projection(x, z)
+    return py is None or pz is None or _ref_equal(py, pz)
+
+
+def _ref_reciprocity(x, y, z):
+    if not _ref_same(_ref_projection(x, y), _ref_projection(x, z)):
+        return True
+    return _ref_same(_ref_projection(y, z), _ref_projection(y, x))
+
+
+def _ref_prime(x, y, z):
+    """The primed triple, or the index of the first failed precondition."""
+    pairs = ((x, y), (y, z), (z, x))
+    if any(_ref_equal(u, v) for u, v in pairs):
+        return 1
+    if any(abs(_inner(u, v)) <= ANGLE_GUARD for u, v in pairs):
+        return 2
+    if not _ref_coplanar(x, y, z):
+        return 3
+    primed = [_ref_projection(u, v) for u, v in pairs]
+    return 4 if any(p is None for p in primed) else primed
+
+
+def _triples(rng, dim, n=40):
+    """Random unit triples with boundary rows: equal rays, coplanar,
+    classical (standard basis), orthogonal pairs, a ray inside the
+    complement of another, and a coplanar triple near coincidence."""
+    x, y, z = (ray_from_rows(_units(rng, (n, dim))) for _ in range(3))
+    e = np.eye(dim, dtype=np.complex128)
+    y[0] = x[0] * np.exp(0.7j)  # y = x as rays
+    z[1] = y[1]
+    z[2] = ray_from(0.3 * x[2] - 1.1j * y[2]).rep  # coplanar
+    x[3], y[3], z[3] = e[0], e[1], e[min(2, dim - 1)]  # classical
+    y[4] = ray_from(y[4] - _inner(y[4], x[4]) * x[4]).rep  # y ⊥ x
+    z[5] = ray_from(x[5] + 1e-7 * y[5]).rep  # coplanar, z close to x
+    x[6], y[6], z[6] = e[0], ray_from(e[0] + e[1]).rep, ray_from(e[0] - 2j * e[1]).rep
+    return x, y, z
+
+
+def ray_from_rows(rows):
+    return np.array([ray_from(r).rep for r in rows])
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_rays_from_matches_ray_from(dim):
+    rng = np.random.default_rng(60 + dim)
+    v = _units(rng, (50, dim)) * rng.uniform(1e-6, 1e6, (50, 1))
+    v[0, 0] = 0.0  # leading entry exactly zero
+    v[1, 0] = 1e-12 * np.linalg.norm(v[1])  # leading entry below EPS_ABS after normalizing
+    v[2, 0] = 2e-10 * np.linalg.norm(v[2])  # just above it
+    v[3] = 0.0
+    v[3, dim - 1] = -3.0j  # the only nonzero entry is the last
+    v[4] = v[4].real  # a real row
+    reps = rays_from(v)
+    assert reps.shape == (50, dim)
+    for row, rep in zip(v, reps):
+        ref = ray_from(row).rep
+        np.testing.assert_allclose(rep, ref, rtol=0, atol=1e-15)
+        lead = np.flatnonzero(np.abs(ref) > EPS_ABS)[0]
+        assert np.flatnonzero(np.abs(rep) > EPS_ABS)[0] == lead
+        assert abs(rep[lead].imag) < 1e-15 and rep[lead].real > 0.0
+    np.testing.assert_allclose(rays_from(v[7]), ray_from(v[7]).rep, rtol=0, atol=1e-15)  # one row
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_rays_from_checks_like_ray_from():
+    good = np.ones((3, 2), dtype=np.complex128)
+    for bad, error in (
+        (1e-11, ZeroVectorError),
+        (math.nan, ValueError),
+        (math.inf, ValueError),
+        (1e300, ValueError),  # the norm overflows
+    ):
+        rows = good.copy()
+        rows[1] = bad
+        with pytest.raises(error):
+            rays_from(rows)
+        with pytest.raises(error):
+            ray_from(rows[1])
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_stacked_verdicts_match_references(dim):
+    rng = np.random.default_rng(70 + dim)
+    x, y, z = _triples(rng, dim)
+    np.testing.assert_array_equal(equal_rays(x, y), [_ref_equal(*r) for r in zip(x, y)])
+    reps, zero = complement_projections(x, y)
+    for i in range(len(x)):
+        ref = _ref_projection(x[i], y[i])
+        assert zero[i] == (ref is None)
+        if ref is not None:
+            np.testing.assert_allclose(reps[i], ref, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(coplanar_rows(x, y, z), [_ref_coplanar(*r) for r in zip(x, y, z)])
+    np.testing.assert_array_equal(reciprocity_rows(x, y, z), [_ref_reciprocity(*r) for r in zip(x, y, z)])
+    assert coplanar_rows(x, y, z)[[0, 1, 2, 5, 6]].all()
+    if dim > 2:
+        assert not coplanar_rows(x, y, z)[3]
+    x1, y1, z1, defect = prime_triples(x, y, z)
+    for i in range(len(x)):
+        ref = _ref_prime(x[i], y[i], z[i])
+        if isinstance(ref, int):
+            assert defect[i] == ref
+        else:
+            assert defect[i] == 0
+            for got, want in zip((x1[i], y1[i], z1[i]), ref):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert defect[6] == 0 and defect[0] == defect[1] == 1
+    # the single-instance forms are rows of the stacked ones
+    rays = [[Ray(rep=s[i]) for s in (x, y, z)] for i in range(len(x))]
+    assert [coplanar(*t) for t in rays] == coplanar_rows(x, y, z).tolist()
+    assert [reciprocity_holds(*t) for t in rays] == reciprocity_rows(x, y, z).tolist()
+    assert [complement_projection(a, b) is ZERO for a, b, _ in rays] == zero.tolist()
+
+
+def _ref_closed_form(r, y, z, x):
+    p_yx, p_zx = abs(_inner(y, x)) ** 2, abs(_inner(z, x)) ** 2
+    omega = 1.0 + 2.0 * math.sqrt(r * (1.0 - r)) * abs(_inner(y, z))
+    cross = r * (1.0 - r) * p_yx * p_zx
+    interference = 0.0
+    if cross > ANGLE_GUARD**4:
+        phase = cmath.phase(_inner(x, y) * _inner(y, z) * _inner(z, x))
+        interference = 2.0 * math.cos(phase) * math.sqrt(cross)
+    return (r * p_yx + (1.0 - r) * p_zx + interference) / omega, omega
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_closed_forms_match_references(dim):
+    rng = np.random.default_rng(80 + dim)
+    x, y, z = _triples(rng, dim)
+    y[7] = z[7]  # equal components
+    e = np.eye(dim, dtype=np.complex128)
+    x[8], y[8], z[8] = e[1], ray_from(e[0] + e[1]).rep, e[0]  # x ⊥ z: the phase is not read
+    r = rng.uniform(0.0, 1.0, len(x))
+    r[:3] = (0.0, 1.0, 0.5)
+    keep = a_sims(y, z) > 1e-6  # the closed forms need non-orthogonal components
+    y, z, x, r = y[keep], z[keep], x[keep], r[keep]
+    closed = p_of_superposition_closed_forms(r, y, z, x)
+    component = p_component_closed_forms(r, y, z)
+    omega = omegas(r, y, z)
+    direct = p_sims(superposed_rays(y, z, r), x)
+    for i in range(len(x)):
+        ref, ref_omega = _ref_closed_form(r[i], y[i], z[i], x[i])
+        assert closed[i] == pytest.approx(ref, abs=1e-12)
+        assert omega[i] == pytest.approx(ref_omega, abs=1e-14)
+        p_yz = abs(_inner(y[i], z[i])) ** 2
+        assert component[i] == pytest.approx(1.0 - (1.0 - r[i]) * (1.0 - p_yz) / ref_omega, abs=1e-12)
+    np.testing.assert_allclose(closed, direct, rtol=0, atol=1e-10)
+    # the single-instance forms are rows of the stacked ones
+    for i in range(len(x)):
+        spec = SuperpositionSpec(y=Ray(rep=y[i]), z=Ray(rep=z[i]), r=float(r[i]))
+        assert p_of_superposition_closed_form(spec, Ray(rep=x[i])) == pytest.approx(closed[i], abs=1e-15)
+        assert p_component_closed_form(spec) == pytest.approx(component[i], abs=1e-15)
+        assert omega_scalar(float(r[i]), spec.y, spec.z) == pytest.approx(omega[i], abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_tensor_products_match_references(dim):
+    rng = np.random.default_rng(90 + dim)
+    u1, v1 = _units(rng, (2, 30, 2))
+    u2, v2 = _units(rng, (2, 30, dim))
+    kron = kron_rows(u1, u2)
+    assert kron.shape == (30, 2 * dim)
+    for i in range(30):
+        np.testing.assert_array_equal(kron[i], np.kron(u1[i], u2[i]))
+    x1, y1, z1 = (rays_from(_units(rng, (30, 2))) for _ in range(3))
+    x2, y2, z2 = _triples(rng, dim, n=30)
+    x2[0], y2[0] = x2[1], x2[1]  # equal rays in the second factor
+    p_res = p_product_residuals(x1, y1, x2, y2)
+    keep = np.minimum.reduce([a_sims(x2, y2), a_sims(y2, z2), a_sims(z2, x2)]) > 1e-6
+    t_res = theta_product_residuals(*(s[keep] for s in (x1, y1, z1, x2, y2, z2)))
+    for i in range(30):
+        px = ray_from(np.kron(x1[i], x2[i])).rep
+        py = ray_from(np.kron(y1[i], y2[i])).rep
+        ref = abs(abs(_inner(px, py)) ** 2 - abs(_inner(x1[i], y1[i])) ** 2 * abs(_inner(x2[i], y2[i])) ** 2)
+        assert p_res[i] == pytest.approx(ref, abs=1e-14) and p_res[i] < 1e-12
+        np.testing.assert_allclose(product_rays(x1, x2)[i], px, rtol=0, atol=1e-15)
+    assert t_res.shape == (keep.sum(),) and t_res.max() < 1e-12
+    for i in np.flatnonzero(keep):
+        factors = [Ray(rep=s[i]) for s in (x1, y1, z1, x2, y2, z2)]
+        assert check_theta_product(*factors) == pytest.approx(t_res[np.flatnonzero(keep) == i][0], abs=1e-15)
+        assert check_p_product(*factors[0:2], *factors[3:5]) == pytest.approx(p_res[i], abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_sampler_skip_masks(dim):
+    rng = np.random.default_rng(100 + dim)
+    n = 300
+    x, y, skip = sampling.nonorthogonal_pairs(rng, n, dim)
+    np.testing.assert_array_equal(skip, [abs(_inner(u, v)) <= MIN_OVERLAP for u, v in zip(x, y)])
+    x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim)
+    overlaps = [min(abs(_inner(a, b)) for a, b in ((u, v), (v, w), (w, u))) for u, v, w in zip(x, y, z)]
+    np.testing.assert_array_equal(skip, np.array(overlaps) <= MIN_OVERLAP)
+    x, y, z, skip = sampling.coplanar_triples(rng, n, dim)
+    pair_skip = np.array([abs(_inner(u, v)) <= MIN_OVERLAP for u, v in zip(y, z)])
+    assert (skip >= pair_skip).all()
+    for i in np.flatnonzero(~skip):
+        assert _ref_coplanar(x[i], y[i], z[i])
+    for reps in (x, y, z, sampling.random_rays(rng, n, dim)):
+        np.testing.assert_allclose(np.linalg.norm(reps, axis=1), 1.0, rtol=0, atol=1e-14)
+    for k in range(1, min(dim, 3) + 1):
+        rays = sampling.classical_ray_stacks(rng, n, dim, k)
+        assert rays.shape == (k, n, dim)
+        index = np.argmax(np.abs(rays), axis=-1)  # each ray is a standard basis vector
+        np.testing.assert_array_equal(np.abs(rays).sum(axis=-1), 1.0)
+        assert all(len(set(index[:, i])) == k for i in range(n))  # distinct within a set
+    # a skip flood is visible: near-orthogonal pairs are rare, never all skipped
+    assert not skip.all()
 
 
 # -- subspace lattice -----------------------------------------------------
@@ -188,13 +455,13 @@ def _tilted(rng, frame, ra, dim, angle):
 
 def _pairs(rng, dim, ra, rb):
     """(kind, a, b, rank of a ∧ b) for one pair of ranks."""
-    frame = random_frames(rng, 1, dim)[0]
+    frame = random_frames(rng, 1, dim, dim)[0]
     a = _span(rng, frame[:ra], dim)
     big = max(ra, rb)
     shared = min(ra, rb) // 2
     commuting_b = np.concatenate([frame[:shared], frame[ra : ra + max(0, rb - shared)]])
     rest = min(rb, dim - ra)
-    yield "generic", a, _span(rng, random_frames(rng, 1, dim)[0][:rb], dim), max(0, ra + rb - dim)
+    yield "generic", a, _span(rng, random_frames(rng, 1, dim, dim)[0][:rb], dim), max(0, ra + rb - dim)
     yield "a in b", a, _span(rng, frame[:big], dim), ra
     yield "b in a", _span(rng, frame[:big], dim), a, ra
     yield "commuting", a, _span(rng, commuting_b, dim), shared

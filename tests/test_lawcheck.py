@@ -19,7 +19,7 @@ from raygeo import (
     run_law,
 )
 from raygeo.sampling import STREAM_VERSION, law_stream_key, substream
-from raygeo.serialize import dumps_reports
+from raygeo.serialize import dumps_reports, to_jsonable
 
 
 class TestGeneratorSpec:
@@ -206,7 +206,7 @@ def _constant_trials(value):
 
 def _constant_blocks(value, skipped=False):
     def batch(rng, dim, n):
-        return Block(np.full(n, value), np.full(n, skipped), lambda i: {"value": value})
+        return Block(np.full(n, value), np.full(n, skipped), {"value": np.full(n, value)})
 
     return batch
 
@@ -303,6 +303,7 @@ class TestBlockRunner:
         full, last = divmod(trials, block)
         assert full >= 1 and last > 5  # 1000 trials end in a partial block
         sizes = []
+        instances = []
 
         def batch(rng, dim, n):
             sizes.append((dim, n))
@@ -310,15 +311,17 @@ class TestBlockRunner:
             skipped = residuals > 9.8e-12
             if n == last:  # the partial block: trials full * block .. 999
                 residuals[5], skipped[5] = 1.0, False
-            return Block(residuals, skipped, lambda i: {"residual_check": float(residuals[i])})
+            instance = {"u": rng.standard_normal((n, dim)) + 1j, "r": residuals.copy(), "kept": ~skipped}
+            instances.append(instance)
+            return Block(residuals, skipped, instance)
 
         lawcheck.register(Law(id="blocks.boundary", description="d", batch=batch))
         gen = GeneratorSpec(dims=(2, 3), trials_per_dim=trials, seed=19)
         first = run_law("blocks.boundary", gen)
         one_dim = [block] * full + [last]
-        replay = [last]  # the failing block is replayed once for its record
-        assert [n for _, n in sizes] == one_dim + replay + one_dim
-        assert [d for d, _ in sizes] == [2] * (full + 2) + [3] * (full + 1)
+        assert [n for _, n in sizes] == one_dim + one_dim  # no block is replayed
+        assert [d for d, _ in sizes] == [2] * (full + 1) + [3] * (full + 1)
+        failing = instances[full]  # the partial block of dim 2
         second = run_law("blocks.boundary", gen)
         assert first.trials_run + first.trials_skipped == 2 * trials
         assert 0 < first.trials_skipped < 2 * trials * 0.05
@@ -326,7 +329,11 @@ class TestBlockRunner:
         assert first.counterexample["dim"] == 2
         assert first.counterexample["trial"] == full * block + 5
         assert first.counterexample["residual"] == 1.0
-        assert first.counterexample["residual_check"] == 1.0  # record from the replayed block
+        # the counterexample is row 5 of that block's instance stacks, serialized
+        row = {name: to_jsonable(stack[5]) for name, stack in failing.items()}
+        assert {k: v for k, v in first.counterexample.items() if k in row} == row
+        assert set(first.counterexample) == {"dim", "trial", "residual"} | set(row)
+        assert row["r"] == 1.0 and row["kept"] is True and len(row["u"]) == 2
         assert dumps_reports([first]) == dumps_reports([second])
 
     def test_interference_law_is_blocked_and_valid(self):

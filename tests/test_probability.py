@@ -338,17 +338,18 @@ def test_batched_interference_margins_match_scalar_check():
     # and residuals to the scalar reference on the same instances
     from raygeo.laws import _batch_interference_inequality
     from raygeo.sampling import substream
-    from raygeo.serialize import ray_from_json, subspace_from_json
 
     compared = 0
     for dim in (3, 4, 6):
         block = _batch_interference_inequality(substream(99, "pin.interference", dim, 0), dim, 100)
+        stacks = block.instance
         for i in range(100):
-            record = block.record(i)
-            x = ray_from_json(record["x"])
-            a = subspace_from_json(record["alpha"])
-            b = subspace_from_json(record["beta"])
-            assert a.rank == np.linalg.matrix_rank(a.basis) and 1 <= a.rank < dim
+            x = ray_from(stacks["x"][i])
+            a, b = (
+                Subspace.from_vectors(stacks[name][i].T[: stacks[f"{name}_rank"][i]], dim=dim)
+                for name in ("alpha", "beta")
+            )
+            assert a.rank == stacks["alpha_rank"][i] and 1 <= a.rank < dim
             try:
                 margin = check_interference_inequality(x, a, b)
             except PreconditionUnmetError:
@@ -356,7 +357,7 @@ def test_batched_interference_margins_match_scalar_check():
                 continue
             if block.skipped[i]:
                 continue
-            assert record["margin"] == pytest.approx(margin, abs=1e-12)
+            assert stacks["margin"][i] == pytest.approx(margin, abs=1e-12)
             assert block.residuals[i] == pytest.approx(max(0.0, -margin), abs=1e-12)
             compared += 1
     assert compared >= 290

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from raygeo import (
+    Ray,
     a_sim,
     check_char_morph,
     check_preserves_p_theta,
@@ -42,22 +43,27 @@ class TestSamplers:
                     assert is_orthogonal(rays[i], rays[j])
 
     def test_coplanar_triples_coplanar(self):
-        for rng in streams(13, 4):
-            x, y, z = sampling.coplanar_triple(rng, 4)
-            assert coplanar(x, y, z)
+        for rng in streams(13, 4, trials=2):
+            x, y, z, skip = sampling.coplanar_triples(rng, 50, 4)
+            assert x.shape == y.shape == z.shape == (50, 4) and skip.shape == (50,)
+            for i in np.flatnonzero(~skip):
+                assert coplanar(*(Ray(rep=s[i]) for s in (x, y, z)))
 
     def test_nonorthogonal_pair_overlap_above_threshold(self):
-        for rng in streams(14, 3):
-            x, y = sampling.nonorthogonal_pair(rng, 3)
-            assert a_sim(x, y) > MIN_OVERLAP
+        for rng in streams(14, 3, trials=2):
+            x, y, skip = sampling.nonorthogonal_pairs(rng, 50, 3)
+            overlaps = np.array([a_sim(Ray(rep=u), Ray(rep=v)) for u, v in zip(x, y)])
+            np.testing.assert_array_equal(skip, overlaps <= MIN_OVERLAP)
 
     def test_real_draws_are_real(self):
-        for rng in streams(15, 3):
-            x, y, z = sampling.nonorthogonal_triple(rng, 3, real=True)
-            assert min(a_sim(x, y), a_sim(y, z), a_sim(z, x)) > MIN_OVERLAP
+        for rng in streams(15, 3, trials=2):
+            x, y, z, skip = sampling.nonorthogonal_triples(rng, 50, 3, real=True)
+            for i in np.flatnonzero(~skip):
+                rays = [Ray(rep=s[i]) for s in (x, y, z)]
+                assert min(a_sim(u, v) for u, v in zip(rays, rays[1:] + rays[:1])) > MIN_OVERLAP
             stack = sampling.gaussian_stack(rng, (4, 3), real=True)
             assert stack.dtype == np.complex128
-            for values in (x.rep, y.rep, z.rep, stack):
+            for values in (x, y, z, stack):
                 assert np.max(np.abs(values.imag)) < 1e-14
 
     def test_isometry_scale_classifies_maps(self):
