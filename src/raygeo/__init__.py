@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidWeightError,
     NotCommutingError,
-    NotContainedError,
     NotIsometryError,
     NotOrthogonalError,
     OrthogonalComponentsError,
@@ -66,9 +65,7 @@ from .superposition import (
     omega,
     p_component_closed_form,
     p_of_superposition_closed_form,
-    p_superposed_vs_component,
     superpose,
-    theta_of_superposition,
 )
 from .probability import (
     CommutingDecomposition,
@@ -77,7 +74,6 @@ from .probability import (
     check_complement,
     check_inclusion_exclusion,
     check_interference_inequality,
-    check_monotone,
     check_ortho_additivity,
     check_total_probability,
     decompose_commuting,

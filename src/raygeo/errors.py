@@ -54,10 +54,6 @@ class NotCommutingError(RayGeoError):
     non-commuting pair."""
 
 
-class NotContainedError(RayGeoError):
-    """An operation requiring nested subspaces received a non-nested pair."""
-
-
 class NotIsometryError(RayGeoError):
     """An operation requiring an isometry received a map that is not one."""
 

@@ -1,9 +1,10 @@
 """Verification harness: named laws over seeded random instances.
 
-Each registered law pairs a residual checker with its pass criteria.
-Running a law evaluates the checker on every (dim, trial) cell and
-produces a :class:`LawReport` that is a pure function of the law id
-and the :class:`GeneratorSpec` — same seed, same bytes.
+Each law is declared once, by the :func:`law` decorator on its residual
+checker, which registers the checker with its pass criteria.  Running
+a law evaluates the checker on every (dim, trial) cell and produces a
+:class:`LawReport` that is a pure function of the law id and the
+:class:`GeneratorSpec` — same seed, same bytes.
 
 A law is checked in one of two ways (see :mod:`raygeo.sampling` for
 the key scheme):
@@ -35,9 +36,9 @@ counterexample is row ``i`` of the block's instance stacks.  The
 library calls inside a checker apply the fixed thresholds of
 :mod:`raygeo.linalg`; the law's ``tolerance`` judges the residual.
 
-Negative-control laws invert the game: they assert that an identity
-*fails* on generic instances exactly as predicted, and they pass when
-it does.
+Negative-control laws, the ids ``counterexample.*``, invert the game:
+they assert that an identity *fails* on generic instances exactly as
+predicted, and they pass when it does.
 """
 
 from __future__ import annotations
@@ -147,7 +148,9 @@ class Law:
 
     ``aggregate``, when set, converts the full residual list into the
     (passed, reported_worst) verdict; used by negative controls that
-    assert a failure *fraction* rather than a worst case.
+    assert a failure *fraction* rather than a worst case.  The negative
+    controls are exactly the laws whose id starts with
+    ``counterexample.``.
     """
 
     id: str
@@ -156,9 +159,12 @@ class Law:
     tolerance: float = 1e-10
     dims: tuple[int, ...] | None = None
     trials_per_dim: int | None = None
-    negative_control: bool = False
     aggregate: Callable | None = None
     batch: Callable | None = None
+
+    @property
+    def negative_control(self) -> bool:
+        return self.id.startswith("counterexample.")
 
 
 _REGISTRY: dict[str, Law] = {}
@@ -173,6 +179,19 @@ def register(law: Law) -> Law:
     _REGISTRY[law.id] = law
     _ORDER.append(law.id)
     return law
+
+
+def law(id: str, description: str, *, batched: bool = False, **criteria):
+    """Decorator declaring a law on its checker: registers
+    ``Law(id, description, ...)`` with the decorated function as its
+    ``checker``, or as its ``batch`` when ``batched``, and the remaining
+    :class:`Law` fields from ``criteria``."""
+
+    def declare(fn: Callable) -> Callable:
+        register(Law(id, description, **{"batch" if batched else "checker": fn}, **criteria))
+        return fn
+
+    return declare
 
 
 def registry() -> dict[str, Law]:

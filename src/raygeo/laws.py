@@ -1,14 +1,17 @@
 """The law registry: one named, checkable law per verified statement.
 
 Each law is a residual checker over seeded random instances; see
-:mod:`raygeo.lawcheck` for the execution model.  A ``_batch_*`` law
-samples a block of trials as stacks and computes their residuals with
-the stacked kernels of the library (the functions whose single-instance
-forms users call); a ``_check_*`` law runs one trial at a time.  Unless
-noted, the
-residual for a ray-equality claim is ``1 − overlap`` of the two rays
-(zero exactly at equality), and the residual for a numeric identity is
-the absolute deviation.  Angle identities compare by circular distance
+:mod:`raygeo.lawcheck` for the execution model.  A law is declared
+once, by ``@law(id, description, ...)`` on its checker: the
+description is the statement it witnesses, and declaration order is
+report order.  The negative controls are the ``counterexample.*``
+laws.  A ``_batch_*`` law (``batched=True``) samples a block of trials
+as stacks and computes their residuals with the stacked kernels of the
+library (the functions whose single-instance forms users call); a
+``_check_*`` law runs one trial at a time.  Unless noted, the residual
+for a ray-equality claim is ``1 − overlap`` of the two rays (zero
+exactly at equality), and the residual for a numeric identity is the
+absolute deviation.  Angle identities compare by circular distance
 with tolerance 1e-8 rad; everything else defaults to 1e-10.
 """
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import sampling
 from .errors import OrthogonalComponentsError
-from .lawcheck import Block, Law, register
+from .lawcheck import Block, law
 from .linalg import (
     EPS_ABS,
     circular_distances,
@@ -139,6 +142,11 @@ def _ray_gaps(u, v) -> np.ndarray:
 # linalg substrate
 
 
+@law(
+    "linalg.inner_linearity",
+    "inner product linear in its first argument, conjugate-symmetric",
+    batched=True,
+)
 def _batch_inner_linearity(rng, dim, n):
     u, v, w = sampling.gaussian_stack(rng, (3, n, dim))
     a, b = sampling.gaussian_stack(rng, (2, n))
@@ -149,11 +157,17 @@ def _batch_inner_linearity(rng, dim, n):
     return _block(np.maximum(np.abs(lhs - rhs), sym) / scale, u=u, v=v, w=w, a=a, b=b)
 
 
+@law("linalg.cauchy_schwarz", "Cauchy–Schwarz: |<u,v>| never exceeds ||u||·||v||", batched=True)
 def _batch_cauchy_schwarz(rng, dim, n):
     u, v = sampling.gaussian_stack(rng, (2, n, dim))
     return _block(np.maximum(0.0, np.abs(inners(u, v)) - norms(u) * norms(v)), u=u, v=v)
 
 
+@law(
+    "linalg.orthonormalize_contract",
+    "orthonormalize returns an orthonormal basis of the span, size = rank, idempotent",
+    trials_per_dim=400,
+)
 def _check_orthonormalize_contract(rng, dim, record=None):
     k = int(rng.integers(1, dim + 1))
     independent = [sampling.gaussian_vector(rng, dim) for _ in range(k)]
@@ -181,6 +195,11 @@ def _check_orthonormalize_contract(rng, dim, record=None):
 # rays and subspaces
 
 
+@law(
+    "ray.canonical_representative",
+    "rays are scale-invariant with a canonical unit representative",
+    batched=True,
+)
 def _batch_ray_canonical(rng, dim, n):
     v = sampling.gaussian_stack(rng, (n, dim))
     c = _unit_phases(rng, n) * rng.uniform(0.1, 10.0, n)
@@ -196,6 +215,7 @@ def _batch_ray_canonical(rng, dim, n):
     return _block(residual, v=v, c=c)
 
 
+@law("subspace.projector_laws", "projectors are Hermitian and idempotent")
 def _check_projector_laws(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     p = a.projector()
@@ -203,6 +223,7 @@ def _check_projector_laws(rng, dim, record=None):
     return float(max(np.max(np.abs(p @ p - p)), np.max(np.abs(p - p.conj().T))))
 
 
+@law("subspace.projection_residual", "the projection residual is orthogonal to the subspace")
 def _check_projection_residual(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim)
     u = sampling.gaussian_vector(rng, dim)
@@ -213,6 +234,12 @@ def _check_projection_residual(rng, dim, record=None):
     return float(np.max(np.abs(a.basis.conj() @ resid)))
 
 
+@law(
+    "subspace.complement_involution",
+    "complement ranks add to dim; double complement returns the subspace",
+    tolerance=0.5,
+    trials_per_dim=400,
+)
 def _check_complement_involution(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     na = ortho_complement(a)
@@ -223,6 +250,11 @@ def _check_complement_involution(rng, dim, record=None):
     return float(rank_defect + ortho_defect)
 
 
+@law(
+    "subspace.orthomodular_identity",
+    "orthomodular identity: for nested subspaces, b = a ∨ (¬a ∧ b)",
+    trials_per_dim=250,
+)
 def _check_orthomodular_identity(rng, dim, record=None):
     a, b = sampling.nested_pair(rng, dim)
     rebuilt = join(a, meet(ortho_complement(a), b))
@@ -232,6 +264,12 @@ def _check_orthomodular_identity(rng, dim, record=None):
     return max(containment_defect(rebuilt, b), containment_defect(b, rebuilt))
 
 
+@law(
+    "subspace.commutes_complement",
+    "commuting survives complementation of either argument",
+    tolerance=0.5,
+    trials_per_dim=400,
+)
 def _check_commutes_complement(rng, dim, record=None):
     if int(rng.integers(0, 2)) == 0:
         a, b = sampling.commuting_pair(rng, dim)
@@ -249,6 +287,11 @@ def _check_commutes_complement(rng, dim, record=None):
     return 1.0 if bad else 0.0
 
 
+@law(
+    "lemma.commuting_decomposition",
+    "commuting pairs decompose into three orthogonal parts and back",
+    trials_per_dim=150,
+)
 def _check_commuting_decomposition(rng, dim, record=None):
     a, b = sampling.commuting_pair(rng, dim)
     parts = decompose_commuting(a, b)  # raises on any verification defect
@@ -270,6 +313,12 @@ def _check_commuting_decomposition(rng, dim, record=None):
     return residual
 
 
+@law(
+    "corollary.contained_or_orthogonal_commute",
+    "nested or orthogonal propositions commute",
+    tolerance=0.5,
+    trials_per_dim=400,
+)
 def _check_contained_or_orthogonal_commute(rng, dim, record=None):
     a, b = sampling.nested_pair(rng, dim)
     ok_nested = commutes(a, b)
@@ -282,6 +331,11 @@ def _check_contained_or_orthogonal_commute(rng, dim, record=None):
     return 0.0 if (ok_nested and ok_orth) else 1.0
 
 
+@law(
+    "classical.no_disturbance",
+    "classical structure: with pairwise-orthogonal states, measuring ¬x leaves any other state intact",
+    batched=True,
+)
 def _batch_classical_no_disturbance(rng, dim, n):
     x, y = sampling.classical_ray_stacks(rng, n, dim, 2)
     py, zero = complement_projections(x, y)
@@ -292,6 +346,11 @@ def _batch_classical_no_disturbance(rng, dim, n):
 # similarity and phase geometry
 
 
+@law(
+    "lemma.a_properties",
+    "overlap lies in [0,1], symmetric, 1 iff equal, 0 iff orthogonal",
+    batched=True,
+)
 def _batch_a_properties(rng, dim, n):
     x, y, skip = sampling.nonorthogonal_pairs(rng, n, dim)
     a_xy = a_sims(x, y)
@@ -306,6 +365,11 @@ def _batch_a_properties(rng, dim, n):
     return _block(residual, skip, x=x, y=y)
 
 
+@law(
+    "lemma.p_properties",
+    "similarity = overlap², symmetric, equals <u,y(u)> and ||y(u)||²",
+    batched=True,
+)
 def _batch_p_properties(rng, dim, n):
     x = sampling.random_rays(rng, n, dim)
     y = sampling.random_rays(rng, n, dim)
@@ -322,6 +386,7 @@ def _batch_p_properties(rng, dim, n):
     return _block(residual, x=x, y=y)
 
 
+@law("corollary.satisfaction", "satisfaction: membership is equivalent to similarity one")
 def _check_satisfaction(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim)
     member = sampling.member_ray(rng, a)
@@ -334,6 +399,7 @@ def _check_satisfaction(rng, dim, record=None):
     return residual if agree else max(residual, 1.0)
 
 
+@law("lemma.born_rule", "Born rule: p(x,a) = ||a(u)||²/||u||² for any nonzero u in x")
 def _check_born_rule(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     x = sampling.random_ray(rng, dim)
@@ -343,6 +409,7 @@ def _check_born_rule(rng, dim, record=None):
     return abs(p_prop(x, a) - born)
 
 
+@law("theorem.p_chain", "p(x,y) factors through the projection: p(x,a(x))·p(a(x),y) for y in a")
 def _check_p_chain(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim)
     x = sampling.random_ray(rng, dim)
@@ -354,6 +421,12 @@ def _check_p_chain(rng, dim, record=None):
     return abs(p_sim(x, y) - p_prop(x, a) * p_sim(ax, y))
 
 
+@law(
+    "corollary.p_max",
+    "the projection is the unique most-similar state inside a subspace",
+    tolerance=0.5,
+    trials_per_dim=500,
+)
 def _check_p_max(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim)
     x = sampling.random_ray(rng, dim)
@@ -372,6 +445,7 @@ def _check_p_max(rng, dim, record=None):
     return float(violations)
 
 
+@law("lemma.p_bounds", "0 ≤ p(x,a) ≤ 1 always")
 def _check_p_bounds(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     x = sampling.random_ray(rng, dim)
@@ -380,6 +454,13 @@ def _check_p_bounds(rng, dim, record=None):
     return max(0.0, -p, p - 1.0)
 
 
+@law(
+    "principle.reciprocity",
+    "reciprocity: equal projections on ¬x imply equal projections on ¬y",
+    batched=True,
+    tolerance=0.5,
+    trials_per_dim=400,
+)
 def _batch_reciprocity(rng, dim, n):
     constructed = (rng.integers(0, 2, n) == 0) | (dim < 3)
     x, y, z, skip = sampling.coplanar_triples(rng, n, dim)
@@ -390,6 +471,13 @@ def _batch_reciprocity(rng, dim, n):
     return _block(failed.astype(float), skip & constructed, x=x, y=y, z=z)
 
 
+@law(
+    "coplanarity.permutation_invariance",
+    "coplanarity is a property of the unordered triple",
+    batched=True,
+    tolerance=0.5,
+    trials_per_dim=300,
+)
 def _batch_coplanarity_permutations(rng, dim, n):
     constructed = rng.integers(0, 2, n) == 0
     planar = sampling.coplanar_triples(rng, n, dim)
@@ -401,6 +489,12 @@ def _batch_coplanarity_permutations(rng, dim, n):
     return _block(bad.astype(float), planar[3] & constructed, x=x, y=y, z=z, constructed=constructed)
 
 
+@law(
+    "theta.representative_independence",
+    "the triple phase ignores the representatives chosen",
+    batched=True,
+    tolerance=ANGLE_TOL,
+)
 def _batch_theta_representative_independence(rng, dim, n):
     x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim)
     x, y, z = _flat(skip, x, y, z)
@@ -413,6 +507,12 @@ def _batch_theta_representative_independence(rng, dim, n):
     return _block(circular_distances(reference, scrambled), skip, x=x, y=y, z=z)
 
 
+@law(
+    "lemma.theta_cyclic",
+    "triple phase is cyclic and antisymmetric under transposition",
+    batched=True,
+    tolerance=ANGLE_TOL,
+)
 def _batch_theta_cyclic(rng, dim, n):
     x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim)
     x, y, z = _flat(skip, x, y, z)
@@ -424,6 +524,12 @@ def _batch_theta_cyclic(rng, dim, n):
     return _block(residual, skip, x=x, y=y, z=z)
 
 
+@law(
+    "lemma.theta_cocycle",
+    "cocycle: theta(x,y,w) = theta(x,y,z) + theta(x,z,w) + theta(z,y,w) mod 2π",
+    batched=True,
+    tolerance=ANGLE_TOL,
+)
 def _batch_theta_cocycle(rng, dim, n):
     rays = [sampling.random_rays(rng, n, dim) for _ in range(4)]
     skip = np.zeros(n, dtype=bool)
@@ -435,6 +541,13 @@ def _batch_theta_cocycle(rng, dim, n):
     return _block(circular_distances(lhs, wrap_angles(rhs)), skip, x=x, y=y, z=z, w=w)
 
 
+@law(
+    "lemma.theta_prime",
+    "the orthocomplement triple negates the triple phase",
+    batched=True,
+    tolerance=ANGLE_TOL,
+    trials_per_dim=300,
+)
 def _batch_theta_prime(rng, dim, n):
     x, y, z, skip = sampling.coplanar_triples(rng, n, dim)
     overlap = np.minimum.reduce([a_sims(x, y), a_sims(y, z), a_sims(z, x)])
@@ -446,6 +559,12 @@ def _batch_theta_prime(rng, dim, n):
     return _block(residual, skip, x=x, y=y, z=z, defect=defect)
 
 
+@law(
+    "theta.euclidean_real",
+    "Euclidean regime: real instances have phase 0 or π; positive overlaps give exactly 0",
+    batched=True,
+    tolerance=ANGLE_TOL,
+)
 def _batch_theta_euclidean(rng, dim, n):
     x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim, real=True)
     x, y, z = _flat(skip, x, y, z)
@@ -468,6 +587,9 @@ def _pairs_and_weights(rng, dim, n):
     return y, z, skip, rng.uniform(0.0, 1.0, n)
 
 
+@law(
+    "principle.superposition_domain", "superposition is undefined exactly for orthogonal components"
+)
 def _check_superposition_domain(rng, dim, record=None):
     x, y = sampling.classical_rays(rng, dim, 2)
     r = float(rng.uniform(0.0, 1.0))
@@ -482,12 +604,18 @@ def _check_superposition_domain(rng, dim, record=None):
     return _ray_gap(trivial, x)
 
 
+@law("principle.triviality", "superposing a state with itself returns the state", batched=True)
 def _batch_triviality(rng, dim, n):
     y = sampling.random_rays(rng, n, dim)
     r = rng.uniform(0.0, 1.0, n)
     return _block(_ray_gaps(superposed_rays(y, y, r), y), y=y, r=r)
 
 
+@law(
+    "lemma.superpose_identity_commutative",
+    "weight 1 returns the first component; swap components by r ↔ 1−r",
+    batched=True,
+)
 def _batch_superpose_identity_commutative(rng, dim, n):
     y, z, skip, r = _pairs_and_weights(rng, dim, n)
     residual = np.maximum.reduce([
@@ -498,12 +626,24 @@ def _batch_superpose_identity_commutative(rng, dim, n):
     return _block(residual, skip, y=y, z=z, r=r)
 
 
+@law(
+    "principle.coplanarity",
+    "a superposition is coplanar with its components",
+    batched=True,
+    tolerance=0.5,
+)
 def _batch_superposition_coplanarity(rng, dim, n):
     y, z, skip, r = _pairs_and_weights(rng, dim, n)
     failed = ~coplanar_rows(superposed_rays(y, z, r), y, z)
     return _block(failed.astype(float), skip, y=y, z=z, r=r)
 
 
+@law(
+    "lemma.prop1_theta_zero",
+    "the phase of (superposition, y, z) vanishes",
+    batched=True,
+    tolerance=ANGLE_TOL,
+)
 def _batch_superposition_theta_zero(rng, dim, n):
     y, z, skip, r = _pairs_and_weights(rng, dim, n)
     # near r = 0 or 1 the superposition collapses onto a component
@@ -514,6 +654,12 @@ def _batch_superposition_theta_zero(rng, dim, n):
     return _block(circular_distances(triple_phases(x, y, z), 0.0), skip, y=y, z=z, r=r)
 
 
+@law(
+    "lemma.p_basis",
+    "closed-form superposition probability, with its interference term, matches the constructed ray",
+    batched=True,
+    tolerance=1e-9,
+)
 def _batch_p_basis(rng, dim, n):
     y, z, skip, r = _pairs_and_weights(rng, dim, n)
     x = sampling.random_rays(rng, n, dim)
@@ -524,6 +670,12 @@ def _batch_p_basis(rng, dim, n):
     return _block(np.abs(closed - direct), skip, y=y, z=z, r=r, x=x, direct=direct, closed=closed)
 
 
+@law(
+    "lemma.prop1_component_form",
+    "similarity to a component: 1 − (1−r)(1−p(y,z))/ω",
+    batched=True,
+    tolerance=1e-9,
+)
 def _batch_prop1_component_form(rng, dim, n):
     y, z, skip, r = _pairs_and_weights(rng, dim, n)
     direct = p_sims(superposed_rays(y, z, r), y)
@@ -531,6 +683,12 @@ def _batch_prop1_component_form(rng, dim, n):
     return _block(np.abs(closed - direct), skip, y=y, z=z, r=r)
 
 
+@law(
+    "lemma.prop1_dominance",
+    "mixing in y strictly increases similarity to y beyond p(y,z)",
+    batched=True,
+    tolerance=0.0,
+)
 def _batch_prop1_dominance(rng, dim, n):
     y, z, skip, r = _pairs_and_weights(rng, dim, n)
     p_yz = p_sims(y, z)
@@ -539,6 +697,11 @@ def _batch_prop1_dominance(rng, dim, n):
     return _block(np.maximum(0.0, EPS_ABS - margin), skip, y=y, z=z, r=r, margin=margin)
 
 
+@law(
+    "counterexample.dominance_boundary",
+    "at r=0 the strict dominance degrades to equality, as predicted (control)",
+    batched=True,
+)
 def _batch_dominance_boundary(rng, dim, n):
     y, z, skip = sampling.nonorthogonal_pairs(rng, n, dim)
     x0 = superposed_rays(y, z, np.zeros(n))
@@ -550,6 +713,12 @@ def _plane_ray(rng, b1, b2):
     return ray_from(c[0] * b1 + c[1] * b2), c
 
 
+@law(
+    "corollary.cos_theta_prime",
+    "closed-form cosine of the phase after an in-plane complement swap",
+    tolerance=ANGLE_TOL,
+    trials_per_dim=500,
+)
 def _check_cos_theta_prime(rng, dim, record=None):
     frame = sampling.random_frame(rng, dim)
     b1, b2 = frame[0], frame[1]
@@ -571,6 +740,12 @@ def _check_cos_theta_prime(rng, dim, record=None):
     return None
 
 
+@law(
+    "superposition.theta_consistency",
+    "phases of superposed rays are representative-independent (numeric-only support)",
+    batched=True,
+    tolerance=ANGLE_TOL,
+)
 def _batch_superposition_theta_consistency(rng, dim, n):
     y, z, skip, r = _pairs_and_weights(rng, dim, n)
     x1 = sampling.random_rays(rng, n, dim)
@@ -587,6 +762,11 @@ def _batch_superposition_theta_consistency(rng, dim, n):
 # probability calculus
 
 
+@law(
+    "lemma.ortho_additivity",
+    "similarity adds over a disjunction of orthogonal propositions",
+    trials_per_dim=400,
+)
 def _check_ortho_additivity_law(rng, dim, record=None):
     frame = sampling.random_frame(rng, dim)
     cut = int(rng.integers(0, dim + 1))
@@ -598,6 +778,11 @@ def _check_ortho_additivity_law(rng, dim, record=None):
     return check_ortho_additivity(x, a, b)
 
 
+@law(
+    "corollary.ortho_additivity_family",
+    "similarity adds over families of 2..4 orthogonal propositions",
+    trials_per_dim=300,
+)
 def _check_ortho_additivity_family(rng, dim, record=None):
     k = int(rng.integers(2, min(4, dim) + 1))
     frame = sampling.random_frame(rng, dim)
@@ -616,6 +801,11 @@ def _check_ortho_additivity_family(rng, dim, record=None):
     return abs(p_prop(x, joined) - total)
 
 
+@law(
+    "lemma.complement_sum",
+    "complement probabilities sum to one: p(x,a) + p(x,¬a) = 1",
+    trials_per_dim=400,
+)
 def _check_complement_sum(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     x = sampling.random_ray(rng, dim)
@@ -623,6 +813,11 @@ def _check_complement_sum(rng, dim, record=None):
     return check_complement(x, a)
 
 
+@law(
+    "lemma.inclusion_exclusion",
+    "inclusion–exclusion for commuting propositions",
+    trials_per_dim=250,
+)
 def _check_inclusion_exclusion_law(rng, dim, record=None):
     a, b = sampling.commuting_pair(rng, dim)
     x = sampling.random_ray(rng, dim)
@@ -630,6 +825,11 @@ def _check_inclusion_exclusion_law(rng, dim, record=None):
     return check_inclusion_exclusion(x, a, b)
 
 
+@law(
+    "lemma.conjunction_chain",
+    "conjunction chain rule: p(x, a∧b) = p(x,a)·p(a(x),b) for commuting propositions",
+    trials_per_dim=250,
+)
 def _check_conjunction_chain(rng, dim, record=None):
     a, b = sampling.commuting_pair(rng, dim)
     x = sampling.random_ray(rng, dim)
@@ -637,6 +837,7 @@ def _check_conjunction_chain(rng, dim, record=None):
     return check_chain_rule(x, a, b)
 
 
+@law("corollary.monotone", "similarity is monotone under containment", trials_per_dim=400)
 def _check_monotone_law(rng, dim, record=None):
     a, b = sampling.nested_pair(rng, dim)
     x = sampling.random_ray(rng, dim)
@@ -644,6 +845,11 @@ def _check_monotone_law(rng, dim, record=None):
     return max(0.0, p_prop(x, a) - p_prop(x, b))
 
 
+@law(
+    "corollary.total_probability",
+    "total probability decomposition over a commuting complement pair",
+    trials_per_dim=300,
+)
 def _check_total_probability_law(rng, dim, record=None):
     a, b = sampling.commuting_pair(rng, dim)
     x = sampling.random_ray(rng, dim)
@@ -651,6 +857,11 @@ def _check_total_probability_law(rng, dim, record=None):
     return check_total_probability(x, a, b)
 
 
+@law(
+    "lemma.orthomodular_equality",
+    "when both conditional projections satisfy b, every term equals one",
+    trials_per_dim=400,
+)
 def _check_orthomodular_equality(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim)
     x = sampling.random_ray(rng, dim)
@@ -665,6 +876,12 @@ def _check_orthomodular_equality(rng, dim, record=None):
     return max(residual, abs(rhs - 1.0))
 
 
+@law(
+    "lemma.local_total_probability",
+    "total probability needs only commutation at the state itself",
+    dims=(4, 5, 6, 7, 8),
+    trials_per_dim=300,
+)
 def _check_local_total_probability(rng, dim, record=None):
     frame = sampling.random_frame(rng, dim)
     shared = frame[0]
@@ -687,6 +904,14 @@ def _check_local_total_probability(rng, dim, record=None):
     return check_total_probability(x, a, b)
 
 
+@law(
+    "theorem.interference_inequality",
+    "interference inequality: p(x,b)(1−p(b(x),a))² ≤ p(b(x),a)(1−p(a(b(x)),b)) for x in a",
+    batched=True,
+    tolerance=1e-12,
+    dims=(3, 4, 5, 6, 7, 8),
+    trials_per_dim=10_000,
+)
 def _batch_interference_inequality(rng, dim, n):
     # 10^4 trials per dimension: one frame of d − 1 columns per
     # proposition, its columns beyond the rank zeroed.
@@ -702,6 +927,11 @@ def _batch_interference_inequality(rng, dim, n):
     return Block(np.maximum(0.0, -margin), undefined, instance)
 
 
+@law(
+    "corollary.interference_membership",
+    "if a(b(x)) satisfies b (x in a), then b(x) satisfies a",
+    trials_per_dim=400,
+)
 def _check_interference_membership(rng, dim, record=None):
     # Commuting pair with a forced shared direction, so the antecedent
     # (a(b(x)) inside b) is realizable rather than vacuous.
@@ -726,6 +956,20 @@ def _check_interference_membership(rng, dim, record=None):
     return float(np.linalg.norm(project_vec(a, bx.rep) - bx.rep))
 
 
+def _aggregate_must_fail(residuals):
+    if not residuals:
+        return False, 1.0
+    fraction = sum(1 for r in residuals if r > 1e-6) / len(residuals)
+    return fraction > 0.9, 1.0 - fraction
+
+
+@law(
+    "counterexample.total_probability",
+    "the total-probability identity FAILS on generic non-commuting pairs (control)",
+    tolerance=0.1,
+    trials_per_dim=400,
+    aggregate=_aggregate_must_fail,
+)
 def _check_total_probability_generic(rng, dim, record=None):
     a = sampling.random_subspace(rng, dim)
     b = sampling.random_subspace(rng, dim)
@@ -736,13 +980,13 @@ def _check_total_probability_generic(rng, dim, record=None):
     return total_probability_residual(x, a, b)
 
 
-def _aggregate_must_fail(residuals):
-    if not residuals:
-        return False, 1.0
-    fraction = sum(1 for r in residuals if r > 1e-6) / len(residuals)
-    return fraction > 0.9, 1.0 - fraction
-
-
+@law(
+    "counterexample.total_probability_2d",
+    "the planar family violates total probability by exactly |1 − cos⁴ − sin⁴| (control)",
+    batched=True,
+    tolerance=1e-9,
+    dims=(2,),
+)
 def _batch_total_probability_2d(rng, dim, n):
     t = rng.uniform(0.0, 2.0 * math.pi, n)
     x = rays_from(np.stack([np.cos(t), np.sin(t)], axis=-1))
@@ -753,6 +997,13 @@ def _batch_total_probability_2d(rng, dim, n):
     return _block(np.abs(measured - analytic), angle=t, measured=measured, analytic=analytic)
 
 
+@law(
+    "counterexample.nonsquared_interference",
+    "dropping the square breaks the interference inequality in real 3-space (control)",
+    tolerance=0.5,
+    dims=(3,),
+    trials_per_dim=1,
+)
 def _check_nonsquared_search(rng, dim, record=None):
     seed = int(rng.integers(0, 2**63 - 1))
     witness = search_nonsquared_counterexample(seed=seed, budget=100_000)
@@ -769,6 +1020,13 @@ def _check_nonsquared_search(rng, dim, record=None):
 # morphisms
 
 
+@law(
+    "morphism.scale_invariance",
+    "scaling the matrix by a nonzero complex number induces the same ray map",
+    tolerance=1e-9,
+    dims=(2, 3, 4, 5),
+    trials_per_dim=200,
+)
 def _check_morphism_scale_invariance(rng, dim, record=None):
     base = sampling.isometry_map(rng, dim, scale=1.0)
     s = float(rng.uniform(0.5, 2.0))
@@ -782,6 +1040,12 @@ def _check_morphism_scale_invariance(rng, dim, record=None):
     return residual
 
 
+@law(
+    "morphism.isometry_inner_products",
+    "imported fact: a linear isometry preserves inner products",
+    dims=(2, 3, 4, 5),
+    trials_per_dim=400,
+)
 def _check_isometry_inner_products(rng, dim, record=None):
     f = sampling.isometry_map(rng, dim, scale=1.0)
     u = sampling.gaussian_vector(rng, dim)
@@ -791,6 +1055,12 @@ def _check_isometry_inner_products(rng, dim, record=None):
     return abs(inner(m @ u, m @ v) - inner(u, v))
 
 
+@law(
+    "lemma.isometry_preserves_all",
+    "isometries (up to scale) preserve similarity, phase, and superpositions",
+    dims=(2, 3, 4, 5),
+    trials_per_dim=60,
+)
 def _check_isometry_preserves_all(rng, dim, record=None):
     f = sampling.isometry_map(rng, dim)
     quantities = check_preserves_p_theta(f, trials=20, seed=int(rng.integers(0, 2**32)))
@@ -802,6 +1072,13 @@ def _check_isometry_preserves_all(rng, dim, record=None):
     return residual
 
 
+@law(
+    "morphism.noniso_breaks_superpositions",
+    "every sampled non-isometry exhibits a concrete broken superposition",
+    tolerance=0.5,
+    dims=(2, 3, 4, 5),
+    trials_per_dim=60,
+)
 def _check_noniso_breaks_superpositions(rng, dim, record=None):
     f = sampling.non_isometry_map(rng, dim)
     if isometry_scale(f) is not None:
@@ -811,6 +1088,13 @@ def _check_noniso_breaks_superpositions(rng, dim, record=None):
     return 1.0 if report.preserves else 0.0
 
 
+@law(
+    "theorem.char_morph",
+    "characterization: superposition preservation coincides with being an isometry",
+    tolerance=0.5,
+    dims=(2, 3, 4, 5),
+    trials_per_dim=60,
+)
 def _check_char_morph_law(rng, dim, record=None):
     if int(rng.integers(0, 2)) == 0:
         f = sampling.isometry_map(rng, dim)
@@ -821,6 +1105,13 @@ def _check_char_morph_law(rng, dim, record=None):
     return 0.0 if ok else 1.0
 
 
+@law(
+    "morphism.injective_distinct",
+    "injective maps send distinct rays to distinct rays",
+    tolerance=0.5,
+    dims=(2, 3, 4, 5),
+    trials_per_dim=400,
+)
 def _check_injective_distinct(rng, dim, record=None):
     if int(rng.integers(0, 2)) == 0:
         f = sampling.isometry_map(rng, dim)
@@ -838,6 +1129,12 @@ def _check_injective_distinct(rng, dim, record=None):
 # tensor products
 
 
+@law(
+    "tensor.inner_factorization",
+    "inner products factor across Kronecker products",
+    batched=True,
+    dims=(2, 3),
+)
 def _batch_tensor_inner(rng, dim, n):
     u1, v1 = sampling.gaussian_stack(rng, (2, n, 2))
     u2, v2 = sampling.gaussian_stack(rng, (2, n, dim))
@@ -846,6 +1143,7 @@ def _batch_tensor_inner(rng, dim, n):
     return _block(np.abs(lhs - rhs), u1=u1, v1=v1, u2=u2, v2=v2)
 
 
+@law("tensor.p_product", "similarity multiplies across product states", batched=True, dims=(2, 3))
 def _batch_tensor_p_product(rng, dim, n):
     x1, y1 = (sampling.random_rays(rng, n, 2) for _ in range(2))
     x2, y2 = (sampling.random_rays(rng, n, dim) for _ in range(2))
@@ -854,6 +1152,12 @@ def _batch_tensor_p_product(rng, dim, n):
     return _block(residual, x1=x1, y1=y1, x2=x2, y2=y2)
 
 
+@law(
+    "tensor.theta_additive",
+    "triple phases add across product states (mod 2π)",
+    batched=True,
+    dims=(2, 3),
+)
 def _batch_tensor_theta_additive(rng, dim, n):
     *t1, skip1 = sampling.nonorthogonal_triples(rng, n, 2)
     *t2, skip2 = sampling.nonorthogonal_triples(rng, n, dim)
@@ -862,382 +1166,3 @@ def _batch_tensor_theta_additive(rng, dim, n):
     x2, y2, z2 = _flat(skip, *t2)
     residual = theta_product_residuals(x1, y1, z1, x2, y2, z2)
     return _block(residual, skip, x1=x1, y1=y1, z1=z1, x2=x2, y2=y2, z2=z2)
-
-
-# ---------------------------------------------------------------------------
-# registrations (order = report order)
-
-register(Law(
-    id="linalg.inner_linearity",
-    description="inner product linear in its first argument, conjugate-symmetric",
-    batch=_batch_inner_linearity,
-))
-register(Law(
-    id="linalg.cauchy_schwarz",
-    description="|<u,v>| never exceeds ||u||·||v||",
-    batch=_batch_cauchy_schwarz,
-))
-register(Law(
-    id="linalg.orthonormalize_contract",
-    description="orthonormalize returns an orthonormal basis of the span, size = rank, idempotent",
-    checker=_check_orthonormalize_contract,
-    trials_per_dim=400,
-))
-register(Law(
-    id="ray.canonical_representative",
-    description="rays are scale-invariant with a canonical unit representative",
-    batch=_batch_ray_canonical,
-))
-register(Law(
-    id="subspace.projector_laws",
-    description="projectors are Hermitian and idempotent",
-    checker=_check_projector_laws,
-))
-register(Law(
-    id="subspace.projection_residual",
-    description="the projection residual is orthogonal to the subspace",
-    checker=_check_projection_residual,
-))
-register(Law(
-    id="subspace.complement_involution",
-    description="complement ranks add to dim; double complement returns the subspace",
-    checker=_check_complement_involution,
-    tolerance=0.5,
-    trials_per_dim=400,
-))
-register(Law(
-    id="subspace.orthomodular_identity",
-    description="for nested subspaces, b = a ∨ (¬a ∧ b)",
-    checker=_check_orthomodular_identity,
-    trials_per_dim=250,
-))
-register(Law(
-    id="subspace.commutes_complement",
-    description="commuting survives complementation of either argument",
-    checker=_check_commutes_complement,
-    tolerance=0.5,
-    trials_per_dim=400,
-))
-register(Law(
-    id="lemma.commuting_decomposition",
-    description="commuting pairs decompose into three orthogonal parts and back",
-    checker=_check_commuting_decomposition,
-    trials_per_dim=150,
-))
-register(Law(
-    id="corollary.contained_or_orthogonal_commute",
-    description="nested or orthogonal propositions commute",
-    checker=_check_contained_or_orthogonal_commute,
-    tolerance=0.5,
-    trials_per_dim=400,
-))
-register(Law(
-    id="classical.no_disturbance",
-    description="with pairwise-orthogonal states, measuring ¬x leaves any other state intact",
-    batch=_batch_classical_no_disturbance,
-))
-register(Law(
-    id="lemma.a_properties",
-    description="overlap lies in [0,1], symmetric, 1 iff equal, 0 iff orthogonal",
-    batch=_batch_a_properties,
-))
-register(Law(
-    id="lemma.p_properties",
-    description="similarity = overlap², symmetric, equals <u,y(u)> and ||y(u)||²",
-    batch=_batch_p_properties,
-))
-register(Law(
-    id="corollary.satisfaction",
-    description="membership is equivalent to similarity one",
-    checker=_check_satisfaction,
-))
-register(Law(
-    id="lemma.born_rule",
-    description="p(x,a) = ||a(u)||²/||u||² for any nonzero u in x",
-    checker=_check_born_rule,
-))
-register(Law(
-    id="theorem.p_chain",
-    description="p(x,y) factors through the projection: p(x,a(x))·p(a(x),y) for y in a",
-    checker=_check_p_chain,
-))
-register(Law(
-    id="corollary.p_max",
-    description="the projection is the unique most-similar state inside a subspace",
-    checker=_check_p_max,
-    tolerance=0.5,
-    trials_per_dim=500,
-))
-register(Law(
-    id="lemma.p_bounds",
-    description="0 ≤ p(x,a) ≤ 1 always",
-    checker=_check_p_bounds,
-))
-register(Law(
-    id="principle.reciprocity",
-    description="equal projections on ¬x imply equal projections on ¬y",
-    batch=_batch_reciprocity,
-    tolerance=0.5,
-    trials_per_dim=400,
-))
-register(Law(
-    id="coplanarity.permutation_invariance",
-    description="coplanarity is a property of the unordered triple",
-    batch=_batch_coplanarity_permutations,
-    tolerance=0.5,
-    trials_per_dim=300,
-))
-register(Law(
-    id="theta.representative_independence",
-    description="the triple phase ignores the representatives chosen",
-    batch=_batch_theta_representative_independence,
-    tolerance=ANGLE_TOL,
-))
-register(Law(
-    id="lemma.theta_cyclic",
-    description="triple phase is cyclic and antisymmetric under transposition",
-    batch=_batch_theta_cyclic,
-    tolerance=ANGLE_TOL,
-))
-register(Law(
-    id="lemma.theta_cocycle",
-    description="theta(x,y,w) = theta(x,y,z) + theta(x,z,w) + theta(z,y,w) mod 2π",
-    batch=_batch_theta_cocycle,
-    tolerance=ANGLE_TOL,
-))
-register(Law(
-    id="lemma.theta_prime",
-    description="the orthocomplement triple negates the triple phase",
-    batch=_batch_theta_prime,
-    tolerance=ANGLE_TOL,
-    trials_per_dim=300,
-))
-register(Law(
-    id="theta.euclidean_real",
-    description="real instances have phase 0 or π; positive overlaps give exactly 0",
-    batch=_batch_theta_euclidean,
-    tolerance=ANGLE_TOL,
-))
-register(Law(
-    id="principle.superposition_domain",
-    description="superposition is undefined exactly for orthogonal components",
-    checker=_check_superposition_domain,
-))
-register(Law(
-    id="principle.triviality",
-    description="superposing a state with itself returns the state",
-    batch=_batch_triviality,
-))
-register(Law(
-    id="lemma.superpose_identity_commutative",
-    description="weight 1 returns the first component; swap components by r ↔ 1−r",
-    batch=_batch_superpose_identity_commutative,
-))
-register(Law(
-    id="principle.coplanarity",
-    description="a superposition is coplanar with its components",
-    batch=_batch_superposition_coplanarity,
-    tolerance=0.5,
-))
-register(Law(
-    id="lemma.prop1_theta_zero",
-    description="the phase of (superposition, y, z) vanishes",
-    batch=_batch_superposition_theta_zero,
-    tolerance=ANGLE_TOL,
-))
-register(Law(
-    id="lemma.p_basis",
-    description="closed-form superposition probability matches the constructed ray",
-    batch=_batch_p_basis,
-    tolerance=1e-9,
-))
-register(Law(
-    id="lemma.prop1_component_form",
-    description="similarity to a component: 1 − (1−r)(1−p(y,z))/ω",
-    batch=_batch_prop1_component_form,
-    tolerance=1e-9,
-))
-register(Law(
-    id="lemma.prop1_dominance",
-    description="mixing in y strictly increases similarity to y beyond p(y,z)",
-    batch=_batch_prop1_dominance,
-    tolerance=0.0,
-))
-register(Law(
-    id="counterexample.dominance_boundary",
-    description="at r=0 the strict dominance degrades to equality, as predicted",
-    batch=_batch_dominance_boundary,
-    negative_control=True,
-))
-register(Law(
-    id="corollary.cos_theta_prime",
-    description="closed-form cosine of the phase after an in-plane complement swap",
-    checker=_check_cos_theta_prime,
-    tolerance=ANGLE_TOL,
-    trials_per_dim=500,
-))
-register(Law(
-    id="superposition.theta_consistency",
-    description="phases of superposed rays are representative-independent (numeric-only support)",
-    batch=_batch_superposition_theta_consistency,
-    tolerance=ANGLE_TOL,
-))
-register(Law(
-    id="lemma.ortho_additivity",
-    description="similarity adds over a disjunction of orthogonal propositions",
-    checker=_check_ortho_additivity_law,
-    trials_per_dim=400,
-))
-register(Law(
-    id="corollary.ortho_additivity_family",
-    description="similarity adds over families of 2..4 orthogonal propositions",
-    checker=_check_ortho_additivity_family,
-    trials_per_dim=300,
-))
-register(Law(
-    id="lemma.complement_sum",
-    description="p(x,a) + p(x,¬a) = 1",
-    checker=_check_complement_sum,
-    trials_per_dim=400,
-))
-register(Law(
-    id="lemma.inclusion_exclusion",
-    description="inclusion–exclusion for commuting propositions",
-    checker=_check_inclusion_exclusion_law,
-    trials_per_dim=250,
-))
-register(Law(
-    id="lemma.conjunction_chain",
-    description="p(x, a∧b) = p(x,a)·p(a(x),b) for commuting propositions",
-    checker=_check_conjunction_chain,
-    trials_per_dim=250,
-))
-register(Law(
-    id="corollary.monotone",
-    description="similarity is monotone under containment",
-    checker=_check_monotone_law,
-    trials_per_dim=400,
-))
-register(Law(
-    id="corollary.total_probability",
-    description="total probability decomposition over a commuting complement pair",
-    checker=_check_total_probability_law,
-    trials_per_dim=300,
-))
-register(Law(
-    id="lemma.orthomodular_equality",
-    description="when both conditional projections satisfy b, every term equals one",
-    checker=_check_orthomodular_equality,
-    trials_per_dim=400,
-))
-register(Law(
-    id="lemma.local_total_probability",
-    description="total probability needs only commutation at the state itself",
-    checker=_check_local_total_probability,
-    dims=(4, 5, 6, 7, 8),
-    trials_per_dim=300,
-))
-register(Law(
-    id="theorem.interference_inequality",
-    description="p(x,b)(1−p(b(x),a))² ≤ p(b(x),a)(1−p(a(b(x)),b)) for x in a",
-    batch=_batch_interference_inequality,
-    tolerance=1e-12,
-    dims=(3, 4, 5, 6, 7, 8),
-    trials_per_dim=10_000,
-))
-register(Law(
-    id="corollary.interference_membership",
-    description="if a(b(x)) satisfies b (x in a), then b(x) satisfies a",
-    checker=_check_interference_membership,
-    trials_per_dim=400,
-))
-register(Law(
-    id="counterexample.total_probability",
-    description="the total-probability identity FAILS on generic non-commuting pairs",
-    checker=_check_total_probability_generic,
-    tolerance=0.1,
-    trials_per_dim=400,
-    negative_control=True,
-    aggregate=_aggregate_must_fail,
-))
-register(Law(
-    id="counterexample.total_probability_2d",
-    description="the planar family violates total probability by exactly |1 − cos⁴ − sin⁴|",
-    batch=_batch_total_probability_2d,
-    tolerance=1e-9,
-    dims=(2,),
-    negative_control=True,
-))
-register(Law(
-    id="counterexample.nonsquared_interference",
-    description="dropping the square breaks the interference inequality in real 3-space",
-    checker=_check_nonsquared_search,
-    tolerance=0.5,
-    dims=(3,),
-    trials_per_dim=1,
-    negative_control=True,
-))
-register(Law(
-    id="morphism.scale_invariance",
-    description="scaling the matrix by a nonzero complex number induces the same ray map",
-    checker=_check_morphism_scale_invariance,
-    tolerance=1e-9,
-    dims=(2, 3, 4, 5),
-    trials_per_dim=200,
-))
-register(Law(
-    id="morphism.isometry_inner_products",
-    description="a linear isometry preserves inner products",
-    checker=_check_isometry_inner_products,
-    dims=(2, 3, 4, 5),
-    trials_per_dim=400,
-))
-register(Law(
-    id="lemma.isometry_preserves_all",
-    description="isometries (up to scale) preserve similarity, phase, and superpositions",
-    checker=_check_isometry_preserves_all,
-    dims=(2, 3, 4, 5),
-    trials_per_dim=60,
-))
-register(Law(
-    id="morphism.noniso_breaks_superpositions",
-    description="every sampled non-isometry exhibits a concrete broken superposition",
-    checker=_check_noniso_breaks_superpositions,
-    tolerance=0.5,
-    dims=(2, 3, 4, 5),
-    trials_per_dim=60,
-))
-register(Law(
-    id="theorem.char_morph",
-    description="superposition preservation coincides with being an isometry",
-    checker=_check_char_morph_law,
-    tolerance=0.5,
-    dims=(2, 3, 4, 5),
-    trials_per_dim=60,
-))
-register(Law(
-    id="morphism.injective_distinct",
-    description="injective maps send distinct rays to distinct rays",
-    checker=_check_injective_distinct,
-    tolerance=0.5,
-    dims=(2, 3, 4, 5),
-    trials_per_dim=400,
-))
-register(Law(
-    id="tensor.inner_factorization",
-    description="inner products factor across Kronecker products",
-    batch=_batch_tensor_inner,
-    dims=(2, 3),
-))
-register(Law(
-    id="tensor.p_product",
-    description="similarity multiplies across product states",
-    batch=_batch_tensor_p_product,
-    dims=(2, 3),
-))
-register(Law(
-    id="tensor.theta_additive",
-    description="triple phases add across product states (mod 2π)",
-    batch=_batch_tensor_theta_additive,
-    dims=(2, 3),
-))

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     NotCommutingError,
-    NotContainedError,
     NotOrthogonalError,
     PreconditionUnmetError,
 )
@@ -32,7 +31,6 @@ from .rays import (
     Ray,
     Subspace,
     commutes,
-    containment_defect,
     is_member,
     is_orthogonal,
     join,
@@ -92,19 +90,6 @@ def check_chain_rule(x: Ray, a: Subspace, b: Subspace) -> float:
     if ax is ZERO or p_xa <= EPS_ABS:
         return p_meet
     return abs(p_meet - p_xa * p_prop(ax, b))
-
-
-def check_monotone(x: Ray, a: Subspace, b: Subspace) -> bool:
-    """p(x, a) ≤ p(x, b) + EPS_ABS for nested a ⊆ b.
-
-    Raises
-    ------
-    NotContainedError
-        If a is not contained in b.
-    """
-    if containment_defect(a, b) > EPS_ABS:
-        raise NotContainedError("monotonicity requires a ⊆ b")
-    return p_prop(x, a) <= p_prop(x, b) + EPS_ABS
 
 
 def _locally_commute(x: Ray, a: Subspace, b: Subspace) -> bool:

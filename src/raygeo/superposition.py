@@ -30,7 +30,7 @@ from .errors import (
     OrthogonalComponentsError,
 )
 from .linalg import ANGLE_GUARD, EPS_ABS
-from .rays import Ray, Subspace, a_sims, is_orthogonal, join, ray_from, rays_equal, rays_from
+from .rays import Ray, Subspace, a_sims, is_orthogonal, join, ray_from, rays_from
 from .geometry import a_sim, p_sim, p_sims, theta, triple_phases
 
 
@@ -150,22 +150,25 @@ def p_of_superposition_closed_forms(r, v, w, x) -> np.ndarray:
 
     [ r·p(v,x) + (1−r)·p(w,x) + 2·cos(theta(x,v,w))·sqrt(r(1−r)·p(v,x)·p(w,x)) ] / omega
 
-    Must agree with the direct similarity to the constructed ray.  In
-    rows where the test state is orthogonal to a component the
-    interference term vanishes identically, so the phase is not read
-    there rather than letting a meaningless arg() poison the value.
+    Must agree with the direct similarity to the constructed ray.  The
+    phase is read only in rows where r(1−r) > 0 and the test state's
+    overlap with each component exceeds ``ANGLE_GUARD``; elsewhere the
+    interference term is dropped rather than letting a meaningless
+    arg() poison the value.  The dropped term is at most
+    2·sqrt(r(1−r))·a(v,x)·a(w,x) ≤ ``ANGLE_GUARD``.
 
     Raises
     ------
     OrthogonalPairError
-        If a row whose phase is read has a pair closer to orthogonal
-        than ``ANGLE_GUARD`` (from :func:`triple_phases`).
+        If a row whose phase is read has components closer to
+        orthogonal than ``ANGLE_GUARD`` (from :func:`triple_phases`).
     """
     r = np.asarray(r, dtype=np.float64)
     p_vx = p_sims(v, x)
     p_wx = p_sims(w, x)
     cross = r * (1.0 - r) * p_vx * p_wx
-    read = (cross > (ANGLE_GUARD * ANGLE_GUARD) ** 2)[..., np.newaxis]
+    # both overlaps a = sqrt(p) above ANGLE_GUARD
+    read = ((r * (1.0 - r) > 0.0) & (np.minimum(p_vx, p_wx) > ANGLE_GUARD**2))[..., np.newaxis]
     # rows that are not read get the flat triple (v, v, v)
     phase = triple_phases(np.where(read, x, v), v, np.where(read, w, v))
     interference = np.where(read[..., 0], 2.0 * np.cos(phase) * np.sqrt(cross), 0.0)
@@ -191,27 +194,6 @@ def p_component_closed_form(spec: SuperpositionSpec) -> float:
     """Closed-form similarity between a superposition and its first
     component: the single form of :func:`p_component_closed_forms`."""
     return float(p_component_closed_forms(spec.r, spec.y.rep, spec.z.rep))
-
-
-def p_superposed_vs_component(spec: SuperpositionSpec) -> float:
-    """Similarity between the superposed ray and its first component.
-
-    For r in (0, 1] and distinct components this is strictly larger
-    than the similarity of the components to each other: mixing in any
-    amount of y moves the state closer to y than z ever was.
-
-    Raises
-    ------
-    InvalidWeightError
-        If r = 0 (the strictness claim degenerates to equality there).
-    DegenerateTripleError
-        If the components coincide.
-    """
-    if float(spec.r) <= 0.0:
-        raise InvalidWeightError("r must be strictly positive here")
-    if rays_equal(spec.y, spec.z):
-        raise DegenerateTripleError("components must be distinct rays")
-    return p_sim(superpose(spec), spec.y)
 
 
 def cos_theta_prime(x: Ray, x_perp: Ray, y: Ray, z: Ray) -> float:
@@ -248,11 +230,3 @@ def cos_theta_prime(x: Ray, x_perp: Ray, y: Ray, z: Ray) -> float:
     num = math.sqrt(p_yz) - math.cos(theta(x, y, z)) * math.sqrt(p_xy * p_xz)
     return num / math.sqrt(den_sq)
 
-
-def theta_of_superposition(spec: SuperpositionSpec, x1: Ray, x2: Ray) -> float:
-    """Triple phase of (superposed ray, x1, x2), by construction.
-
-    No closed form is claimed for this quantity; it is supported
-    numerically through the constructed ray only.
-    """
-    return theta(superpose(spec), x1, x2)

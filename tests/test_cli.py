@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import raygeo
 from raygeo.cli import main
 
 
@@ -345,12 +347,16 @@ class TestDemoTwoSlit:
 
 
 def test_installed_entry_point_runs():
+    # the child imports the package under test, not whichever copy is installed
+    package_dir = os.path.dirname(os.path.dirname(raygeo.__file__))
+    path = os.pathsep.join(filter(None, [package_dir, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "raygeo.cli", "verify", "--dims", "2", "--trials", "5",
          "--laws", "linalg.*"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)

@@ -1,6 +1,5 @@
 """Harness contract: determinism, registry completeness, negative controls."""
 
-import importlib.resources
 import json
 import math
 
@@ -129,38 +128,12 @@ class TestRunAll:
 
 
 class TestRegistryCompleteness:
-    def _manifest(self):
-        text = (
-            importlib.resources.files("raygeo")
-            .joinpath("laws_manifest.json")
-            .read_text(encoding="utf-8")
-        )
-        return json.loads(text)
-
-    def test_manifest_matches_registry(self):
-        manifest = self._manifest()
-        manifest_laws = {entry["law"] for entry in manifest["items"]}
-        assert manifest_laws == set(registry().keys())
-
-    def test_every_item_is_covered(self):
-        manifest = self._manifest()
-        for entry in manifest["items"]:
-            assert entry["item"]
-            assert entry["law"] in registry()
-
-    def test_named_operations_resolve(self):
-        import importlib
-
-        manifest = self._manifest()
-        for entry in manifest["items"]:
-            target = entry.get("operation")
-            if target is None:
-                continue
-            module_name, attr = target.rsplit(".", 1)
-            module = importlib.import_module(module_name)
-            assert callable(getattr(module, attr)) or isinstance(
-                getattr(module, attr), type
-            )
+    def test_duplicate_declaration_rejected(self):
+        before = registry()
+        with pytest.raises(ValueError, match="duplicate"):
+            lawcheck.law("linalg.cauchy_schwarz", "declared twice")(_constant_trials(0.0))
+        assert registry() == before
+        assert law_ids() == list(before)
 
     def test_ids_unique_and_described(self):
         reg = registry()
@@ -279,11 +252,11 @@ class TestBrokenLawsFail:
 
     def test_nan_fails_a_negative_control(self, private_registry):
         report = private_registry(
-            "broken.nan_control",
+            "counterexample.broken_nan",
             checker=lambda rng, dim, record: math.nan,
-            negative_control=True,
             aggregate=lambda residuals: (True, 0.0),
         )
+        assert report.negative_control
         assert not report.passed
 
     def test_law_needs_exactly_one_checker(self, private_registry):

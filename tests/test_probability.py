@@ -13,7 +13,6 @@ import pytest
 
 from raygeo import (
     NotCommutingError,
-    NotContainedError,
     NotOrthogonalError,
     PreconditionUnmetError,
     Subspace,
@@ -21,7 +20,6 @@ from raygeo import (
     check_complement,
     check_inclusion_exclusion,
     check_interference_inequality,
-    check_monotone,
     check_ortho_additivity,
     check_total_probability,
     decompose_commuting,
@@ -144,12 +142,19 @@ class TestChainRule:
 
 
 class TestMonotone:
+    """p(x, a) ≤ p(x, b) for nested a ⊆ b."""
+
     def test_equal(self):
         a = Subspace.from_vectors([E3[0]])
-        assert check_monotone(ray_from([1.0, 1.0, 0.0]), a, a)
+        b = Subspace.from_vectors([2j * E3[0]])  # the same proposition
+        x = ray_from([1.0, 1.0, 0.0])
+        assert p_prop(x, a) == pytest.approx(0.5)
+        assert p_prop(x, b) == pytest.approx(p_prop(x, a))
 
     def test_falsehood_below_everything(self):
-        assert check_monotone(ray_from([1.0, 1.0]), Subspace.falsehood(2), Subspace.truth(2))
+        x = ray_from([1.0, 1.0])
+        assert p_prop(x, Subspace.falsehood(2)) == 0.0
+        assert p_prop(x, Subspace.truth(2)) == pytest.approx(1.0)
 
     def test_random_nested(self):
         rng = np.random.default_rng(4)
@@ -157,13 +162,7 @@ class TestMonotone:
         a = Subspace.from_orthonormal(frame[:2], 6)
         b = Subspace.from_orthonormal(frame[:4], 6)
         x = ray_from(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        assert check_monotone(x, a, b)
-
-    def test_rejects_unrelated(self):
-        a = Subspace.from_vectors([[1.0, 0.0]])
-        b = Subspace.from_vectors([[1.0, 1.0]])
-        with pytest.raises(NotContainedError):
-            check_monotone(ray_from([1.0, 2.0]), a, b)
+        assert p_prop(x, a) <= p_prop(x, b)
 
 
 class TestTotalProbability:
