@@ -65,13 +65,17 @@ def _load_ray_or_subspace(path: str):
     raise ValueError(f"{path}: neither a ray (rep) nor a subspace (basis)")
 
 
-def _emit(data, out_path: str | None):
-    text = json.dumps(data, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(data, path: str | None) -> None:
+    _write(json.dumps(data, indent=2) + "\n", path)
 
 
 def _domain_error(exc: RayGeoError) -> int:
@@ -79,7 +83,7 @@ def _domain_error(exc: RayGeoError) -> int:
     pair = getattr(exc, "pair", None)
     if pair is not None:
         payload["error"]["pair"] = list(pair)
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _emit(payload, None)
     return 3
 
 
@@ -109,20 +113,8 @@ def cmd_verify(args) -> int:
     if not reports:
         sys.stderr.write(f"no law matches {args.laws!r}\n")
         return 2
-    if args.format == "table":
-        text = _report_table(reports)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        text = serialize.dumps_reports(reports)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+    text = _report_table(reports) if args.format == "table" else serialize.dumps_reports(reports)
+    _write(text, args.output)
     return 0 if all_passed(reports) else 1
 
 
@@ -227,12 +219,7 @@ def cmd_demo_two_slit(args) -> int:
             f"{row['detector']:>8}  {row['quantum']:>12.6f}  "
             f"{row['classical_mixture']:>12.6f}  {row['interference']:>13.6f}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     return 0
 
 

@@ -1,40 +1,33 @@
 """Verification harness: named laws over seeded random instances.
 
-Each law is declared once, by the :func:`law` decorator on its residual
-checker, which registers the checker with its pass criteria.  Running
-a law evaluates the checker on every (dim, trial) cell and produces a
+Each law is declared once, by the :func:`law` decorator on its batch
+function, which registers it with its pass criteria.  Running a law
+evaluates it on every (dim, trial) cell and produces a
 :class:`LawReport` that is a pure function of the law id and the
 :class:`GeneratorSpec` — same seed, same bytes.
 
-A law is checked in one of two ways (see :mod:`raygeo.sampling` for
-the key scheme):
+Every law runs in blocks: ``batch(rng, dim, n)`` runs once per block
+of at most :data:`BLOCK_TRIALS` trials on the substream keyed by (law,
+dim, block) (see :mod:`raygeo.sampling` for the key scheme) and
+returns the block's residuals, skip mask and instance description at
+once.  Trial ``t`` of a dimension is trial ``t % BLOCK_TRIALS`` of
+block ``t // BLOCK_TRIALS``.  Laws whose instances keep one shape from
+trial to trial sample the block as stacks (leading axis = trial); the
+others, mostly laws whose instances change shape, run a one-trial body
+``n`` times, in order, on the block's generator
+(:func:`raygeo.laws.per_trial`).
+Either way the runner holds at most one block at a time.
 
-* trial by trial: ``checker`` runs once per cell on the substream
-  keyed by (law, dim, trial);
-* in blocks: ``batch`` runs once per block of at most
-  :data:`BLOCK_TRIALS` trials on the substream keyed by (law, dim,
-  block): it samples the whole block as stacks of instances (leading
-  axis = trial) and returns their residuals at once.  Trial ``t`` of a
-  dimension is row ``t % BLOCK_TRIALS`` of block ``t // BLOCK_TRIALS``.
-
-Laws whose instances keep one shape from trial to trial (rays, phases,
-superpositions, tensor products) are batched; laws whose instances
-change shape (subspaces of random rank, the morphism samplers, the
-search) run trial by trial.  Either way the runner holds at most one
-block of :data:`BLOCK_TRIALS` trials at a time.
-
-Checkers return the trial residual, or ``None`` to *skip* a trial whose
-instance is too degenerate to measure (near-orthogonal where strict
-non-orthogonality is required, vanishing closed-form denominators);
-batched checkers return a skip mask instead.  A law passes when its
-worst residual is within tolerance, every residual is finite (a
-checker that raises counts as an infinite residual), and the skip rate
+A trial is *skipped* when its instance is too degenerate to measure
+(near-orthogonal where strict non-orthogonality is required, vanishing
+closed-form denominators).  A law passes when its worst residual is
+within tolerance, every residual is finite (a block that raises counts
+as an infinite residual on each of its trials), and the skip rate
 stays below the cap.  The counterexample of a failing law names its
-first failing (dim, trial) cell and describes its instance: a
-per-trial law replays the cell to record it, and a batched law's
-counterexample is row ``i`` of the block's instance stacks.  The
-library calls inside a checker apply the fixed thresholds of
-:mod:`raygeo.linalg`; the law's ``tolerance`` judges the residual.
+first failing (dim, trial) cell and the description of that trial as
+its block returned it; nothing is rerun.  The library calls inside a
+law apply the fixed thresholds of :mod:`raygeo.linalg`; the law's
+``tolerance`` judges the residual.
 
 Negative-control laws, the ids ``counterexample.*``, invert the game:
 they assert that an identity *fails* on generic instances exactly as
@@ -61,16 +54,15 @@ MAX_SKIP_RATE = 0.05
 #: The range of ambient dimensions a run may sweep.
 MIN_DIM, MAX_DIM = 2, 32
 
-#: Trials per block of a batched law, and so per substream.  Bounds the
-#: memory of one block's stacks: at d = 8 a block of 256 interference
-#: trials peaks near 2 MB, and larger blocks run no faster.  Per-trial
-#: laws are tallied in chunks of the same size.
+#: Trials per block, and so per substream.  Bounds the memory of one
+#: block's stacks: at d = 8 a block of 256 interference trials peaks
+#: near 2 MB, and larger blocks run no faster.
 BLOCK_TRIALS = 256
 
 #: The largest trial count per law and dimension a run may ask for.
 #: Memory stays bounded at any count (trials are streamed in blocks),
-#: but at a few hundred microseconds per per-trial cell a million
-#: trials already keep one law busy for minutes per dimension.
+#: but at a few hundred microseconds per trial of a lattice law a
+#: million trials already keep one law busy for minutes per dimension.
 MAX_TRIALS = 1_000_000
 
 
@@ -120,31 +112,27 @@ class LawReport:
 
 
 class Block(NamedTuple):
-    """What a batched checker returns for a block of ``n`` trials.
+    """What a law's batch function returns for a block of ``n`` trials.
 
     ``residuals`` and ``skipped`` have shape (n,); the residuals of
-    skipped trials are ignored.  ``instance`` maps names to the stacks
-    the block was checked on, each with leading axis n (trial); row
-    ``i`` of every stack, through :func:`raygeo.serialize.to_jsonable`,
-    is the counterexample record of trial ``i``.
+    skipped trials are ignored.  ``instance`` describes the trials the
+    block was checked on: either a dict mapping names to stacks with
+    leading axis n (trial), whose row ``i`` is trial ``i``, or a list
+    of ``n`` per-trial dicts.  Through :func:`raygeo.serialize.to_jsonable`,
+    trial ``i``'s description is its counterexample record.
     """
 
     residuals: np.ndarray
     skipped: np.ndarray
-    instance: dict[str, np.ndarray]
+    instance: dict[str, np.ndarray] | list[dict]
 
 
 @dataclass(frozen=True)
 class Law:
-    """A named law: checker + pass criteria.
+    """A named law: batch function + pass criteria.
 
-    Exactly one of ``checker`` and ``batch`` is set.
-    ``checker(rng, dim, record)`` returns the trial residual or
-    None to skip; when ``record`` is a dict the checker fills it with a
-    serializable description of the instance (used to attach a
-    counterexample after a failing trial is replayed).
-    ``batch(rng, dim, n)`` samples ``n`` trials as stacks from one
-    stream, checks them at once and returns a :class:`Block`.
+    ``batch(rng, dim, n)`` checks ``n`` trials drawn from one stream
+    and returns a :class:`Block`.
 
     ``aggregate``, when set, converts the full residual list into the
     (passed, reported_worst) verdict; used by negative controls that
@@ -155,12 +143,11 @@ class Law:
 
     id: str
     description: str
-    checker: Callable | None = None
+    batch: Callable
     tolerance: float = 1e-10
     dims: tuple[int, ...] | None = None
     trials_per_dim: int | None = None
     aggregate: Callable | None = None
-    batch: Callable | None = None
 
     @property
     def negative_control(self) -> bool:
@@ -174,21 +161,18 @@ _ORDER: list[str] = []
 def register(law: Law) -> Law:
     if law.id in _REGISTRY:
         raise ValueError(f"duplicate law id {law.id!r}")
-    if (law.checker is None) == (law.batch is None):
-        raise ValueError(f"law {law.id!r} needs exactly one of checker and batch")
     _REGISTRY[law.id] = law
     _ORDER.append(law.id)
     return law
 
 
-def law(id: str, description: str, *, batched: bool = False, **criteria):
-    """Decorator declaring a law on its checker: registers
-    ``Law(id, description, ...)`` with the decorated function as its
-    ``checker``, or as its ``batch`` when ``batched``, and the remaining
-    :class:`Law` fields from ``criteria``."""
+def law(id: str, description: str, **criteria):
+    """Decorator declaring a law on its batch function: registers
+    ``Law(id, description, fn, ...)`` with the remaining :class:`Law`
+    fields from ``criteria``."""
 
     def declare(fn: Callable) -> Callable:
-        register(Law(id, description, **{"batch" if batched else "checker": fn}, **criteria))
+        register(Law(id, description, fn, **criteria))
         return fn
 
     return declare
@@ -214,57 +198,22 @@ def _worse(worst: float, value: float) -> float:
 
 
 class _Chunk(NamedTuple):
-    """Consecutive trials of one dimension, starting at trial ``start``.
-
-    ``errors`` maps chunk indices whose checker raised (residual +inf)
-    to the error text; ``describe(i)`` returns the counterexample record
-    of index ``i``.
-    """
+    """One block of one dimension, starting at trial ``start``;
+    ``describe(i)`` returns the counterexample record of its trial ``i``."""
 
     start: int
     residuals: np.ndarray
     skipped: np.ndarray
-    errors: dict[int, str]
     describe: Callable[[int], dict]
 
 
-def _error_text(exc: Exception) -> str:
+def error_text(exc: Exception) -> str:
+    """How a counterexample names an exception raised by a law."""
     return f"{type(exc).__name__}: {exc}"
 
 
-def _trial_chunks(law: Law, seed: int, dim: int, trials: int):
-    """The trials of a per-trial law in one dimension, in chunks of at
-    most :data:`BLOCK_TRIALS`; a failing cell is replayed for its record."""
-
-    def describe(trial: int) -> dict:
-        record: dict = {}
-        try:
-            law.checker(substream(seed, law.id, dim, trial), dim, record)
-        except Exception:
-            pass
-        return record
-
-    for start in range(0, trials, BLOCK_TRIALS):
-        n = min(BLOCK_TRIALS, trials - start)
-        residuals = np.zeros(n)
-        skipped = np.zeros(n, dtype=bool)
-        errors: dict[int, str] = {}
-        for i in range(n):
-            try:
-                residual = law.checker(substream(seed, law.id, dim, start + i), dim, None)
-            except Exception as exc:  # a checker must never raise on a legal instance
-                residuals[i] = math.inf
-                errors[i] = _error_text(exc)
-                continue
-            if residual is None:
-                skipped[i] = True
-            else:
-                residuals[i] = float(residual)
-        yield _Chunk(start, residuals, skipped, errors, lambda i, start=start: describe(start + i))
-
-
 def _block_chunks(law: Law, seed: int, dim: int, trials: int):
-    """The blocks of a batched law in one dimension, one chunk each."""
+    """The blocks of a law in one dimension, one chunk each."""
     for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
         n = min(BLOCK_TRIALS, trials - start)
         try:
@@ -273,17 +222,22 @@ def _block_chunks(law: Law, seed: int, dim: int, trials: int):
             skipped = np.asarray(skipped, dtype=bool)
             if residuals.shape != (n,) or skipped.shape != (n,):
                 raise ValueError(f"block of {n} trials gave shapes {residuals.shape}, {skipped.shape}")
-        except Exception as exc:  # a checker must never raise on a legal instance
-            yield _Chunk(start, np.full(n, math.inf), np.zeros(n, dtype=bool), {0: _error_text(exc)}, lambda i: {})
+        except Exception as exc:  # a law must never raise on a legal instance
+            error = {"error": error_text(exc)}
+            yield _Chunk(start, np.full(n, math.inf), np.zeros(n, dtype=bool), lambda i: error)
             continue
 
         def describe(i: int, instance=instance) -> dict:
             try:
-                return {name: to_jsonable(stack[i]) for name, stack in instance.items()}
+                if isinstance(instance, list):
+                    row = instance[i]
+                else:
+                    row = {name: stack[i] for name, stack in instance.items()}
+                return {name: to_jsonable(value) for name, value in row.items()}
             except Exception:  # the residual and the cell still name the failure
                 return {}
 
-        yield _Chunk(start, residuals, skipped, {}, describe)
+        yield _Chunk(start, residuals, skipped, describe)
 
 
 class _Tally:
@@ -314,11 +268,8 @@ class _Tally:
             bad |= residuals > self.law.tolerance
         if self.failure is None and bad.any():
             i = int(checked[np.argmax(bad)])
-            cell = {"dim": dim, "trial": chunk.start + i}
-            if i in chunk.errors:
-                self.failure = {**cell, "error": chunk.errors[i]}
-            else:
-                self.failure = {**cell, "residual": float(chunk.residuals[i]), **chunk.describe(i)}
+            cell = {"dim": dim, "trial": chunk.start + i, "residual": float(chunk.residuals[i])}
+            self.failure = {**cell, **chunk.describe(i)}
 
 
 def run_law(law_id: str, gen: GeneratorSpec) -> LawReport:
@@ -341,9 +292,8 @@ def run_law(law_id: str, gen: GeneratorSpec) -> LawReport:
 
     started = time.perf_counter()
     tally = _Tally(law)
-    chunks = _trial_chunks if law.batch is None else _block_chunks
     for dim in dims:
-        for chunk in chunks(law, gen.seed, dim, trials):
+        for chunk in _block_chunks(law, gen.seed, dim, trials):
             tally.add(dim, chunk)
 
     failure = tally.failure

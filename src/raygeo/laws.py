@@ -1,30 +1,33 @@
 """The law registry: one named, checkable law per verified statement.
 
-Each law is a residual checker over seeded random instances; see
+Each law checks a block of seeded random trials at once; see
 :mod:`raygeo.lawcheck` for the execution model.  A law is declared
-once, by ``@law(id, description, ...)`` on its checker: the
+once, by ``@law(id, description, ...)`` on its batch function: the
 description is the statement it witnesses, and declaration order is
 report order.  The negative controls are the ``counterexample.*``
-laws.  A ``_batch_*`` law (``batched=True``) samples a block of trials
-as stacks and computes their residuals with the stacked kernels of the
-library (the functions whose single-instance forms users call); a
-``_check_*`` law runs one trial at a time.  Unless noted, the residual
-for a ray-equality claim is ``1 − overlap`` of the two rays (zero
-exactly at equality), and the residual for a numeric identity is the
-absolute deviation.  Angle identities compare by circular distance
-with tolerance 1e-8 rad; everything else defaults to 1e-10.
+laws.  A ``_batch_*`` law samples its block as stacks and computes
+their residuals with the stacked kernels of the library (the functions
+whose single-instance forms users call).  A ``_check_*`` law is a
+one-trial body that returns its residual and a record of its instance;
+:func:`per_trial` runs it once per trial of the block.  Unless noted,
+the residual for a ray-equality claim is ``1 − overlap`` of the two
+rays (zero exactly at equality), and the residual for a numeric
+identity is the absolute deviation.  Angle identities compare by
+circular distance with tolerance 1e-8 rad; everything else defaults to
+1e-10.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Callable
 
 import numpy as np
 
 from . import sampling
 from .errors import OrthogonalComponentsError
-from .lawcheck import Block, law
+from .lawcheck import Block, error_text, law
 from .linalg import (
     EPS_ABS,
     circular_distances,
@@ -94,20 +97,47 @@ from .morphisms import (
     preserves_superpositions,
 )
 from .tensor import kron_rows, p_product_residuals, product_rays, theta_product_residuals
-from .serialize import to_jsonable, witness_to_json
+from .serialize import witness_to_json
 
 ANGLE_TOL = 1e-8
 MIN_OVERLAP = sampling.MIN_OVERLAP
 
 
-def _note(record, **values):
-    if record is not None:
-        for key, value in values.items():
-            record[key] = to_jsonable(value)
+#: What a one-trial body returns for a trial it skips.
+_SKIP = None, {}
+
+
+def per_trial(body: Callable) -> Callable:
+    """The batch function of a law checked one trial at a time.
+
+    ``body(rng, dim)`` checks one trial and returns ``(residual, record)``:
+    the residual, or None to skip the trial, and a dict describing its
+    instance.  The batch runs the body ``n`` times, in order, on the
+    block's generator.  A body that raises gives that trial alone an
+    infinite residual and the record ``{"error": text}``.
+    """
+
+    def batch(rng, dim, n):
+        residuals = np.zeros(n)
+        skipped = np.zeros(n, dtype=bool)
+        records = []
+        for i in range(n):
+            try:
+                residual, record = body(rng, dim)
+            except Exception as exc:  # a law must never raise on a legal instance
+                residual, record = math.inf, {"error": error_text(exc)}
+            if residual is None:
+                skipped[i] = True
+            else:
+                residuals[i] = residual
+            records.append(record)
+        return Block(residuals, skipped, records)
+
+    return batch
 
 
 def _block(residuals, skipped=None, **instance) -> Block:
-    """The :class:`Block` of a batched law; no trial skipped by default."""
+    """The :class:`Block` of a law sampled as stacks; no trial skipped by default."""
     if skipped is None:
         skipped = np.zeros(len(residuals), dtype=bool)
     return Block(residuals, skipped, instance)
@@ -120,18 +150,9 @@ def _flat(skip, *stacks):
     return tuple(np.where(skip[:, np.newaxis], np.eye(1, s.shape[-1]), s) for s in stacks)
 
 
-def _unit_phase(rng) -> complex:
-    angle = float(rng.uniform(0.0, 2.0 * math.pi))
-    return complex(math.cos(angle), math.sin(angle))
-
-
 def _unit_phases(rng, n) -> np.ndarray:
     angle = rng.uniform(0.0, 2.0 * math.pi, n)
     return np.cos(angle) + 1j * np.sin(angle)
-
-
-def _ray_gap(x, y) -> float:
-    return 1.0 - a_sim(x, y)
 
 
 def _ray_gaps(u, v) -> np.ndarray:
@@ -145,7 +166,6 @@ def _ray_gaps(u, v) -> np.ndarray:
 @law(
     "linalg.inner_linearity",
     "inner product linear in its first argument, conjugate-symmetric",
-    batched=True,
 )
 def _batch_inner_linearity(rng, dim, n):
     u, v, w = sampling.gaussian_stack(rng, (3, n, dim))
@@ -157,7 +177,7 @@ def _batch_inner_linearity(rng, dim, n):
     return _block(np.maximum(np.abs(lhs - rhs), sym) / scale, u=u, v=v, w=w, a=a, b=b)
 
 
-@law("linalg.cauchy_schwarz", "Cauchy–Schwarz: |<u,v>| never exceeds ||u||·||v||", batched=True)
+@law("linalg.cauchy_schwarz", "Cauchy–Schwarz: |<u,v>| never exceeds ||u||·||v||")
 def _batch_cauchy_schwarz(rng, dim, n):
     u, v = sampling.gaussian_stack(rng, (2, n, dim))
     return _block(np.maximum(0.0, np.abs(inners(u, v)) - norms(u) * norms(v)), u=u, v=v)
@@ -168,27 +188,26 @@ def _batch_cauchy_schwarz(rng, dim, n):
     "orthonormalize returns an orthonormal basis of the span, size = rank, idempotent",
     trials_per_dim=400,
 )
-def _check_orthonormalize_contract(rng, dim, record=None):
+@per_trial
+def _check_orthonormalize_contract(rng, dim):
     k = int(rng.integers(1, dim + 1))
     independent = [sampling.gaussian_vector(rng, dim) for _ in range(k)]
     if np.linalg.matrix_rank(np.array(independent), tol=1e-8) < k:
-        return None
+        return _SKIP
     redundant = []
     for _ in range(int(rng.integers(0, 3))):
         coeff = sampling.gaussian_vector(rng, k)
         redundant.append(sum(c * v for c, v in zip(coeff, independent)))
     basis = orthonormalize(independent + redundant)
     if len(basis) != k:
-        _note(record, expected_rank=k, got=len(basis))
-        return 1.0
+        return 1.0, dict(expected_rank=k, got=len(basis))
     stack = np.array(basis)
     gram_dev = float(np.max(np.abs(stack @ stack.conj().T - np.eye(k))))
     again = orthonormalize(basis)
     drift = max(
         float(np.linalg.norm(b - a)) for a, b in zip(basis, again)
     ) if basis else 0.0
-    _note(record, expected_rank=k)
-    return max(gram_dev, drift)
+    return max(gram_dev, drift), dict(expected_rank=k)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +217,6 @@ def _check_orthonormalize_contract(rng, dim, record=None):
 @law(
     "ray.canonical_representative",
     "rays are scale-invariant with a canonical unit representative",
-    batched=True,
 )
 def _batch_ray_canonical(rng, dim, n):
     v = sampling.gaussian_stack(rng, (n, dim))
@@ -216,22 +234,23 @@ def _batch_ray_canonical(rng, dim, n):
 
 
 @law("subspace.projector_laws", "projectors are Hermitian and idempotent")
-def _check_projector_laws(rng, dim, record=None):
+@per_trial
+def _check_projector_laws(rng, dim):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     p = a.projector()
-    _note(record, alpha=a)
-    return float(max(np.max(np.abs(p @ p - p)), np.max(np.abs(p - p.conj().T))))
+    return float(max(np.max(np.abs(p @ p - p)), np.max(np.abs(p - p.conj().T)))), dict(alpha=a)
 
 
 @law("subspace.projection_residual", "the projection residual is orthogonal to the subspace")
-def _check_projection_residual(rng, dim, record=None):
+@per_trial
+def _check_projection_residual(rng, dim):
     a = sampling.random_subspace(rng, dim)
     u = sampling.gaussian_vector(rng, dim)
     resid = u - project_vec(a, u)
-    _note(record, alpha=a, u=u)
+    record = dict(alpha=a, u=u)
     if a.rank == 0:
-        return float(np.linalg.norm(project_vec(a, u)))
-    return float(np.max(np.abs(a.basis.conj() @ resid)))
+        return float(np.linalg.norm(project_vec(a, u))), record
+    return float(np.max(np.abs(a.basis.conj() @ resid))), record
 
 
 @law(
@@ -240,14 +259,14 @@ def _check_projection_residual(rng, dim, record=None):
     tolerance=0.5,
     trials_per_dim=400,
 )
-def _check_complement_involution(rng, dim, record=None):
+@per_trial
+def _check_complement_involution(rng, dim):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     na = ortho_complement(a)
     nna = ortho_complement(na)
     rank_defect = abs(na.rank - (dim - a.rank)) + (0 if subspaces_equal(nna, a) else 1)
     ortho_defect = 0.0 if is_orthogonal(a, na) else 1.0
-    _note(record, alpha=a)
-    return float(rank_defect + ortho_defect)
+    return float(rank_defect + ortho_defect), dict(alpha=a)
 
 
 @law(
@@ -255,13 +274,14 @@ def _check_complement_involution(rng, dim, record=None):
     "orthomodular identity: for nested subspaces, b = a ∨ (¬a ∧ b)",
     trials_per_dim=250,
 )
-def _check_orthomodular_identity(rng, dim, record=None):
+@per_trial
+def _check_orthomodular_identity(rng, dim):
     a, b = sampling.nested_pair(rng, dim)
     rebuilt = join(a, meet(ortho_complement(a), b))
-    _note(record, alpha=a, beta=b)
+    record = dict(alpha=a, beta=b)
     if rebuilt.rank != b.rank:
-        return 1.0
-    return max(containment_defect(rebuilt, b), containment_defect(b, rebuilt))
+        return 1.0, record
+    return max(containment_defect(rebuilt, b), containment_defect(b, rebuilt)), record
 
 
 @law(
@@ -270,21 +290,18 @@ def _check_orthomodular_identity(rng, dim, record=None):
     tolerance=0.5,
     trials_per_dim=400,
 )
-def _check_commutes_complement(rng, dim, record=None):
+@per_trial
+def _check_commutes_complement(rng, dim):
     if int(rng.integers(0, 2)) == 0:
         a, b = sampling.commuting_pair(rng, dim)
         expect_commuting = True
     else:
         a = sampling.random_subspace(rng, dim)
         b = sampling.random_subspace(rng, dim)
-        expect_commuting = None
+        expect_commuting = False
     verdict = commutes(a, b)
-    complement_verdict = commutes(ortho_complement(a), b)
-    _note(record, alpha=a, beta=b)
-    bad = verdict != complement_verdict
-    if expect_commuting is True and not verdict:
-        bad = True
-    return 1.0 if bad else 0.0
+    bad = verdict != commutes(ortho_complement(a), b) or (expect_commuting and not verdict)
+    return (1.0 if bad else 0.0), dict(alpha=a, beta=b)
 
 
 @law(
@@ -292,7 +309,8 @@ def _check_commutes_complement(rng, dim, record=None):
     "commuting pairs decompose into three orthogonal parts and back",
     trials_per_dim=150,
 )
-def _check_commuting_decomposition(rng, dim, record=None):
+@per_trial
+def _check_commuting_decomposition(rng, dim):
     a, b = sampling.commuting_pair(rng, dim)
     parts = decompose_commuting(a, b)  # raises on any verification defect
     residual = max(
@@ -309,8 +327,7 @@ def _check_commuting_decomposition(rng, dim, record=None):
     g3 = Subspace.from_orthonormal(frame[cuts[1] :], dim)
     if not commutes(join(g1, g2), join(g1, g3)):
         residual = max(residual, 1.0)
-    _note(record, alpha=a, beta=b)
-    return residual
+    return residual, dict(alpha=a, beta=b)
 
 
 @law(
@@ -319,7 +336,8 @@ def _check_commuting_decomposition(rng, dim, record=None):
     tolerance=0.5,
     trials_per_dim=400,
 )
-def _check_contained_or_orthogonal_commute(rng, dim, record=None):
+@per_trial
+def _check_contained_or_orthogonal_commute(rng, dim):
     a, b = sampling.nested_pair(rng, dim)
     ok_nested = commutes(a, b)
     frame = sampling.random_frame(rng, dim)
@@ -327,14 +345,12 @@ def _check_contained_or_orthogonal_commute(rng, dim, record=None):
     p = Subspace.from_orthonormal(frame[:cut], dim)
     q = Subspace.from_orthonormal(frame[cut:], dim)
     ok_orth = commutes(p, q)
-    _note(record, nested_a=a, nested_b=b)
-    return 0.0 if (ok_nested and ok_orth) else 1.0
+    return 0.0 if (ok_nested and ok_orth) else 1.0, dict(nested_a=a, nested_b=b)
 
 
 @law(
     "classical.no_disturbance",
     "classical structure: with pairwise-orthogonal states, measuring ¬x leaves any other state intact",
-    batched=True,
 )
 def _batch_classical_no_disturbance(rng, dim, n):
     x, y = sampling.classical_ray_stacks(rng, n, dim, 2)
@@ -349,7 +365,6 @@ def _batch_classical_no_disturbance(rng, dim, n):
 @law(
     "lemma.a_properties",
     "overlap lies in [0,1], symmetric, 1 iff equal, 0 iff orthogonal",
-    batched=True,
 )
 def _batch_a_properties(rng, dim, n):
     x, y, skip = sampling.nonorthogonal_pairs(rng, n, dim)
@@ -368,7 +383,6 @@ def _batch_a_properties(rng, dim, n):
 @law(
     "lemma.p_properties",
     "similarity = overlap², symmetric, equals <u,y(u)> and ||y(u)||²",
-    batched=True,
 )
 def _batch_p_properties(rng, dim, n):
     x = sampling.random_rays(rng, n, dim)
@@ -387,7 +401,8 @@ def _batch_p_properties(rng, dim, n):
 
 
 @law("corollary.satisfaction", "satisfaction: membership is equivalent to similarity one")
-def _check_satisfaction(rng, dim, record=None):
+@per_trial
+def _check_satisfaction(rng, dim):
     a = sampling.random_subspace(rng, dim)
     member = sampling.member_ray(rng, a)
     residual = abs(p_prop(member, a) - 1.0)
@@ -395,30 +410,29 @@ def _check_satisfaction(rng, dim, record=None):
         residual = max(residual, 1.0)
     x = sampling.random_ray(rng, dim)
     agree = is_member(x, a) == (p_prop(x, a) > 1.0 - 1e-9)
-    _note(record, alpha=a, member=member, x=x)
-    return residual if agree else max(residual, 1.0)
+    return residual if agree else max(residual, 1.0), dict(alpha=a, member=member, x=x)
 
 
 @law("lemma.born_rule", "Born rule: p(x,a) = ||a(u)||²/||u||² for any nonzero u in x")
-def _check_born_rule(rng, dim, record=None):
+@per_trial
+def _check_born_rule(rng, dim):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     x = sampling.random_ray(rng, dim)
-    u = x.rep * (_unit_phase(rng) * float(rng.uniform(0.1, 10.0)))
+    u = x.rep * (_unit_phases(rng, 1)[0] * float(rng.uniform(0.1, 10.0)))
     born = norm(project_vec(a, u)) ** 2 / norm(u) ** 2
-    _note(record, alpha=a, x=x)
-    return abs(p_prop(x, a) - born)
+    return abs(p_prop(x, a) - born), dict(alpha=a, x=x)
 
 
 @law("theorem.p_chain", "p(x,y) factors through the projection: p(x,a(x))·p(a(x),y) for y in a")
-def _check_p_chain(rng, dim, record=None):
+@per_trial
+def _check_p_chain(rng, dim):
     a = sampling.random_subspace(rng, dim)
     x = sampling.random_ray(rng, dim)
     ax = project_ray(a, x)
     if ax is ZERO:
-        return None
+        return _SKIP
     y = sampling.member_ray(rng, a)
-    _note(record, alpha=a, x=x, y=y)
-    return abs(p_sim(x, y) - p_prop(x, a) * p_sim(ax, y))
+    return abs(p_sim(x, y) - p_prop(x, a) * p_sim(ax, y)), dict(alpha=a, x=x, y=y)
 
 
 @law(
@@ -427,12 +441,13 @@ def _check_p_chain(rng, dim, record=None):
     tolerance=0.5,
     trials_per_dim=500,
 )
-def _check_p_max(rng, dim, record=None):
+@per_trial
+def _check_p_max(rng, dim):
     a = sampling.random_subspace(rng, dim)
     x = sampling.random_ray(rng, dim)
     ax = project_ray(a, x)
     if ax is ZERO:
-        return None
+        return _SKIP
     p_best = p_sim(x, ax)
     coeff = rng.standard_normal((200, a.rank)) + 1j * rng.standard_normal((200, a.rank))
     coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
@@ -441,23 +456,21 @@ def _check_p_max(rng, dim, record=None):
     same = np.abs(ys.conj() @ ax.rep) > 1.0 - 1e-9
     margins = p_best - p_vals
     violations = int(np.sum(~same & (margins <= 1e-12)))
-    _note(record, alpha=a, x=x, violations=violations)
-    return float(violations)
+    return float(violations), dict(alpha=a, x=x, violations=violations)
 
 
 @law("lemma.p_bounds", "0 ≤ p(x,a) ≤ 1 always")
-def _check_p_bounds(rng, dim, record=None):
+@per_trial
+def _check_p_bounds(rng, dim):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     x = sampling.random_ray(rng, dim)
     p = p_prop(x, a)
-    _note(record, alpha=a, x=x)
-    return max(0.0, -p, p - 1.0)
+    return max(0.0, -p, p - 1.0), dict(alpha=a, x=x)
 
 
 @law(
     "principle.reciprocity",
     "reciprocity: equal projections on ¬x imply equal projections on ¬y",
-    batched=True,
     tolerance=0.5,
     trials_per_dim=400,
 )
@@ -474,7 +487,6 @@ def _batch_reciprocity(rng, dim, n):
 @law(
     "coplanarity.permutation_invariance",
     "coplanarity is a property of the unordered triple",
-    batched=True,
     tolerance=0.5,
     trials_per_dim=300,
 )
@@ -492,7 +504,6 @@ def _batch_coplanarity_permutations(rng, dim, n):
 @law(
     "theta.representative_independence",
     "the triple phase ignores the representatives chosen",
-    batched=True,
     tolerance=ANGLE_TOL,
 )
 def _batch_theta_representative_independence(rng, dim, n):
@@ -510,7 +521,6 @@ def _batch_theta_representative_independence(rng, dim, n):
 @law(
     "lemma.theta_cyclic",
     "triple phase is cyclic and antisymmetric under transposition",
-    batched=True,
     tolerance=ANGLE_TOL,
 )
 def _batch_theta_cyclic(rng, dim, n):
@@ -527,7 +537,6 @@ def _batch_theta_cyclic(rng, dim, n):
 @law(
     "lemma.theta_cocycle",
     "cocycle: theta(x,y,w) = theta(x,y,z) + theta(x,z,w) + theta(z,y,w) mod 2π",
-    batched=True,
     tolerance=ANGLE_TOL,
 )
 def _batch_theta_cocycle(rng, dim, n):
@@ -544,7 +553,6 @@ def _batch_theta_cocycle(rng, dim, n):
 @law(
     "lemma.theta_prime",
     "the orthocomplement triple negates the triple phase",
-    batched=True,
     tolerance=ANGLE_TOL,
     trials_per_dim=300,
 )
@@ -562,7 +570,6 @@ def _batch_theta_prime(rng, dim, n):
 @law(
     "theta.euclidean_real",
     "Euclidean regime: real instances have phase 0 or π; positive overlaps give exactly 0",
-    batched=True,
     tolerance=ANGLE_TOL,
 )
 def _batch_theta_euclidean(rng, dim, n):
@@ -590,21 +597,20 @@ def _pairs_and_weights(rng, dim, n):
 @law(
     "principle.superposition_domain", "superposition is undefined exactly for orthogonal components"
 )
-def _check_superposition_domain(rng, dim, record=None):
+@per_trial
+def _check_superposition_domain(rng, dim):
     x, y = sampling.classical_rays(rng, dim, 2)
     r = float(rng.uniform(0.0, 1.0))
     try:
         SuperpositionSpec(y=x, z=y, r=r)
-        _note(record, x=x, y=y, r=r)
-        return 1.0
+        return 1.0, dict(x=x, y=y, r=r)
     except OrthogonalComponentsError:
         pass
     trivial = superpose(SuperpositionSpec(y=x, z=x, r=r))
-    _note(record, x=x, y=y, r=r)
-    return _ray_gap(trivial, x)
+    return 1.0 - a_sim(trivial, x), dict(x=x, y=y, r=r)
 
 
-@law("principle.triviality", "superposing a state with itself returns the state", batched=True)
+@law("principle.triviality", "superposing a state with itself returns the state")
 def _batch_triviality(rng, dim, n):
     y = sampling.random_rays(rng, n, dim)
     r = rng.uniform(0.0, 1.0, n)
@@ -614,7 +620,6 @@ def _batch_triviality(rng, dim, n):
 @law(
     "lemma.superpose_identity_commutative",
     "weight 1 returns the first component; swap components by r ↔ 1−r",
-    batched=True,
 )
 def _batch_superpose_identity_commutative(rng, dim, n):
     y, z, skip, r = _pairs_and_weights(rng, dim, n)
@@ -629,7 +634,6 @@ def _batch_superpose_identity_commutative(rng, dim, n):
 @law(
     "principle.coplanarity",
     "a superposition is coplanar with its components",
-    batched=True,
     tolerance=0.5,
 )
 def _batch_superposition_coplanarity(rng, dim, n):
@@ -641,7 +645,6 @@ def _batch_superposition_coplanarity(rng, dim, n):
 @law(
     "lemma.prop1_theta_zero",
     "the phase of (superposition, y, z) vanishes",
-    batched=True,
     tolerance=ANGLE_TOL,
 )
 def _batch_superposition_theta_zero(rng, dim, n):
@@ -657,7 +660,6 @@ def _batch_superposition_theta_zero(rng, dim, n):
 @law(
     "lemma.p_basis",
     "closed-form superposition probability, with its interference term, matches the constructed ray",
-    batched=True,
     tolerance=1e-9,
 )
 def _batch_p_basis(rng, dim, n):
@@ -673,7 +675,6 @@ def _batch_p_basis(rng, dim, n):
 @law(
     "lemma.prop1_component_form",
     "similarity to a component: 1 − (1−r)(1−p(y,z))/ω",
-    batched=True,
     tolerance=1e-9,
 )
 def _batch_prop1_component_form(rng, dim, n):
@@ -686,7 +687,6 @@ def _batch_prop1_component_form(rng, dim, n):
 @law(
     "lemma.prop1_dominance",
     "mixing in y strictly increases similarity to y beyond p(y,z)",
-    batched=True,
     tolerance=0.0,
 )
 def _batch_prop1_dominance(rng, dim, n):
@@ -700,7 +700,6 @@ def _batch_prop1_dominance(rng, dim, n):
 @law(
     "counterexample.dominance_boundary",
     "at r=0 the strict dominance degrades to equality, as predicted (control)",
-    batched=True,
 )
 def _batch_dominance_boundary(rng, dim, n):
     y, z, skip = sampling.nonorthogonal_pairs(rng, n, dim)
@@ -719,7 +718,8 @@ def _plane_ray(rng, b1, b2):
     tolerance=ANGLE_TOL,
     trials_per_dim=500,
 )
-def _check_cos_theta_prime(rng, dim, record=None):
+@per_trial
+def _check_cos_theta_prime(rng, dim):
     frame = sampling.random_frame(rng, dim)
     b1, b2 = frame[0], frame[1]
     for _ in range(24):
@@ -735,15 +735,13 @@ def _check_cos_theta_prime(rng, dim, record=None):
             continue
         predicted = cos_theta_prime(x, xp, y, z)
         observed = math.cos(theta(xp, y, z))
-        _note(record, x=x, x_perp=xp, y=y, z=z)
-        return abs(predicted - observed)
-    return None
+        return abs(predicted - observed), dict(x=x, x_perp=xp, y=y, z=z)
+    return _SKIP
 
 
 @law(
     "superposition.theta_consistency",
     "phases of superposed rays are representative-independent (numeric-only support)",
-    batched=True,
     tolerance=ANGLE_TOL,
 )
 def _batch_superposition_theta_consistency(rng, dim, n):
@@ -767,15 +765,15 @@ def _batch_superposition_theta_consistency(rng, dim, n):
     "similarity adds over a disjunction of orthogonal propositions",
     trials_per_dim=400,
 )
-def _check_ortho_additivity_law(rng, dim, record=None):
+@per_trial
+def _check_ortho_additivity_law(rng, dim):
     frame = sampling.random_frame(rng, dim)
     cut = int(rng.integers(0, dim + 1))
     keep = int(rng.integers(cut, dim + 1))
     a = Subspace.from_orthonormal(frame[:cut], dim)
     b = Subspace.from_orthonormal(frame[cut:keep], dim)
     x = sampling.random_ray(rng, dim)
-    _note(record, alpha=a, beta=b, x=x)
-    return check_ortho_additivity(x, a, b)
+    return check_ortho_additivity(x, a, b), dict(alpha=a, beta=b, x=x)
 
 
 @law(
@@ -783,7 +781,8 @@ def _check_ortho_additivity_law(rng, dim, record=None):
     "similarity adds over families of 2..4 orthogonal propositions",
     trials_per_dim=300,
 )
-def _check_ortho_additivity_family(rng, dim, record=None):
+@per_trial
+def _check_ortho_additivity_family(rng, dim):
     k = int(rng.integers(2, min(4, dim) + 1))
     frame = sampling.random_frame(rng, dim)
     cuts = sorted(rng.choice(dim + 1, size=k - 1, replace=True))
@@ -797,8 +796,7 @@ def _check_ortho_additivity_family(rng, dim, record=None):
     for part in parts[1:]:
         joined = join(joined, part)
     total = sum(p_prop(x, part) for part in parts)
-    _note(record, x=x, k=k)
-    return abs(p_prop(x, joined) - total)
+    return abs(p_prop(x, joined) - total), dict(x=x, k=k)
 
 
 @law(
@@ -806,11 +804,11 @@ def _check_ortho_additivity_family(rng, dim, record=None):
     "complement probabilities sum to one: p(x,a) + p(x,¬a) = 1",
     trials_per_dim=400,
 )
-def _check_complement_sum(rng, dim, record=None):
+@per_trial
+def _check_complement_sum(rng, dim):
     a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
     x = sampling.random_ray(rng, dim)
-    _note(record, alpha=a, x=x)
-    return check_complement(x, a)
+    return check_complement(x, a), dict(alpha=a, x=x)
 
 
 @law(
@@ -818,11 +816,11 @@ def _check_complement_sum(rng, dim, record=None):
     "inclusion–exclusion for commuting propositions",
     trials_per_dim=250,
 )
-def _check_inclusion_exclusion_law(rng, dim, record=None):
+@per_trial
+def _check_inclusion_exclusion_law(rng, dim):
     a, b = sampling.commuting_pair(rng, dim)
     x = sampling.random_ray(rng, dim)
-    _note(record, alpha=a, beta=b, x=x)
-    return check_inclusion_exclusion(x, a, b)
+    return check_inclusion_exclusion(x, a, b), dict(alpha=a, beta=b, x=x)
 
 
 @law(
@@ -830,19 +828,19 @@ def _check_inclusion_exclusion_law(rng, dim, record=None):
     "conjunction chain rule: p(x, a∧b) = p(x,a)·p(a(x),b) for commuting propositions",
     trials_per_dim=250,
 )
-def _check_conjunction_chain(rng, dim, record=None):
+@per_trial
+def _check_conjunction_chain(rng, dim):
     a, b = sampling.commuting_pair(rng, dim)
     x = sampling.random_ray(rng, dim)
-    _note(record, alpha=a, beta=b, x=x)
-    return check_chain_rule(x, a, b)
+    return check_chain_rule(x, a, b), dict(alpha=a, beta=b, x=x)
 
 
 @law("corollary.monotone", "similarity is monotone under containment", trials_per_dim=400)
-def _check_monotone_law(rng, dim, record=None):
+@per_trial
+def _check_monotone_law(rng, dim):
     a, b = sampling.nested_pair(rng, dim)
     x = sampling.random_ray(rng, dim)
-    _note(record, alpha=a, beta=b, x=x)
-    return max(0.0, p_prop(x, a) - p_prop(x, b))
+    return max(0.0, p_prop(x, a) - p_prop(x, b)), dict(alpha=a, beta=b, x=x)
 
 
 @law(
@@ -850,11 +848,11 @@ def _check_monotone_law(rng, dim, record=None):
     "total probability decomposition over a commuting complement pair",
     trials_per_dim=300,
 )
-def _check_total_probability_law(rng, dim, record=None):
+@per_trial
+def _check_total_probability_law(rng, dim):
     a, b = sampling.commuting_pair(rng, dim)
     x = sampling.random_ray(rng, dim)
-    _note(record, alpha=a, beta=b, x=x)
-    return check_total_probability(x, a, b)
+    return check_total_probability(x, a, b), dict(alpha=a, beta=b, x=x)
 
 
 @law(
@@ -862,18 +860,18 @@ def _check_total_probability_law(rng, dim, record=None):
     "when both conditional projections satisfy b, every term equals one",
     trials_per_dim=400,
 )
-def _check_orthomodular_equality(rng, dim, record=None):
+@per_trial
+def _check_orthomodular_equality(rng, dim):
     a = sampling.random_subspace(rng, dim)
     x = sampling.random_ray(rng, dim)
     ax = project_ray(a, x)
     nax = project_ray(ortho_complement(a), x)
     if ax is ZERO or nax is ZERO:
-        return None
+        return _SKIP
     b = Subspace.from_vectors([ax.rep, nax.rep], dim=dim)
     residual = abs(p_prop(x, b) - 1.0)
     rhs = p_prop(x, a) * p_prop(ax, b) + p_prop(x, ortho_complement(a)) * p_prop(nax, b)
-    _note(record, alpha=a, beta=b, x=x)
-    return max(residual, abs(rhs - 1.0))
+    return max(residual, abs(rhs - 1.0)), dict(alpha=a, beta=b, x=x)
 
 
 @law(
@@ -882,7 +880,8 @@ def _check_orthomodular_equality(rng, dim, record=None):
     dims=(4, 5, 6, 7, 8),
     trials_per_dim=300,
 )
-def _check_local_total_probability(rng, dim, record=None):
+@per_trial
+def _check_local_total_probability(rng, dim):
     frame = sampling.random_frame(rng, dim)
     shared = frame[0]
     wing1, wing2 = frame[1], frame[2]
@@ -894,20 +893,18 @@ def _check_local_total_probability(rng, dim, record=None):
     a = Subspace.from_vectors([shared, a_vec], dim=dim)
     b = Subspace.from_vectors([shared, b_vec], dim=dim)
     if a.rank != 2 or b.rank != 2 or commutes(a, b):
-        return None  # want a genuinely non-commuting pair
+        return _SKIP  # want a genuinely non-commuting pair
     coeff = sampling.gaussian_vector(rng, len(rest) + 1)
     x_vec = coeff[0] * shared + sum(c * r for c, r in zip(coeff[1:], rest))
     if abs(coeff[0]) < 1e-3 or float(np.linalg.norm(x_vec)) < 1e-3:
-        return None
+        return _SKIP
     x = ray_from(x_vec)
-    _note(record, alpha=a, beta=b, x=x)
-    return check_total_probability(x, a, b)
+    return check_total_probability(x, a, b), dict(alpha=a, beta=b, x=x)
 
 
 @law(
     "theorem.interference_inequality",
     "interference inequality: p(x,b)(1−p(b(x),a))² ≤ p(b(x),a)(1−p(a(b(x)),b)) for x in a",
-    batched=True,
     tolerance=1e-12,
     dims=(3, 4, 5, 6, 7, 8),
     trials_per_dim=10_000,
@@ -932,7 +929,8 @@ def _batch_interference_inequality(rng, dim, n):
     "if a(b(x)) satisfies b (x in a), then b(x) satisfies a",
     trials_per_dim=400,
 )
-def _check_interference_membership(rng, dim, record=None):
+@per_trial
+def _check_interference_membership(rng, dim):
     # Commuting pair with a forced shared direction, so the antecedent
     # (a(b(x)) inside b) is realizable rather than vacuous.
     frame = sampling.random_frame(rng, dim)
@@ -946,14 +944,13 @@ def _check_interference_membership(rng, dim, record=None):
     x = sampling.member_ray(rng, a)
     bx = project_ray(b, x)
     if bx is ZERO:
-        return None
+        return _SKIP
     abx = project_ray(a, bx)
     if abx is ZERO:
-        return None
+        return _SKIP
     if not is_member(abx, b):
-        return None  # antecedent fails; implication vacuous
-    _note(record, alpha=a, beta=b, x=x)
-    return float(np.linalg.norm(project_vec(a, bx.rep) - bx.rep))
+        return _SKIP  # antecedent fails; implication vacuous
+    return float(np.linalg.norm(project_vec(a, bx.rep) - bx.rep)), dict(alpha=a, beta=b, x=x)
 
 
 def _aggregate_must_fail(residuals):
@@ -970,20 +967,19 @@ def _aggregate_must_fail(residuals):
     trials_per_dim=400,
     aggregate=_aggregate_must_fail,
 )
-def _check_total_probability_generic(rng, dim, record=None):
+@per_trial
+def _check_total_probability_generic(rng, dim):
     a = sampling.random_subspace(rng, dim)
     b = sampling.random_subspace(rng, dim)
     if commutes(a, b):
-        return None  # not an applicable generic (non-commuting) instance
+        return _SKIP  # not an applicable generic (non-commuting) instance
     x = sampling.random_ray(rng, dim)
-    _note(record, alpha=a, beta=b, x=x)
-    return total_probability_residual(x, a, b)
+    return total_probability_residual(x, a, b), dict(alpha=a, beta=b, x=x)
 
 
 @law(
     "counterexample.total_probability_2d",
     "the planar family violates total probability by exactly |1 − cos⁴ − sin⁴| (control)",
-    batched=True,
     tolerance=1e-9,
     dims=(2,),
 )
@@ -1004,16 +1000,14 @@ def _batch_total_probability_2d(rng, dim, n):
     dims=(3,),
     trials_per_dim=1,
 )
-def _check_nonsquared_search(rng, dim, record=None):
+@per_trial
+def _check_nonsquared_search(rng, dim):
     seed = int(rng.integers(0, 2**63 - 1))
     witness = search_nonsquared_counterexample(seed=seed, budget=100_000)
     if witness is None:
-        _note(record, seed=seed, found=False)
-        return 1.0
+        return 1.0, dict(seed=seed, found=False)
     ok = witness.nonsquared_excess > EPS_ABS and witness.squared_margin >= -1e-12
-    if record is not None:
-        record["witness"] = witness_to_json(witness)
-    return 0.0 if ok else 1.0
+    return (0.0 if ok else 1.0), dict(witness=witness_to_json(witness))
 
 
 # ---------------------------------------------------------------------------
@@ -1027,17 +1021,17 @@ def _check_nonsquared_search(rng, dim, record=None):
     dims=(2, 3, 4, 5),
     trials_per_dim=200,
 )
-def _check_morphism_scale_invariance(rng, dim, record=None):
+@per_trial
+def _check_morphism_scale_invariance(rng, dim):
     base = sampling.isometry_map(rng, dim, scale=1.0)
     s = float(rng.uniform(0.5, 2.0))
-    c = _unit_phase(rng) * s
+    c = _unit_phases(rng, 1)[0] * s
     scaled = type(base).from_matrix(c * base.underlying.matrix)
     x = sampling.random_ray(rng, dim)
-    residual = _ray_gap(apply_ray(base, x), apply_ray(scaled, x))
+    residual = 1.0 - a_sim(apply_ray(base, x), apply_ray(scaled, x))
     scale = isometry_scale(scaled)
     residual = max(residual, 1.0 if scale is None else abs(scale - s))
-    _note(record, x=x, scale=s)
-    return residual
+    return residual, dict(x=x, scale=s)
 
 
 @law(
@@ -1046,13 +1040,13 @@ def _check_morphism_scale_invariance(rng, dim, record=None):
     dims=(2, 3, 4, 5),
     trials_per_dim=400,
 )
-def _check_isometry_inner_products(rng, dim, record=None):
+@per_trial
+def _check_isometry_inner_products(rng, dim):
     f = sampling.isometry_map(rng, dim, scale=1.0)
     u = sampling.gaussian_vector(rng, dim)
     v = sampling.gaussian_vector(rng, dim)
     m = f.underlying.matrix
-    _note(record, u=u, v=v)
-    return abs(inner(m @ u, m @ v) - inner(u, v))
+    return abs(inner(m @ u, m @ v) - inner(u, v)), dict(u=u, v=v)
 
 
 @law(
@@ -1061,15 +1055,15 @@ def _check_isometry_inner_products(rng, dim, record=None):
     dims=(2, 3, 4, 5),
     trials_per_dim=60,
 )
-def _check_isometry_preserves_all(rng, dim, record=None):
+@per_trial
+def _check_isometry_preserves_all(rng, dim):
     f = sampling.isometry_map(rng, dim)
     quantities = check_preserves_p_theta(f, trials=20, seed=int(rng.integers(0, 2**32)))
     report = preserves_superpositions(f, trials=10, seed=int(rng.integers(0, 2**32)))
     residual = max(quantities.p_residual, quantities.theta_residual, report.worst_residual)
     if not report.preserves:
         residual = max(residual, 1.0)
-    _note(record, map=f)
-    return residual
+    return residual, dict(map=f)
 
 
 @law(
@@ -1079,13 +1073,13 @@ def _check_isometry_preserves_all(rng, dim, record=None):
     dims=(2, 3, 4, 5),
     trials_per_dim=60,
 )
-def _check_noniso_breaks_superpositions(rng, dim, record=None):
+@per_trial
+def _check_noniso_breaks_superpositions(rng, dim):
     f = sampling.non_isometry_map(rng, dim)
     if isometry_scale(f) is not None:
         return 1.0
     report = preserves_superpositions(f, trials=200, seed=int(rng.integers(0, 2**32)))
-    _note(record, map=f)
-    return 1.0 if report.preserves else 0.0
+    return 1.0 if report.preserves else 0.0, dict(map=f)
 
 
 @law(
@@ -1095,14 +1089,14 @@ def _check_noniso_breaks_superpositions(rng, dim, record=None):
     dims=(2, 3, 4, 5),
     trials_per_dim=60,
 )
-def _check_char_morph_law(rng, dim, record=None):
+@per_trial
+def _check_char_morph_law(rng, dim):
     if int(rng.integers(0, 2)) == 0:
         f = sampling.isometry_map(rng, dim)
     else:
         f = sampling.non_isometry_map(rng, dim)
     ok = check_char_morph(f, trials=120, seed=int(rng.integers(0, 2**32)))
-    _note(record, map=f)
-    return 0.0 if ok else 1.0
+    return 0.0 if ok else 1.0, dict(map=f)
 
 
 @law(
@@ -1112,7 +1106,8 @@ def _check_char_morph_law(rng, dim, record=None):
     dims=(2, 3, 4, 5),
     trials_per_dim=400,
 )
-def _check_injective_distinct(rng, dim, record=None):
+@per_trial
+def _check_injective_distinct(rng, dim):
     if int(rng.integers(0, 2)) == 0:
         f = sampling.isometry_map(rng, dim)
     else:
@@ -1120,9 +1115,8 @@ def _check_injective_distinct(rng, dim, record=None):
     x = sampling.random_ray(rng, dim)
     y = sampling.random_ray(rng, dim)
     if a_sim(x, y) > 1.0 - 1e-6:
-        return None
-    _note(record, x=x, y=y, map=f)
-    return 1.0 if rays_equal(apply_ray(f, x), apply_ray(f, y)) else 0.0
+        return _SKIP
+    return 1.0 if rays_equal(apply_ray(f, x), apply_ray(f, y)) else 0.0, dict(x=x, y=y, map=f)
 
 
 # ---------------------------------------------------------------------------
@@ -1132,7 +1126,6 @@ def _check_injective_distinct(rng, dim, record=None):
 @law(
     "tensor.inner_factorization",
     "inner products factor across Kronecker products",
-    batched=True,
     dims=(2, 3),
 )
 def _batch_tensor_inner(rng, dim, n):
@@ -1143,7 +1136,7 @@ def _batch_tensor_inner(rng, dim, n):
     return _block(np.abs(lhs - rhs), u1=u1, v1=v1, u2=u2, v2=v2)
 
 
-@law("tensor.p_product", "similarity multiplies across product states", batched=True, dims=(2, 3))
+@law("tensor.p_product", "similarity multiplies across product states", dims=(2, 3))
 def _batch_tensor_p_product(rng, dim, n):
     x1, y1 = (sampling.random_rays(rng, n, 2) for _ in range(2))
     x2, y2 = (sampling.random_rays(rng, n, dim) for _ in range(2))
@@ -1155,7 +1148,6 @@ def _batch_tensor_p_product(rng, dim, n):
 @law(
     "tensor.theta_additive",
     "triple phases add across product states (mod 2π)",
-    batched=True,
     dims=(2, 3),
 )
 def _batch_tensor_theta_additive(rng, dim, n):

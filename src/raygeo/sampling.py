@@ -5,13 +5,13 @@ Philox-4x64 counter-based generator, keyed by the 2x64-bit key
 
     key = [ seed XOR blake2b-64(law_id),  (dim << 32) XOR index ]
 
-where ``index`` is the trial number for a law checked trial by trial,
-and the block number for a law checked in blocks of trials (one
-substream feeds every trial of the block, drawn as stacks).  Reports
-are therefore a pure function of (law id, generator spec, stream
-version), and cells or blocks can run in any order, or in parallel,
-without changing a single drawn number.  :data:`STREAM_VERSION` names
-the scheme; it is bumped whenever a change alters what a law draws:
+where ``index`` is the block number: every law runs in blocks of
+trials, and one substream feeds every trial of its block, drawn as
+stacks or trial after trial.  Reports are therefore a pure function of
+(law id, generator spec, stream version), and blocks can run in any
+order, or in parallel, without changing a single drawn number.
+:data:`STREAM_VERSION` names the scheme; it is bumped whenever a
+change alters what a law draws:
 
 * version 1: one substream per (law, dim, trial) for every law;
 * version 2: batched laws draw one substream per (law, dim, block), and
@@ -21,7 +21,10 @@ the scheme; it is bumped whenever a change alters what a law draws:
   (``random_rays``, ``nonorthogonal_pairs``, ``nonorthogonal_triples``,
   ``coplanar_triples``, ``classical_ray_stacks``), where a rejected
   draw is a skipped trial instead of a redraw; ``random_frames`` draws
-  only the columns its caller uses.
+  only the columns its caller uses;
+* version 4: every law runs in blocks.  The laws whose instances change
+  shape from trial to trial draw their trials one after another from
+  the block's substream instead of from one substream per trial.
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
@@ -51,8 +54,10 @@ MIN_OVERLAP = 1e-6
 #: tensor laws are batched too, rejection sampling skips a trial
 #: instead of redrawing it, ``random_frames`` draws only the columns
 #: its caller uses, and ``classical_rays`` draws through
-#: ``classical_ray_stacks``.
-STREAM_VERSION = 3
+#: ``classical_ray_stacks``.  4: every law draws one substream per
+#: (law, dim, block); the per-trial laws draw their trials from it in
+#: order.
+STREAM_VERSION = 4
 
 
 def law_stream_key(law_id: str) -> int:
@@ -79,8 +84,7 @@ def keyed_generator(seed: int, word: int) -> np.random.Generator:
 
 
 def substream(seed: int, law_id: str, dim: int, index: int) -> np.random.Generator:
-    """The dedicated generator for one (law, dimension, trial) cell, or
-    for one (law, dimension, block) of a batched law."""
+    """The dedicated generator for one (law, dimension, block)."""
     return keyed_generator(seed ^ law_stream_key(law_id), (dim << 32) ^ index)
 
 

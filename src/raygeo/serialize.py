@@ -210,7 +210,7 @@ def to_jsonable(value):
     """Best-effort conversion of library values to JSON-ready data.
 
     Used when capturing counterexample payloads: dispatches on Ray,
-    Subspace, maps, numpy scalars/arrays (a row of a batched law's
+    Subspace, maps, numpy scalars/arrays (a row of a law's
     instance stack is one of these), and containers.
     """
     if value is None or isinstance(value, (bool, int, str)):

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .linalg import ANGLE_GUARD, EPS_ABS
 from .rays import Ray, Subspace, a_sims, is_orthogonal, join, ray_from, rays_from
-from .geometry import a_sim, p_sim, p_sims, theta, triple_phases
+from .geometry import a_sim, p_sim, p_sims, theta
 
 
 @dataclass(frozen=True)
@@ -151,28 +151,16 @@ def p_of_superposition_closed_forms(r, v, w, x) -> np.ndarray:
     [ r·p(v,x) + (1−r)·p(w,x) + 2·cos(theta(x,v,w))·sqrt(r(1−r)·p(v,x)·p(w,x)) ] / omega
 
     Must agree with the direct similarity to the constructed ray.  The
-    phase is read only in rows where r(1−r) > 0 and the test state's
-    overlap with each component exceeds ``ANGLE_GUARD``; elsewhere the
-    interference term is dropped rather than letting a meaningless
-    arg() poison the value.  The dropped term is at most
-    2·sqrt(r(1−r))·a(v,x)·a(w,x) ≤ ``ANGLE_GUARD``.
-
-    Raises
-    ------
-    OrthogonalPairError
-        If a row whose phase is read has components closer to
-        orthogonal than ``ANGLE_GUARD`` (from :func:`triple_phases`).
+    interference term is computed as
+    2·sqrt(r(1−r))·Re(<x,v><v,w><w,x>) / a(v,w), which equals the phase
+    form wherever the phase is defined and vanishes with either overlap
+    of x, so no phase is read.  Rows whose components are orthogonal
+    are outside the domain and meaningless.
     """
     r = np.asarray(r, dtype=np.float64)
-    p_vx = p_sims(v, x)
-    p_wx = p_sims(w, x)
-    cross = r * (1.0 - r) * p_vx * p_wx
-    # both overlaps a = sqrt(p) above ANGLE_GUARD
-    read = ((r * (1.0 - r) > 0.0) & (np.minimum(p_vx, p_wx) > ANGLE_GUARD**2))[..., np.newaxis]
-    # rows that are not read get the flat triple (v, v, v)
-    phase = triple_phases(np.where(read, x, v), v, np.where(read, w, v))
-    interference = np.where(read[..., 0], 2.0 * np.cos(phase) * np.sqrt(cross), 0.0)
-    return (r * p_vx + (1.0 - r) * p_wx + interference) / omegas(r, v, w)
+    bargmann = np.vecdot(v, x) * np.vecdot(w, v) * np.vecdot(x, w)  # <x,v><v,w><w,x>
+    interference = 2.0 * np.sqrt(r * (1.0 - r)) * bargmann.real / a_sims(v, w)
+    return (r * p_sims(v, x) + (1.0 - r) * p_sims(w, x) + interference) / omegas(r, v, w)
 
 
 def p_of_superposition_closed_form(spec: SuperpositionSpec, x: Ray) -> float:

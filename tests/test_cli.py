@@ -244,6 +244,18 @@ class TestSuperpose:
         )
         assert payload["p_report"]["direct"] == pytest.approx((2 + rt2) / 4)
 
+    def test_report_for_nearly_orthogonal_components(self, capsys, tmp_path, rays):
+        # overlap 5e-9 of y and z: a valid spec whose triple phase is unreadable
+        spec = write_json(
+            tmp_path / "spec.json",
+            {"y": ray_json(1, 0), "z": ray_json(5e-9, 1), "r": 0.5},
+        )
+        code, out, _ = run_cli(capsys, "superpose", "--spec", spec, "--report-p", rays["diag"])
+        assert code == 0
+        report = json.loads(out)["p_report"]
+        assert report["closed_form"] == pytest.approx(report["direct"], abs=1e-9)
+        assert report["direct"] == pytest.approx(1.0, abs=1e-9)
+
 
 class TestSearch:
     def test_budget_exhausted_not_found(self, capsys):

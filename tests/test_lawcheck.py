@@ -8,6 +8,7 @@ import pytest
 
 from raygeo import lawcheck
 from raygeo.lawcheck import Block, Law
+from raygeo.laws import per_trial
 from raygeo import (
     GeneratorSpec,
     UnknownLawError,
@@ -82,14 +83,13 @@ class TestRunLaw:
         r1 = run_law("theorem.p_chain", gen1)
         r2 = run_law("theorem.p_chain", gen2)
         assert r1.passed and r2.passed
-        # different instances: trial 0 as the runner draws it under each seed
-        # (the worst residuals are rounding noise and may coincide)
+        # different instances: the first checked trial as the runner draws it
+        # under each seed (the worst residuals are rounding noise and may coincide)
         law = registry()["theorem.p_chain"]
         records = []
         for gen in (gen1, gen2):
-            record = {}
-            law.checker(substream(gen.seed, law.id, 3, 0), 3, record)
-            records.append(record)
+            block = law.batch(substream(gen.seed, law.id, 3, 0), 3, gen.trials_per_dim)
+            records.append(to_jsonable(block.instance[int(np.argmin(block.skipped))]))
         assert records[0] and records[1] and records[0] != records[1]
 
     def test_dims_pinned_by_law(self):
@@ -174,7 +174,7 @@ def _raise(*_args):
 
 
 def _constant_trials(value):
-    return lambda rng, dim, record: value
+    return per_trial(lambda rng, dim: (value, {"value": value}))
 
 
 def _constant_blocks(value, skipped=False):
@@ -184,12 +184,12 @@ def _constant_blocks(value, skipped=False):
     return batch
 
 
-#: Each broken law in its per-trial and its batched form.
+#: Each broken law as a one-trial body run by ``per_trial`` and as a raw block.
 BROKEN = {
-    "nan": (dict(checker=_constant_trials(math.nan)), dict(batch=_constant_blocks(math.nan))),
-    "raise": (dict(checker=_raise), dict(batch=_raise)),
-    "wrong": (dict(checker=_constant_trials(0.5)), dict(batch=_constant_blocks(0.5))),
-    "skip_all": (dict(checker=_constant_trials(None)), dict(batch=_constant_blocks(0.0, True))),
+    "nan": (_constant_trials(math.nan), _constant_blocks(math.nan)),
+    "raise": (per_trial(_raise), _raise),
+    "wrong": (_constant_trials(0.5), _constant_blocks(0.5)),
+    "skip_all": (_constant_trials(None), _constant_blocks(0.0, True)),
 }
 
 
@@ -216,7 +216,7 @@ class TestBrokenLawsFail:
     @pytest.mark.parametrize("kind", sorted(BROKEN))
     def test_broken_law_fails(self, private_registry, kind, form):
         law_id = f"broken.{kind}"
-        report = private_registry(law_id, **BROKEN[kind][form])
+        report = private_registry(law_id, batch=BROKEN[kind][form])
         assert not report.passed
         assert report.counterexample is not None
         text = dumps_reports([report])
@@ -237,33 +237,42 @@ class TestBrokenLawsFail:
         assert not any(i.startswith("broken.") for i in law_ids())
 
     def test_first_failure_is_named_not_the_last(self, private_registry):
-        def fails_from_trial_one(rng, dim, record=None):
+        @per_trial
+        def fails_from_trial_one(rng, dim):
             value = float(rng.uniform(0.0, 1.0))
-            if record is not None:
-                record["value"] = value
-            return 0.0 if dim == 2 and value == first_value[0] else 1.0
+            return (0.0 if dim == 2 and value == first_value else 1.0), {"value": value}
 
-        first_value = [float(substream(18, "broken.late", 2, 0).uniform(0.0, 1.0))]
-        report = private_registry("broken.late", checker=fails_from_trial_one)
+        stream = substream(18, "broken.late", 2, 0)
+        first_value, second_value = (float(stream.uniform(0.0, 1.0)) for _ in range(2))
+        report = private_registry("broken.late", batch=fails_from_trial_one)
         assert not report.passed
         assert (report.counterexample["dim"], report.counterexample["trial"]) == (2, 1)
-        expected = float(substream(18, "broken.late", 2, 1).uniform(0.0, 1.0))
-        assert report.counterexample["value"] == expected  # replayed record of that cell
+        assert report.counterexample["value"] == second_value  # the record trial 1 returned
 
     def test_nan_fails_a_negative_control(self, private_registry):
         report = private_registry(
             "counterexample.broken_nan",
-            checker=lambda rng, dim, record: math.nan,
+            batch=_constant_trials(math.nan),
             aggregate=lambda residuals: (True, 0.0),
         )
         assert report.negative_control
         assert not report.passed
 
-    def test_law_needs_exactly_one_checker(self, private_registry):
-        with pytest.raises(ValueError):
-            private_registry("broken.none")
-        with pytest.raises(ValueError):
-            private_registry("broken.both", checker=_constant_trials(0.0), batch=_constant_blocks(0.0))
+    def test_one_trial_failure_in_a_later_block(self, private_registry):
+        # trial 300 of dim 2 is trial 44 of block 1
+        stream = substream(18, "broken.trial300", 2, 1)
+        target = [float(stream.uniform(0.0, 1.0)) for _ in range(45)][-1]
+
+        @per_trial
+        def fails_at_trial_300(rng, dim):
+            value = float(rng.uniform(0.0, 1.0))
+            return (1.0 if dim == 2 and value == target else 0.0), {"value": value}
+
+        lawcheck.register(Law(id="broken.trial300", description="broken", batch=fails_at_trial_300))
+        report = run_law("broken.trial300", GeneratorSpec(dims=(2, 3), trials_per_dim=400, seed=18))
+        assert not report.passed and report.trials_run == 800
+        assert (report.counterexample["dim"], report.counterexample["trial"]) == (2, 300)
+        assert report.counterexample["value"] == target
 
 
 class TestBlockRunner:
@@ -312,7 +321,6 @@ class TestBlockRunner:
     def test_interference_law_is_blocked_and_valid(self):
         gen = GeneratorSpec(seed=20)
         report = run_law("theorem.interference_inequality", gen)
-        assert registry()["theorem.interference_inequality"].batch is not None
         assert report.passed
         assert report.trials_run + report.trials_skipped == 6 * 10_000
         assert report.worst_residual <= 1e-12
