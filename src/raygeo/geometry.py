@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateTripleError, DimensionMismatchError, OrthogonalPairError
 from .linalg import ANGLE_GUARD, EPS_ABS, TWO_PI, inners, norms
-from .rays import ZERO, Ray, Subspace, a_sims, equal_rays, project_vec, rays_from
+from .rays import ZERO, Ray, Subspace, a_sims, equal_rays, project_vec, rays_from, require_dims
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,13 @@ def a_sim(x: Ray, y: Ray) -> float:
     Representative-independent and symmetric; 1 exactly when the rays
     coincide, 0 exactly when they are orthogonal.
     """
-    if x.dim != y.dim:
-        raise DimensionMismatchError(f"dimensions {x.dim} vs {y.dim}")
+    require_dims(x, y)
     return float(a_sims(x.rep, y.rep))
 
 
 def p_sim(x: Ray, y: Ray) -> float:
     """Similarity (transition probability) between two rays: a_sim²."""
-    if x.dim != y.dim:
-        raise DimensionMismatchError(f"dimensions {x.dim} vs {y.dim}")
+    require_dims(x, y)
     return float(p_sims(x.rep, y.rep))
 
 
@@ -62,8 +60,6 @@ def p_prop(x: Ray, a: Subspace) -> float:
     norm of the projected representative (the Born rule), which covers
     both branches at once.
     """
-    if x.dim != a.dim:
-        raise DimensionMismatchError(f"dimensions {x.dim} vs {a.dim}")
     p = project_vec(a, x.rep)
     val = float(np.real(np.vdot(p, p)))
     return min(max(val, 0.0), 1.0)
@@ -133,14 +129,8 @@ def theta(x: Ray, y: Ray, z: Ray) -> float:
         Naming the offending pair, when any two rays have overlap at
         most ``ANGLE_GUARD``.
     """
-    if not (x.dim == y.dim == z.dim):
-        raise DimensionMismatchError(f"dimensions {x.dim}, {y.dim}, {z.dim}")
+    require_dims(x, y, z)
     return triple_phase(x.rep, y.rep, z.rep)
-
-
-def _require_dims(*rays: Ray) -> None:
-    if len({x.dim for x in rays}) > 1:
-        raise DimensionMismatchError(f"dimensions {', '.join(str(x.dim) for x in rays)}")
 
 
 def complement_projections(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +154,7 @@ def complement_projection(x: Ray, y: Ray):
     """Projection of y onto the orthocomplement of the ray x, or
     :data:`ZERO` when y lies on x: the single-pair form of
     :func:`complement_projections`."""
-    _require_dims(x, y)
+    require_dims(x, y)
     rep, zero = complement_projections(x.rep, y.rep)
     return ZERO if zero else Ray(rep=rep)
 
@@ -189,7 +179,7 @@ def coplanar_rows(u, v, w) -> np.ndarray:
 def coplanar(x: Ray, y: Ray, z: Ray) -> bool:
     """Whether three rays lie in a common two-dimensional subspace: the
     single-triple form of :func:`coplanar_rows`."""
-    _require_dims(x, y, z)
+    require_dims(x, y, z)
     return bool(coplanar_rows(x.rep, y.rep, z.rep))
 
 
@@ -236,7 +226,7 @@ def prime_triple(x: Ray, y: Ray, z: Ray) -> Triple:
         If the rays are not pairwise distinct, not pairwise
         non-orthogonal, or not coplanar.
     """
-    _require_dims(x, y, z)
+    require_dims(x, y, z)
     x1, y1, z1, defect = prime_triples(x.rep, y.rep, z.rep)
     if defect:
         raise DegenerateTripleError(_PRIME_DEFECTS[int(defect)])
@@ -263,5 +253,5 @@ def reciprocity_rows(u, v, w) -> np.ndarray:
 def reciprocity_holds(x: Ray, y: Ray, z: Ray) -> bool:
     """The reciprocity implication for one instance: the single-triple
     form of :func:`reciprocity_rows`."""
-    _require_dims(x, y, z)
+    require_dims(x, y, z)
     return bool(reciprocity_rows(x.rep, y.rep, z.rep))

@@ -1077,7 +1077,7 @@ def _check_isometry_preserves_all(rng, dim):
 def _check_noniso_breaks_superpositions(rng, dim):
     f = sampling.non_isometry_map(rng, dim)
     if isometry_scale(f) is not None:
-        return 1.0
+        return 1.0, dict(map=f)
     report = preserves_superpositions(f, trials=200, seed=int(rng.integers(0, 2**32)))
     return 1.0 if report.preserves else 0.0, dict(map=f)
 

@@ -37,8 +37,10 @@ from .rays import (
     meet,
     ortho_complement,
     project_ray,
+    project_rows,
     ray_from,
     rays_equal,
+    require_dims,
     subspaces_equal,
 )
 from .geometry import p_prop
@@ -132,12 +134,12 @@ def total_probability_residuals(qa, qna, qb, x) -> np.ndarray:
     """
     total = 0.0
     for q in (qa, qna):
-        px = _project_stack(q, x)
+        px = project_rows(q, x)
         weight = np.vecdot(px, px).real
         kept = weight > EPS_ABS
-        bpx = _project_stack(qb, px / np.sqrt(np.where(kept, weight, 1.0))[..., np.newaxis])
+        bpx = project_rows(qb, px / np.sqrt(np.where(kept, weight, 1.0))[..., np.newaxis])
         total = total + np.where(kept, weight * np.vecdot(bpx, bpx).real, 0.0)
-    bx = _project_stack(qb, x)
+    bx = project_rows(qb, x)
     return np.abs(np.vecdot(bx, bx).real - total)
 
 
@@ -157,32 +159,52 @@ def check_interference_inequality(x: Ray, a: Subspace, b: Subspace) -> float:
 
         p(x,b)·(1 − p(b(x),a))²  ≤  p(b(x),a)·(1 − p(a(b(x)),b))
 
-    which must be ≥ 0 up to rounding.
+    which must be ≥ 0 up to rounding: the single-instance form of
+    :func:`interference_margins`, read from :func:`interference_chain`.
 
     Raises
     ------
     PreconditionUnmetError
-        If x is not in a, x ⊥ b, or b(x) ⊥ a.
+        If x is not in a, x ⊥ b, or b(x) ⊥ a (a similarity at most
+        ``EPS_ABS``², where the projected state has norm at most
+        ``EPS_ABS``).
     """
+    require_dims(x, a, b)
     if not is_member(x, a):
         raise PreconditionUnmetError("x in alpha")
-    bx = project_ray(b, x)
-    if bx is ZERO:
+    p_xb, p_bxa, p_abxb = interference_chain(a.basis.T, b.basis.T, x.rep)
+    if p_xb <= EPS_ABS**2:
         raise PreconditionUnmetError("x not orthogonal to beta")
-    p_bx_a = p_prop(bx, a)
-    abx = project_ray(a, bx)
-    if abx is ZERO:
+    if p_bxa <= EPS_ABS**2:
         raise PreconditionUnmetError("beta(x) not orthogonal to alpha")
-    lhs = p_prop(x, b) * (1.0 - p_bx_a) ** 2
-    rhs = p_bx_a * (1.0 - p_prop(abx, b))
-    return rhs - lhs
+    return float(_squared_margin(p_xb, p_bxa, p_abxb))
 
 
-def _project_stack(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Projections of stacked vectors (..., d) onto the column spans of
-    stacked orthonormal-column matrices (..., d, k)."""
-    coeff = (v.conj()[..., np.newaxis, :] @ q).conj()  # (..., 1, k), no copy of q
-    return (coeff @ q.swapaxes(-1, -2))[..., 0, :]
+def interference_chain(qa, qb, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The similarities ``(p(x,b), p(b(x),a), p(a(b(x)),b))`` of stacked
+    instances, shape (...) each.
+
+    ``qa`` and ``qb`` have shape (..., d, k) and orthonormal columns
+    spanning alpha and beta (zero columns span nothing, so stacks of
+    mixed rank pad with zeros); ``x`` holds unit vectors, shape
+    (..., d).  Each similarity is the squared norm of the projection of
+    the state before it, which is then normalized.  After a similarity
+    of zero the state stays unnormalized, and the later values of that
+    row are meaningless.
+    """
+    ps = []
+    u = x
+    for q in (qb, qa, qb):
+        if ps:
+            u = u / np.sqrt(np.where(ps[-1] > 0.0, ps[-1], 1.0))[..., np.newaxis]
+        u = project_rows(q, u)
+        ps.append(np.vecdot(u, u).real)
+    return tuple(ps)
+
+
+def _squared_margin(p_xb, p_bxa, p_abxb):
+    """RHS − LHS of the interference inequality, from its chain."""
+    return p_bxa * (1.0 - p_abxb) - p_xb * (1.0 - p_bxa) ** 2
 
 
 #: Rows of :func:`interference_margins` with p(x, b) or p(b(x), a) at
@@ -194,25 +216,14 @@ def interference_margins(qa, qb, x) -> tuple[np.ndarray, np.ndarray]:
     """Batched margin of the interference inequality, the stacked form
     of :func:`check_interference_inequality`.
 
-    ``qa`` and ``qb`` have shape (..., d, k) and orthonormal columns
-    spanning alpha and beta (zero columns span nothing, so stacks of
-    mixed rank pad with zeros); ``x`` holds unit vectors in alpha,
-    shape (..., d).  Returns ``(margin, undefined)``: RHS − LHS per
-    row, and a mask of the rows where p(x, b) or p(b(x), a) is at most
+    Arguments as for :func:`interference_chain`, with each ``x`` in
+    alpha.  Returns ``(margin, undefined)``: RHS − LHS per row, and a
+    mask of the rows where p(x, b) or p(b(x), a) is at most
     :data:`MIN_CONDITIONING_P`, whose margins are meaningless.
     """
-    bx = _project_stack(qb, x)
-    p_xb = np.vecdot(bx, bx).real
-    undefined = p_xb <= MIN_CONDITIONING_P
-    bxu = bx / np.sqrt(np.where(undefined, 1.0, p_xb))[..., np.newaxis]
-    abx = _project_stack(qa, bxu)
-    p_bxa = np.vecdot(abx, abx).real
-    undefined |= p_bxa <= MIN_CONDITIONING_P
-    abxu = abx / np.sqrt(np.where(undefined, 1.0, p_bxa))[..., np.newaxis]
-    babx = _project_stack(qb, abxu)
-    p_abxb = np.vecdot(babx, babx).real
-    margin = p_bxa * (1.0 - p_abxb) - p_xb * (1.0 - p_bxa) ** 2
-    return margin, undefined
+    p_xb, p_bxa, p_abxb = interference_chain(qa, qb, x)
+    undefined = (p_xb <= MIN_CONDITIONING_P) | (p_bxa <= MIN_CONDITIONING_P)
+    return _squared_margin(p_xb, p_bxa, p_abxb), undefined
 
 
 @dataclass(frozen=True)
@@ -244,9 +255,14 @@ def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitn
     Every candidate is drawn from its own counter-based substream keyed
     by (seed, trial), so the search may be split across workers and
     merged deterministically (first witness by trial index wins); this
-    implementation scans sequentially.  Returns ``None`` when the
-    budget is exhausted.  Any witness returned also satisfies the
-    squared inequality, which is a theorem.
+    implementation scans sequentially.  Each candidate (real QR frames
+    of ranks 1 or 2 and a state in alpha) is scored by
+    :func:`interference_chain` on its arrays, skipped when p(x,b) or
+    p(b(x),a) is at most 1e-6, and accepted when the non-squared excess
+    is above ``EPS_ABS``; ``Ray`` and ``Subspace`` objects are built
+    only for the witness.  Returns ``None`` when the budget is
+    exhausted.  Any witness returned also satisfies the squared
+    inequality, which is a theorem.
 
     Raises
     ------
@@ -259,41 +275,27 @@ def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitn
         ranks = rng.integers(1, dim, size=2)  # 1 or 2
         qa = np.linalg.qr(rng.standard_normal((dim, int(ranks[0]))))[0]
         qb = np.linalg.qr(rng.standard_normal((dim, int(ranks[1]))))[0]
-        alpha = Subspace.from_orthonormal(qa.T.astype(np.complex128), dim)
-        beta = Subspace.from_orthonormal(qb.T.astype(np.complex128), dim)
-        coeff = rng.standard_normal(int(ranks[0]))
-        vec = qa @ coeff
+        vec = qa @ rng.standard_normal(int(ranks[0]))
         nrm = float(np.linalg.norm(vec))
         if nrm <= EPS_ABS:
             continue
-        x = ray_from(vec.astype(np.complex128))
-        p_xb = p_prop(x, beta)
-        if p_xb <= 1e-6:
+        # in complex128, the field of p_prop and project_ray: the reported
+        # p values stay those of the public chain on the witness's objects
+        qa, qb, vec = (t.astype(np.complex128) for t in (qa, qb, vec))
+        p_xb, p_bx_a, p_abx_b = (float(p) for p in interference_chain(qa, qb, vec / nrm))
+        if p_xb <= 1e-6 or p_bx_a <= 1e-6:
             continue
-        bx = project_ray(beta, x)
-        if bx is ZERO:
-            continue
-        p_bx_a = p_prop(bx, alpha)
-        if p_bx_a <= 1e-6:
-            continue
-        abx = project_ray(alpha, bx)
-        if abx is ZERO:
-            continue
-        p_abx_b = p_prop(abx, beta)
-        lhs_ns = p_xb * (1.0 - p_bx_a)
-        rhs_ns = p_bx_a * (1.0 - p_abx_b)
-        excess = lhs_ns - rhs_ns
+        excess = p_xb * (1.0 - p_bx_a) - p_bx_a * (1.0 - p_abx_b)
         if excess > EPS_ABS:
-            squared_margin = p_bx_a * (1.0 - p_abx_b) - p_xb * (1.0 - p_bx_a) ** 2
             return InterferenceWitness(
-                x=x,
-                alpha=alpha,
-                beta=beta,
+                x=ray_from(vec),
+                alpha=Subspace.from_orthonormal(qa.T, dim),
+                beta=Subspace.from_orthonormal(qb.T, dim),
                 p_x_beta=p_xb,
                 p_bx_alpha=p_bx_a,
                 p_abx_beta=p_abx_b,
                 nonsquared_excess=excess,
-                squared_margin=squared_margin,
+                squared_margin=_squared_margin(p_xb, p_bx_a, p_abx_b),
                 trial_index=trial,
             )
     return None

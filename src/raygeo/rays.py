@@ -153,10 +153,17 @@ def equal_rays(u, v) -> np.ndarray:
     return a_sims(u, v) > 1.0 - EPS_ABS
 
 
+def require_dims(*objs) -> None:
+    """Raise :class:`DimensionMismatchError` unless the rays and
+    subspaces given share one ambient dimension."""
+    dims = [obj.dim for obj in objs]
+    if len(set(dims)) > 1:
+        raise DimensionMismatchError(f"dimensions {', '.join(map(str, dims))}")
+
+
 def rays_equal(x: Ray, y: Ray) -> bool:
     """Whether two rays coincide: the single-pair form of :func:`equal_rays`."""
-    if x.dim != y.dim:
-        raise DimensionMismatchError(f"dimensions {x.dim} vs {y.dim}")
+    require_dims(x, y)
     return bool(equal_rays(x.rep, y.rep))
 
 
@@ -239,25 +246,27 @@ class Subspace:
         return f"Subspace(rank={self.rank}, dim={self.dim})"
 
 
-def _require_dim(a, b):
-    da = a.dim
-    db = b.dim
-    if da != db:
-        raise DimensionMismatchError(f"ambient dimensions {da} vs {db}")
+def project_rows(q, v) -> np.ndarray:
+    """Orthogonal projections of stacked vectors (..., d) onto the column
+    spans of stacked orthonormal-column matrices (..., d, k).
+
+    Computed as ``sum_k inner(v, q_k) q_k`` over the columns; zero
+    columns span nothing, so stacks of mixed rank pad with zeros, and
+    k = 0 projects onto falsehood.
+    """
+    coeff = (v.conj()[..., np.newaxis, :] @ q).conj()  # (..., 1, k), no copy of q
+    return (coeff @ q.swapaxes(-1, -2))[..., 0, :]
 
 
 def project_vec(a: Subspace, u) -> np.ndarray:
-    """Orthogonal projection of a vector onto the subspace.
-
-    Computed as ``sum_k inner(u, b_k) b_k`` over the basis rows; the
-    residual ``u − result`` is orthogonal to every basis vector.
+    """Orthogonal projection of a vector onto the subspace: the
+    single-vector form of :func:`project_rows`.  The residual
+    ``u − result`` is orthogonal to every basis vector.
     """
     u = as_vector(u)
     if u.shape[0] != a.dim:
         raise DimensionMismatchError(f"vector dim {u.shape[0]} vs subspace dim {a.dim}")
-    if a.rank == 0:
-        return np.zeros(a.dim, dtype=np.complex128)
-    return a.basis.T @ (a.basis.conj() @ u)
+    return project_rows(a.basis.T, u)
 
 
 def project_ray(a: Subspace, x):
@@ -268,7 +277,6 @@ def project_ray(a: Subspace, x):
     """
     if x is ZERO:
         return ZERO
-    _require_dim(a, x)
     p = project_vec(a, x.rep)
     if float(np.linalg.norm(p)) <= EPS_ABS:
         return ZERO
@@ -303,7 +311,7 @@ def join(a: Subspace, b: Subspace) -> Subspace:
     ``s > EPS_ABS``, stacked under ``a``'s basis, whose rows stay
     first.
     """
-    _require_dim(a, b)
+    require_dims(a, b)
     _, s, vh = np.linalg.svd(_residual_rows(b.basis, a), full_matrices=False)
     return Subspace.from_orthonormal(np.vstack([a.basis, vh[s > EPS_ABS]]), a.dim)
 
@@ -317,7 +325,7 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     vectors with ``s <= EPS_ABS`` are the coefficients, in ``a``'s
     basis, of an orthonormal basis of the intersection.
     """
-    _require_dim(a, b)
+    require_dims(a, b)
     u, s, _ = np.linalg.svd(_residual_rows(a.basis, b), full_matrices=False)
     coeffs = u[:, np.count_nonzero(s > EPS_ABS) :].conj().T
     return Subspace.from_orthonormal(coeffs @ a.basis, a.dim)
@@ -325,7 +333,6 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
 
 def is_member(x: Ray, a: Subspace) -> bool:
     """Whether the ray lies inside the subspace (projection fixes it)."""
-    _require_dim(a, x)
     residual = float(np.linalg.norm(project_vec(a, x.rep) - x.rep))
     return residual <= EPS_ABS
 
@@ -356,7 +363,7 @@ def is_orthogonal(p, q) -> bool:
 
 def subspaces_equal(a: Subspace, b: Subspace) -> bool:
     """Whether two subspaces coincide (equal ranks, mutual containment)."""
-    _require_dim(a, b)
+    require_dims(a, b)
     if a.rank != b.rank:
         return False
     if a.rank == 0:
@@ -370,7 +377,7 @@ def containment_defect(a: Subspace, b: Subspace) -> float:
 
     Zero (up to rounding) exactly when a ⊆ b.
     """
-    _require_dim(a, b)
+    require_dims(a, b)
     if a.rank == 0:
         return 0.0
     coeffs = b.basis.conj() @ a.basis.T  # (rank_b, rank_a)
@@ -385,7 +392,7 @@ def commutes(a: Subspace, b: Subspace) -> bool:
     projections — which renders the universally quantified definition
     faithfully in finite dimension.
     """
-    _require_dim(a, b)
+    require_dims(a, b)
     pa = a.projector()
     pb = b.projector()
     return float(np.max(np.abs(pa @ pb - pb @ pa))) <= EPS_ABS

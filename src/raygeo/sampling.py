@@ -170,8 +170,7 @@ def random_subspace(rng: np.random.Generator, dim: int, rank: int | None = None)
         return Subspace.falsehood(dim)
     if rank >= dim:
         return Subspace.truth(dim)
-    q = np.linalg.qr(gaussian_stack(rng, (dim, rank)))[0]
-    return Subspace.from_orthonormal(q.T.astype(np.complex128), dim)
+    return Subspace.from_orthonormal(random_frames(rng, 1, dim, rank)[0].T, dim)
 
 
 def member_ray(rng: np.random.Generator, a: Subspace) -> Ray:
@@ -222,8 +221,7 @@ def isometry_map(
     """A scaled isometry C^{dim_in} → C^{dim_out} (unitary columns)."""
     if dim_out is None:
         dim_out = dim_in + int(rng.integers(0, 3))
-    g = rng.standard_normal((dim_out, dim_in)) + 1j * rng.standard_normal((dim_out, dim_in))
-    q = np.linalg.qr(g)[0]
+    q = random_frames(rng, 1, dim_out, dim_in)[0]
     c = float(rng.uniform(0.5, 2.0)) if scale is None else float(scale)
     return RegularMap(underlying=LinearMap(matrix=c * q))
 
@@ -234,10 +232,8 @@ def non_isometry_map(
     """An injective non-isometry: one singular value bumped by ≥ 1.1."""
     if dim_out is None:
         dim_out = dim_in + int(rng.integers(0, 3))
-    g = rng.standard_normal((dim_out, dim_in)) + 1j * rng.standard_normal((dim_out, dim_in))
-    q = np.linalg.qr(g)[0]
-    gv = rng.standard_normal((dim_in, dim_in)) + 1j * rng.standard_normal((dim_in, dim_in))
-    v = np.linalg.qr(gv)[0]
+    q = random_frames(rng, 1, dim_out, dim_in)[0]
+    v = random_frames(rng, 1, dim_in, dim_in)[0]
     s = np.ones(dim_in)
     s[int(rng.integers(0, dim_in))] = 1.1 + float(rng.uniform(0.0, 0.9))
     return RegularMap(underlying=LinearMap(matrix=q @ np.diag(s) @ v.conj().T))

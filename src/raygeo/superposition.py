@@ -23,14 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateTripleError,
-    DimensionMismatchError,
-    InvalidWeightError,
-    OrthogonalComponentsError,
-)
+from .errors import DegenerateTripleError, InvalidWeightError, OrthogonalComponentsError
 from .linalg import ANGLE_GUARD, EPS_ABS
-from .rays import Ray, Subspace, a_sims, is_orthogonal, join, ray_from, rays_from
+from .rays import Ray, Subspace, a_sims, is_orthogonal, join, ray_from, rays_from, require_dims
 from .geometry import a_sim, p_sim, p_sims, theta
 
 
@@ -49,8 +44,7 @@ class SuperpositionSpec:
     r: float
 
     def __post_init__(self):
-        if self.y.dim != self.z.dim:
-            raise DimensionMismatchError(f"dimensions {self.y.dim} vs {self.z.dim}")
+        require_dims(self.y, self.z)
         r = float(self.r)
         if not (math.isfinite(r) and 0.0 <= r <= 1.0):
             raise InvalidWeightError(f"weight r={self.r!r} outside [0, 1]")
@@ -129,18 +123,10 @@ def omega(r: float, y: Ray, z: Ray) -> float:
 
     Raises
     ------
-    InvalidWeightError
-        If r lies outside [0, 1].
-    OrthogonalComponentsError
-        If the components are orthogonal.
+    DimensionMismatchError, InvalidWeightError, OrthogonalComponentsError
+        As :class:`SuperpositionSpec` does for the same (y, z, r).
     """
-    r = float(r)
-    if not (math.isfinite(r) and 0.0 <= r <= 1.0):
-        raise InvalidWeightError(f"weight r={r!r} outside [0, 1]")
-    if a_sim(y, z) <= EPS_ABS:
-        raise OrthogonalComponentsError(
-            "superpositions of orthogonal states are undefined"
-        )
+    SuperpositionSpec(y=y, z=z, r=r)
     return float(omegas(r, y.rep, z.rep))
 
 
@@ -166,8 +152,7 @@ def p_of_superposition_closed_forms(r, v, w, x) -> np.ndarray:
 def p_of_superposition_closed_form(spec: SuperpositionSpec, x: Ray) -> float:
     """Closed-form similarity between a superposition and a test state:
     the single form of :func:`p_of_superposition_closed_forms`."""
-    if x.dim != spec.y.dim:
-        raise DimensionMismatchError(f"dimensions {spec.y.dim} vs {x.dim}")
+    require_dims(spec.y, x)
     return float(p_of_superposition_closed_forms(spec.r, spec.y.rep, spec.z.rep, x.rep))
 
 

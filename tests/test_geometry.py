@@ -12,13 +12,18 @@ import pytest
 
 from raygeo import (
     DegenerateTripleError,
+    DimensionMismatchError,
     OrthogonalPairError,
     Subspace,
+    SuperpositionSpec,
     a_sim,
+    check_interference_inequality,
     circular_distance,
     complement_projection,
     coplanar,
     is_orthogonal,
+    omega,
+    p_of_superposition_closed_form,
     p_prop,
     p_sim,
     prime_triple,
@@ -225,3 +230,31 @@ class TestReciprocity:
     def test_classical_model_vacuous(self):
         e = np.eye(4)
         assert reciprocity_holds(ray_from(e[0]), ray_from(e[1]), ray_from(e[2]))
+
+
+# x2, y2 live in C^2 and x3, b3 in C^3: each call mixes the two dimensions.
+_X2, _Y2, _X3 = ray_from([1.0, 0.5]), ray_from([0.5, 1.0]), ray_from([1.0, 0.5, 0.2])
+_B3 = Subspace.from_vectors([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: a_sim(_X2, _X3),
+        lambda: p_sim(_X2, _X3),
+        lambda: p_prop(_X2, _B3),
+        lambda: theta(_X2, _Y2, _X3),
+        lambda: rays_equal(_X2, _X3),
+        lambda: SuperpositionSpec(y=_X2, z=_X3, r=0.5),
+        lambda: omega(0.5, _X2, _X3),
+        lambda: p_of_superposition_closed_form(SuperpositionSpec(y=_X2, z=_Y2, r=0.5), _X3),
+        lambda: check_interference_inequality(_X2, Subspace.truth(2), _B3),
+    ],
+    ids=[
+        "a_sim", "p_sim", "p_prop", "theta", "rays_equal", "SuperpositionSpec", "omega",
+        "p_of_superposition_closed_form", "check_interference_inequality",
+    ],
+)
+def test_mixed_dimensions_raise(call):
+    with pytest.raises(DimensionMismatchError):
+        call()

@@ -44,7 +44,7 @@ from raygeo.geometry import (
     triple_phases,
 )
 from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distance
-from raygeo.rays import equal_rays, rays_from
+from raygeo.rays import equal_rays, project_rows, project_vec, rays_from
 from raygeo.sampling import MIN_OVERLAP, gaussian_stack, random_frames
 from raygeo.superposition import (
     omega as omega_scalar,
@@ -260,6 +260,41 @@ def test_rays_from_matches_ray_from(dim):
         assert np.flatnonzero(np.abs(rep) > EPS_ABS)[0] == lead
         assert abs(rep[lead].imag) < 1e-15 and rep[lead].real > 0.0
     np.testing.assert_allclose(rays_from(v[7]), ray_from(v[7]).rep, rtol=0, atol=1e-15)  # one row
+
+
+def _ref_subspace_projection(cols, v):
+    """sum_k <v, q_k> q_k, one column and one entry at a time."""
+    out = [0j] * len(v)
+    for q in cols:
+        c = _inner(v, q)
+        out = [o + c * qi for o, qi in zip(out, q)]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+def test_project_rows_matches_loop(dim):
+    rng = np.random.default_rng(90 + dim)
+    n = 12
+    v = gaussian_stack(rng, (n, dim))
+    frames = random_frames(rng, n, dim, dim)
+    for rank in range(dim + 1):  # one frame shared by every row
+        q = frames[0][:, :rank]
+        a = Subspace.from_orthonormal(q.T, dim)
+        got = project_rows(q, v)
+        assert got.shape == (n, dim)
+        for row, p in zip(v, got):
+            np.testing.assert_allclose(p, _ref_subspace_projection(q.T, row), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(p, project_vec(a, row))
+    # a frame per row, its columns beyond the row's rank zeroed: the zero
+    # columns change the summation, so only the row alone is bit-equal
+    ranks = rng.integers(0, dim + 1, size=n)
+    padded = frames * (np.arange(dim) < ranks[:, np.newaxis])[:, np.newaxis, :]
+    got = project_rows(padded, v)
+    for row, frame, rank, p in zip(v, padded, ranks, got):
+        a = Subspace.from_orthonormal(frame[:, :rank].T, dim)
+        np.testing.assert_allclose(p, _ref_subspace_projection(frame[:, :rank].T, row), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p, project_vec(a, row), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(p, project_rows(frame, row))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -103,6 +103,18 @@ class TestRunLaw:
         assert report.trials_run + report.trials_skipped == 50
         assert report.trials_skipped <= 2  # skip cap 5%
 
+    def test_noniso_law_names_a_sampled_isometry(self, monkeypatch):
+        # the law's own failure path: a sampled "non-isometry" that is an
+        # isometry fails with residual 1.0 and the map, not with an error
+        from raygeo import laws
+
+        monkeypatch.setattr(laws, "isometry_scale", lambda f: 1.0)
+        gen = GeneratorSpec(dims=(2,), trials_per_dim=5, seed=1)
+        report = run_law("morphism.noniso_breaks_superpositions", gen)
+        assert not report.passed
+        assert report.worst_residual == 1.0
+        assert "map" in report.counterexample and "error" not in report.counterexample
+
 
 class TestRunAll:
     def test_filter_glob(self):

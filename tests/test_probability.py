@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from raygeo import (
+    ZERO,
     NotCommutingError,
     NotOrthogonalError,
     PreconditionUnmetError,
@@ -277,6 +278,19 @@ class TestNonsquaredSearch:
         for key in ("p_x_beta", "p_bx_alpha", "p_abx_beta", "nonsquared_excess", "squared_margin"):
             assert getattr(w, key) == pytest.approx(FROZEN_WITNESS[key], abs=1e-12)
 
+    def test_first_witnesses_pinned(self):
+        # the trial index of the first witness for seeds 0..19, and its p
+        # values against the public projections of its own objects
+        indices = [1, 4, 1, 0, 1, 1, 4, 1, 1, 7, 0, 7, 1, 8, 0, 0, 9, 1, 0, 6]
+        for seed, index in enumerate(indices):
+            w = search_nonsquared_counterexample(seed=seed, budget=100_000)
+            assert w.trial_index == index, seed
+            bx = project_ray(w.beta, w.x)
+            abx = project_ray(w.alpha, bx)
+            assert p_prop(w.x, w.beta) == pytest.approx(w.p_x_beta, abs=1e-12)
+            assert p_prop(bx, w.alpha) == pytest.approx(w.p_bx_alpha, abs=1e-12)
+            assert p_prop(abx, w.beta) == pytest.approx(w.p_abx_beta, abs=1e-12)
+
     def test_witness_is_real_3d_and_consistent(self):
         w = search_nonsquared_counterexample(seed=42, budget=1000)
         assert w.x.dim == 3
@@ -332,9 +346,22 @@ def test_finite_additivity_four_parts():
     assert p_prop(x, joined) == pytest.approx(sum(p_prop(x, p) for p in parts), abs=1e-12)
 
 
+def _interference_reference(x, a, b):
+    """The margin of the interference inequality written out with the
+    public projections, or None where b(x) or a(b(x)) is ZERO."""
+    bx = project_ray(b, x)
+    if bx is ZERO:
+        return None
+    p_bx_a = p_prop(bx, a)
+    abx = project_ray(a, bx)
+    if abx is ZERO:
+        return None
+    return p_bx_a * (1.0 - p_prop(abx, b)) - p_prop(x, b) * (1.0 - p_bx_a) ** 2
+
+
 def test_batched_interference_margins_match_scalar_check():
     # the high-volume law checks its instances in stacks; pin its margins
-    # and residuals to the scalar reference on the same instances
+    # and residuals, and the scalar check's, to the reference chain
     from raygeo.laws import _batch_interference_inequality
     from raygeo.sampling import substream
 
@@ -349,11 +376,13 @@ def test_batched_interference_margins_match_scalar_check():
                 for name in ("alpha", "beta")
             )
             assert a.rank == stacks["alpha_rank"][i] and 1 <= a.rank < dim
-            try:
-                margin = check_interference_inequality(x, a, b)
-            except PreconditionUnmetError:
+            margin = _interference_reference(x, a, b)
+            if margin is None:
                 assert block.skipped[i]
+                with pytest.raises(PreconditionUnmetError):
+                    check_interference_inequality(x, a, b)
                 continue
+            assert check_interference_inequality(x, a, b) == pytest.approx(margin, abs=1e-12)
             if block.skipped[i]:
                 continue
             assert stacks["margin"][i] == pytest.approx(margin, abs=1e-12)
