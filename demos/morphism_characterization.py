@@ -31,12 +31,12 @@ def haar_unitary(n):
 
 
 candidates = {
-    "unitary (3x3)": RegularMap.from_matrix(haar_unitary(3)),
-    "2.5 x unitary": RegularMap.from_matrix(2.5 * haar_unitary(3)),
-    "isometric embedding (3->5)": RegularMap.from_matrix(
+    "unitary (3x3)": RegularMap(haar_unitary(3)),
+    "2.5 x unitary": RegularMap(2.5 * haar_unitary(3)),
+    "isometric embedding (3->5)": RegularMap(
         np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))[0]
     ),
-    "diagonal stretch diag(1,2,1)": RegularMap.from_matrix(np.diag([1.0, 2.0, 1.0])),
+    "diagonal stretch diag(1,2,1)": RegularMap(np.diag([1.0, 2.0, 1.0])),
 }
 
 for name, f in candidates.items():
@@ -58,6 +58,6 @@ for name, f in candidates.items():
 # Scaling the matrix by any nonzero complex number induces the same ray
 # map: rays forget magnitudes and global phases.
 base = candidates["unitary (3x3)"]
-scaled = RegularMap.from_matrix((0.3 - 1.2j) * base.underlying.matrix)
+scaled = RegularMap((0.3 - 1.2j) * base.matrix)
 x = ray_from(rng.standard_normal(3) + 1j * rng.standard_normal(3))
 print(f"c*m induces the same ray map: {rays_equal(apply_ray(base, x), apply_ray(scaled, x))}")

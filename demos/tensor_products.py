@@ -27,7 +27,7 @@ x1 = ray_from([1.0, 1.0])
 x2 = ray_from([1.0, 0.0, 0.0])
 prod = tensor_ray(x1, x2)
 print(f"({np.round(x1.rep, 4)}) x ({np.round(x2.rep, 4)})")
-print(f"  = {np.round(prod.combined.rep, 4)}  in C^{prod.combined.dim}")
+print(f"  = {np.round(prod.rep, 4)}  in C^{prod.dim}")
 print()
 
 # --- similarity multiplies ------------------------------------------------
@@ -35,7 +35,7 @@ print("p(x1 (x) x2, y1 (x) y2) = p(x1,y1) * p(x2,y2):")
 for _ in range(4):
     a1, b1 = random_ray(2), random_ray(2)
     a2, b2 = random_ray(3), random_ray(3)
-    lhs = p_sim(tensor_ray(a1, a2).combined, tensor_ray(b1, b2).combined)
+    lhs = p_sim(tensor_ray(a1, a2), tensor_ray(b1, b2))
     rhs = p_sim(a1, b1) * p_sim(a2, b2)
     print(f"  product {lhs:.10f}   factors {rhs:.10f}   gap {check_p_product(a1, b1, a2, b2):.1e}")
 print()
@@ -47,9 +47,9 @@ z = ray_from([1.0, 1.0j])
 t = theta(x, y, z)
 print(f"worked triple phase: {t:+.6f}  (= -pi/4 = {-math.pi/4:+.6f})")
 
-tx = tensor_ray(x, x).combined
-ty = tensor_ray(y, y).combined
-tz = tensor_ray(z, z).combined
+tx = tensor_ray(x, x)
+ty = tensor_ray(y, y)
+tz = tensor_ray(z, z)
 print(f"phase of the squared triple: {theta(tx, ty, tz):+.6f}  (= -pi/2)")
 print(f"additivity residual: {check_theta_product(x, y, z, x, y, z):.1e}")
 print()

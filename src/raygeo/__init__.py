@@ -80,7 +80,6 @@ from .probability import (
     search_nonsquared_counterexample,
 )
 from .morphisms import (
-    LinearMap,
     PreservationReport,
     QuantityResiduals,
     RegularMap,
@@ -90,7 +89,7 @@ from .morphisms import (
     isometry_scale,
     preserves_superpositions,
 )
-from .tensor import ProductRay, check_p_product, check_theta_product, tensor_ray
+from .tensor import check_p_product, check_theta_product, tensor_ray
 from .lawcheck import (
     GeneratorSpec,
     Law,

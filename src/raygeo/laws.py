@@ -90,10 +90,13 @@ from .probability import (
     total_probability_residuals,
 )
 from .morphisms import (
+    RegularMap,
     apply_ray,
     check_char_morph,
     check_preserves_p_theta,
+    isometry_map,
     isometry_scale,
+    non_isometry_map,
     preserves_superpositions,
 )
 from .tensor import kron_rows, p_product_residuals, product_rays, theta_product_residuals
@@ -191,12 +194,12 @@ def _batch_cauchy_schwarz(rng, dim, n):
 @per_trial
 def _check_orthonormalize_contract(rng, dim):
     k = int(rng.integers(1, dim + 1))
-    independent = [sampling.gaussian_vector(rng, dim) for _ in range(k)]
+    independent = [sampling.gaussian_stack(rng, dim) for _ in range(k)]
     if np.linalg.matrix_rank(np.array(independent), tol=1e-8) < k:
         return _SKIP
     redundant = []
     for _ in range(int(rng.integers(0, 3))):
-        coeff = sampling.gaussian_vector(rng, k)
+        coeff = sampling.gaussian_stack(rng, k)
         redundant.append(sum(c * v for c, v in zip(coeff, independent)))
     basis = orthonormalize(independent + redundant)
     if len(basis) != k:
@@ -245,7 +248,7 @@ def _check_projector_laws(rng, dim):
 @per_trial
 def _check_projection_residual(rng, dim):
     a = sampling.random_subspace(rng, dim)
-    u = sampling.gaussian_vector(rng, dim)
+    u = sampling.gaussian_stack(rng, dim)
     resid = u - project_vec(a, u)
     record = dict(alpha=a, u=u)
     if a.rank == 0:
@@ -449,11 +452,11 @@ def _check_p_max(rng, dim):
     if ax is ZERO:
         return _SKIP
     p_best = p_sim(x, ax)
-    coeff = rng.standard_normal((200, a.rank)) + 1j * rng.standard_normal((200, a.rank))
+    coeff = sampling.gaussian_stack(rng, (200, a.rank))
     coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
     ys = coeff @ a.basis  # 200 unit vectors inside alpha
-    p_vals = np.abs(ys.conj() @ x.rep) ** 2
-    same = np.abs(ys.conj() @ ax.rep) > 1.0 - 1e-9
+    p_vals = p_sims(ys, x.rep)
+    same = a_sims(ys, ax.rep) > 1.0 - 1e-9
     margins = p_best - p_vals
     violations = int(np.sum(~same & (margins <= 1e-12)))
     return float(violations), dict(alpha=a, x=x, violations=violations)
@@ -708,7 +711,7 @@ def _batch_dominance_boundary(rng, dim, n):
 
 
 def _plane_ray(rng, b1, b2):
-    c = sampling.gaussian_vector(rng, 2)
+    c = sampling.gaussian_stack(rng, 2)
     return ray_from(c[0] * b1 + c[1] * b2), c
 
 
@@ -886,15 +889,15 @@ def _check_local_total_probability(rng, dim):
     shared = frame[0]
     wing1, wing2 = frame[1], frame[2]
     rest = frame[3:]
-    c1 = sampling.gaussian_vector(rng, 2)
-    c2 = sampling.gaussian_vector(rng, 2)
+    c1 = sampling.gaussian_stack(rng, 2)
+    c2 = sampling.gaussian_stack(rng, 2)
     a_vec = c1[0] * wing1 + c1[1] * wing2
     b_vec = c2[0] * wing1 + c2[1] * wing2
     a = Subspace.from_vectors([shared, a_vec], dim=dim)
     b = Subspace.from_vectors([shared, b_vec], dim=dim)
     if a.rank != 2 or b.rank != 2 or commutes(a, b):
         return _SKIP  # want a genuinely non-commuting pair
-    coeff = sampling.gaussian_vector(rng, len(rest) + 1)
+    coeff = sampling.gaussian_stack(rng, len(rest) + 1)
     x_vec = coeff[0] * shared + sum(c * r for c, r in zip(coeff[1:], rest))
     if abs(coeff[0]) < 1e-3 or float(np.linalg.norm(x_vec)) < 1e-3:
         return _SKIP
@@ -1023,10 +1026,10 @@ def _check_nonsquared_search(rng, dim):
 )
 @per_trial
 def _check_morphism_scale_invariance(rng, dim):
-    base = sampling.isometry_map(rng, dim, scale=1.0)
+    base = isometry_map(rng, dim, scale=1.0)
     s = float(rng.uniform(0.5, 2.0))
     c = _unit_phases(rng, 1)[0] * s
-    scaled = type(base).from_matrix(c * base.underlying.matrix)
+    scaled = RegularMap(c * base.matrix)
     x = sampling.random_ray(rng, dim)
     residual = 1.0 - a_sim(apply_ray(base, x), apply_ray(scaled, x))
     scale = isometry_scale(scaled)
@@ -1042,10 +1045,10 @@ def _check_morphism_scale_invariance(rng, dim):
 )
 @per_trial
 def _check_isometry_inner_products(rng, dim):
-    f = sampling.isometry_map(rng, dim, scale=1.0)
-    u = sampling.gaussian_vector(rng, dim)
-    v = sampling.gaussian_vector(rng, dim)
-    m = f.underlying.matrix
+    f = isometry_map(rng, dim, scale=1.0)
+    u = sampling.gaussian_stack(rng, dim)
+    v = sampling.gaussian_stack(rng, dim)
+    m = f.matrix
     return abs(inner(m @ u, m @ v) - inner(u, v)), dict(u=u, v=v)
 
 
@@ -1057,7 +1060,7 @@ def _check_isometry_inner_products(rng, dim):
 )
 @per_trial
 def _check_isometry_preserves_all(rng, dim):
-    f = sampling.isometry_map(rng, dim)
+    f = isometry_map(rng, dim)
     quantities = check_preserves_p_theta(f, trials=20, seed=int(rng.integers(0, 2**32)))
     report = preserves_superpositions(f, trials=10, seed=int(rng.integers(0, 2**32)))
     residual = max(quantities.p_residual, quantities.theta_residual, report.worst_residual)
@@ -1075,7 +1078,7 @@ def _check_isometry_preserves_all(rng, dim):
 )
 @per_trial
 def _check_noniso_breaks_superpositions(rng, dim):
-    f = sampling.non_isometry_map(rng, dim)
+    f = non_isometry_map(rng, dim)
     if isometry_scale(f) is not None:
         return 1.0, dict(map=f)
     report = preserves_superpositions(f, trials=200, seed=int(rng.integers(0, 2**32)))
@@ -1092,9 +1095,9 @@ def _check_noniso_breaks_superpositions(rng, dim):
 @per_trial
 def _check_char_morph_law(rng, dim):
     if int(rng.integers(0, 2)) == 0:
-        f = sampling.isometry_map(rng, dim)
+        f = isometry_map(rng, dim)
     else:
-        f = sampling.non_isometry_map(rng, dim)
+        f = non_isometry_map(rng, dim)
     ok = check_char_morph(f, trials=120, seed=int(rng.integers(0, 2**32)))
     return 0.0 if ok else 1.0, dict(map=f)
 
@@ -1109,9 +1112,9 @@ def _check_char_morph_law(rng, dim):
 @per_trial
 def _check_injective_distinct(rng, dim):
     if int(rng.integers(0, 2)) == 0:
-        f = sampling.isometry_map(rng, dim)
+        f = isometry_map(rng, dim)
     else:
-        f = sampling.non_isometry_map(rng, dim)
+        f = non_isometry_map(rng, dim)
     x = sampling.random_ray(rng, dim)
     y = sampling.random_ray(rng, dim)
     if a_sim(x, y) > 1.0 - 1e-6:

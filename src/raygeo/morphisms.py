@@ -5,7 +5,8 @@ map on rays (scaling the matrix by any nonzero complex number induces
 the same ray map).  The central fact verified by the harness: such a
 map preserves superpositions exactly when it is an isometry up to a
 positive scale — in which case it also preserves similarities and
-triple phases.
+triple phases.  :func:`isometry_map` and :func:`non_isometry_map`
+sample the two kinds of map the harness checks.
 """
 
 from __future__ import annotations
@@ -18,12 +19,17 @@ from .errors import DimensionMismatchError, NotIsometryError
 from .linalg import EPS_ABS, circular_distances
 from .rays import Ray, ray_from
 from .geometry import a_sims, p_sims, triple_phases
+from .sampling import gaussian_stack, keyed_generator, random_frames
 from .superposition import superpose_vectors
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    """An injective linear map C^{dim_in} → C^{dim_out} as a matrix.
+@dataclass(frozen=True, eq=False)
+class RegularMap:
+    """The ray-level map induced by an injective linear map
+    C^{dim_in} → C^{dim_out}, held as its matrix.
+
+    ``==`` is exact entrywise matrix equality; two matrices that differ
+    by a nonzero factor induce the same ray map but compare unequal.
 
     Raises
     ------
@@ -46,6 +52,12 @@ class LinearMap:
         object.__setattr__(self, "matrix", m)
         m.flags.writeable = False
 
+    def __eq__(self, other):
+        return isinstance(other, RegularMap) and np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self):
+        return hash((self.matrix.shape, self.matrix.tobytes()))
+
     @property
     def dim_in(self) -> int:
         return int(self.matrix.shape[1])
@@ -55,30 +67,30 @@ class LinearMap:
         return int(self.matrix.shape[0])
 
 
-@dataclass(frozen=True)
-class RegularMap:
-    """The ray-level map induced by an injective linear map."""
+def isometry_map(rng: np.random.Generator, dim_in: int, scale: float | None = None) -> RegularMap:
+    """A scaled isometry C^{dim_in} → C^{dim_out} (orthonormal columns);
+    dim_out is drawn from dim_in..dim_in+2, the scale from [0.5, 2) if not given."""
+    dim_out = dim_in + int(rng.integers(0, 3))
+    q = random_frames(rng, 1, dim_out, dim_in)[0]
+    c = float(rng.uniform(0.5, 2.0)) if scale is None else float(scale)
+    return RegularMap(c * q)
 
-    underlying: LinearMap
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "RegularMap":
-        return cls(underlying=LinearMap(matrix=np.asarray(matrix, dtype=np.complex128)))
-
-    @property
-    def dim_in(self) -> int:
-        return self.underlying.dim_in
-
-    @property
-    def dim_out(self) -> int:
-        return self.underlying.dim_out
+def non_isometry_map(rng: np.random.Generator, dim_in: int) -> RegularMap:
+    """An injective non-isometry: one singular value bumped by ≥ 1.1."""
+    dim_out = dim_in + int(rng.integers(0, 3))
+    q = random_frames(rng, 1, dim_out, dim_in)[0]
+    v = random_frames(rng, 1, dim_in, dim_in)[0]
+    s = np.ones(dim_in)
+    s[int(rng.integers(0, dim_in))] = 1.1 + float(rng.uniform(0.0, 0.9))
+    return RegularMap(q @ np.diag(s) @ v.conj().T)
 
 
 def apply_ray(f: RegularMap, x: Ray) -> Ray:
     """Image of a ray under the induced map."""
     if x.dim != f.dim_in:
         raise DimensionMismatchError(f"ray dim {x.dim} vs map input dim {f.dim_in}")
-    return ray_from(f.underlying.matrix @ x.rep)
+    return ray_from(f.matrix @ x.rep)
 
 
 def isometry_scale(f: RegularMap) -> float | None:
@@ -87,7 +99,7 @@ def isometry_scale(f: RegularMap) -> float | None:
     Decided exactly through the Gram matrix m†m = c²·I on the standard
     basis, to 1e-9 relative to c².
     """
-    m = f.underlying.matrix
+    m = f.matrix
     gram = m.conj().T @ m
     c2 = float(np.real(np.trace(gram))) / f.dim_in
     if c2 <= 0.0:
@@ -115,13 +127,13 @@ class PreservationReport:
 
 def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """``count`` uniformly random unit vectors of C^dim, shape (count, dim)."""
-    g = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    g = gaussian_stack(rng, (count, dim))
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
 def _image_rows(f: RegularMap, u: np.ndarray) -> np.ndarray:
     """Unit representatives of the images of stacked vectors under f."""
-    m = u @ f.underlying.matrix.T
+    m = u @ f.matrix.T
     return m / np.linalg.norm(m, axis=-1, keepdims=True)
 
 
@@ -144,8 +156,6 @@ def preserves_superpositions(f: RegularMap, trials: int = 500, seed: int = 0) ->
     ValueError
         If ``seed`` lies outside [0, 2**64).
     """
-    from .sampling import keyed_generator  # imported here: sampling imports this module
-
     rng = keyed_generator(seed, 0x5052455345525645)
     trials = max(int(trials), 0)
     y = _unit_rows(rng, trials, f.dim_in)
@@ -199,8 +209,6 @@ def check_preserves_p_theta(f: RegularMap, trials: int = 200, seed: int = 0) -> 
     """
     if isometry_scale(f) is None:
         raise NotIsometryError("p/theta preservation holds only for isometries")
-    from .sampling import keyed_generator  # imported here: sampling imports this module
-
     rng = keyed_generator(seed, 0x5051554E54)
     trials = max(int(trials), 0)
     x, y, z = (_unit_rows(rng, trials, f.dim_in) for _ in range(3))

@@ -41,22 +41,13 @@ import numpy as np
 
 from .linalg import norms
 from .rays import Ray, Subspace, a_sims, ray_from, rays_from
-from .morphisms import LinearMap, RegularMap
 
 #: Rejection threshold where a law needs non-orthogonality: trials
 #: whose pairs have overlap at or below this are skipped.
 MIN_OVERLAP = 1e-6
 
-#: Version of the stream scheme, written into every serialized report.
-#: 1: one substream per (law, dim, trial).  2: batched laws draw one
-#: substream per (law, dim, block) and the morphism samplers draw
-#: their samples as stacks.  3: the ray, phase, superposition and
-#: tensor laws are batched too, rejection sampling skips a trial
-#: instead of redrawing it, ``random_frames`` draws only the columns
-#: its caller uses, and ``classical_rays`` draws through
-#: ``classical_ray_stacks``.  4: every law draws one substream per
-#: (law, dim, block); the per-trial laws draw their trials from it in
-#: order.
+#: Version of the stream scheme, written into every serialized report;
+#: the module docstring gives its history.
 STREAM_VERSION = 4
 
 
@@ -96,12 +87,8 @@ def gaussian_stack(rng: np.random.Generator, shape, real: bool = False) -> np.nd
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def gaussian_vector(rng: np.random.Generator, dim: int, real: bool = False) -> np.ndarray:
-    return gaussian_stack(rng, dim, real)
-
-
-def random_ray(rng: np.random.Generator, dim: int, real: bool = False) -> Ray:
-    return ray_from(gaussian_vector(rng, dim, real))
+def random_ray(rng: np.random.Generator, dim: int) -> Ray:
+    return ray_from(gaussian_stack(rng, dim))
 
 
 def random_rays(rng: np.random.Generator, count: int, dim: int, real: bool = False) -> np.ndarray:
@@ -177,7 +164,7 @@ def member_ray(rng: np.random.Generator, a: Subspace) -> Ray:
     """A random ray inside a subspace of positive rank."""
     if a.rank == 0:
         raise ValueError("falsehood contains no ray")
-    coeff = gaussian_vector(rng, a.rank)
+    coeff = gaussian_stack(rng, a.rank)
     return ray_from(a.basis.T @ coeff)
 
 
@@ -211,29 +198,3 @@ def classical_rays(rng: np.random.Generator, dim: int, count: int) -> list[Ray]:
     :func:`classical_ray_stacks`."""
     return [Ray(rep=rep) for rep in classical_ray_stacks(rng, 1, dim, count)[:, 0]]
 
-
-def isometry_map(
-    rng: np.random.Generator,
-    dim_in: int,
-    dim_out: int | None = None,
-    scale: float | None = None,
-) -> RegularMap:
-    """A scaled isometry C^{dim_in} → C^{dim_out} (unitary columns)."""
-    if dim_out is None:
-        dim_out = dim_in + int(rng.integers(0, 3))
-    q = random_frames(rng, 1, dim_out, dim_in)[0]
-    c = float(rng.uniform(0.5, 2.0)) if scale is None else float(scale)
-    return RegularMap(underlying=LinearMap(matrix=c * q))
-
-
-def non_isometry_map(
-    rng: np.random.Generator, dim_in: int, dim_out: int | None = None
-) -> RegularMap:
-    """An injective non-isometry: one singular value bumped by ≥ 1.1."""
-    if dim_out is None:
-        dim_out = dim_in + int(rng.integers(0, 3))
-    q = random_frames(rng, 1, dim_out, dim_in)[0]
-    v = random_frames(rng, 1, dim_in, dim_in)[0]
-    s = np.ones(dim_in)
-    s[int(rng.integers(0, dim_in))] = 1.1 + float(rng.uniform(0.0, 0.9))
-    return RegularMap(underlying=LinearMap(matrix=q @ np.diag(s) @ v.conj().T))

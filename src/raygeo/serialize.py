@@ -7,7 +7,7 @@ Encodings (stable, documented, round-trippable):
 * matrix              ``{"rows": r, "cols": c, "entries": [[re, im], ...]}``  (row-major)
 * Ray                 ``{"dim": d, "rep": <vector>}``
 * Subspace            ``{"dim": d, "basis": [<vector>, ...]}``
-* LinearMap           ``{"dim_in": a, "dim_out": b, "matrix": <matrix>}``
+* RegularMap          ``{"dim_in": a, "dim_out": b, "matrix": <matrix>}``
 * interference witness ``{"x", "alpha_basis", "beta_basis", "p_values", "margin"}``
 * LawReport           ``{"law_id", "pass", "negative_control", "trials_run",
                         "trials_skipped", "worst_residual", "tolerance", "seed",
@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .rays import Ray, Subspace, ray_from
-from .morphisms import LinearMap, RegularMap
+from .morphisms import RegularMap
 from .sampling import STREAM_VERSION
 from .superposition import SuperpositionSpec
 
@@ -130,9 +130,8 @@ def subspace_from_json(data) -> Subspace:
     return Subspace.from_vectors(vectors, dim=dim)
 
 
-def linear_map_to_json(f) -> dict:
-    m = f.underlying.matrix if isinstance(f, RegularMap) else f.matrix
-    return {"dim_in": int(m.shape[1]), "dim_out": int(m.shape[0]), "matrix": mat_to_json(m)}
+def linear_map_to_json(f: RegularMap) -> dict:
+    return {"dim_in": f.dim_in, "dim_out": f.dim_out, "matrix": mat_to_json(f.matrix)}
 
 
 def regular_map_from_json(data) -> RegularMap:
@@ -141,7 +140,7 @@ def regular_map_from_json(data) -> RegularMap:
     dim_in = _size(_field(data, "dim_in", "a map"), "dim_in")
     if m.shape != (dim_out, dim_in):
         raise ValueError("matrix shape does not match declared dimensions")
-    return RegularMap(underlying=LinearMap(matrix=m))
+    return RegularMap(m)
 
 
 def superposition_spec_from_json(data) -> SuperpositionSpec:
@@ -223,7 +222,7 @@ def to_jsonable(value):
         return ray_to_json(value)
     if isinstance(value, Subspace):
         return subspace_to_json(value)
-    if isinstance(value, (RegularMap, LinearMap)):
+    if isinstance(value, RegularMap):
         return linear_map_to_json(value)
     if isinstance(value, np.bool_):
         return bool(value)

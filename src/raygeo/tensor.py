@@ -10,27 +10,11 @@ entanglement API is exposed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import circular_distances, wrap_angles
 from .rays import Ray, rays_from
 from .geometry import p_sims, triple_phases
-
-
-@dataclass(frozen=True)
-class ProductRay:
-    """A product state: the two factors and the combined ray.
-
-    The combined representative is the Kronecker product of the factor
-    representatives, re-canonicalized; entry (i·d2 + j) carries
-    rep1_i · rep2_j up to the global phase fix.
-    """
-
-    factor1: Ray
-    factor2: Ray
-    combined: Ray
 
 
 def kron_rows(u, v) -> np.ndarray:
@@ -47,9 +31,14 @@ def product_rays(u, v) -> np.ndarray:
     return rays_from(kron_rows(u, v))
 
 
-def tensor_ray(x1: Ray, x2: Ray) -> ProductRay:
-    """The product state of two rays; factor phases do not matter."""
-    return ProductRay(factor1=x1, factor2=x2, combined=Ray(rep=product_rays(x1.rep, x2.rep)))
+def tensor_ray(x1: Ray, x2: Ray) -> Ray:
+    """The product state of two rays; factor phases do not matter.
+
+    The representative is the Kronecker product of the factor
+    representatives, re-canonicalized; entry (i·d2 + j) carries
+    rep1_i · rep2_j up to the global phase fix.
+    """
+    return Ray(rep=product_rays(x1.rep, x2.rep))
 
 
 def p_product_residuals(x1, y1, x2, y2) -> np.ndarray:

@@ -236,6 +236,7 @@ class TestBrokenLawsFail:
         assert rows[0]["pass"] is False
         if kind == "skip_all":
             assert report.trials_skipped == 6 and report.trials_run == 0
+            assert report.counterexample == {"note": "skip rate above cap", "skip_rate": 1.0}
         else:
             assert report.trials_run == 6
             assert report.counterexample["dim"] == 2 and report.counterexample["trial"] == 0
@@ -260,6 +261,17 @@ class TestBrokenLawsFail:
         assert not report.passed
         assert (report.counterexample["dim"], report.counterexample["trial"]) == (2, 1)
         assert report.counterexample["value"] == second_value  # the record trial 1 returned
+
+    @pytest.mark.parametrize("form", [0, 1], ids=["per_trial", "batched"])
+    def test_unmet_aggregate_is_noted(self, private_registry, form):
+        report = private_registry(
+            "broken.aggregate",
+            batch=(_constant_trials(0.0), _constant_blocks(0.0))[form],
+            aggregate=lambda residuals: (False, 0.25),
+        )
+        assert not report.passed
+        assert report.worst_residual == 0.25
+        assert report.counterexample == {"note": "aggregate criterion not met", "metric": 0.25}
 
     def test_nan_fails_a_negative_control(self, private_registry):
         report = private_registry(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from raygeo import (
-    LinearMap,
     NotIsometryError,
     RegularMap,
     apply_ray,
@@ -23,24 +22,38 @@ def _unitary(rng, n):
     return np.linalg.qr(g)[0]
 
 
-class TestLinearMap:
+class TestRegularMap:
     def test_rejects_non_injective(self):
-        with pytest.raises(ValueError):
-            LinearMap(matrix=np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="not injective"):
+            RegularMap(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                RegularMap(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_rejects_wide_matrix(self):
-        with pytest.raises(ValueError):
-            LinearMap(matrix=np.ones((1, 2)))
+        with pytest.raises(ValueError, match="not injective"):
+            RegularMap(np.ones((1, 2)))
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                RegularMap(np.array([[1.0, bad]]))
+
+    def test_equality_and_hash(self):
+        f, g, h = RegularMap(np.eye(2)), RegularMap(np.eye(2)), RegularMap(2.0 * np.eye(2))
+        assert f == g and hash(f) == hash(g)
+        assert f != h and f in [h, g] and f not in [h]
+        assert len({f, g, h}) == 2
+        assert RegularMap(np.eye(3)[:, :2]) != RegularMap(np.eye(2))
+        assert f != np.eye(2)
 
     def test_dims(self):
-        f = RegularMap.from_matrix(np.eye(3)[:, :2])
+        f = RegularMap(np.eye(3)[:, :2])
         assert f.dim_in == 2
         assert f.dim_out == 3
 
 
 class TestApplyRay:
     def test_identity(self):
-        f = RegularMap.from_matrix(np.eye(2))
+        f = RegularMap(np.eye(2))
         x = ray_from([1.0, 2.0])
         assert rays_equal(apply_ray(f, x), x)
 
@@ -49,20 +62,20 @@ class TestApplyRay:
         rot = np.array(
             [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
         )
-        f = RegularMap.from_matrix(rot)
+        f = RegularMap(rot)
         got = apply_ray(f, ray_from([1.0, 0.0]))
         assert rays_equal(got, ray_from([np.cos(angle), np.sin(angle)]))
 
     def test_diagonal_stretch(self):
-        f = RegularMap.from_matrix(np.diag([1.0, 2.0]))
+        f = RegularMap(np.diag([1.0, 2.0]))
         got = apply_ray(f, ray_from([1.0, 1.0]))
         assert rays_equal(got, ray_from([1.0, 2.0]))
 
     def test_matrix_scaling_is_invisible(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        f = RegularMap.from_matrix(m)
-        g = RegularMap.from_matrix((0.3 - 1.7j) * m)
+        f = RegularMap(m)
+        g = RegularMap((0.3 - 1.7j) * m)
         x = ray_from(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         assert rays_equal(apply_ray(f, x), apply_ray(g, x))
 
@@ -70,27 +83,27 @@ class TestApplyRay:
 class TestIsometryScale:
     def test_unitary_is_one(self):
         rng = np.random.default_rng(1)
-        f = RegularMap.from_matrix(_unitary(rng, 4))
+        f = RegularMap(_unitary(rng, 4))
         assert isometry_scale(f) == pytest.approx(1.0)
 
     def test_uniform_scaling(self):
         rng = np.random.default_rng(2)
-        f = RegularMap.from_matrix(3.0 * _unitary(rng, 3))
+        f = RegularMap(3.0 * _unitary(rng, 3))
         assert isometry_scale(f) == pytest.approx(3.0)
 
     def test_diagonal_stretch_is_not(self):
-        assert isometry_scale(RegularMap.from_matrix(np.diag([1.0, 2.0]))) is None
+        assert isometry_scale(RegularMap(np.diag([1.0, 2.0]))) is None
 
     def test_embedding_columns(self):
         rng = np.random.default_rng(3)
         q = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))[0]
-        assert isometry_scale(RegularMap.from_matrix(q)) == pytest.approx(1.0)
+        assert isometry_scale(RegularMap(q)) == pytest.approx(1.0)
 
 
 class TestPreservesSuperpositions:
     def test_unitary_preserves(self):
         rng = np.random.default_rng(4)
-        f = RegularMap.from_matrix(_unitary(rng, 3))
+        f = RegularMap(_unitary(rng, 3))
         report = preserves_superpositions(f, trials=100, seed=5)
         assert report.preserves
         assert report.worst_residual < 1e-10
@@ -98,11 +111,11 @@ class TestPreservesSuperpositions:
 
     def test_scaled_unitary_preserves(self):
         rng = np.random.default_rng(5)
-        f = RegularMap.from_matrix(2.0 * _unitary(rng, 3))
+        f = RegularMap(2.0 * _unitary(rng, 3))
         assert preserves_superpositions(f, trials=100, seed=6).preserves
 
     def test_diagonal_stretch_fails_with_witness(self):
-        f = RegularMap.from_matrix(np.diag([1.0, 2.0]))
+        f = RegularMap(np.diag([1.0, 2.0]))
         report = preserves_superpositions(f, trials=200, seed=7)
         assert not report.preserves
         assert report.witness is not None
@@ -117,7 +130,7 @@ class TestPreservesSuperpositions:
         assert not rays_equal(mapped, direct)
 
     def test_deterministic_given_seed(self):
-        f = RegularMap.from_matrix(np.diag([1.0, 1.5, 2.0]))
+        f = RegularMap(np.diag([1.0, 1.5, 2.0]))
         a = preserves_superpositions(f, trials=50, seed=11)
         b = preserves_superpositions(f, trials=50, seed=11)
         assert a == b
@@ -127,43 +140,43 @@ class TestCharacterization:
     def test_unitary_embedding_agrees(self):
         rng = np.random.default_rng(8)
         q = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))[0]
-        assert check_char_morph(RegularMap.from_matrix(q), trials=80, seed=1)
+        assert check_char_morph(RegularMap(q), trials=80, seed=1)
 
     def test_perturbed_embedding_agrees(self):
         rng = np.random.default_rng(9)
         q = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))[0]
         v = _unitary(rng, 3)
         m = q @ np.diag([1.0, 1.0, 1.4]) @ v.conj().T
-        assert check_char_morph(RegularMap.from_matrix(m), trials=80, seed=2)
+        assert check_char_morph(RegularMap(m), trials=80, seed=2)
 
     def test_scaled_isometry(self):
         rng = np.random.default_rng(10)
-        assert check_char_morph(RegularMap.from_matrix(0.5 * _unitary(rng, 4)), trials=80, seed=3)
+        assert check_char_morph(RegularMap(0.5 * _unitary(rng, 4)), trials=80, seed=3)
 
 
 class TestPreservesQuantities:
     def test_identity_residuals_zero(self):
-        f = RegularMap.from_matrix(np.eye(3))
+        f = RegularMap(np.eye(3))
         got = check_preserves_p_theta(f, trials=60, seed=4)
         assert got.p_residual < 1e-14
         assert got.theta_residual < 1e-12
 
     def test_random_unitary(self):
         rng = np.random.default_rng(11)
-        f = RegularMap.from_matrix(_unitary(rng, 4))
+        f = RegularMap(_unitary(rng, 4))
         got = check_preserves_p_theta(f, trials=60, seed=5)
         assert got.p_residual < 1e-10
         assert got.theta_residual < 1e-10
 
     def test_scaled_isometry_is_blind_to_scale(self):
         rng = np.random.default_rng(12)
-        f = RegularMap.from_matrix(2.0 * _unitary(rng, 3))
+        f = RegularMap(2.0 * _unitary(rng, 3))
         got = check_preserves_p_theta(f, trials=60, seed=6)
         assert got.p_residual < 1e-10
         assert got.theta_residual < 1e-10
 
     def test_rejects_non_isometry(self):
-        f = RegularMap.from_matrix(np.diag([1.0, 2.0]))
+        f = RegularMap(np.diag([1.0, 2.0]))
         with pytest.raises(NotIsometryError):
             check_preserves_p_theta(f, trials=10, seed=7)
 
@@ -198,17 +211,17 @@ class TestSingletonTarget:
 
     def test_no_injective_matrix_reaches_singleton(self):
         with pytest.raises(ValueError):
-            LinearMap(matrix=np.ones((1, 3)))
+            RegularMap(np.ones((1, 3)))
 
     def test_one_dimensional_source_is_regular(self):
-        f = RegularMap.from_matrix(np.array([[2.0]]))
+        f = RegularMap(np.array([[2.0]]))
         assert isometry_scale(f) == pytest.approx(2.0)
 
 
 def test_injective_maps_separate_rays():
     rng = np.random.default_rng(14)
     m = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-    f = RegularMap.from_matrix(m)
+    f = RegularMap(m)
     for _ in range(20):
         x = ray_from(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         y = ray_from(rng.standard_normal(4) + 1j * rng.standard_normal(4))

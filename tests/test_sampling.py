@@ -21,6 +21,7 @@ from raygeo import (
     search_nonsquared_counterexample,
 )
 from raygeo import sampling
+from raygeo.morphisms import isometry_map, non_isometry_map
 from raygeo.sampling import MIN_OVERLAP, keyed_generator, law_stream_key, substream
 
 
@@ -69,8 +70,8 @@ class TestSamplers:
     def test_isometry_scale_classifies_maps(self):
         for rng in streams(16, 3):
             scale = float(rng.uniform(0.5, 2.0))
-            assert isometry_scale(sampling.isometry_map(rng, 3, scale=scale)) == pytest.approx(scale, abs=1e-12)
-            assert isometry_scale(sampling.non_isometry_map(rng, 3)) is None
+            assert isometry_scale(isometry_map(rng, 3, scale=scale)) == pytest.approx(scale, abs=1e-12)
+            assert isometry_scale(non_isometry_map(rng, 3)) is None
 
 
 class TestKeyedGenerator:
@@ -106,6 +107,6 @@ class TestKeyedGenerator:
         ids=["search", "preserves_superpositions", "check_preserves_p_theta", "check_char_morph"],
     )
     def test_seed_outside_64_bits_rejected(self, call, seed):
-        f = sampling.isometry_map(substream(17, "test.sampling", 3, 0), 3)
+        f = isometry_map(substream(17, "test.sampling", 3, 0), 3)
         with pytest.raises(ValueError, match="seed must lie"):
             call(seed, f)

@@ -63,9 +63,9 @@ class TestMaps:
     def test_linear_map_roundtrip(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        f = RegularMap.from_matrix(m)
+        f = RegularMap(m)
         back = serialize.regular_map_from_json(serialize.linear_map_to_json(f))
-        np.testing.assert_allclose(back.underlying.matrix, m)
+        np.testing.assert_allclose(back.matrix, m)
 
     def test_shape_mismatch_rejected(self):
         data = {"dim_in": 3, "dim_out": 2, "matrix": serialize.mat_to_json(np.eye(2))}
