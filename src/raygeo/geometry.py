@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateTripleError, DimensionMismatchError, OrthogonalPairError
 from .linalg import ANGLE_GUARD, EPS_ABS, TWO_PI, inners, norms
-from .rays import ZERO, Ray, Subspace, a_sims, equal_rays, project_vec, rays_from, require_dims
+from .rays import ZERO, Ray, Subspace, a_sims, equal_rays, project_rows, rays_from, require_dims
 
 
 @dataclass(frozen=True)
@@ -52,17 +52,20 @@ def p_sim(x: Ray, y: Ray) -> float:
     return float(p_sims(x.rep, y.rep))
 
 
-def p_prop(x: Ray, a: Subspace) -> float:
-    """Similarity between a ray and a proposition.
+def p_props(q, x) -> np.ndarray:
+    """Similarities between stacked rays x (..., d) and stacked
+    propositions (..., d, k): the squared norms of the projections (the
+    Born rule), clipped to [0, 1]."""
+    p = project_rows(q, x)
+    return np.clip(np.vecdot(p, p).real, 0.0, 1.0)
 
-    Zero when the ray is orthogonal to the subspace; otherwise the
-    similarity to the projected ray.  Numerically this is the squared
-    norm of the projected representative (the Born rule), which covers
-    both branches at once.
-    """
-    p = project_vec(a, x.rep)
-    val = float(np.real(np.vdot(p, p)))
-    return min(max(val, 0.0), 1.0)
+
+def p_prop(x: Ray, a: Subspace) -> float:
+    """Similarity between a ray and a proposition: zero when the ray is
+    orthogonal to the subspace, else the similarity to the projected
+    ray.  The single form of :func:`p_props`."""
+    require_dims(x, a)
+    return float(p_props(a.basis.T, x.rep))
 
 
 #: The pairs of a triple, in the order the phase guard checks them.

@@ -7,16 +7,12 @@ evaluates it on every (dim, trial) cell and produces a
 :class:`GeneratorSpec` — same seed, same bytes.
 
 Every law runs in blocks: ``batch(rng, dim, n)`` runs once per block
-of at most :data:`BLOCK_TRIALS` trials on the substream keyed by (law,
-dim, block) (see :mod:`raygeo.sampling` for the key scheme) and
-returns the block's residuals, skip mask and instance description at
-once.  Trial ``t`` of a dimension is trial ``t % BLOCK_TRIALS`` of
-block ``t // BLOCK_TRIALS``.  Laws whose instances keep one shape from
-trial to trial sample the block as stacks (leading axis = trial); the
-others, mostly laws whose instances change shape, run a one-trial body
-``n`` times, in order, on the block's generator
-(:func:`raygeo.laws.per_trial`).
-Either way the runner holds at most one block at a time.
+of ``n =`` :func:`block_trials` trials (fewer in the last) on the
+substream keyed by (law, dim, block) (see :mod:`raygeo.sampling`),
+samples the block as stacks (leading axis = trial) and returns their
+residuals, skip mask and instance stacks.  Trial ``t`` of a dimension
+is trial ``t % n`` of block ``t // n``.  The runner holds one block at
+a time.
 
 A trial is *skipped* when its instance is too degenerate to measure
 (near-orthogonal where strict non-orthogonality is required, vanishing
@@ -54,10 +50,18 @@ MAX_SKIP_RATE = 0.05
 #: The range of ambient dimensions a run may sweep.
 MIN_DIM, MAX_DIM = 2, 32
 
-#: Trials per block, and so per substream.  Bounds the memory of one
-#: block's stacks: at d = 8 a block of 256 interference trials peaks
-#: near 2 MB, and larger blocks run no faster.
+#: Trials per block, and so per substream, up to d = 8.  Bounds the
+#: memory of one block's stacks: at d = 8 a block of 256 interference
+#: trials peaks near 2 MB, and larger blocks run no faster.
 BLOCK_TRIALS = 256
+
+
+def block_trials(dim: int) -> int:
+    """Trials per block in dimension ``dim``: BLOCK_TRIALS·(8/d)³ rounded
+    down, at most BLOCK_TRIALS, so that beyond d = 8 a block's (n, d, d)
+    subspace stacks shrink as d grows (32 trials at d = 16)."""
+    return min(BLOCK_TRIALS, BLOCK_TRIALS * 512 // dim**3)
+
 
 #: The largest trial count per law and dimension a run may ask for.
 #: Memory stays bounded at any count (trials are streamed in blocks),
@@ -116,15 +120,15 @@ class Block(NamedTuple):
 
     ``residuals`` and ``skipped`` have shape (n,); the residuals of
     skipped trials are ignored.  ``instance`` describes the trials the
-    block was checked on: either a dict mapping names to stacks with
-    leading axis n (trial), whose row ``i`` is trial ``i``, or a list
-    of ``n`` per-trial dicts.  Through :func:`raygeo.serialize.to_jsonable`,
-    trial ``i``'s description is its counterexample record.
+    block was checked on: a dict mapping names to stacks with leading
+    axis n (trial), whose row ``i`` is trial ``i``.  Through
+    :func:`raygeo.serialize.to_jsonable`, trial ``i``'s row is its
+    counterexample record.
     """
 
     residuals: np.ndarray
     skipped: np.ndarray
-    instance: dict[str, np.ndarray] | list[dict]
+    instance: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -207,15 +211,11 @@ class _Chunk(NamedTuple):
     describe: Callable[[int], dict]
 
 
-def error_text(exc: Exception) -> str:
-    """How a counterexample names an exception raised by a law."""
-    return f"{type(exc).__name__}: {exc}"
-
-
 def _block_chunks(law: Law, seed: int, dim: int, trials: int):
     """The blocks of a law in one dimension, one chunk each."""
-    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-        n = min(BLOCK_TRIALS, trials - start)
+    size = block_trials(dim)
+    for block, start in enumerate(range(0, trials, size)):
+        n = min(size, trials - start)
         try:
             residuals, skipped, instance = law.batch(substream(seed, law.id, dim, block), dim, n)
             residuals = np.asarray(residuals, dtype=np.float64)
@@ -223,17 +223,13 @@ def _block_chunks(law: Law, seed: int, dim: int, trials: int):
             if residuals.shape != (n,) or skipped.shape != (n,):
                 raise ValueError(f"block of {n} trials gave shapes {residuals.shape}, {skipped.shape}")
         except Exception as exc:  # a law must never raise on a legal instance
-            error = {"error": error_text(exc)}
+            error = {"error": f"{type(exc).__name__}: {exc}"}
             yield _Chunk(start, np.full(n, math.inf), np.zeros(n, dtype=bool), lambda i: error)
             continue
 
         def describe(i: int, instance=instance) -> dict:
             try:
-                if isinstance(instance, list):
-                    row = instance[i]
-                else:
-                    row = {name: stack[i] for name, stack in instance.items()}
-                return {name: to_jsonable(value) for name, value in row.items()}
+                return {name: to_jsonable(stack[i]) for name, stack in instance.items()}
             except Exception:  # the residual and the cell still name the failure
                 return {}
 

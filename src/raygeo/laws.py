@@ -5,142 +5,96 @@ Each law checks a block of seeded random trials at once; see
 once, by ``@law(id, description, ...)`` on its batch function: the
 description is the statement it witnesses, and declaration order is
 report order.  The negative controls are the ``counterexample.*``
-laws.  A ``_batch_*`` law samples its block as stacks and computes
-their residuals with the stacked kernels of the library (the functions
-whose single-instance forms users call).  A ``_check_*`` law is a
-one-trial body that returns its residual and a record of its instance;
-:func:`per_trial` runs it once per trial of the block.  Unless noted,
-the residual for a ray-equality claim is ``1 − overlap`` of the two
-rays (zero exactly at equality), and the residual for a numeric
-identity is the absolute deviation.  Angle identities compare by
-circular distance with tolerance 1e-8 rad; everything else defaults to
-1e-10.
+laws.  Every law samples its block as stacks (rays (n, d), subspaces
+(n, d, k) with zero columns, maps (n, d + 2, d) with zero rows) and
+computes their residuals with the stacked kernels of the library, whose
+single-instance forms users call, never from the sampler's
+construction.  Unless noted, the residual for a ray-equality claim is
+``1 − overlap`` of the two rays, and the residual for a numeric
+identity is the absolute deviation; a trial that violates a
+precondition on which the library check raises gets an infinite one.
+Angle identities compare by circular distance with tolerance 1e-8 rad;
+everything else defaults to 1e-10.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Callable
 
 import numpy as np
 
 from . import sampling
-from .errors import OrthogonalComponentsError
-from .lawcheck import Block, error_text, law
+from .lawcheck import Block, law
 from .linalg import (
     EPS_ABS,
     circular_distances,
-    inner,
     inners,
-    norm,
     norms,
-    orthonormalize,
+    orthonormalize_rows,
     wrap_angles,
 )
 from .rays import (
-    ZERO,
-    Subspace,
     a_sims,
-    commutes,
-    containment_defect,
+    commutation_defects,
+    complements,
+    containment_defects,
     equal_rays,
-    is_member,
-    is_orthogonal,
-    join,
-    meet,
-    ortho_complement,
-    project_ray,
-    project_vec,
-    ray_from,
-    rays_equal,
+    equal_subspaces,
+    joins,
+    meets,
+    orthogonality_defects,
+    project_rays,
+    project_rows,
+    projectors,
+    ranks,
     rays_from,
-    subspaces_equal,
 )
 from .geometry import (
-    a_sim,
     complement_projections,
     coplanar_rows,
-    p_prop,
-    p_sim,
+    p_props,
     p_sims,
     prime_triples,
     reciprocity_rows,
-    theta,
     triple_phases,
 )
 from .superposition import (
-    SuperpositionSpec,
-    cos_theta_prime,
+    cos_theta_primes,
+    orthogonal_components,
     p_component_closed_forms,
     p_of_superposition_closed_forms,
-    superpose,
     superposed_rays,
 )
 from .probability import (
-    check_chain_rule,
-    check_complement,
-    check_inclusion_exclusion,
-    check_ortho_additivity,
-    check_total_probability,
-    decompose_commuting,
+    chain_rule_residuals,
+    commuting_decompositions,
+    complement_residuals,
+    inclusion_exclusion_residuals,
     interference_margins,
+    ortho_additivity_residuals,
     search_nonsquared_counterexample,
-    total_probability_residual,
+    total_probability_defined,
     total_probability_residuals,
 )
 from .morphisms import (
-    RegularMap,
-    apply_ray,
-    check_char_morph,
-    check_preserves_p_theta,
-    isometry_map,
-    isometry_scale,
-    non_isometry_map,
-    preserves_superpositions,
+    apply_rays,
+    char_morph_agreements,
+    isometry_maps,
+    isometry_scales,
+    non_isometry_maps,
+    p_theta_residuals,
+    superposition_residuals,
 )
 from .tensor import kron_rows, p_product_residuals, product_rays, theta_product_residuals
-from .serialize import witness_to_json
 
 ANGLE_TOL = 1e-8
 MIN_OVERLAP = sampling.MIN_OVERLAP
 
 
-#: What a one-trial body returns for a trial it skips.
-_SKIP = None, {}
-
-
-def per_trial(body: Callable) -> Callable:
-    """The batch function of a law checked one trial at a time.
-
-    ``body(rng, dim)`` checks one trial and returns ``(residual, record)``:
-    the residual, or None to skip the trial, and a dict describing its
-    instance.  The batch runs the body ``n`` times, in order, on the
-    block's generator.  A body that raises gives that trial alone an
-    infinite residual and the record ``{"error": text}``.
-    """
-
-    def batch(rng, dim, n):
-        residuals = np.zeros(n)
-        skipped = np.zeros(n, dtype=bool)
-        records = []
-        for i in range(n):
-            try:
-                residual, record = body(rng, dim)
-            except Exception as exc:  # a law must never raise on a legal instance
-                residual, record = math.inf, {"error": error_text(exc)}
-            if residual is None:
-                skipped[i] = True
-            else:
-                residuals[i] = residual
-            records.append(record)
-        return Block(residuals, skipped, records)
-
-    return batch
-
-
 def _block(residuals, skipped=None, **instance) -> Block:
-    """The :class:`Block` of a law sampled as stacks; no trial skipped by default."""
+    """The :class:`Block` of a law's stacks; no trial skipped by default."""
     if skipped is None:
         skipped = np.zeros(len(residuals), dtype=bool)
     return Block(residuals, skipped, instance)
@@ -160,6 +114,20 @@ def _unit_phases(rng, n) -> np.ndarray:
 
 def _ray_gaps(u, v) -> np.ndarray:
     return 1.0 - a_sims(u, v)
+
+
+def _inside(x, q) -> np.ndarray:
+    """Whether stacked rays (n, d) lie in stacked subspaces (n, d, k)."""
+    return containment_defects(x[..., np.newaxis], q) <= EPS_ABS
+
+
+def _commute(qa, qb) -> np.ndarray:
+    return commutation_defects(qa, qb) <= EPS_ABS
+
+
+def _unless(ok, residual) -> np.ndarray:
+    """The residuals, infinite where the library check would raise."""
+    return np.where(ok, residual, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -191,26 +159,21 @@ def _batch_cauchy_schwarz(rng, dim, n):
     "orthonormalize returns an orthonormal basis of the span, size = rank, idempotent",
     trials_per_dim=400,
 )
-@per_trial
-def _check_orthonormalize_contract(rng, dim):
-    k = int(rng.integers(1, dim + 1))
-    independent = [sampling.gaussian_stack(rng, dim) for _ in range(k)]
-    if np.linalg.matrix_rank(np.array(independent), tol=1e-8) < k:
-        return _SKIP
-    redundant = []
-    for _ in range(int(rng.integers(0, 3))):
-        coeff = sampling.gaussian_stack(rng, k)
-        redundant.append(sum(c * v for c, v in zip(coeff, independent)))
-    basis = orthonormalize(independent + redundant)
-    if len(basis) != k:
-        return 1.0, dict(expected_rank=k, got=len(basis))
-    stack = np.array(basis)
-    gram_dev = float(np.max(np.abs(stack @ stack.conj().T - np.eye(k))))
-    again = orthonormalize(basis)
-    drift = max(
-        float(np.linalg.norm(b - a)) for a, b in zip(basis, again)
-    ) if basis else 0.0
-    return max(gram_dev, drift), dict(expected_rank=k)
+def _batch_orthonormalize_contract(rng, dim, n):
+    # k independent vectors, zero rows up to dim, then up to two combinations of them
+    k = rng.integers(1, dim + 1, n)
+    independent = sampling.gaussian_stack(rng, (n, dim, dim))
+    independent *= np.arange(dim)[:, np.newaxis] < k[:, np.newaxis, np.newaxis]
+    redundant = sampling.gaussian_stack(rng, (n, 2, dim)) @ independent
+    redundant *= np.arange(2)[:, np.newaxis] < rng.integers(0, 3, n)[:, np.newaxis, np.newaxis]
+    vectors = np.concatenate([independent, redundant], axis=1)
+    skip = np.linalg.matrix_rank(independent, tol=1e-8) < k
+    basis, kept = orthonormalize_rows(vectors)
+    got = kept.sum(axis=1)
+    gram = basis @ basis.conj().swapaxes(1, 2) - kept[:, np.newaxis, :] * np.eye(dim + 2)
+    drift = norms(orthonormalize_rows(basis)[0] - basis).max(axis=1)
+    residual = np.where(got != k, 1.0, np.maximum(np.abs(gram).max(axis=(1, 2)), drift))
+    return _block(residual, skip, vectors=vectors, expected_rank=k, got=got)
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +200,19 @@ def _batch_ray_canonical(rng, dim, n):
 
 
 @law("subspace.projector_laws", "projectors are Hermitian and idempotent")
-@per_trial
-def _check_projector_laws(rng, dim):
-    a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
-    p = a.projector()
-    return float(max(np.max(np.abs(p @ p - p)), np.max(np.abs(p - p.conj().T)))), dict(alpha=a)
+def _batch_projector_laws(rng, dim, n):
+    a = sampling.random_subspaces(rng, n, dim, 0, dim)
+    p = projectors(a)
+    hermitian = np.abs(p - p.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    return _block(np.maximum(np.abs(p @ p - p).max(axis=(1, 2)), hermitian), alpha=a)
 
 
 @law("subspace.projection_residual", "the projection residual is orthogonal to the subspace")
-@per_trial
-def _check_projection_residual(rng, dim):
-    a = sampling.random_subspace(rng, dim)
-    u = sampling.gaussian_stack(rng, dim)
-    resid = u - project_vec(a, u)
-    record = dict(alpha=a, u=u)
-    if a.rank == 0:
-        return float(np.linalg.norm(project_vec(a, u))), record
-    return float(np.max(np.abs(a.basis.conj() @ resid))), record
+def _batch_projection_residual(rng, dim, n):
+    a = sampling.random_subspaces(rng, n, dim, 1, dim - 1)
+    u = sampling.gaussian_stack(rng, (n, dim))
+    resid = u - project_rows(a, u)
+    return _block(orthogonality_defects(a, resid[..., np.newaxis]), alpha=a, u=u)
 
 
 @law(
@@ -262,14 +221,12 @@ def _check_projection_residual(rng, dim):
     tolerance=0.5,
     trials_per_dim=400,
 )
-@per_trial
-def _check_complement_involution(rng, dim):
-    a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
-    na = ortho_complement(a)
-    nna = ortho_complement(na)
-    rank_defect = abs(na.rank - (dim - a.rank)) + (0 if subspaces_equal(nna, a) else 1)
-    ortho_defect = 0.0 if is_orthogonal(a, na) else 1.0
-    return float(rank_defect + ortho_defect), dict(alpha=a)
+def _batch_complement_involution(rng, dim, n):
+    a = sampling.random_subspaces(rng, n, dim, 0, dim)
+    na = complements(a)
+    rank_defect = np.abs(ranks(na) - (dim - ranks(a))) + ~equal_subspaces(complements(na), a)
+    ortho_defect = orthogonality_defects(a, na) > EPS_ABS
+    return _block((rank_defect + ortho_defect).astype(float), alpha=a)
 
 
 @law(
@@ -277,14 +234,11 @@ def _check_complement_involution(rng, dim):
     "orthomodular identity: for nested subspaces, b = a ∨ (¬a ∧ b)",
     trials_per_dim=250,
 )
-@per_trial
-def _check_orthomodular_identity(rng, dim):
-    a, b = sampling.nested_pair(rng, dim)
-    rebuilt = join(a, meet(ortho_complement(a), b))
-    record = dict(alpha=a, beta=b)
-    if rebuilt.rank != b.rank:
-        return 1.0, record
-    return max(containment_defect(rebuilt, b), containment_defect(b, rebuilt)), record
+def _batch_orthomodular_identity(rng, dim, n):
+    a, b = sampling.nested_pairs(rng, n, dim)
+    rebuilt = joins(a, meets(complements(a), b))
+    residual = np.maximum(containment_defects(rebuilt, b), containment_defects(b, rebuilt))
+    return _block(np.where(ranks(rebuilt) != ranks(b), 1.0, residual), alpha=a, beta=b)
 
 
 @law(
@@ -293,18 +247,14 @@ def _check_orthomodular_identity(rng, dim):
     tolerance=0.5,
     trials_per_dim=400,
 )
-@per_trial
-def _check_commutes_complement(rng, dim):
-    if int(rng.integers(0, 2)) == 0:
-        a, b = sampling.commuting_pair(rng, dim)
-        expect_commuting = True
-    else:
-        a = sampling.random_subspace(rng, dim)
-        b = sampling.random_subspace(rng, dim)
-        expect_commuting = False
-    verdict = commutes(a, b)
-    bad = verdict != commutes(ortho_complement(a), b) or (expect_commuting and not verdict)
-    return (1.0 if bad else 0.0), dict(alpha=a, beta=b)
+def _batch_commutes_complement(rng, dim, n):
+    expect_commuting = rng.integers(0, 2, n) == 0
+    pairs = sampling.commuting_pairs(rng, n, dim)
+    generic = [sampling.random_subspaces(rng, n, dim, 1, dim - 1) for _ in range(2)]
+    a, b = (np.where(expect_commuting[:, np.newaxis, np.newaxis], c, g) for c, g in zip(pairs, generic))
+    verdict = _commute(a, b)
+    bad = (verdict != _commute(complements(a), b)) | (expect_commuting & ~verdict)
+    return _block(bad.astype(float), alpha=a, beta=b, expect_commuting=expect_commuting)
 
 
 @law(
@@ -312,25 +262,20 @@ def _check_commutes_complement(rng, dim):
     "commuting pairs decompose into three orthogonal parts and back",
     trials_per_dim=150,
 )
-@per_trial
-def _check_commuting_decomposition(rng, dim):
-    a, b = sampling.commuting_pair(rng, dim)
-    parts = decompose_commuting(a, b)  # raises on any verification defect
-    residual = max(
-        containment_defect(parts.gamma1, a),
-        containment_defect(parts.gamma1, b),
-        containment_defect(parts.gamma2, a),
-        containment_defect(parts.gamma3, b),
-    )
+def _batch_commuting_decomposition(rng, dim, n):
+    a, b = sampling.commuting_pairs(rng, n, dim)
+    g1, g2, g3, defect = commuting_decompositions(a, b)
+    parts_in = ((g1, a), (g1, b), (g2, a), (g3, b))
+    residual = np.maximum.reduce([containment_defects(g, s) for g, s in parts_in])
     # converse: random orthogonal parts always generate a commuting pair
-    frame = sampling.random_frame(rng, dim)
-    cuts = sorted(rng.choice(dim + 1, size=2, replace=True))
-    g1 = Subspace.from_orthonormal(frame[: cuts[0]], dim)
-    g2 = Subspace.from_orthonormal(frame[cuts[0] : cuts[1]], dim)
-    g3 = Subspace.from_orthonormal(frame[cuts[1] :], dim)
-    if not commutes(join(g1, g2), join(g1, g3)):
-        residual = max(residual, 1.0)
-    return residual, dict(alpha=a, beta=b)
+    frame = sampling.random_frames(rng, n, dim, dim)
+    cuts = np.sort(rng.integers(0, dim + 1, (n, 2)), axis=1)
+    p1, p2, p3 = (
+        sampling.column_ranges(frame, lo, hi)
+        for lo, hi in ((0, cuts[:, 0]), (cuts[:, 0], cuts[:, 1]), (cuts[:, 1], dim))
+    )
+    residual = np.where(_commute(joins(p1, p2), joins(p1, p3)), residual, np.maximum(residual, 1.0))
+    return _block(_unless(defect == 0, residual), alpha=a, beta=b, defect=defect)
 
 
 @law(
@@ -339,16 +284,13 @@ def _check_commuting_decomposition(rng, dim):
     tolerance=0.5,
     trials_per_dim=400,
 )
-@per_trial
-def _check_contained_or_orthogonal_commute(rng, dim):
-    a, b = sampling.nested_pair(rng, dim)
-    ok_nested = commutes(a, b)
-    frame = sampling.random_frame(rng, dim)
-    cut = int(rng.integers(0, dim + 1))
-    p = Subspace.from_orthonormal(frame[:cut], dim)
-    q = Subspace.from_orthonormal(frame[cut:], dim)
-    ok_orth = commutes(p, q)
-    return 0.0 if (ok_nested and ok_orth) else 1.0, dict(nested_a=a, nested_b=b)
+def _batch_contained_or_orthogonal_commute(rng, dim, n):
+    a, b = sampling.nested_pairs(rng, n, dim)
+    frame = sampling.random_frames(rng, n, dim, dim)
+    cut = rng.integers(0, dim + 1, n)
+    p, q = sampling.column_ranges(frame, 0, cut), sampling.column_ranges(frame, cut, dim)
+    ok = _commute(a, b) & _commute(p, q)
+    return _block((~ok).astype(float), nested_a=a, nested_b=b, p=p, q=q)
 
 
 @law(
@@ -404,38 +346,31 @@ def _batch_p_properties(rng, dim, n):
 
 
 @law("corollary.satisfaction", "satisfaction: membership is equivalent to similarity one")
-@per_trial
-def _check_satisfaction(rng, dim):
-    a = sampling.random_subspace(rng, dim)
-    member = sampling.member_ray(rng, a)
-    residual = abs(p_prop(member, a) - 1.0)
-    if not is_member(member, a):
-        residual = max(residual, 1.0)
-    x = sampling.random_ray(rng, dim)
-    agree = is_member(x, a) == (p_prop(x, a) > 1.0 - 1e-9)
-    return residual if agree else max(residual, 1.0), dict(alpha=a, member=member, x=x)
+def _batch_satisfaction(rng, dim, n):
+    a = sampling.random_subspaces(rng, n, dim, 1, dim - 1)
+    member = sampling.member_rays(rng, a)
+    x = sampling.random_rays(rng, n, dim)
+    residual = np.abs(p_props(a, member) - 1.0)
+    agree = _inside(member, a) & (_inside(x, a) == (p_props(a, x) > 1.0 - 1e-9))
+    return _block(np.where(agree, residual, np.maximum(residual, 1.0)), alpha=a, member=member, x=x)
 
 
 @law("lemma.born_rule", "Born rule: p(x,a) = ||a(u)||²/||u||² for any nonzero u in x")
-@per_trial
-def _check_born_rule(rng, dim):
-    a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
-    x = sampling.random_ray(rng, dim)
-    u = x.rep * (_unit_phases(rng, 1)[0] * float(rng.uniform(0.1, 10.0)))
-    born = norm(project_vec(a, u)) ** 2 / norm(u) ** 2
-    return abs(p_prop(x, a) - born), dict(alpha=a, x=x)
+def _batch_born_rule(rng, dim, n):
+    a = sampling.random_subspaces(rng, n, dim, 0, dim)
+    x = sampling.random_rays(rng, n, dim)
+    u = x * (_unit_phases(rng, n) * rng.uniform(0.1, 10.0, n))[:, np.newaxis]
+    born = norms(project_rows(a, u)) ** 2 / norms(u) ** 2
+    return _block(np.abs(p_props(a, x) - born), alpha=a, x=x)
 
 
 @law("theorem.p_chain", "p(x,y) factors through the projection: p(x,a(x))·p(a(x),y) for y in a")
-@per_trial
-def _check_p_chain(rng, dim):
-    a = sampling.random_subspace(rng, dim)
-    x = sampling.random_ray(rng, dim)
-    ax = project_ray(a, x)
-    if ax is ZERO:
-        return _SKIP
-    y = sampling.member_ray(rng, a)
-    return abs(p_sim(x, y) - p_prop(x, a) * p_sim(ax, y)), dict(alpha=a, x=x, y=y)
+def _batch_p_chain(rng, dim, n):
+    a = sampling.random_subspaces(rng, n, dim, 1, dim - 1)
+    x = sampling.random_rays(rng, n, dim)
+    ax, zero = project_rays(a, x)
+    y = sampling.member_rays(rng, a)
+    return _block(np.abs(p_sims(x, y) - p_props(a, x) * p_sims(ax, y)), zero, alpha=a, x=x, y=y)
 
 
 @law(
@@ -444,31 +379,26 @@ def _check_p_chain(rng, dim):
     tolerance=0.5,
     trials_per_dim=500,
 )
-@per_trial
-def _check_p_max(rng, dim):
-    a = sampling.random_subspace(rng, dim)
-    x = sampling.random_ray(rng, dim)
-    ax = project_ray(a, x)
-    if ax is ZERO:
-        return _SKIP
-    p_best = p_sim(x, ax)
-    coeff = sampling.gaussian_stack(rng, (200, a.rank))
-    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-    ys = coeff @ a.basis  # 200 unit vectors inside alpha
-    p_vals = p_sims(ys, x.rep)
-    same = a_sims(ys, ax.rep) > 1.0 - 1e-9
-    margins = p_best - p_vals
-    violations = int(np.sum(~same & (margins <= 1e-12)))
-    return float(violations), dict(alpha=a, x=x, violations=violations)
+def _batch_p_max(rng, dim, n):
+    a = sampling.random_subspaces(rng, n, dim, 1, dim - 1)
+    x = sampling.random_rays(rng, n, dim)
+    ax, zero = project_rays(a, x)
+    violations = np.zeros(n, dtype=int)
+    for t in (slice(i, i + 32) for i in range(0, n, 32)):  # bounds the (32, 200, d) stacks
+        ys = (a[t] @ sampling.gaussian_stack(rng, (len(a[t]), dim, 200))).swapaxes(1, 2)
+        ys /= norms(ys)[..., np.newaxis]  # 200 unit vectors inside alpha
+        same = a_sims(ys, ax[t, np.newaxis]) > 1.0 - 1e-9
+        margins = p_sims(x[t], ax[t])[:, np.newaxis] - p_sims(ys, x[t, np.newaxis])
+        violations[t] = np.count_nonzero(~same & (margins <= 1e-12), axis=1)
+    return _block(violations.astype(float), zero, alpha=a, x=x, violations=violations)
 
 
 @law("lemma.p_bounds", "0 ≤ p(x,a) ≤ 1 always")
-@per_trial
-def _check_p_bounds(rng, dim):
-    a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
-    x = sampling.random_ray(rng, dim)
-    p = p_prop(x, a)
-    return max(0.0, -p, p - 1.0), dict(alpha=a, x=x)
+def _batch_p_bounds(rng, dim, n):
+    a = sampling.random_subspaces(rng, n, dim, 0, dim)
+    x = sampling.random_rays(rng, n, dim)
+    p = p_props(a, x)
+    return _block(np.maximum(0.0, np.maximum(-p, p - 1.0)), alpha=a, x=x)
 
 
 @law(
@@ -600,17 +530,11 @@ def _pairs_and_weights(rng, dim, n):
 @law(
     "principle.superposition_domain", "superposition is undefined exactly for orthogonal components"
 )
-@per_trial
-def _check_superposition_domain(rng, dim):
-    x, y = sampling.classical_rays(rng, dim, 2)
-    r = float(rng.uniform(0.0, 1.0))
-    try:
-        SuperpositionSpec(y=x, z=y, r=r)
-        return 1.0, dict(x=x, y=y, r=r)
-    except OrthogonalComponentsError:
-        pass
-    trivial = superpose(SuperpositionSpec(y=x, z=x, r=r))
-    return 1.0 - a_sim(trivial, x), dict(x=x, y=y, r=r)
+def _batch_superposition_domain(rng, dim, n):
+    x, y = sampling.classical_ray_stacks(rng, n, dim, 2)
+    r = rng.uniform(0.0, 1.0, n)
+    trivial = _ray_gaps(superposed_rays(x, x, r), x)
+    return _block(np.where(orthogonal_components(x, y), trivial, 1.0), x=x, y=y, r=r)
 
 
 @law("principle.triviality", "superposing a state with itself returns the state")
@@ -710,36 +634,25 @@ def _batch_dominance_boundary(rng, dim, n):
     return _block(np.abs(p_sims(x0, y) - p_sims(y, z)), skip, y=y, z=z)
 
 
-def _plane_ray(rng, b1, b2):
-    c = sampling.gaussian_stack(rng, 2)
-    return ray_from(c[0] * b1 + c[1] * b2), c
-
-
 @law(
     "corollary.cos_theta_prime",
     "closed-form cosine of the phase after an in-plane complement swap",
     tolerance=ANGLE_TOL,
     trials_per_dim=500,
 )
-@per_trial
-def _check_cos_theta_prime(rng, dim):
-    frame = sampling.random_frame(rng, dim)
-    b1, b2 = frame[0], frame[1]
-    for _ in range(24):
-        x, cx = _plane_ray(rng, b1, b2)
-        y, _ = _plane_ray(rng, b1, b2)
-        z, _ = _plane_ray(rng, b1, b2)
-        nx = np.linalg.norm(cx)
-        xp = ray_from(-np.conj(cx[1] / nx) * b1 + np.conj(cx[0] / nx) * b2)
-        overlaps = [a_sim(x, y), a_sim(x, z), a_sim(y, z), a_sim(xp, y), a_sim(xp, z)]
-        if min(overlaps) <= 1e-4:
-            continue
-        if p_sim(x, y) > 1.0 - 1e-6 or p_sim(x, z) > 1.0 - 1e-6:
-            continue
-        predicted = cos_theta_prime(x, xp, y, z)
-        observed = math.cos(theta(xp, y, z))
-        return abs(predicted - observed), dict(x=x, x_perp=xp, y=y, z=z)
-    return _SKIP
+def _batch_cos_theta_prime(rng, dim, n):
+    plane = sampling.random_frames(rng, n, dim, 2)
+    cx, cy, cz = sampling.gaussian_stack(rng, (3, n, 2))
+    cx_perp = np.stack([-np.conj(cx[:, 1]), np.conj(cx[:, 0])], axis=1)
+    x, x_perp, y, z = (rays_from((plane @ c[..., np.newaxis])[..., 0]) for c in (cx, cx_perp, cy, cz))
+    pairs = ((x, y), (x, z), (y, z), (x_perp, y), (x_perp, z))
+    skip = np.minimum.reduce([a_sims(u, v) for u, v in pairs]) <= 1e-4
+    skip |= (p_sims(x, y) > 1.0 - 1e-6) | (p_sims(x, z) > 1.0 - 1e-6)
+    x, x_perp, y, z = _flat(skip, x, x_perp, y, z)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the flattened rows have p(x, y) = 1
+        predicted = cos_theta_primes(x, y, z)
+    observed = np.cos(triple_phases(x_perp, y, z))
+    return _block(np.abs(predicted - observed), skip, x=x, x_perp=x_perp, y=y, z=z)
 
 
 @law(
@@ -768,15 +681,14 @@ def _batch_superposition_theta_consistency(rng, dim, n):
     "similarity adds over a disjunction of orthogonal propositions",
     trials_per_dim=400,
 )
-@per_trial
-def _check_ortho_additivity_law(rng, dim):
-    frame = sampling.random_frame(rng, dim)
-    cut = int(rng.integers(0, dim + 1))
-    keep = int(rng.integers(cut, dim + 1))
-    a = Subspace.from_orthonormal(frame[:cut], dim)
-    b = Subspace.from_orthonormal(frame[cut:keep], dim)
-    x = sampling.random_ray(rng, dim)
-    return check_ortho_additivity(x, a, b), dict(alpha=a, beta=b, x=x)
+def _batch_ortho_additivity(rng, dim, n):
+    frame = sampling.random_frames(rng, n, dim, dim)
+    cut = rng.integers(0, dim + 1, n)
+    keep = rng.integers(cut, dim + 1)
+    a, b = sampling.column_ranges(frame, 0, cut), sampling.column_ranges(frame, cut, keep)
+    x = sampling.random_rays(rng, n, dim)
+    residual = ortho_additivity_residuals(a, b, x)
+    return _block(_unless(orthogonality_defects(a, b) <= EPS_ABS, residual), alpha=a, beta=b, x=x)
 
 
 @law(
@@ -784,22 +696,16 @@ def _check_ortho_additivity_law(rng, dim):
     "similarity adds over families of 2..4 orthogonal propositions",
     trials_per_dim=300,
 )
-@per_trial
-def _check_ortho_additivity_family(rng, dim):
-    k = int(rng.integers(2, min(4, dim) + 1))
-    frame = sampling.random_frame(rng, dim)
-    cuts = sorted(rng.choice(dim + 1, size=k - 1, replace=True))
-    bounds = [0, *cuts, dim]
-    parts = [
-        Subspace.from_orthonormal(frame[bounds[i] : bounds[i + 1]], dim)
-        for i in range(k)
-    ]
-    x = sampling.random_ray(rng, dim)
-    joined = parts[0]
-    for part in parts[1:]:
-        joined = join(joined, part)
-    total = sum(p_prop(x, part) for part in parts)
-    return abs(p_prop(x, joined) - total), dict(x=x, k=k)
+def _batch_ortho_additivity_family(rng, dim, n):
+    # k parts between sorted cuts of one frame; the parts beyond k are empty
+    k = rng.integers(2, min(4, dim) + 1, n)
+    frame = sampling.random_frames(rng, n, dim, dim)
+    cuts = np.where(np.arange(3) < k[:, np.newaxis] - 1, rng.integers(0, dim + 1, (n, 3)), dim)
+    bounds = np.pad(np.sort(cuts, axis=1), ((0, 0), (1, 1)), constant_values=(0, dim))
+    parts = [sampling.column_ranges(frame, bounds[:, i], bounds[:, i + 1]) for i in range(4)]
+    x = sampling.random_rays(rng, n, dim)
+    total = sum(p_props(part, x) for part in parts)
+    return _block(np.abs(p_props(functools.reduce(joins, parts), x) - total), x=x, k=k)
 
 
 @law(
@@ -807,11 +713,10 @@ def _check_ortho_additivity_family(rng, dim):
     "complement probabilities sum to one: p(x,a) + p(x,¬a) = 1",
     trials_per_dim=400,
 )
-@per_trial
-def _check_complement_sum(rng, dim):
-    a = sampling.random_subspace(rng, dim, rank=int(rng.integers(0, dim + 1)))
-    x = sampling.random_ray(rng, dim)
-    return check_complement(x, a), dict(alpha=a, x=x)
+def _batch_complement_sum(rng, dim, n):
+    a = sampling.random_subspaces(rng, n, dim, 0, dim)
+    x = sampling.random_rays(rng, n, dim)
+    return _block(complement_residuals(a, x), alpha=a, x=x)
 
 
 @law(
@@ -819,11 +724,10 @@ def _check_complement_sum(rng, dim):
     "inclusion–exclusion for commuting propositions",
     trials_per_dim=250,
 )
-@per_trial
-def _check_inclusion_exclusion_law(rng, dim):
-    a, b = sampling.commuting_pair(rng, dim)
-    x = sampling.random_ray(rng, dim)
-    return check_inclusion_exclusion(x, a, b), dict(alpha=a, beta=b, x=x)
+def _batch_inclusion_exclusion(rng, dim, n):
+    a, b = sampling.commuting_pairs(rng, n, dim)
+    x = sampling.random_rays(rng, n, dim)
+    return _block(_unless(_commute(a, b), inclusion_exclusion_residuals(a, b, x)), alpha=a, beta=b, x=x)
 
 
 @law(
@@ -831,19 +735,23 @@ def _check_inclusion_exclusion_law(rng, dim):
     "conjunction chain rule: p(x, a∧b) = p(x,a)·p(a(x),b) for commuting propositions",
     trials_per_dim=250,
 )
-@per_trial
-def _check_conjunction_chain(rng, dim):
-    a, b = sampling.commuting_pair(rng, dim)
-    x = sampling.random_ray(rng, dim)
-    return check_chain_rule(x, a, b), dict(alpha=a, beta=b, x=x)
+def _batch_conjunction_chain(rng, dim, n):
+    a, b = sampling.commuting_pairs(rng, n, dim)
+    x = sampling.random_rays(rng, n, dim)
+    return _block(_unless(_commute(a, b), chain_rule_residuals(a, b, x)), alpha=a, beta=b, x=x)
 
 
 @law("corollary.monotone", "similarity is monotone under containment", trials_per_dim=400)
-@per_trial
-def _check_monotone_law(rng, dim):
-    a, b = sampling.nested_pair(rng, dim)
-    x = sampling.random_ray(rng, dim)
-    return max(0.0, p_prop(x, a) - p_prop(x, b)), dict(alpha=a, beta=b, x=x)
+def _batch_monotone(rng, dim, n):
+    a, b = sampling.nested_pairs(rng, n, dim)
+    x = sampling.random_rays(rng, n, dim)
+    return _block(np.maximum(0.0, p_props(a, x) - p_props(b, x)), alpha=a, beta=b, x=x)
+
+
+def _total_probability(a, b, x) -> np.ndarray:
+    """The total probability residuals, infinite where it does not apply."""
+    residual = total_probability_residuals(a, complements(a), b, x)
+    return _unless(total_probability_defined(a, b, x), residual)
 
 
 @law(
@@ -851,11 +759,10 @@ def _check_monotone_law(rng, dim):
     "total probability decomposition over a commuting complement pair",
     trials_per_dim=300,
 )
-@per_trial
-def _check_total_probability_law(rng, dim):
-    a, b = sampling.commuting_pair(rng, dim)
-    x = sampling.random_ray(rng, dim)
-    return check_total_probability(x, a, b), dict(alpha=a, beta=b, x=x)
+def _batch_total_probability(rng, dim, n):
+    a, b = sampling.commuting_pairs(rng, n, dim)
+    x = sampling.random_rays(rng, n, dim)
+    return _block(_total_probability(a, b, x), alpha=a, beta=b, x=x)
 
 
 @law(
@@ -863,18 +770,16 @@ def _check_total_probability_law(rng, dim):
     "when both conditional projections satisfy b, every term equals one",
     trials_per_dim=400,
 )
-@per_trial
-def _check_orthomodular_equality(rng, dim):
-    a = sampling.random_subspace(rng, dim)
-    x = sampling.random_ray(rng, dim)
-    ax = project_ray(a, x)
-    nax = project_ray(ortho_complement(a), x)
-    if ax is ZERO or nax is ZERO:
-        return _SKIP
-    b = Subspace.from_vectors([ax.rep, nax.rep], dim=dim)
-    residual = abs(p_prop(x, b) - 1.0)
-    rhs = p_prop(x, a) * p_prop(ax, b) + p_prop(x, ortho_complement(a)) * p_prop(nax, b)
-    return max(residual, abs(rhs - 1.0)), dict(alpha=a, beta=b, x=x)
+def _batch_orthomodular_equality(rng, dim, n):
+    a = sampling.random_subspaces(rng, n, dim, 1, dim - 1)
+    x = sampling.random_rays(rng, n, dim)
+    na = complements(a)
+    ax, zero_a = project_rays(a, x)
+    nax, zero_na = project_rays(na, x)
+    b = orthonormalize_rows(np.stack([ax, nax], axis=1))[0].swapaxes(1, 2)
+    rhs = p_props(a, x) * p_props(b, ax) + p_props(na, x) * p_props(b, nax)
+    residual = np.maximum(np.abs(p_props(b, x) - 1.0), np.abs(rhs - 1.0))
+    return _block(residual, zero_a | zero_na, alpha=a, beta=b, x=x)
 
 
 @law(
@@ -883,26 +788,19 @@ def _check_orthomodular_equality(rng, dim):
     dims=(4, 5, 6, 7, 8),
     trials_per_dim=300,
 )
-@per_trial
-def _check_local_total_probability(rng, dim):
-    frame = sampling.random_frame(rng, dim)
-    shared = frame[0]
-    wing1, wing2 = frame[1], frame[2]
-    rest = frame[3:]
-    c1 = sampling.gaussian_stack(rng, 2)
-    c2 = sampling.gaussian_stack(rng, 2)
-    a_vec = c1[0] * wing1 + c1[1] * wing2
-    b_vec = c2[0] * wing1 + c2[1] * wing2
-    a = Subspace.from_vectors([shared, a_vec], dim=dim)
-    b = Subspace.from_vectors([shared, b_vec], dim=dim)
-    if a.rank != 2 or b.rank != 2 or commutes(a, b):
-        return _SKIP  # want a genuinely non-commuting pair
-    coeff = sampling.gaussian_stack(rng, len(rest) + 1)
-    x_vec = coeff[0] * shared + sum(c * r for c, r in zip(coeff[1:], rest))
-    if abs(coeff[0]) < 1e-3 or float(np.linalg.norm(x_vec)) < 1e-3:
-        return _SKIP
-    x = ray_from(x_vec)
-    return check_total_probability(x, a, b), dict(alpha=a, beta=b, x=x)
+def _batch_local_total_probability(rng, dim, n):
+    # a and b share one frame direction and tilt in the plane of the
+    # next two; x lies in the span of the shared direction and the rest
+    frame = sampling.random_frames(rng, n, dim, dim)
+    shared, wings, rest = frame[..., 0], frame[..., 1:3], frame[..., 3:]
+    tilts = ((wings @ c[..., np.newaxis])[..., 0] for c in sampling.gaussian_stack(rng, (2, n, 2)))
+    a, b = (orthonormalize_rows(np.stack([shared, t], axis=1))[0].swapaxes(1, 2) for t in tilts)
+    coeff = sampling.gaussian_stack(rng, (n, dim - 2))
+    x = coeff[:, :1] * shared + (rest @ coeff[:, 1:, np.newaxis])[..., 0]
+    skip = (ranks(a) != 2) | (ranks(b) != 2) | _commute(a, b)  # want a genuinely non-commuting pair
+    skip |= (np.abs(coeff[:, 0]) < 1e-3) | (norms(x) < 1e-3)
+    x = rays_from(np.where(skip[:, np.newaxis], shared, x))
+    return _block(_total_probability(a, b, x), skip, alpha=a, beta=b, x=x)
 
 
 @law(
@@ -932,28 +830,19 @@ def _batch_interference_inequality(rng, dim, n):
     "if a(b(x)) satisfies b (x in a), then b(x) satisfies a",
     trials_per_dim=400,
 )
-@per_trial
-def _check_interference_membership(rng, dim):
+def _batch_interference_membership(rng, dim, n):
     # Commuting pair with a forced shared direction, so the antecedent
     # (a(b(x)) inside b) is realizable rather than vacuous.
-    frame = sampling.random_frame(rng, dim)
-    in_a = rng.random(dim) < 0.5
-    in_b = rng.random(dim) < 0.5
-    shared = int(rng.integers(0, dim))
-    in_a[shared] = True
-    in_b[shared] = True
-    a = Subspace.from_orthonormal(frame[in_a], dim)
-    b = Subspace.from_orthonormal(frame[in_b], dim)
-    x = sampling.member_ray(rng, a)
-    bx = project_ray(b, x)
-    if bx is ZERO:
-        return _SKIP
-    abx = project_ray(a, bx)
-    if abx is ZERO:
-        return _SKIP
-    if not is_member(abx, b):
-        return _SKIP  # antecedent fails; implication vacuous
-    return float(np.linalg.norm(project_vec(a, bx.rep) - bx.rep)), dict(alpha=a, beta=b, x=x)
+    frame = sampling.random_frames(rng, n, dim, dim)
+    in_a, in_b = rng.random((2, n, dim)) < 0.5
+    shared = rng.integers(0, dim, n)
+    in_a[np.arange(n), shared] = in_b[np.arange(n), shared] = True
+    a, b = sampling.column_subsets(frame, in_a), sampling.column_subsets(frame, in_b)
+    x = sampling.member_rays(rng, a)
+    bx, zero_b = project_rays(b, x)
+    abx, zero_ab = project_rays(a, bx)
+    skip = zero_b | zero_ab | ~_inside(abx, b)  # when the antecedent fails the implication is vacuous
+    return _block(containment_defects(bx[..., np.newaxis], a), skip, alpha=a, beta=b, x=x)
 
 
 def _aggregate_must_fail(residuals):
@@ -970,14 +859,12 @@ def _aggregate_must_fail(residuals):
     trials_per_dim=400,
     aggregate=_aggregate_must_fail,
 )
-@per_trial
-def _check_total_probability_generic(rng, dim):
-    a = sampling.random_subspace(rng, dim)
-    b = sampling.random_subspace(rng, dim)
-    if commutes(a, b):
-        return _SKIP  # not an applicable generic (non-commuting) instance
-    x = sampling.random_ray(rng, dim)
-    return total_probability_residual(x, a, b), dict(alpha=a, beta=b, x=x)
+def _batch_total_probability_generic(rng, dim, n):
+    a, b = (sampling.random_subspaces(rng, n, dim, 1, dim - 1) for _ in range(2))
+    x = sampling.random_rays(rng, n, dim)
+    residual = total_probability_residuals(a, complements(a), b, x)
+    # a commuting pair is not an applicable generic instance
+    return _block(residual, _commute(a, b), alpha=a, beta=b, x=x)
 
 
 @law(
@@ -1003,18 +890,37 @@ def _batch_total_probability_2d(rng, dim, n):
     dims=(3,),
     trials_per_dim=1,
 )
-@per_trial
-def _check_nonsquared_search(rng, dim):
-    seed = int(rng.integers(0, 2**63 - 1))
-    witness = search_nonsquared_counterexample(seed=seed, budget=100_000)
-    if witness is None:
-        return 1.0, dict(seed=seed, found=False)
-    ok = witness.nonsquared_excess > EPS_ABS and witness.squared_margin >= -1e-12
-    return (0.0 if ok else 1.0), dict(witness=witness_to_json(witness))
+def _batch_nonsquared_search(rng, dim, n):
+    seeds = rng.integers(0, 2**63 - 1, n)
+    ws = [search_nonsquared_counterexample(seed=int(s), budget=100_000) for s in seeds]
+    ok = [w is not None and w.nonsquared_excess > EPS_ABS and w.squared_margin >= -1e-12 for w in ws]
+    return _block(np.where(ok, 0.0, 1.0), seed=seeds, found=np.array([w is not None for w in ws]))
 
 
 # ---------------------------------------------------------------------------
-# morphisms
+# morphisms: the instance records each padded map's dim_out beside it
+
+
+def _samples(rng, n, count, dim):
+    """``count`` random rays per trial, shape (n, count, dim)."""
+    return sampling.random_rays(rng, n * count, dim).reshape(n, count, dim)
+
+
+def _on_superpositions(kernel, rng, m, count):
+    """``kernel(maps, y, z, r)`` on ``count`` random superpositions per map,
+    drawn and checked 8 maps at a time to keep the sample stacks small."""
+    parts = []
+    for i in range(0, len(m), 8):
+        y, z = (_samples(rng, len(m[i : i + 8]), count, m.shape[-1]) for _ in range(2))
+        parts.append(kernel(m[i : i + 8], y, z, rng.uniform(0.0, 1.0, y.shape[:2])))
+    return np.concatenate(parts)
+
+
+def _mixed_maps(rng, n, dim):
+    """Isometries and non-isometries, one or the other per trial by a fair coin."""
+    iso = rng.integers(0, 2, n) == 0
+    (m1, out1), (m2, out2) = isometry_maps(rng, n, dim), non_isometry_maps(rng, n, dim)
+    return np.where(iso[:, np.newaxis, np.newaxis], m1, m2), np.where(iso, out1, out2)
 
 
 @law(
@@ -1024,17 +930,17 @@ def _check_nonsquared_search(rng, dim):
     dims=(2, 3, 4, 5),
     trials_per_dim=200,
 )
-@per_trial
-def _check_morphism_scale_invariance(rng, dim):
-    base = isometry_map(rng, dim, scale=1.0)
-    s = float(rng.uniform(0.5, 2.0))
-    c = _unit_phases(rng, 1)[0] * s
-    scaled = RegularMap(c * base.matrix)
-    x = sampling.random_ray(rng, dim)
-    residual = 1.0 - a_sim(apply_ray(base, x), apply_ray(scaled, x))
-    scale = isometry_scale(scaled)
-    residual = max(residual, 1.0 if scale is None else abs(scale - s))
-    return residual, dict(x=x, scale=s)
+def _batch_morphism_scale_invariance(rng, dim, n):
+    base, dim_out = isometry_maps(rng, n, dim, scale=1.0)
+    s = rng.uniform(0.5, 2.0, n)
+    scaled = (_unit_phases(rng, n) * s)[:, np.newaxis, np.newaxis] * base
+    x = sampling.random_rays(rng, n, dim)
+    scale = isometry_scales(scaled)
+    residual = np.maximum(
+        _ray_gaps(apply_rays(base, x), apply_rays(scaled, x)),
+        np.where(np.isnan(scale), 1.0, np.abs(scale - s)),
+    )
+    return _block(residual, x=x, scale=s, map=base, dim_out=dim_out)
 
 
 @law(
@@ -1043,13 +949,11 @@ def _check_morphism_scale_invariance(rng, dim):
     dims=(2, 3, 4, 5),
     trials_per_dim=400,
 )
-@per_trial
-def _check_isometry_inner_products(rng, dim):
-    f = isometry_map(rng, dim, scale=1.0)
-    u = sampling.gaussian_stack(rng, dim)
-    v = sampling.gaussian_stack(rng, dim)
-    m = f.matrix
-    return abs(inner(m @ u, m @ v) - inner(u, v)), dict(u=u, v=v)
+def _batch_isometry_inner_products(rng, dim, n):
+    m, dim_out = isometry_maps(rng, n, dim, scale=1.0)
+    u, v = sampling.gaussian_stack(rng, (2, n, dim))
+    mu, mv = ((m @ w[..., np.newaxis])[..., 0] for w in (u, v))
+    return _block(np.abs(inners(mu, mv) - inners(u, v)), u=u, v=v, map=m, dim_out=dim_out)
 
 
 @law(
@@ -1058,15 +962,13 @@ def _check_isometry_inner_products(rng, dim):
     dims=(2, 3, 4, 5),
     trials_per_dim=60,
 )
-@per_trial
-def _check_isometry_preserves_all(rng, dim):
-    f = isometry_map(rng, dim)
-    quantities = check_preserves_p_theta(f, trials=20, seed=int(rng.integers(0, 2**32)))
-    report = preserves_superpositions(f, trials=10, seed=int(rng.integers(0, 2**32)))
-    residual = max(quantities.p_residual, quantities.theta_residual, report.worst_residual)
-    if not report.preserves:
-        residual = max(residual, 1.0)
-    return residual, dict(map=f)
+def _batch_isometry_preserves_all(rng, dim, n):
+    m, dim_out = isometry_maps(rng, n, dim)
+    p_res, theta_res, _ = p_theta_residuals(m, *(_samples(rng, n, 20, dim) for _ in range(3)))
+    sup_res = _on_superpositions(lambda *s: superposition_residuals(*s)[0], rng, m, 10)
+    residual = np.maximum.reduce([p_res.max(axis=1), theta_res.max(axis=1), sup_res.max(axis=1)])
+    broken = (sup_res > EPS_ABS).any(axis=1)
+    return _block(np.where(broken, np.maximum(residual, 1.0), residual), map=m, dim_out=dim_out)
 
 
 @law(
@@ -1076,13 +978,11 @@ def _check_isometry_preserves_all(rng, dim):
     dims=(2, 3, 4, 5),
     trials_per_dim=60,
 )
-@per_trial
-def _check_noniso_breaks_superpositions(rng, dim):
-    f = non_isometry_map(rng, dim)
-    if isometry_scale(f) is not None:
-        return 1.0, dict(map=f)
-    report = preserves_superpositions(f, trials=200, seed=int(rng.integers(0, 2**32)))
-    return 1.0 if report.preserves else 0.0, dict(map=f)
+def _batch_noniso_breaks_superpositions(rng, dim, n):
+    m, dim_out = non_isometry_maps(rng, n, dim)
+    residual = _on_superpositions(lambda *s: superposition_residuals(*s)[0], rng, m, 200)
+    failed = ~np.isnan(isometry_scales(m)) | (residual <= EPS_ABS).all(axis=1)
+    return _block(failed.astype(float), map=m, dim_out=dim_out)
 
 
 @law(
@@ -1092,14 +992,10 @@ def _check_noniso_breaks_superpositions(rng, dim):
     dims=(2, 3, 4, 5),
     trials_per_dim=60,
 )
-@per_trial
-def _check_char_morph_law(rng, dim):
-    if int(rng.integers(0, 2)) == 0:
-        f = isometry_map(rng, dim)
-    else:
-        f = non_isometry_map(rng, dim)
-    ok = check_char_morph(f, trials=120, seed=int(rng.integers(0, 2**32)))
-    return 0.0 if ok else 1.0, dict(map=f)
+def _batch_char_morph(rng, dim, n):
+    m, dim_out = _mixed_maps(rng, n, dim)
+    ok = _on_superpositions(char_morph_agreements, rng, m, 120)
+    return _block((~ok).astype(float), map=m, dim_out=dim_out)
 
 
 @law(
@@ -1109,17 +1005,13 @@ def _check_char_morph_law(rng, dim):
     dims=(2, 3, 4, 5),
     trials_per_dim=400,
 )
-@per_trial
-def _check_injective_distinct(rng, dim):
-    if int(rng.integers(0, 2)) == 0:
-        f = isometry_map(rng, dim)
-    else:
-        f = non_isometry_map(rng, dim)
-    x = sampling.random_ray(rng, dim)
-    y = sampling.random_ray(rng, dim)
-    if a_sim(x, y) > 1.0 - 1e-6:
-        return _SKIP
-    return 1.0 if rays_equal(apply_ray(f, x), apply_ray(f, y)) else 0.0, dict(x=x, y=y, map=f)
+def _batch_injective_distinct(rng, dim, n):
+    m, dim_out = _mixed_maps(rng, n, dim)
+    x = sampling.random_rays(rng, n, dim)
+    y = sampling.random_rays(rng, n, dim)
+    collided = equal_rays(apply_rays(m, x), apply_rays(m, y))
+    skip = a_sims(x, y) > 1.0 - 1e-6
+    return _block(collided.astype(float), skip, x=x, y=y, map=m, dim_out=dim_out)
 
 
 # ---------------------------------------------------------------------------

@@ -113,27 +113,32 @@ def circular_distance(a: float, b: float) -> float:
     return float(circular_distances(a, b))
 
 
+def orthonormalize_rows(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases ``(basis, kept)`` of the spans of stacked vector
+    sets (..., m, d): modified Gram–Schmidt with one re-orthogonalization
+    pass, sequential in m and vectorized over the stack.  Row j of
+    ``basis`` is vector j minus its projection onto the rows kept before
+    it, normalized, if that residual has norm above :data:`EPS_ABS` and
+    the kept rows do not yet span the space; else zero.  ``kept``
+    (..., m) marks the nonzero rows: the rank as a mask."""
+    v = np.asarray(vectors, dtype=np.complex128)
+    basis = np.zeros_like(v)
+    kept = np.zeros(v.shape[:-1], dtype=bool)
+    for j in range(v.shape[-2]):
+        w = v[..., j, :]
+        for _ in range(2):  # MGS + one re-orthogonalization pass
+            w = w - (np.vecdot(basis, w[..., np.newaxis, :])[..., np.newaxis, :] @ basis)[..., 0, :]
+        nrm = np.sqrt(np.vecdot(w, w).real)[..., np.newaxis]
+        keep = (nrm > EPS_ABS) & (kept.sum(axis=-1, keepdims=True) < v.shape[-1])
+        basis[..., j, :], kept[..., j] = np.where(keep, w / np.where(keep, nrm, 1.0), 0.0), keep[..., 0]
+    return basis, kept
+
+
 def orthonormalize(vectors) -> list[np.ndarray]:
-    """Orthonormal basis of the span of ``vectors``.
-
-    Modified Gram–Schmidt with a single re-orthogonalization pass, which
-    is stable at the ambient dimensions this library targets (d ≤ 32).
-    Vectors whose residual norm after projecting out the basis built so
-    far is at most :data:`EPS_ABS` are dropped, so the output size
-    equals the numerical rank of the input set.  Empty input yields an empty list.
-    The input is coerced once into a 2-D array and the basis is filled
-    in place; once it spans the whole space the remaining vectors are
-    dependent and skipped.
-
-    Parameters
-    ----------
-    vectors : iterable of array_like
-        Vectors of a common dimension.
-
-    Returns
-    -------
-    list of numpy.ndarray
-        Pairwise-orthonormal unit vectors spanning the input.
+    """Orthonormal basis of the span of ``vectors`` (of a common
+    dimension), as read-only unit vectors: the nonzero rows of
+    :func:`orthonormalize_rows`.  The output size is the numerical rank
+    of the input; empty input yields an empty list.
 
     Raises
     ------
@@ -157,21 +162,7 @@ def orthonormalize(vectors) -> list[np.ndarray]:
         raise ValueError("expected non-empty one-dimensional vectors")
     if not np.all(np.isfinite(mat)):
         raise ValueError("vector entries must be finite")
-    n, d = mat.shape
-    basis = np.empty((min(n, d), d), dtype=np.complex128)
-    conj = np.empty_like(basis)  # conj(basis), kept in sync
-    k = 0
-    for w in mat:
-        if k == d:  # the span is already the whole space
-            break
-        for _ in range(2):  # MGS + one re-orthogonalization pass
-            w = w - basis[:k].T @ (conj[:k] @ w)
-        # np.linalg.norm's own formula for a complex vector, without its wrapper
-        nrm = math.sqrt(w.real @ w.real + w.imag @ w.imag)
-        if nrm > EPS_ABS:
-            basis[k] = w / nrm
-            conj[k] = basis[k].conj()
-            k += 1
-    basis = basis[:k]
+    basis, kept = orthonormalize_rows(mat)
+    basis = basis[kept]
     basis.flags.writeable = False
     return list(basis)

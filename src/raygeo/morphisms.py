@@ -5,8 +5,9 @@ map on rays (scaling the matrix by any nonzero complex number induces
 the same ray map).  The central fact verified by the harness: such a
 map preserves superpositions exactly when it is an isometry up to a
 positive scale — in which case it also preserves similarities and
-triple phases.  :func:`isometry_map` and :func:`non_isometry_map`
-sample the two kinds of map the harness checks.
+triple phases.  :func:`isometry_maps` and :func:`non_isometry_maps`
+sample the two kinds of map the harness checks, as stacks padded with
+zero rows to a common output dimension.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotIsometryError
-from .linalg import EPS_ABS, circular_distances
-from .rays import Ray, ray_from
+from .linalg import EPS_ABS, circular_distances, norms
+from .rays import Ray, ray_from, rays_from
 from .geometry import a_sims, p_sims, triple_phases
 from .sampling import gaussian_stack, keyed_generator, random_frames
 from .superposition import superpose_vectors
@@ -67,47 +68,74 @@ class RegularMap:
         return int(self.matrix.shape[0])
 
 
+def _padded_frames(rng: np.random.Generator, count: int, dim_in: int):
+    """Haar isometries into C^{dim_out}, dim_out drawn from dim_in..dim_in+2,
+    zero-padded to (count, dim_in + 2, dim_in), and dim_out: Householder
+    QR keeps the Gaussian draw's zero rows exactly."""
+    dim_out = dim_in + rng.integers(0, 3, count)
+    rows = np.arange(dim_in + 2) < dim_out[:, np.newaxis]
+    g = gaussian_stack(rng, (count, dim_in + 2, dim_in))
+    return np.linalg.qr(g * rows[..., np.newaxis])[0], dim_out
+
+
+def isometry_maps(rng: np.random.Generator, count: int, dim_in: int, scale: float | None = None):
+    """``count`` scaled isometries C^{dim_in} → C^{dim_out} (dim_out in
+    dim_in..dim_in+2, scale in [0.5, 2) unless given): the matrices,
+    padded with zero rows to (count, dim_in + 2, dim_in), and dim_out."""
+    q, dim_out = _padded_frames(rng, count, dim_in)
+    c = rng.uniform(0.5, 2.0, count) if scale is None else np.full(count, float(scale))
+    return c[:, np.newaxis, np.newaxis] * q, dim_out
+
+
+def non_isometry_maps(rng: np.random.Generator, count: int, dim_in: int):
+    """``count`` injective non-isometries, one singular value bumped by
+    ≥ 1.1, as by :func:`isometry_maps`."""
+    q, dim_out = _padded_frames(rng, count, dim_in)
+    v = random_frames(rng, count, dim_in, dim_in)
+    s = np.ones((count, dim_in))
+    s[np.arange(count), rng.integers(0, dim_in, count)] = 1.1 + rng.uniform(0.0, 0.9, count)
+    return (q * s[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2), dim_out
+
+
 def isometry_map(rng: np.random.Generator, dim_in: int, scale: float | None = None) -> RegularMap:
-    """A scaled isometry C^{dim_in} → C^{dim_out} (orthonormal columns);
-    dim_out is drawn from dim_in..dim_in+2, the scale from [0.5, 2) if not given."""
-    dim_out = dim_in + int(rng.integers(0, 3))
-    q = random_frames(rng, 1, dim_out, dim_in)[0]
-    c = float(rng.uniform(0.5, 2.0)) if scale is None else float(scale)
-    return RegularMap(c * q)
+    """A scaled isometry: the single form of :func:`isometry_maps`."""
+    m, dim_out = isometry_maps(rng, 1, dim_in, scale)
+    return RegularMap(m[0, : dim_out[0]])
 
 
 def non_isometry_map(rng: np.random.Generator, dim_in: int) -> RegularMap:
-    """An injective non-isometry: one singular value bumped by ≥ 1.1."""
-    dim_out = dim_in + int(rng.integers(0, 3))
-    q = random_frames(rng, 1, dim_out, dim_in)[0]
-    v = random_frames(rng, 1, dim_in, dim_in)[0]
-    s = np.ones(dim_in)
-    s[int(rng.integers(0, dim_in))] = 1.1 + float(rng.uniform(0.0, 0.9))
-    return RegularMap(q @ np.diag(s) @ v.conj().T)
+    """An injective non-isometry: the single form of :func:`non_isometry_maps`."""
+    m, dim_out = non_isometry_maps(rng, 1, dim_in)
+    return RegularMap(m[0, : dim_out[0]])
+
+
+def apply_rays(m, x) -> np.ndarray:
+    """The images of stacked rays (..., d) under matrices (..., D, d)."""
+    return rays_from((m @ x[..., np.newaxis])[..., 0])
 
 
 def apply_ray(f: RegularMap, x: Ray) -> Ray:
-    """Image of a ray under the induced map."""
+    """Image of a ray under the induced map: the single form of :func:`apply_rays`."""
     if x.dim != f.dim_in:
         raise DimensionMismatchError(f"ray dim {x.dim} vs map input dim {f.dim_in}")
-    return ray_from(f.matrix @ x.rep)
+    return Ray(rep=apply_rays(f.matrix, x.rep))
+
+
+def isometry_scales(m) -> np.ndarray:
+    """The uniform scales c with ‖m·u‖ = c‖u‖ for all u of stacked
+    matrices (..., D, d), NaN where there is none: decided through the
+    Gram matrix m†m = c²·I, to 1e-9 relative to c²."""
+    gram = m.conj().swapaxes(-1, -2) @ m
+    c2 = np.trace(gram, axis1=-2, axis2=-1).real / gram.shape[-1]
+    dev = np.abs(gram - c2[..., np.newaxis, np.newaxis] * np.eye(gram.shape[-1])).max(axis=(-2, -1))
+    return np.where((c2 > 0.0) & (dev <= 1e-9 * c2), np.sqrt(np.maximum(c2, 0.0)), np.nan)
 
 
 def isometry_scale(f: RegularMap) -> float | None:
-    """The uniform scale c with ‖m·u‖ = c‖u‖ for all u, or None.
-
-    Decided exactly through the Gram matrix m†m = c²·I on the standard
-    basis, to 1e-9 relative to c².
-    """
-    m = f.matrix
-    gram = m.conj().T @ m
-    c2 = float(np.real(np.trace(gram))) / f.dim_in
-    if c2 <= 0.0:
-        return None
-    dev = float(np.max(np.abs(gram - c2 * np.eye(f.dim_in))))
-    if dev > 1e-9 * c2:
-        return None
-    return float(np.sqrt(c2))
+    """The uniform scale c with ‖m·u‖ = c‖u‖ for all u, or None: the
+    single form of :func:`isometry_scales`."""
+    c = float(isometry_scales(f.matrix))
+    return None if np.isnan(c) else c
 
 
 @dataclass(frozen=True)
@@ -131,46 +159,52 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
-def _image_rows(f: RegularMap, u: np.ndarray) -> np.ndarray:
-    """Unit representatives of the images of stacked vectors under f."""
-    m = u @ f.matrix.T
-    return m / np.linalg.norm(m, axis=-1, keepdims=True)
+def _image_rows(m, u) -> np.ndarray:
+    """Unit images of stacked vectors (..., s, d) under matrices (..., D, d)."""
+    v = u @ m.swapaxes(-1, -2)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def superposition_residuals(m, y, z, r) -> tuple[np.ndarray, np.ndarray]:
+    """Superposition preservation ``(residual, kept)`` by stacked maps
+    (..., D, d) on samples y, z (..., s, d) and r (..., s): 1 − overlap
+    between the image of the superposition and the superposition of the
+    images, or 1.0 where the image pair is orthogonal (overlap at most
+    ``EPS_ABS``); a sample is preserved when it is at most ``EPS_ABS``.
+    Only the kept samples, with overlap above 1e-6, count: the others
+    read 0."""
+    fy, fz = _image_rows(m, y), _image_rows(m, z)
+    mapped = _image_rows(m, superpose_vectors(y, z, r))
+    direct = superpose_vectors(fy, fz, r)
+    direct = direct / norms(direct)[..., np.newaxis]
+    residual = np.where(a_sims(fy, fz) <= EPS_ABS, 1.0, 1.0 - a_sims(mapped, direct))
+    kept = a_sims(y, z) > 1e-6
+    return np.where(kept, residual, 0.0), kept
+
+
+def _superposition_samples(trials: int, seed: int, dim: int):
+    rng = keyed_generator(seed, 0x5052455345525645)
+    trials = max(int(trials), 0)
+    return _unit_rows(rng, trials, dim), _unit_rows(rng, trials, dim), rng.uniform(0.0, 1.0, trials)
 
 
 def preserves_superpositions(f: RegularMap, trials: int = 500, seed: int = 0) -> PreservationReport:
     """Sampled check that the induced map carries superpositions to
-    superpositions of the images.
-
-    Draws pairs (y, z) and weights r as stacks, and keeps the pairs
-    with overlap above 1e-6; requires the image pair to stay
-    non-orthogonal and the image of the superposition to equal the
-    superposition of the images.  The verdict stops at the first
-    failure: ``trials_run`` and ``worst_residual`` count the kept
-    samples up to it, and the witness is that sample.  A negative
-    verdict is a proof; a positive verdict is sampled evidence — the
-    exact criterion is the isometry check, and the harness validates
-    their agreement.
+    superpositions of the images: :func:`superposition_residuals` on
+    ``trials`` samples.  The verdict stops at the first failing kept
+    sample, the witness: ``trials_run`` and ``worst_residual`` count the
+    kept samples up to it.  A negative verdict is a proof; a positive
+    one is sampled evidence (the exact criterion is the isometry check).
 
     Raises
     ------
     ValueError
         If ``seed`` lies outside [0, 2**64).
     """
-    rng = keyed_generator(seed, 0x5052455345525645)
-    trials = max(int(trials), 0)
-    y = _unit_rows(rng, trials, f.dim_in)
-    z = _unit_rows(rng, trials, f.dim_in)
-    r = rng.uniform(0.0, 1.0, trials)
-    kept = a_sims(y, z) > 1e-6
-    y, z, r = y[kept], z[kept], r[kept]
-    fy = _image_rows(f, y)
-    fz = _image_rows(f, z)
-    collapsed = a_sims(fy, fz) <= EPS_ABS
-    mapped = _image_rows(f, superpose_vectors(y, z, r))
-    direct = superpose_vectors(fy, fz, r)
-    direct = direct / np.linalg.norm(direct, axis=-1, keepdims=True)
-    residual = np.where(collapsed, 1.0, 1.0 - a_sims(mapped, direct))
-    failed = collapsed | (residual > EPS_ABS)
+    y, z, r = _superposition_samples(trials, seed, f.dim_in)
+    residual, kept = superposition_residuals(f.matrix, y, z, r)
+    residual, y, z, r = residual[kept], y[kept], z[kept], r[kept]
+    failed = residual > EPS_ABS
     if not failed.any():
         return PreservationReport(True, float(residual.max(initial=0.0)), len(r), seed, None)
     k = int(np.argmax(failed))
@@ -178,11 +212,18 @@ def preserves_superpositions(f: RegularMap, trials: int = 500, seed: int = 0) ->
     return PreservationReport(False, float(residual[: k + 1].max()), k + 1, seed, witness)
 
 
-def check_char_morph(f: RegularMap, trials: int = 500, seed: int = 0) -> bool:
+def char_morph_agreements(m, y, z, r) -> np.ndarray:
     """Agreement of the exact isometry criterion with the sampled
-    superposition-preservation verdict; true for every regular map."""
-    is_iso = isometry_scale(f) is not None
-    return is_iso == preserves_superpositions(f, trials, seed).preserves
+    preservation verdict, arguments as for :func:`superposition_residuals`;
+    true for every regular map."""
+    preserves = (superposition_residuals(m, y, z, r)[0] <= EPS_ABS).all(axis=-1)
+    return ~np.isnan(isometry_scales(m)) == preserves
+
+
+def check_char_morph(f: RegularMap, trials: int = 500, seed: int = 0) -> bool:
+    """The single form of :func:`char_morph_agreements`, on the samples of
+    :func:`preserves_superpositions`."""
+    return bool(char_morph_agreements(f.matrix, *_superposition_samples(trials, seed, f.dim_in)))
 
 
 @dataclass(frozen=True)
@@ -194,11 +235,23 @@ class QuantityResiduals:
     trials_run: int
 
 
-def check_preserves_p_theta(f: RegularMap, trials: int = 200, seed: int = 0) -> QuantityResiduals:
-    """Worst |p(f x, f y) − p(x, y)| and phase deviation over samples.
+def p_theta_residuals(m, x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(p_residual, theta_residual, kept)``: |p(f x, f y) − p(x, y)| and
+    the circular distance from theta(f x, f y, f z) to theta(x, y, z)
+    for stacked maps (..., D, d) and triples (..., s, d); only the kept
+    triples, with overlaps above 1e-6, count: the others give 0."""
+    kept = np.minimum.reduce([a_sims(x, y), a_sims(y, z), a_sims(z, x)]) > 1e-6
+    y, z = (np.where(kept[..., np.newaxis], t, x) for t in (y, z))
+    fx, fy, fz = (_image_rows(m, t) for t in (x, y, z))
+    p_residual = np.abs(p_sims(fx, fy) - p_sims(x, y))
+    theta_residual = circular_distances(triple_phases(fx, fy, fz), triple_phases(x, y, z))
+    return np.where(kept, p_residual, 0.0), np.where(kept, theta_residual, 0.0), kept
 
-    Both quantities are blind to a uniform scale, so any isometry up to
-    scale preserves them exactly.
+
+def check_preserves_p_theta(f: RegularMap, trials: int = 200, seed: int = 0) -> QuantityResiduals:
+    """Worst |p(f x, f y) − p(x, y)| and phase deviation over sampled
+    triples: the single form of :func:`p_theta_residuals`.  Both are
+    blind to a uniform scale, so any isometry up to scale preserves them.
 
     Raises
     ------
@@ -212,11 +265,9 @@ def check_preserves_p_theta(f: RegularMap, trials: int = 200, seed: int = 0) -> 
     rng = keyed_generator(seed, 0x5051554E54)
     trials = max(int(trials), 0)
     x, y, z = (_unit_rows(rng, trials, f.dim_in) for _ in range(3))
-    kept = np.minimum(np.minimum(a_sims(x, y), a_sims(y, z)), a_sims(z, x)) > 1e-6
-    x, y, z = x[kept], y[kept], z[kept]
-    fx, fy, fz = (_image_rows(f, t) for t in (x, y, z))
-    p_residual = np.abs(p_sims(fx, fy) - p_sims(x, y)).max(initial=0.0)
-    theta_residual = circular_distances(triple_phases(fx, fy, fz), triple_phases(x, y, z)).max(initial=0.0)
+    p_residual, theta_residual, kept = p_theta_residuals(f.matrix, x, y, z)
     return QuantityResiduals(
-        p_residual=float(p_residual), theta_residual=float(theta_residual), trials_run=len(x)
+        p_residual=float(p_residual.max(initial=0.0)),
+        theta_residual=float(theta_residual.max(initial=0.0)),
+        trials_run=int(kept.sum()),
     )

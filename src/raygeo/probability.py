@@ -16,6 +16,7 @@ stated precondition is violated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,95 +28,115 @@ from .errors import (
 )
 from .linalg import EPS_ABS
 from .rays import (
-    ZERO,
     Ray,
     Subspace,
+    commutation_defects,
     commutes,
+    complements,
+    equal_rays,
+    equal_subspaces,
     is_member,
     is_orthogonal,
-    join,
-    meet,
-    ortho_complement,
-    project_ray,
+    joins,
+    meets,
+    orthogonality_defects,
+    project_rays,
     project_rows,
     ray_from,
-    rays_equal,
     require_dims,
-    subspaces_equal,
 )
-from .geometry import p_prop
+from .geometry import p_props
 from .sampling import keyed_generator
 
 
-def check_ortho_additivity(x: Ray, a: Subspace, b: Subspace) -> float:
-    """|p(x, a∨b) − p(x, a) − p(x, b)| for orthogonal a, b.
+def ortho_additivity_residuals(qa, qb, x) -> np.ndarray:
+    """|p(x, a∨b) − p(x, a) − p(x, b)| over stacked propositions
+    (..., d, k) and states (..., d), for orthogonal a, b."""
+    return np.abs(p_props(joins(qa, qb), x) - p_props(qa, x) - p_props(qb, x))
 
-    Raises
-    ------
-    NotOrthogonalError
-        If the subspaces are not orthogonal.
-    """
+
+def check_ortho_additivity(x: Ray, a: Subspace, b: Subspace) -> float:
+    """The single form of :func:`ortho_additivity_residuals`; raises
+    :class:`NotOrthogonalError` unless a ⊥ b."""
+    require_dims(x, a, b)
     if not is_orthogonal(a, b):
         raise NotOrthogonalError("additivity requires orthogonal propositions")
-    return abs(p_prop(x, join(a, b)) - p_prop(x, a) - p_prop(x, b))
+    return float(ortho_additivity_residuals(a.basis.T, b.basis.T, x.rep))
+
+
+def complement_residuals(q, x) -> np.ndarray:
+    """|p(x, a) + p(x, ¬a) − 1| over stacked propositions and states."""
+    return np.abs(p_props(q, x) + p_props(complements(q), x) - 1.0)
 
 
 def check_complement(x: Ray, a: Subspace) -> float:
-    """|p(x, a) + p(x, ¬a) − 1|."""
-    return abs(p_prop(x, a) + p_prop(x, ortho_complement(a)) - 1.0)
+    """|p(x, a) + p(x, ¬a) − 1|: the single form of :func:`complement_residuals`."""
+    require_dims(x, a)
+    return float(complement_residuals(a.basis.T, x.rep))
 
 
-def check_inclusion_exclusion(x: Ray, a: Subspace, b: Subspace) -> float:
-    """|p(x, a∨b) − p(x, a) − p(x, b) + p(x, a∧b)| for commuting a, b."""
-    if not commutes(a, b):
-        raise NotCommutingError("inclusion-exclusion requires commuting propositions")
-    return abs(
-        p_prop(x, join(a, b))
-        - p_prop(x, a)
-        - p_prop(x, b)
-        + p_prop(x, meet(a, b))
+def inclusion_exclusion_residuals(qa, qb, x) -> np.ndarray:
+    """|p(x, a∨b) − p(x, a) − p(x, b) + p(x, a∧b)| over stacked
+    propositions and states, for commuting a, b."""
+    return np.abs(
+        p_props(joins(qa, qb), x) - p_props(qa, x) - p_props(qb, x) + p_props(meets(qa, qb), x)
     )
 
 
-def check_chain_rule(x: Ray, a: Subspace, b: Subspace) -> float:
-    """|p(x, a∧b) − p(x, a)·p(a(x), b)| for commuting a, b.
+def check_inclusion_exclusion(x: Ray, a: Subspace, b: Subspace) -> float:
+    """The single form of :func:`inclusion_exclusion_residuals`."""
+    require_dims(x, a, b)
+    if not commutes(a, b):
+        raise NotCommutingError("inclusion-exclusion requires commuting propositions")
+    return float(inclusion_exclusion_residuals(a.basis.T, b.basis.T, x.rep))
 
-    When x ⊥ a the conditional is on a null event; the term is
-    0-weighted and the residual degenerates to p(x, a∧b) itself, which
-    must vanish.
+
+def chain_rule_residuals(qa, qb, x) -> np.ndarray:
+    """|p(x, a∧b) − p(x, a)·p(a(x), b)| over stacked propositions and
+    states, for commuting a, b.  When x ⊥ a the conditional is on a
+    null event, and the residual is p(x, a∧b) itself, which must vanish.
     """
+    p_xa = p_props(qa, x)
+    p_meet = p_props(meets(qa, qb), x)
+    ax, zero = project_rays(qa, x)
+    return np.where(zero | (p_xa <= EPS_ABS), p_meet, np.abs(p_meet - p_xa * p_props(qb, ax)))
+
+
+def check_chain_rule(x: Ray, a: Subspace, b: Subspace) -> float:
+    """The single form of :func:`chain_rule_residuals`."""
+    require_dims(x, a, b)
     if not commutes(a, b):
         raise NotCommutingError("the chain rule requires commuting propositions")
-    p_xa = p_prop(x, a)
-    p_meet = p_prop(x, meet(a, b))
-    ax = project_ray(a, x)
-    if ax is ZERO or p_xa <= EPS_ABS:
-        return p_meet
-    return abs(p_meet - p_xa * p_prop(ax, b))
+    return float(chain_rule_residuals(a.basis.T, b.basis.T, x.rep))
 
 
-def _locally_commute(x: Ray, a: Subspace, b: Subspace) -> bool:
-    ab = project_ray(a, project_ray(b, x))
-    ba = project_ray(b, project_ray(a, x))
-    if ab is ZERO or ba is ZERO:
-        return ab is ZERO and ba is ZERO
-    return rays_equal(ab, ba)
+def total_probability_defined(qa, qb, x) -> np.ndarray:
+    """Whether the total probability decomposition applies to stacked
+    instances: a and b commute, or the composite projections a(b(x))
+    and b(a(x)) agree (both ZERO, or equal rays)."""
+    bx, zero_b = project_rays(qb, x)
+    ab, zero_ab = project_rays(qa, bx)
+    ax, zero_a = project_rays(qa, x)
+    ba, zero_ba = project_rays(qb, ax)
+    zero_ab, zero_ba = zero_ab | zero_b, zero_ba | zero_a
+    local = np.where(zero_ab | zero_ba, zero_ab & zero_ba, equal_rays(ab, ba))
+    return (commutation_defects(qa, qb) <= EPS_ABS) | local
 
 
 def check_total_probability(x: Ray, a: Subspace, b: Subspace) -> float:
     """Residual of p(x,b) = p(x,a)·p(a(x),b) + p(x,¬a)·p(¬a(x),b).
 
-    Requires either globally commuting propositions or the weaker local
-    condition that the two composite projections agree *at x*.  Terms
-    conditioned on a null event (p(x,a) = 0 or p(x,¬a) = 0) contribute
-    zero with the undefined conditional skipped.
+    Requires commuting propositions, or the weaker local condition of
+    :func:`total_probability_defined`.  Terms conditioned on a null
+    event (p(x,a) = 0 or p(x,¬a) = 0) contribute zero.
 
     Raises
     ------
     PreconditionUnmetError
         When the propositions neither commute nor locally commute at x.
     """
-    if not commutes(a, b) and not _locally_commute(x, a, b):
+    require_dims(x, a, b)
+    if not total_probability_defined(a.basis.T, b.basis.T, x.rep):
         raise PreconditionUnmetError(
             "commuting or locally-commuting-at-x",
             "propositions neither commute nor locally commute at the given state",
@@ -148,8 +169,9 @@ def total_probability_residual(x: Ray, a: Subspace, b: Subspace) -> float:
     precondition check; on non-commuting propositions it measures how
     far the law of total probability fails.  The single form of
     :func:`total_probability_residuals`."""
-    columns = (a.basis.T, ortho_complement(a).basis.T, b.basis.T)
-    return float(total_probability_residuals(*columns, x.rep))
+    require_dims(x, a, b)
+    qa = a.basis.T
+    return float(total_probability_residuals(qa, complements(qa), b.basis.T, x.rep))
 
 
 def check_interference_inequality(x: Ray, a: Subspace, b: Subspace) -> float:
@@ -311,29 +333,34 @@ class CommutingDecomposition:
     gamma3: Subspace
 
 
+#: Why a row of :func:`commuting_decompositions` failed, by defect code.
+_DECOMPOSITION_DEFECTS = (
+    None,
+    "decomposition exists only for commuting propositions",
+    "decomposition parts are not orthogonal",
+    "decomposition does not regenerate the pair",
+)
+
+
+def commuting_decompositions(qa, qb) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Constructive decompositions of stacked commuting pairs: gamma1 =
+    a∧b, gamma2 = a∧¬b, gamma3 = ¬a∧b, and a defect code per row, 0 when
+    the pair commutes, the parts are pairwise orthogonal and the joins
+    reproduce a and b, else the index in :data:`_DECOMPOSITION_DEFECTS`
+    of the first check the row fails."""
+    g1, g2, g3 = meets(qa, qb), meets(qa, complements(qb)), meets(complements(qa), qb)
+    pairs = itertools.combinations((g1, g2, g3), 2)
+    overlap = np.maximum.reduce([orthogonality_defects(p, q) for p, q in pairs])
+    regenerates = equal_subspaces(joins(g1, g2), qa) & equal_subspaces(joins(g1, g3), qb)
+    defects = [commutation_defects(qa, qb) > EPS_ABS, overlap > EPS_ABS, ~regenerates]
+    return g1, g2, g3, np.select(defects, [1, 2, 3], 0)
+
+
 def decompose_commuting(a: Subspace, b: Subspace) -> CommutingDecomposition:
-    """Constructive decomposition of a commuting pair.
-
-    gamma1 = a∧b, gamma2 = a∧¬b, gamma3 = ¬a∧b.  The complements are
-    formed once and each part is one meet, which complements nothing
-    itself.  Verifies pairwise orthogonality and that the two joins
-    reproduce a and b.
-
-    Raises
-    ------
-    NotCommutingError
-        If the propositions do not commute.
-    """
-    if not commutes(a, b):
-        raise NotCommutingError("decomposition exists only for commuting propositions")
-    nb = ortho_complement(b)
-    na = ortho_complement(a)
-    g1 = meet(a, b)
-    g2 = meet(a, nb)
-    g3 = meet(na, b)
-    for p, q in ((g1, g2), (g1, g3), (g2, g3)):
-        if not is_orthogonal(p, q):
-            raise NotCommutingError("decomposition parts are not orthogonal")
-    if not subspaces_equal(join(g1, g2), a) or not subspaces_equal(join(g1, g3), b):
-        raise NotCommutingError("decomposition does not regenerate the pair")
-    return CommutingDecomposition(gamma1=g1, gamma2=g2, gamma3=g3)
+    """The single form of :func:`commuting_decompositions`; raises
+    :class:`NotCommutingError` on a nonzero defect."""
+    require_dims(a, b)
+    *parts, defect = commuting_decompositions(a.basis.T, b.basis.T)
+    if defect:
+        raise NotCommutingError(_DECOMPOSITION_DEFECTS[int(defect)])
+    return CommutingDecomposition(*(Subspace.from_columns(g) for g in parts))

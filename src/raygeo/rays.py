@@ -84,7 +84,8 @@ class Ray:
 
 
 def ray_from(v) -> Ray:
-    """The ray spanned by ``v``, with canonical representative.
+    """The ray spanned by ``v``, with canonical representative: the
+    single-vector form of :func:`rays_from`.
 
     Scale-invariant: ``ray_from(c * v)`` equals ``ray_from(v)`` for any
     nonzero complex ``c``.
@@ -96,17 +97,7 @@ def ray_from(v) -> Ray:
     ValueError
         If ``v`` is not a finite vector, or its norm overflows.
     """
-    v = as_vector(v)
-    n = float(np.linalg.norm(v))
-    if n <= EPS_ABS:
-        raise ZeroVectorError(f"cannot span a ray from a vector of norm {n:.3e}")
-    if n == math.inf:
-        raise ValueError("the vector norm overflows the float range")
-    u = v / n
-    sig = np.flatnonzero(np.abs(u) > EPS_ABS)
-    k = int(sig[0])  # nonempty: a unit vector has an entry of modulus >= 1/sqrt(d)
-    u = u * (np.conj(u[k]) / abs(u[k]))
-    return Ray(rep=u)
+    return Ray(rep=rays_from(as_vector(v)))
 
 
 def rays_from(v) -> np.ndarray:
@@ -225,6 +216,11 @@ class Subspace:
         return cls(basis=mat, dim=int(dim))
 
     @classmethod
+    def from_columns(cls, q) -> "Subspace":
+        """The span of the nonzero, orthonormal columns of ``q`` (d, k)."""
+        return cls.from_orthonormal(np.ascontiguousarray(q[:, _live(q)].T), q.shape[0])
+
+    @classmethod
     def from_ray(cls, x: Ray) -> "Subspace":
         return cls.from_orthonormal(x.rep[np.newaxis, :], x.dim)
 
@@ -240,7 +236,7 @@ class Subspace:
 
     def projector(self) -> np.ndarray:
         """The dim×dim orthogonal projection matrix onto this subspace."""
-        return self.basis.T @ self.basis.conj()
+        return projectors(self.basis.T)
 
     def __repr__(self):
         return f"Subspace(rank={self.rank}, dim={self.dim})"
@@ -258,6 +254,21 @@ def project_rows(q, v) -> np.ndarray:
     return (coeff @ q.swapaxes(-1, -2))[..., 0, :]
 
 
+def projectors(q) -> np.ndarray:
+    """Projection matrices (..., d, d) of stacked subspaces (..., d, k)."""
+    return q @ q.conj().swapaxes(-1, -2)
+
+
+def _live(q) -> np.ndarray:
+    """The nonzero (unit) columns of stacked subspaces (..., d, k)."""
+    return np.vecdot(q, q, axis=-2).real > 0.5
+
+
+def ranks(q) -> np.ndarray:
+    """Dimensions of stacked subspaces (..., d, k): their nonzero columns."""
+    return np.count_nonzero(_live(q), axis=-1)
+
+
 def project_vec(a: Subspace, u) -> np.ndarray:
     """Orthogonal projection of a vector onto the subspace: the
     single-vector form of :func:`project_rows`.  The residual
@@ -269,130 +280,158 @@ def project_vec(a: Subspace, u) -> np.ndarray:
     return project_rows(a.basis.T, u)
 
 
-def project_ray(a: Subspace, x):
-    """Projection of a ray onto a subspace: a Ray, or ZERO if orthogonal.
+def project_rays(q, x) -> tuple[np.ndarray, np.ndarray]:
+    """Projections of stacked rays x (..., d) onto stacked subspaces, and
+    the mask of the rows whose projection has norm at most ``EPS_ABS``
+    (:data:`ZERO`; the row holds x)."""
+    p = project_rows(q, x)
+    zero = norms(p) <= EPS_ABS
+    return rays_from(np.where(zero[..., np.newaxis], x, p)), zero
 
-    Idempotent, and extends to the zero result: projecting ZERO yields
-    ZERO.
-    """
+
+def project_ray(a: Subspace, x):
+    """Projection of a ray onto a subspace: a Ray, or ZERO if orthogonal;
+    the single form of :func:`project_rays`.  Idempotent; projecting
+    ZERO yields ZERO."""
     if x is ZERO:
         return ZERO
-    p = project_vec(a, x.rep)
-    if float(np.linalg.norm(p)) <= EPS_ABS:
-        return ZERO
-    return ray_from(p)
+    require_dims(a, x)
+    rep, zero = project_rays(a.basis.T, x.rep)
+    return ZERO if zero else Ray(rep=rep)
+
+
+# The subspace lattice on stacks (..., d, k) of orthonormal columns, in
+# which zero columns, anywhere, span nothing; the scalar forms pass (d, k).
+
+
+def complements(q) -> np.ndarray:
+    """Orthogonal complements, (..., d, k) → (..., d, d): the trailing
+    ``d − rank`` columns of a complete (Householder) QR of the columns,
+    nonzero ones first; the leading ``rank`` columns are zero.  No rank
+    cut: the columns are orthonormal and their rank is exact."""
+    live = _live(q)
+    order = np.argsort(~live, axis=-1, kind="stable")
+    full = np.linalg.qr(np.take_along_axis(q, order[..., np.newaxis, :], axis=-1), mode="complete")[0]
+    cut = np.arange(full.shape[-1]) >= np.count_nonzero(live, axis=-1)[..., np.newaxis]
+    return np.where(cut[..., np.newaxis, :], full, 0.0)
+
+
+def _residual_columns(q, p) -> np.ndarray:
+    """Columns ``q`` minus their projections onto the spans of ``p``, in
+    two passes (the second restores orthogonality lost to rounding)."""
+    for _ in range(2):
+        q = q - p @ (p.conj().swapaxes(-1, -2) @ q)
+    return q
+
+
+def joins(qa, qb) -> np.ndarray:
+    """Disjunctions (closed linear sums), (..., d, ka), (..., d, kb) →
+    (..., d, ka + min(d, kb)): ``qa``'s columns, then the left singular
+    vectors with ``s > EPS_ABS`` of one thin SVD of ``qb`` projected
+    off ``qa``."""
+    u, s, _ = np.linalg.svd(_residual_columns(qb, qa), full_matrices=False)
+    return np.concatenate([qa, np.where((s > EPS_ABS)[..., np.newaxis, :], u, 0.0)], axis=-1)
+
+
+def meets(qa, qb) -> np.ndarray:
+    """Conjunctions (intersections), (..., d, ka) → (..., d, ka).
+
+    One thin SVD of ``qa`` projected off ``qb``: its singular values are
+    the sines of the principal angles (Björck & Golub, Math. Comp. 27,
+    1973), and its right singular vectors with ``s <= EPS_ABS`` are the
+    coefficients, in ``qa``'s columns, of a basis of the intersection.
+    An identity row under each zero column of ``qa`` lifts that
+    column's singular value to 1, so no coefficient vector rests on it.
+    """
+    lift = np.eye(qa.shape[-1]) * ~_live(qa)[..., np.newaxis, :]
+    lifted = np.concatenate([_residual_columns(qa, qb), lift], axis=-2)
+    _, s, vh = np.linalg.svd(lifted, full_matrices=False)
+    return np.where((s <= EPS_ABS)[..., np.newaxis, :], qa @ vh.conj().swapaxes(-1, -2), 0.0)
+
+
+def containment_defects(qa, qb) -> np.ndarray:
+    """Largest distance from a column of ``qa`` to the span of ``qb``;
+    zero (up to rounding) exactly when a ⊆ b."""
+    diff = qb @ (qb.conj().swapaxes(-1, -2) @ qa) - qa
+    return np.sqrt(np.vecdot(diff, diff, axis=-2).real).max(axis=-1, initial=0.0)
+
+
+def orthogonality_defects(qa, qb) -> np.ndarray:
+    """Largest modulus of an inner product between columns of ``qa`` and
+    ``qb``; zero for falsehood."""
+    return np.abs(qa.conj().swapaxes(-1, -2) @ qb).max(axis=(-2, -1), initial=0.0)
+
+
+def commutation_defects(qa, qb) -> np.ndarray:
+    """Largest entry of the commutator of the two projections: the
+    operator-level test, faithful to the definition in finite dimension."""
+    pa, pb = projectors(qa), projectors(qb)
+    return np.abs(pa @ pb - pb @ pa).max(axis=(-2, -1))
+
+
+def equal_subspaces(qa, qb) -> np.ndarray:
+    """Whether stacked subspaces coincide: equal ranks, containment
+    within ``EPS_ABS``."""
+    return (ranks(qa) == ranks(qb)) & (containment_defects(qa, qb) <= EPS_ABS)
 
 
 def ortho_complement(a: Subspace) -> Subspace:
-    """Orthogonal complement; rank is ``dim − rank(a)`` and the double
-    complement returns the original subspace.
-
-    The trailing ``dim − rank`` columns of a complete (Householder) QR
-    of the basis columns; falsehood maps to truth.  There is no rank
-    cut: the basis rows are orthonormal and their rank is exact.
-    """
-    q = np.linalg.qr(a.basis.T, mode="complete")[0]
-    return Subspace.from_orthonormal(np.ascontiguousarray(q[:, a.rank :].T), a.dim)
-
-
-def _residual_rows(rows: np.ndarray, a: Subspace) -> np.ndarray:
-    """``rows`` with their projection onto ``a`` removed, block-wise, in
-    two passes (the second restores orthogonality lost to rounding)."""
-    for _ in range(2):
-        rows = rows - (rows @ a.basis.conj().T) @ a.basis
-    return rows
+    """Orthogonal complement, of rank ``dim − rank(a)``: the single form
+    of :func:`complements`."""
+    return Subspace.from_columns(complements(a.basis.T))
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
-    """Disjunction: the closed linear sum, containing both operands.
-
-    ``b``'s basis is projected off ``a`` as a block; one thin SVD of the
-    residual rows yields the right singular vectors with singular value
-    ``s > EPS_ABS``, stacked under ``a``'s basis, whose rows stay
-    first.
-    """
+    """Disjunction: the closed linear sum, containing both operands, with
+    ``a``'s basis rows first.  The single form of :func:`joins`."""
     require_dims(a, b)
-    _, s, vh = np.linalg.svd(_residual_rows(b.basis, a), full_matrices=False)
-    return Subspace.from_orthonormal(np.vstack([a.basis, vh[s > EPS_ABS]]), a.dim)
+    return Subspace.from_columns(joins(a.basis.T, b.basis.T))
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Conjunction: the intersection, the principal vectors of angle 0.
-
-    One thin SVD of ``a``'s basis projected off ``b``: its singular
-    values are the sines of the principal angles between ``a`` and
-    ``b`` (Björck & Golub, Math. Comp. 27, 1973).  The left singular
-    vectors with ``s <= EPS_ABS`` are the coefficients, in ``a``'s
-    basis, of an orthonormal basis of the intersection.
-    """
+    """Conjunction: the intersection.  The single form of :func:`meets`."""
     require_dims(a, b)
-    u, s, _ = np.linalg.svd(_residual_rows(a.basis, b), full_matrices=False)
-    coeffs = u[:, np.count_nonzero(s > EPS_ABS) :].conj().T
-    return Subspace.from_orthonormal(coeffs @ a.basis, a.dim)
+    return Subspace.from_columns(meets(a.basis.T, b.basis.T))
 
 
 def is_member(x: Ray, a: Subspace) -> bool:
-    """Whether the ray lies inside the subspace (projection fixes it)."""
-    residual = float(np.linalg.norm(project_vec(a, x.rep) - x.rep))
-    return residual <= EPS_ABS
+    """Whether the ray lies inside the subspace, to ``EPS_ABS``."""
+    require_dims(x, a)
+    return bool(containment_defects(x.rep[:, np.newaxis], a.basis.T) <= EPS_ABS)
 
 
-def _basis_rows(obj) -> np.ndarray:
+def _columns(obj) -> np.ndarray:
     if isinstance(obj, Ray):
-        return obj.rep[np.newaxis, :]
+        return obj.rep[:, np.newaxis]
     if isinstance(obj, Subspace):
-        return obj.basis
+        return obj.basis.T
     raise TypeError(f"expected Ray or Subspace, got {type(obj).__name__}")
 
 
 def is_orthogonal(p, q) -> bool:
-    """Whether two rays/subspaces are orthogonal (symmetric).
-
-    True iff every pairwise basis inner product has modulus at most
-    ``EPS_ABS``; vacuously true for falsehood.
-    """
-    rows_p = _basis_rows(p)
-    rows_q = _basis_rows(q)
-    if rows_p.shape[1] != rows_q.shape[1]:
-        raise DimensionMismatchError(f"dimensions {rows_p.shape[1]} vs {rows_q.shape[1]}")
-    if rows_p.shape[0] == 0 or rows_q.shape[0] == 0:
-        return True
-    gram = rows_p @ rows_q.conj().T
-    return float(np.max(np.abs(gram))) <= EPS_ABS
+    """Whether two rays/subspaces are orthogonal, to ``EPS_ABS``: the
+    single form of :func:`orthogonality_defects`."""
+    cols_p, cols_q = _columns(p), _columns(q)
+    if cols_p.shape[0] != cols_q.shape[0]:
+        raise DimensionMismatchError(f"dimensions {cols_p.shape[0]} vs {cols_q.shape[0]}")
+    return bool(orthogonality_defects(cols_p, cols_q) <= EPS_ABS)
 
 
 def subspaces_equal(a: Subspace, b: Subspace) -> bool:
-    """Whether two subspaces coincide (equal ranks, mutual containment)."""
+    """Whether two subspaces coincide: the single form of :func:`equal_subspaces`."""
     require_dims(a, b)
-    if a.rank != b.rank:
-        return False
-    if a.rank == 0:
-        return True
-    defect = containment_defect(a, b)
-    return defect <= EPS_ABS
+    return bool(equal_subspaces(a.basis.T, b.basis.T))
 
 
 def containment_defect(a: Subspace, b: Subspace) -> float:
-    """Largest distance from a basis vector of ``a`` to the subspace ``b``.
-
-    Zero (up to rounding) exactly when a ⊆ b.
-    """
+    """Largest distance from a basis vector of ``a`` to ``b``: the single
+    form of :func:`containment_defects`."""
     require_dims(a, b)
-    if a.rank == 0:
-        return 0.0
-    coeffs = b.basis.conj() @ a.basis.T  # (rank_b, rank_a)
-    proj = b.basis.T @ coeffs  # (dim, rank_a)
-    return float(np.max(np.linalg.norm(proj - a.basis.T, axis=0)))
+    return float(containment_defects(a.basis.T, b.basis.T))
 
 
 def commutes(a: Subspace, b: Subspace) -> bool:
-    """Whether the projection operators of two propositions commute.
-
-    Decided at the operator level — matrix equality of the two composite
-    projections — which renders the universally quantified definition
-    faithfully in finite dimension.
-    """
+    """Whether the projections of two propositions commute, to
+    ``EPS_ABS``: the single form of :func:`commutation_defects`."""
     require_dims(a, b)
-    pa = a.projector()
-    pb = b.projector()
-    return float(np.max(np.abs(pa @ pb - pb @ pa))) <= EPS_ABS
+    return bool(commutation_defects(a.basis.T, b.basis.T) <= EPS_ABS)

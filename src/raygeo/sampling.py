@@ -6,10 +6,10 @@ Philox-4x64 counter-based generator, keyed by the 2x64-bit key
     key = [ seed XOR blake2b-64(law_id),  (dim << 32) XOR index ]
 
 where ``index`` is the block number: every law runs in blocks of
-trials, and one substream feeds every trial of its block, drawn as
-stacks or trial after trial.  Reports are therefore a pure function of
-(law id, generator spec, stream version), and blocks can run in any
-order, or in parallel, without changing a single drawn number.
+trials, and one substream feeds its block, drawn as stacks.  Reports
+are therefore a pure function of (law id, generator spec, stream
+version), and blocks can run in any order, or in parallel, without
+changing a single drawn number.
 :data:`STREAM_VERSION` names the scheme; it is bumped whenever a
 change alters what a law draws:
 
@@ -24,7 +24,11 @@ change alters what a law draws:
   only the columns its caller uses;
 * version 4: every law runs in blocks.  The laws whose instances change
   shape from trial to trial draw their trials one after another from
-  the block's substream instead of from one substream per trial.
+  the block's substream instead of from one substream per trial;
+* version 5: every law draws its block as stacks.  Subspaces are frames
+  with zero columns (``random_subspaces``, ``nested_pairs``,
+  ``commuting_pairs``), maps are padded with zero rows, and blocks
+  shrink beyond d = 8 (:func:`raygeo.lawcheck.block_trials`).
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
@@ -40,7 +44,7 @@ import hashlib
 import numpy as np
 
 from .linalg import norms
-from .rays import Ray, Subspace, a_sims, ray_from, rays_from
+from .rays import a_sims, rays_from
 
 #: Rejection threshold where a law needs non-orthogonality: trials
 #: whose pairs have overlap at or below this are skipped.
@@ -48,7 +52,7 @@ MIN_OVERLAP = 1e-6
 
 #: Version of the stream scheme, written into every serialized report;
 #: the module docstring gives its history.
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 
 def law_stream_key(law_id: str) -> int:
@@ -85,10 +89,6 @@ def gaussian_stack(rng: np.random.Generator, shape, real: bool = False) -> np.nd
     if real:
         return rng.standard_normal(shape).astype(np.complex128)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def random_ray(rng: np.random.Generator, dim: int) -> Ray:
-    return ray_from(gaussian_stack(rng, dim))
 
 
 def random_rays(rng: np.random.Generator, count: int, dim: int, real: bool = False) -> np.ndarray:
@@ -143,58 +143,46 @@ def random_frames(rng: np.random.Generator, count: int, dim: int, cols: int) -> 
     return np.linalg.qr(gaussian_stack(rng, (count, dim, cols)))[0]
 
 
-def random_frame(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A random orthonormal frame: rows are orthonormal vectors."""
-    return random_frames(rng, 1, dim, dim)[0].T
+def column_subsets(frames: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Stacked frames (count, dim, k) with the columns outside ``keep``
+    (count, k) zeroed: subspaces in the stacked form of :mod:`raygeo.rays`."""
+    return np.where(keep[..., np.newaxis, :], frames, 0.0)
 
 
-def random_subspace(rng: np.random.Generator, dim: int, rank: int | None = None) -> Subspace:
-    """A random subspace; rank defaults to uniform over 1..dim−1
-    (use the explicit constructors for truth/falsehood)."""
-    if rank is None:
-        rank = int(rng.integers(1, dim)) if dim > 1 else 1
-    if rank == 0:
-        return Subspace.falsehood(dim)
-    if rank >= dim:
-        return Subspace.truth(dim)
-    return Subspace.from_orthonormal(random_frames(rng, 1, dim, rank)[0].T, dim)
+def column_ranges(frames: np.ndarray, lo, hi) -> np.ndarray:
+    """Stacked frames (count, dim, k) keeping the columns lo <= j < hi of
+    each, with ``lo`` and ``hi`` integers or of shape (count,)."""
+    j = np.arange(frames.shape[-1])
+    keep = (j >= np.asarray(lo)[..., np.newaxis]) & (j < np.asarray(hi)[..., np.newaxis])
+    return column_subsets(frames, keep)
 
 
-def member_ray(rng: np.random.Generator, a: Subspace) -> Ray:
-    """A random ray inside a subspace of positive rank."""
-    if a.rank == 0:
-        raise ValueError("falsehood contains no ray")
-    coeff = gaussian_stack(rng, a.rank)
-    return ray_from(a.basis.T @ coeff)
+def random_subspaces(rng: np.random.Generator, count: int, dim: int, low: int, high: int) -> np.ndarray:
+    """``count`` Haar-random subspaces (count, dim, dim) of ranks drawn
+    uniformly from low..high: frames, the columns beyond the rank zeroed."""
+    rank = rng.integers(low, high + 1, count)
+    return column_ranges(random_frames(rng, count, dim, dim), 0, rank)
 
 
-def commuting_pair(rng: np.random.Generator, dim: int) -> tuple[Subspace, Subspace]:
-    """Two commuting subspaces: spans of index subsets of one frame.
-
-    Commuting pairs have measure zero among random pairs, so they are
-    generated by construction, never by rejection.
-    """
-    frame = random_frame(rng, dim)
-    in_a = rng.random(dim) < 0.5
-    in_b = rng.random(dim) < 0.5
-    a = Subspace.from_orthonormal(frame[in_a], dim)
-    b = Subspace.from_orthonormal(frame[in_b], dim)
-    return a, b
+def member_rays(rng: np.random.Generator, q: np.ndarray) -> np.ndarray:
+    """Random rays inside stacked subspaces (count, dim, k) of positive
+    rank, shape (count, dim): Gaussian combinations of their columns."""
+    return rays_from((q @ gaussian_stack(rng, q.shape[::2])[..., np.newaxis])[..., 0])
 
 
-def nested_pair(rng: np.random.Generator, dim: int) -> tuple[Subspace, Subspace]:
-    """Two subspaces with the first contained in the second."""
-    frame = random_frame(rng, dim)
-    r2 = int(rng.integers(1, dim + 1))
-    r1 = int(rng.integers(0, r2 + 1))
-    return (
-        Subspace.from_orthonormal(frame[:r1], dim),
-        Subspace.from_orthonormal(frame[:r2], dim),
-    )
+def commuting_pairs(rng: np.random.Generator, count: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` commuting pairs (count, dim, dim): two random column
+    subsets of one frame.  Commuting pairs have measure zero among
+    random pairs, so they are built, never found by rejection."""
+    frames = random_frames(rng, count, dim, dim)
+    in_a, in_b = rng.random((2, count, dim)) < 0.5
+    return column_subsets(frames, in_a), column_subsets(frames, in_b)
 
 
-def classical_rays(rng: np.random.Generator, dim: int, count: int) -> list[Ray]:
-    """Distinct standard-basis rays: the single form of
-    :func:`classical_ray_stacks`."""
-    return [Ray(rep=rep) for rep in classical_ray_stacks(rng, 1, dim, count)[:, 0]]
-
+def nested_pairs(rng: np.random.Generator, count: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` pairs a ⊆ b: leading columns of one frame, b of rank
+    1..dim and a of rank 0..rank(b), shape (count, dim, dim) each."""
+    frames = random_frames(rng, count, dim, dim)
+    r2 = rng.integers(1, dim + 1, count)
+    r1 = rng.integers(0, r2 + 1)
+    return column_ranges(frames, 0, r1), column_ranges(frames, 0, r2)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTripleError, InvalidWeightError, OrthogonalComponentsError
-from .linalg import ANGLE_GUARD, EPS_ABS
-from .rays import Ray, Subspace, a_sims, is_orthogonal, join, ray_from, rays_from, require_dims
-from .geometry import a_sim, p_sim, p_sims, theta
+from .linalg import ANGLE_GUARD, EPS_ABS, orthonormalize
+from .rays import Ray, a_sims, is_orthogonal, ray_from, rays_from, require_dims
+from .geometry import a_sim, p_sim, p_sims, triple_phases
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,16 @@ class SuperpositionSpec:
         r = float(self.r)
         if not (math.isfinite(r) and 0.0 <= r <= 1.0):
             raise InvalidWeightError(f"weight r={self.r!r} outside [0, 1]")
-        if a_sim(self.y, self.z) <= EPS_ABS:
+        if orthogonal_components(self.y.rep, self.z.rep):
             raise OrthogonalComponentsError(
                 "superpositions of orthogonal states are undefined"
             )
+
+
+def orthogonal_components(v, w) -> np.ndarray:
+    """Whether stacked component pairs (..., d) are outside the
+    superposition's domain: overlap at most ``EPS_ABS``."""
+    return a_sims(v, w) <= EPS_ABS
 
 
 def _superposition_rows(v, w, r):
@@ -169,12 +175,25 @@ def p_component_closed_form(spec: SuperpositionSpec) -> float:
     return float(p_component_closed_forms(spec.r, spec.y.rep, spec.z.rep))
 
 
-def cos_theta_prime(x: Ray, x_perp: Ray, y: Ray, z: Ray) -> float:
-    """Closed-form cosine of the triple phase after swapping x for its
-    in-plane orthocomplement x_perp.
+def cos_theta_primes(x, y, z) -> np.ndarray:
+    """Closed-form cosines of the triple phase after swapping x for its
+    in-plane orthocomplement x', over stacked rays (..., d):
 
     cos(theta(x', y, z)) = [ sqrt(p(y,z)) − cos(theta(x,y,z))·sqrt(p(x,y)·p(x,z)) ]
                            / sqrt( (1 − p(x,y))(1 − p(x,z)) )
+
+    Rows that violate the preconditions of :func:`cos_theta_prime` are
+    meaningless.
+    """
+    p_xy, p_xz = p_sims(x, y), p_sims(x, z)
+    num = np.sqrt(p_sims(y, z)) - np.cos(triple_phases(x, y, z)) * np.sqrt(p_xy * p_xz)
+    return num / np.sqrt((1.0 - p_xy) * (1.0 - p_xz))
+
+
+def cos_theta_prime(x: Ray, x_perp: Ray, y: Ray, z: Ray) -> float:
+    """Closed-form cosine of the triple phase after swapping x for its
+    in-plane orthocomplement x_perp: the single form of
+    :func:`cos_theta_primes`, with its preconditions checked.
 
     Preconditions: the four rays lie in one two-dimensional subspace,
     x ⊥ x_perp, the triples (x,y,z) and (x_perp,y,z) are pairwise
@@ -187,19 +206,11 @@ def cos_theta_prime(x: Ray, x_perp: Ray, y: Ray, z: Ray) -> float:
     """
     if not is_orthogonal(x, x_perp):
         raise DegenerateTripleError("x and x_perp must be orthogonal")
-    plane = join(join(Subspace.from_ray(x), Subspace.from_ray(y)), Subspace.from_ray(z))
-    plane_all = join(plane, Subspace.from_ray(x_perp))
-    if plane_all.rank > 2:
+    if len(orthonormalize([x.rep, y.rep, z.rep, x_perp.rep])) > 2:
         raise DegenerateTripleError("the four rays must be coplanar")
     for u, v in ((x, y), (x, z), (y, z), (x_perp, y), (x_perp, z)):
         if a_sim(u, v) <= ANGLE_GUARD:
             raise DegenerateTripleError("required non-orthogonality fails")
-    p_xy = p_sim(x, y)
-    p_xz = p_sim(x, z)
-    den_sq = (1.0 - p_xy) * (1.0 - p_xz)
-    if (1.0 - p_xy) <= EPS_ABS or (1.0 - p_xz) <= EPS_ABS:
+    if (1.0 - p_sim(x, y)) <= EPS_ABS or (1.0 - p_sim(x, z)) <= EPS_ABS:
         raise DegenerateTripleError("denominator factor vanished (p(x,·) = 1)")
-    p_yz = p_sim(y, z)
-    num = math.sqrt(p_yz) - math.cos(theta(x, y, z)) * math.sqrt(p_xy * p_xz)
-    return num / math.sqrt(den_sq)
-
+    return float(cos_theta_primes(x.rep, y.rep, z.rep))

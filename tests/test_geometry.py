@@ -18,6 +18,7 @@ from raygeo import (
     SuperpositionSpec,
     a_sim,
     check_interference_inequality,
+    check_total_probability,
     circular_distance,
     complement_projection,
     coplanar,
@@ -33,6 +34,7 @@ from raygeo import (
     theta,
     triple_phase,
 )
+from raygeo.probability import total_probability_residual
 
 RT2 = math.sqrt(2.0)
 RT3 = math.sqrt(3.0)
@@ -249,10 +251,13 @@ _B3 = Subspace.from_vectors([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         lambda: omega(0.5, _X2, _X3),
         lambda: p_of_superposition_closed_form(SuperpositionSpec(y=_X2, z=_Y2, r=0.5), _X3),
         lambda: check_interference_inequality(_X2, Subspace.truth(2), _B3),
+        lambda: check_total_probability(_X2, Subspace.truth(3), Subspace.falsehood(3)),
+        lambda: total_probability_residual(_X2, Subspace.truth(3), Subspace.falsehood(3)),
     ],
     ids=[
         "a_sim", "p_sim", "p_prop", "theta", "rays_equal", "SuperpositionSpec", "omega",
         "p_of_superposition_closed_form", "check_interference_inequality",
+        "check_total_probability", "total_probability_residual",
     ],
 )
 def test_mixed_dimensions_raise(call):

@@ -5,7 +5,9 @@ time; the theta reference is the sum of the three cyclic inner-product
 arguments, compared by circular distance.  The subspace lattice
 (complement, join, meet) is pinned to Gram–Schmidt written one vector
 at a time: complement against the identity, join over the stacked
-bases, and meet as ``¬(¬a ∨ ¬b)``.
+bases, and meet as ``¬(¬a ∨ ¬b)``; its stacked form, over frames with
+interleaved zero columns, to the same references one subspace at a
+time.
 """
 
 import cmath
@@ -43,8 +45,18 @@ from raygeo.geometry import (
     reciprocity_rows,
     triple_phases,
 )
-from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distance
-from raygeo.rays import equal_rays, project_rows, project_vec, rays_from
+from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distance, orthonormalize_rows
+from raygeo.rays import (
+    commutation_defects,
+    complements,
+    containment_defects,
+    equal_rays,
+    joins,
+    meets,
+    project_rows,
+    project_vec,
+    rays_from,
+)
 from raygeo.sampling import MIN_OVERLAP, gaussian_stack, random_frames
 from raygeo.superposition import (
     omega as omega_scalar,
@@ -551,3 +563,108 @@ def test_lattice_ops_on_truth_and_falsehood():
         assert join(f, f).rank == 0
         assert subspaces_equal(meet(t, t), t)
         assert meet(t, f).rank == meet(f, t).rank == meet(f, f).rank == 0
+
+
+# -- stacked lattice ----------------------------------------------------------
+#
+# References: projectors, projections and the Gram–Schmidt lattice above,
+# one subspace and one vector at a time.  The stacks scatter each basis
+# over the columns of a wider frame, so zero columns are interleaved.
+
+
+def _scatter(rng, a, k):
+    """``a``'s basis as the nonzero columns, at random positions, of a (dim, k) frame."""
+    q = np.zeros((a.dim, k), dtype=np.complex128)
+    q[:, rng.choice(k, a.rank, replace=False)] = a.basis.T
+    return q
+
+
+def _live_rows(q):
+    """The nonzero columns of one stacked subspace as rows; the others must be exactly zero."""
+    live = np.linalg.norm(q, axis=0) > 0.5
+    assert not q[:, ~live].any()
+    rows = q[:, live].T
+    np.testing.assert_allclose(rows @ rows.conj().T, np.eye(len(rows)), rtol=0, atol=1e-12)
+    return rows
+
+
+def _ref_projector(rows, dim):
+    p = np.zeros((dim, dim), dtype=np.complex128)
+    for b in rows:
+        p += np.outer(b, b.conj())
+    return p
+
+
+def _ref_containment(rows_a, rows_b):
+    return max((np.linalg.norm(_ref_subspace_projection(rows_b, v) - v) for v in rows_a), default=0.0)
+
+
+def _assert_same_span(rows, ref, where):
+    assert len(rows) == ref.rank, where
+    assert max(_ref_containment(rows, ref.basis), _ref_containment(ref.basis, rows)) < 1e-9, where
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+def test_stacked_lattice_matches_loops(dim):
+    rng = np.random.default_rng(110 + dim)
+    cases = [
+        (kind, a, b, meet_rank)
+        for ra in range(dim + 1)
+        for kind, a, b, meet_rank in _pairs(rng, dim, ra, int(rng.integers(0, dim + 1)))
+    ]
+    qa, qb = (np.stack([_scatter(rng, case[i], dim + 2) for case in cases]) for i in (1, 2))
+    nq, joined, met = complements(qa), joins(qa, qb), meets(qa, qb)
+    commutator, containment = commutation_defects(qa, qb), containment_defects(qa, qb)
+    for i, (kind, a, b, meet_rank) in enumerate(cases):
+        where = (kind, a.rank, b.rank)
+        _assert_same_span(_live_rows(nq[i]), _ref_complement(a), where)
+        _assert_same_span(_live_rows(joined[i]), _ref_join(a, b), where)
+        _assert_same_span(_live_rows(met[i]), _ref_meet(a, b), where)
+        assert len(_live_rows(met[i])) == meet_rank, where
+        pa, pb = _ref_projector(a.basis, dim), _ref_projector(b.basis, dim)
+        ref = np.max(np.abs(pa @ pb - pb @ pa))
+        assert commutator[i] == pytest.approx(ref, abs=1e-12), where
+        assert (commutator[i] <= EPS_ABS) == (ref <= EPS_ABS), where
+        assert containment[i] == pytest.approx(_ref_containment(a.basis, b.basis), abs=1e-12), where
+
+
+def _ref_orthonormalize(rows):
+    """The former scalar modified Gram–Schmidt loop: one re-orthogonalization
+    pass, residuals <= EPS_ABS dropped, stop once the basis spans the space."""
+    d = rows.shape[1]
+    basis = np.empty((min(len(rows), d), d), dtype=np.complex128)
+    conj = np.empty_like(basis)
+    k = 0
+    for w in rows:
+        if k == d:
+            break
+        for _ in range(2):
+            w = w - basis[:k].T @ (conj[:k] @ w)
+        nrm = math.sqrt(w.real @ w.real + w.imag @ w.imag)
+        if nrm > EPS_ABS:
+            basis[k] = w / nrm
+            conj[k] = basis[k].conj()
+            k += 1
+    return basis[:k]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+def test_stacked_orthonormalize_matches_loop(dim):
+    rng = np.random.default_rng(130 + dim)
+    n, m = 40, dim + 3
+    vectors = gaussian_stack(rng, (n, m, dim)) * rng.uniform(1e-3, 1e3, (n, m, 1))
+    vectors[:, 1] = 0.0  # a zero vector
+    vectors[:, 2] = 2.5j * vectors[:, 0]  # a dependent one
+    vectors[::2, -1] = vectors[::2, 0] - 0.5 * vectors[::2, 3 % m]
+    basis, kept = orthonormalize_rows(vectors)
+    assert basis.shape == vectors.shape and kept.shape == (n, m)
+    for i in range(n):
+        ref = _ref_orthonormalize(vectors[i])
+        assert kept[i].sum() == len(ref) == min(dim, np.linalg.matrix_rank(vectors[i]))
+        np.testing.assert_allclose(basis[i][kept[i]], ref, rtol=0, atol=1e-12)
+        assert not basis[i][~kept[i]].any()
+    # nearly dependent pairs: their orthogonality rests on the second pass
+    near = vectors[:, :1] + 1e-7 * gaussian_stack(rng, (n, 1, dim))
+    basis, kept = orthonormalize_rows(np.concatenate([vectors[:, :1], near], axis=1))
+    gram = basis @ basis.conj().swapaxes(1, 2)
+    np.testing.assert_allclose(gram, kept[:, np.newaxis, :] * np.eye(2), rtol=0, atol=1e-12)

@@ -8,7 +8,6 @@ import pytest
 
 from raygeo import lawcheck
 from raygeo.lawcheck import Block, Law
-from raygeo.laws import per_trial
 from raygeo import (
     GeneratorSpec,
     UnknownLawError,
@@ -89,7 +88,8 @@ class TestRunLaw:
         records = []
         for gen in (gen1, gen2):
             block = law.batch(substream(gen.seed, law.id, 3, 0), 3, gen.trials_per_dim)
-            records.append(to_jsonable(block.instance[int(np.argmin(block.skipped))]))
+            first = int(np.argmin(block.skipped))
+            records.append({name: to_jsonable(stack[first]) for name, stack in block.instance.items()})
         assert records[0] and records[1] and records[0] != records[1]
 
     def test_dims_pinned_by_law(self):
@@ -108,7 +108,7 @@ class TestRunLaw:
         # isometry fails with residual 1.0 and the map, not with an error
         from raygeo import laws
 
-        monkeypatch.setattr(laws, "isometry_scale", lambda f: 1.0)
+        monkeypatch.setattr(laws, "isometry_scales", lambda m: np.ones(len(m)))
         gen = GeneratorSpec(dims=(2,), trials_per_dim=5, seed=1)
         report = run_law("morphism.noniso_breaks_superpositions", gen)
         assert not report.passed
@@ -143,7 +143,7 @@ class TestRegistryCompleteness:
     def test_duplicate_declaration_rejected(self):
         before = registry()
         with pytest.raises(ValueError, match="duplicate"):
-            lawcheck.law("linalg.cauchy_schwarz", "declared twice")(_constant_trials(0.0))
+            lawcheck.law("linalg.cauchy_schwarz", "declared twice")(_constant_blocks(0.0))
         assert registry() == before
         assert law_ids() == list(before)
 
@@ -181,12 +181,21 @@ def test_small_full_run_all_passes():
     assert all_passed(reports), failing
 
 
+def test_every_law_samples_its_block_as_stacks():
+    # one protocol: a block's instance is a dict of stacks whose leading
+    # axis is the trial, at d = 2 or the smallest dimension a law pins
+    n = 5
+    for law in registry().values():
+        dim = 2 if law.dims is None or 2 in law.dims else min(law.dims)
+        block = law.batch(substream(23, law.id, dim, 0), dim, n)
+        assert np.shape(block.residuals) == np.shape(block.skipped) == (n,), law.id
+        assert isinstance(block.instance, dict) and block.instance, law.id
+        for name, stack in block.instance.items():
+            assert isinstance(stack, np.ndarray) and stack.shape[:1] == (n,), (law.id, name)
+
+
 def _raise(*_args):
     raise RuntimeError("boom")
-
-
-def _constant_trials(value):
-    return per_trial(lambda rng, dim: (value, {"value": value}))
 
 
 def _constant_blocks(value, skipped=False):
@@ -196,19 +205,31 @@ def _constant_blocks(value, skipped=False):
     return batch
 
 
-#: Each broken law as a one-trial body run by ``per_trial`` and as a raw block.
+#: Each broken law as a batch function.
 BROKEN = {
-    "nan": (_constant_trials(math.nan), _constant_blocks(math.nan)),
-    "raise": (per_trial(_raise), _raise),
-    "wrong": (_constant_trials(0.5), _constant_blocks(0.5)),
-    "skip_all": (_constant_trials(None), _constant_blocks(0.0, True)),
+    "nan": _constant_blocks(math.nan),
+    "raise": _raise,
+    "wrong": _constant_blocks(0.5),
+    "skip_all": _constant_blocks(0.0, True),
 }
+
+
+def _uniform_blocks(fails):
+    """A law whose trial draws one uniform value and fails where
+    ``fails(dim, value)``; the instance records the value."""
+
+    def batch(rng, dim, n):
+        value = rng.uniform(0.0, 1.0, n)
+        failed = np.array([fails(dim, v) for v in value])
+        return Block(failed.astype(float), np.zeros(n, dtype=bool), {"value": value})
+
+    return batch
 
 
 class TestBrokenLawsFail:
     """The harness never passes a law silently: a NaN, an exception, a
-    wrong answer or a skip flood fails it, trial by trial or in blocks.
-    The broken laws live in a registry copy that monkeypatch restores."""
+    wrong answer or a skip flood fails it.  The broken laws live in a
+    registry copy that monkeypatch restores."""
 
     GEN = GeneratorSpec(dims=(2, 3), trials_per_dim=3, seed=18)
 
@@ -224,11 +245,11 @@ class TestBrokenLawsFail:
 
         return add
 
-    @pytest.mark.parametrize("form", [0, 1], ids=["per_trial", "batched"])
+    @pytest.mark.parametrize("form", ["batched"])
     @pytest.mark.parametrize("kind", sorted(BROKEN))
     def test_broken_law_fails(self, private_registry, kind, form):
         law_id = f"broken.{kind}"
-        report = private_registry(law_id, batch=BROKEN[kind][form])
+        report = private_registry(law_id, batch=BROKEN[kind])
         assert not report.passed
         assert report.counterexample is not None
         text = dumps_reports([report])
@@ -250,23 +271,19 @@ class TestBrokenLawsFail:
         assert not any(i.startswith("broken.") for i in law_ids())
 
     def test_first_failure_is_named_not_the_last(self, private_registry):
-        @per_trial
-        def fails_from_trial_one(rng, dim):
-            value = float(rng.uniform(0.0, 1.0))
-            return (0.0 if dim == 2 and value == first_value else 1.0), {"value": value}
-
         stream = substream(18, "broken.late", 2, 0)
-        first_value, second_value = (float(stream.uniform(0.0, 1.0)) for _ in range(2))
-        report = private_registry("broken.late", batch=fails_from_trial_one)
+        first_value, second_value = stream.uniform(0.0, 1.0, 2)
+        fails_after_trial_0 = _uniform_blocks(lambda dim, value: dim != 2 or value != first_value)
+        report = private_registry("broken.late", batch=fails_after_trial_0)
         assert not report.passed
         assert (report.counterexample["dim"], report.counterexample["trial"]) == (2, 1)
-        assert report.counterexample["value"] == second_value  # the record trial 1 returned
+        assert report.counterexample["value"] == second_value  # row 1 of the block's stacks
 
-    @pytest.mark.parametrize("form", [0, 1], ids=["per_trial", "batched"])
+    @pytest.mark.parametrize("form", ["batched"])
     def test_unmet_aggregate_is_noted(self, private_registry, form):
         report = private_registry(
             "broken.aggregate",
-            batch=(_constant_trials(0.0), _constant_blocks(0.0))[form],
+            batch=_constant_blocks(0.0),
             aggregate=lambda residuals: (False, 0.25),
         )
         assert not report.passed
@@ -276,7 +293,7 @@ class TestBrokenLawsFail:
     def test_nan_fails_a_negative_control(self, private_registry):
         report = private_registry(
             "counterexample.broken_nan",
-            batch=_constant_trials(math.nan),
+            batch=_constant_blocks(math.nan),
             aggregate=lambda residuals: (True, 0.0),
         )
         assert report.negative_control
@@ -285,13 +302,8 @@ class TestBrokenLawsFail:
     def test_one_trial_failure_in_a_later_block(self, private_registry):
         # trial 300 of dim 2 is trial 44 of block 1
         stream = substream(18, "broken.trial300", 2, 1)
-        target = [float(stream.uniform(0.0, 1.0)) for _ in range(45)][-1]
-
-        @per_trial
-        def fails_at_trial_300(rng, dim):
-            value = float(rng.uniform(0.0, 1.0))
-            return (1.0 if dim == 2 and value == target else 0.0), {"value": value}
-
+        target = stream.uniform(0.0, 1.0, 144)[44]
+        fails_at_trial_300 = _uniform_blocks(lambda dim, value: dim == 2 and value == target)
         lawcheck.register(Law(id="broken.trial300", description="broken", batch=fails_at_trial_300))
         report = run_law("broken.trial300", GeneratorSpec(dims=(2, 3), trials_per_dim=400, seed=18))
         assert not report.passed and report.trials_run == 800
@@ -341,6 +353,22 @@ class TestBlockRunner:
         assert set(first.counterexample) == {"dim", "trial", "residual"} | set(row)
         assert row["r"] == 1.0 and row["kept"] is True and len(row["u"]) == 2
         assert dumps_reports([first]) == dumps_reports([second])
+
+    def test_blocks_shrink_beyond_dimension_8(self, monkeypatch):
+        registry()
+        monkeypatch.setattr(lawcheck, "_REGISTRY", dict(lawcheck._REGISTRY))
+        monkeypatch.setattr(lawcheck, "_ORDER", list(lawcheck._ORDER))
+        sizes = []
+
+        def batch(rng, dim, n):
+            sizes.append((dim, n))
+            return Block(np.zeros(n), np.zeros(n, dtype=bool), {"u": rng.standard_normal((n, dim))})
+
+        lawcheck.register(Law(id="blocks.shrink", description="d", batch=batch))
+        report = run_law("blocks.shrink", GeneratorSpec(dims=(8, 16), trials_per_dim=100, seed=19))
+        assert report.passed and report.trials_run == 200
+        assert sizes == [(8, 100), (16, 32), (16, 32), (16, 32), (16, 4)]
+        assert [lawcheck.block_trials(d) for d in (2, 8, 9, 16, 32)] == [256, 256, 179, 32, 4]
 
     def test_interference_law_is_blocked_and_valid(self):
         gen = GeneratorSpec(seed=20)

@@ -3,10 +3,12 @@
 Each mutant replaces one library kernel, in every ``raygeo`` module
 that binds it, by a deliberately wrong formula.  A law that computes
 its residual through the library then sees the mutant, while a law
-that inlined its own copy of the formula would not.  ``KILLED`` lists,
-per mutant, the stacked laws that failed under it when they still ran
-trial by trial (``stream_version`` 2, same run configuration); each
-must still fail now.
+that inlined its own copy of the formula, or read its residual off its
+sampler's construction, would not.  ``KILLED`` lists, per mutant, laws
+that failed under it: for the ray kernels, when those laws still ran
+trial by trial (``stream_version`` 2, same run configuration); for the
+lattice, as observed once the subspace laws were stacked
+(``stream_version`` 5).  Each must still fail now.
 """
 
 import sys
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from raygeo import GeneratorSpec, registry, run_all
-from raygeo import geometry, superposition
+from raygeo import geometry, rays, superposition
 from raygeo.linalg import EPS_ABS
 
 GEN = GeneratorSpec(dims=(2, 3), trials_per_dim=20, seed=7)
@@ -48,13 +50,34 @@ def _rows_unaligned(v, w, r):
     return (r**0.5)[..., np.newaxis] * v + cw[..., np.newaxis] * w, take_v, take_w
 
 
+_JOINS = rays.joins
+
+
+def _joins_short(qa, qb):
+    """The joins without the last column each adds to ``qa``."""
+    joined = _JOINS(qa, qb)
+    added = np.linalg.norm(joined[..., qa.shape[-1] :], axis=-2) > 0.5  # (..., k)
+    last = added.shape[-1] - 1 - np.argmax(added[..., ::-1], axis=-1)
+    drop = added.any(axis=-1, keepdims=True) & (np.arange(added.shape[-1]) == last[..., np.newaxis])
+    joined[..., qa.shape[-1] :] *= ~drop[..., np.newaxis, :]
+    return joined
+
+
 MUTANTS = {
     "p_sims=a": (geometry, "p_sims", _p_is_overlap),
     "superposition_rows=r": (superposition, "_superposition_rows", _rows_unrooted),
     "superposition_rows=unaligned": (superposition, "_superposition_rows", _rows_unaligned),
+    "joins=short": (rays, "joins", _joins_short),
 }
 
 KILLED = {
+    "joins=short": {
+        "corollary.ortho_additivity_family",
+        "lemma.commuting_decomposition",
+        "lemma.inclusion_exclusion",
+        "lemma.ortho_additivity",
+        "subspace.orthomodular_identity",
+    },
     "p_sims=a": {"lemma.p_basis", "lemma.p_properties", "lemma.prop1_component_form"},
     "superposition_rows=r": {"lemma.p_basis", "lemma.prop1_component_form"},
     "superposition_rows=unaligned": {

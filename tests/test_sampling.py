@@ -10,11 +10,14 @@ import pytest
 
 from raygeo import (
     Ray,
+    Subspace,
     a_sim,
     check_char_morph,
     check_preserves_p_theta,
     commutes,
+    containment_defect,
     coplanar,
+    is_member,
     is_orthogonal,
     isometry_scale,
     preserves_superpositions,
@@ -31,17 +34,37 @@ def streams(seed, dim, trials=20):
 
 class TestSamplers:
     def test_commuting_pairs_commute(self):
-        for rng in streams(11, 5):
-            a, b = sampling.commuting_pair(rng, 5)
-            assert commutes(a, b)
+        for rng in streams(11, 5, trials=2):
+            a, b = sampling.commuting_pairs(rng, 20, 5)
+            assert a.shape == b.shape == (20, 5, 5)
+            for qa, qb in zip(a, b):
+                assert commutes(Subspace.from_columns(qa), Subspace.from_columns(qb))
+
+    def test_nested_pairs_nest(self):
+        for rng in streams(19, 5, trials=2):
+            a, b = sampling.nested_pairs(rng, 20, 5)
+            for qa, qb in zip(a, b):
+                sa, sb = Subspace.from_columns(qa), Subspace.from_columns(qb)
+                assert 0 <= sa.rank <= sb.rank and sb.rank >= 1
+                assert containment_defect(sa, sb) < 1e-12
+
+    def test_random_subspaces_and_member_rays(self):
+        for rng in streams(20, 4, trials=2):
+            q = sampling.random_subspaces(rng, 50, 4, 1, 3)
+            x = sampling.member_rays(rng, q)
+            for qa, rep in zip(q, x):
+                a = Subspace.from_columns(qa)
+                assert 1 <= a.rank <= 3
+                assert is_member(Ray(rep=rep), a)
 
     def test_classical_rays_orthogonal(self):
-        for rng in streams(12, 4):
-            rays = sampling.classical_rays(rng, 4, 3)
-            assert len(rays) == 3
-            for i in range(len(rays)):
-                for j in range(i + 1, len(rays)):
-                    assert is_orthogonal(rays[i], rays[j])
+        for rng in streams(12, 4, trials=2):
+            rays = sampling.classical_ray_stacks(rng, 20, 4, 3)
+            assert rays.shape == (3, 20, 4)
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    for u, v in zip(rays[i], rays[j]):
+                        assert is_orthogonal(Ray(rep=u), Ray(rep=v))
 
     def test_coplanar_triples_coplanar(self):
         for rng in streams(13, 4, trials=2):
