@@ -72,6 +72,21 @@ def p_prop(x: Ray, a: Subspace) -> float:
 _PAIRS = (("x", "y"), ("y", "z"), ("z", "x"))
 
 
+def _bargmann(u, v, w) -> tuple[np.ndarray, np.ndarray]:
+    """The Bargmann products <u,v><v,w><w,u> of stacked representatives,
+    shape (...), and for each pair of :data:`_PAIRS` whether its
+    normalized overlap exceeds ``ANGLE_GUARD``, shape (3, ...)."""
+    u = np.asarray(u, dtype=np.complex128)
+    v = np.asarray(v, dtype=np.complex128)
+    w = np.asarray(w, dtype=np.complex128)
+    if not (u.shape[-1] == v.shape[-1] == w.shape[-1]):
+        raise DimensionMismatchError(f"dimensions {u.shape}, {v.shape}, {w.shape}")
+    c = (np.vecdot(v, u), np.vecdot(w, v), np.vecdot(u, w))  # <u,v>, <v,w>, <w,u>
+    n = [np.vecdot(t, t).real ** 0.5 for t in (u, v, w)]
+    ok = np.stack([abs(c[k]) > ANGLE_GUARD * n[k] * n[(k + 1) % 3] for k in range(3)])
+    return c[0] * c[1] * c[2], ok
+
+
 def triple_phases(u, v, w) -> np.ndarray:
     """Triple phases of stacked representatives, shape (..., d) → (...).
 
@@ -81,30 +96,19 @@ def triple_phases(u, v, w) -> np.ndarray:
     nonzero complex number, which is what makes the ray-level quantity
     well defined.
 
+    A row with some normalized pairwise overlap at most ``ANGLE_GUARD``
+    lies outside the domain (the argument of a near-zero inner product
+    is meaningless) and reads NaN; :func:`triple_phase` names its pair.
+
     Raises
     ------
-    OrthogonalPairError
-        If some normalized pairwise overlap is at most ``ANGLE_GUARD``
-        (the argument of a near-zero inner product is meaningless);
-        names the first such pair of the first such row.
     DimensionMismatchError
         If the vectors have different lengths.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
-    if not (u.shape[-1] == v.shape[-1] == w.shape[-1]):
-        raise DimensionMismatchError(f"dimensions {u.shape}, {v.shape}, {w.shape}")
-    c = (np.vecdot(v, u), np.vecdot(w, v), np.vecdot(u, w))  # <u,v>, <v,w>, <w,u>
-    n = [np.vecdot(t, t).real ** 0.5 for t in (u, v, w)]
-    ok = [abs(c[k]) > ANGLE_GUARD * n[k] * n[(k + 1) % 3] for k in range(3)]
-    if not (ok[0] & ok[1] & ok[2]).all():
-        bad = ~np.stack(ok).reshape(3, -1)
-        first = int(np.argmax(bad.any(axis=0)))
-        raise OrthogonalPairError(_PAIRS[int(np.argmax(bad[:, first]))])
-    b = c[0] * c[1] * c[2]
+    b, ok = _bargmann(u, v, w)
     angle = np.arctan2(b.imag, b.real)
-    return angle + TWO_PI * (angle <= -math.pi)  # atan2 can return −π; the branch is (−π, π]
+    angle = angle + TWO_PI * (angle <= -math.pi)  # atan2 can return −π; the branch is (−π, π]
+    return np.where(ok.all(axis=0), angle, np.nan)
 
 
 def triple_phase(u, v, w) -> float:
@@ -115,9 +119,13 @@ def triple_phase(u, v, w) -> float:
     Raises
     ------
     OrthogonalPairError
-        If any normalized pairwise overlap is at most ``ANGLE_GUARD``.
+        If some normalized pairwise overlap is at most ``ANGLE_GUARD``;
+        names the first such pair, in the order (x,y), (y,z), (z,x).
     """
-    return float(triple_phases(u, v, w))
+    angle = float(triple_phases(u, v, w))
+    if math.isnan(angle):
+        raise OrthogonalPairError(_PAIRS[int(np.argmin(_bargmann(u, v, w)[1]))])
+    return angle
 
 
 def theta(x: Ray, y: Ray, z: Ray) -> float:

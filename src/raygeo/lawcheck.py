@@ -16,14 +16,17 @@ a time.
 
 A trial is *skipped* when its instance is too degenerate to measure
 (near-orthogonal where strict non-orthogonality is required, vanishing
-closed-form denominators).  A law passes when its worst residual is
-within tolerance, every residual is finite (a block that raises counts
-as an infinite residual on each of its trials), and the skip rate
-stays below the cap.  The counterexample of a failing law names its
-first failing (dim, trial) cell and the description of that trial as
-its block returned it; nothing is rerun.  The library calls inside a
-law apply the fixed thresholds of :mod:`raygeo.linalg`; the law's
-``tolerance`` judges the residual.
+closed-form denominators); the stacked kernels mark such rows with a
+value (NaN, a mask, a defect code) and never raise for them, and a
+skipped row's residual is never read.  A law passes when its worst
+residual is within tolerance, every residual of a checked trial is
+finite, and the skip rate stays below the cap.  A block that raises is
+a :class:`Block` like any other: an infinite residual on each of its
+trials and an ``error`` column naming the exception.  The
+counterexample of a failing law names its first failing (dim, trial)
+cell and that row of its block's instance stacks; nothing is rerun.
+The library calls inside a law apply the fixed thresholds of
+:mod:`raygeo.linalg`; the law's ``tolerance`` judges the residual.
 
 Negative-control laws, the ids ``counterexample.*``, invert the game:
 they assert that an identity *fails* on generic instances exactly as
@@ -119,11 +122,13 @@ class Block(NamedTuple):
     """What a law's batch function returns for a block of ``n`` trials.
 
     ``residuals`` and ``skipped`` have shape (n,); the residuals of
-    skipped trials are ignored.  ``instance`` describes the trials the
-    block was checked on: a dict mapping names to stacks with leading
-    axis n (trial), whose row ``i`` is trial ``i``.  Through
-    :func:`raygeo.serialize.to_jsonable`, trial ``i``'s row is its
-    counterexample record.
+    skipped trials are ignored, so they may be NaN.  ``instance``
+    describes the trials the block was checked on: a dict mapping names
+    to stacks with leading axis n (trial), whose row ``i`` is trial
+    ``i``.  Through :func:`raygeo.serialize.to_jsonable`, trial ``i``'s
+    row is its counterexample record.  The runner turns a block that
+    raises into one whose residuals are infinite and whose instance is
+    a single ``error`` column of strings.
     """
 
     residuals: np.ndarray
@@ -159,14 +164,12 @@ class Law:
 
 
 _REGISTRY: dict[str, Law] = {}
-_ORDER: list[str] = []
 
 
 def register(law: Law) -> Law:
     if law.id in _REGISTRY:
         raise ValueError(f"duplicate law id {law.id!r}")
     _REGISTRY[law.id] = law
-    _ORDER.append(law.id)
     return law
 
 
@@ -190,8 +193,7 @@ def registry() -> dict[str, Law]:
 
 
 def law_ids() -> list[str]:
-    registry()
-    return list(_ORDER)
+    return list(registry())
 
 
 def _worse(worst: float, value: float) -> float:
@@ -201,18 +203,11 @@ def _worse(worst: float, value: float) -> float:
     return value if math.isnan(value) or value > worst else worst
 
 
-class _Chunk(NamedTuple):
-    """One block of one dimension, starting at trial ``start``;
-    ``describe(i)`` returns the counterexample record of its trial ``i``."""
-
-    start: int
-    residuals: np.ndarray
-    skipped: np.ndarray
-    describe: Callable[[int], dict]
-
-
-def _block_chunks(law: Law, seed: int, dim: int, trials: int):
-    """The blocks of a law in one dimension, one chunk each."""
+def _blocks(law: Law, seed: int, dim: int, trials: int):
+    """The blocks of a law in one dimension, each with the trial it
+    starts at.  A block that raises becomes an ordinary :class:`Block`:
+    every residual infinite, nothing skipped, and an instance of one
+    ``error`` column naming the exception."""
     size = block_trials(dim)
     for block, start in enumerate(range(0, trials, size)):
         n = min(size, trials - start)
@@ -223,17 +218,18 @@ def _block_chunks(law: Law, seed: int, dim: int, trials: int):
             if residuals.shape != (n,) or skipped.shape != (n,):
                 raise ValueError(f"block of {n} trials gave shapes {residuals.shape}, {skipped.shape}")
         except Exception as exc:  # a law must never raise on a legal instance
-            error = {"error": f"{type(exc).__name__}: {exc}"}
-            yield _Chunk(start, np.full(n, math.inf), np.zeros(n, dtype=bool), lambda i: error)
-            continue
+            error = np.full(n, f"{type(exc).__name__}: {exc}")
+            residuals, skipped, instance = np.full(n, math.inf), np.zeros(n, dtype=bool), {"error": error}
+        yield start, Block(residuals, skipped, instance)
 
-        def describe(i: int, instance=instance) -> dict:
-            try:
-                return {name: to_jsonable(stack[i]) for name, stack in instance.items()}
-            except Exception:  # the residual and the cell still name the failure
-                return {}
 
-        yield _Chunk(start, residuals, skipped, describe)
+def _record(block: Block, i: int) -> dict:
+    """The counterexample record of trial ``i`` of a block: row ``i`` of
+    its instance stacks, serialized."""
+    try:
+        return {name: to_jsonable(stack[i]) for name, stack in block.instance.items()}
+    except Exception:  # the residual and the cell still name the failure
+        return {}
 
 
 class _Tally:
@@ -248,10 +244,10 @@ class _Tally:
         self.failure: dict | None = None
         self.values: list[float] | None = [] if law.aggregate is not None else None
 
-    def add(self, dim: int, chunk: _Chunk) -> None:
-        checked = np.flatnonzero(~chunk.skipped)
-        residuals = chunk.residuals[checked]
-        self.skipped += chunk.skipped.size - checked.size
+    def add(self, dim: int, start: int, block: Block) -> None:
+        checked = np.flatnonzero(~block.skipped)
+        residuals = block.residuals[checked]
+        self.skipped += block.skipped.size - checked.size
         self.run += checked.size
         if checked.size == 0:
             return
@@ -264,8 +260,8 @@ class _Tally:
             bad |= residuals > self.law.tolerance
         if self.failure is None and bad.any():
             i = int(checked[np.argmax(bad)])
-            cell = {"dim": dim, "trial": chunk.start + i, "residual": float(chunk.residuals[i])}
-            self.failure = {**cell, **chunk.describe(i)}
+            cell = {"dim": dim, "trial": start + i, "residual": float(block.residuals[i])}
+            self.failure = {**cell, **_record(block, i)}
 
 
 def run_law(law_id: str, gen: GeneratorSpec) -> LawReport:
@@ -289,8 +285,8 @@ def run_law(law_id: str, gen: GeneratorSpec) -> LawReport:
     started = time.perf_counter()
     tally = _Tally(law)
     for dim in dims:
-        for chunk in _block_chunks(law, gen.seed, dim, trials):
-            tally.add(dim, chunk)
+        for start, block in _blocks(law, gen.seed, dim, trials):
+            tally.add(dim, start, block)
 
     failure = tally.failure
     total_cells = len(dims) * trials
@@ -332,8 +328,7 @@ def run_all(gen: GeneratorSpec, pattern: str | None = None) -> list[LawReport]:
     in registration order.  Aggregate success means every report passed
     — negative controls included, which pass when their target identity
     fails as predicted."""
-    registry()
-    ids = [i for i in _ORDER if pattern is None or fnmatch.fnmatch(i, pattern)]
+    ids = [i for i in registry() if pattern is None or fnmatch.fnmatch(i, pattern)]
     return [run_law(law_id, gen) for law_id in ids]
 
 

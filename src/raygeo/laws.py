@@ -11,8 +11,11 @@ computes their residuals with the stacked kernels of the library, whose
 single-instance forms users call, never from the sampler's
 construction.  Unless noted, the residual for a ray-equality claim is
 ``1 − overlap`` of the two rays, and the residual for a numeric
-identity is the absolute deviation; a trial that violates a
-precondition on which the library check raises gets an infinite one.
+identity is the absolute deviation.  A trial that violates a
+precondition on which the single-instance check raises gets an
+infinite residual, or NaN where a stacked kernel marks the row with
+NaN (a triple phase across a near-orthogonal pair); either fails the
+law unless the trial is skipped.
 Angle identities compare by circular distance with tolerance 1e-8 rad;
 everything else defaults to 1e-10.
 """
@@ -98,13 +101,6 @@ def _block(residuals, skipped=None, **instance) -> Block:
     if skipped is None:
         skipped = np.zeros(len(residuals), dtype=bool)
     return Block(residuals, skipped, instance)
-
-
-def _flat(skip, *stacks):
-    """The stacks with the rows of skipped trials replaced by the first
-    basis vector, so that the guarded kernels (phases, primed triples)
-    see a legal instance there; those rows' residuals are ignored."""
-    return tuple(np.where(skip[:, np.newaxis], np.eye(1, s.shape[-1]), s) for s in stacks)
 
 
 def _unit_phases(rng, n) -> np.ndarray:
@@ -441,7 +437,6 @@ def _batch_coplanarity_permutations(rng, dim, n):
 )
 def _batch_theta_representative_independence(rng, dim, n):
     x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim)
-    x, y, z = _flat(skip, x, y, z)
     reference = triple_phases(x, y, z)
     scrambled = triple_phases(
         x * _unit_phases(rng, n)[:, np.newaxis],
@@ -458,7 +453,6 @@ def _batch_theta_representative_independence(rng, dim, n):
 )
 def _batch_theta_cyclic(rng, dim, n):
     x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim)
-    x, y, z = _flat(skip, x, y, z)
     t = triple_phases(x, y, z)
     residual = np.maximum(
         circular_distances(triple_phases(y, z, x), t),
@@ -473,11 +467,10 @@ def _batch_theta_cyclic(rng, dim, n):
     tolerance=ANGLE_TOL,
 )
 def _batch_theta_cocycle(rng, dim, n):
-    rays = [sampling.random_rays(rng, n, dim) for _ in range(4)]
+    x, y, z, w = rays = [sampling.random_rays(rng, n, dim) for _ in range(4)]
     skip = np.zeros(n, dtype=bool)
     for u, v in itertools.combinations(rays, 2):
         skip |= a_sims(u, v) <= MIN_OVERLAP
-    x, y, z, w = _flat(skip, *rays)
     lhs = triple_phases(x, y, w)
     rhs = triple_phases(x, y, z) + triple_phases(x, z, w) + triple_phases(z, y, w)
     return _block(circular_distances(lhs, wrap_angles(rhs)), skip, x=x, y=y, z=z, w=w)
@@ -493,9 +486,8 @@ def _batch_theta_prime(rng, dim, n):
     x, y, z, skip = sampling.coplanar_triples(rng, n, dim)
     overlap = np.minimum.reduce([a_sims(x, y), a_sims(y, z), a_sims(z, x)])
     skip |= equal_rays(x, y) | equal_rays(y, z) | equal_rays(z, x) | (overlap <= MIN_OVERLAP)
-    x, y, z = _flat(skip, x, y, z)
     x1, y1, z1, defect = prime_triples(x, y, z)
-    primed = triple_phases(*_flat(defect != 0, x1, y1, z1))
+    primed = triple_phases(x1, y1, z1)
     residual = np.where(defect != 0, math.inf, circular_distances(primed, -triple_phases(x, y, z)))
     return _block(residual, skip, x=x, y=y, z=z, defect=defect)
 
@@ -507,7 +499,6 @@ def _batch_theta_prime(rng, dim, n):
 )
 def _batch_theta_euclidean(rng, dim, n):
     x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim, real=True)
-    x, y, z = _flat(skip, x, y, z)
     t = triple_phases(x, y, z)
     positive = [rays_from(np.abs(rng.standard_normal((n, dim))) + 0.1) for _ in range(3)]
     residual = np.maximum(
@@ -580,7 +571,6 @@ def _batch_superposition_theta_zero(rng, dim, n):
     skip |= equal_rays(y, z) | (r < 1e-6) | (r > 1.0 - 1e-6)
     x = superposed_rays(y, z, r)
     skip |= np.minimum(a_sims(x, y), a_sims(x, z)) <= MIN_OVERLAP
-    x, y, z = _flat(skip, x, y, z)
     return _block(circular_distances(triple_phases(x, y, z), 0.0), skip, y=y, z=z, r=r)
 
 
@@ -593,7 +583,6 @@ def _batch_p_basis(rng, dim, n):
     y, z, skip, r = _pairs_and_weights(rng, dim, n)
     x = sampling.random_rays(rng, n, dim)
     skip |= np.minimum(a_sims(x, y), a_sims(x, z)) <= MIN_OVERLAP
-    x, y, z = _flat(skip, x, y, z)
     direct = p_sims(superposed_rays(y, z, r), x)
     closed = p_of_superposition_closed_forms(r, y, z, x)
     return _block(np.abs(closed - direct), skip, y=y, z=z, r=r, x=x, direct=direct, closed=closed)
@@ -648,9 +637,7 @@ def _batch_cos_theta_prime(rng, dim, n):
     pairs = ((x, y), (x, z), (y, z), (x_perp, y), (x_perp, z))
     skip = np.minimum.reduce([a_sims(u, v) for u, v in pairs]) <= 1e-4
     skip |= (p_sims(x, y) > 1.0 - 1e-6) | (p_sims(x, z) > 1.0 - 1e-6)
-    x, x_perp, y, z = _flat(skip, x, x_perp, y, z)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the flattened rows have p(x, y) = 1
-        predicted = cos_theta_primes(x, y, z)
+    predicted = cos_theta_primes(x, y, z)
     observed = np.cos(triple_phases(x_perp, y, z))
     return _block(np.abs(predicted - observed), skip, x=x, x_perp=x_perp, y=y, z=z)
 
@@ -666,7 +653,6 @@ def _batch_superposition_theta_consistency(rng, dim, n):
     x2 = sampling.random_rays(rng, n, dim)
     s = superposed_rays(y, z, r)
     skip |= np.minimum.reduce([a_sims(s, x1), a_sims(x1, x2), a_sims(x2, s)]) <= MIN_OVERLAP
-    s, x1, x2 = _flat(skip, s, x1, x2)
     reference = triple_phases(s, x1, x2)
     scrambled = triple_phases(*(v * _unit_phases(rng, n)[:, np.newaxis] for v in (s, x1, x2)))
     return _block(circular_distances(reference, scrambled), skip, y=y, z=z, r=r, x1=x1, x2=x2)
@@ -1046,10 +1032,7 @@ def _batch_tensor_p_product(rng, dim, n):
     dims=(2, 3),
 )
 def _batch_tensor_theta_additive(rng, dim, n):
-    *t1, skip1 = sampling.nonorthogonal_triples(rng, n, 2)
-    *t2, skip2 = sampling.nonorthogonal_triples(rng, n, dim)
-    skip = skip1 | skip2
-    x1, y1, z1 = _flat(skip, *t1)
-    x2, y2, z2 = _flat(skip, *t2)
+    x1, y1, z1, skip1 = sampling.nonorthogonal_triples(rng, n, 2)
+    x2, y2, z2, skip2 = sampling.nonorthogonal_triples(rng, n, dim)
     residual = theta_product_residuals(x1, y1, z1, x2, y2, z2)
-    return _block(residual, skip, x1=x1, y1=y1, z1=z1, x2=x2, y2=y2, z2=z2)
+    return _block(residual, skip1 | skip2, x1=x1, y1=y1, z1=z1, x2=x2, y2=y2, z2=z2)

@@ -20,7 +20,7 @@ from .errors import DimensionMismatchError, NotIsometryError
 from .linalg import EPS_ABS, circular_distances, norms
 from .rays import Ray, ray_from, rays_from
 from .geometry import a_sims, p_sims, triple_phases
-from .sampling import gaussian_stack, keyed_generator, random_frames
+from .sampling import MIN_OVERLAP, gaussian_stack, keyed_generator, random_frames
 from .superposition import superpose_vectors
 
 
@@ -171,14 +171,14 @@ def superposition_residuals(m, y, z, r) -> tuple[np.ndarray, np.ndarray]:
     between the image of the superposition and the superposition of the
     images, or 1.0 where the image pair is orthogonal (overlap at most
     ``EPS_ABS``); a sample is preserved when it is at most ``EPS_ABS``.
-    Only the kept samples, with overlap above 1e-6, count: the others
-    read 0."""
+    Only the kept samples, with overlap above
+    :data:`~raygeo.sampling.MIN_OVERLAP`, count: the others read 0."""
     fy, fz = _image_rows(m, y), _image_rows(m, z)
     mapped = _image_rows(m, superpose_vectors(y, z, r))
     direct = superpose_vectors(fy, fz, r)
     direct = direct / norms(direct)[..., np.newaxis]
     residual = np.where(a_sims(fy, fz) <= EPS_ABS, 1.0, 1.0 - a_sims(mapped, direct))
-    kept = a_sims(y, z) > 1e-6
+    kept = a_sims(y, z) > MIN_OVERLAP
     return np.where(kept, residual, 0.0), kept
 
 
@@ -239,9 +239,9 @@ def p_theta_residuals(m, x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(p_residual, theta_residual, kept)``: |p(f x, f y) − p(x, y)| and
     the circular distance from theta(f x, f y, f z) to theta(x, y, z)
     for stacked maps (..., D, d) and triples (..., s, d); only the kept
-    triples, with overlaps above 1e-6, count: the others give 0."""
-    kept = np.minimum.reduce([a_sims(x, y), a_sims(y, z), a_sims(z, x)]) > 1e-6
-    y, z = (np.where(kept[..., np.newaxis], t, x) for t in (y, z))
+    triples, with overlaps above :data:`~raygeo.sampling.MIN_OVERLAP`,
+    count: the others give 0."""
+    kept = np.minimum.reduce([a_sims(x, y), a_sims(y, z), a_sims(z, x)]) > MIN_OVERLAP
     fx, fy, fz = (_image_rows(m, t) for t in (x, y, z))
     p_residual = np.abs(p_sims(fx, fy) - p_sims(x, y))
     theta_residual = circular_distances(triple_phases(fx, fy, fz), triple_phases(x, y, z))

@@ -97,7 +97,10 @@ def ray_from(v) -> Ray:
     ValueError
         If ``v`` is not a finite vector, or its norm overflows.
     """
-    return Ray(rep=rays_from(as_vector(v)))
+    v = np.asarray(v, dtype=np.complex128)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("expected a non-empty one-dimensional vector")
+    return Ray(rep=rays_from(v))
 
 
 def rays_from(v) -> np.ndarray:

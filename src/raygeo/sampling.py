@@ -46,8 +46,9 @@ import numpy as np
 from .linalg import norms
 from .rays import a_sims, rays_from
 
-#: Rejection threshold where a law needs non-orthogonality: trials
-#: whose pairs have overlap at or below this are skipped.
+#: Rejection threshold where a law or a morphism sampler needs
+#: non-orthogonality: trials whose pairs have overlap at or below this
+#: are skipped.
 MIN_OVERLAP = 1e-6
 
 #: Version of the stream scheme, written into every serialized report;

@@ -206,40 +206,29 @@ def dumps_reports(reports) -> str:
 
 
 def to_jsonable(value):
-    """Best-effort conversion of library values to JSON-ready data.
+    """JSON-ready data for one row of a law's instance stack: a vector
+    or matrix (a numpy array of ndim 1 or 2), a numpy scalar, or the
+    string of a block's ``error`` column.
 
-    Used when capturing counterexample payloads: dispatches on Ray,
-    Subspace, maps, numpy scalars/arrays (a row of a law's
-    instance stack is one of these), and containers.
+    Raises
+    ------
+    TypeError
+        For any other value.
     """
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, complex):
-        return complex_to_json(value)
-    if isinstance(value, Ray):
-        return ray_to_json(value)
-    if isinstance(value, Subspace):
-        return subspace_to_json(value)
-    if isinstance(value, RegularMap):
-        return linear_map_to_json(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.complexfloating):
-        return complex_to_json(complex(value))
     if isinstance(value, np.ndarray):
         if value.ndim == 1:
             return vec_to_json(value)
         if value.ndim == 2:
             return mat_to_json(value)
         raise TypeError(f"cannot serialize array of ndim {value.ndim}")
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
+    if isinstance(value, str):
+        return str(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.complexfloating):
+        return complex_to_json(complex(value))
     raise TypeError(f"cannot serialize {type(value).__name__}")

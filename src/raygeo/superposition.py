@@ -182,8 +182,9 @@ def cos_theta_primes(x, y, z) -> np.ndarray:
     cos(theta(x', y, z)) = [ sqrt(p(y,z)) − cos(theta(x,y,z))·sqrt(p(x,y)·p(x,z)) ]
                            / sqrt( (1 − p(x,y))(1 − p(x,z)) )
 
-    Rows that violate the preconditions of :func:`cos_theta_prime` are
-    meaningless.
+    A row whose triple (x, y, z) fails the phase guard reads NaN, as in
+    :func:`~raygeo.geometry.triple_phases`; other rows that violate the
+    preconditions of :func:`cos_theta_prime` are meaningless.
     """
     p_xy, p_xz = p_sims(x, y), p_sims(x, z)
     num = np.sqrt(p_sims(y, z)) - np.cos(triple_phases(x, y, z)) * np.sqrt(p_xy * p_xz)

@@ -10,11 +10,13 @@ entanglement API is exposed here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import circular_distances, wrap_angles
 from .rays import Ray, rays_from
-from .geometry import p_sims, triple_phases
+from .geometry import p_sims, theta, triple_phase, triple_phases
 
 
 def kron_rows(u, v) -> np.ndarray:
@@ -57,8 +59,9 @@ def theta_product_residuals(x1, y1, z1, x2, y2, z2) -> np.ndarray:
     the sums of the factor phases (mod 2π).
 
     Requires both factor triples pairwise non-orthogonal, which makes
-    the product triple pairwise non-orthogonal as well; raises
-    OrthogonalPairError otherwise (propagated from the phase guards).
+    the product triple pairwise non-orthogonal as well; a row where any
+    of the three triples fails the phase guard reads NaN, as in
+    :func:`~raygeo.geometry.triple_phases`.
     """
     t1 = triple_phases(x1, y1, z1)
     t2 = triple_phases(x2, y2, z2)
@@ -69,5 +72,17 @@ def theta_product_residuals(x1, y1, z1, x2, y2, z2) -> np.ndarray:
 def check_theta_product(x1: Ray, y1: Ray, z1: Ray, x2: Ray, y2: Ray, z2: Ray) -> float:
     """Circular distance between theta on products and the sum of the
     factor phases (mod 2π): the single form of
-    :func:`theta_product_residuals`."""
-    return float(theta_product_residuals(x1.rep, y1.rep, z1.rep, x2.rep, y2.rep, z2.rep))
+    :func:`theta_product_residuals`.
+
+    Raises
+    ------
+    OrthogonalPairError
+        Naming the first offending pair of the first triple, in the
+        order factor 1, factor 2, product, that fails the phase guard.
+    """
+    residual = float(theta_product_residuals(x1.rep, y1.rep, z1.rep, x2.rep, y2.rep, z2.rep))
+    if math.isnan(residual):
+        theta(x1, y1, z1)
+        theta(x2, y2, z2)
+        triple_phase(*(product_rays(a.rep, b.rep) for a, b in ((x1, x2), (y1, y2), (z1, z2))))
+    return residual

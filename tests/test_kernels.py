@@ -43,6 +43,7 @@ from raygeo.geometry import (
     p_sims,
     prime_triples,
     reciprocity_rows,
+    triple_phase,
     triple_phases,
 )
 from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distance, orthonormalize_rows
@@ -135,9 +136,13 @@ def test_theta_guard_names_first_offending_pair():
     rows = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     v = np.array([good, good, [0.0, 1.0, 0.0]])  # row 2: x ⊥ y
     w = np.array([good, [0.0, 0.0, 1.0], good])  # row 1: y ⊥ z and z ⊥ x
-    with pytest.raises(OrthogonalPairError) as err:
-        triple_phases(rows, v, w)
-    assert err.value.pair == ("y", "z")  # first row with a bad pair, then first pair
+    got = triple_phases(rows, v, w)  # the stacked kernel marks, never raises
+    np.testing.assert_array_equal(np.isnan(got), [False, True, True])
+    assert math.isfinite(got[0])
+    for i, pair in ((1, ("y", "z")), (2, ("x", "y"))):
+        with pytest.raises(OrthogonalPairError) as err:
+            triple_phase(rows[i], v[i], w[i])
+        assert err.value.pair == pair  # the first bad pair in the order (x,y), (y,z), (z,x)
 
 
 @pytest.mark.parametrize("dim", [2, 4])

@@ -17,6 +17,8 @@ from raygeo import (
     run_all,
     run_law,
 )
+from raygeo.geometry import triple_phases
+from raygeo.linalg import circular_distances
 from raygeo.sampling import STREAM_VERSION, law_stream_key, substream
 from raygeo.serialize import dumps_reports, to_jsonable
 
@@ -205,12 +207,22 @@ def _constant_blocks(value, skipped=False):
     return batch
 
 
+def _phase_guard(rng, dim, n):
+    """A θ law that forgets to skip its orthogonal triples: the stacked
+    phase kernel marks them with NaN instead of raising."""
+    x = np.tile(np.eye(dim, dtype=complex)[0], (n, 1))
+    y = np.tile(np.eye(dim, dtype=complex)[1], (n, 1))
+    residuals = circular_distances(triple_phases(x, y, x), 0.0)
+    return Block(residuals, np.zeros(n, dtype=bool), {"x": x, "y": y})
+
+
 #: Each broken law as a batch function.
 BROKEN = {
     "nan": _constant_blocks(math.nan),
     "raise": _raise,
     "wrong": _constant_blocks(0.5),
     "skip_all": _constant_blocks(0.0, True),
+    "phase_guard": _phase_guard,
 }
 
 
@@ -237,7 +249,6 @@ class TestBrokenLawsFail:
     def private_registry(self, monkeypatch):
         registry()  # the real laws register before the copy is taken
         monkeypatch.setattr(lawcheck, "_REGISTRY", dict(lawcheck._REGISTRY))
-        monkeypatch.setattr(lawcheck, "_ORDER", list(lawcheck._ORDER))
 
         def add(law_id, **kwargs):
             lawcheck.register(Law(id=law_id, description="broken", **kwargs))
@@ -261,8 +272,9 @@ class TestBrokenLawsFail:
         else:
             assert report.trials_run == 6
             assert report.counterexample["dim"] == 2 and report.counterexample["trial"] == 0
-        if kind == "nan":
+        if kind in ("nan", "phase_guard"):
             assert rows[0]["worst_residual"] == "NaN"
+            assert "error" not in report.counterexample  # a marked row, not a raise
         if kind == "raise":
             assert rows[0]["worst_residual"] == "Infinity"
             assert "RuntimeError: boom" in report.counterexample["error"]
@@ -290,6 +302,19 @@ class TestBrokenLawsFail:
         assert report.worst_residual == 0.25
         assert report.counterexample == {"note": "aggregate criterion not met", "metric": 0.25}
 
+    def test_nan_in_skipped_rows_passes(self, private_registry):
+        # a stacked kernel marks an out-of-domain row with NaN; when the law
+        # skips that row, its residual is never read
+        def batch(rng, dim, n):
+            skipped = np.arange(n) == 0
+            return Block(np.where(skipped, math.nan, 0.0), skipped, {"skipped": skipped})
+
+        lawcheck.register(Law(id="broken.skipped_nan", description="broken", batch=batch))
+        report = run_law("broken.skipped_nan", GeneratorSpec(dims=(2, 3), trials_per_dim=50, seed=18))
+        assert report.passed and report.counterexample is None
+        assert report.trials_run == 98 and report.trials_skipped == 2
+        assert report.worst_residual == 0.0
+
     def test_nan_fails_a_negative_control(self, private_registry):
         report = private_registry(
             "counterexample.broken_nan",
@@ -315,7 +340,6 @@ class TestBlockRunner:
     def test_block_boundary(self, monkeypatch):
         registry()
         monkeypatch.setattr(lawcheck, "_REGISTRY", dict(lawcheck._REGISTRY))
-        monkeypatch.setattr(lawcheck, "_ORDER", list(lawcheck._ORDER))
         block = lawcheck.BLOCK_TRIALS
         trials = 1000
         full, last = divmod(trials, block)
@@ -357,7 +381,6 @@ class TestBlockRunner:
     def test_blocks_shrink_beyond_dimension_8(self, monkeypatch):
         registry()
         monkeypatch.setattr(lawcheck, "_REGISTRY", dict(lawcheck._REGISTRY))
-        monkeypatch.setattr(lawcheck, "_ORDER", list(lawcheck._ORDER))
         sizes = []
 
         def batch(rng, dim, n):

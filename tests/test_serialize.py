@@ -162,13 +162,28 @@ class TestReports:
 
 class TestToJsonable:
     def test_dispatch(self):
-        x = ray_from([1.0, 0.0])
-        a = Subspace.truth(2)
-        out = serialize.to_jsonable({"x": x, "a": a, "v": np.array([1.0j]), "n": np.float64(2.5)})
-        assert out["n"] == 2.5
-        assert out["x"]["dim"] == 2
+        # the rows of a block's instance stacks, the error column included
+        stacks = {
+            "x": np.array([[1.0, 0.0], [0.0, 1.0j]]),
+            "q": np.eye(2, dtype=complex)[np.newaxis].repeat(2, axis=0),
+            "n": np.array([2.5, 1.0]),
+            "k": np.array([3, 4]),
+            "ok": np.array([True, False]),
+            "c": np.array([1.0j, 2.0]),
+            "error": np.full(2, "RuntimeError: boom"),
+        }
+        out = {name: serialize.to_jsonable(stack[1]) for name, stack in stacks.items()}
+        assert out["x"] == [[0.0, 0.0], [0.0, 1.0]]
+        assert out["q"] == serialize.mat_to_json(np.eye(2))
+        assert out["n"] == 1.0 and type(out["n"]) is float
+        assert out["k"] == 4 and type(out["k"]) is int
+        assert out["ok"] is False
+        assert out["c"] == [2.0, 0.0]
+        assert out["error"] == "RuntimeError: boom" and type(out["error"]) is str
         json.dumps(out)  # must be JSON-clean
 
     def test_rejects_unknown(self):
-        with pytest.raises(TypeError):
-            serialize.to_jsonable(object())
+        # library objects, containers and None are no rows of an instance stack
+        for value in (object(), None, {"a": 1}, [1.0], ray_from([1.0, 0.0]), np.zeros((1, 1, 1))):
+            with pytest.raises(TypeError):
+                serialize.to_jsonable(value)

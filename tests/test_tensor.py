@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from raygeo import (
+    OrthogonalPairError,
     check_p_product,
     check_theta_product,
     inner,
@@ -114,6 +115,23 @@ class TestThetaProduct:
         tz = tensor_ray(z, z)
         assert theta(tx, ty, tz) == pytest.approx(-math.pi / 2)
         assert check_theta_product(x, y, z, x, y, z) < 1e-12
+
+    @pytest.mark.parametrize(
+        "factors, pair",
+        [
+            # x1 ⊥ y1: the first factor names its pair first
+            ((([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]), ([0.4, 1.0],) * 3), ("x", "y")),
+            # y2 ⊥ z2 in the second factor
+            ((([1.0, 0.0], [1.0, 1.0], [1.0, 1.0j]), ([1.0, 0.0], [1.0, 1.0], [1.0, -1.0])), ("y", "z")),
+            # each factor clears the guard at overlap ~1e-5; the product (~1e-10) does not
+            ((([1.0, 0.0], [1e-5, 1.0], [1.0, 1.0]),) * 2, ("x", "y")),
+        ],
+    )
+    def test_orthogonal_pair_raises(self, factors, pair):
+        rays = [ray_from(v) for triple in factors for v in triple]
+        with pytest.raises(OrthogonalPairError) as err:
+            check_theta_product(*rays)
+        assert err.value.pair == pair
 
     def test_random_2x3(self):
         rng = np.random.default_rng(3)
