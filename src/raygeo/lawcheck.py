@@ -80,7 +80,7 @@ class GeneratorSpec:
     Attributes
     ----------
     dims : tuple of int
-        Ambient dimensions to sweep (each in [MIN_DIM, MAX_DIM]).
+        Ambient dimensions to sweep (distinct, each in [MIN_DIM, MAX_DIM]).
     trials_per_dim : int
         Trials per law per dimension (laws may pin their own count).
     seed : int
@@ -96,6 +96,8 @@ class GeneratorSpec:
             raise ValueError("dims must be non-empty")
         if any(d < MIN_DIM or d > MAX_DIM for d in self.dims):
             raise ValueError(f"dims must lie within [{MIN_DIM}, {MAX_DIM}]")
+        if len(set(self.dims)) != len(self.dims):  # a repeated dim redraws its substreams
+            raise ValueError("dims must be distinct")
         if not 1 <= self.trials_per_dim <= MAX_TRIALS:
             raise ValueError(f"trials_per_dim must lie within [1, {MAX_TRIALS}]")
         check_seed(self.seed)

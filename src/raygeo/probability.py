@@ -46,7 +46,7 @@ from .rays import (
     require_dims,
 )
 from .geometry import p_props
-from .sampling import keyed_generator
+from .sampling import keyed_generators
 
 
 def ortho_additivity_residuals(qa, qb, x) -> np.ndarray:
@@ -269,58 +269,96 @@ class InterferenceWitness:
     trial_index: int
 
 
+#: Candidates the witness search scores per stacked pass, in order; every
+#: later pass takes the last size.  Most searches end early (a quarter at
+#: candidate 0, two thirds within four), so the first passes are small.
+SEARCH_CHUNKS = (4, 8, 16, 32, 64)
+
+
 def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitness | None:
     """Random search over real 3-dimensional instances for a violation of
 
         p(x,b)·(1 − p(b(x),a))  ≤  p(b(x),a)·(1 − p(a(b(x)),b)).
 
-    Every candidate is drawn from its own counter-based substream keyed
-    by (seed, trial), so the search may be split across workers and
-    merged deterministically (first witness by trial index wins); this
-    implementation scans sequentially.  Each candidate (real QR frames
-    of ranks 1 or 2 and a state in alpha) is scored by
-    :func:`interference_chain` on its arrays, skipped when p(x,b) or
-    p(b(x),a) is at most 1e-6, and accepted when the non-squared excess
-    is above ``EPS_ABS``; ``Ray`` and ``Subspace`` objects are built
-    only for the witness.  Returns ``None`` when the budget is
-    exhausted.  Any witness returned also satisfies the squared
-    inequality, which is a theorem.
+    Candidate ``trial`` is drawn from its own counter-based stream keyed
+    by ``[seed, trial]`` (:func:`~raygeo.sampling.keyed_generators`): two
+    ranks of 1 or 2, Gaussian frames for alpha and beta, and the
+    coefficients of a state in alpha.  The witness is the first
+    candidate by trial index that passes, so it does not depend on how
+    the candidates are grouped.  They are scored in chunks of
+    :data:`SEARCH_CHUNKS` (4, 8, 16, 32, then 64 each), never beyond
+    ``budget``, on frames padded to two columns: one stacked QR for the
+    frames of both propositions, then one :func:`interference_chain`
+    call.  A candidate is skipped
+    when p(x,b) or p(b(x),a) is at most 1e-6, and accepted when the
+    non-squared excess is above ``EPS_ABS``; ``Ray`` and ``Subspace``
+    objects are built only for the witness.  Returns ``None`` when the
+    budget is exhausted.  Any witness returned also satisfies the
+    squared inequality, which is a theorem.
+
+    Padding changes rounding only on rows with a rank-1 frame, and no
+    such row is a witness: with alpha of rank 1, x spans alpha and the
+    excess is exactly 0; with beta of rank 1 it is
+    (p(x,b) − p(b(x),a))·(1 − p(b(x),a)) ≤ 0 by Cauchy–Schwarz.
 
     Raises
     ------
     ValueError
         If ``seed`` lies outside [0, 2**64) and ``budget`` is positive.
     """
-    dim = 3
-    for trial in range(int(budget)):
-        rng = keyed_generator(seed, trial)
-        ranks = rng.integers(1, dim, size=2)  # 1 or 2
-        qa = np.linalg.qr(rng.standard_normal((dim, int(ranks[0]))))[0]
-        qb = np.linalg.qr(rng.standard_normal((dim, int(ranks[1]))))[0]
-        vec = qa @ rng.standard_normal(int(ranks[0]))
-        nrm = float(np.linalg.norm(vec))
-        if nrm <= EPS_ABS:
-            continue
-        # in complex128, the field of p_prop and project_ray: the reported
-        # p values stay those of the public chain on the witness's objects
-        qa, qb, vec = (t.astype(np.complex128) for t in (qa, qb, vec))
-        p_xb, p_bx_a, p_abx_b = (float(p) for p in interference_chain(qa, qb, vec / nrm))
-        if p_xb <= 1e-6 or p_bx_a <= 1e-6:
-            continue
-        excess = p_xb * (1.0 - p_bx_a) - p_bx_a * (1.0 - p_abx_b)
-        if excess > EPS_ABS:
-            return InterferenceWitness(
-                x=ray_from(vec),
-                alpha=Subspace.from_orthonormal(qa.T, dim),
-                beta=Subspace.from_orthonormal(qb.T, dim),
-                p_x_beta=p_xb,
-                p_bx_alpha=p_bx_a,
-                p_abx_beta=p_abx_b,
-                nonsquared_excess=excess,
-                squared_margin=_squared_margin(p_xb, p_bx_a, p_abx_b),
-                trial_index=trial,
-            )
+    budget = int(budget)
+    rngs = keyed_generators(seed, range(budget))
+    sizes = itertools.chain(SEARCH_CHUNKS, itertools.repeat(SEARCH_CHUNKS[-1]))
+    start = 0
+    while start < budget:
+        stop = min(start + next(sizes), budget)
+        witness = _first_witness(start, stop - start, rngs)
+        if witness is not None:
+            return witness
+        start = stop
     return None
+
+
+def _first_witness(start: int, count: int, rngs) -> InterferenceWitness | None:
+    """The first witness among the next ``count`` candidates of ``rngs``,
+    whose trial indices begin at ``start``, or ``None``."""
+    ranks = np.empty((count, 2), dtype=np.intp)
+    frames = np.zeros((2, count, 3, 2))  # alpha, beta; a rank-1 frame's column 1 stays zero
+    coeffs = np.zeros((count, 2))
+    for i, rng in enumerate(itertools.islice(rngs, count)):
+        ra, rb = rng.integers(1, 3, size=2).tolist()
+        z = rng.standard_normal(4 * ra + 3 * rb)  # frame a (3, ra), frame b (3, rb), x in a
+        frames[0, i, :, :ra] = z[: 3 * ra].reshape(3, ra)
+        frames[1, i, :, :rb] = z[3 * ra : 3 * (ra + rb)].reshape(3, rb)
+        coeffs[i, :ra] = z[3 * (ra + rb) :]
+        ranks[i] = ra, rb
+    # column 0 of a zero-padded QR is the one-column QR; the padding's own
+    # Q column is no part of the proposition
+    qa, qb = np.where(ranks.T[..., np.newaxis, np.newaxis] > np.arange(2), np.linalg.qr(frames)[0], 0.0)
+    vec = (qa @ coeffs[..., np.newaxis])[..., 0]
+    nrm = np.sqrt(np.vecdot(vec, vec))
+    live = nrm > EPS_ABS
+    # in complex128, the field of p_prop and project_ray: the reported
+    # p values stay those of the public chain on the witness's objects
+    qa, qb, vec = (t.astype(np.complex128) for t in (qa, qb, vec))
+    p_xb, p_bx_a, p_abx_b = interference_chain(qa, qb, vec / np.where(live, nrm, 1.0)[:, np.newaxis])
+    excess = p_xb * (1.0 - p_bx_a) - p_bx_a * (1.0 - p_abx_b)
+    hit = live & (p_xb > 1e-6) & (p_bx_a > 1e-6) & (excess > EPS_ABS)
+    if not hit.any():
+        return None
+    i = int(np.argmax(hit))
+    p_xb, p_bx_a, p_abx_b = float(p_xb[i]), float(p_bx_a[i]), float(p_abx_b[i])
+    return InterferenceWitness(
+        x=ray_from(vec[i]),
+        alpha=Subspace.from_columns(qa[i]),
+        beta=Subspace.from_columns(qb[i]),
+        p_x_beta=p_xb,
+        p_bx_alpha=p_bx_a,
+        p_abx_beta=p_abx_b,
+        nonsquared_excess=float(excess[i]),
+        squared_margin=_squared_margin(p_xb, p_bx_a, p_abx_b),
+        trial_index=start + i,
+    )
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,18 @@ change alters what a law draws:
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
-generator as ``[seed, word]``, with a word of their own.  Every key is
-built by :func:`keyed_generator`, which refuses base seeds outside
-[0, 2**64), the range of the key's first word (:func:`check_seed`).
+generator as ``[seed, word]``, with a word of their own; the search
+takes one word per candidate.  Every key is built by
+:func:`keyed_generators`, which re-keys one Philox per call for each
+word and refuses base seeds outside [0, 2**64), the range of the key's
+first word (:func:`check_seed`); :func:`keyed_generator` is its
+one-word form, and :func:`substream` keys through it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -67,16 +71,53 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"the seed must lie in [0, 2^64), got {seed}")
 
 
+def keyed_generators(seed: int, words) -> Iterator[np.random.Generator]:
+    """The Philox generators keyed by ``[seed, word]``, one per word in turn.
+
+    One bit generator is built per call, on the first key, and re-keyed
+    for each later word by assigning its state: counter 0, empty
+    buffers.  A counter-based stream is a pure function of its key and
+    counter, so each yielded generator draws exactly what a fresh one
+    with that key would.  The same object is yielded every time, so a
+    caller finishes its draws before requesting the next word; nothing
+    is shared between calls.  Re-keying costs a state assignment, where
+    a new ``Philox`` also seeds a ``SeedSequence`` from OS entropy only
+    to discard it.
+
+    Raises
+    ------
+    ValueError
+        If ``seed`` lies outside [0, 2**64), when the first generator is
+        requested.
+    """
+    check_seed(seed)
+    for i, word in enumerate(words):
+        key = np.array([seed, word], dtype=np.uint64)
+        if i == 0:
+            bits = np.random.Philox(key=key)
+            rng = np.random.Generator(bits)
+        else:
+            bits.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                "buffer": np.zeros(4, dtype=np.uint64),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        yield rng
+
+
 def keyed_generator(seed: int, word: int) -> np.random.Generator:
-    """The Philox generator keyed by ``[seed, word]``.
+    """The Philox generator keyed by ``[seed, word]``: the one-word form
+    of :func:`keyed_generators`.
 
     Raises
     ------
     ValueError
         If ``seed`` lies outside [0, 2**64).
     """
-    check_seed(seed)
-    return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
+    return next(keyed_generators(seed, (word,)))
 
 
 def substream(seed: int, law_id: str, dim: int, index: int) -> np.random.Generator:

@@ -89,6 +89,13 @@ class TestVerify:
         assert out == ""
         assert "dims must lie within [2, 32]" in err
 
+    def test_repeated_dims_is_usage_error(self, capsys):
+        # a repeated dimension would rerun the same substreams and count them twice
+        code, out, err = run_cli(capsys, "verify", "--dims", "2,2", "--trials", "5", "--laws", "linalg.inner*")
+        assert code == 2
+        assert out == ""
+        assert "dims must be distinct" in err
+
     @pytest.mark.parametrize("trials", ["1000000000000", "1000001", "0"])
     def test_trial_count_outside_bounds_is_usage_error(self, capsys, trials):
         # rejected when the run is configured, before any law draws a trial

@@ -30,7 +30,7 @@ class TestGeneratorSpec:
         assert gen.trials_per_dim == 1000
         assert gen.seed == 42
 
-    @pytest.mark.parametrize("dims", [(), (1,), (33,)])
+    @pytest.mark.parametrize("dims", [(), (1,), (33,), (2, 3, 2)])
     def test_dims_validated(self, dims):
         with pytest.raises(ValueError):
             GeneratorSpec(dims=dims)

@@ -7,6 +7,8 @@ fixture and it must still satisfy the squared inequality.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,6 +35,9 @@ from raygeo import (
     search_nonsquared_counterexample,
     subspaces_equal,
 )
+from raygeo.linalg import EPS_ABS
+from raygeo.probability import SEARCH_CHUNKS, interference_chain
+from raygeo.sampling import keyed_generator
 
 E3 = np.eye(3)
 E5 = np.eye(5)
@@ -267,9 +272,50 @@ FROZEN_WITNESS = {
 }
 
 
+#: The trial index of the first witness for seeds 0..19.
+FIRST_WITNESS_INDICES = [1, 4, 1, 0, 1, 1, 4, 1, 1, 7, 0, 7, 1, 8, 0, 0, 9, 1, 0, 6]
+
+
+def _reference_search(seed, budget):
+    """The search one candidate at a time, with the draws and arithmetic
+    that the chunked search must reproduce bit for bit."""
+    dim = 3
+    for trial in range(budget):
+        rng = keyed_generator(seed, trial)
+        ranks = rng.integers(1, dim, size=2)
+        qa = np.linalg.qr(rng.standard_normal((dim, int(ranks[0]))))[0]
+        qb = np.linalg.qr(rng.standard_normal((dim, int(ranks[1]))))[0]
+        vec = qa @ rng.standard_normal(int(ranks[0]))
+        nrm = float(np.linalg.norm(vec))
+        if nrm <= EPS_ABS:
+            continue
+        qa, qb, vec = (t.astype(np.complex128) for t in (qa, qb, vec))
+        p_xb, p_bx_a, p_abx_b = (float(p) for p in interference_chain(qa, qb, vec / nrm))
+        if p_xb <= 1e-6 or p_bx_a <= 1e-6:
+            continue
+        excess = p_xb * (1.0 - p_bx_a) - p_bx_a * (1.0 - p_abx_b)
+        if excess > EPS_ABS:
+            margin = p_bx_a * (1.0 - p_abx_b) - p_xb * (1.0 - p_bx_a) ** 2
+            return trial, (p_xb, p_bx_a, p_abx_b, excess, margin), ray_from(vec), qa.T, qb.T
+    return None
+
+
+def _assert_same_witness(w, ref):
+    trial, floats, x, alpha, beta = ref
+    assert w.trial_index == trial
+    got = (w.p_x_beta, w.p_bx_alpha, w.p_abx_beta, w.nonsquared_excess, w.squared_margin)
+    assert [f.hex() for f in got] == [f.hex() for f in floats]
+    for array, expected in ((w.x.rep, x.rep), (w.alpha.basis, alpha), (w.beta.basis, beta)):
+        assert array.shape == expected.shape
+        assert array.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
 class TestNonsquaredSearch:
     def test_budget_zero_finds_nothing(self):
         assert search_nonsquared_counterexample(seed=42, budget=0) is None
+
+    def test_negative_budget_finds_nothing(self):
+        assert search_nonsquared_counterexample(seed=42, budget=-3) is None
 
     def test_seeded_witness_regression(self):
         w = search_nonsquared_counterexample(seed=FROZEN_WITNESS["seed"], budget=FROZEN_WITNESS["budget"])
@@ -281,8 +327,7 @@ class TestNonsquaredSearch:
     def test_first_witnesses_pinned(self):
         # the trial index of the first witness for seeds 0..19, and its p
         # values against the public projections of its own objects
-        indices = [1, 4, 1, 0, 1, 1, 4, 1, 1, 7, 0, 7, 1, 8, 0, 0, 9, 1, 0, 6]
-        for seed, index in enumerate(indices):
+        for seed, index in enumerate(FIRST_WITNESS_INDICES):
             w = search_nonsquared_counterexample(seed=seed, budget=100_000)
             assert w.trial_index == index, seed
             bx = project_ray(w.beta, w.x)
@@ -290,6 +335,37 @@ class TestNonsquaredSearch:
             assert p_prop(w.x, w.beta) == pytest.approx(w.p_x_beta, abs=1e-12)
             assert p_prop(bx, w.alpha) == pytest.approx(w.p_bx_alpha, abs=1e-12)
             assert p_prop(abx, w.beta) == pytest.approx(w.p_abx_beta, abs=1e-12)
+
+    def test_chunked_scan_matches_one_candidate_scan(self):
+        for seed in range(200):
+            _assert_same_witness(
+                search_nonsquared_counterexample(seed=seed, budget=100_000),
+                _reference_search(seed, 100_000),
+            )
+
+    @pytest.mark.parametrize("seed", [9, 11, 13, 16])
+    def test_budget_cuts_inside_a_chunk(self, seed):
+        # these witnesses lie beyond the first chunk of four candidates
+        index = FIRST_WITNESS_INDICES[seed]
+        assert index >= SEARCH_CHUNKS[0]
+        assert search_nonsquared_counterexample(seed=seed, budget=index) is None
+        w = search_nonsquared_counterexample(seed=seed, budget=index + 1)
+        _assert_same_witness(w, _reference_search(seed, index + 1))
+
+    def test_concurrent_searches_match_pinned(self):
+        # every call keys its own generator, so threads need no lock; ten
+        # rounds give a shared generator many chances to interleave
+        seeds = list(range(20)) * 10
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(search_nonsquared_counterexample, seed, 100_000) for seed in seeds]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [w.trial_index for w in results] == FIRST_WITNESS_INDICES * 10
+        assert results == [search_nonsquared_counterexample(seed, 100_000) for seed in seeds]
 
     def test_witness_is_real_3d_and_consistent(self):
         w = search_nonsquared_counterexample(seed=42, budget=1000)

@@ -25,7 +25,7 @@ from raygeo import (
 )
 from raygeo import sampling
 from raygeo.morphisms import isometry_map, non_isometry_map
-from raygeo.sampling import MIN_OVERLAP, keyed_generator, law_stream_key, substream
+from raygeo.sampling import MIN_OVERLAP, keyed_generator, keyed_generators, law_stream_key, substream
 
 
 def streams(seed, dim, trials=20):
@@ -98,7 +98,7 @@ class TestSamplers:
 
 
 class TestKeyedGenerator:
-    """Every generator is keyed by ``keyed_generator``, which checks the
+    """Every generator is keyed by ``keyed_generators``, which checks the
     seed like ``GeneratorSpec``; the key words are those of the inline
     constructions it replaced, so every valid seed draws the same numbers."""
 
@@ -117,6 +117,23 @@ class TestKeyedGenerator:
             )
             expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(4)
             np.testing.assert_array_equal(substream(seed, law_id, dim, index).standard_normal(4), expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_rekeyed_generators_draw_as_fresh_ones(self, seed):
+        # a size-1 integers draw leaves half a word buffered, which the
+        # next key must not inherit
+        def draws(rng):
+            return np.concatenate([rng.integers(0, 2**32, size=1), rng.standard_normal(5)])
+
+        words = [0, 1, 2**32, 2**63]
+        rekeyed = [draws(rng) for rng in keyed_generators(seed, words)]
+        for word, got in zip(words, rekeyed, strict=True):
+            np.testing.assert_array_equal(got, draws(keyed_generator(seed, word)))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_generators_reject_seed_before_any_draw(self, seed):
+        with pytest.raises(ValueError, match="seed must lie"):
+            next(keyed_generators(seed, [0, 1]))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize(
