@@ -115,23 +115,36 @@ def circular_distance(a: float, b: float) -> float:
 
 def orthonormalize_rows(vectors) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases ``(basis, kept)`` of the spans of stacked vector
-    sets (..., m, d): modified Gram–Schmidt with one re-orthogonalization
-    pass, sequential in m and vectorized over the stack.  Row j of
+    sets (..., m, d): classical Gram–Schmidt with one re-orthogonalization
+    pass, which is enough to keep the basis orthonormal to rounding
+    (Giraud, Langou & Rozložník, Comput. Math. Appl. 50, 2005).  Row j of
     ``basis`` is vector j minus its projection onto the rows kept before
     it, normalized, if that residual has norm above :data:`EPS_ABS` and
     the kept rows do not yet span the space; else zero.  ``kept``
-    (..., m) marks the nonzero rows: the rank as a mask."""
-    v = np.asarray(vectors, dtype=np.complex128)
+    (..., m) marks the nonzero rows: the rank as a mask.
+
+    The loop is sequential in m and runs on one copy laid out as
+    (m, d, ...), the stack axes innermost and contiguous: each step is a
+    handful of elementwise multiply-and-sum operations over the whole
+    stack, so its cost per matrix falls as the stack grows, where a
+    per-matrix product or factorization pays a fixed overhead on every
+    small matrix.  The results are views in the input's axis order."""
+    v = np.ascontiguousarray(np.moveaxis(np.asarray(vectors, dtype=np.complex128), (-2, -1), (0, 1)))
+    m, d = v.shape[:2]
     basis = np.zeros_like(v)
-    kept = np.zeros(v.shape[:-1], dtype=bool)
-    for j in range(v.shape[-2]):
-        w = v[..., j, :]
-        for _ in range(2):  # MGS + one re-orthogonalization pass
-            w = w - (np.vecdot(basis, w[..., np.newaxis, :])[..., np.newaxis, :] @ basis)[..., 0, :]
-        nrm = np.sqrt(np.vecdot(w, w).real)[..., np.newaxis]
-        keep = (nrm > EPS_ABS) & (kept.sum(axis=-1, keepdims=True) < v.shape[-1])
-        basis[..., j, :], kept[..., j] = np.where(keep, w / np.where(keep, nrm, 1.0), 0.0), keep[..., 0]
-    return basis, kept
+    kept = np.zeros((m, *v.shape[2:]), dtype=bool)
+    rank = np.zeros(v.shape[2:], dtype=np.intp)
+    for j in range(m):
+        w, b = v[j], basis[:j]
+        for _ in range(2 if j else 0):  # CGS + one re-orthogonalization pass
+            coeff = (w.conj() * b).sum(axis=1).conj()  # inner(w, b_k), (j, ...)
+            w = w - (coeff[:, np.newaxis] * b).sum(axis=0)
+        nrm = np.sqrt((w.real**2 + w.imag**2).sum(axis=0))
+        keep = (nrm > EPS_ABS) & (rank < d)
+        basis[j] = np.where(keep, w / np.where(keep, nrm, 1.0), 0.0)
+        kept[j] = keep
+        rank += keep
+    return np.moveaxis(basis, (0, 1), (-2, -1)), np.moveaxis(kept, 0, -1)
 
 
 def orthonormalize(vectors) -> list[np.ndarray]:

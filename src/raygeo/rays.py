@@ -214,14 +214,17 @@ class Subspace:
 
     @classmethod
     def from_orthonormal(cls, rows, dim) -> "Subspace":
-        """Wrap rows already known to be orthonormal (no re-check)."""
-        mat = np.asarray(rows, dtype=np.complex128).reshape(-1, int(dim))
+        """The span of rows already known to be orthonormal (no re-check),
+        held as a copy: writing to ``rows`` afterwards changes neither
+        the subspace nor its hash, and the subspace keeps no larger
+        array alive."""
+        mat = np.array(rows, dtype=np.complex128).reshape(-1, int(dim))
         return cls(basis=mat, dim=int(dim))
 
     @classmethod
     def from_columns(cls, q) -> "Subspace":
         """The span of the nonzero, orthonormal columns of ``q`` (d, k)."""
-        return cls.from_orthonormal(np.ascontiguousarray(q[:, _live(q)].T), q.shape[0])
+        return cls.from_orthonormal(q.T[_live(q)], q.shape[0])
 
     @classmethod
     def from_ray(cls, x: Ray) -> "Subspace":

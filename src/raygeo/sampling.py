@@ -28,7 +28,10 @@ change alters what a law draws:
 * version 5: every law draws its block as stacks.  Subspaces are frames
   with zero columns (``random_subspaces``, ``nested_pairs``,
   ``commuting_pairs``), maps are padded with zero rows, and blocks
-  shrink beyond d = 8 (:func:`raygeo.lawcheck.block_trials`).
+  shrink beyond d = 8 (:func:`raygeo.lawcheck.block_trials`);
+* version 6: ``random_frames`` returns the Q factor whose R has a real
+  positive diagonal, where LAPACK's Householder QR left a sign on each
+  column; wide stacks compute it by stacked Gram–Schmidt.
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
@@ -47,7 +50,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .linalg import norms
+from .linalg import norms, orthonormalize_rows
 from .rays import a_sims, rays_from
 
 #: Rejection threshold where a law or a morphism sampler needs
@@ -57,7 +60,7 @@ MIN_OVERLAP = 1e-6
 
 #: Version of the stream scheme, written into every serialized report;
 #: the module docstring gives its history.
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
 
 def law_stream_key(law_id: str) -> int:
@@ -127,10 +130,13 @@ def substream(seed: int, law_id: str, dim: int, index: int) -> np.random.Generat
 
 def gaussian_stack(rng: np.random.Generator, shape, real: bool = False) -> np.ndarray:
     """Standard complex Gaussian entries of the given shape (imaginary
-    parts zero when ``real``)."""
-    if real:
-        return rng.standard_normal(shape).astype(np.complex128)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    parts zero when ``real``): the real parts drawn first, then the
+    imaginary parts, each written in place."""
+    out = np.zeros(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    if not real:
+        out.imag = rng.standard_normal(shape)
+    return out
 
 
 def random_rays(rng: np.random.Generator, count: int, dim: int, real: bool = False) -> np.ndarray:
@@ -180,9 +186,29 @@ def classical_ray_stacks(rng: np.random.Generator, count: int, dim: int, k: int)
 
 def random_frames(rng: np.random.Generator, count: int, dim: int, cols: int) -> np.ndarray:
     """``count`` orthonormal column sets, shape (count, dim, cols): the Q
-    factors of stacked Gaussian (dim, cols) draws.  Each spans a
-    Haar-random ``cols``-dimensional subspace."""
-    return np.linalg.qr(gaussian_stack(rng, (count, dim, cols)))[0]
+    factors of stacked Gaussian (dim, cols) draws G = QR, made unique by
+    a real positive diagonal of R.  Each is Haar-distributed: a
+    Haar-random ``cols``-frame spanning a Haar-random subspace
+    (Mezzadri, Notices AMS 54, 2007).
+
+    Two paths compute the same Q, to rounding, chosen from the stack's
+    shape.  A wide stack, ``count >= 32 + 2 * dim * cols``, orthonormalizes
+    the columns by :func:`raygeo.linalg.orthonormalize_rows`, whose
+    Python overhead is paid per column for the whole stack.  Any other
+    stack takes LAPACK's Householder QR, which pays its overhead per
+    matrix, and multiplies each column by the sign of R's diagonal (+1
+    where it is 0).  Timed on one CPU, the two paths break even at about
+    30–60 matrices for dim <= 8 and cols <= 2, at about 60–120 for
+    dim = 8 and cols >= 7, and beyond 384 for (16, 16): LAPACK's work
+    per matrix grows more slowly with its size.  The rule keeps the
+    d = 16 subspace blocks of 32, the morphism stacks and short tail
+    blocks on LAPACK."""
+    g = gaussian_stack(rng, (count, dim, cols))
+    if count >= 32 + 2 * dim * cols:
+        return orthonormalize_rows(g.swapaxes(-1, -2))[0].swapaxes(-1, -2)
+    q, r = np.linalg.qr(g)
+    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    return q * np.where(sign == 0, 1, sign)[..., np.newaxis, :]
 
 
 def column_subsets(frames: np.ndarray, keep: np.ndarray) -> np.ndarray:

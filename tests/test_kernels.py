@@ -181,6 +181,40 @@ def test_scalar_superpose_is_the_kernel_row():
     np.testing.assert_array_equal(superpose_vectors(y.rep, z.rep, 0.0), z.rep)
 
 
+FRAME_SHAPES = [(256, d, d - 1) for d in range(2, 9)] + [(256, 8, 1), (256, 2, 2), (16, 8, 7), (8, 4, 4), (32, 16, 16)]
+
+
+def _assert_q_factor(q, g):
+    """q is orthonormal and q^H g upper triangular with a real positive
+    diagonal: the Q factor of g that random_frames defines."""
+    qh = q.conj().swapaxes(-1, -2)
+    r = qh @ g
+    np.testing.assert_allclose(qh @ q, np.broadcast_to(np.eye(q.shape[-1]), r.shape), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.tril(r, -1), 0.0, rtol=0, atol=1e-13)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    np.testing.assert_allclose(diag.imag, 0.0, rtol=0, atol=1e-13)
+    assert (diag.real > 0).all()
+
+
+@pytest.mark.parametrize("shape", FRAME_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_random_frames_paths_agree(shape):
+    # Both paths of random_frames, on one Gaussian draw, against LAPACK's
+    # QR with R's diagonal made real and positive.
+    g = gaussian_stack(np.random.default_rng(140), shape)
+    q_ref, r = np.linalg.qr(g)
+    q_ref = q_ref * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., np.newaxis, :]
+    drawn = random_frames(np.random.default_rng(140), *shape)
+    stacked = orthonormalize_rows(g.swapaxes(-1, -2))[0].swapaxes(-1, -2)
+    for q in (drawn, stacked):
+        np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-13)
+        _assert_q_factor(q, g)
+    # a last column nearly along the first (condition ~1e4): its
+    # orthogonality rests on the re-orthogonalization pass
+    if shape[2] > 1:
+        g[..., -1] = g[..., 0] + 1e-4 * g[..., -1]
+        _assert_q_factor(orthonormalize_rows(g.swapaxes(-1, -2))[0].swapaxes(-1, -2), g)
+
+
 def test_stacked_draws():
     for cols in (4, 2):  # full frames, and only the columns a caller uses
         frames = random_frames(np.random.default_rng(6), 7, 4, cols)
@@ -295,8 +329,8 @@ def test_project_rows_matches_loop(dim):
     v = gaussian_stack(rng, (n, dim))
     frames = random_frames(rng, n, dim, dim)
     for rank in range(dim + 1):  # one frame shared by every row
-        q = frames[0][:, :rank]
-        a = Subspace.from_orthonormal(q.T, dim)
+        a = Subspace.from_orthonormal(frames[0][:, :rank].T, dim)
+        q = a.basis.T  # the subspace holds a copy; bit-equality needs the same operand
         got = project_rows(q, v)
         assert got.shape == (n, dim)
         for row, p in zip(v, got):
@@ -656,20 +690,21 @@ def _ref_orthonormalize(rows):
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
 def test_stacked_orthonormalize_matches_loop(dim):
     rng = np.random.default_rng(130 + dim)
-    n, m = 40, dim + 3
-    vectors = gaussian_stack(rng, (n, m, dim)) * rng.uniform(1e-3, 1e3, (n, m, 1))
-    vectors[:, 1] = 0.0  # a zero vector
-    vectors[:, 2] = 2.5j * vectors[:, 0]  # a dependent one
-    vectors[::2, -1] = vectors[::2, 0] - 0.5 * vectors[::2, 3 % m]
-    basis, kept = orthonormalize_rows(vectors)
-    assert basis.shape == vectors.shape and kept.shape == (n, m)
-    for i in range(n):
-        ref = _ref_orthonormalize(vectors[i])
-        assert kept[i].sum() == len(ref) == min(dim, np.linalg.matrix_rank(vectors[i]))
-        np.testing.assert_allclose(basis[i][kept[i]], ref, rtol=0, atol=1e-12)
-        assert not basis[i][~kept[i]].any()
-    # nearly dependent pairs: their orthogonality rests on the second pass
-    near = vectors[:, :1] + 1e-7 * gaussian_stack(rng, (n, 1, dim))
-    basis, kept = orthonormalize_rows(np.concatenate([vectors[:, :1], near], axis=1))
-    gram = basis @ basis.conj().swapaxes(1, 2)
-    np.testing.assert_allclose(gram, kept[:, np.newaxis, :] * np.eye(2), rtol=0, atol=1e-12)
+    m = dim + 3
+    for n in (40, 256, 1):  # a stack, a wide stack, a single set
+        vectors = gaussian_stack(rng, (n, m, dim)) * rng.uniform(1e-3, 1e3, (n, m, 1))
+        vectors[:, 1] = 0.0  # a zero vector
+        vectors[:, 2] = 2.5j * vectors[:, 0]  # a dependent one
+        vectors[::2, -1] = vectors[::2, 0] - 0.5 * vectors[::2, 3 % m]
+        basis, kept = orthonormalize_rows(vectors)
+        assert basis.shape == vectors.shape and kept.shape == (n, m)
+        for i in range(n):
+            ref = _ref_orthonormalize(vectors[i])
+            assert kept[i].sum() == len(ref) == min(dim, np.linalg.matrix_rank(vectors[i]))
+            np.testing.assert_allclose(basis[i][kept[i]], ref, rtol=0, atol=1e-12)
+            assert not basis[i][~kept[i]].any()
+        # nearly dependent pairs: their orthogonality rests on the second pass
+        near = vectors[:, :1] + 1e-7 * gaussian_stack(rng, (n, 1, dim))
+        basis, kept = orthonormalize_rows(np.concatenate([vectors[:, :1], near], axis=1))
+        gram = basis @ basis.conj().swapaxes(1, 2)
+        np.testing.assert_allclose(gram, kept[:, np.newaxis, :] * np.eye(2), rtol=0, atol=1e-12)

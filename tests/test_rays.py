@@ -57,6 +57,17 @@ class TestRayFrom:
             x.rep[0] = 5.0
 
 
+class TestSubspaceFromOrthonormal:
+    def test_holds_a_copy_of_its_rows(self):
+        rows = np.eye(3, dtype=complex)[:2]
+        s = Subspace.from_orthonormal(rows, 3)
+        before = hash(s)
+        rows[0, 0] = 5.0
+        np.testing.assert_array_equal(s.basis, np.eye(3)[:2])
+        assert hash(s) == before
+        assert s == Subspace.from_orthonormal(np.eye(3)[:2], 3)
+
+
 class TestProjectVec:
     def test_coordinate_projection(self):
         a = Subspace.from_vectors([[1.0, 0.0]])
