@@ -53,17 +53,20 @@ MAX_SKIP_RATE = 0.05
 #: The range of ambient dimensions a run may sweep.
 MIN_DIM, MAX_DIM = 2, 32
 
-#: Trials per block, and so per substream, up to d = 8.  Bounds the
-#: memory of one block's stacks: at d = 8 a block of 256 interference
-#: trials peaks near 2 MB, and larger blocks run no faster.
+#: Trials per block, and so per substream, at d = 8, the size that sets
+#: the memory of every block's stacks: at d = 8 a block of 256
+#: interference trials peaks near 2 MB.
 BLOCK_TRIALS = 256
 
 
 def block_trials(dim: int) -> int:
-    """Trials per block in dimension ``dim``: BLOCK_TRIALS·(8/d)³ rounded
-    down, at most BLOCK_TRIALS, so that beyond d = 8 a block's (n, d, d)
-    subspace stacks shrink as d grows (32 trials at d = 16)."""
-    return min(BLOCK_TRIALS, BLOCK_TRIALS * 512 // dim**3)
+    """Trials per block in dimension ``dim``: the lesser of
+    BLOCK_TRIALS·(8/d)² and BLOCK_TRIALS·(8/d)³, rounded down.  Up to
+    d = 8 a block's (n, d, d) stacks then hold as many entries as the
+    d = 8 block's (4096 trials at d = 2, 1820 at d = 3), so a law pays
+    its per-block overhead as seldom as that memory allows; beyond
+    d = 8 they shrink as d grows (179 at d = 9, 32 at d = 16)."""
+    return min(BLOCK_TRIALS * 64 // dim**2, BLOCK_TRIALS * 512 // dim**3)
 
 
 #: The largest trial count per law and dimension a run may ask for.

@@ -20,7 +20,7 @@ from .errors import DimensionMismatchError, NotIsometryError
 from .linalg import EPS_ABS, circular_distances, norms
 from .rays import Ray, ray_from, rays_from
 from .geometry import a_sims, p_sims, triple_phases
-from .sampling import MIN_OVERLAP, gaussian_stack, keyed_generator, random_frames
+from .sampling import MIN_OVERLAP, gaussian_stack, haar_q, keyed_generator, random_frames
 from .superposition import superpose_vectors
 
 
@@ -70,12 +70,14 @@ class RegularMap:
 
 def _padded_frames(rng: np.random.Generator, count: int, dim_in: int):
     """Haar isometries into C^{dim_out}, dim_out drawn from dim_in..dim_in+2,
-    zero-padded to (count, dim_in + 2, dim_in), and dim_out: Householder
-    QR keeps the Gaussian draw's zero rows exactly."""
+    zero-padded to (count, dim_in + 2, dim_in), and dim_out: the Q
+    factors of :func:`raygeo.sampling.haar_q` of Gaussian draws whose
+    rows beyond dim_out are zeroed, which both of its paths keep
+    exactly zero."""
     dim_out = dim_in + rng.integers(0, 3, count)
     rows = np.arange(dim_in + 2) < dim_out[:, np.newaxis]
     g = gaussian_stack(rng, (count, dim_in + 2, dim_in))
-    return np.linalg.qr(g * rows[..., np.newaxis])[0], dim_out
+    return haar_q(g * rows[..., np.newaxis]), dim_out
 
 
 def isometry_maps(rng: np.random.Generator, count: int, dim_in: int, scale: float | None = None):

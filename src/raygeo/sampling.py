@@ -31,7 +31,11 @@ change alters what a law draws:
   shrink beyond d = 8 (:func:`raygeo.lawcheck.block_trials`);
 * version 6: ``random_frames`` returns the Q factor whose R has a real
   positive diagonal, where LAPACK's Householder QR left a sign on each
-  column; wide stacks compute it by stacked Gram–Schmidt.
+  column; wide stacks compute it by stacked Gram–Schmidt;
+* version 7: blocks up to d = 8 hold as many stack entries as the d = 8
+  block (4096 trials at d = 2), and the morphism samplers' isometries
+  take the same Q factor (``haar_q``), where a bare LAPACK QR had left
+  a sign on each column.
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
@@ -60,7 +64,7 @@ MIN_OVERLAP = 1e-6
 
 #: Version of the stream scheme, written into every serialized report;
 #: the module docstring gives its history.
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 
 
 def law_stream_key(law_id: str) -> int:
@@ -184,31 +188,36 @@ def classical_ray_stacks(rng: np.random.Generator, count: int, dim: int, k: int)
     return np.eye(dim, dtype=np.complex128)[idx.T]
 
 
-def random_frames(rng: np.random.Generator, count: int, dim: int, cols: int) -> np.ndarray:
-    """``count`` orthonormal column sets, shape (count, dim, cols): the Q
-    factors of stacked Gaussian (dim, cols) draws G = QR, made unique by
-    a real positive diagonal of R.  Each is Haar-distributed: a
-    Haar-random ``cols``-frame spanning a Haar-random subspace
-    (Mezzadri, Notices AMS 54, 2007).
+def haar_q(g: np.ndarray) -> np.ndarray:
+    """The Q factors of stacked draws g (count, rows, cols) = QR, made
+    unique by a real positive diagonal of R.  Of a Gaussian draw, each is
+    Haar-distributed: a Haar-random ``cols``-frame spanning a
+    Haar-random subspace (Mezzadri, Notices AMS 54, 2007).  Rows of g
+    that are zero stay exactly zero in Q.
 
     Two paths compute the same Q, to rounding, chosen from the stack's
-    shape.  A wide stack, ``count >= 32 + 2 * dim * cols``, orthonormalizes
-    the columns by :func:`raygeo.linalg.orthonormalize_rows`, whose
-    Python overhead is paid per column for the whole stack.  Any other
-    stack takes LAPACK's Householder QR, which pays its overhead per
-    matrix, and multiplies each column by the sign of R's diagonal (+1
-    where it is 0).  Timed on one CPU, the two paths break even at about
-    30–60 matrices for dim <= 8 and cols <= 2, at about 60–120 for
-    dim = 8 and cols >= 7, and beyond 384 for (16, 16): LAPACK's work
-    per matrix grows more slowly with its size.  The rule keeps the
-    d = 16 subspace blocks of 32, the morphism stacks and short tail
-    blocks on LAPACK."""
-    g = gaussian_stack(rng, (count, dim, cols))
-    if count >= 32 + 2 * dim * cols:
+    shape.  A wide stack, ``count >= 32 + 2 * rows * cols``,
+    orthonormalizes the columns by :func:`raygeo.linalg.orthonormalize_rows`,
+    whose Python overhead is paid per column for the whole stack.  Any
+    other stack takes LAPACK's Householder QR, which pays its overhead
+    per matrix, and multiplies each column by the sign of R's diagonal
+    (+1 where it is 0).  Timed on one CPU, the two paths break even at
+    about 30–60 matrices for rows <= 8 and cols <= 2, at about 60–120
+    for rows = 8 and cols >= 7, and beyond 384 for (16, 16): LAPACK's
+    work per matrix grows more slowly with its size.  The rule keeps
+    the d = 16 subspace blocks of 32 and short tail blocks on LAPACK."""
+    count, rows, cols = g.shape
+    if count >= 32 + 2 * rows * cols:
         return orthonormalize_rows(g.swapaxes(-1, -2))[0].swapaxes(-1, -2)
     q, r = np.linalg.qr(g)
     sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     return q * np.where(sign == 0, 1, sign)[..., np.newaxis, :]
+
+
+def random_frames(rng: np.random.Generator, count: int, dim: int, cols: int) -> np.ndarray:
+    """``count`` Haar frames (count, dim, cols), orthonormal columns: the
+    :func:`haar_q` factors of a Gaussian stack of that shape."""
+    return haar_q(gaussian_stack(rng, (count, dim, cols)))
 
 
 def column_subsets(frames: np.ndarray, keep: np.ndarray) -> np.ndarray:

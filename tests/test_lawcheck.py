@@ -325,14 +325,16 @@ class TestBrokenLawsFail:
         assert not report.passed
 
     def test_one_trial_failure_in_a_later_block(self, private_registry):
-        # trial 300 of dim 2 is trial 44 of block 1
-        stream = substream(18, "broken.trial300", 2, 1)
-        target = stream.uniform(0.0, 1.0, 144)[44]
-        fails_at_trial_300 = _uniform_blocks(lambda dim, value: dim == 2 and value == target)
+        # trial 300 of dim 8 is trial 300 - 256 = 44 of block 1, of 144 trials
+        block = lawcheck.block_trials(8)
+        assert block < 300 < 400 < 2 * block
+        stream = substream(18, "broken.trial300", 8, 1)
+        target = stream.uniform(0.0, 1.0, 400 - block)[300 - block]
+        fails_at_trial_300 = _uniform_blocks(lambda dim, value: dim == 8 and value == target)
         lawcheck.register(Law(id="broken.trial300", description="broken", batch=fails_at_trial_300))
-        report = run_law("broken.trial300", GeneratorSpec(dims=(2, 3), trials_per_dim=400, seed=18))
+        report = run_law("broken.trial300", GeneratorSpec(dims=(3, 8), trials_per_dim=400, seed=18))
         assert not report.passed and report.trials_run == 800
-        assert (report.counterexample["dim"], report.counterexample["trial"]) == (2, 300)
+        assert (report.counterexample["dim"], report.counterexample["trial"]) == (8, 300)
         assert report.counterexample["value"] == target
 
 
@@ -340,10 +342,10 @@ class TestBlockRunner:
     def test_block_boundary(self, monkeypatch):
         registry()
         monkeypatch.setattr(lawcheck, "_REGISTRY", dict(lawcheck._REGISTRY))
-        block = lawcheck.BLOCK_TRIALS
         trials = 1000
-        full, last = divmod(trials, block)
-        assert full >= 1 and last > 5  # 1000 trials end in a partial block
+        dims = (7, 8)
+        layout = {d: divmod(trials, lawcheck.block_trials(d)) for d in dims}
+        assert all(full >= 1 and last > 5 for full, last in layout.values())  # each ends in a partial block
         sizes = []
         instances = []
 
@@ -351,31 +353,31 @@ class TestBlockRunner:
             sizes.append((dim, n))
             residuals = rng.uniform(0.0, 1e-11, n)
             skipped = residuals > 9.8e-12
-            if n == last:  # the partial block: trials full * block .. 999
+            if n == layout[dim][1]:  # the partial block: trials full * block .. 999
                 residuals[5], skipped[5] = 1.0, False
             instance = {"u": rng.standard_normal((n, dim)) + 1j, "r": residuals.copy(), "kept": ~skipped}
             instances.append(instance)
             return Block(residuals, skipped, instance)
 
         lawcheck.register(Law(id="blocks.boundary", description="d", batch=batch))
-        gen = GeneratorSpec(dims=(2, 3), trials_per_dim=trials, seed=19)
+        gen = GeneratorSpec(dims=dims, trials_per_dim=trials, seed=19)
         first = run_law("blocks.boundary", gen)
-        one_dim = [block] * full + [last]
-        assert [n for _, n in sizes] == one_dim + one_dim  # no block is replayed
-        assert [d for d, _ in sizes] == [2] * (full + 1) + [3] * (full + 1)
-        failing = instances[full]  # the partial block of dim 2
+        one_dim = {d: [lawcheck.block_trials(d)] * full + [last] for d, (full, last) in layout.items()}
+        assert sizes == [(d, n) for d in dims for n in one_dim[d]]  # no block is replayed
+        full, last = layout[7]
+        failing = instances[full]  # the partial block of dim 7
         second = run_law("blocks.boundary", gen)
         assert first.trials_run + first.trials_skipped == 2 * trials
         assert 0 < first.trials_skipped < 2 * trials * 0.05
         assert not first.passed
-        assert first.counterexample["dim"] == 2
-        assert first.counterexample["trial"] == full * block + 5
+        assert first.counterexample["dim"] == 7
+        assert first.counterexample["trial"] == full * lawcheck.block_trials(7) + 5
         assert first.counterexample["residual"] == 1.0
         # the counterexample is row 5 of that block's instance stacks, serialized
         row = {name: to_jsonable(stack[5]) for name, stack in failing.items()}
         assert {k: v for k, v in first.counterexample.items() if k in row} == row
         assert set(first.counterexample) == {"dim", "trial", "residual"} | set(row)
-        assert row["r"] == 1.0 and row["kept"] is True and len(row["u"]) == 2
+        assert row["r"] == 1.0 and row["kept"] is True and len(row["u"]) == 7
         assert dumps_reports([first]) == dumps_reports([second])
 
     def test_blocks_shrink_beyond_dimension_8(self, monkeypatch):
@@ -391,7 +393,16 @@ class TestBlockRunner:
         report = run_law("blocks.shrink", GeneratorSpec(dims=(8, 16), trials_per_dim=100, seed=19))
         assert report.passed and report.trials_run == 200
         assert sizes == [(8, 100), (16, 32), (16, 32), (16, 32), (16, 4)]
-        assert [lawcheck.block_trials(d) for d in (2, 8, 9, 16, 32)] == [256, 256, 179, 32, 4]
+        table = [lawcheck.block_trials(d) for d in (2, 3, 4, 5, 6, 7, 8, 9, 16, 32)]
+        assert table == [4096, 1820, 1024, 655, 455, 334, 256, 179, 32, 4]
+
+    def test_block_stacks_hold_no_more_than_the_dimension_8_block(self):
+        # a block's (n, d, d) stacks never outgrow the d = 8 block's, and
+        # beyond d = 8 the block shrinks at least as fast as 1/d³
+        for d in range(lawcheck.MIN_DIM, lawcheck.MAX_DIM + 1):
+            assert lawcheck.block_trials(d) * d**2 <= 256 * 64
+            if d >= 8:
+                assert lawcheck.block_trials(d) * d**3 <= 256 * 512
 
     def test_interference_law_is_blocked_and_valid(self):
         gen = GeneratorSpec(seed=20)

@@ -15,6 +15,7 @@ from raygeo import (
     ray_from,
     rays_equal,
 )
+from raygeo.morphisms import _padded_frames
 
 
 def _unitary(rng, n):
@@ -228,3 +229,18 @@ def test_injective_maps_separate_rays():
         if rays_equal(x, y):
             continue
         assert not rays_equal(apply_ray(f, x), apply_ray(f, y))
+
+
+@pytest.mark.parametrize("stacks", [1, 200], ids=["one-wide-stack", "narrow-stacks"])
+def test_sampled_isometries_are_haar(stacks):
+    # 4000 (5, 3) isometries, in one stack (Gram-Schmidt) or in 200 of 20
+    # (LAPACK): without R's sign fixed, Householder QR leaves Re q[0, 0]
+    # negative in every draw
+    rng = np.random.default_rng(15)
+    draws = [_padded_frames(rng, 4000 // stacks, 3) for _ in range(stacks)]
+    q, dim_out = (np.concatenate(parts) for parts in zip(*draws))
+    assert q.shape == (4000, 5, 3)
+    assert 0.45 <= np.mean(q[:, 0, 0].real < 0) <= 0.55
+    assert not q[np.arange(5) >= dim_out[:, np.newaxis]].any()
+    eye = np.broadcast_to(np.eye(3), (4000, 3, 3))
+    np.testing.assert_allclose(q.conj().swapaxes(-1, -2) @ q, eye, rtol=0, atol=1e-13)
