@@ -4,7 +4,8 @@ Superposing states is not adding vectors: the operation is defined only
 for non-orthogonal states, weights flip under commutation, and nesting
 does not associate.  What it does obey are geometric laws tied to the
 similarity p and the triple phase theta, demonstrated here on random
-instances.
+instances.  The last section swaps a coplanar triple for its primed
+(orthocomplement) triple, which negates theta.
 
 Run:  python3 demos/superposition_geometry.py
 """
@@ -16,11 +17,15 @@ from raygeo import (
     SuperpositionSpec,
     a_sim,
     coplanar,
+    cos_theta_prime,
+    inner,
     p_component_closed_form,
     p_of_superposition_closed_form,
     p_sim,
+    prime_triple,
     ray_from,
     rays_equal,
+    reciprocity_holds,
     superpose,
     theta,
 )
@@ -86,3 +91,18 @@ for r in (0.9, 0.5, 0.1, 0.01):
         f"(closed {closed:.6f})  margin over p(y,z) = {got - p_yz:+.6f}"
     )
 print("the mixed-in component always wins, and only ties at r = 0")
+
+# --- the primed triple: orthocomplements within the plane ----------------
+# x' is the projection of y on the orthocomplement of x, and cyclically;
+# on a coplanar triple the primed triple's phase is the negation
+print()
+y, z = random_ray(3), random_ray(3)
+x = ray_from(0.6 * y.rep + (0.3 + 0.5j) * z.rep)
+primed = prime_triple(x, y, z)
+print(f"theta(x, y, z)    = {theta(x, y, z):+.15f}")
+print(f"theta(x', y', z') = {theta(primed.x, primed.y, primed.z):+.15f}  (the negation)")
+print(f"|<x', x>| = {abs(inner(primed.x.rep, x.rep)):.1e}  (x' is orthogonal to x)")
+closed = cos_theta_prime(x, primed.x, y, z)
+direct = np.cos(theta(primed.x, y, z))
+print(f"cos theta(x', y, z): closed form {closed:+.15f}, direct {direct:+.15f}")
+print(f"reciprocity holds on (x, y, z): {reciprocity_holds(x, y, z)}")

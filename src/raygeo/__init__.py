@@ -24,11 +24,9 @@ from .errors import (
     ZeroVectorError,
 )
 from .linalg import (
-    circular_distance,
     inner,
     norm,
     orthonormalize,
-    wrap_angle,
 )
 from .rays import (
     ZERO,
@@ -42,7 +40,6 @@ from .rays import (
     meet,
     ortho_complement,
     project_ray,
-    project_vec,
     ray_from,
     rays_equal,
     subspaces_equal,
@@ -50,7 +47,6 @@ from .rays import (
 from .geometry import (
     Triple,
     a_sim,
-    complement_projection,
     coplanar,
     p_prop,
     p_sim,

@@ -75,7 +75,7 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _emit(data, path: str | None) -> None:
-    _write(json.dumps(data, indent=2) + "\n", path)
+    _write(json.dumps(data, indent=2, allow_nan=False) + "\n", path)
 
 
 def _domain_error(exc: RayGeoError) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateTripleError, DimensionMismatchError, OrthogonalPairError
 from .linalg import ANGLE_GUARD, EPS_ABS, TWO_PI, inners, norms
-from .rays import ZERO, Ray, Subspace, a_sims, equal_rays, project_rows, rays_from, require_dims
+from .rays import Ray, Subspace, a_sims, equal_rays, project_rows, rays_from, require_dims
 
 
 @dataclass(frozen=True)
@@ -159,15 +159,6 @@ def complement_projections(u, v) -> tuple[np.ndarray, np.ndarray]:
     w = v - inners(v, u)[..., np.newaxis] * u
     zero = norms(w) <= EPS_ABS
     return rays_from(np.where(zero[..., np.newaxis], u, w)), zero
-
-
-def complement_projection(x: Ray, y: Ray):
-    """Projection of y onto the orthocomplement of the ray x, or
-    :data:`ZERO` when y lies on x: the single-pair form of
-    :func:`complement_projections`."""
-    require_dims(x, y)
-    rep, zero = complement_projections(x.rep, y.rep)
-    return ZERO if zero else Ray(rep=rep)
 
 
 def coplanar_rows(u, v, w) -> np.ndarray:

@@ -34,23 +34,6 @@ EPS_ABS = 1e-10
 ANGLE_GUARD = 1e-8
 
 
-def as_vector(values) -> np.ndarray:
-    """Coerce ``values`` to a finite 1-D complex128 vector.
-
-    Raises
-    ------
-    ValueError
-        If the input is empty, not one-dimensional, or contains
-        non-finite entries.
-    """
-    v = np.asarray(values, dtype=np.complex128)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a non-empty one-dimensional vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return v
-
-
 def inners(u, v) -> np.ndarray:
     """Inner products ``sum_i u_i * conj(v_i)`` of stacked vectors,
     shape (..., d) → (...)."""
@@ -82,6 +65,25 @@ def norms(u) -> np.ndarray:
     return np.sqrt(np.vecdot(u, u).real)
 
 
+def checked_norms(u) -> np.ndarray:
+    """:func:`norms` of stacked vectors from outside the library, checked
+    to be finite: a non-finite entry makes its norm non-finite.
+
+    Raises
+    ------
+    ValueError
+        If an entry is not finite, or a squared norm overflows (the
+        arithmetic reads it as inf or NaN).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = norms(u)
+    if not np.isfinite(n).all():
+        if not np.isfinite(u).all():
+            raise ValueError("vector entries must be finite")
+        raise ValueError("the vector norm overflows the float range")
+    return n
+
+
 def norm(u) -> float:
     """Euclidean norm ``sqrt(inner(u, u))``: the single-vector form of
     :func:`norms`."""
@@ -94,23 +96,12 @@ def wrap_angles(angle) -> np.ndarray:
     return a - TWO_PI * (a > math.pi)
 
 
-def wrap_angle(angle: float) -> float:
-    """Reduce an angle modulo 2π to the canonical branch (−π, π]."""
-    return float(wrap_angles(angle))
-
-
 def circular_distances(a, b) -> np.ndarray:
     """Distances between stacked angles on the circle, in [0, π].
 
     Immune to branch cuts: comparing θ and θ ± 2π gives 0.
     """
     return np.abs(wrap_angles(np.subtract(a, b)))
-
-
-def circular_distance(a: float, b: float) -> float:
-    """Distance between two angles on the circle, in [0, π]; the
-    single-pair form of :func:`circular_distances`."""
-    return float(circular_distances(a, b))
 
 
 def orthonormalize_rows(vectors) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +147,8 @@ def orthonormalize(vectors) -> list[np.ndarray]:
     Raises
     ------
     ValueError
-        If a vector is empty, not one-dimensional, or not finite.
+        If a vector is empty, not one-dimensional, or not finite, or
+        its norm overflows.
     DimensionMismatchError
         If the vectors differ in length.
     """
@@ -173,8 +165,7 @@ def orthonormalize(vectors) -> list[np.ndarray]:
         raise
     if mat.ndim != 2 or mat.shape[1] == 0:
         raise ValueError("expected non-empty one-dimensional vectors")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("vector entries must be finite")
+    checked_norms(mat)  # an overflowing norm would keep a zero row: w / inf
     basis, kept = orthonormalize_rows(mat)
     basis = basis[kept]
     basis.flags.writeable = False

@@ -99,18 +99,6 @@ def non_isometry_maps(rng: np.random.Generator, count: int, dim_in: int):
     return (q * s[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2), dim_out
 
 
-def isometry_map(rng: np.random.Generator, dim_in: int, scale: float | None = None) -> RegularMap:
-    """A scaled isometry: the single form of :func:`isometry_maps`."""
-    m, dim_out = isometry_maps(rng, 1, dim_in, scale)
-    return RegularMap(m[0, : dim_out[0]])
-
-
-def non_isometry_map(rng: np.random.Generator, dim_in: int) -> RegularMap:
-    """An injective non-isometry: the single form of :func:`non_isometry_maps`."""
-    m, dim_out = non_isometry_maps(rng, 1, dim_in)
-    return RegularMap(m[0, : dim_out[0]])
-
-
 def apply_rays(m, x) -> np.ndarray:
     """The images of stacked rays (..., d) under matrices (..., D, d)."""
     return rays_from((m @ x[..., np.newaxis])[..., 0])

@@ -14,13 +14,12 @@ use requires no synchronization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
-from .linalg import EPS_ABS, as_vector, norms, orthonormalize
+from .linalg import EPS_ABS, checked_norms, norms, orthonormalize
 
 
 class ZeroProjection:
@@ -118,13 +117,9 @@ def rays_from(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("expected a stack of non-empty vectors")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
-    n = norms(v)[..., np.newaxis]
+    n = checked_norms(v)[..., np.newaxis]
     if (n <= EPS_ABS).any():
         raise ZeroVectorError(f"cannot span a ray from a vector of norm {n.min():.3e}")
-    if (n == math.inf).any():
-        raise ValueError("the vector norm overflows the float range")
     u = v / n
     # the first entry of modulus above EPS_ABS; a unit row has one of modulus >= 1/sqrt(d)
     lead = np.take_along_axis(u, np.argmax(np.abs(u) > EPS_ABS, axis=-1)[..., np.newaxis], axis=-1)
@@ -273,17 +268,6 @@ def _live(q) -> np.ndarray:
 def ranks(q) -> np.ndarray:
     """Dimensions of stacked subspaces (..., d, k): their nonzero columns."""
     return np.count_nonzero(_live(q), axis=-1)
-
-
-def project_vec(a: Subspace, u) -> np.ndarray:
-    """Orthogonal projection of a vector onto the subspace: the
-    single-vector form of :func:`project_rows`.  The residual
-    ``u − result`` is orthogonal to every basis vector.
-    """
-    u = as_vector(u)
-    if u.shape[0] != a.dim:
-        raise DimensionMismatchError(f"vector dim {u.shape[0]} vs subspace dim {a.dim}")
-    return project_rows(a.basis.T, u)
 
 
 def project_rays(q, x) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,13 @@
 """JSON wire formats for every value the library exchanges.
 
-Encodings (stable, documented, round-trippable):
+Encodings (stable and documented; witnesses, reports and matrices are
+written only):
 
 * complex scalar      ``[re, im]``
 * vector              ``[[re, im], ...]``
 * matrix              ``{"rows": r, "cols": c, "entries": [[re, im], ...]}``  (row-major)
 * Ray                 ``{"dim": d, "rep": <vector>}``
 * Subspace            ``{"dim": d, "basis": [<vector>, ...]}``
-* RegularMap          ``{"dim_in": a, "dim_out": b, "matrix": <matrix>}``
 * interference witness ``{"x", "alpha_basis", "beta_basis", "p_values", "margin"}``
 * LawReport           ``{"law_id", "pass", "negative_control", "trials_run",
                         "trials_skipped", "worst_residual", "tolerance", "seed",
@@ -30,7 +30,6 @@ import math
 import numpy as np
 
 from .rays import Ray, Subspace, ray_from
-from .morphisms import RegularMap
 from .sampling import STREAM_VERSION
 from .superposition import SuperpositionSpec
 
@@ -96,15 +95,6 @@ def mat_to_json(m) -> dict:
     }
 
 
-def mat_from_json(data) -> np.ndarray:
-    rows = _size(_field(data, "rows", "a matrix"), "rows")
-    cols = _size(_field(data, "cols", "a matrix"), "cols")
-    flat = vec_from_json(_field(data, "entries", "a matrix"))
-    if len(flat) != rows * cols:
-        raise ValueError(f"matrix entries count {len(flat)} != rows*cols {rows * cols}")
-    return flat.reshape(rows, cols)
-
-
 def ray_to_json(x: Ray) -> dict:
     return {"dim": x.dim, "rep": vec_to_json(x.rep)}
 
@@ -128,19 +118,6 @@ def subspace_from_json(data) -> Subspace:
         if len(v) != dim:
             raise ValueError("subspace dim does not match basis vector length")
     return Subspace.from_vectors(vectors, dim=dim)
-
-
-def linear_map_to_json(f: RegularMap) -> dict:
-    return {"dim_in": f.dim_in, "dim_out": f.dim_out, "matrix": mat_to_json(f.matrix)}
-
-
-def regular_map_from_json(data) -> RegularMap:
-    m = mat_from_json(_field(data, "matrix", "a map"))
-    dim_out = _size(_field(data, "dim_out", "a map"), "dim_out")
-    dim_in = _size(_field(data, "dim_in", "a map"), "dim_in")
-    if m.shape != (dim_out, dim_in):
-        raise ValueError("matrix shape does not match declared dimensions")
-    return RegularMap(m)
 
 
 def superposition_spec_from_json(data) -> SuperpositionSpec:

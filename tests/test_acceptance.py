@@ -30,7 +30,7 @@ from raygeo import (
     theta,
 )
 from raygeo.cli import main as cli_main
-from raygeo.morphisms import isometry_map, non_isometry_map
+from raygeo.morphisms import RegularMap, isometry_maps, non_isometry_maps
 from raygeo.sampling import substream
 
 
@@ -176,14 +176,16 @@ def test_criterion_7_morphisms():
     for i in range(100):
         rng = substream(42, "acceptance.morphisms", 3, i)
         dim = int(rng.integers(2, 6))
-        f = isometry_map(rng, dim)
+        m, dim_out = isometry_maps(rng, 1, dim)
+        f = RegularMap(m[0, : dim_out[0]])
         report = preserves_superpositions(f, trials=60, seed=i)
         quantities = check_preserves_p_theta(f, trials=40, seed=i)
         worst_p = max(worst_p, quantities.p_residual)
         worst_t = max(worst_t, quantities.theta_residual)
         if report.preserves and quantities.p_residual < 1e-10 and quantities.theta_residual < 1e-10:
             iso_ok += 1
-        g = non_isometry_map(rng, dim)
+        m, dim_out = non_isometry_maps(rng, 1, dim)
+        g = RegularMap(m[0, : dim_out[0]])
         g_report = preserves_superpositions(g, trials=200, seed=i)
         if (not g_report.preserves) and g_report.witness is not None and isometry_scale(g) is None:
             noniso_ok += 1

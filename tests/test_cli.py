@@ -17,6 +17,15 @@ import raygeo
 from raygeo.cli import main
 
 
+def loads(text):
+    """``json.loads`` that refuses ``NaN`` and ``Infinity``, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -51,7 +60,7 @@ class TestVerify:
             "--laws", "principle.*", "--output", str(out_file),
         )
         assert code == 0
-        reports = json.loads(out_file.read_text())
+        reports = loads(out_file.read_text())
         assert all(r["pass"] for r in reports)
         assert {r["law_id"] for r in reports} >= {"principle.triviality"}
 
@@ -60,7 +69,7 @@ class TestVerify:
             capsys, "verify", "--dims", "2", "--trials", "5", "--laws", "lemma.p*"
         )
         assert code == 0
-        ids = [r["law_id"] for r in json.loads(out)]
+        ids = [r["law_id"] for r in loads(out)]
         assert ids and all(i.startswith("lemma.p") for i in ids)
 
     def test_table_format(self, capsys):
@@ -118,7 +127,7 @@ class TestCompute:
     def test_p_orthogonal_rays(self, capsys, rays):
         code, out, _ = run_cli(capsys, "compute", "p", "--a", rays["e1"], "--b", rays["e2"])
         assert code == 0
-        assert json.loads(out) == {"value": 0.0}
+        assert loads(out) == {"value": 0.0}
 
     def test_theta_worked_triple(self, capsys, rays):
         code, out, _ = run_cli(
@@ -126,7 +135,7 @@ class TestCompute:
             "--a", rays["e1"], "--b", rays["diag"], "--c", rays["circ"],
         )
         assert code == 0
-        assert json.loads(out)["value"] == pytest.approx(-math.pi / 4)
+        assert loads(out)["value"] == pytest.approx(-math.pi / 4)
 
     def test_theta_orthogonal_pair_exit_3(self, capsys, rays):
         code, out, _ = run_cli(
@@ -134,7 +143,7 @@ class TestCompute:
             "--a", rays["e1"], "--b", rays["e2"], "--c", rays["diag"],
         )
         assert code == 3
-        err = json.loads(out)["error"]
+        err = loads(out)["error"]
         assert err["type"] == "OrthogonalPairError"
         assert err["pair"] == ["x", "y"]
 
@@ -149,7 +158,7 @@ class TestCompute:
         )
         code, out, _ = run_cli(capsys, "compute", "project", "--a", rays["e2"], "--b", sub)
         assert code == 0
-        assert json.loads(out) == {"value": None}
+        assert loads(out) == {"value": None}
 
     def test_project_diagonal(self, capsys, rays, tmp_path):
         sub = write_json(
@@ -158,7 +167,7 @@ class TestCompute:
         )
         code, out, _ = run_cli(capsys, "compute", "project", "--a", rays["diag"], "--b", sub)
         assert code == 0
-        rep = json.loads(out)["value"]["rep"]
+        rep = loads(out)["value"]["rep"]
         assert rep[0] == pytest.approx([1.0, 0.0])
 
     def test_coplanar(self, capsys, rays):
@@ -167,7 +176,7 @@ class TestCompute:
             "--a", rays["e1"], "--b", rays["diag"], "--c", rays["circ"],
         )
         assert code == 0
-        assert json.loads(out) == {"value": True}
+        assert loads(out) == {"value": True}
 
     def test_malformed_input_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -181,18 +190,23 @@ class TestCompute:
             {"dim": 2, "rep": 5},
             {"dim": 2, "rep": [[1], [0, 1]]},
             5,
-            pytest.param(
-                {"dim": 2, "rep": [[1e200, 0.0], [1e200, 0.0]]},
-                marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
-            ),
+            {"dim": 2, "rep": [[1e200, 0.0], [1e200, 0.0]]},
+            # np.vecdot reads these squared norms as NaN
+            {"dim": 2, "rep": [[1e308, 1e308], [1e308, 0.0]]},
+            {"dim": 2, "rep": [[1e155, 1e155], [1e155, 0.0]]},
+            # w / inf would leave a zero basis row
+            {"dim": 2, "basis": [[[1e200, 0.0], [0.0, 0.0]]]},
         ],
-        ids=["rep-not-a-list", "entry-not-a-pair", "not-an-object", "norm-overflows"],
+        ids=[
+            "rep-not-a-list", "entry-not-a-pair", "not-an-object", "norm-overflows",
+            "norm-nan", "norm-nan-1e155", "subspace-norm-overflows",
+        ],
     )
     def test_malformed_shape_exit_2(self, capsys, tmp_path, rays, payload):
         bad = write_json(tmp_path / "bad.json", payload)
         code, out, err = run_cli(capsys, "compute", "p", "--a", rays["e1"], "--b", bad)
         assert code == 2
-        assert out == "" and err.startswith("error: ")
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
     def test_deeply_nested_json_exit_2(self, capsys, tmp_path, rays):
@@ -210,7 +224,7 @@ class TestSuperpose:
         )
         code, out, _ = run_cli(capsys, "superpose", "--spec", spec)
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["rep"] == [[1.0, 0.0], [0.0, 0.0]]  # ray JSON, directly reusable
 
     def test_output_feeds_compute(self, capsys, tmp_path, rays):
@@ -222,7 +236,7 @@ class TestSuperpose:
         assert main(["superpose", "--spec", spec, "--output", str(out_ray)]) == 0
         code, out, _ = run_cli(capsys, "compute", "p", "--a", str(out_ray), "--b", rays["e1"])
         assert code == 0
-        assert json.loads(out)["value"] == pytest.approx((2 + math.sqrt(2)) / 4)
+        assert loads(out)["value"] == pytest.approx((2 + math.sqrt(2)) / 4)
 
     def test_orthogonal_components_refused(self, capsys, tmp_path):
         spec = write_json(
@@ -231,7 +245,7 @@ class TestSuperpose:
         )
         code, out, _ = run_cli(capsys, "superpose", "--spec", spec)
         assert code == 3
-        assert json.loads(out)["error"]["type"] == "OrthogonalComponentsError"
+        assert loads(out)["error"]["type"] == "OrthogonalComponentsError"
 
     def test_worked_example_with_report(self, capsys, tmp_path, rays):
         spec = write_json(
@@ -242,7 +256,7 @@ class TestSuperpose:
             capsys, "superpose", "--spec", spec, "--report-p", rays["e1"]
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         rt2 = math.sqrt(2.0)
         norm = math.hypot(1 / rt2 + 0.5, 0.5)
         assert payload["ray"]["rep"][0][0] == pytest.approx((1 / rt2 + 0.5) / norm)
@@ -259,7 +273,7 @@ class TestSuperpose:
         )
         code, out, _ = run_cli(capsys, "superpose", "--spec", spec, "--report-p", rays["diag"])
         assert code == 0
-        report = json.loads(out)["p_report"]
+        report = loads(out)["p_report"]
         assert report["closed_form"] == pytest.approx(report["direct"], abs=1e-9)
         assert report["direct"] == pytest.approx(1.0, abs=1e-9)
 
@@ -269,7 +283,7 @@ class TestSearch:
         # seed 0 finds its first witness at trial index 1
         code, out, _ = run_cli(capsys, "search", "--seed", "0", "--budget", "1")
         assert code == 1
-        assert json.loads(out)["result"] == "NotFound"
+        assert loads(out)["result"] == "NotFound"
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_usage_error(self, capsys, budget):
@@ -288,12 +302,12 @@ class TestSearch:
     def test_largest_seed_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--seed", str(2**64 - 1), "--budget", "100000")
         assert code == 0
-        assert json.loads(out)["margin"] > 0
+        assert loads(out)["margin"] > 0
 
     def test_default_seed_finds_witness(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--seed", "42", "--budget", "100000")
         assert code == 0
-        payload = json.loads(out)
+        payload = loads(out)
         assert payload["margin"] > 1e-10
         assert payload["squared_margin"] >= -1e-12
         p = payload["p_values"]
@@ -315,7 +329,7 @@ class TestDemoTwoSlit:
         )
         code, out, _ = run_cli(capsys, "demo-two-slit", "--config", config, "--format", "json")
         assert code == 0
-        for row in json.loads(out)["rows"]:
+        for row in loads(out)["rows"]:
             assert abs(row["interference"]) < 1e-12
 
     def test_real_config_matches_formula(self, capsys, tmp_path):
@@ -334,7 +348,7 @@ class TestDemoTwoSlit:
         )
         code, out, _ = run_cli(capsys, "demo-two-slit", "--config", config, "--format", "json")
         assert code == 0
-        rows = json.loads(out)["rows"]
+        rows = loads(out)["rows"]
         w = omega(r, y, z)
         state = superpose(SuperpositionSpec(y=y, z=z, r=r))
         for row, d in zip(rows, detectors):
@@ -365,32 +379,60 @@ class TestDemoTwoSlit:
         assert len(out.strip().splitlines()) == 10  # header + 9 detectors
 
 
-def test_installed_entry_point_runs():
+def run_child(*argv, **env):
+    """Run the CLI in a child process, with ``env`` over a copy of this
+    process's environment from which ``OPENBLAS_CORETYPE`` is removed."""
     # the child imports the package under test, not whichever copy is installed
     package_dir = os.path.dirname(os.path.dirname(raygeo.__file__))
     path = os.pathsep.join(filter(None, [package_dir, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "raygeo.cli", "verify", "--dims", "2", "--trials", "5",
-         "--laws", "linalg.*"],
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    return subprocess.run(
+        [sys.executable, "-m", "raygeo.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**inherited, "PYTHONPATH": path, **env},
     )
+
+
+def test_installed_entry_point_runs():
+    result = run_child("verify", "--dims", "2", "--trials", "5", "--laws", "linalg.*")
     assert result.returncode == 0
-    assert json.loads(result.stdout)
+    assert loads(result.stdout)
+
+
+def test_reports_agree_across_blas_kernels():
+    """Across CPU kernels every report field but ``worst_residual`` holds,
+    and ``worst_residual`` stays within tolerance.
+
+    The second run forces OpenBLAS's Prescott kernel through
+    ``OPENBLAS_CORETYPE``, which acts on that child process only.  Where
+    numpy is not built on OpenBLAS the variable does nothing, and both
+    runs use the same kernel.
+    """
+    argv = ("verify", "--dims", "2,3", "--trials", "50", "--seed", "7")
+    runs = [run_child(*argv), run_child(*argv, OPENBLAS_CORETYPE="Prescott")]
+    assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+    default, prescott = (loads(r.stdout) for r in runs)
+
+    def fixed(rows):
+        return [{k: v for k, v in row.items() if k != "worst_residual"} for row in rows]
+
+    assert fixed(default) == fixed(prescott)
+    for row in default + prescott:
+        assert row["worst_residual"] <= row["tolerance"], row["law_id"]
 
 
 def test_env_seed_is_honored(capsys, monkeypatch):
     monkeypatch.setenv("RAYGEO_SEED", "123")
     code, out, _ = run_cli(capsys, "verify", "--dims", "2", "--trials", "5", "--laws", "linalg.cauchy*")
     assert code == 0
-    assert json.loads(out)[0]["seed"] == 123
+    assert loads(out)[0]["seed"] == 123
     # explicit flag wins over the environment
     code, out, _ = run_cli(
         capsys, "verify", "--dims", "2", "--trials", "5", "--laws", "linalg.cauchy*", "--seed", "7"
     )
-    assert json.loads(out)[0]["seed"] == 7
+    assert loads(out)[0]["seed"] == 7
 
 
 SMALL_VERIFY = ("verify", "--dims", "2", "--trials", "5", "--laws", "linalg.cauchy*")
@@ -425,7 +467,7 @@ def test_verify_seed_outside_64_bits_is_usage_error(capsys, seed):
 def test_verify_seed_bounds_accepted(capsys, seed):
     code, out, _ = run_cli(capsys, *SMALL_VERIFY, "--seed", str(seed))
     assert code == 0
-    assert json.loads(out)[0]["seed"] == seed
+    assert loads(out)[0]["seed"] == seed
 
 
 # -- fuzz: arbitrary JSON into every decoder ------------------------------
@@ -474,6 +516,9 @@ def test_decoders_never_raise(tmp_path, payload, which):
     good_ray = write_json(tmp_path / "ray.json", GOOD_RAY)
     good_spec = write_json(tmp_path / "spec.json", GOOD_SPEC)
     argv = _fuzz_commands(bad, good_ray, good_spec)[which]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)  # an exception here is a traceback for the user
     assert code in (0, 2, 3), (argv, payload)
+    if out.getvalue():
+        loads(out.getvalue())

@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 
 from raygeo import (
     DimensionMismatchError,
-    circular_distance,
     inner,
     norm,
     orthonormalize,
-    wrap_angle,
 )
-from raygeo.linalg import ANGLE_GUARD, EPS_ABS
+from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distances, wrap_angles
 
 RT2 = math.sqrt(2.0)
 
@@ -58,10 +56,10 @@ class TestWrapAngle:
         [(0.0, 0.0), (math.pi, math.pi), (-math.pi, math.pi), (3 * math.pi, math.pi), (2 * math.pi, 0.0)],
     )
     def test_branch(self, raw, expected):
-        assert wrap_angle(raw) == pytest.approx(expected)
+        assert wrap_angles(raw) == pytest.approx(expected)
 
     def test_circular_distance_crosses_cut(self):
-        assert circular_distance(math.pi - 0.01, -math.pi + 0.01) == pytest.approx(0.02)
+        assert circular_distances(math.pi - 0.01, -math.pi + 0.01) == pytest.approx(0.02)
 
 
 class TestOrthonormalize:
@@ -101,6 +99,12 @@ class TestOrthonormalize:
             vecs = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(k)]
             assert len(orthonormalize(vecs)) == np.linalg.matrix_rank(np.array(vecs))
 
+    @pytest.mark.parametrize("row", [[1e200, 0.0], [1e155 + 1e155j, 0.0]])
+    def test_overflowing_norm_rejected(self, row):
+        # w / inf would keep a zero row in the basis
+        with pytest.raises(ValueError, match="overflows"):
+            orthonormalize([np.array(row)])
+
 
 class TestTolerance:
     def test_defaults(self):
@@ -130,7 +134,7 @@ def test_cauchy_schwarz(parts):
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
 def test_wrap_angle_is_canonical(angle):
-    wrapped = wrap_angle(angle)
+    wrapped = float(wrap_angles(angle))
     assert -math.pi < wrapped <= math.pi
     assert math.cos(wrapped) == pytest.approx(math.cos(angle), abs=1e-9)
     assert math.sin(wrapped) == pytest.approx(math.sin(angle), abs=1e-9)

@@ -19,12 +19,11 @@ from raygeo import (
     coplanar,
     is_member,
     is_orthogonal,
-    isometry_scale,
     preserves_superpositions,
     search_nonsquared_counterexample,
 )
 from raygeo import sampling
-from raygeo.morphisms import isometry_map, non_isometry_map
+from raygeo.morphisms import RegularMap, isometry_maps, isometry_scales, non_isometry_maps
 from raygeo.sampling import MIN_OVERLAP, keyed_generator, keyed_generators, law_stream_key, substream
 
 
@@ -93,8 +92,10 @@ class TestSamplers:
     def test_isometry_scale_classifies_maps(self):
         for rng in streams(16, 3):
             scale = float(rng.uniform(0.5, 2.0))
-            assert isometry_scale(isometry_map(rng, 3, scale=scale)) == pytest.approx(scale, abs=1e-12)
-            assert isometry_scale(non_isometry_map(rng, 3)) is None
+            m, _ = isometry_maps(rng, 1, 3, scale=scale)
+            assert isometry_scales(m)[0] == pytest.approx(scale, abs=1e-12)
+            m, _ = non_isometry_maps(rng, 1, 3)
+            assert np.isnan(isometry_scales(m)[0])
 
 
 class TestKeyedGenerator:
@@ -147,6 +148,6 @@ class TestKeyedGenerator:
         ids=["search", "preserves_superpositions", "check_preserves_p_theta", "check_char_morph"],
     )
     def test_seed_outside_64_bits_rejected(self, call, seed):
-        f = isometry_map(substream(17, "test.sampling", 3, 0), 3)
+        f = RegularMap(np.eye(3))
         with pytest.raises(ValueError, match="seed must lie"):
             call(seed, f)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raygeo import RayGeoError, Subspace, ray_from
-from raygeo.morphisms import RegularMap
 from raygeo import serialize
 
 
@@ -28,11 +27,7 @@ class TestScalarsVectors:
         data = serialize.mat_to_json(m)
         assert data["rows"] == 2 and data["cols"] == 2
         assert data["entries"][1] == [0.0, 2.0]  # row-major order
-        np.testing.assert_allclose(serialize.mat_from_json(data), m)
-
-    def test_matrix_count_validated(self):
-        with pytest.raises(ValueError):
-            serialize.mat_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
+        np.testing.assert_allclose(serialize.vec_from_json(data["entries"]).reshape(2, 2), m)
 
 
 class TestRaySubspace:
@@ -59,20 +54,6 @@ class TestRaySubspace:
             serialize.ray_from_json({"dim": 3, "rep": [[1.0, 0.0]]})
 
 
-class TestMaps:
-    def test_linear_map_roundtrip(self):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        f = RegularMap(m)
-        back = serialize.regular_map_from_json(serialize.linear_map_to_json(f))
-        np.testing.assert_allclose(back.matrix, m)
-
-    def test_shape_mismatch_rejected(self):
-        data = {"dim_in": 3, "dim_out": 2, "matrix": serialize.mat_to_json(np.eye(2))}
-        with pytest.raises(ValueError):
-            serialize.regular_map_from_json(data)
-
-
 class TestSuperpositionSpec:
     def test_from_json(self):
         data = {
@@ -90,8 +71,7 @@ _json = st.recursive(
     st.none() | st.booleans() | _numbers | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(
-        st.sampled_from(["dim", "rep", "basis", "rows", "cols", "entries", "matrix",
-                         "dim_in", "dim_out", "y", "z", "r"]),
+        st.sampled_from(["dim", "rep", "basis", "y", "z", "r"]),
         inner,
         max_size=6,
     ),
@@ -99,17 +79,14 @@ _json = st.recursive(
 )
 _DECODERS = [
     serialize.vec_from_json,
-    serialize.mat_from_json,
     serialize.ray_from_json,
     serialize.subspace_from_json,
     serialize.superposition_spec_from_json,
-    serialize.regular_map_from_json,
 ]
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=_json, which=st.integers(0, len(_DECODERS) - 1))
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_decoders_refuse_malformed_data_with_value_error(data, which):
     """A decoder returns a value, or raises ValueError (malformed) or a
     RayGeoError (a domain precondition); never TypeError or IndexError."""
