@@ -65,23 +65,30 @@ def norms(u) -> np.ndarray:
     return np.sqrt(np.vecdot(u, u).real)
 
 
-def checked_norms(u) -> np.ndarray:
-    """:func:`norms` of stacked vectors from outside the library, checked
-    to be finite: a non-finite entry makes its norm non-finite.
+def checked_rows(u) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked vectors from outside the library, checked to be finite,
+    and their :func:`norms`.  A row whose squared norm overflows is
+    first divided by its largest real or imaginary part in absolute
+    value, which keeps its ray and its span; every other row is
+    returned as given.
 
     Raises
     ------
     ValueError
-        If an entry is not finite, or a squared norm overflows (the
-        arithmetic reads it as inf or NaN).
+        If an entry is not finite.
     """
+    u = np.asarray(u, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         n = norms(u)
     if not np.isfinite(n).all():
         if not np.isfinite(u).all():
             raise ValueError("vector entries must be finite")
-        raise ValueError("the vector norm overflows the float range")
-    return n
+        big = ~np.isfinite(n)
+        rows = u[big]
+        u = u.copy()
+        u[big] = rows / np.abs(rows.view(np.float64)).max(axis=-1, keepdims=True)
+        n = norms(u)
+    return u, n
 
 
 def norm(u) -> float:
@@ -147,8 +154,7 @@ def orthonormalize(vectors) -> list[np.ndarray]:
     Raises
     ------
     ValueError
-        If a vector is empty, not one-dimensional, or not finite, or
-        its norm overflows.
+        If a vector is empty, not one-dimensional, or not finite.
     DimensionMismatchError
         If the vectors differ in length.
     """
@@ -165,7 +171,7 @@ def orthonormalize(vectors) -> list[np.ndarray]:
         raise
     if mat.ndim != 2 or mat.shape[1] == 0:
         raise ValueError("expected non-empty one-dimensional vectors")
-    checked_norms(mat)  # an overflowing norm would keep a zero row: w / inf
+    mat = checked_rows(mat)[0]  # unscaled, an overflowing norm would keep a zero row: w / inf
     basis, kept = orthonormalize_rows(mat)
     basis = basis[kept]
     basis.flags.writeable = False

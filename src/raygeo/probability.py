@@ -274,6 +274,12 @@ class InterferenceWitness:
 #: candidate 0, two thirds within four), so the first passes are small.
 SEARCH_CHUNKS = (4, 8, 16, 32, 64)
 
+#: Where a candidate's ``4·ra + 3·rb`` normal draws land in its row of
+#: 14, by ranks ``(ra, rb)``: frame a (3, ra) in the (3, 2) cells 0–5,
+#: frame b (3, rb) in cells 6–11, then the ``ra`` coefficients of x in
+#: a.  A rank-1 frame's column 1 and an unused coefficient stay zero.
+_DRAW_SLOTS = {(ra, rb): np.r_[0:6:3 - ra, 6:12:3 - rb, 12 : 12 + ra] for ra in (1, 2) for rb in (1, 2)}
+
 
 def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitness | None:
     """Random search over real 3-dimensional instances for a violation of
@@ -322,16 +328,17 @@ def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitn
 def _first_witness(start: int, count: int, rngs) -> InterferenceWitness | None:
     """The first witness among the next ``count`` candidates of ``rngs``,
     whose trial indices begin at ``start``, or ``None``."""
-    ranks = np.empty((count, 2), dtype=np.intp)
-    frames = np.zeros((2, count, 3, 2))  # alpha, beta; a rank-1 frame's column 1 stays zero
-    coeffs = np.zeros((count, 2))
-    for i, rng in enumerate(itertools.islice(rngs, count)):
-        ra, rb = rng.integers(1, 3, size=2).tolist()
-        z = rng.standard_normal(4 * ra + 3 * rb)  # frame a (3, ra), frame b (3, rb), x in a
-        frames[0, i, :, :ra] = z[: 3 * ra].reshape(3, ra)
-        frames[1, i, :, :rb] = z[3 * ra : 3 * (ra + rb)].reshape(3, rb)
-        coeffs[i, :ra] = z[3 * (ra + rb) :]
-        ranks[i] = ra, rb
+    draws = np.zeros((count, 14))
+    ranks = []
+    for row, rng in zip(draws, itertools.islice(rngs, count)):
+        # two scalar draws take the two halves of one 64-bit word, as
+        # integers(1, 3, size=2) does, and leave the generator in the same state
+        ra, rb = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        row[_DRAW_SLOTS[ra, rb]] = rng.standard_normal(4 * ra + 3 * rb)
+        ranks.append((ra, rb))
+    ranks = np.array(ranks)
+    frames = draws[:, :12].reshape(count, 2, 3, 2).swapaxes(0, 1)  # alpha, beta
+    coeffs = draws[:, 12:]
     # column 0 of a zero-padded QR is the one-column QR; the padding's own
     # Q column is no part of the proposition
     qa, qb = np.where(ranks.T[..., np.newaxis, np.newaxis] > np.arange(2), np.linalg.qr(frames)[0], 0.0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
-from .linalg import EPS_ABS, checked_norms, norms, orthonormalize
+from .linalg import EPS_ABS, checked_rows, norms, orthonormalize
 
 
 class ZeroProjection:
@@ -94,7 +94,7 @@ def ray_from(v) -> Ray:
     ZeroVectorError
         If ``norm(v) <= EPS_ABS``.
     ValueError
-        If ``v`` is not a finite vector, or its norm overflows.
+        If ``v`` is not a finite vector.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 1 or v.size == 0:
@@ -105,19 +105,22 @@ def ray_from(v) -> Ray:
 def rays_from(v) -> np.ndarray:
     """Canonical representatives of the rays spanned by the rows of a
     (..., d) stack: the stacked form of :func:`ray_from`, row for row
-    the same unit vector and the same leading entry.
+    the same unit vector and the same leading entry.  A row whose
+    squared norm overflows is rescaled first
+    (:func:`~raygeo.linalg.checked_rows`), since a ray has no scale.
 
     Raises
     ------
     ZeroVectorError
         If some row has norm ``<= EPS_ABS``.
     ValueError
-        If some entry is not finite, or some row norm overflows.
+        If some entry is not finite.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("expected a stack of non-empty vectors")
-    n = checked_norms(v)[..., np.newaxis]
+    v, n = checked_rows(v)
+    n = n[..., np.newaxis]
     if (n <= EPS_ABS).any():
         raise ZeroVectorError(f"cannot span a ray from a vector of norm {n.min():.3e}")
     u = v / n

@@ -87,9 +87,12 @@ def keyed_generators(seed: int, words) -> Iterator[np.random.Generator]:
     counter, so each yielded generator draws exactly what a fresh one
     with that key would.  The same object is yielded every time, so a
     caller finishes its draws before requesting the next word; nothing
-    is shared between calls.  Re-keying costs a state assignment, where
-    a new ``Philox`` also seeds a ``SeedSequence`` from OS entropy only
-    to discard it.
+    is shared between calls.  The state dict and its key array are
+    built once per call, on the second word, and each later word is
+    written into that key, so a re-key costs one assignment of the same
+    dict, where a new ``Philox`` also seeds a ``SeedSequence`` from OS
+    entropy only to discard it.  A one-word call, such as
+    :func:`substream`, builds neither.
 
     Raises
     ------
@@ -99,19 +102,22 @@ def keyed_generators(seed: int, words) -> Iterator[np.random.Generator]:
     """
     check_seed(seed)
     for i, word in enumerate(words):
-        key = np.array([seed, word], dtype=np.uint64)
         if i == 0:
-            bits = np.random.Philox(key=key)
+            bits = np.random.Philox(key=np.array([seed, word], dtype=np.uint64))
             rng = np.random.Generator(bits)
         else:
-            bits.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-                "buffer": np.zeros(4, dtype=np.uint64),
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            if i == 1:
+                key = np.array([seed, 0], dtype=np.uint64)
+                state = {
+                    "bit_generator": "Philox",
+                    "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                    "buffer": np.zeros(4, dtype=np.uint64),
+                    "buffer_pos": 4,
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+            key[1] = word
+            bits.state = state
         yield rng
 
 

@@ -190,16 +190,15 @@ class TestCompute:
             {"dim": 2, "rep": 5},
             {"dim": 2, "rep": [[1], [0, 1]]},
             5,
-            {"dim": 2, "rep": [[1e200, 0.0], [1e200, 0.0]]},
-            # np.vecdot reads these squared norms as NaN
-            {"dim": 2, "rep": [[1e308, 1e308], [1e308, 0.0]]},
-            {"dim": 2, "rep": [[1e155, 1e155], [1e155, 0.0]]},
-            # w / inf would leave a zero basis row
-            {"dim": 2, "basis": [[[1e200, 0.0], [0.0, 0.0]]]},
+            # Python's json reads NaN and Infinity, and 1e400 as inf
+            {"dim": 2, "rep": [[math.nan, 0.0], [1.0, 0.0]]},
+            {"dim": 2, "rep": [[1.0, 0.0], [1.0, -math.inf]]},
+            {"dim": 2, "basis": [[[math.nan, 0.0], [0.0, 0.0]]]},
+            {"dim": 2, "basis": [[[math.inf, 0.0], [1e200, 0.0]]]},
         ],
         ids=[
-            "rep-not-a-list", "entry-not-a-pair", "not-an-object", "norm-overflows",
-            "norm-nan", "norm-nan-1e155", "subspace-norm-overflows",
+            "rep-not-a-list", "entry-not-a-pair", "not-an-object", "entry-nan",
+            "entry-inf", "subspace-entry-nan", "subspace-entry-inf",
         ],
     )
     def test_malformed_shape_exit_2(self, capsys, tmp_path, rays, payload):
@@ -207,6 +206,27 @@ class TestCompute:
         code, out, err = run_cli(capsys, "compute", "p", "--a", rays["e1"], "--b", bad)
         assert code == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "payload, unit",
+        [
+            ({"dim": 2, "rep": [[1e200, 0.0], [1e200, 0.0]]}, {"dim": 2, "rep": [[1.0, 0.0], [1.0, 0.0]]}),
+            # np.vecdot reads these squared norms as NaN
+            ({"dim": 2, "rep": [[1e308, 1e308], [1e308, 0.0]]}, {"dim": 2, "rep": [[1.0, 1.0], [1.0, 0.0]]}),
+            ({"dim": 2, "rep": [[1e155, 1e155], [1e155, 0.0]]}, {"dim": 2, "rep": [[1.0, 1.0], [1.0, 0.0]]}),
+            ({"dim": 2, "basis": [[[1e200, 0.0], [0.0, 0.0]]]}, {"dim": 2, "basis": [[[1.0, 0.0], [0.0, 0.0]]]}),
+        ],
+        ids=["norm-overflows", "norm-nan", "norm-nan-1e155", "subspace-norm-overflows"],
+    )
+    def test_overflowing_norm_rescaled(self, capsys, tmp_path, rays, payload, unit):
+        # a ray has no scale: a finite vector whose squared norm overflows
+        # gives the p of the same vector at unit scale
+        big = write_json(tmp_path / "big.json", payload)
+        small = write_json(tmp_path / "small.json", unit)
+        code, out, err = run_cli(capsys, "compute", "p", "--a", rays["e1"], "--b", big)
+        assert code == 0 and err == ""
+        _, expected, _ = run_cli(capsys, "compute", "p", "--a", rays["e1"], "--b", small)
+        assert loads(out)["value"] == pytest.approx(loads(expected)["value"], abs=1e-15)
 
 
     def test_deeply_nested_json_exit_2(self, capsys, tmp_path, rays):

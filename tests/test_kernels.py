@@ -351,8 +351,8 @@ def test_rays_from_checks_like_ray_from():
         (1e-11, ZeroVectorError),
         (math.nan, ValueError),
         (math.inf, ValueError),
-        (1e300, ValueError),  # the norm overflows
-        (1e155 + 1e155j, ValueError),  # the squared norm reads NaN
+        (complex(0.0, -math.inf), ValueError),
+        (complex(math.nan, 1e300), ValueError),
     ):
         rows = good.copy()
         rows[1] = bad
@@ -360,6 +360,20 @@ def test_rays_from_checks_like_ray_from():
             rays_from(rows)
         with pytest.raises(error):
             ray_from(rows[1])
+
+
+@pytest.mark.parametrize("big", [1e300, 1e155 + 1e155j, 1e308 - 1e308j])
+def test_rays_from_rescales_overflowing_rows(big):
+    # a finite row whose squared norm overflows (1e300) or reads NaN is the
+    # same ray at unit scale; the other rows take the plain path, bit for bit
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    plain = rays_from(rows)
+    rows[1] = big * np.array([1.0, 0.5j])
+    got = rays_from(rows)
+    assert np.array_equal(got[[0, 2]], plain[[0, 2]])
+    assert p_sims(got[1], ray_from([1.0, 0.5j]).rep) == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(ray_from(rows[1]).rep, got[1])
 
 
 @pytest.mark.parametrize("dim", DIMS)

@@ -100,10 +100,16 @@ class TestOrthonormalize:
             assert len(orthonormalize(vecs)) == np.linalg.matrix_rank(np.array(vecs))
 
     @pytest.mark.parametrize("row", [[1e200, 0.0], [1e155 + 1e155j, 0.0]])
-    def test_overflowing_norm_rejected(self, row):
-        # w / inf would keep a zero row in the basis
-        with pytest.raises(ValueError, match="overflows"):
-            orthonormalize([np.array(row)])
+    def test_overflowing_norm_rescaled(self, row):
+        # the row is rescaled before Gram–Schmidt, where w / inf would
+        # keep a zero row; its span is e1
+        (basis,) = orthonormalize([np.array(row), [1e200, 0.0]])
+        assert abs(inner(basis, [1.0, 0.0])) ** 2 == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("row", [[math.nan, 0.0], [1.0, math.inf], [complex(0.0, -math.inf), 1e200]])
+    def test_nonfinite_entry_rejected(self, row):
+        with pytest.raises(ValueError, match="must be finite"):
+            orthonormalize([np.array(row, dtype=complex)])
 
 
 class TestTolerance:

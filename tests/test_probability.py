@@ -36,8 +36,8 @@ from raygeo import (
     subspaces_equal,
 )
 from raygeo.linalg import EPS_ABS
-from raygeo.probability import SEARCH_CHUNKS, interference_chain
-from raygeo.sampling import keyed_generator
+from raygeo.probability import _DRAW_SLOTS, SEARCH_CHUNKS, interference_chain
+from raygeo.sampling import keyed_generator, keyed_generators
 
 E3 = np.eye(3)
 E5 = np.eye(5)
@@ -351,6 +351,36 @@ class TestNonsquaredSearch:
         assert search_nonsquared_counterexample(seed=seed, budget=index) is None
         w = search_nonsquared_counterexample(seed=seed, budget=index + 1)
         _assert_same_witness(w, _reference_search(seed, index + 1))
+
+    def test_scalar_rank_draws_match_pair_draw(self):
+        # the search draws its two ranks as two scalars; numpy's bounded
+        # draw below 2**32 reads next_uint32 in both forms, so the scalars
+        # are the two halves of the word that size=2 reads, and the
+        # generator is left in the same state
+        def state(rng):
+            s = rng.bit_generator.state
+            return s["state"]["counter"].tolist(), s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"]
+
+        for scalar, pair in zip(keyed_generators(3, range(10_000)), keyed_generators(3, range(10_000))):
+            assert [int(scalar.integers(1, 3)), int(scalar.integers(1, 3))] == pair.integers(1, 3, size=2).tolist()
+            assert state(scalar) == state(pair)
+            assert scalar.standard_normal(7).tolist() == pair.standard_normal(7).tolist()
+
+    @pytest.mark.parametrize("ranks", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_draw_slots_match_slice_assignments(self, ranks):
+        # one fancy-index assignment per candidate places its draws where
+        # the three slice assignments of frame a, frame b and x put them
+        ra, rb = ranks
+        z = np.random.default_rng(ra + 2 * rb).standard_normal(4 * ra + 3 * rb)
+        frames = np.zeros((2, 3, 2))
+        coeffs = np.zeros(2)
+        frames[0, :, :ra] = z[: 3 * ra].reshape(3, ra)
+        frames[1, :, :rb] = z[3 * ra : 3 * (ra + rb)].reshape(3, rb)
+        coeffs[:ra] = z[3 * (ra + rb) :]
+        row = np.zeros(14)
+        row[_DRAW_SLOTS[ra, rb]] = z
+        assert np.array_equal(row[:12].reshape(2, 3, 2), frames)
+        assert np.array_equal(row[12:], coeffs)
 
     def test_concurrent_searches_match_pinned(self):
         # every call keys its own generator, so threads need no lock; ten

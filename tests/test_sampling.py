@@ -131,6 +131,19 @@ class TestKeyedGenerator:
         for word, got in zip(words, rekeyed, strict=True):
             np.testing.assert_array_equal(got, draws(keyed_generator(seed, word)))
 
+    def test_rekeyed_state_not_shared_between_calls(self):
+        # two calls advanced in turn, with a half-word left buffered between
+        # steps: a state dict or key array shared across calls would leak
+        # one call's key or buffer into the other's draws
+        def draws(rng):
+            return np.concatenate([rng.integers(0, 2**32, size=1), rng.standard_normal(3)])
+
+        words = range(6)
+        calls = {5: keyed_generators(5, words), 2**64 - 1: keyed_generators(2**64 - 1, words)}
+        for word in words:
+            for seed, rngs in calls.items():
+                np.testing.assert_array_equal(draws(next(rngs)), draws(keyed_generator(seed, word)))
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_generators_reject_seed_before_any_draw(self, seed):
         with pytest.raises(ValueError, match="seed must lie"):
