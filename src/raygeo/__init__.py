@@ -33,7 +33,6 @@ from .rays import (
     Ray,
     Subspace,
     commutes,
-    containment_defect,
     is_member,
     is_orthogonal,
     join,

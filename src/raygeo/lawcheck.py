@@ -87,7 +87,7 @@ class GeneratorSpec:
     trials_per_dim : int
         Trials per law per dimension (laws may pin their own count).
     seed : int
-        Base seed for the substream scheme, in [0, 2**64).
+        Base seed for the substream scheme, an integer in [0, 2**64).
     """
 
     dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
@@ -97,6 +97,9 @@ class GeneratorSpec:
     def __post_init__(self):
         if not self.dims:
             raise ValueError("dims must be non-empty")
+        counts = (*self.dims, self.trials_per_dim)
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in counts):
+            raise ValueError("dims and trials_per_dim must be integers")
         if any(d < MIN_DIM or d > MAX_DIM for d in self.dims):
             raise ValueError(f"dims must lie within [{MIN_DIM}, {MAX_DIM}]")
         if len(set(self.dims)) != len(self.dims):  # a repeated dim redraws its substreams
@@ -104,6 +107,10 @@ class GeneratorSpec:
         if not 1 <= self.trials_per_dim <= MAX_TRIALS:
             raise ValueError(f"trials_per_dim must lie within [1, {MAX_TRIALS}]")
         check_seed(self.seed)
+        # numpy integers are held as ints, which reports serialize
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
+        object.__setattr__(self, "trials_per_dim", int(self.trials_per_dim))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass

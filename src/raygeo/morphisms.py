@@ -189,7 +189,7 @@ def preserves_superpositions(f: RegularMap, trials: int = 500, seed: int = 0) ->
     Raises
     ------
     ValueError
-        If ``seed`` lies outside [0, 2**64).
+        If ``seed`` is not an integer in [0, 2**64).
     """
     y, z, r = _superposition_samples(trials, seed, f.dim_in)
     residual, kept = superposition_residuals(f.matrix, y, z, r)
@@ -248,7 +248,7 @@ def check_preserves_p_theta(f: RegularMap, trials: int = 200, seed: int = 0) -> 
     NotIsometryError
         If the map is not an isometry up to scale.
     ValueError
-        If ``seed`` lies outside [0, 2**64).
+        If ``seed`` is not an integer in [0, 2**64).
     """
     if isometry_scale(f) is None:
         raise NotIsometryError("p/theta preservation holds only for isometries")

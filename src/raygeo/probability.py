@@ -91,15 +91,36 @@ def check_inclusion_exclusion(x: Ray, a: Subspace, b: Subspace) -> float:
     return float(inclusion_exclusion_residuals(a.basis.T, b.basis.T, x.rep))
 
 
+def measurement_chain(x, *qs) -> tuple[np.ndarray, ...]:
+    """The similarities p(x, q₁), p(q₁(x), q₂), … of successive
+    measurement (Lüders' rule) on stacked instances, shape (...) each.
+
+    Each of ``qs`` has shape (..., d, k) and orthonormal columns (zero
+    columns span nothing, so stacks of mixed rank pad with zeros); ``x``
+    holds unit vectors, shape (..., d).  Each similarity is the squared
+    norm of the projection of the state before it, which is then
+    normalized.  After a similarity of zero the state stays
+    unnormalized, and the later values of that row are meaningless.
+    """
+    ps = []
+    u = x
+    for q in qs:
+        if ps:
+            u = u / np.sqrt(np.where(ps[-1] > 0.0, ps[-1], 1.0))[..., np.newaxis]
+        u = project_rows(q, u)
+        ps.append(np.vecdot(u, u).real)
+    return tuple(ps)
+
+
 def chain_rule_residuals(qa, qb, x) -> np.ndarray:
     """|p(x, a∧b) − p(x, a)·p(a(x), b)| over stacked propositions and
-    states, for commuting a, b.  When x ⊥ a the conditional is on a
-    null event, and the residual is p(x, a∧b) itself, which must vanish.
+    states, for commuting a, b, read from :func:`measurement_chain`.
+    When p(x, a) is at most ``EPS_ABS`` the conditional is on a null
+    event, and the residual is p(x, a∧b) itself, which must vanish.
     """
-    p_xa = p_props(qa, x)
     p_meet = p_props(meets(qa, qb), x)
-    ax, zero = project_rays(qa, x)
-    return np.where(zero | (p_xa <= EPS_ABS), p_meet, np.abs(p_meet - p_xa * p_props(qb, ax)))
+    p_xa, p_axb = measurement_chain(x, qa, qb)
+    return np.where(p_xa <= EPS_ABS, p_meet, np.abs(p_meet - p_xa * p_axb))
 
 
 def check_chain_rule(x: Ray, a: Subspace, b: Subspace) -> float:
@@ -127,8 +148,9 @@ def check_total_probability(x: Ray, a: Subspace, b: Subspace) -> float:
     """Residual of p(x,b) = p(x,a)·p(a(x),b) + p(x,¬a)·p(¬a(x),b).
 
     Requires commuting propositions, or the weaker local condition of
-    :func:`total_probability_defined`.  Terms conditioned on a null
-    event (p(x,a) = 0 or p(x,¬a) = 0) contribute zero.
+    :func:`total_probability_defined`.  The single form of
+    :func:`total_probability_residuals`: a term conditioned on a null
+    event (p(x,a) or p(x,¬a) at most ``EPS_ABS``) contributes zero.
 
     Raises
     ------
@@ -141,7 +163,8 @@ def check_total_probability(x: Ray, a: Subspace, b: Subspace) -> float:
             "commuting or locally-commuting-at-x",
             "propositions neither commute nor locally commute at the given state",
         )
-    return total_probability_residual(x, a, b)
+    qa = a.basis.T
+    return float(total_probability_residuals(qa, complements(qa), b.basis.T, x.rep))
 
 
 def total_probability_residuals(qa, qna, qb, x) -> np.ndarray:
@@ -151,27 +174,15 @@ def total_probability_residuals(qa, qna, qb, x) -> np.ndarray:
     ``qa``, ``qna`` and ``qb`` have shape (..., d, k) and orthonormal
     columns spanning a, ¬a and b (zero columns span nothing); ``x``
     holds unit vectors, shape (..., d).  A term conditioned on a null
-    event (weight at most ``EPS_ABS``) contributes zero.
+    event (weight at most ``EPS_ABS``) contributes zero.  On
+    non-commuting propositions the residual measures how far the law
+    fails.
     """
     total = 0.0
     for q in (qa, qna):
-        px = project_rows(q, x)
-        weight = np.vecdot(px, px).real
-        kept = weight > EPS_ABS
-        bpx = project_rows(qb, px / np.sqrt(np.where(kept, weight, 1.0))[..., np.newaxis])
-        total = total + np.where(kept, weight * np.vecdot(bpx, bpx).real, 0.0)
-    bx = project_rows(qb, x)
-    return np.abs(np.vecdot(bx, bx).real - total)
-
-
-def total_probability_residual(x: Ray, a: Subspace, b: Subspace) -> float:
-    """The residual of :func:`check_total_probability` without its
-    precondition check; on non-commuting propositions it measures how
-    far the law of total probability fails.  The single form of
-    :func:`total_probability_residuals`."""
-    require_dims(x, a, b)
-    qa = a.basis.T
-    return float(total_probability_residuals(qa, complements(qa), b.basis.T, x.rep))
+        weight, p_b = measurement_chain(x, q, qb)
+        total = total + np.where(weight > EPS_ABS, weight * p_b, 0.0)
+    return np.abs(measurement_chain(x, qb)[0] - total)
 
 
 def check_interference_inequality(x: Ray, a: Subspace, b: Subspace) -> float:
@@ -181,47 +192,23 @@ def check_interference_inequality(x: Ray, a: Subspace, b: Subspace) -> float:
 
         p(x,b)·(1 − p(b(x),a))²  ≤  p(b(x),a)·(1 − p(a(b(x)),b))
 
-    which must be ≥ 0 up to rounding: the single-instance form of
-    :func:`interference_margins`, read from :func:`interference_chain`.
+    which must be ≥ 0 up to rounding: one row of
+    :func:`interference_margins`.
 
     Raises
     ------
     PreconditionUnmetError
-        If x is not in a, x ⊥ b, or b(x) ⊥ a (a similarity at most
-        ``EPS_ABS``², where the projected state has norm at most
-        ``EPS_ABS``).
+        If x is not in a, or where :func:`interference_margins` marks
+        the row undefined: p(x,b) or p(b(x),a) at most
+        :data:`MIN_CONDITIONING_P`.
     """
     require_dims(x, a, b)
     if not is_member(x, a):
         raise PreconditionUnmetError("x in alpha")
-    p_xb, p_bxa, p_abxb = interference_chain(a.basis.T, b.basis.T, x.rep)
-    if p_xb <= EPS_ABS**2:
-        raise PreconditionUnmetError("x not orthogonal to beta")
-    if p_bxa <= EPS_ABS**2:
-        raise PreconditionUnmetError("beta(x) not orthogonal to alpha")
-    return float(_squared_margin(p_xb, p_bxa, p_abxb))
-
-
-def interference_chain(qa, qb, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The similarities ``(p(x,b), p(b(x),a), p(a(b(x)),b))`` of stacked
-    instances, shape (...) each.
-
-    ``qa`` and ``qb`` have shape (..., d, k) and orthonormal columns
-    spanning alpha and beta (zero columns span nothing, so stacks of
-    mixed rank pad with zeros); ``x`` holds unit vectors, shape
-    (..., d).  Each similarity is the squared norm of the projection of
-    the state before it, which is then normalized.  After a similarity
-    of zero the state stays unnormalized, and the later values of that
-    row are meaningless.
-    """
-    ps = []
-    u = x
-    for q in (qb, qa, qb):
-        if ps:
-            u = u / np.sqrt(np.where(ps[-1] > 0.0, ps[-1], 1.0))[..., np.newaxis]
-        u = project_rows(q, u)
-        ps.append(np.vecdot(u, u).real)
-    return tuple(ps)
+    margin, undefined = interference_margins(a.basis.T, b.basis.T, x.rep)
+    if undefined:
+        raise PreconditionUnmetError("p(x,beta) and p(beta(x),alpha) above MIN_CONDITIONING_P")
+    return float(margin)
 
 
 def _squared_margin(p_xb, p_bxa, p_abxb):
@@ -238,12 +225,14 @@ def interference_margins(qa, qb, x) -> tuple[np.ndarray, np.ndarray]:
     """Batched margin of the interference inequality, the stacked form
     of :func:`check_interference_inequality`.
 
-    Arguments as for :func:`interference_chain`, with each ``x`` in
-    alpha.  Returns ``(margin, undefined)``: RHS − LHS per row, and a
-    mask of the rows where p(x, b) or p(b(x), a) is at most
-    :data:`MIN_CONDITIONING_P`, whose margins are meaningless.
+    ``qa`` and ``qb`` span alpha and beta, as for
+    :func:`measurement_chain`, with each ``x`` in alpha; the chain is
+    p(x,b) → p(b(x),a) → p(a(b(x)),b).  Returns ``(margin, undefined)``:
+    RHS − LHS per row, and a mask of the rows where p(x, b) or
+    p(b(x), a) is at most :data:`MIN_CONDITIONING_P`, whose margins are
+    meaningless.
     """
-    p_xb, p_bxa, p_abxb = interference_chain(qa, qb, x)
+    p_xb, p_bxa, p_abxb = measurement_chain(x, qb, qa, qb)
     undefined = (p_xb <= MIN_CONDITIONING_P) | (p_bxa <= MIN_CONDITIONING_P)
     return _squared_margin(p_xb, p_bxa, p_abxb), undefined
 
@@ -294,7 +283,7 @@ def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitn
     the candidates are grouped.  They are scored in chunks of
     :data:`SEARCH_CHUNKS` (4, 8, 16, 32, then 64 each), never beyond
     ``budget``, on frames padded to two columns: one stacked QR for the
-    frames of both propositions, then one :func:`interference_chain`
+    frames of both propositions, then one :func:`measurement_chain`
     call.  A candidate is skipped
     when p(x,b) or p(b(x),a) is at most 1e-6, and accepted when the
     non-squared excess is above ``EPS_ABS``; ``Ray`` and ``Subspace``
@@ -310,7 +299,7 @@ def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitn
     Raises
     ------
     ValueError
-        If ``seed`` lies outside [0, 2**64) and ``budget`` is positive.
+        If ``seed`` is not an integer in [0, 2**64) and ``budget`` is positive.
     """
     budget = int(budget)
     rngs = keyed_generators(seed, range(budget))
@@ -348,7 +337,7 @@ def _first_witness(start: int, count: int, rngs) -> InterferenceWitness | None:
     # in complex128, the field of p_prop and project_ray: the reported
     # p values stay those of the public chain on the witness's objects
     qa, qb, vec = (t.astype(np.complex128) for t in (qa, qb, vec))
-    p_xb, p_bx_a, p_abx_b = interference_chain(qa, qb, vec / np.where(live, nrm, 1.0)[:, np.newaxis])
+    p_xb, p_bx_a, p_abx_b = measurement_chain(vec / np.where(live, nrm, 1.0)[:, np.newaxis], qb, qa, qb)
     excess = p_xb * (1.0 - p_bx_a) - p_bx_a * (1.0 - p_abx_b)
     hit = live & (p_xb > 1e-6) & (p_bx_a > 1e-6) & (excess > EPS_ABS)
     if not hit.any():

@@ -50,11 +50,13 @@ class Ray:
     """A one-dimensional subspace of C^d, as a canonical representative.
 
     The representative is a unit vector whose first entry of modulus
-    above ``EPS_ABS`` is real and strictly positive.  Build instances
-    with :func:`ray_from`; the canonical form makes representative
-    comparison a valid ray-equality check.  ``==`` is exact entrywise
-    equality of representatives; use :func:`rays_equal` for the
-    tolerance-aware comparison.
+    above ``EPS_ABS`` is real and positive, to rounding.  Build
+    instances with :func:`ray_from`.  ``==`` and ``hash`` compare
+    representatives bit for bit: the same computation gives the same
+    bytes, but representatives of one ray computed from different
+    vectors (``v`` and ``c * v``) can differ in their last bits, and
+    are then not ``==``.  Ray equality is :func:`rays_equal`
+    (:func:`equal_rays` on stacks).
 
     Attributes
     ----------
@@ -86,8 +88,10 @@ def ray_from(v) -> Ray:
     """The ray spanned by ``v``, with canonical representative: the
     single-vector form of :func:`rays_from`.
 
-    Scale-invariant: ``ray_from(c * v)`` equals ``ray_from(v)`` for any
-    nonzero complex ``c``.
+    Scale-invariant to rounding: for any nonzero complex ``c``,
+    ``ray_from(c * v)`` is the ray of ``ray_from(v)`` (:func:`rays_equal`)
+    and its representative agrees to rounding, not bit for bit; the law
+    ``ray.canonical_representative`` measures both.
 
     Raises
     ------
@@ -104,9 +108,11 @@ def ray_from(v) -> Ray:
 
 def rays_from(v) -> np.ndarray:
     """Canonical representatives of the rays spanned by the rows of a
-    (..., d) stack: the stacked form of :func:`ray_from`, row for row
-    the same unit vector and the same leading entry.  A row whose
-    squared norm overflows is rescaled first
+    (..., d) stack: unit rows whose first entry of modulus above
+    ``EPS_ABS`` is real and positive to rounding (an imaginary part of
+    order 1e-17 remains).  The stacked form of :func:`ray_from`, row
+    for row the same leading entry and, to rounding, the same unit
+    vector.  A row whose squared norm overflows is rescaled first
     (:func:`~raygeo.linalg.checked_rows`), since a ray has no scale.
 
     Raises
@@ -414,13 +420,6 @@ def subspaces_equal(a: Subspace, b: Subspace) -> bool:
     """Whether two subspaces coincide: the single form of :func:`equal_subspaces`."""
     require_dims(a, b)
     return bool(equal_subspaces(a.basis.T, b.basis.T))
-
-
-def containment_defect(a: Subspace, b: Subspace) -> float:
-    """Largest distance from a basis vector of ``a`` to ``b``: the single
-    form of :func:`containment_defects`."""
-    require_dims(a, b)
-    return float(containment_defects(a.basis.T, b.basis.T))
 
 
 def commutes(a: Subspace, b: Subspace) -> bool:

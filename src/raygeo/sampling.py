@@ -42,9 +42,10 @@ witness search and the morphism preservation checks) key their
 generator as ``[seed, word]``, with a word of their own; the search
 takes one word per candidate.  Every key is built by
 :func:`keyed_generators`, which re-keys one Philox per call for each
-word and refuses base seeds outside [0, 2**64), the range of the key's
-first word (:func:`check_seed`); :func:`keyed_generator` is its
-one-word form, and :func:`substream` keys through it.
+word and refuses base seeds that are not integers in [0, 2**64), the
+range of the key's first word (:func:`check_seed`);
+:func:`keyed_generator` is its one-word form, and :func:`substream`
+keys through it.
 """
 
 from __future__ import annotations
@@ -73,7 +74,10 @@ def law_stream_key(law_id: str) -> int:
 
 
 def check_seed(seed: int) -> None:
-    """Raise ``ValueError`` unless ``seed`` is a base seed in [0, 2**64)."""
+    """Raise ``ValueError`` unless ``seed`` is a base seed: an ``int`` or
+    ``np.integer`` (not a ``bool``; a fraction would be truncated) in [0, 2**64)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"the seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"the seed must lie in [0, 2^64), got {seed}")
 
@@ -97,8 +101,8 @@ def keyed_generators(seed: int, words) -> Iterator[np.random.Generator]:
     Raises
     ------
     ValueError
-        If ``seed`` lies outside [0, 2**64), when the first generator is
-        requested.
+        If ``seed`` is not an integer in [0, 2**64), when the first
+        generator is requested.
     """
     check_seed(seed)
     for i, word in enumerate(words):
@@ -128,7 +132,7 @@ def keyed_generator(seed: int, word: int) -> np.random.Generator:
     Raises
     ------
     ValueError
-        If ``seed`` lies outside [0, 2**64).
+        If ``seed`` is not an integer in [0, 2**64).
     """
     return next(keyed_generators(seed, (word,)))
 

@@ -35,7 +35,6 @@ from raygeo import (
 )
 from raygeo.geometry import complement_projections
 from raygeo.linalg import circular_distances
-from raygeo.probability import total_probability_residual
 
 RT2 = math.sqrt(2.0)
 RT3 = math.sqrt(3.0)
@@ -252,12 +251,11 @@ _B3 = Subspace.from_vectors([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         lambda: p_of_superposition_closed_form(SuperpositionSpec(y=_X2, z=_Y2, r=0.5), _X3),
         lambda: check_interference_inequality(_X2, Subspace.truth(2), _B3),
         lambda: check_total_probability(_X2, Subspace.truth(3), Subspace.falsehood(3)),
-        lambda: total_probability_residual(_X2, Subspace.truth(3), Subspace.falsehood(3)),
     ],
     ids=[
         "a_sim", "p_sim", "p_prop", "theta", "rays_equal", "SuperpositionSpec", "omega",
         "p_of_superposition_closed_form", "check_interference_inequality",
-        "check_total_probability", "total_probability_residual",
+        "check_total_probability",
     ],
 )
 def test_mixed_dimensions_raise(call):

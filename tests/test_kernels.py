@@ -7,7 +7,9 @@ arguments, compared by circular distance.  The subspace lattice
 at a time: complement against the identity, join over the stacked
 bases, and meet as ``¬(¬a ∨ ¬b)``; its stacked form, over frames with
 interleaved zero columns, to the same references one subspace at a
-time.
+time.  The probability calculus (the measurement chain, the chain-rule
+and total-probability residuals) is pinned to ``project_ray`` and
+``p_prop`` one row at a time.
 """
 
 import cmath
@@ -28,6 +30,8 @@ from raygeo import (
     ortho_complement,
     p_component_closed_form,
     p_of_superposition_closed_form,
+    p_prop,
+    project_ray,
     ray_from,
     reciprocity_holds,
     subspaces_equal,
@@ -45,6 +49,7 @@ from raygeo.geometry import (
     triple_phases,
 )
 from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distances, orthonormalize_rows
+from raygeo.probability import chain_rule_residuals, measurement_chain, total_probability_residuals
 from raygeo.rays import (
     commutation_defects,
     complements,
@@ -718,3 +723,61 @@ def test_stacked_orthonormalize_matches_loop(dim):
         basis, kept = orthonormalize_rows(np.concatenate([vectors[:, :1], near], axis=1))
         gram = basis @ basis.conj().swapaxes(1, 2)
         np.testing.assert_allclose(gram, kept[:, np.newaxis, :] * np.eye(2), rtol=0, atol=1e-12)
+
+
+def _calculus_cases(rng, dim, n=30):
+    """Stacked (alpha, beta, x): commuting pairs, generic pairs, and the
+    null-event rows x ⊥ alpha, p(x, alpha) = 1e-11 (a null event with a
+    nonzero projection), x in alpha and alpha = falsehood."""
+    a_c, b_c = sampling.commuting_pairs(rng, n, dim)
+    x_c = sampling.random_rays(rng, n, dim)
+    a_g, b_g = (sampling.random_subspaces(rng, n, dim, 1, dim - 1) for _ in range(2))
+    x_g = sampling.random_rays(rng, n, dim)
+    frame = random_frames(rng, n, dim, dim)
+    a_n = sampling.column_ranges(frame, 0, dim // 2)
+    b_n = sampling.random_subspaces(rng, n, dim, 0, dim)
+    x_perp, x_in = frame[..., -1], frame[..., 0]
+    x_near = np.sqrt(1.0 - 1e-11) * x_perp + np.sqrt(1e-11) * x_in
+    alpha = np.concatenate([a_c, a_g, a_n, a_n, a_n, np.zeros_like(a_n)])
+    beta = np.concatenate([b_c, b_g, b_n, b_n, b_n, b_n])
+    x = np.concatenate([x_c, x_g, x_perp, x_near, x_in, x_in])
+    return alpha, beta, x
+
+
+def _ref_chain(x, subspaces):
+    """p(x, q1), p(q1(x), q2), … by project_ray and p_prop, up to and
+    including the first at most ``EPS_ABS``: after a null event the
+    later values are meaningless."""
+    ps, state = [], x
+    for s in subspaces:
+        ps.append(p_prop(state, s))
+        if ps[-1] <= EPS_ABS:
+            break
+        state = project_ray(s, state)
+    return ps
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_calculus_kernels_match_loop(dim):
+    # the measurement chain and the chain-rule and total-probability
+    # residuals it carries, one row at a time through the public projections
+    rng = np.random.default_rng(150 + dim)
+    qa, qb, x = _calculus_cases(rng, dim)
+    stacks = {"a": qa, "b": qb}
+    chains = {c: np.stack(measurement_chain(x, *(stacks[s] for s in c))) for c in ("a", "ab", "bab")}
+    chain_rule = chain_rule_residuals(qa, qb, x)
+    total = total_probability_residuals(qa, complements(qa), qb, x)
+    for i in range(len(x)):
+        a, b = Subspace.from_columns(qa[i]), Subspace.from_columns(qb[i])
+        xi = ray_from(x[i])
+        for c, ps in chains.items():
+            ref = _ref_chain(xi, [{"a": a, "b": b}[s] for s in c])
+            np.testing.assert_allclose(ps[: len(ref), i], ref, rtol=0, atol=1e-12)
+        p_meet, p_xa = p_prop(xi, meet(a, b)), p_prop(xi, a)
+        ref = p_meet if p_xa <= EPS_ABS else abs(p_meet - p_xa * p_prop(project_ray(a, xi), b))
+        assert chain_rule[i] == pytest.approx(ref, abs=1e-12)
+        terms = 0.0
+        for s in (a, ortho_complement(a)):
+            if p_prop(xi, s) > EPS_ABS:
+                terms += p_prop(xi, s) * p_prop(project_ray(s, xi), b)
+        assert total[i] == pytest.approx(abs(p_prop(xi, b) - terms), abs=1e-12)

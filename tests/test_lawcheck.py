@@ -44,6 +44,24 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="seed"):
             GeneratorSpec(seed=seed)
 
+    @pytest.mark.parametrize(
+        "field",
+        [dict(seed=1.5), dict(seed=True), dict(dims=(2.5,)), dict(trials_per_dim=2.5), dict(trials_per_dim=True)],
+        ids=["seed", "bool_seed", "dims", "trials", "bool_trials"],
+    )
+    def test_non_integer_fields_rejected(self, field):
+        # refused at construction, not by a TypeError in every law
+        with pytest.raises(ValueError, match="integer"):
+            GeneratorSpec(**field)
+
+    def test_numpy_integer_fields_held_as_ints(self):
+        # a numpy seed would overflow against a law key above 2**63, and
+        # JSON cannot encode one in a report
+        gen = GeneratorSpec(dims=(np.int64(2),), trials_per_dim=np.int32(5), seed=np.uint64(2**64 - 1))
+        assert gen == GeneratorSpec(dims=(2,), trials_per_dim=5, seed=2**64 - 1)
+        assert all(type(v) is int for v in (*gen.dims, gen.trials_per_dim, gen.seed))
+        dumps_reports(run_all(gen, "lemma.conjunction_chain"))
+
 
 class TestSubstreams:
     def test_same_cell_same_numbers(self):

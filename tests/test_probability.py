@@ -36,7 +36,7 @@ from raygeo import (
     subspaces_equal,
 )
 from raygeo.linalg import EPS_ABS
-from raygeo.probability import _DRAW_SLOTS, SEARCH_CHUNKS, interference_chain
+from raygeo.probability import _DRAW_SLOTS, SEARCH_CHUNKS, interference_margins, measurement_chain
 from raygeo.sampling import keyed_generator, keyed_generators
 
 E3 = np.eye(3)
@@ -259,6 +259,18 @@ class TestInterferenceInequality:
         with pytest.raises(PreconditionUnmetError):
             check_interference_inequality(ray_from([0.0, 1.0, 0.0]), a, a)
 
+    def test_raises_where_stacked_form_is_undefined(self):
+        # p(x,b) = p(b(x),a) ≈ 1e-14 lies above EPS_ABS² and below
+        # MIN_CONDITIONING_P: the stacked form marks the row undefined,
+        # so the scalar check has no margin to return
+        a = Subspace.from_vectors([E3[0], E3[1]])
+        b = Subspace.from_vectors([[1e-7, 0.0, 1.0]])
+        x = ray_from(E3[0])
+        _, undefined = interference_margins(a.basis.T, b.basis.T, x.rep)
+        assert undefined
+        with pytest.raises(PreconditionUnmetError):
+            check_interference_inequality(x, a, b)
+
 
 FROZEN_WITNESS = {
     "seed": 42,
@@ -290,7 +302,7 @@ def _reference_search(seed, budget):
         if nrm <= EPS_ABS:
             continue
         qa, qb, vec = (t.astype(np.complex128) for t in (qa, qb, vec))
-        p_xb, p_bx_a, p_abx_b = (float(p) for p in interference_chain(qa, qb, vec / nrm))
+        p_xb, p_bx_a, p_abx_b = (float(p) for p in measurement_chain(vec / nrm, qb, qa, qb))
         if p_xb <= 1e-6 or p_bx_a <= 1e-6:
             continue
         excess = p_xb * (1.0 - p_bx_a) - p_bx_a * (1.0 - p_abx_b)
@@ -485,12 +497,12 @@ def test_batched_interference_margins_match_scalar_check():
             margin = _interference_reference(x, a, b)
             if margin is None:
                 assert block.skipped[i]
+            if block.skipped[i]:
+                # the scalar check shares its stacked form's domain
                 with pytest.raises(PreconditionUnmetError):
                     check_interference_inequality(x, a, b)
                 continue
             assert check_interference_inequality(x, a, b) == pytest.approx(margin, abs=1e-12)
-            if block.skipped[i]:
-                continue
             assert stacks["margin"][i] == pytest.approx(margin, abs=1e-12)
             assert block.residuals[i] == pytest.approx(max(0.0, -margin), abs=1e-12)
             compared += 1

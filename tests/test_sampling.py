@@ -15,7 +15,6 @@ from raygeo import (
     check_char_morph,
     check_preserves_p_theta,
     commutes,
-    containment_defect,
     coplanar,
     is_member,
     is_orthogonal,
@@ -24,6 +23,7 @@ from raygeo import (
 )
 from raygeo import sampling
 from raygeo.morphisms import RegularMap, isometry_maps, isometry_scales, non_isometry_maps
+from raygeo.rays import containment_defects
 from raygeo.sampling import MIN_OVERLAP, keyed_generator, keyed_generators, law_stream_key, substream
 
 
@@ -45,7 +45,7 @@ class TestSamplers:
             for qa, qb in zip(a, b):
                 sa, sb = Subspace.from_columns(qa), Subspace.from_columns(qb)
                 assert 0 <= sa.rank <= sb.rank and sb.rank >= 1
-                assert containment_defect(sa, sb) < 1e-12
+                assert containment_defects(sa.basis.T, sb.basis.T) < 1e-12
 
     def test_random_subspaces_and_member_rays(self):
         for rng in streams(20, 4, trials=2):
@@ -164,3 +164,17 @@ class TestKeyedGenerator:
         f = RegularMap(np.eye(3))
         with pytest.raises(ValueError, match="seed must lie"):
             call(seed, f)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.7, True, "1"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seed, f: search_nonsquared_counterexample(seed=seed, budget=1000),
+            lambda seed, f: preserves_superpositions(f, seed=seed),
+        ],
+        ids=["search", "preserves_superpositions"],
+    )
+    def test_non_integer_seed_rejected(self, call, seed):
+        # the Philox key would truncate a fractional seed
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            call(seed, RegularMap(np.eye(3)))
