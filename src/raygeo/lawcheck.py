@@ -54,8 +54,9 @@ MAX_SKIP_RATE = 0.05
 MIN_DIM, MAX_DIM = 2, 32
 
 #: Trials per block, and so per substream, at d = 8, the size that sets
-#: the memory of every block's stacks: at d = 8 a block of 256
-#: interference trials peaks near 2 MB.
+#: the memory of every block's stacks.  At d = 8, by tracemalloc, a
+#: block of 256 trials peaks near 1.1 MB for the interference law and
+#: at up to about 4.5 MB for the subspace lattice laws.
 BLOCK_TRIALS = 256
 
 

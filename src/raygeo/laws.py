@@ -797,13 +797,14 @@ def _batch_local_total_probability(rng, dim, n):
     trials_per_dim=10_000,
 )
 def _batch_interference_inequality(rng, dim, n):
-    # 10^4 trials per dimension: one frame of d − 1 columns per
-    # proposition, its columns beyond the rank zeroed.
-    ra = rng.integers(1, dim, size=n)
+    # 10^4 trials per dimension: one ranked frame of d − 1 columns per
+    # proposition.  The trials are ordered by descending rank of α,
+    # which leaves them independent (β's ranks are drawn after the
+    # sort) and spares α's frames the gather back in ranked_frames.
+    ra = np.sort(rng.integers(1, dim, size=n))[::-1]
     rb = rng.integers(1, dim, size=n)
-    cols = np.arange(dim - 1)
-    qa = sampling.random_frames(rng, n, dim, dim - 1) * (cols < ra[:, np.newaxis])[:, np.newaxis, :]
-    qb = sampling.random_frames(rng, n, dim, dim - 1) * (cols < rb[:, np.newaxis])[:, np.newaxis, :]
+    qa = sampling.ranked_frames(rng, ra, dim, dim - 1)
+    qb = sampling.ranked_frames(rng, rb, dim, dim - 1)
     x = (qa @ sampling.gaussian_stack(rng, (n, dim - 1))[..., np.newaxis])[..., 0]
     x /= norms(x)[:, np.newaxis]
     margin, undefined = interference_margins(qa, qb, x)

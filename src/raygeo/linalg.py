@@ -121,28 +121,46 @@ def orthonormalize_rows(vectors) -> tuple[np.ndarray, np.ndarray]:
     the kept rows do not yet span the space; else zero.  ``kept``
     (..., m) marks the nonzero rows: the rank as a mask.
 
-    The loop is sequential in m and runs on one copy laid out as
-    (m, d, ...), the stack axes innermost and contiguous: each step is a
-    handful of elementwise multiply-and-sum operations over the whole
-    stack, so its cost per matrix falls as the stack grows, where a
-    per-matrix product or factorization pays a fixed overhead on every
-    small matrix.  The results are views in the input's axis order."""
+    The loop (:func:`gram_schmidt`) runs on one copy laid out as
+    (m, d, ...), the stack axes innermost and contiguous.  The results
+    are views in the input's axis order."""
     v = np.ascontiguousarray(np.moveaxis(np.asarray(vectors, dtype=np.complex128), (-2, -1), (0, 1)))
+    basis, kept = gram_schmidt(v)
+    return np.moveaxis(basis, (0, 1), (-2, -1)), np.moveaxis(kept, 0, -1)
+
+
+def gram_schmidt(v: np.ndarray, live=None) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram–Schmidt loop of :func:`orthonormalize_rows` on stacked
+    vector sets laid out as (m, d, ...): vector j of every stack entry is
+    ``v[j]``, shape (d, ...).  Returns ``(basis, kept)`` in that layout,
+    (m, d, ...) and (m, ...).
+
+    The loop is sequential in m: each step is a handful of elementwise
+    multiply-and-sum operations over the whole stack, so its cost per
+    matrix falls as the stack grows, where a per-matrix product or
+    factorization pays a fixed overhead on every small matrix.
+
+    ``live`` (m,), non-increasing, limits step j to the first
+    ``live[j]`` entries of the last stack axis; vector j of every later
+    entry must be zero.  That is a stack sorted by descending rank, each
+    vector orthonormalized only over the entries that drew it.  Rows
+    beyond the limit stay zero and unkept."""
     m, d = v.shape[:2]
     basis = np.zeros_like(v)
     kept = np.zeros((m, *v.shape[2:]), dtype=bool)
     rank = np.zeros(v.shape[2:], dtype=np.intp)
     for j in range(m):
-        w, b = v[j], basis[:j]
+        at = (...,) if live is None else (..., slice(live[j]))
+        w, b = v[(j, *at)], basis[(slice(j), *at)]
         for _ in range(2 if j else 0):  # CGS + one re-orthogonalization pass
             coeff = (w.conj() * b).sum(axis=1).conj()  # inner(w, b_k), (j, ...)
             w = w - (coeff[:, np.newaxis] * b).sum(axis=0)
         nrm = np.sqrt((w.real**2 + w.imag**2).sum(axis=0))
-        keep = (nrm > EPS_ABS) & (rank < d)
-        basis[j] = np.where(keep, w / np.where(keep, nrm, 1.0), 0.0)
-        kept[j] = keep
-        rank += keep
-    return np.moveaxis(basis, (0, 1), (-2, -1)), np.moveaxis(kept, 0, -1)
+        keep = (nrm > EPS_ABS) & (rank[at] < d)
+        basis[(j, *at)] = np.where(keep, w / np.where(keep, nrm, 1.0), 0.0)
+        kept[(j, *at)] = keep
+        rank[at] += keep
+    return basis, kept
 
 
 def orthonormalize(vectors) -> list[np.ndarray]:

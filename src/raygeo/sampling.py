@@ -35,7 +35,13 @@ change alters what a law draws:
 * version 7: blocks up to d = 8 hold as many stack entries as the d = 8
   block (4096 trials at d = 2), and the morphism samplers' isometries
   take the same Q factor (``haar_q``), where a bare LAPACK QR had left
-  a sign on each column.
+  a sign on each column;
+* version 8: every frame is drawn by ``ranked_frames``, which draws
+  only the columns a frame of its rank keeps, column by column, and
+  orthonormalizes them only up to that rank.  ``random_frames`` is its
+  full-rank form, ``random_subspaces`` and ``nested_pairs`` draw their
+  ranks first, and the interference law draws each proposition's frame
+  of its rank, in place of a full frame whose later columns it zeroed.
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
@@ -55,7 +61,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .linalg import norms, orthonormalize_rows
+from .linalg import gram_schmidt, norms, orthonormalize_rows
 from .rays import a_sims, rays_from
 
 #: Rejection threshold where a law or a morphism sampler needs
@@ -65,7 +71,7 @@ MIN_OVERLAP = 1e-6
 
 #: Version of the stream scheme, written into every serialized report;
 #: the module docstring gives its history.
-STREAM_VERSION = 7
+STREAM_VERSION = 8
 
 
 def law_stream_key(law_id: str) -> int:
@@ -203,31 +209,82 @@ def haar_q(g: np.ndarray) -> np.ndarray:
     unique by a real positive diagonal of R.  Of a Gaussian draw, each is
     Haar-distributed: a Haar-random ``cols``-frame spanning a
     Haar-random subspace (Mezzadri, Notices AMS 54, 2007).  Rows of g
-    that are zero stay exactly zero in Q.
+    that are zero stay exactly zero in Q, and so do the columns of Q
+    whose diagonal entry of R is 0, such as zero columns of g after its
+    leading columns: the columns beyond a rank in :func:`ranked_frames`.
 
     Two paths compute the same Q, to rounding, chosen from the stack's
-    shape.  A wide stack, ``count >= 32 + 2 * rows * cols``,
-    orthonormalizes the columns by :func:`raygeo.linalg.orthonormalize_rows`,
-    whose Python overhead is paid per column for the whole stack.  Any
-    other stack takes LAPACK's Householder QR, which pays its overhead
-    per matrix, and multiplies each column by the sign of R's diagonal
-    (+1 where it is 0).  Timed on one CPU, the two paths break even at
-    about 30–60 matrices for rows <= 8 and cols <= 2, at about 60–120
-    for rows = 8 and cols >= 7, and beyond 384 for (16, 16): LAPACK's
-    work per matrix grows more slowly with its size.  The rule keeps
-    the d = 16 subspace blocks of 32 and short tail blocks on LAPACK."""
-    count, rows, cols = g.shape
-    if count >= 32 + 2 * rows * cols:
+    shape (:func:`_wide`).  A wide stack orthonormalizes the columns by
+    :func:`raygeo.linalg.orthonormalize_rows`, whose Python overhead is
+    paid per column for the whole stack.  Any other stack takes LAPACK's
+    Householder QR, which pays its overhead per matrix, and multiplies
+    each column by the sign of R's diagonal (0 where it is 0)."""
+    if _wide(*g.shape):
         return orthonormalize_rows(g.swapaxes(-1, -2))[0].swapaxes(-1, -2)
     q, r = np.linalg.qr(g)
-    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    return q * np.where(sign == 0, 1, sign)[..., np.newaxis, :]
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., np.newaxis, :]
+
+
+def _wide(count: int, rows: int, cols: int) -> bool:
+    """Whether a stack of ``count`` (rows, cols) draws takes stacked
+    Gram–Schmidt rather than LAPACK: ``count >= 32 + 2 * rows * cols``.
+    Timed on one CPU, the two paths break even at about 30–60 matrices
+    for rows <= 8 and cols <= 2, at about 60–120 for rows = 8 and
+    cols >= 7, and beyond 384 for (16, 16): LAPACK's work per matrix
+    grows more slowly with its size.  The rule keeps the d = 16 subspace
+    blocks of 32 and short tail blocks on LAPACK."""
+    return count >= 32 + 2 * rows * cols
+
+
+def ranked_frames(rng: np.random.Generator, ranks: np.ndarray, dim: int, cols: int) -> np.ndarray:
+    """Haar frames (count, dim, cols) of the given ranks (count,), each
+    in 0..cols: frame t has ``ranks[t]`` orthonormal leading columns, and
+    its columns at or beyond the rank are exactly zero.  Each is the
+    :func:`haar_q` factor of a Gaussian draw whose columns beyond the
+    rank are zero, so its leading columns are those of a full frame's
+    (Mezzadri, Notices AMS 54, 2007).
+
+    Only the columns a frame keeps are drawn, column by column: column j
+    of every frame of rank above j, the frames in descending rank order
+    (ties in index order), each column's ``dim`` entries in turn;
+    ``dim * ranks.sum()`` real parts, then as many imaginary parts.  At
+    full rank this is the draw of ``gaussian_stack(rng, (cols, count,
+    dim))``, each column of the stack in one piece.
+
+    The draws are laid out as :func:`raygeo.linalg.gram_schmidt` reads
+    them, frames in descending rank order.  A wide stack (:func:`_wide`)
+    is orthonormalized there: column j runs only over the leading frames,
+    those of rank above j, so no work is spent beyond a frame's rank.  A
+    narrow one takes :func:`haar_q`'s LAPACK path on the zero-padded
+    draw.  The frames return to the order of ``ranks`` by one gather,
+    which a stack already in descending rank order skips.
+    """
+    ranks = np.asarray(ranks)
+    count = len(ranks)
+    live = count - np.bincount(ranks, minlength=cols + 1).cumsum()[:cols]  # frames of rank above j
+    size = dim * int(live.sum())
+    z = rng.standard_normal(2 * size)  # the real parts, then the imaginary parts
+    v = np.zeros((cols, dim, count), dtype=np.complex128)  # gram_schmidt's layout, in sorted order
+    start = 0
+    for j, n in enumerate(live):
+        stop = start + n * dim
+        v.real[j, :, :n] = z[start:stop].reshape(n, dim).T
+        v.imag[j, :, :n] = z[size + start : size + stop].reshape(n, dim).T
+        start = stop
+    if _wide(count, dim, cols):
+        q = gram_schmidt(v, live)[0]
+    else:
+        q = haar_q(v.transpose(2, 1, 0)).transpose(2, 1, 0)
+    if (np.diff(ranks) <= 0).all():  # already in descending rank order
+        return q.transpose(2, 1, 0)
+    order = np.argsort(-ranks, kind="stable")
+    return q[..., np.argsort(order)].transpose(2, 1, 0)
 
 
 def random_frames(rng: np.random.Generator, count: int, dim: int, cols: int) -> np.ndarray:
-    """``count`` Haar frames (count, dim, cols), orthonormal columns: the
-    :func:`haar_q` factors of a Gaussian stack of that shape."""
-    return haar_q(gaussian_stack(rng, (count, dim, cols)))
+    """``count`` Haar frames (count, dim, cols), orthonormal columns:
+    :func:`ranked_frames` at full rank."""
+    return ranked_frames(rng, np.full(count, cols), dim, cols)
 
 
 def column_subsets(frames: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -246,9 +303,8 @@ def column_ranges(frames: np.ndarray, lo, hi) -> np.ndarray:
 
 def random_subspaces(rng: np.random.Generator, count: int, dim: int, low: int, high: int) -> np.ndarray:
     """``count`` Haar-random subspaces (count, dim, dim) of ranks drawn
-    uniformly from low..high: frames, the columns beyond the rank zeroed."""
-    rank = rng.integers(low, high + 1, count)
-    return column_ranges(random_frames(rng, count, dim, dim), 0, rank)
+    uniformly from low..high, then their :func:`ranked_frames`."""
+    return ranked_frames(rng, rng.integers(low, high + 1, count), dim, dim)
 
 
 def member_rays(rng: np.random.Generator, q: np.ndarray) -> np.ndarray:
@@ -267,9 +323,10 @@ def commuting_pairs(rng: np.random.Generator, count: int, dim: int) -> tuple[np.
 
 
 def nested_pairs(rng: np.random.Generator, count: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` pairs a ⊆ b: leading columns of one frame, b of rank
-    1..dim and a of rank 0..rank(b), shape (count, dim, dim) each."""
-    frames = random_frames(rng, count, dim, dim)
+    """``count`` pairs a ⊆ b, shape (count, dim, dim) each: b of rank
+    r₂ in 1..dim and a of rank r₁ in 0..r₂, both drawn first, then b's
+    :func:`ranked_frames` of rank r₂, whose leading r₁ columns are a."""
     r2 = rng.integers(1, dim + 1, count)
     r1 = rng.integers(0, r2 + 1)
-    return column_ranges(frames, 0, r1), column_ranges(frames, 0, r2)
+    b = ranked_frames(rng, r2, dim, dim)
+    return column_ranges(b, 0, r1), b

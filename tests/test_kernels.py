@@ -48,7 +48,7 @@ from raygeo.geometry import (
     triple_phase,
     triple_phases,
 )
-from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distances, orthonormalize_rows
+from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distances, gram_schmidt, orthonormalize_rows
 from raygeo.probability import chain_rule_residuals, measurement_chain, total_probability_residuals
 from raygeo.rays import (
     commutation_defects,
@@ -198,11 +198,27 @@ def _assert_q_factor(q, g):
     assert (diag.real > 0).all()
 
 
+def _ranked_draw(rng, ranks, dim, cols):
+    """The draw that ranked_frames documents, written out one column at a
+    time: column j of each frame of rank above j, the frames in
+    descending rank order (ties in index order), each column's dim
+    entries in turn; the real parts of all, then the imaginary parts.
+    Returned zero-padded, shape (count, dim, cols)."""
+    by_rank = sorted(range(len(ranks)), key=lambda t: -ranks[t])
+    columns = [(j, t) for j in range(cols) for t in by_rank if ranks[t] > j]
+    re, im = rng.standard_normal((2, len(columns), dim))
+    g = np.zeros((len(ranks), dim, cols), dtype=np.complex128)
+    for k, (j, t) in enumerate(columns):
+        g[t, :, j] = re[k] + 1j * im[k]
+    return g
+
+
 @pytest.mark.parametrize("shape", FRAME_SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_random_frames_paths_agree(shape):
     # Both paths of random_frames, on one Gaussian draw, against LAPACK's
     # QR with R's diagonal made real and positive.
-    g = gaussian_stack(np.random.default_rng(140), shape)
+    count, dim, cols = shape
+    g = _ranked_draw(np.random.default_rng(140), np.full(count, cols), dim, cols)
     q_ref, r = np.linalg.qr(g)
     q_ref = q_ref * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., np.newaxis, :]
     drawn = random_frames(np.random.default_rng(140), *shape)
@@ -215,6 +231,54 @@ def test_random_frames_paths_agree(shape):
     if shape[2] > 1:
         g[..., -1] = g[..., 0] + 1e-4 * g[..., -1]
         _assert_q_factor(orthonormalize_rows(g.swapaxes(-1, -2))[0].swapaxes(-1, -2), g)
+
+
+RANKED_SHAPES = [(256, 8, 7), (1820, 3, 2), (4096, 2, 2), (32, 16, 16)]
+
+
+@pytest.mark.parametrize("shape", RANKED_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_ranked_frames_paths_agree(shape):
+    # ranked_frames on one draw of mixed ranks, 0 and full among them,
+    # against LAPACK's sign-fixed QR of the zero-padded draw and against
+    # prefix Gram–Schmidt in descending rank order: whichever path the
+    # shape takes, the other agrees
+    count, dim, cols = shape
+    ranks = np.random.default_rng(160 + dim).integers(0, cols + 1, count)
+    ranks[:2] = 0, cols
+    rng_ref = np.random.default_rng(161)
+    g = _ranked_draw(rng_ref, ranks, dim, cols)
+    rng = np.random.default_rng(161)
+    drawn = sampling.ranked_frames(rng, ranks, dim, cols)
+    # only the documented entries were drawn
+    np.testing.assert_array_equal(rng.standard_normal(4), rng_ref.standard_normal(4))
+    keep = np.arange(cols) < ranks[:, np.newaxis]
+    q, r = np.linalg.qr(g)
+    lapack = np.where(keep[:, np.newaxis, :], q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, np.newaxis, :], 0.0)
+    order = np.argsort(-ranks, kind="stable")
+    live = keep.sum(axis=0)
+    prefix = np.empty_like(g)
+    prefix[order] = gram_schmidt(np.ascontiguousarray(g[order].transpose(2, 1, 0)), live)[0].transpose(2, 1, 0)
+    for frames in (drawn, prefix):
+        np.testing.assert_allclose(frames, lapack, rtol=0, atol=1e-13)
+    assert not drawn[np.broadcast_to(~keep[:, np.newaxis, :], drawn.shape)].any()
+    gram = drawn.conj().swapaxes(-1, -2) @ drawn
+    np.testing.assert_allclose(gram, keep[:, np.newaxis, :] * np.eye(cols), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", RANKED_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_ranked_frames_first_entry_unbiased(shape):
+    # Of a Haar frame of any rank, Re q[0, 0] is as often negative as
+    # positive; LAPACK's Householder QR without the sign fix leaves it <= 0.
+    # 4000 draws per rank: a share outside [0.45, 0.55] is 6 sigma out.
+    count, dim, cols = shape
+    ranks = np.arange(count) % cols + 1  # every rank 1..cols, out of sorted order
+    rng = np.random.default_rng(162)
+    negative, calls = np.zeros(cols + 1), -(-4000 * cols // count)
+    for _ in range(calls):
+        q = sampling.ranked_frames(rng, ranks, dim, cols)
+        negative += np.bincount(ranks, weights=q[:, 0, 0].real < 0, minlength=cols + 1)
+    share = negative[1:] / np.bincount(ranks, minlength=cols + 1)[1:] / calls
+    assert ((share >= 0.45) & (share <= 0.55)).all(), share
 
 
 def test_stacked_draws():

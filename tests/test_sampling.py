@@ -56,6 +56,20 @@ class TestSamplers:
                 assert 1 <= a.rank <= 3
                 assert is_member(Ray(rep=rep), a)
 
+    def test_interference_ranks_independent(self):
+        # the law orders its trials by descending rank of alpha; beta's
+        # ranks must not follow that order: at d = 8 every (rank alpha,
+        # rank beta) cell holds about 1/49 of 10 240 trials (209 expected,
+        # sd 14), and a cell outside [1/2, 3/2] of that is 7 sd out
+        from raygeo.laws import _batch_interference_inequality
+
+        cells = np.zeros((7, 7))
+        for index in range(40):
+            block = _batch_interference_inequality(substream(5, "theorem.interference_inequality", 8, index), 8, 256)
+            np.add.at(cells, (block.instance["alpha_rank"] - 1, block.instance["beta_rank"] - 1), 1)
+        share = cells * 49 / cells.sum()
+        assert 0.5 < share.min() and share.max() < 1.5, share
+
     def test_classical_rays_orthogonal(self):
         for rng in streams(12, 4, trials=2):
             rays = sampling.classical_ray_stacks(rng, 20, 4, 3)
