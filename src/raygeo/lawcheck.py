@@ -55,8 +55,9 @@ MIN_DIM, MAX_DIM = 2, 32
 
 #: Trials per block, and so per substream, at d = 8, the size that sets
 #: the memory of every block's stacks.  At d = 8, by tracemalloc, a
-#: block of 256 trials peaks near 1.1 MB for the interference law and
-#: at up to about 4.5 MB for the subspace lattice laws.
+#: block of 256 trials peaks at 1.07 MB for the interference law (its
+#: two frames; the state is a column of one of them) and at up to about
+#: 4.5 MB for the subspace lattice laws.
 BLOCK_TRIALS = 256
 
 

@@ -801,12 +801,14 @@ def _batch_interference_inequality(rng, dim, n):
     # proposition.  The trials are ordered by descending rank of α,
     # which leaves them independent (β's ranks are drawn after the
     # sort) and spares α's frames the gather back in ranked_frames.
+    # The state is α's first column: q₁ = g₁/|g₁| of a Gaussian g₁, so
+    # given α it is uniform on α's unit sphere, the law of a normalized
+    # Gaussian combination of α's columns, and needs no draw of its own.
     ra = np.sort(rng.integers(1, dim, size=n))[::-1]
     rb = rng.integers(1, dim, size=n)
     qa = sampling.ranked_frames(rng, ra, dim, dim - 1)
     qb = sampling.ranked_frames(rng, rb, dim, dim - 1)
-    x = (qa @ sampling.gaussian_stack(rng, (n, dim - 1))[..., np.newaxis])[..., 0]
-    x /= norms(x)[:, np.newaxis]
+    x = qa[..., 0]
     margin, undefined = interference_margins(qa, qb, x)
     instance = dict(alpha=qa, alpha_rank=ra, beta=qb, beta_rank=rb, x=x, margin=margin)
     return Block(np.maximum(0.0, -margin), undefined, instance)

@@ -144,11 +144,15 @@ def gram_schmidt(v: np.ndarray, live=None) -> tuple[np.ndarray, np.ndarray]:
     ``live[j]`` entries of the last stack axis; vector j of every later
     entry must be zero.  That is a stack sorted by descending rank, each
     vector orthonormalized only over the entries that drew it.  Rows
-    beyond the limit stay zero and unkept."""
+    beyond the limit stay zero and unkept.
+
+    The kept rows are counted only when a set has more vectors than the
+    dimension (m > d): with m <= d they cannot span the space before the
+    last vector."""
     m, d = v.shape[:2]
     basis = np.zeros_like(v)
     kept = np.zeros((m, *v.shape[2:]), dtype=bool)
-    rank = np.zeros(v.shape[2:], dtype=np.intp)
+    rank = np.zeros(v.shape[2:], dtype=np.intp) if m > d else None
     for j in range(m):
         at = (...,) if live is None else (..., slice(live[j]))
         w, b = v[(j, *at)], basis[(slice(j), *at)]
@@ -156,10 +160,12 @@ def gram_schmidt(v: np.ndarray, live=None) -> tuple[np.ndarray, np.ndarray]:
             coeff = (w.conj() * b).sum(axis=1).conj()  # inner(w, b_k), (j, ...)
             w = w - (coeff[:, np.newaxis] * b).sum(axis=0)
         nrm = np.sqrt((w.real**2 + w.imag**2).sum(axis=0))
-        keep = (nrm > EPS_ABS) & (rank[at] < d)
-        basis[(j, *at)] = np.where(keep, w / np.where(keep, nrm, 1.0), 0.0)
+        keep = nrm > EPS_ABS
+        if rank is not None:
+            keep &= rank[at] < d
+            rank[at] += keep
+        basis[(j, *at)] = w / nrm if keep.all() else np.where(keep, w / np.where(keep, nrm, 1.0), 0.0)
         kept[(j, *at)] = keep
-        rank[at] += keep
     return basis, kept
 
 

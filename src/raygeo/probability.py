@@ -299,8 +299,12 @@ def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitn
     Raises
     ------
     ValueError
-        If ``seed`` is not an integer in [0, 2**64) and ``budget`` is positive.
+        If ``budget`` is not an ``int`` or ``np.integer`` (a ``bool``, a
+        fraction or a string would be coerced to another count), or if
+        ``seed`` is not an integer in [0, 2**64) and ``budget`` is positive.
     """
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+        raise ValueError(f"the budget must be an integer, got {budget!r}")
     budget = int(budget)
     rngs = keyed_generators(seed, range(budget))
     sizes = itertools.chain(SEARCH_CHUNKS, itertools.repeat(SEARCH_CHUNKS[-1]))

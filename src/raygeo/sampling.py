@@ -41,7 +41,11 @@ change alters what a law draws:
   orthonormalizes them only up to that rank.  ``random_frames`` is its
   full-rank form, ``random_subspaces`` and ``nested_pairs`` draw their
   ranks first, and the interference law draws each proposition's frame
-  of its rank, in place of a full frame whose later columns it zeroed.
+  of its rank, in place of a full frame whose later columns it zeroed;
+* version 9: the interference law takes its state as the first column
+  of α's frame, uniform on α's unit sphere given α, in place of a
+  normalized Gaussian combination of α's columns drawn after the
+  frames.  No other law draws differently.
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
@@ -71,7 +75,7 @@ MIN_OVERLAP = 1e-6
 
 #: Version of the stream scheme, written into every serialized report;
 #: the module docstring gives its history.
-STREAM_VERSION = 8
+STREAM_VERSION = 9
 
 
 def law_stream_key(law_id: str) -> int:

@@ -265,6 +265,59 @@ def test_ranked_frames_paths_agree(shape):
     np.testing.assert_allclose(gram, keep[:, np.newaxis, :] * np.eye(cols), rtol=0, atol=1e-13)
 
 
+def _gram_schmidt_v8(v, live=None):
+    """The version-8 gram_schmidt loop: the rank counter and its cap on
+    every call, every row written through the keep mask."""
+    m, d = v.shape[:2]
+    basis = np.zeros_like(v)
+    kept = np.zeros((m, *v.shape[2:]), dtype=bool)
+    rank = np.zeros(v.shape[2:], dtype=np.intp)
+    for j in range(m):
+        at = (...,) if live is None else (..., slice(live[j]))
+        w, b = v[(j, *at)], basis[(slice(j), *at)]
+        for _ in range(2 if j else 0):
+            coeff = (w.conj() * b).sum(axis=1).conj()
+            w = w - (coeff[:, np.newaxis] * b).sum(axis=0)
+        nrm = np.sqrt((w.real**2 + w.imag**2).sum(axis=0))
+        keep = (nrm > EPS_ABS) & (rank[at] < d)
+        basis[(j, *at)] = np.where(keep, w / np.where(keep, nrm, 1.0), 0.0)
+        kept[(j, *at)] = keep
+        rank[at] += keep
+    return basis, kept
+
+
+GS_SHAPES = [(7, 8, 256), (2, 3, 1820), (18, 16, 32), (6, 4, 64)]
+
+
+@pytest.mark.parametrize("shape", GS_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_gram_schmidt_matches_version_8(shape):
+    # bit for bit, with and without a live prefix; (18, 16, 32) has more
+    # vectors than the dimension and dependent rows, as the
+    # orthonormalize_contract law does, and (6, 4, 64) holds zero vectors
+    m, d, count = shape
+    rng = np.random.default_rng(170 + m)
+    v = gaussian_stack(rng, shape)
+    if m > d:
+        v[5] = v[0] + 2j * v[3]
+        v[-1] = 0.5 * v[1] - v[2]
+    if shape == (6, 4, 64):
+        v[1] = 0.0
+        v[3, :, ::3] = 0.0
+        v[4, :, 1::2] = v[0, :, 1::2]
+    live = np.sort(rng.integers(1, count + 1, m))[::-1]
+    live[0] = count
+    pre = v.copy()
+    for j, n in enumerate(live):
+        pre[j, :, n:] = 0.0
+    for args in ((v,), (pre, live)):
+        basis, kept = gram_schmidt(*args)
+        ref_basis, ref_kept = _gram_schmidt_v8(*args)
+        np.testing.assert_array_equal(basis, ref_basis)
+        np.testing.assert_array_equal(kept, ref_kept)
+    # the dependent and zero rows are dropped, so both branches ran
+    assert gram_schmidt(v)[1].all() == (shape in GS_SHAPES[:2])
+
+
 @pytest.mark.parametrize("shape", RANKED_SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_ranked_frames_first_entry_unbiased(shape):
     # Of a Haar frame of any rank, Re q[0, 0] is as often negative as

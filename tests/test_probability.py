@@ -329,6 +329,17 @@ class TestNonsquaredSearch:
     def test_negative_budget_finds_nothing(self):
         assert search_nonsquared_counterexample(seed=42, budget=-3) is None
 
+    @pytest.mark.parametrize("budget", [2.7, 5.0, True, "5", None])
+    def test_non_integer_budget_rejected(self, budget):
+        # int() would scan 2, 5, 1 and 5 candidates for the first four
+        with pytest.raises(ValueError, match="budget"):
+            search_nonsquared_counterexample(seed=42, budget=budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        w = search_nonsquared_counterexample(seed=42, budget=np.int64(1000))
+        assert w is not None
+        assert w.trial_index == search_nonsquared_counterexample(seed=42, budget=1000).trial_index
+
     def test_seeded_witness_regression(self):
         w = search_nonsquared_counterexample(seed=FROZEN_WITNESS["seed"], budget=FROZEN_WITNESS["budget"])
         assert w is not None

@@ -70,6 +70,55 @@ class TestSamplers:
         share = cells * 49 / cells.sum()
         assert 0.5 < share.min() and share.max() < 1.5, share
 
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_interference_state_law(self, dim):
+        # The law's state is the first column of alpha's frame.  Over 20 496
+        # trials its chain p(x,b), p(b(x),a), p(a(b(x)),b) has the means
+        # and deciles of the version-8 state, a normalized Gaussian
+        # combination of alpha's columns drawn after the frames (written
+        # out below), within 4 standard errors; the state lies in alpha
+        # and has unit norm.
+        from raygeo.lawcheck import block_trials
+        from raygeo.laws import _batch_interference_inequality
+        from raygeo.probability import MIN_CONDITIONING_P, measurement_chain
+        from raygeo.rays import project_rows
+
+        def version_8(rng, n):
+            ra = np.sort(rng.integers(1, dim, size=n))[::-1]
+            rb = rng.integers(1, dim, size=n)
+            qa = sampling.ranked_frames(rng, ra, dim, dim - 1)
+            qb = sampling.ranked_frames(rng, rb, dim, dim - 1)
+            x = (qa @ sampling.gaussian_stack(rng, (n, dim - 1))[..., np.newaxis])[..., 0]
+            return qa, qb, x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+        def chains(draw, seed):
+            n = block_trials(dim)
+            out = []
+            # full blocks, and a short tail block, which takes LAPACK's QR
+            for index, count in enumerate([n] * (20_480 // n) + [16]):
+                qa, qb, x = draw(substream(seed, "theorem.interference_inequality", dim, index), count)
+                p = np.stack(measurement_chain(x, qb, qa, qb))
+                out.append(p[:, (p[0] > MIN_CONDITIONING_P) & (p[1] > MIN_CONDITIONING_P)])
+            return np.concatenate(out, axis=1)
+
+        def law(rng, n):
+            block = _batch_interference_inequality(rng, dim, n)
+            qa, x = block.instance["alpha"], block.instance["x"]
+            assert np.abs(x - project_rows(qa, x)).max() <= 1e-14
+            assert np.abs(np.linalg.norm(x, axis=-1) - 1.0).max() <= 1e-15
+            return qa, block.instance["beta"], x
+
+        new, old = chains(law, 5), chains(version_8, 6)
+        for name, a, b in zip(("p(x,b)", "p(b(x),a)", "p(a(b(x)),b)"), new, old):
+            se = np.sqrt(a.var() / a.size + b.var() / b.size)
+            assert abs(a.mean() - b.mean()) < 4 * se, (name, a.mean(), b.mean(), se)
+            for q in np.arange(1, 10) / 10:
+                # a sample quantile's standard error, read off the order
+                # statistics one binomial sd either side of it
+                ses = [np.ptp(np.quantile(s, q + np.array([-1, 1]) * np.sqrt(q * (1 - q) / s.size))) / 2 for s in (a, b)]
+                gap = np.quantile(a, q) - np.quantile(b, q)
+                assert abs(gap) < 4 * np.hypot(*ses), (name, q, gap, ses)
+
     def test_classical_rays_orthogonal(self):
         for rng in streams(12, 4, trials=2):
             rays = sampling.classical_ray_stacks(rng, 20, 4, 3)
