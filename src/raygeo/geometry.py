@@ -72,10 +72,11 @@ def p_prop(x: Ray, a: Subspace) -> float:
 _PAIRS = (("x", "y"), ("y", "z"), ("z", "x"))
 
 
-def _bargmann(u, v, w) -> tuple[np.ndarray, np.ndarray]:
+def bargmann_products(u, v, w) -> tuple[np.ndarray, np.ndarray]:
     """The Bargmann products <u,v><v,w><w,u> of stacked representatives,
     shape (...), and for each pair of :data:`_PAIRS` whether its
-    normalized overlap exceeds ``ANGLE_GUARD``, shape (3, ...)."""
+    normalized overlap exceeds ``ANGLE_GUARD``, shape (3, ...): the
+    phase guard of :func:`triple_phases`."""
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
@@ -105,7 +106,7 @@ def triple_phases(u, v, w) -> np.ndarray:
     DimensionMismatchError
         If the vectors have different lengths.
     """
-    b, ok = _bargmann(u, v, w)
+    b, ok = bargmann_products(u, v, w)
     angle = np.arctan2(b.imag, b.real)
     angle = angle + TWO_PI * (angle <= -math.pi)  # atan2 can return −π; the branch is (−π, π]
     return np.where(ok.all(axis=0), angle, np.nan)
@@ -124,7 +125,7 @@ def triple_phase(u, v, w) -> float:
     """
     angle = float(triple_phases(u, v, w))
     if math.isnan(angle):
-        raise OrthogonalPairError(_PAIRS[int(np.argmin(_bargmann(u, v, w)[1]))])
+        raise OrthogonalPairError(_PAIRS[int(np.argmin(bargmann_products(u, v, w)[1]))])
     return angle
 
 
@@ -235,7 +236,10 @@ def prime_triple(x: Ray, y: Ray, z: Ray) -> Triple:
     return Triple(x=Ray(rep=x1), y=Ray(rep=y1), z=Ray(rep=z1))
 
 
-def _projections_equal(p, zero_p, q, zero_q) -> np.ndarray:
+def equal_projections(p, zero_p, q, zero_q) -> np.ndarray:
+    """Whether two stacked projections, each as
+    :func:`~raygeo.rays.project_rays` returns it, are equal: both
+    ``ZERO``, or equal rays."""
     return np.where(zero_p | zero_q, zero_p & zero_q, equal_rays(p, q))
 
 
@@ -247,8 +251,8 @@ def reciprocity_rows(u, v, w) -> np.ndarray:
     of v.  Vacuously true when the antecedent fails — in particular on
     any triple of pairwise-orthogonal (classical) states.
     """
-    antecedent = _projections_equal(*complement_projections(u, v), *complement_projections(u, w))
-    consequent = _projections_equal(*complement_projections(v, w), *complement_projections(v, u))
+    antecedent = equal_projections(*complement_projections(u, v), *complement_projections(u, w))
+    consequent = equal_projections(*complement_projections(v, w), *complement_projections(v, u))
     return ~antecedent | consequent
 
 

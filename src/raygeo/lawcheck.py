@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import UnknownLawError
-from .sampling import check_seed, substream
+from .sampling import check_seed, is_integer, substream
 from .serialize import to_jsonable
 
 #: Ceiling on the fraction of skipped trials before a law fails outright.
@@ -100,7 +100,7 @@ class GeneratorSpec:
         if not self.dims:
             raise ValueError("dims must be non-empty")
         counts = (*self.dims, self.trials_per_dim)
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in counts):
+        if not all(map(is_integer, counts)):
             raise ValueError("dims and trials_per_dim must be integers")
         if any(d < MIN_DIM or d > MAX_DIM for d in self.dims):
             raise ValueError(f"dims must lie within [{MIN_DIM}, {MAX_DIM}]")

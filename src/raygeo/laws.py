@@ -76,6 +76,7 @@ from .probability import (
     complement_residuals,
     inclusion_exclusion_residuals,
     interference_margins,
+    measurement_chain,
     ortho_additivity_residuals,
     search_nonsquared_counterexample,
     total_probability_defined,
@@ -93,7 +94,6 @@ from .morphisms import (
 from .tensor import kron_rows, p_product_residuals, product_rays, theta_product_residuals
 
 ANGLE_TOL = 1e-8
-MIN_OVERLAP = sampling.MIN_OVERLAP
 
 
 def _block(residuals, skipped=None, **instance) -> Block:
@@ -308,7 +308,7 @@ def _batch_classical_no_disturbance(rng, dim, n):
     "overlap lies in [0,1], symmetric, 1 iff equal, 0 iff orthogonal",
 )
 def _batch_a_properties(rng, dim, n):
-    x, y, skip = sampling.nonorthogonal_pairs(rng, n, dim)
+    x, y, skip = sampling.nonorthogonal_rays(rng, n, dim, 2)
     a_xy = a_sims(x, y)
     frame = sampling.random_frames(rng, n, dim, 2)
     e, f = rays_from(frame[:, :, 0]), rays_from(frame[:, :, 1])
@@ -393,7 +393,7 @@ def _batch_p_max(rng, dim, n):
 def _batch_p_bounds(rng, dim, n):
     a = sampling.random_subspaces(rng, n, dim, 0, dim)
     x = sampling.random_rays(rng, n, dim)
-    p = p_props(a, x)
+    p = measurement_chain(x, a)[0]  # the Born value, unclipped
     return _block(np.maximum(0.0, np.maximum(-p, p - 1.0)), alpha=a, x=x)
 
 
@@ -436,7 +436,7 @@ def _batch_coplanarity_permutations(rng, dim, n):
     tolerance=ANGLE_TOL,
 )
 def _batch_theta_representative_independence(rng, dim, n):
-    x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim)
+    x, y, z, skip = sampling.nonorthogonal_rays(rng, n, dim, 3)
     reference = triple_phases(x, y, z)
     scrambled = triple_phases(
         x * _unit_phases(rng, n)[:, np.newaxis],
@@ -452,7 +452,7 @@ def _batch_theta_representative_independence(rng, dim, n):
     tolerance=ANGLE_TOL,
 )
 def _batch_theta_cyclic(rng, dim, n):
-    x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim)
+    x, y, z, skip = sampling.nonorthogonal_rays(rng, n, dim, 3)
     t = triple_phases(x, y, z)
     residual = np.maximum(
         circular_distances(triple_phases(y, z, x), t),
@@ -467,10 +467,7 @@ def _batch_theta_cyclic(rng, dim, n):
     tolerance=ANGLE_TOL,
 )
 def _batch_theta_cocycle(rng, dim, n):
-    x, y, z, w = rays = [sampling.random_rays(rng, n, dim) for _ in range(4)]
-    skip = np.zeros(n, dtype=bool)
-    for u, v in itertools.combinations(rays, 2):
-        skip |= a_sims(u, v) <= MIN_OVERLAP
+    x, y, z, w, skip = sampling.nonorthogonal_rays(rng, n, dim, 4)
     lhs = triple_phases(x, y, w)
     rhs = triple_phases(x, y, z) + triple_phases(x, z, w) + triple_phases(z, y, w)
     return _block(circular_distances(lhs, wrap_angles(rhs)), skip, x=x, y=y, z=z, w=w)
@@ -484,8 +481,7 @@ def _batch_theta_cocycle(rng, dim, n):
 )
 def _batch_theta_prime(rng, dim, n):
     x, y, z, skip = sampling.coplanar_triples(rng, n, dim)
-    overlap = np.minimum.reduce([a_sims(x, y), a_sims(y, z), a_sims(z, x)])
-    skip |= equal_rays(x, y) | equal_rays(y, z) | equal_rays(z, x) | (overlap <= MIN_OVERLAP)
+    skip |= equal_rays(x, y) | equal_rays(y, z) | equal_rays(z, x) | sampling.near_orthogonal(x, y, z)
     x1, y1, z1, defect = prime_triples(x, y, z)
     primed = triple_phases(x1, y1, z1)
     residual = np.where(defect != 0, math.inf, circular_distances(primed, -triple_phases(x, y, z)))
@@ -498,7 +494,8 @@ def _batch_theta_prime(rng, dim, n):
     tolerance=ANGLE_TOL,
 )
 def _batch_theta_euclidean(rng, dim, n):
-    x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim, real=True)
+    x, y, z = (rays_from(rng.standard_normal((n, dim))) for _ in range(3))
+    skip = sampling.near_orthogonal(x, y, z)
     t = triple_phases(x, y, z)
     positive = [rays_from(np.abs(rng.standard_normal((n, dim))) + 0.1) for _ in range(3)]
     residual = np.maximum(
@@ -514,7 +511,7 @@ def _batch_theta_euclidean(rng, dim, n):
 
 def _pairs_and_weights(rng, dim, n):
     """Superposition components (y, z), skip mask and weights r."""
-    y, z, skip = sampling.nonorthogonal_pairs(rng, n, dim)
+    y, z, skip = sampling.nonorthogonal_rays(rng, n, dim, 2)
     return y, z, skip, rng.uniform(0.0, 1.0, n)
 
 
@@ -570,7 +567,7 @@ def _batch_superposition_theta_zero(rng, dim, n):
     # near r = 0 or 1 the superposition collapses onto a component
     skip |= equal_rays(y, z) | (r < 1e-6) | (r > 1.0 - 1e-6)
     x = superposed_rays(y, z, r)
-    skip |= np.minimum(a_sims(x, y), a_sims(x, z)) <= MIN_OVERLAP
+    skip |= sampling.near_orthogonal(x, y, z)
     return _block(circular_distances(triple_phases(x, y, z), 0.0), skip, y=y, z=z, r=r)
 
 
@@ -582,7 +579,7 @@ def _batch_superposition_theta_zero(rng, dim, n):
 def _batch_p_basis(rng, dim, n):
     y, z, skip, r = _pairs_and_weights(rng, dim, n)
     x = sampling.random_rays(rng, n, dim)
-    skip |= np.minimum(a_sims(x, y), a_sims(x, z)) <= MIN_OVERLAP
+    skip |= sampling.near_orthogonal(x, y, z)
     direct = p_sims(superposed_rays(y, z, r), x)
     closed = p_of_superposition_closed_forms(r, y, z, x)
     return _block(np.abs(closed - direct), skip, y=y, z=z, r=r, x=x, direct=direct, closed=closed)
@@ -618,7 +615,7 @@ def _batch_prop1_dominance(rng, dim, n):
     "at r=0 the strict dominance degrades to equality, as predicted (control)",
 )
 def _batch_dominance_boundary(rng, dim, n):
-    y, z, skip = sampling.nonorthogonal_pairs(rng, n, dim)
+    y, z, skip = sampling.nonorthogonal_rays(rng, n, dim, 2)
     x0 = superposed_rays(y, z, np.zeros(n))
     return _block(np.abs(p_sims(x0, y) - p_sims(y, z)), skip, y=y, z=z)
 
@@ -652,7 +649,7 @@ def _batch_superposition_theta_consistency(rng, dim, n):
     x1 = sampling.random_rays(rng, n, dim)
     x2 = sampling.random_rays(rng, n, dim)
     s = superposed_rays(y, z, r)
-    skip |= np.minimum.reduce([a_sims(s, x1), a_sims(x1, x2), a_sims(x2, s)]) <= MIN_OVERLAP
+    skip |= sampling.near_orthogonal(s, x1, x2)
     reference = triple_phases(s, x1, x2)
     scrambled = triple_phases(*(v * _unit_phases(rng, n)[:, np.newaxis] for v in (s, x1, x2)))
     return _block(circular_distances(reference, scrambled), skip, y=y, z=z, r=r, x1=x1, x2=x2)
@@ -1035,7 +1032,7 @@ def _batch_tensor_p_product(rng, dim, n):
     dims=(2, 3),
 )
 def _batch_tensor_theta_additive(rng, dim, n):
-    x1, y1, z1, skip1 = sampling.nonorthogonal_triples(rng, n, 2)
-    x2, y2, z2, skip2 = sampling.nonorthogonal_triples(rng, n, dim)
+    x1, y1, z1, skip1 = sampling.nonorthogonal_rays(rng, n, 2, 3)
+    x2, y2, z2, skip2 = sampling.nonorthogonal_rays(rng, n, dim, 3)
     residual = theta_product_residuals(x1, y1, z1, x2, y2, z2)
     return _block(residual, skip1 | skip2, x1=x1, y1=y1, z1=z1, x2=x2, y2=y2, z2=z2)

@@ -20,7 +20,15 @@ from .errors import DimensionMismatchError, NotIsometryError
 from .linalg import EPS_ABS, circular_distances, norms
 from .rays import Ray, ray_from, rays_from
 from .geometry import a_sims, p_sims, triple_phases
-from .sampling import MIN_OVERLAP, gaussian_stack, haar_q, keyed_generator, random_frames
+from .sampling import (
+    gaussian_stack,
+    haar_q,
+    is_integer,
+    keyed_generator,
+    near_orthogonal,
+    random_frames,
+    random_rays,
+)
 from .superposition import superpose_vectors
 
 
@@ -143,12 +151,6 @@ class PreservationReport:
     witness: tuple[Ray, Ray, float] | None
 
 
-def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """``count`` uniformly random unit vectors of C^dim, shape (count, dim)."""
-    g = gaussian_stack(rng, (count, dim))
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-
 def _image_rows(m, u) -> np.ndarray:
     """Unit images of stacked vectors (..., s, d) under matrices (..., D, d)."""
     v = u @ m.swapaxes(-1, -2)
@@ -161,21 +163,29 @@ def superposition_residuals(m, y, z, r) -> tuple[np.ndarray, np.ndarray]:
     between the image of the superposition and the superposition of the
     images, or 1.0 where the image pair is orthogonal (overlap at most
     ``EPS_ABS``); a sample is preserved when it is at most ``EPS_ABS``.
-    Only the kept samples, with overlap above
-    :data:`~raygeo.sampling.MIN_OVERLAP`, count: the others read 0."""
+    Only the kept samples count, those whose pair
+    :func:`~raygeo.sampling.near_orthogonal` does not flag: the others
+    read 0."""
     fy, fz = _image_rows(m, y), _image_rows(m, z)
     mapped = _image_rows(m, superpose_vectors(y, z, r))
     direct = superpose_vectors(fy, fz, r)
     direct = direct / norms(direct)[..., np.newaxis]
     residual = np.where(a_sims(fy, fz) <= EPS_ABS, 1.0, 1.0 - a_sims(mapped, direct))
-    kept = a_sims(y, z) > MIN_OVERLAP
+    kept = ~near_orthogonal(y, z)
     return np.where(kept, residual, 0.0), kept
 
 
+def _check_trials(trials: int) -> None:
+    """Raise ``ValueError`` unless ``trials`` is a positive integer
+    (:func:`~raygeo.sampling.is_integer`): the sample count of a check."""
+    if not is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+
+
 def _superposition_samples(trials: int, seed: int, dim: int):
+    _check_trials(trials)
     rng = keyed_generator(seed, 0x5052455345525645)
-    trials = max(int(trials), 0)
-    return _unit_rows(rng, trials, dim), _unit_rows(rng, trials, dim), rng.uniform(0.0, 1.0, trials)
+    return random_rays(rng, trials, dim), random_rays(rng, trials, dim), rng.uniform(0.0, 1.0, trials)
 
 
 def preserves_superpositions(f: RegularMap, trials: int = 500, seed: int = 0) -> PreservationReport:
@@ -189,7 +199,8 @@ def preserves_superpositions(f: RegularMap, trials: int = 500, seed: int = 0) ->
     Raises
     ------
     ValueError
-        If ``seed`` is not an integer in [0, 2**64).
+        If ``trials`` is not a positive integer, or ``seed`` is not an
+        integer in [0, 2**64).
     """
     y, z, r = _superposition_samples(trials, seed, f.dim_in)
     residual, kept = superposition_residuals(f.matrix, y, z, r)
@@ -212,7 +223,13 @@ def char_morph_agreements(m, y, z, r) -> np.ndarray:
 
 def check_char_morph(f: RegularMap, trials: int = 500, seed: int = 0) -> bool:
     """The single form of :func:`char_morph_agreements`, on the samples of
-    :func:`preserves_superpositions`."""
+    :func:`preserves_superpositions`.
+
+    Raises
+    ------
+    ValueError
+        As :func:`preserves_superpositions` does.
+    """
     return bool(char_morph_agreements(f.matrix, *_superposition_samples(trials, seed, f.dim_in)))
 
 
@@ -229,9 +246,9 @@ def p_theta_residuals(m, x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(p_residual, theta_residual, kept)``: |p(f x, f y) − p(x, y)| and
     the circular distance from theta(f x, f y, f z) to theta(x, y, z)
     for stacked maps (..., D, d) and triples (..., s, d); only the kept
-    triples, with overlaps above :data:`~raygeo.sampling.MIN_OVERLAP`,
-    count: the others give 0."""
-    kept = np.minimum.reduce([a_sims(x, y), a_sims(y, z), a_sims(z, x)]) > MIN_OVERLAP
+    triples, which :func:`~raygeo.sampling.near_orthogonal` does not
+    flag, count: the others give 0."""
+    kept = ~near_orthogonal(x, y, z)
     fx, fy, fz = (_image_rows(m, t) for t in (x, y, z))
     p_residual = np.abs(p_sims(fx, fy) - p_sims(x, y))
     theta_residual = circular_distances(triple_phases(fx, fy, fz), triple_phases(x, y, z))
@@ -248,13 +265,14 @@ def check_preserves_p_theta(f: RegularMap, trials: int = 200, seed: int = 0) -> 
     NotIsometryError
         If the map is not an isometry up to scale.
     ValueError
-        If ``seed`` is not an integer in [0, 2**64).
+        If ``trials`` is not a positive integer, or ``seed`` is not an
+        integer in [0, 2**64).
     """
     if isometry_scale(f) is None:
         raise NotIsometryError("p/theta preservation holds only for isometries")
+    _check_trials(trials)
     rng = keyed_generator(seed, 0x5051554E54)
-    trials = max(int(trials), 0)
-    x, y, z = (_unit_rows(rng, trials, f.dim_in) for _ in range(3))
+    x, y, z = (random_rays(rng, trials, f.dim_in) for _ in range(3))
     p_residual, theta_residual, kept = p_theta_residuals(f.matrix, x, y, z)
     return QuantityResiduals(
         p_residual=float(p_residual.max(initial=0.0)),

@@ -33,7 +33,6 @@ from .rays import (
     commutation_defects,
     commutes,
     complements,
-    equal_rays,
     equal_subspaces,
     is_member,
     is_orthogonal,
@@ -45,8 +44,8 @@ from .rays import (
     ray_from,
     require_dims,
 )
-from .geometry import p_props
-from .sampling import keyed_generators
+from .geometry import equal_projections, p_props
+from .sampling import is_integer, keyed_generators
 
 
 def ortho_additivity_residuals(qa, qb, x) -> np.ndarray:
@@ -134,14 +133,13 @@ def check_chain_rule(x: Ray, a: Subspace, b: Subspace) -> float:
 def total_probability_defined(qa, qb, x) -> np.ndarray:
     """Whether the total probability decomposition applies to stacked
     instances: a and b commute, or the composite projections a(b(x))
-    and b(a(x)) agree (both ZERO, or equal rays)."""
+    and b(a(x)) agree (:func:`~raygeo.geometry.equal_projections`)."""
     bx, zero_b = project_rays(qb, x)
     ab, zero_ab = project_rays(qa, bx)
     ax, zero_a = project_rays(qa, x)
     ba, zero_ba = project_rays(qb, ax)
     zero_ab, zero_ba = zero_ab | zero_b, zero_ba | zero_a
-    local = np.where(zero_ab | zero_ba, zero_ab & zero_ba, equal_rays(ab, ba))
-    return (commutation_defects(qa, qb) <= EPS_ABS) | local
+    return (commutation_defects(qa, qb) <= EPS_ABS) | equal_projections(ab, zero_ab, ba, zero_ba)
 
 
 def check_total_probability(x: Ray, a: Subspace, b: Subspace) -> float:
@@ -303,7 +301,7 @@ def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitn
         fraction or a string would be coerced to another count), or if
         ``seed`` is not an integer in [0, 2**64) and ``budget`` is positive.
     """
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+    if not is_integer(budget):
         raise ValueError(f"the budget must be an integer, got {budget!r}")
     budget = int(budget)
     rngs = keyed_generators(seed, range(budget))

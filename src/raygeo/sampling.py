@@ -11,41 +11,12 @@ are therefore a pure function of (law id, generator spec, stream
 version), and blocks can run in any order, or in parallel, without
 changing a single drawn number.
 :data:`STREAM_VERSION` names the scheme; it is bumped whenever a
-change alters what a law draws:
-
-* version 1: one substream per (law, dim, trial) for every law;
-* version 2: batched laws draw one substream per (law, dim, block), and
-  the morphism samplers draw their samples as stacks;
-* version 3: the ray, phase, superposition and tensor laws are batched
-  too, drawing their instances from the stacked samplers below
-  (``random_rays``, ``nonorthogonal_pairs``, ``nonorthogonal_triples``,
-  ``coplanar_triples``, ``classical_ray_stacks``), where a rejected
-  draw is a skipped trial instead of a redraw; ``random_frames`` draws
-  only the columns its caller uses;
-* version 4: every law runs in blocks.  The laws whose instances change
-  shape from trial to trial draw their trials one after another from
-  the block's substream instead of from one substream per trial;
-* version 5: every law draws its block as stacks.  Subspaces are frames
-  with zero columns (``random_subspaces``, ``nested_pairs``,
-  ``commuting_pairs``), maps are padded with zero rows, and blocks
-  shrink beyond d = 8 (:func:`raygeo.lawcheck.block_trials`);
-* version 6: ``random_frames`` returns the Q factor whose R has a real
-  positive diagonal, where LAPACK's Householder QR left a sign on each
-  column; wide stacks compute it by stacked Gram–Schmidt;
-* version 7: blocks up to d = 8 hold as many stack entries as the d = 8
-  block (4096 trials at d = 2), and the morphism samplers' isometries
-  take the same Q factor (``haar_q``), where a bare LAPACK QR had left
-  a sign on each column;
-* version 8: every frame is drawn by ``ranked_frames``, which draws
-  only the columns a frame of its rank keeps, column by column, and
-  orthonormalizes them only up to that rank.  ``random_frames`` is its
-  full-rank form, ``random_subspaces`` and ``nested_pairs`` draw their
-  ranks first, and the interference law draws each proposition's frame
-  of its rank, in place of a full frame whose later columns it zeroed;
-* version 9: the interference law takes its state as the first column
-  of α's frame, uniform on α's unit sphere given α, in place of a
-  normalized Gaussian combination of α's columns drawn after the
-  frames.  No other law draws differently.
+change alters what a law draws.  At version 9, the current one, every
+law draws its block as stacks and every frame through
+:func:`ranked_frames`; a rejected draw, such as a tuple of rays that
+:func:`near_orthogonal` flags, is a skipped trial, never a redraw; and
+the interference law takes its state as the first column of α's frame.
+The README's determinism contract gives versions 1–8.
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
@@ -60,7 +31,9 @@ keys through it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 from collections.abc import Iterator
 
 import numpy as np
@@ -68,9 +41,9 @@ import numpy as np
 from .linalg import gram_schmidt, norms, orthonormalize_rows
 from .rays import a_sims, rays_from
 
-#: Rejection threshold where a law or a morphism sampler needs
-#: non-orthogonality: trials whose pairs have overlap at or below this
-#: are skipped.
+#: Rejection threshold where a law or a morphism check needs
+#: non-orthogonal rays: :func:`near_orthogonal` flags the tuples with a
+#: pair whose overlap is at or below it, and they are skipped.
 MIN_OVERLAP = 1e-6
 
 #: Version of the stream scheme, written into every serialized report;
@@ -83,10 +56,17 @@ def law_stream_key(law_id: str) -> int:
     return int.from_bytes(hashlib.blake2b(law_id.encode(), digest_size=8).digest(), "little")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` or ``np.integer`` and not a ``bool``:
+    a count or a seed that no coercion changes, where ``int()`` would
+    truncate a fraction or parse a string."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed: int) -> None:
-    """Raise ``ValueError`` unless ``seed`` is a base seed: an ``int`` or
-    ``np.integer`` (not a ``bool``; a fraction would be truncated) in [0, 2**64)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+    """Raise ``ValueError`` unless ``seed`` is a base seed: an integer
+    (:func:`is_integer`) in [0, 2**64)."""
+    if not is_integer(seed):
         raise ValueError(f"the seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"the seed must lie in [0, 2^64), got {seed}")
@@ -152,38 +132,35 @@ def substream(seed: int, law_id: str, dim: int, index: int) -> np.random.Generat
     return keyed_generator(seed ^ law_stream_key(law_id), (dim << 32) ^ index)
 
 
-def gaussian_stack(rng: np.random.Generator, shape, real: bool = False) -> np.ndarray:
-    """Standard complex Gaussian entries of the given shape (imaginary
-    parts zero when ``real``): the real parts drawn first, then the
-    imaginary parts, each written in place."""
+def gaussian_stack(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian entries of the given shape: the real
+    parts drawn first, then the imaginary parts, each written in place."""
     out = np.zeros(shape, dtype=np.complex128)
     out.real = rng.standard_normal(shape)
-    if not real:
-        out.imag = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
     return out
 
 
-def random_rays(rng: np.random.Generator, count: int, dim: int, real: bool = False) -> np.ndarray:
+def random_rays(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """Canonical representatives of ``count`` random rays, shape (count, dim)."""
-    return rays_from(gaussian_stack(rng, (count, dim), real))
+    return rays_from(gaussian_stack(rng, (count, dim)))
 
 
-def nonorthogonal_pairs(rng: np.random.Generator, count: int, dim: int):
-    """``count`` random ray pairs ``(x, y, skip)``: stacks of shape
-    (count, dim) and the mask of the pairs with overlap at or below
-    :data:`MIN_OVERLAP`, which a law skips."""
-    x = random_rays(rng, count, dim)
-    y = random_rays(rng, count, dim)
-    return x, y, a_sims(x, y) <= MIN_OVERLAP
+def near_orthogonal(*rays) -> np.ndarray:
+    """Whether the tuples of the given stacked rays (..., d) have some
+    pair whose overlap is at or below :data:`MIN_OVERLAP`, shape (...):
+    the tuples a law or a morphism check skips, since superpositions
+    and the triple phase are defined only for non-orthogonal rays."""
+    overlaps = (a_sims(u, v) for u, v in itertools.combinations(rays, 2))
+    return functools.reduce(np.minimum, overlaps) <= MIN_OVERLAP
 
 
-def nonorthogonal_triples(rng: np.random.Generator, count: int, dim: int, real: bool = False):
-    """``count`` random ray triples ``(x, y, z, skip)``: stacks of shape
-    (count, dim) and the mask of the triples with some pairwise overlap
-    at or below :data:`MIN_OVERLAP`."""
-    x, y, z = (random_rays(rng, count, dim, real) for _ in range(3))
-    overlap = np.minimum(np.minimum(a_sims(x, y), a_sims(y, z)), a_sims(z, x))
-    return x, y, z, overlap <= MIN_OVERLAP
+def nonorthogonal_rays(rng: np.random.Generator, count: int, dim: int, k: int):
+    """``k`` stacks of ``count`` random rays (count, dim), drawn one after
+    another by :func:`random_rays`, then their :func:`near_orthogonal`
+    mask, which a law skips."""
+    rays = [random_rays(rng, count, dim) for _ in range(k)]
+    return (*rays, near_orthogonal(*rays))
 
 
 def coplanar_triples(rng: np.random.Generator, count: int, dim: int):
@@ -191,7 +168,7 @@ def coplanar_triples(rng: np.random.Generator, count: int, dim: int):
     subspace each: x is a random combination of the pair (y, z).  A
     triple is skipped when y and z are near-orthogonal or the
     combination nearly vanishes (norm at most 1e-3)."""
-    y, z, skip = nonorthogonal_pairs(rng, count, dim)
+    y, z, skip = nonorthogonal_rays(rng, count, dim, 2)
     c = gaussian_stack(rng, (count, 2))
     vec = c[:, :1] * y + c[:, 1:] * z
     small = norms(vec) <= 1e-3

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DegenerateTripleError, InvalidWeightError, OrthogonalComponentsError
 from .linalg import ANGLE_GUARD, EPS_ABS, orthonormalize
 from .rays import Ray, a_sims, is_orthogonal, ray_from, rays_from, require_dims
-from .geometry import a_sim, p_sim, p_sims, triple_phases
+from .geometry import a_sim, bargmann_products, p_sim, p_sims, triple_phases
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def p_of_superposition_closed_forms(r, v, w, x) -> np.ndarray:
     are outside the domain and meaningless.
     """
     r = np.asarray(r, dtype=np.float64)
-    bargmann = np.vecdot(v, x) * np.vecdot(w, v) * np.vecdot(x, w)  # <x,v><v,w><w,x>
+    bargmann = bargmann_products(x, v, w)[0]  # <x,v><v,w><w,x>
     interference = 2.0 * np.sqrt(r * (1.0 - r)) * bargmann.real / a_sims(v, w)
     return (r * p_sims(v, x) + (1.0 - r) * p_sims(w, x) + interference) / omegas(r, v, w)
 

@@ -13,6 +13,7 @@ and total-probability residuals) is pinned to ``project_ray`` and
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -48,7 +49,7 @@ from raygeo.geometry import (
     triple_phase,
     triple_phases,
 )
-from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distances, gram_schmidt, orthonormalize_rows
+from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distances, gram_schmidt, inners, orthonormalize_rows
 from raygeo.probability import chain_rule_residuals, measurement_chain, total_probability_residuals
 from raygeo.rays import (
     commutation_defects,
@@ -340,8 +341,6 @@ def test_stacked_draws():
         assert frames.shape == (7, 4, cols)
         eye = np.broadcast_to(np.eye(cols), (7, cols, cols))
         np.testing.assert_allclose(frames.conj().swapaxes(-1, -2) @ frames, eye, atol=1e-12)
-    real = gaussian_stack(np.random.default_rng(7), (5, 3), real=True)
-    assert real.dtype == np.complex128 and not real.imag.any()
 
 
 # -- stacked ray primitives ---------------------------------------------------
@@ -584,7 +583,7 @@ def test_tensor_products_match_references(dim):
     x2, y2, z2 = _triples(rng, dim, n=30)
     x2[0], y2[0] = x2[1], x2[1]  # equal rays in the second factor
     p_res = p_product_residuals(x1, y1, x2, y2)
-    keep = np.minimum.reduce([a_sims(x2, y2), a_sims(y2, z2), a_sims(z2, x2)]) > 1e-6
+    keep = ~sampling.near_orthogonal(x2, y2, z2)
     t_res = theta_product_residuals(*(s[keep] for s in (x1, y1, z1, x2, y2, z2)))
     for i in range(30):
         px = ray_from(np.kron(x1[i], x2[i])).rep
@@ -603,11 +602,23 @@ def test_tensor_products_match_references(dim):
 def test_sampler_skip_masks(dim):
     rng = np.random.default_rng(100 + dim)
     n = 300
-    x, y, skip = sampling.nonorthogonal_pairs(rng, n, dim)
-    np.testing.assert_array_equal(skip, [abs(_inner(u, v)) <= MIN_OVERLAP for u, v in zip(x, y)])
-    x, y, z, skip = sampling.nonorthogonal_triples(rng, n, dim)
-    overlaps = [min(abs(_inner(a, b)) for a, b in ((u, v), (v, w), (w, u))) for u, v, w in zip(x, y, z)]
-    np.testing.assert_array_equal(skip, np.array(overlaps) <= MIN_OVERLAP)
+
+    def near_orthogonal(rays):  # reference: every pair of each tuple, one by one
+        pairs = [list(itertools.combinations(row, 2)) for row in zip(*rays)]
+        return np.array([min(abs(_inner(u, v)) for u, v in row) <= MIN_OVERLAP for row in pairs])
+
+    for k in (2, 3, 4):
+        *rays, skip = sampling.nonorthogonal_rays(rng, n, dim, k)
+        np.testing.assert_array_equal(skip, near_orthogonal(rays))
+        # plant overlaps 0, MIN_OVERLAP / 2 and 2 MIN_OVERLAP between the first and last stacks
+        u, v = rays[0][:12], rays[-1][:12]
+        w = v - inners(v, u)[:, np.newaxis] * u
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        eps = np.repeat([0.0, 0.5 * MIN_OVERLAP, 2.0 * MIN_OVERLAP], 4)[:, np.newaxis]
+        rays[-1][:12] = np.sqrt(1.0 - eps**2) * w + eps * u
+        planted = sampling.near_orthogonal(*rays)
+        np.testing.assert_array_equal(planted, near_orthogonal(rays))
+        assert planted[:8].all() and not planted[8:12].any()
     x, y, z, skip = sampling.coplanar_triples(rng, n, dim)
     pair_skip = np.array([abs(_inner(u, v)) <= MIN_OVERLAP for u, v in zip(y, z)])
     assert (skip >= pair_skip).all()

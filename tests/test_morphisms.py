@@ -182,6 +182,25 @@ class TestPreservesQuantities:
             check_preserves_p_theta(f, trials=10, seed=7)
 
 
+class TestSampleCount:
+    @pytest.mark.parametrize("trials", [2.7, True, "5", -3, 0])
+    @pytest.mark.parametrize("check", [preserves_superpositions, check_char_morph, check_preserves_p_theta])
+    def test_count_not_coerced(self, check, trials):
+        # int() would run 2.7 as 2 samples, True as 1, "5" as 5, and -3 as none
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            check(RegularMap(np.eye(3)), trials=trials, seed=0)
+
+    def test_no_verdict_on_zero_samples(self):
+        # zero samples preserve every superposition, so a non-isometry would
+        # read as a failed characterization
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            check_char_morph(RegularMap(np.diag([1, 2, 1])), trials=0)
+
+    def test_numpy_integer_count(self):
+        f = RegularMap(np.eye(3))
+        assert preserves_superpositions(f, trials=np.int64(5)) == preserves_superpositions(f, trials=5)
+
+
 class TestSingletonTarget:
     """A one-dimensional target admits exactly one ray.  The constant map
     into it preserves superpositions trivially but is not induced by any

@@ -8,7 +8,9 @@ sampler's construction, would not.  ``KILLED`` lists, per mutant, laws
 that failed under it: for the ray kernels, when those laws still ran
 trial by trial (``stream_version`` 2, same run configuration); for the
 lattice, as observed once the subspace laws were stacked
-(``stream_version`` 5).  Each must still fail now.
+(``stream_version`` 5); for the projection, as observed once
+``lemma.p_bounds`` read the unclipped Born value (``stream_version``
+9).  Each must still fail now.
 """
 
 import sys
@@ -63,11 +65,20 @@ def _joins_short(qa, qb):
     return joined
 
 
+_PROJECT_ROWS = rays.project_rows
+
+
+def _project_rows_long(q, x):
+    """The projections lengthened by a factor 1 + 1e-9."""
+    return (1.0 + 1e-9) * _PROJECT_ROWS(q, x)
+
+
 MUTANTS = {
     "p_sims=a": (geometry, "p_sims", _p_is_overlap),
     "superposition_rows=r": (superposition, "_superposition_rows", _rows_unrooted),
     "superposition_rows=unaligned": (superposition, "_superposition_rows", _rows_unaligned),
     "joins=short": (rays, "joins", _joins_short),
+    "project_rows=long": (rays, "project_rows", _project_rows_long),
 }
 
 KILLED = {
@@ -79,6 +90,22 @@ KILLED = {
         "subspace.orthomodular_identity",
     },
     "p_sims=a": {"lemma.p_basis", "lemma.p_properties", "lemma.prop1_component_form"},
+    "project_rows=long": {
+        "corollary.ortho_additivity_family",
+        "corollary.total_probability",
+        "counterexample.total_probability_2d",
+        "lemma.born_rule",
+        "lemma.complement_sum",
+        "lemma.conjunction_chain",
+        "lemma.inclusion_exclusion",
+        "lemma.local_total_probability",
+        "lemma.ortho_additivity",
+        "lemma.orthomodular_equality",
+        "lemma.p_bounds",
+        "subspace.projection_residual",
+        "theorem.interference_inequality",
+        "theorem.p_chain",
+    },
     "superposition_rows=r": {"lemma.p_basis", "lemma.prop1_component_form"},
     "superposition_rows=unaligned": {
         "lemma.p_basis",

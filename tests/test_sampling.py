@@ -5,6 +5,8 @@ them, and each draw is checked against the property that its callers
 rely on.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from raygeo import (
 )
 from raygeo import sampling
 from raygeo.morphisms import RegularMap, isometry_maps, isometry_scales, non_isometry_maps
-from raygeo.rays import containment_defects
+from raygeo.rays import a_sims, containment_defects
 from raygeo.sampling import MIN_OVERLAP, keyed_generator, keyed_generators, law_stream_key, substream
 
 
@@ -137,20 +139,39 @@ class TestSamplers:
 
     def test_nonorthogonal_pair_overlap_above_threshold(self):
         for rng in streams(14, 3, trials=2):
-            x, y, skip = sampling.nonorthogonal_pairs(rng, 50, 3)
+            x, y, skip = sampling.nonorthogonal_rays(rng, 50, 3, 2)
             overlaps = np.array([a_sim(Ray(rep=u), Ray(rep=v)) for u, v in zip(x, y)])
             np.testing.assert_array_equal(skip, overlaps <= MIN_OVERLAP)
 
-    def test_real_draws_are_real(self):
-        for rng in streams(15, 3, trials=2):
-            x, y, z, skip = sampling.nonorthogonal_triples(rng, 50, 3, real=True)
-            for i in np.flatnonzero(~skip):
-                rays = [Ray(rep=s[i]) for s in (x, y, z)]
-                assert min(a_sim(u, v) for u, v in zip(rays, rays[1:] + rays[:1])) > MIN_OVERLAP
-            stack = sampling.gaussian_stack(rng, (4, 3), real=True)
-            assert stack.dtype == np.complex128
-            for values in (x, y, z, stack):
-                assert np.max(np.abs(values.imag)) < 1e-14
+    def test_nonorthogonal_rays_draw_as_the_former_samplers(self):
+        # references: the pair and triple samplers it replaced, and the hand
+        # loop of lemma.theta_cocycle, which drew and skipped four rays
+        def pairs(rng, count, dim):
+            x = sampling.random_rays(rng, count, dim)
+            y = sampling.random_rays(rng, count, dim)
+            return x, y, a_sims(x, y) <= MIN_OVERLAP
+
+        def triples(rng, count, dim):
+            x, y, z = (sampling.random_rays(rng, count, dim) for _ in range(3))
+            overlap = np.minimum(np.minimum(a_sims(x, y), a_sims(y, z)), a_sims(z, x))
+            return x, y, z, overlap <= MIN_OVERLAP
+
+        def quadruples(rng, count, dim):
+            rays = [sampling.random_rays(rng, count, dim) for _ in range(4)]
+            skip = np.zeros(count, dtype=bool)
+            for u, v in itertools.combinations(rays, 2):
+                skip |= a_sims(u, v) <= MIN_OVERLAP
+            return (*rays, skip)
+
+        for k, reference in ((2, pairs), (3, triples), (4, quadruples)):
+            for dim in (2, 3, 5):
+                got_rng, want_rng = (substream(15, "test.sampling", dim, k) for _ in range(2))
+                got = sampling.nonorthogonal_rays(got_rng, 200, dim, k)
+                want = reference(want_rng, 200, dim)
+                assert len(got) == len(want) == k + 1
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+                assert got_rng.standard_normal() == want_rng.standard_normal()  # same stream position
 
     def test_isometry_scale_classifies_maps(self):
         for rng in streams(16, 3):
