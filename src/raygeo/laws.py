@@ -892,21 +892,48 @@ def _samples(rng, n, count, dim):
     return sampling.random_rays(rng, n * count, dim).reshape(n, count, dim)
 
 
+#: Sample rows that :func:`_on_superpositions` draws and checks at once:
+#: 8 maps of 200 samples, so its (maps, samples, d) stacks stay small,
+#: while sample 0 of a whole block of maps is one chunk.
+SUPERPOSITION_ROWS = 1600
+
+
 def _on_superpositions(kernel, rng, m, count):
     """``kernel(maps, y, z, r)`` on ``count`` random superpositions per map,
-    drawn and checked 8 maps at a time to keep the sample stacks small."""
+    drawn and checked ``max(1, SUPERPOSITION_ROWS // count)`` maps at a
+    time; on zero maps, the kernel's empty result."""
+    step = max(1, SUPERPOSITION_ROWS // count)
     parts = []
-    for i in range(0, len(m), 8):
-        y, z = (_samples(rng, len(m[i : i + 8]), count, m.shape[-1]) for _ in range(2))
-        parts.append(kernel(m[i : i + 8], y, z, rng.uniform(0.0, 1.0, y.shape[:2])))
+    for i in range(0, max(len(m), 1), step):
+        y, z = (_samples(rng, len(m[i : i + step]), count, m.shape[-1]) for _ in range(2))
+        parts.append(kernel(m[i : i + step], y, z, rng.uniform(0.0, 1.0, y.shape[:2])))
     return np.concatenate(parts)
 
 
+def _preserved(rng, m, count):
+    """Whether each map preserves all of up to ``count`` random
+    superpositions: sample 0 of every map first, then the other
+    ``count − 1`` only for the maps that preserved it, since one broken
+    sample settles a map's verdict."""
+
+    def preserves(*samples):
+        return (superposition_residuals(*samples)[0] <= EPS_ABS).all(axis=-1)
+
+    preserved = _on_superpositions(preserves, rng, m, 1)
+    if count > 1:
+        preserved[preserved] = _on_superpositions(preserves, rng, m[preserved], count - 1)
+    return preserved
+
+
 def _mixed_maps(rng, n, dim):
-    """Isometries and non-isometries, one or the other per trial by a fair coin."""
+    """Isometries and non-isometries, one or the other per trial by a fair
+    coin, each drawn only for the trials that keep it."""
     iso = rng.integers(0, 2, n) == 0
-    (m1, out1), (m2, out2) = isometry_maps(rng, n, dim), non_isometry_maps(rng, n, dim)
-    return np.where(iso[:, np.newaxis, np.newaxis], m1, m2), np.where(iso, out1, out2)
+    m = np.empty((n, dim + 2, dim), dtype=np.complex128)
+    dim_out = np.empty(n, dtype=np.int64)
+    for rows, sampler in ((iso, isometry_maps), (~iso, non_isometry_maps)):
+        m[rows], dim_out[rows] = sampler(rng, int(rows.sum()), dim)
+    return m, dim_out
 
 
 @law(
@@ -966,8 +993,7 @@ def _batch_isometry_preserves_all(rng, dim, n):
 )
 def _batch_noniso_breaks_superpositions(rng, dim, n):
     m, dim_out = non_isometry_maps(rng, n, dim)
-    residual = _on_superpositions(lambda *s: superposition_residuals(*s)[0], rng, m, 200)
-    failed = ~np.isnan(isometry_scales(m)) | (residual <= EPS_ABS).all(axis=1)
+    failed = ~np.isnan(isometry_scales(m)) | _preserved(rng, m, 200)
     return _block(failed.astype(float), map=m, dim_out=dim_out)
 
 
@@ -980,7 +1006,7 @@ def _batch_noniso_breaks_superpositions(rng, dim, n):
 )
 def _batch_char_morph(rng, dim, n):
     m, dim_out = _mixed_maps(rng, n, dim)
-    ok = _on_superpositions(char_morph_agreements, rng, m, 120)
+    ok = char_morph_agreements(m, _preserved(rng, m, 120))
     return _block((~ok).astype(float), map=m, dim_out=dim_out)
 
 

@@ -43,8 +43,10 @@ class RegularMap:
     Raises
     ------
     ValueError
-        If the matrix is not numerically injective (smallest singular
-        value at or below ``EPS_ABS``) or contains non-finite entries.
+        If the matrix is not numerically injective (fewer rows than
+        columns, or smallest singular value at or below ``EPS_ABS``
+        times the largest, a test that no nonzero scale changes) or
+        contains non-finite entries.
     """
 
     matrix: np.ndarray
@@ -55,9 +57,14 @@ class RegularMap:
             raise ValueError("expected a non-empty 2-D matrix")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
-        smin = float(np.linalg.svd(m, compute_uv=False)[-1])
-        if m.shape[0] < m.shape[1] or smin <= EPS_ABS:
-            raise ValueError(f"matrix is not injective (smallest singular value {smin:.3e})")
+        if m.shape[0] < m.shape[1]:
+            rows, cols = m.shape
+            raise ValueError(f"matrix is not injective: {rows}x{cols} has fewer rows than columns")
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[-1] <= EPS_ABS * s[0]:
+            raise ValueError(
+                f"matrix is not injective (smallest singular value {s[-1]:.3e}, largest {s[0]:.3e})"
+            )
         object.__setattr__(self, "matrix", m)
         m.flags.writeable = False
 
@@ -74,6 +81,16 @@ class RegularMap:
     @property
     def dim_out(self) -> int:
         return int(self.matrix.shape[0])
+
+
+def _normalized(f: RegularMap) -> tuple[np.ndarray, float]:
+    """``f``'s matrix times the power of two that brings its largest entry
+    modulus into [0.5, 1), and that factor.  The product is exact in
+    floating point and induces the same ray map, so the stacked kernels
+    neither underflow nor overflow on a tiny or huge matrix; a matrix
+    whose largest entry lies in [0.5, 1) comes back as it is."""
+    factor = np.ldexp(1.0, -int(np.frexp(np.abs(f.matrix).max())[1]))
+    return factor * f.matrix, factor
 
 
 def _padded_frames(rng: np.random.Generator, count: int, dim_in: int):
@@ -116,7 +133,7 @@ def apply_ray(f: RegularMap, x: Ray) -> Ray:
     """Image of a ray under the induced map: the single form of :func:`apply_rays`."""
     if x.dim != f.dim_in:
         raise DimensionMismatchError(f"ray dim {x.dim} vs map input dim {f.dim_in}")
-    return Ray(rep=apply_rays(f.matrix, x.rep))
+    return Ray(rep=apply_rays(_normalized(f)[0], x.rep))
 
 
 def isometry_scales(m) -> np.ndarray:
@@ -132,7 +149,8 @@ def isometry_scales(m) -> np.ndarray:
 def isometry_scale(f: RegularMap) -> float | None:
     """The uniform scale c with ‖m·u‖ = c‖u‖ for all u, or None: the
     single form of :func:`isometry_scales`."""
-    c = float(isometry_scales(f.matrix))
+    m, factor = _normalized(f)
+    c = float(isometry_scales(m)) / factor
     return None if np.isnan(c) else c
 
 
@@ -182,12 +200,6 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
 
 
-def _superposition_samples(trials: int, seed: int, dim: int):
-    _check_trials(trials)
-    rng = keyed_generator(seed, 0x5052455345525645)
-    return random_rays(rng, trials, dim), random_rays(rng, trials, dim), rng.uniform(0.0, 1.0, trials)
-
-
 def preserves_superpositions(f: RegularMap, trials: int = 500, seed: int = 0) -> PreservationReport:
     """Sampled check that the induced map carries superpositions to
     superpositions of the images: :func:`superposition_residuals` on
@@ -202,8 +214,11 @@ def preserves_superpositions(f: RegularMap, trials: int = 500, seed: int = 0) ->
         If ``trials`` is not a positive integer, or ``seed`` is not an
         integer in [0, 2**64).
     """
-    y, z, r = _superposition_samples(trials, seed, f.dim_in)
-    residual, kept = superposition_residuals(f.matrix, y, z, r)
+    _check_trials(trials)
+    rng = keyed_generator(seed, 0x5052455345525645)
+    y, z = random_rays(rng, trials, f.dim_in), random_rays(rng, trials, f.dim_in)
+    r = rng.uniform(0.0, 1.0, trials)
+    residual, kept = superposition_residuals(_normalized(f)[0], y, z, r)
     residual, y, z, r = residual[kept], y[kept], z[kept], r[kept]
     failed = residual > EPS_ABS
     if not failed.any():
@@ -213,16 +228,15 @@ def preserves_superpositions(f: RegularMap, trials: int = 500, seed: int = 0) ->
     return PreservationReport(False, float(residual[: k + 1].max()), k + 1, seed, witness)
 
 
-def char_morph_agreements(m, y, z, r) -> np.ndarray:
-    """Agreement of the exact isometry criterion with the sampled
-    preservation verdict, arguments as for :func:`superposition_residuals`;
-    true for every regular map."""
-    preserves = (superposition_residuals(m, y, z, r)[0] <= EPS_ABS).all(axis=-1)
-    return ~np.isnan(isometry_scales(m)) == preserves
+def char_morph_agreements(m, preserved) -> np.ndarray:
+    """Agreement of the exact isometry criterion for stacked maps
+    (..., D, d) with their sampled preservation verdicts (...), true
+    where every sample was preserved; true for every regular map."""
+    return ~np.isnan(isometry_scales(m)) == preserved
 
 
 def check_char_morph(f: RegularMap, trials: int = 500, seed: int = 0) -> bool:
-    """The single form of :func:`char_morph_agreements`, on the samples of
+    """The single form of :func:`char_morph_agreements`, on the verdict of
     :func:`preserves_superpositions`.
 
     Raises
@@ -230,7 +244,8 @@ def check_char_morph(f: RegularMap, trials: int = 500, seed: int = 0) -> bool:
     ValueError
         As :func:`preserves_superpositions` does.
     """
-    return bool(char_morph_agreements(f.matrix, *_superposition_samples(trials, seed, f.dim_in)))
+    preserved = preserves_superpositions(f, trials, seed).preserves
+    return bool(char_morph_agreements(_normalized(f)[0], preserved))
 
 
 @dataclass(frozen=True)
@@ -273,7 +288,7 @@ def check_preserves_p_theta(f: RegularMap, trials: int = 200, seed: int = 0) -> 
     _check_trials(trials)
     rng = keyed_generator(seed, 0x5051554E54)
     x, y, z = (random_rays(rng, trials, f.dim_in) for _ in range(3))
-    p_residual, theta_residual, kept = p_theta_residuals(f.matrix, x, y, z)
+    p_residual, theta_residual, kept = p_theta_residuals(_normalized(f)[0], x, y, z)
     return QuantityResiduals(
         p_residual=float(p_residual.max(initial=0.0)),
         theta_residual=float(theta_residual.max(initial=0.0)),

@@ -11,12 +11,15 @@ are therefore a pure function of (law id, generator spec, stream
 version), and blocks can run in any order, or in parallel, without
 changing a single drawn number.
 :data:`STREAM_VERSION` names the scheme; it is bumped whenever a
-change alters what a law draws.  At version 9, the current one, every
+change alters what a law draws.  At version 10, the current one, every
 law draws its block as stacks and every frame through
 :func:`ranked_frames`; a rejected draw, such as a tuple of rays that
-:func:`near_orthogonal` flags, is a skipped trial, never a redraw; and
-the interference law takes its state as the first column of α's frame.
-The README's determinism contract gives versions 1–8.
+:func:`near_orthogonal` flags, is a skipped trial, never a redraw; the
+interference law takes its state as the first column of α's frame; and
+the morphism laws draw a map's superposition samples only while its
+verdict is open (sample 0 of every map, then the rest for the maps that
+preserved it) and only the kind of map each trial keeps.  The README's
+determinism contract gives versions 1–9.
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
@@ -48,7 +51,7 @@ MIN_OVERLAP = 1e-6
 
 #: Version of the stream scheme, written into every serialized report;
 #: the module docstring gives its history.
-STREAM_VERSION = 9
+STREAM_VERSION = 10
 
 
 def law_stream_key(law_id: str) -> int:

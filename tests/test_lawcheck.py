@@ -136,6 +136,95 @@ class TestRunLaw:
         assert "map" in report.counterexample and "error" not in report.counterexample
 
 
+class TestSuperpositionRounds:
+    """The morphism laws check a map's superpositions in two rounds:
+    sample 0 of every map, then the other ``count - 1`` samples only for
+    the maps that preserved it."""
+
+    LAWS = ["morphism.noniso_breaks_superpositions", "theorem.char_morph"]
+    GEN = GeneratorSpec(dims=(2, 3), trials_per_dim=20, seed=9)
+
+    @pytest.mark.parametrize("count", [120, 200])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_a_broken_sample_settles_the_verdict(self, monkeypatch, dim, count):
+        from raygeo import laws
+        from raygeo.linalg import EPS_ABS
+        from raygeo.morphisms import isometry_maps, non_isometry_maps
+
+        residuals, samples = laws.superposition_residuals, laws._samples
+        drawn, calls = [], []
+
+        def spy_samples(rng, n, per_map, dim):
+            drawn.append(n * per_map)
+            return samples(rng, n, per_map, dim)
+
+        def spy_residuals(m, y, z, r):
+            calls.append((m, y, z, r))
+            return residuals(m, y, z, r)
+
+        monkeypatch.setattr(laws, "_samples", spy_samples)
+        monkeypatch.setattr(laws, "superposition_residuals", spy_residuals)
+        rng = substream(31, "rounds", dim, count)
+        m = np.concatenate([isometry_maps(rng, 40, dim)[0], non_isometry_maps(rng, 40, dim)[0]])
+        preserved = laws._preserved(rng, m, count)
+
+        seen = [[] for _ in m]  # (y, z, r) of every sample each map was checked on
+        for chunk, y, z, r in calls:
+            assert y.shape[0] * y.shape[1] <= laws.SUPERPOSITION_ROWS
+            for j, one in enumerate(chunk):
+                (i,) = np.flatnonzero((m == one).all(axis=(1, 2)))
+                seen[i] += zip(y[j], z[j], r[j])
+        assert max(drawn) <= laws.SUPERPOSITION_ROWS
+        assert sum(drawn) == 2 * sum(map(len, seen))
+        sizes = []
+        for i, samples_i in enumerate(seen):
+            y, z, r = (np.array(part) for part in zip(*samples_i))
+            residual = residuals(m[i], y, z, r)[0]
+            assert len(residual) == (1 if residual[0] > EPS_ABS else count), i
+            assert preserved[i] == (residual <= EPS_ABS).all(), i
+            sizes.append(len(residual))
+        assert preserved[:40].all() and not preserved[40:].any()
+        assert sizes.count(1) >= 30 and sizes[:40] == [count] * 40
+
+    @pytest.mark.parametrize("law_id", LAWS)
+    def test_round_two_is_read(self, monkeypatch, law_id):
+        # with every sample 0 preserved, only round 2 can break a non-isometry
+        from raygeo import laws
+
+        residuals = laws.superposition_residuals
+
+        def first_round_preserved(m, y, z, r):
+            residual, kept = residuals(m, y, z, r)
+            return (np.zeros_like(residual) if y.shape[-2] == 1 else residual), kept
+
+        monkeypatch.setattr(laws, "superposition_residuals", first_round_preserved)
+        assert run_law(law_id, self.GEN).passed
+
+    @pytest.mark.parametrize("law_id", LAWS)
+    def test_all_preserved_fails(self, monkeypatch, law_id):
+        from raygeo import laws
+
+        residuals = laws.superposition_residuals
+
+        def all_preserved(m, y, z, r):
+            residual, kept = residuals(m, y, z, r)
+            return np.zeros_like(residual), kept
+
+        monkeypatch.setattr(laws, "superposition_residuals", all_preserved)
+        report = run_law(law_id, self.GEN)
+        assert not report.passed
+        assert "map" in report.counterexample and "error" not in report.counterexample
+
+    def test_no_maps(self):
+        from raygeo import laws
+
+        m = np.zeros((0, 5, 3), dtype=complex)
+        rng = np.random.default_rng(0)
+        assert laws._preserved(rng, m, 200).shape == (0,)
+        residual = laws._on_superpositions(lambda *s: laws.superposition_residuals(*s)[0], rng, m, 10)
+        assert residual.shape == (0, 10)
+
+
 class TestRunAll:
     def test_filter_glob(self):
         gen = GeneratorSpec(dims=(2, 3), trials_per_dim=10, seed=5)

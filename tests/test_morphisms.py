@@ -15,7 +15,8 @@ from raygeo import (
     ray_from,
     rays_equal,
 )
-from raygeo.morphisms import _padded_frames
+from raygeo.morphisms import _padded_frames, apply_rays
+from raygeo.rays import equal_rays, rays_from
 
 
 def _unitary(rng, n):
@@ -37,6 +38,33 @@ class TestRegularMap:
         for bad in (np.nan, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 RegularMap(np.array([[1.0, bad]]))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-12, 1e200])
+    def test_scale_changes_no_verdict(self, scale):
+        # any nonzero multiple of a matrix induces the same ray map
+        u = _unitary(np.random.default_rng(16), 3)
+        f, g = RegularMap(scale * u), RegularMap(scale * np.diag([1.0, 2.0, 1.0]))
+        x = ray_from([1.0, 2.0j, -3.0])
+        assert rays_equal(apply_ray(f, x), apply_ray(RegularMap(u), x))
+        assert isometry_scale(f) == pytest.approx(scale, rel=1e-12)
+        assert isometry_scale(g) is None
+        assert preserves_superpositions(f, trials=50, seed=3).preserves
+        assert not preserves_superpositions(g, trials=50, seed=3).preserves
+        assert check_char_morph(f, trials=50, seed=3) and check_char_morph(g, trials=50, seed=3)
+        got = check_preserves_p_theta(f, trials=20, seed=4)
+        assert got.p_residual < 1e-12 and got.theta_residual < 1e-10
+
+    def test_ill_conditioned_is_not_injective(self):
+        # its smallest singular value lies far above EPS_ABS, yet the rays
+        # of (1, 1) and (1, 2) land on one ray
+        m = np.diag([1e12, 1e-9])
+        assert equal_rays(*(apply_rays(m, rays_from(v)) for v in ([1.0, 1.0], [1.0, 2.0])))
+        with pytest.raises(ValueError, match="not injective"):
+            RegularMap(m)
+
+    def test_wide_matrix_message_names_its_shape(self):
+        with pytest.raises(ValueError, match="not injective: 2x3 has fewer rows than columns"):
+            RegularMap(np.eye(2, 3))
 
     def test_equality_and_hash(self):
         f, g, h = RegularMap(np.eye(2)), RegularMap(np.eye(2)), RegularMap(2.0 * np.eye(2))
