@@ -19,6 +19,7 @@ the law harness.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,13 @@ class SuperpositionSpec:
 
     def __post_init__(self):
         require_dims(self.y, self.z)
+        # float() would parse a string and take a bool for 0 or 1
+        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real):
+            raise InvalidWeightError(f"weight r must be a real number, got {type(self.r).__name__}")
         r = float(self.r)
         if not (math.isfinite(r) and 0.0 <= r <= 1.0):
             raise InvalidWeightError(f"weight r={self.r!r} outside [0, 1]")
+        object.__setattr__(self, "r", r)
         if orthogonal_components(self.y.rep, self.z.rep):
             raise OrthogonalComponentsError(
                 "superpositions of orthogonal states are undefined"

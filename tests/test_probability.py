@@ -35,8 +35,9 @@ from raygeo import (
     search_nonsquared_counterexample,
     subspaces_equal,
 )
+from raygeo import probability
 from raygeo.linalg import EPS_ABS
-from raygeo.probability import _DRAW_SLOTS, SEARCH_CHUNKS, interference_margins, measurement_chain
+from raygeo.probability import interference_margins, measurement_chain
 from raygeo.sampling import keyed_generator, keyed_generators
 
 E3 = np.eye(3)
@@ -288,27 +289,36 @@ FROZEN_WITNESS = {
 FIRST_WITNESS_INDICES = [1, 4, 1, 0, 1, 1, 4, 1, 1, 7, 0, 7, 1, 8, 0, 0, 9, 1, 0, 6]
 
 
-def _reference_search(seed, budget):
-    """The search one candidate at a time, with the draws and arithmetic
-    that the chunked search must reproduce bit for bit."""
+def _reference_candidate(seed, trial):
+    """Candidate ``trial`` of the search for ``seed``, drawn in full and
+    scored alone: its ranks and, unless the search's filters drop it,
+    its floats (the three p values, the excess and the squared margin),
+    state and frames."""
     dim = 3
+    rng = keyed_generator(seed, trial)
+    ranks = tuple(int(r) for r in rng.integers(1, dim, size=2))
+    qa = np.linalg.qr(rng.standard_normal((dim, ranks[0])))[0]
+    qb = np.linalg.qr(rng.standard_normal((dim, ranks[1])))[0]
+    vec = qa @ rng.standard_normal(ranks[0])
+    nrm = float(np.linalg.norm(vec))
+    if nrm <= EPS_ABS:
+        return ranks, None
+    qa, qb, vec = (t.astype(np.complex128) for t in (qa, qb, vec))
+    p_xb, p_bx_a, p_abx_b = (float(p) for p in measurement_chain(vec / nrm, qb, qa, qb))
+    if p_xb <= 1e-6 or p_bx_a <= 1e-6:
+        return ranks, None
+    excess = p_xb * (1.0 - p_bx_a) - p_bx_a * (1.0 - p_abx_b)
+    margin = p_bx_a * (1.0 - p_abx_b) - p_xb * (1.0 - p_bx_a) ** 2
+    return ranks, ((p_xb, p_bx_a, p_abx_b, excess, margin), ray_from(vec), qa.T, qb.T)
+
+
+def _reference_search(seed, budget):
+    """The search over every candidate, with the draws and arithmetic
+    that the search must reproduce bit for bit."""
     for trial in range(budget):
-        rng = keyed_generator(seed, trial)
-        ranks = rng.integers(1, dim, size=2)
-        qa = np.linalg.qr(rng.standard_normal((dim, int(ranks[0]))))[0]
-        qb = np.linalg.qr(rng.standard_normal((dim, int(ranks[1]))))[0]
-        vec = qa @ rng.standard_normal(int(ranks[0]))
-        nrm = float(np.linalg.norm(vec))
-        if nrm <= EPS_ABS:
-            continue
-        qa, qb, vec = (t.astype(np.complex128) for t in (qa, qb, vec))
-        p_xb, p_bx_a, p_abx_b = (float(p) for p in measurement_chain(vec / nrm, qb, qa, qb))
-        if p_xb <= 1e-6 or p_bx_a <= 1e-6:
-            continue
-        excess = p_xb * (1.0 - p_bx_a) - p_bx_a * (1.0 - p_abx_b)
-        if excess > EPS_ABS:
-            margin = p_bx_a * (1.0 - p_abx_b) - p_xb * (1.0 - p_bx_a) ** 2
-            return trial, (p_xb, p_bx_a, p_abx_b, excess, margin), ray_from(vec), qa.T, qb.T
+        _, scored = _reference_candidate(seed, trial)
+        if scored is not None and scored[0][3] > EPS_ABS:
+            return (trial, *scored)
     return None
 
 
@@ -367,13 +377,44 @@ class TestNonsquaredSearch:
             )
 
     @pytest.mark.parametrize("seed", [9, 11, 13, 16])
-    def test_budget_cuts_inside_a_chunk(self, seed):
-        # these witnesses lie beyond the first chunk of four candidates
+    def test_budget_ends_just_before_the_witness(self, seed):
+        # these witnesses lie at trial 7 or later: a budget one short of
+        # the witness finds nothing, and one more candidate finds it
         index = FIRST_WITNESS_INDICES[seed]
-        assert index >= SEARCH_CHUNKS[0]
         assert search_nonsquared_counterexample(seed=seed, budget=index) is None
         w = search_nonsquared_counterexample(seed=seed, budget=index + 1)
         _assert_same_witness(w, _reference_search(seed, index + 1))
+
+    def test_rank_one_candidate_is_never_a_witness(self):
+        # the search skips a candidate with a rank-1 frame unscored: its
+        # excess is at most 0 in exact arithmetic (see the search's
+        # docstring), and computed it stays far below EPS_ABS
+        excesses = []
+        for seed in range(50):
+            for trial in range(100):
+                ranks, scored = _reference_candidate(seed, trial)
+                if ranks != (2, 2) and scored is not None:
+                    excesses.append(scored[0][3])
+        assert len(excesses) > 3000
+        assert max(excesses) <= 1e-13
+
+    def test_scores_only_rank_two_candidates(self, monkeypatch):
+        # one scored row per (2, 2) candidate up to the witness, and none
+        # for a candidate with a rank-1 frame or beyond the witness
+        rows = []
+        chain = probability.measurement_chain
+
+        def counting_chain(x, *qs):
+            rows.append(x.size // x.shape[-1])
+            return chain(x, *qs)
+
+        monkeypatch.setattr(probability, "measurement_chain", counting_chain)
+        for seed, index in enumerate(FIRST_WITNESS_INDICES):
+            rows.clear()
+            assert search_nonsquared_counterexample(seed=seed, budget=100_000).trial_index == index
+            rngs = keyed_generators(seed, range(index + 1))
+            expected = sum(rng.integers(1, 3, size=2).tolist() == [2, 2] for rng in rngs)
+            assert sum(rows) == expected, seed
 
     def test_scalar_rank_draws_match_pair_draw(self):
         # the search draws its two ranks as two scalars; numpy's bounded
@@ -388,22 +429,6 @@ class TestNonsquaredSearch:
             assert [int(scalar.integers(1, 3)), int(scalar.integers(1, 3))] == pair.integers(1, 3, size=2).tolist()
             assert state(scalar) == state(pair)
             assert scalar.standard_normal(7).tolist() == pair.standard_normal(7).tolist()
-
-    @pytest.mark.parametrize("ranks", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    def test_draw_slots_match_slice_assignments(self, ranks):
-        # one fancy-index assignment per candidate places its draws where
-        # the three slice assignments of frame a, frame b and x put them
-        ra, rb = ranks
-        z = np.random.default_rng(ra + 2 * rb).standard_normal(4 * ra + 3 * rb)
-        frames = np.zeros((2, 3, 2))
-        coeffs = np.zeros(2)
-        frames[0, :, :ra] = z[: 3 * ra].reshape(3, ra)
-        frames[1, :, :rb] = z[3 * ra : 3 * (ra + rb)].reshape(3, rb)
-        coeffs[:ra] = z[3 * (ra + rb) :]
-        row = np.zeros(14)
-        row[_DRAW_SLOTS[ra, rb]] = z
-        assert np.array_equal(row[:12].reshape(2, 3, 2), frames)
-        assert np.array_equal(row[12:], coeffs)
 
     def test_concurrent_searches_match_pinned(self):
         # every call keys its own generator, so threads need no lock; ten

@@ -51,6 +51,19 @@ class TestSpecValidation:
         with pytest.raises(InvalidWeightError):
             SuperpositionSpec(y=y, z=z, r=bad)
 
+    @pytest.mark.parametrize("bad", ["0.5", b"0.5", True], ids=["str", "bytes", "bool"])
+    def test_weight_not_a_number(self, bad, axis_diag):
+        # float() would parse the string and bytes, and take True for 1
+        y, z = axis_diag
+        with pytest.raises(InvalidWeightError, match=type(bad).__name__):
+            SuperpositionSpec(y=y, z=z, r=bad)
+
+    @pytest.mark.parametrize("r", [1, 0.5, np.float32(0.25), np.int64(0)])
+    def test_weight_held_as_float(self, r, axis_diag):
+        y, z = axis_diag
+        spec = SuperpositionSpec(y=y, z=z, r=r)
+        assert type(spec.r) is float and spec.r == float(r)
+
 
 class TestSuperpose:
     def test_weight_one_returns_first(self, axis_diag):
