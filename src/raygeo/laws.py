@@ -892,21 +892,23 @@ def _samples(rng, n, count, dim):
     return sampling.random_rays(rng, n * count, dim).reshape(n, count, dim)
 
 
-#: Sample rows that :func:`_on_superpositions` draws and checks at once:
-#: 8 maps of 200 samples, so its (maps, samples, d) stacks stay small,
-#: while sample 0 of a whole block of maps is one chunk.
+#: Sample rows that :func:`_superposition_residuals` draws and checks at
+#: once: 8 maps of 200 samples, so its (maps, samples, d) stacks stay
+#: small, while sample 0 of a whole block of maps is one chunk.
 SUPERPOSITION_ROWS = 1600
 
 
-def _on_superpositions(kernel, rng, m, count):
-    """``kernel(maps, y, z, r)`` on ``count`` random superpositions per map,
-    drawn and checked ``max(1, SUPERPOSITION_ROWS // count)`` maps at a
-    time; on zero maps, the kernel's empty result."""
+def _superposition_residuals(rng, m, count):
+    """The :func:`superposition_residuals` (maps, count) of ``count``
+    random superpositions per map, drawn and checked
+    ``max(1, SUPERPOSITION_ROWS // count)`` maps at a time; (0, count)
+    on zero maps."""
     step = max(1, SUPERPOSITION_ROWS // count)
     parts = []
     for i in range(0, max(len(m), 1), step):
         y, z = (_samples(rng, len(m[i : i + step]), count, m.shape[-1]) for _ in range(2))
-        parts.append(kernel(m[i : i + step], y, z, rng.uniform(0.0, 1.0, y.shape[:2])))
+        r = rng.uniform(0.0, 1.0, y.shape[:2])
+        parts.append(superposition_residuals(m[i : i + step], y, z, r)[0])
     return np.concatenate(parts)
 
 
@@ -915,13 +917,9 @@ def _preserved(rng, m, count):
     superpositions: sample 0 of every map first, then the other
     ``count − 1`` only for the maps that preserved it, since one broken
     sample settles a map's verdict."""
-
-    def preserves(*samples):
-        return (superposition_residuals(*samples)[0] <= EPS_ABS).all(axis=-1)
-
-    preserved = _on_superpositions(preserves, rng, m, 1)
+    preserved = _superposition_residuals(rng, m, 1)[:, 0] <= EPS_ABS
     if count > 1:
-        preserved[preserved] = _on_superpositions(preserves, rng, m[preserved], count - 1)
+        preserved[preserved] = (_superposition_residuals(rng, m[preserved], count - 1) <= EPS_ABS).all(axis=1)
     return preserved
 
 
@@ -978,7 +976,7 @@ def _batch_isometry_inner_products(rng, dim, n):
 def _batch_isometry_preserves_all(rng, dim, n):
     m, dim_out = isometry_maps(rng, n, dim)
     p_res, theta_res, _ = p_theta_residuals(m, *(_samples(rng, n, 20, dim) for _ in range(3)))
-    sup_res = _on_superpositions(lambda *s: superposition_residuals(*s)[0], rng, m, 10)
+    sup_res = _superposition_residuals(rng, m, 10)
     residual = np.maximum.reduce([p_res.max(axis=1), theta_res.max(axis=1), sup_res.max(axis=1)])
     broken = (sup_res > EPS_ABS).any(axis=1)
     return _block(np.where(broken, np.maximum(residual, 1.0), residual), map=m, dim_out=dim_out)

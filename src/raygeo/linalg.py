@@ -40,6 +40,14 @@ def inners(u, v) -> np.ndarray:
     return np.vecdot(v, u)  # vecdot conjugates its first argument
 
 
+def _vector(u) -> np.ndarray:
+    """``u`` as a complex vector; ``ValueError`` unless it is one-dimensional."""
+    u = np.asarray(u, dtype=np.complex128)
+    if u.ndim != 1:
+        raise ValueError(f"expected a one-dimensional vector, got shape {u.shape}")
+    return u
+
+
 def inner(u, v) -> complex:
     """Inner product ``sum_i u_i * conj(v_i)``: the single-pair form of
     :func:`inners`.
@@ -49,11 +57,12 @@ def inner(u, v) -> complex:
 
     Raises
     ------
+    ValueError
+        If a vector is not one-dimensional.
     DimensionMismatchError
         If the vectors have different lengths.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
+    u, v = _vector(u), _vector(v)
     if u.shape != v.shape:
         raise DimensionMismatchError(f"dimensions {u.shape} vs {v.shape}")
     return complex(inners(u, v))
@@ -93,8 +102,8 @@ def checked_rows(u) -> tuple[np.ndarray, np.ndarray]:
 
 def norm(u) -> float:
     """Euclidean norm ``sqrt(inner(u, u))``: the single-vector form of
-    :func:`norms`."""
-    return float(norms(u))
+    :func:`norms`; ``ValueError`` unless ``u`` is one-dimensional."""
+    return float(norms(_vector(u)))
 
 
 def wrap_angles(angle) -> np.ndarray:

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotIsometryError
-from .linalg import EPS_ABS, circular_distances, norms
+from .linalg import EPS_ABS, circular_distances, norms, orthonormalize_rows
 from .rays import Ray, ray_from, rays_from
 from .geometry import a_sims, p_sims, triple_phases
 from .sampling import (
     gaussian_stack,
-    haar_q,
     is_integer,
     keyed_generator,
     near_orthogonal,
@@ -96,13 +95,14 @@ def _normalized(f: RegularMap) -> tuple[np.ndarray, float]:
 def _padded_frames(rng: np.random.Generator, count: int, dim_in: int):
     """Haar isometries into C^{dim_out}, dim_out drawn from dim_in..dim_in+2,
     zero-padded to (count, dim_in + 2, dim_in), and dim_out: the Q
-    factors of :func:`raygeo.sampling.haar_q` of Gaussian draws whose
-    rows beyond dim_out are zeroed, which both of its paths keep
-    exactly zero."""
+    factors, with a real positive diagonal of R, of Gaussian draws whose
+    rows beyond dim_out are zeroed (Mezzadri, Notices AMS 54, 2007).
+    Gram–Schmidt on the columns (:func:`raygeo.linalg.orthonormalize_rows`)
+    computes them and keeps those rows exactly zero."""
     dim_out = dim_in + rng.integers(0, 3, count)
     rows = np.arange(dim_in + 2) < dim_out[:, np.newaxis]
-    g = gaussian_stack(rng, (count, dim_in + 2, dim_in))
-    return haar_q(g * rows[..., np.newaxis]), dim_out
+    g = gaussian_stack(rng, (count, dim_in + 2, dim_in)) * rows[..., np.newaxis]
+    return orthonormalize_rows(g.swapaxes(-1, -2))[0].swapaxes(-1, -2), dim_out
 
 
 def isometry_maps(rng: np.random.Generator, count: int, dim_in: int, scale: float | None = None):

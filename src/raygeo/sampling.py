@@ -12,14 +12,16 @@ version), and blocks can run in any order, or in parallel, without
 changing a single drawn number.
 :data:`STREAM_VERSION` names the scheme; it is bumped whenever a
 change alters what a law draws.  At version 10, the current one, every
-law draws its block as stacks and every frame through
-:func:`ranked_frames`; a rejected draw, such as a tuple of rays that
-:func:`near_orthogonal` flags, is a skipped trial, never a redraw; the
-interference law takes its state as the first column of α's frame; and
-the morphism laws draw a map's superposition samples only while its
-verdict is open (sample 0 of every map, then the rest for the maps that
-preserved it) and only the kind of map each trial keeps.  The README's
-determinism contract gives versions 1–9.
+law draws its block as stacks, and every frame through
+:func:`ranked_frames` but the isometries of :mod:`raygeo.morphisms`'
+map samplers, Gram–Schmidt Q factors of Gaussian draws with zeroed rows;
+a rejected draw, such as a tuple of rays that :func:`near_orthogonal`
+flags, is a skipped trial, never a redraw; the interference law takes
+its state as the first column of α's frame; and the morphism laws draw
+a map's superposition samples only while its verdict is open (sample 0
+of every map, then the rest for the maps that preserved it) and only
+the kind of map each trial keeps.  The README's determinism contract
+gives versions 1–9.
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
@@ -41,7 +43,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .linalg import gram_schmidt, norms, orthonormalize_rows
+from .linalg import gram_schmidt, norms
 from .rays import a_sims, rays_from
 
 #: Rejection threshold where a law or a morphism check needs
@@ -188,45 +190,13 @@ def classical_ray_stacks(rng: np.random.Generator, count: int, dim: int, k: int)
     return np.eye(dim, dtype=np.complex128)[idx.T]
 
 
-def haar_q(g: np.ndarray) -> np.ndarray:
-    """The Q factors of stacked draws g (count, rows, cols) = QR, made
-    unique by a real positive diagonal of R.  Of a Gaussian draw, each is
-    Haar-distributed: a Haar-random ``cols``-frame spanning a
-    Haar-random subspace (Mezzadri, Notices AMS 54, 2007).  Rows of g
-    that are zero stay exactly zero in Q, and so do the columns of Q
-    whose diagonal entry of R is 0, such as zero columns of g after its
-    leading columns: the columns beyond a rank in :func:`ranked_frames`.
-
-    Two paths compute the same Q, to rounding, chosen from the stack's
-    shape (:func:`_wide`).  A wide stack orthonormalizes the columns by
-    :func:`raygeo.linalg.orthonormalize_rows`, whose Python overhead is
-    paid per column for the whole stack.  Any other stack takes LAPACK's
-    Householder QR, which pays its overhead per matrix, and multiplies
-    each column by the sign of R's diagonal (0 where it is 0)."""
-    if _wide(*g.shape):
-        return orthonormalize_rows(g.swapaxes(-1, -2))[0].swapaxes(-1, -2)
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., np.newaxis, :]
-
-
-def _wide(count: int, rows: int, cols: int) -> bool:
-    """Whether a stack of ``count`` (rows, cols) draws takes stacked
-    Gram–Schmidt rather than LAPACK: ``count >= 32 + 2 * rows * cols``.
-    Timed on one CPU, the two paths break even at about 30–60 matrices
-    for rows <= 8 and cols <= 2, at about 60–120 for rows = 8 and
-    cols >= 7, and beyond 384 for (16, 16): LAPACK's work per matrix
-    grows more slowly with its size.  The rule keeps the d = 16 subspace
-    blocks of 32 and short tail blocks on LAPACK."""
-    return count >= 32 + 2 * rows * cols
-
-
 def ranked_frames(rng: np.random.Generator, ranks: np.ndarray, dim: int, cols: int) -> np.ndarray:
     """Haar frames (count, dim, cols) of the given ranks (count,), each
     in 0..cols: frame t has ``ranks[t]`` orthonormal leading columns, and
-    its columns at or beyond the rank are exactly zero.  Each is the
-    :func:`haar_q` factor of a Gaussian draw whose columns beyond the
-    rank are zero, so its leading columns are those of a full frame's
-    (Mezzadri, Notices AMS 54, 2007).
+    its columns at or beyond the rank are exactly zero.  Each is the Q
+    factor, unique with a real positive diagonal of R, of a Gaussian
+    draw whose columns beyond the rank are zero, so its leading columns
+    are those of a full frame's (Mezzadri, Notices AMS 54, 2007).
 
     Only the columns a frame keeps are drawn, column by column: column j
     of every frame of rank above j, the frames in descending rank order
@@ -236,11 +206,11 @@ def ranked_frames(rng: np.random.Generator, ranks: np.ndarray, dim: int, cols: i
     dim))``, each column of the stack in one piece.
 
     The draws are laid out as :func:`raygeo.linalg.gram_schmidt` reads
-    them, frames in descending rank order.  A wide stack (:func:`_wide`)
-    is orthonormalized there: column j runs only over the leading frames,
-    those of rank above j, so no work is spent beyond a frame's rank.  A
-    narrow one takes :func:`haar_q`'s LAPACK path on the zero-padded
-    draw.  The frames return to the order of ``ranks`` by one gather,
+    them, frames in descending rank order.  A wide stack is
+    orthonormalized there, column j only over the frames of rank above
+    j; a narrow one takes LAPACK's Householder QR of the zero-padded
+    draw, each column times the sign of R's diagonal (0 beyond the
+    rank).  The frames return to the order of ``ranks`` by one gather,
     which a stack already in descending rank order skips.
     """
     ranks = np.asarray(ranks)
@@ -255,10 +225,17 @@ def ranked_frames(rng: np.random.Generator, ranks: np.ndarray, dim: int, cols: i
         v.real[j, :, :n] = z[start:stop].reshape(n, dim).T
         v.imag[j, :, :n] = z[size + start : size + stop].reshape(n, dim).T
         start = stop
-    if _wide(count, dim, cols):
+    # Gram–Schmidt pays its Python overhead per column for the whole stack,
+    # LAPACK per matrix.  Timed on one CPU, they break even at about 30–60
+    # matrices for dim <= 8 and cols <= 2, at about 60–120 for dim = 8 and
+    # cols >= 7, and beyond 384 for (16, 16): LAPACK's work per matrix grows
+    # more slowly with its size.  The rule keeps the d = 16 subspace blocks
+    # of 32 and short tail blocks on LAPACK.
+    if count >= 32 + 2 * dim * cols:
         q = gram_schmidt(v, live)[0]
     else:
-        q = haar_q(v.transpose(2, 1, 0)).transpose(2, 1, 0)
+        q, r = np.linalg.qr(v.transpose(2, 1, 0))
+        q = (q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., np.newaxis, :]).transpose(2, 1, 0)
     if (np.diff(ranks) <= 0).all():  # already in descending rank order
         return q.transpose(2, 1, 0)
     order = np.argsort(-ranks, kind="stable")

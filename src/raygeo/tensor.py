@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .linalg import circular_distances, wrap_angles
-from .rays import Ray, rays_from
+from .rays import Ray, rays_from, require_dims
 from .geometry import p_sims, theta, triple_phase, triple_phases
 
 
@@ -50,7 +50,15 @@ def p_product_residuals(x1, y1, x2, y2) -> np.ndarray:
 
 def check_p_product(x1: Ray, y1: Ray, x2: Ray, y2: Ray) -> float:
     """|p(x1⊗x2, y1⊗y2) − p(x1,y1)·p(x2,y2)|: the single form of
-    :func:`p_product_residuals`."""
+    :func:`p_product_residuals`.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If x1 and y1, or x2 and y2, differ in dimension.
+    """
+    require_dims(x1, y1)
+    require_dims(x2, y2)
     return float(p_product_residuals(x1.rep, y1.rep, x2.rep, y2.rep))
 
 

@@ -221,7 +221,7 @@ class TestSuperpositionRounds:
         m = np.zeros((0, 5, 3), dtype=complex)
         rng = np.random.default_rng(0)
         assert laws._preserved(rng, m, 200).shape == (0,)
-        residual = laws._on_superpositions(lambda *s: laws.superposition_residuals(*s)[0], rng, m, 10)
+        residual = laws._superposition_residuals(rng, m, 10)
         assert residual.shape == (0, 10)
 
 

@@ -38,6 +38,11 @@ class TestInner:
         with pytest.raises(DimensionMismatchError):
             inner([1, 0], [1, 0, 0])
 
+    @pytest.mark.parametrize("u", [np.eye(2), 1.0], ids=["matrix", "scalar"])
+    def test_not_a_vector(self, u):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            inner(u, u)
+
 
 class TestNorm:
     def test_pythagoras(self):
@@ -48,6 +53,11 @@ class TestNorm:
 
     def test_complex_unit(self):
         assert norm([1 / RT2, 1j / RT2]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("u", [np.eye(2), 1.0], ids=["matrix", "scalar"])
+    def test_not_a_vector(self, u):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            norm(u)
 
 
 class TestWrapAngle:

@@ -17,6 +17,7 @@ from raygeo import (
 )
 from raygeo.morphisms import _padded_frames, apply_rays
 from raygeo.rays import equal_rays, rays_from
+from raygeo.sampling import gaussian_stack
 
 
 def _unitary(rng, n):
@@ -278,11 +279,12 @@ def test_injective_maps_separate_rays():
         assert not rays_equal(apply_ray(f, x), apply_ray(f, y))
 
 
-@pytest.mark.parametrize("stacks", [1, 200], ids=["one-wide-stack", "narrow-stacks"])
+@pytest.mark.parametrize("stacks", [1, 200], ids=["one-stack", "200-stacks"])
 def test_sampled_isometries_are_haar(stacks):
-    # 4000 (5, 3) isometries, in one stack (Gram-Schmidt) or in 200 of 20
-    # (LAPACK): without R's sign fixed, Householder QR leaves Re q[0, 0]
-    # negative in every draw
+    # 4000 (5, 3) isometries, in one stack or in 200 of 20: with R's
+    # diagonal positive, Re q[0, 0] is negative in about half the draws,
+    # as under Haar measure; Householder QR without that sign fix leaves
+    # it negative in every draw
     rng = np.random.default_rng(15)
     draws = [_padded_frames(rng, 4000 // stacks, 3) for _ in range(stacks)]
     q, dim_out = (np.concatenate(parts) for parts in zip(*draws))
@@ -291,3 +293,19 @@ def test_sampled_isometries_are_haar(stacks):
     assert not q[np.arange(5) >= dim_out[:, np.newaxis]].any()
     eye = np.broadcast_to(np.eye(3), (4000, 3, 3))
     np.testing.assert_allclose(q.conj().swapaxes(-1, -2) @ q, eye, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("count", [20, 30, 60, 400])
+def test_padded_frames_match_sign_fixed_qr(dim, count):
+    # the Q factor with R's diagonal positive is unique, so Gram-Schmidt
+    # gives LAPACK's sign-fixed Householder Q of the same masked draw
+    rng, twin = np.random.default_rng(17), np.random.default_rng(17)
+    q, dim_out = _padded_frames(rng, count, dim)
+    expected_out = dim + twin.integers(0, 3, count)
+    rows = np.arange(dim + 2) < expected_out[:, np.newaxis]
+    g = gaussian_stack(twin, (count, dim + 2, dim)) * rows[..., np.newaxis]
+    lapack_q, r = np.linalg.qr(g)
+    lapack_q = lapack_q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., np.newaxis, :]
+    np.testing.assert_array_equal(dim_out, expected_out)
+    assert np.abs(q - lapack_q).max() <= 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from raygeo import (
+    DimensionMismatchError,
     OrthogonalPairError,
     check_p_product,
     check_theta_product,
@@ -85,6 +86,13 @@ class TestPProduct:
             x2 = ray_from(rng.standard_normal(3) + 1j * rng.standard_normal(3))
             y2 = ray_from(rng.standard_normal(3) + 1j * rng.standard_normal(3))
             assert check_p_product(x1, y1, x2, y2) < 1e-10
+
+    def test_mismatched_factor_dims(self):
+        # x1, y1 of dims 2 and 3: the product rays of dims 6 and 6 match
+        a, b = ray_from([1.0, 1.0j]), ray_from([1.0, 0.5, 2.0])
+        for factors in ((a, b, b, a), (a, a, a, b), (b, a, b, b)):
+            with pytest.raises(DimensionMismatchError):
+                check_p_product(*factors)
 
 
 class TestThetaProduct:
