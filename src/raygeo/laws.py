@@ -22,7 +22,6 @@ everything else defaults to 1e-10.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -79,7 +78,6 @@ from .probability import (
     measurement_chain,
     ortho_additivity_residuals,
     search_nonsquared_counterexample,
-    total_probability_defined,
     total_probability_residuals,
 )
 from .morphisms import (
@@ -670,7 +668,7 @@ def _batch_ortho_additivity(rng, dim, n):
     keep = rng.integers(cut, dim + 1)
     a, b = sampling.column_ranges(frame, 0, cut), sampling.column_ranges(frame, cut, keep)
     x = sampling.random_rays(rng, n, dim)
-    residual = ortho_additivity_residuals(a, b, x)
+    residual = ortho_additivity_residuals(x, a, b)
     return _block(_unless(orthogonality_defects(a, b) <= EPS_ABS, residual), alpha=a, beta=b, x=x)
 
 
@@ -687,8 +685,7 @@ def _batch_ortho_additivity_family(rng, dim, n):
     bounds = np.pad(np.sort(cuts, axis=1), ((0, 0), (1, 1)), constant_values=(0, dim))
     parts = [sampling.column_ranges(frame, bounds[:, i], bounds[:, i + 1]) for i in range(4)]
     x = sampling.random_rays(rng, n, dim)
-    total = sum(p_props(part, x) for part in parts)
-    return _block(np.abs(p_props(functools.reduce(joins, parts), x) - total), x=x, k=k)
+    return _block(ortho_additivity_residuals(x, *parts), x=x, k=k)
 
 
 @law(
@@ -731,12 +728,6 @@ def _batch_monotone(rng, dim, n):
     return _block(np.maximum(0.0, p_props(a, x) - p_props(b, x)), alpha=a, beta=b, x=x)
 
 
-def _total_probability(a, b, x) -> np.ndarray:
-    """The total probability residuals, infinite where it does not apply."""
-    residual = total_probability_residuals(a, complements(a), b, x)
-    return _unless(total_probability_defined(a, b, x), residual)
-
-
 @law(
     "corollary.total_probability",
     "total probability decomposition over a commuting complement pair",
@@ -745,7 +736,8 @@ def _total_probability(a, b, x) -> np.ndarray:
 def _batch_total_probability(rng, dim, n):
     a, b = sampling.commuting_pairs(rng, n, dim)
     x = sampling.random_rays(rng, n, dim)
-    return _block(_total_probability(a, b, x), alpha=a, beta=b, x=x)
+    residual, undefined = total_probability_residuals(a, b, x)
+    return _block(_unless(~undefined, residual), alpha=a, beta=b, x=x)
 
 
 @law(
@@ -783,7 +775,8 @@ def _batch_local_total_probability(rng, dim, n):
     skip = (ranks(a) != 2) | (ranks(b) != 2) | _commute(a, b)  # want a genuinely non-commuting pair
     skip |= (np.abs(coeff[:, 0]) < 1e-3) | (norms(x) < 1e-3)
     x = rays_from(np.where(skip[:, np.newaxis], shared, x))
-    return _block(_total_probability(a, b, x), skip, alpha=a, beta=b, x=x)
+    residual, undefined = total_probability_residuals(a, b, x)
+    return _block(_unless(~undefined, residual), skip, alpha=a, beta=b, x=x)
 
 
 @law(
@@ -848,9 +841,9 @@ def _aggregate_must_fail(residuals):
 def _batch_total_probability_generic(rng, dim, n):
     a, b = (sampling.random_subspaces(rng, n, dim, 1, dim - 1) for _ in range(2))
     x = sampling.random_rays(rng, n, dim)
-    residual = total_probability_residuals(a, complements(a), b, x)
-    # a commuting pair is not an applicable generic instance
-    return _block(residual, _commute(a, b), alpha=a, beta=b, x=x)
+    residual, undefined = total_probability_residuals(a, b, x)
+    # a pair on which the identity must hold is not an applicable generic instance
+    return _block(residual, ~undefined, alpha=a, beta=b, x=x)
 
 
 @law(
@@ -862,9 +855,8 @@ def _batch_total_probability_generic(rng, dim, n):
 def _batch_total_probability_2d(rng, dim, n):
     t = rng.uniform(0.0, 2.0 * math.pi, n)
     x = rays_from(np.stack([np.cos(t), np.sin(t)], axis=-1))
-    eye = np.eye(2, dtype=np.complex128)
-    alpha, not_alpha = (np.broadcast_to(eye[:, k : k + 1], (n, 2, 1)) for k in range(2))
-    measured = total_probability_residuals(alpha, not_alpha, x[:, :, np.newaxis], x)
+    alpha = np.broadcast_to(np.eye(2, 1, dtype=np.complex128), (n, 2, 1))
+    measured = total_probability_residuals(alpha, x[:, :, np.newaxis], x)[0]
     analytic = np.abs(1.0 - np.cos(t) ** 4 - np.sin(t) ** 4)
     return _block(np.abs(measured - analytic), angle=t, measured=measured, analytic=analytic)
 

@@ -88,7 +88,7 @@ def _normalized(f: RegularMap) -> tuple[np.ndarray, float]:
     floating point and induces the same ray map, so the stacked kernels
     neither underflow nor overflow on a tiny or huge matrix; a matrix
     whose largest entry lies in [0.5, 1) comes back as it is."""
-    factor = np.ldexp(1.0, -int(np.frexp(np.abs(f.matrix).max())[1]))
+    factor = float(np.ldexp(1.0, -int(np.frexp(np.abs(f.matrix).max())[1])))
     return factor * f.matrix, factor
 
 

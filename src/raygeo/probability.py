@@ -9,13 +9,17 @@ fails, and this module also carries the quantitative interference
 inequality together with a search for the counterexample showing its
 square cannot be dropped.
 
-Checkers return residuals (absolute deviation from the identity) so
-the law harness can aggregate worst cases; they raise only when a
-stated precondition is violated.
+Each identity has one stacked kernel, which returns residuals
+(absolute deviation from the identity) so the law harness can aggregate
+worst cases, and marks with a mask the rows outside its domain:
+``total_probability_residuals`` and ``interference_margins`` return an
+``undefined`` mask beside their values.  The single forms ``check_*``
+read one row and raise only when a stated precondition is violated.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -48,10 +52,11 @@ from .geometry import equal_projections, p_props
 from .sampling import is_integer, keyed_generators
 
 
-def ortho_additivity_residuals(qa, qb, x) -> np.ndarray:
-    """|p(x, a∨b) − p(x, a) − p(x, b)| over stacked propositions
-    (..., d, k) and states (..., d), for orthogonal a, b."""
-    return np.abs(p_props(joins(qa, qb), x) - p_props(qa, x) - p_props(qb, x))
+def ortho_additivity_residuals(x, *qs) -> np.ndarray:
+    """|p(x, q₁∨…∨qₙ) − p(x, q₁) − … − p(x, qₙ)| over stacked states
+    (..., d) and one or more stacked propositions (..., d, k), for a
+    pairwise-orthogonal family."""
+    return np.abs(p_props(functools.reduce(joins, qs), x) - sum(p_props(q, x) for q in qs))
 
 
 def check_ortho_additivity(x: Ray, a: Subspace, b: Subspace) -> float:
@@ -60,7 +65,7 @@ def check_ortho_additivity(x: Ray, a: Subspace, b: Subspace) -> float:
     require_dims(x, a, b)
     if not is_orthogonal(a, b):
         raise NotOrthogonalError("additivity requires orthogonal propositions")
-    return float(ortho_additivity_residuals(a.basis.T, b.basis.T, x.rep))
+    return float(ortho_additivity_residuals(x.rep, a.basis.T, b.basis.T))
 
 
 def complement_residuals(q, x) -> np.ndarray:
@@ -130,57 +135,51 @@ def check_chain_rule(x: Ray, a: Subspace, b: Subspace) -> float:
     return float(chain_rule_residuals(a.basis.T, b.basis.T, x.rep))
 
 
-def total_probability_defined(qa, qb, x) -> np.ndarray:
-    """Whether the total probability decomposition applies to stacked
-    instances: a and b commute, or the composite projections a(b(x))
-    and b(a(x)) agree (:func:`~raygeo.geometry.equal_projections`)."""
-    bx, zero_b = project_rays(qb, x)
-    ab, zero_ab = project_rays(qa, bx)
-    ax, zero_a = project_rays(qa, x)
-    ba, zero_ba = project_rays(qb, ax)
-    zero_ab, zero_ba = zero_ab | zero_b, zero_ba | zero_a
-    return (commutation_defects(qa, qb) <= EPS_ABS) | equal_projections(ab, zero_ab, ba, zero_ba)
-
-
 def check_total_probability(x: Ray, a: Subspace, b: Subspace) -> float:
-    """Residual of p(x,b) = p(x,a)·p(a(x),b) + p(x,¬a)·p(¬a(x),b).
-
-    Requires commuting propositions, or the weaker local condition of
-    :func:`total_probability_defined`.  The single form of
-    :func:`total_probability_residuals`: a term conditioned on a null
-    event (p(x,a) or p(x,¬a) at most ``EPS_ABS``) contributes zero.
+    """Residual of p(x,b) = p(x,a)·p(a(x),b) + p(x,¬a)·p(¬a(x),b): the
+    single form of :func:`total_probability_residuals`.
 
     Raises
     ------
     PreconditionUnmetError
-        When the propositions neither commute nor locally commute at x.
+        Where :func:`total_probability_residuals` marks the row
+        undefined: the propositions neither commute nor locally commute
+        at x.
     """
     require_dims(x, a, b)
-    if not total_probability_defined(a.basis.T, b.basis.T, x.rep):
+    residual, undefined = total_probability_residuals(a.basis.T, b.basis.T, x.rep)
+    if undefined:
         raise PreconditionUnmetError(
             "commuting or locally-commuting-at-x",
             "propositions neither commute nor locally commute at the given state",
         )
-    qa = a.basis.T
-    return float(total_probability_residuals(qa, complements(qa), b.basis.T, x.rep))
+    return float(residual)
 
 
-def total_probability_residuals(qa, qna, qb, x) -> np.ndarray:
+def total_probability_residuals(qa, qb, x) -> tuple[np.ndarray, np.ndarray]:
     """Stacked residuals of the total probability decomposition
     p(x,b) = p(x,a)·p(a(x),b) + p(x,¬a)·p(¬a(x),b).
 
-    ``qa``, ``qna`` and ``qb`` have shape (..., d, k) and orthonormal
-    columns spanning a, ¬a and b (zero columns span nothing); ``x``
-    holds unit vectors, shape (..., d).  A term conditioned on a null
-    event (weight at most ``EPS_ABS``) contributes zero.  On
-    non-commuting propositions the residual measures how far the law
-    fails.
+    ``qa`` and ``qb`` span a and b, as for :func:`measurement_chain`,
+    and ¬a is ``complements(qa)``.  A term conditioned on a null event
+    (weight at most ``EPS_ABS``) contributes zero.  Returns
+    ``(residual, undefined)``: the residual per row, and a mask of the
+    rows where a and b neither commute nor locally commute at x, that
+    is, where the composite projections a(b(x)) and b(a(x)) differ
+    (:func:`~raygeo.geometry.equal_projections`).  On those rows the
+    identity need not hold, and the residual measures how far it fails.
     """
+    bx, zero_b = project_rays(qb, x)
+    ab, zero_ab = project_rays(qa, bx)
+    ax, zero_a = project_rays(qa, x)
+    ba, zero_ba = project_rays(qb, ax)
+    local = equal_projections(ab, zero_ab | zero_b, ba, zero_ba | zero_a)
+    undefined = (commutation_defects(qa, qb) > EPS_ABS) & ~local
     total = 0.0
-    for q in (qa, qna):
+    for q in (qa, complements(qa)):
         weight, p_b = measurement_chain(x, q, qb)
         total = total + np.where(weight > EPS_ABS, weight * p_b, 0.0)
-    return np.abs(measurement_chain(x, qb)[0] - total)
+    return np.abs(measurement_chain(x, qb)[0] - total), undefined
 
 
 def check_interference_inequality(x: Ray, a: Subspace, b: Subspace) -> float:
@@ -290,7 +289,7 @@ def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitn
     ValueError
         If ``budget`` is not an ``int`` or ``np.integer`` (a ``bool``, a
         fraction or a string would be coerced to another count), or if
-        ``seed`` is not an integer in [0, 2**64) and ``budget`` is positive.
+        ``seed`` is not an integer in [0, 2**64), whatever the budget.
     """
     if not is_integer(budget):
         raise ValueError(f"the budget must be an integer, got {budget!r}")

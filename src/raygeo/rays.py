@@ -244,10 +244,6 @@ class Subspace:
         """The whole space C^d."""
         return cls.from_orthonormal(np.eye(dim, dtype=np.complex128), dim)
 
-    def projector(self) -> np.ndarray:
-        """The dim×dim orthogonal projection matrix onto this subspace."""
-        return projectors(self.basis.T)
-
     def __repr__(self):
         return f"Subspace(rank={self.rank}, dim={self.dim})"
 
@@ -411,8 +407,7 @@ def is_orthogonal(p, q) -> bool:
     """Whether two rays/subspaces are orthogonal, to ``EPS_ABS``: the
     single form of :func:`orthogonality_defects`."""
     cols_p, cols_q = _columns(p), _columns(q)
-    if cols_p.shape[0] != cols_q.shape[0]:
-        raise DimensionMismatchError(f"dimensions {cols_p.shape[0]} vs {cols_q.shape[0]}")
+    require_dims(p, q)
     return bool(orthogonality_defects(cols_p, cols_q) <= EPS_ABS)
 
 

@@ -7,9 +7,10 @@ arguments, compared by circular distance.  The subspace lattice
 at a time: complement against the identity, join over the stacked
 bases, and meet as ``¬(¬a ∨ ¬b)``; its stacked form, over frames with
 interleaved zero columns, to the same references one subspace at a
-time.  The probability calculus (the measurement chain, the chain-rule
-and total-probability residuals) is pinned to ``project_ray`` and
-``p_prop`` one row at a time.
+time.  The probability calculus (the measurement chain, the chain-rule,
+total-probability and ortho-additivity residuals, and the domain mask
+of total probability) is pinned to ``project_ray``, ``p_prop``,
+``join`` and ``commutes`` one row at a time.
 """
 
 import cmath
@@ -20,11 +21,13 @@ import numpy as np
 import pytest
 
 from raygeo import (
+    ZERO,
     OrthogonalPairError,
     Ray,
     Subspace,
     SuperpositionSpec,
     ZeroVectorError,
+    commutes,
     coplanar,
     join,
     meet,
@@ -34,6 +37,7 @@ from raygeo import (
     p_prop,
     project_ray,
     ray_from,
+    rays_equal,
     reciprocity_holds,
     subspaces_equal,
     superpose,
@@ -50,7 +54,12 @@ from raygeo.geometry import (
     triple_phases,
 )
 from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distances, gram_schmidt, inners, orthonormalize_rows
-from raygeo.probability import chain_rule_residuals, measurement_chain, total_probability_residuals
+from raygeo.probability import (
+    chain_rule_residuals,
+    measurement_chain,
+    ortho_additivity_residuals,
+    total_probability_residuals,
+)
 from raygeo.rays import (
     commutation_defects,
     complements,
@@ -854,9 +863,12 @@ def test_stacked_orthonormalize_matches_loop(dim):
 
 
 def _calculus_cases(rng, dim, n=30):
-    """Stacked (alpha, beta, x): commuting pairs, generic pairs, and the
+    """Stacked (alpha, beta, x): commuting pairs, generic pairs, the
     null-event rows x ⊥ alpha, p(x, alpha) = 1e-11 (a null event with a
-    nonzero projection), x in alpha and alpha = falsehood."""
+    nonzero projection), x in alpha and alpha = falsehood, and from
+    d = 4 pairs that do not commute but commute locally at x: two planes
+    sharing one frame direction, tilted in the plane of the next two,
+    with x off that plane."""
     a_c, b_c = sampling.commuting_pairs(rng, n, dim)
     x_c = sampling.random_rays(rng, n, dim)
     a_g, b_g = (sampling.random_subspaces(rng, n, dim, 1, dim - 1) for _ in range(2))
@@ -866,10 +878,16 @@ def _calculus_cases(rng, dim, n=30):
     b_n = sampling.random_subspaces(rng, n, dim, 0, dim)
     x_perp, x_in = frame[..., -1], frame[..., 0]
     x_near = np.sqrt(1.0 - 1e-11) * x_perp + np.sqrt(1e-11) * x_in
-    alpha = np.concatenate([a_c, a_g, a_n, a_n, a_n, np.zeros_like(a_n)])
-    beta = np.concatenate([b_c, b_g, b_n, b_n, b_n, b_n])
-    x = np.concatenate([x_c, x_g, x_perp, x_near, x_in, x_in])
-    return alpha, beta, x
+    alpha = [a_c, a_g, a_n, a_n, a_n, np.zeros_like(a_n)]
+    beta = [b_c, b_g, b_n, b_n, b_n, b_n]
+    x = [x_c, x_g, x_perp, x_near, x_in, x_in]
+    if dim >= 4:
+        for qs in (alpha, beta):
+            tilt = (frame[..., 1:3] @ gaussian_stack(rng, (n, 2, 1)))[..., 0]
+            plane = orthonormalize_rows(np.stack([frame[..., 0], tilt], axis=1))[0].swapaxes(1, 2)
+            qs.append(np.pad(plane, ((0, 0), (0, 0), (0, dim - 2))))
+        x.append(rays_from(0.5 * frame[..., 0] + (frame[..., 3:] @ gaussian_stack(rng, (n, dim - 3, 1)))[..., 0]))
+    return np.concatenate(alpha), np.concatenate(beta), np.concatenate(x)
 
 
 def _ref_chain(x, subspaces):
@@ -894,7 +912,8 @@ def test_calculus_kernels_match_loop(dim):
     stacks = {"a": qa, "b": qb}
     chains = {c: np.stack(measurement_chain(x, *(stacks[s] for s in c))) for c in ("a", "ab", "bab")}
     chain_rule = chain_rule_residuals(qa, qb, x)
-    total = total_probability_residuals(qa, complements(qa), qb, x)
+    total, undefined = total_probability_residuals(qa, qb, x)
+    local = 0
     for i in range(len(x)):
         a, b = Subspace.from_columns(qa[i]), Subspace.from_columns(qb[i])
         xi = ray_from(x[i])
@@ -909,3 +928,30 @@ def test_calculus_kernels_match_loop(dim):
             if p_prop(xi, s) > EPS_ABS:
                 terms += p_prop(xi, s) * p_prop(project_ray(s, xi), b)
         assert total[i] == pytest.approx(abs(p_prop(xi, b) - terms), abs=1e-12)
+        ab, ba = project_ray(a, project_ray(b, xi)), project_ray(b, project_ray(a, xi))
+        if ab is ZERO or ba is ZERO:
+            agree = ab is ZERO and ba is ZERO
+        else:
+            agree = rays_equal(ab, ba)
+        assert undefined[i] == (not commutes(a, b) and not agree)
+        local += agree and not commutes(a, b)
+    assert (local > 0) == (dim >= 4)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_ortho_additivity_matches_loop(count):
+    # generic families, so the residual is not zero: the kernel reads the
+    # same formula whether or not the family is orthogonal
+    rng = np.random.default_rng(160 + count)
+    dim, n = 5, 20
+    parts = [sampling.random_subspaces(rng, n, dim, 0, 2) for _ in range(count)]
+    x = sampling.random_rays(rng, n, dim)
+    residual = ortho_additivity_residuals(x, *parts)
+    for i in range(n):
+        xi = ray_from(x[i])
+        subspaces = [Subspace.from_columns(q[i]) for q in parts]
+        joined = subspaces[0]
+        for s in subspaces[1:]:
+            joined = join(joined, s)
+        ref = p_prop(xi, joined) - sum(p_prop(xi, s) for s in subspaces)
+        assert residual[i] == pytest.approx(abs(ref), abs=1e-12)

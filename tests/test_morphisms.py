@@ -120,6 +120,7 @@ class TestIsometryScale:
         rng = np.random.default_rng(2)
         f = RegularMap(3.0 * _unitary(rng, 3))
         assert isometry_scale(f) == pytest.approx(3.0)
+        assert type(isometry_scale(f)) is float
 
     def test_diagonal_stretch_is_not(self):
         assert isometry_scale(RegularMap(np.diag([1.0, 2.0]))) is None

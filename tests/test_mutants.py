@@ -10,7 +10,8 @@ trial by trial (``stream_version`` 2, same run configuration); for the
 lattice, as observed once the subspace laws were stacked
 (``stream_version`` 5); for the projection, as observed once
 ``lemma.p_bounds`` read the unclipped Born value (``stream_version``
-9).  Each must still fail now.
+9); for the projection equality, at ``stream_version`` 10.  Each must
+still fail now.
 """
 
 import sys
@@ -73,7 +74,13 @@ def _project_rows_long(q, x):
     return (1.0 + 1e-9) * _PROJECT_ROWS(q, x)
 
 
+def _projections_never_equal(p, zero_p, q, zero_q):
+    """No two projections equal, not even two ZEROs."""
+    return np.zeros_like(zero_p)
+
+
 MUTANTS = {
+    "equal_projections=never": (geometry, "equal_projections", _projections_never_equal),
     "p_sims=a": (geometry, "p_sims", _p_is_overlap),
     "superposition_rows=r": (superposition, "_superposition_rows", _rows_unrooted),
     "superposition_rows=unaligned": (superposition, "_superposition_rows", _rows_unaligned),
@@ -82,6 +89,7 @@ MUTANTS = {
 }
 
 KILLED = {
+    "equal_projections=never": {"lemma.local_total_probability"},
     "joins=short": {
         "corollary.ortho_additivity_family",
         "lemma.commuting_decomposition",

@@ -339,6 +339,12 @@ class TestNonsquaredSearch:
     def test_negative_budget_finds_nothing(self):
         assert search_nonsquared_counterexample(seed=42, budget=-3) is None
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_bad_seed_rejected_at_any_budget(self, budget):
+        # the seed is checked when the first generator is requested, even of no words
+        with pytest.raises(ValueError):
+            search_nonsquared_counterexample(seed=-1, budget=budget)
+
     @pytest.mark.parametrize("budget", [2.7, 5.0, True, "5", None])
     def test_non_integer_budget_rejected(self, budget):
         # int() would scan 2, 5, 1 and 5 candidates for the first four

@@ -23,7 +23,7 @@ from raygeo import (
     subspaces_equal,
 )
 
-from raygeo.rays import project_rows
+from raygeo.rays import project_rows, projectors
 
 RT2 = math.sqrt(2.0)
 
@@ -202,6 +202,10 @@ class TestMembershipOrthogonality:
     def test_falsehood_is_orthogonal_to_everything(self):
         assert is_orthogonal(Subspace.falsehood(2), Subspace.truth(2))
 
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            is_orthogonal(ray_from([1.0, 0.0]), Subspace.truth(3))
+
 
 class TestCommutes:
     def test_complement_commutes(self):
@@ -220,7 +224,7 @@ class TestCommutes:
     def test_projector_matrix_laws(self):
         rng = np.random.default_rng(13)
         a = Subspace.from_vectors(rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)))
-        p = a.projector()
+        p = projectors(a.basis.T)
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
         np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
 
