@@ -173,8 +173,10 @@ def total_probability_residuals(qa, qb, x) -> tuple[np.ndarray, np.ndarray]:
     ab, zero_ab = project_rays(qa, bx)
     ax, zero_a = project_rays(qa, x)
     ba, zero_ba = project_rays(qb, ax)
-    local = equal_projections(ab, zero_ab | zero_b, ba, zero_ba | zero_a)
-    undefined = (commutation_defects(qa, qb) > EPS_ABS) & ~local
+    # the commutation defects only where a and b do not commute locally at
+    # x; np.array makes the mask writable for a single row too
+    undefined = np.array(~equal_projections(ab, zero_ab | zero_b, ba, zero_ba | zero_a))
+    undefined[undefined] = commutation_defects(qa[undefined], qb[undefined]) > EPS_ABS
     total = 0.0
     for q in (qa, complements(qa)):
         weight, p_b = measurement_chain(x, q, qb)
@@ -255,6 +257,10 @@ class InterferenceWitness:
     trial_index: int
 
 
+#: The bits of a search candidate's first raw word that make both its ranks 2.
+_RANKS_2_2 = 1 << 63 | 1 << 31
+
+
 def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitness | None:
     """Random search over real 3-dimensional instances for a violation of
 
@@ -264,13 +270,19 @@ def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitn
     by ``[seed, trial]`` (:func:`~raygeo.sampling.keyed_generators`): two
     ranks of 1 or 2 and, only when both are 2, fourteen normals: the
     Gaussian 3×2 frames of alpha and beta, then the two coefficients of
-    a state in alpha.  Candidates are scored one at a time, in trial
-    order, and the first that passes is the witness.  A candidate is
-    skipped when p(x,b) or p(b(x),a) is at most 1e-6, and accepted when
-    the non-squared excess is above ``EPS_ABS``; ``Ray`` and ``Subspace``
-    objects are built only for the witness.  Returns ``None`` when the
-    budget is exhausted.  Any witness returned also satisfies the
-    squared inequality, which is a theorem.
+    a state in alpha.  The ranks are read from the stream's first 64-bit
+    raw word: alpha's is 2 when bit 31 is set and beta's when bit 63 is.
+    These are the ranks, and the generator state, that two draws of
+    ``integers(1, 3)`` would give: numpy draws each by Lemire's method
+    from 32 bits, the word's low half and then its high half, and keeps
+    their top bit; only the spent half that numpy stores stays unset.
+    Candidates are scored one at a time, in trial order, and the first
+    that passes is the witness.  A candidate is skipped when p(x,b) or
+    p(b(x),a) is at most 1e-6, and accepted when the non-squared excess
+    is above ``EPS_ABS``; ``Ray`` and ``Subspace`` objects are built
+    only for the witness.  Returns ``None`` when the budget is
+    exhausted.  Any witness returned also satisfies the squared
+    inequality, which is a theorem.
 
     A candidate with a rank-1 frame draws nothing more and is not
     scored, which moves no witness.  No such candidate is a witness:
@@ -294,9 +306,7 @@ def search_nonsquared_counterexample(seed: int, budget: int) -> InterferenceWitn
     if not is_integer(budget):
         raise ValueError(f"the budget must be an integer, got {budget!r}")
     for trial, rng in enumerate(keyed_generators(seed, range(int(budget)))):
-        # two scalar draws take the two halves of one 64-bit word, as
-        # integers(1, 3, size=2) does, and leave the generator in the same state
-        if (rng.integers(1, 3), rng.integers(1, 3)) != (2, 2):
+        if (rng.bit_generator.random_raw() & _RANKS_2_2) != _RANKS_2_2:
             continue
         draws = rng.standard_normal(14)
         qa, qb = np.linalg.qr(draws[:12].reshape(2, 3, 2))[0]

@@ -11,17 +11,20 @@ are therefore a pure function of (law id, generator spec, stream
 version), and blocks can run in any order, or in parallel, without
 changing a single drawn number.
 :data:`STREAM_VERSION` names the scheme; it is bumped whenever a
-change alters what a law draws.  At version 10, the current one, every
+change alters what a law draws.  At version 11, the current one, every
 law draws its block as stacks, and every frame through
 :func:`ranked_frames` but the isometries of :mod:`raygeo.morphisms`'
 map samplers, Gram–Schmidt Q factors of Gaussian draws with zeroed rows;
 a rejected draw, such as a tuple of rays that :func:`near_orthogonal`
 flags, is a skipped trial, never a redraw; the interference law takes
-its state as the first column of α's frame; and the morphism laws draw
+its state as the first column of α's frame; the morphism laws draw
 a map's superposition samples only while its verdict is open (sample 0
 of every map, then the rest for the maps that preserved it) and only
-the kind of map each trial keeps.  The README's determinism contract
-gives versions 1–9.
+the kind of map each trial keeps; and ``corollary.p_max`` draws α of
+rank at least 2, x, then one Gaussian member of α per trial, from which
+it builds its candidates next to α(x), where at version 10 it drew α of
+rank 1..d − 1 and 200 Gaussian members of α per trial.  The README's
+determinism contract gives versions 1–10.
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
@@ -53,7 +56,7 @@ MIN_OVERLAP = 1e-6
 
 #: Version of the stream scheme, written into every serialized report;
 #: the module docstring gives its history.
-STREAM_VERSION = 10
+STREAM_VERSION = 11
 
 
 def law_stream_key(law_id: str) -> int:

@@ -98,12 +98,13 @@ def test_criterion_2_principles_hold(sweep):
 def test_criterion_3_projection_chain_and_argmax(sweep):
     chain = sweep["theorem.p_chain"]
     argmax = sweep["corollary.p_max"]
-    ok = chain.passed and chain.worst_residual < 1e-10 and argmax.passed
+    ok = chain.passed and chain.worst_residual < 1e-10 and argmax.passed and argmax.worst_residual < 1e-10
     _criterion(
         3,
         ok,
         f"chain rule residual {chain.worst_residual:.2e} < 1e-10; projection strictly "
-        f"maximal over 200 sampled members/trial across {argmax.trials_run} trials",
+        f"maximal against 4 candidates at distance 1e-1..1e-4, gap residual "
+        f"{argmax.worst_residual:.2e} < 1e-10, across {argmax.trials_run} trials",
     )
 
 

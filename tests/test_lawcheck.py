@@ -225,6 +225,62 @@ class TestSuperpositionRounds:
         assert residual.shape == (0, 10)
 
 
+class TestPMax:
+    """``corollary.p_max`` checks the gap p(x,α) − p(x,y_ε) of four
+    candidates y_ε in α at distance ε = 10⁻¹ … 10⁻⁴ from α(x)."""
+
+    EPS = 10.0 ** -np.arange(1, 5)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_rank_two_at_least_and_nothing_skipped(self, dim):
+        from raygeo import laws
+        from raygeo.rays import ranks
+
+        block = laws._batch_p_max(substream(5, "corollary.p_max", dim, 0), dim, 500)
+        rank = ranks(block.instance["alpha"])
+        assert rank.min() >= 2 and rank.max() == max(2, dim - 1)
+        assert not block.skipped.any()
+        assert block.residuals.max() < 1e-13
+        assert (block.instance["gaps"] > 0.0).all()
+
+    def test_hand_built_gaps(self, monkeypatch):
+        # α = span(e₁, e₂) and x = (1, 1, 1)/√3: p(x,α) = 2/3, and every
+        # unit w in α orthogonal to α(x) is (1, −1, 0)/√2 up to a phase
+        from raygeo import laws, sampling
+
+        alpha = np.eye(3, dtype=complex)[np.newaxis] * [1, 1, 0]
+        x = np.full((1, 3), 3**-0.5, dtype=complex)
+        ranges = []
+
+        def subspaces(rng, n, dim, low, high):
+            ranges.append((low, high))
+            return alpha
+
+        monkeypatch.setattr(sampling, "random_subspaces", subspaces)
+        monkeypatch.setattr(sampling, "random_rays", lambda rng, n, dim: x)
+        block = laws._batch_p_max(substream(5, "corollary.p_max", 3, 0), 3, 1)
+        assert ranges == [(2, 2)]
+        expected = 2.0 / 3.0 * self.EPS**2 / (1.0 + self.EPS**2)
+        np.testing.assert_allclose(block.instance["gaps"][0], expected, rtol=0, atol=1e-15)
+        assert block.residuals[0] <= 1e-15 and not block.skipped[0]
+
+    def test_a_gap_not_positive_reads_one(self, monkeypatch):
+        # p(x,α) lowered by 1e-6 puts α(x) below the ε = 1e-4 candidate
+        from raygeo import laws
+
+        p_props = laws.p_props
+        monkeypatch.setattr(laws, "p_props", lambda q, x: p_props(q, x) - 1e-6)
+        block = laws._batch_p_max(substream(5, "corollary.p_max", 4, 0), 4, 50)
+        assert (block.residuals == 1.0).all()
+
+    @pytest.mark.parametrize("seed", [42, 7, 21])
+    def test_passes_tightly_at_default_dims(self, seed):
+        report = run_law("corollary.p_max", GeneratorSpec(seed=seed))
+        assert report.passed and report.tolerance == 1e-10
+        assert report.worst_residual <= 1e-13
+        assert report.trials_run == 7 * 500 and report.trials_skipped == 0
+
+
 class TestRunAll:
     def test_filter_glob(self):
         gen = GeneratorSpec(dims=(2, 3), trials_per_dim=10, seed=5)

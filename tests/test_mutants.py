@@ -10,8 +10,10 @@ trial by trial (``stream_version`` 2, same run configuration); for the
 lattice, as observed once the subspace laws were stacked
 (``stream_version`` 5); for the projection, as observed once
 ``lemma.p_bounds`` read the unclipped Born value (``stream_version``
-9); for the projection equality, at ``stream_version`` 10.  Each must
-still fail now.
+9); for the projection equality, at ``stream_version`` 10; for
+``corollary.p_max``, once it checked candidates next to the projection
+(``stream_version`` 11), where its 200 random members per trial had
+failed under none of these mutants.  Each must still fail now.
 """
 
 import sys
@@ -29,6 +31,14 @@ GEN = GeneratorSpec(dims=(2, 3), trials_per_dim=20, seed=7)
 def _p_is_overlap(u, v):
     """p = a instead of a²."""
     return geometry.a_sims(u, v)
+
+
+_P_SIMS = geometry.p_sims
+
+
+def _p_scaled(u, v):
+    """p scaled by a factor 1 + 1e-9."""
+    return (1.0 + 1e-9) * _P_SIMS(u, v)
 
 
 def _rows_unrooted(v, w, r):
@@ -82,6 +92,7 @@ def _projections_never_equal(p, zero_p, q, zero_q):
 MUTANTS = {
     "equal_projections=never": (geometry, "equal_projections", _projections_never_equal),
     "p_sims=a": (geometry, "p_sims", _p_is_overlap),
+    "p_sims=scaled": (geometry, "p_sims", _p_scaled),
     "superposition_rows=r": (superposition, "_superposition_rows", _rows_unrooted),
     "superposition_rows=unaligned": (superposition, "_superposition_rows", _rows_unaligned),
     "joins=short": (rays, "joins", _joins_short),
@@ -97,9 +108,11 @@ KILLED = {
         "lemma.ortho_additivity",
         "subspace.orthomodular_identity",
     },
-    "p_sims=a": {"lemma.p_basis", "lemma.p_properties", "lemma.prop1_component_form"},
+    "p_sims=a": {"corollary.p_max", "lemma.p_basis", "lemma.p_properties", "lemma.prop1_component_form"},
+    "p_sims=scaled": {"corollary.cos_theta_prime", "corollary.p_max", "lemma.p_properties", "tensor.p_product"},
     "project_rows=long": {
         "corollary.ortho_additivity_family",
+        "corollary.p_max",
         "corollary.total_probability",
         "counterexample.total_probability_2d",
         "lemma.born_rule",

@@ -422,19 +422,30 @@ class TestNonsquaredSearch:
             expected = sum(rng.integers(1, 3, size=2).tolist() == [2, 2] for rng in rngs)
             assert sum(rows) == expected, seed
 
-    def test_scalar_rank_draws_match_pair_draw(self):
-        # the search draws its two ranks as two scalars; numpy's bounded
-        # draw below 2**32 reads next_uint32 in both forms, so the scalars
-        # are the two halves of the word that size=2 reads, and the
-        # generator is left in the same state
+    def test_rank_word_matches_integer_draws(self):
+        # the search reads its two ranks off bits 31 and 63 of one raw
+        # word; numpy's bounded draw below 2**32 reads next_uint32, the
+        # low half of a word and then its high half, both as two scalar
+        # draws and as one draw of size 2, and leaves the same state; the
+        # stored half ``uinteger`` is then spent, and never read again
         def state(rng):
             s = rng.bit_generator.state
-            return s["state"]["counter"].tolist(), s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"]
+            assert s["has_uint32"] == 0
+            return s["state"]["counter"].tolist(), s["buffer"].tolist(), s["buffer_pos"]
 
-        for scalar, pair in zip(keyed_generators(3, range(10_000)), keyed_generators(3, range(10_000))):
-            assert [int(scalar.integers(1, 3)), int(scalar.integers(1, 3))] == pair.integers(1, 3, size=2).tolist()
-            assert state(scalar) == state(pair)
-            assert scalar.standard_normal(7).tolist() == pair.standard_normal(7).tolist()
+        both = 0
+        for seed in (0, 3, 42, 2**64 - 1):
+            streams = zip(*(keyed_generators(seed, range(3000)) for _ in range(3)))
+            for raw, scalar, pair in streams:
+                word = raw.bit_generator.random_raw()
+                ranks = [1 + (word >> 31 & 1), 1 + (word >> 63)]
+                assert [int(scalar.integers(1, 3)), int(scalar.integers(1, 3))] == ranks
+                assert pair.integers(1, 3, size=2).tolist() == ranks
+                assert state(raw) == state(scalar) == state(pair)
+                normals = raw.standard_normal(14).tolist()
+                assert scalar.standard_normal(14).tolist() == normals == pair.standard_normal(14).tolist()
+                both += ranks == [2, 2]
+        assert 2700 < both < 3300  # a quarter of the 12 000 keys
 
     def test_concurrent_searches_match_pinned(self):
         # every call keys its own generator, so threads need no lock; ten
