@@ -39,13 +39,15 @@ from .linalg import (
 )
 from .rays import (
     a_sims,
-    commutation_defects,
+    commuting_subspaces,
     complements,
+    contained_subspaces,
     containment_defects,
     equal_rays,
     equal_subspaces,
     joins,
     meets,
+    orthogonal_subspaces,
     orthogonality_defects,
     project_rays,
     project_rows,
@@ -108,15 +110,6 @@ def _unit_phases(rng, n) -> np.ndarray:
 
 def _ray_gaps(u, v) -> np.ndarray:
     return 1.0 - a_sims(u, v)
-
-
-def _inside(x, q) -> np.ndarray:
-    """Whether stacked rays (n, d) lie in stacked subspaces (n, d, k)."""
-    return containment_defects(x[..., np.newaxis], q) <= EPS_ABS
-
-
-def _commute(qa, qb) -> np.ndarray:
-    return commutation_defects(qa, qb) <= EPS_ABS
 
 
 def _unless(ok, residual) -> np.ndarray:
@@ -219,7 +212,7 @@ def _batch_complement_involution(rng, dim, n):
     a = sampling.random_subspaces(rng, n, dim, 0, dim)
     na = complements(a)
     rank_defect = np.abs(ranks(na) - (dim - ranks(a))) + ~equal_subspaces(complements(na), a)
-    ortho_defect = orthogonality_defects(a, na) > EPS_ABS
+    ortho_defect = ~orthogonal_subspaces(a, na)
     return _block((rank_defect + ortho_defect).astype(float), alpha=a)
 
 
@@ -246,8 +239,8 @@ def _batch_commutes_complement(rng, dim, n):
     pairs = sampling.commuting_pairs(rng, n, dim)
     generic = [sampling.random_subspaces(rng, n, dim, 1, dim - 1) for _ in range(2)]
     a, b = (np.where(expect_commuting[:, np.newaxis, np.newaxis], c, g) for c, g in zip(pairs, generic))
-    verdict = _commute(a, b)
-    bad = (verdict != _commute(complements(a), b)) | (expect_commuting & ~verdict)
+    verdict = commuting_subspaces(a, b)
+    bad = (verdict != commuting_subspaces(complements(a), b)) | (expect_commuting & ~verdict)
     return _block(bad.astype(float), alpha=a, beta=b, expect_commuting=expect_commuting)
 
 
@@ -268,7 +261,7 @@ def _batch_commuting_decomposition(rng, dim, n):
         sampling.column_ranges(frame, lo, hi)
         for lo, hi in ((0, cuts[:, 0]), (cuts[:, 0], cuts[:, 1]), (cuts[:, 1], dim))
     )
-    residual = np.where(_commute(joins(p1, p2), joins(p1, p3)), residual, np.maximum(residual, 1.0))
+    residual = np.where(commuting_subspaces(joins(p1, p2), joins(p1, p3)), residual, np.maximum(residual, 1.0))
     return _block(_unless(defect == 0, residual), alpha=a, beta=b, defect=defect)
 
 
@@ -283,7 +276,7 @@ def _batch_contained_or_orthogonal_commute(rng, dim, n):
     frame = sampling.random_frames(rng, n, dim, dim)
     cut = rng.integers(0, dim + 1, n)
     p, q = sampling.column_ranges(frame, 0, cut), sampling.column_ranges(frame, cut, dim)
-    ok = _commute(a, b) & _commute(p, q)
+    ok = commuting_subspaces(a, b) & commuting_subspaces(p, q)
     return _block((~ok).astype(float), nested_a=a, nested_b=b, p=p, q=q)
 
 
@@ -345,7 +338,8 @@ def _batch_satisfaction(rng, dim, n):
     member = sampling.member_rays(rng, a)
     x = sampling.random_rays(rng, n, dim)
     residual = np.abs(p_props(a, member) - 1.0)
-    agree = _inside(member, a) & (_inside(x, a) == (p_props(a, x) > 1.0 - 1e-9))
+    x_in_a = contained_subspaces(x[..., np.newaxis], a)
+    agree = contained_subspaces(member[..., np.newaxis], a) & (x_in_a == (p_props(a, x) > 1.0 - 1e-9))
     return _block(np.where(agree, residual, np.maximum(residual, 1.0)), alpha=a, member=member, x=x)
 
 
@@ -676,7 +670,7 @@ def _batch_ortho_additivity(rng, dim, n):
     a, b = sampling.column_ranges(frame, 0, cut), sampling.column_ranges(frame, cut, keep)
     x = sampling.random_rays(rng, n, dim)
     residual = ortho_additivity_residuals(x, a, b)
-    return _block(_unless(orthogonality_defects(a, b) <= EPS_ABS, residual), alpha=a, beta=b, x=x)
+    return _block(_unless(orthogonal_subspaces(a, b), residual), alpha=a, beta=b, x=x)
 
 
 @law(
@@ -714,7 +708,7 @@ def _batch_complement_sum(rng, dim, n):
 def _batch_inclusion_exclusion(rng, dim, n):
     a, b = sampling.commuting_pairs(rng, n, dim)
     x = sampling.random_rays(rng, n, dim)
-    return _block(_unless(_commute(a, b), inclusion_exclusion_residuals(a, b, x)), alpha=a, beta=b, x=x)
+    return _block(_unless(commuting_subspaces(a, b), inclusion_exclusion_residuals(a, b, x)), alpha=a, beta=b, x=x)
 
 
 @law(
@@ -725,7 +719,7 @@ def _batch_inclusion_exclusion(rng, dim, n):
 def _batch_conjunction_chain(rng, dim, n):
     a, b = sampling.commuting_pairs(rng, n, dim)
     x = sampling.random_rays(rng, n, dim)
-    return _block(_unless(_commute(a, b), chain_rule_residuals(a, b, x)), alpha=a, beta=b, x=x)
+    return _block(_unless(commuting_subspaces(a, b), chain_rule_residuals(a, b, x)), alpha=a, beta=b, x=x)
 
 
 @law("corollary.monotone", "similarity is monotone under containment", trials_per_dim=400)
@@ -779,7 +773,7 @@ def _batch_local_total_probability(rng, dim, n):
     a, b = (orthonormalize_rows(np.stack([shared, t], axis=1))[0].swapaxes(1, 2) for t in tilts)
     coeff = sampling.gaussian_stack(rng, (n, dim - 2))
     x = coeff[:, :1] * shared + (rest @ coeff[:, 1:, np.newaxis])[..., 0]
-    skip = (ranks(a) != 2) | (ranks(b) != 2) | _commute(a, b)  # want a genuinely non-commuting pair
+    skip = (ranks(a) != 2) | (ranks(b) != 2) | commuting_subspaces(a, b)  # want a genuinely non-commuting pair
     skip |= (np.abs(coeff[:, 0]) < 1e-3) | (norms(x) < 1e-3)
     x = rays_from(np.where(skip[:, np.newaxis], shared, x))
     residual, undefined = total_probability_residuals(a, b, x)
@@ -827,7 +821,8 @@ def _batch_interference_membership(rng, dim, n):
     x = sampling.member_rays(rng, a)
     bx, zero_b = project_rays(b, x)
     abx, zero_ab = project_rays(a, bx)
-    skip = zero_b | zero_ab | ~_inside(abx, b)  # when the antecedent fails the implication is vacuous
+    # when the antecedent fails the implication is vacuous
+    skip = zero_b | zero_ab | ~contained_subspaces(abx[..., np.newaxis], b)
     return _block(containment_defects(bx[..., np.newaxis], a), skip, alpha=a, beta=b, x=x)
 
 

@@ -28,7 +28,7 @@ from .sampling import (
     random_frames,
     random_rays,
 )
-from .superposition import superpose_vectors
+from .superposition import orthogonal_components, superpose_vectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +179,9 @@ def superposition_residuals(m, y, z, r) -> tuple[np.ndarray, np.ndarray]:
     """Superposition preservation ``(residual, kept)`` by stacked maps
     (..., D, d) on samples y, z (..., s, d) and r (..., s): 1 − overlap
     between the image of the superposition and the superposition of the
-    images, or 1.0 where the image pair is orthogonal (overlap at most
-    ``EPS_ABS``); a sample is preserved when it is at most ``EPS_ABS``.
+    images, or 1.0 where the image pair is orthogonal
+    (:func:`~raygeo.superposition.orthogonal_components`); a sample is
+    preserved when it is at most ``EPS_ABS``.
     Only the kept samples count, those whose pair
     :func:`~raygeo.sampling.near_orthogonal` does not flag: the others
     read 0."""
@@ -188,7 +189,7 @@ def superposition_residuals(m, y, z, r) -> tuple[np.ndarray, np.ndarray]:
     mapped = _image_rows(m, superpose_vectors(y, z, r))
     direct = superpose_vectors(fy, fz, r)
     direct = direct / norms(direct)[..., np.newaxis]
-    residual = np.where(a_sims(fy, fz) <= EPS_ABS, 1.0, 1.0 - a_sims(mapped, direct))
+    residual = np.where(orthogonal_components(fy, fz), 1.0, 1.0 - a_sims(mapped, direct))
     kept = ~near_orthogonal(y, z)
     return np.where(kept, residual, 0.0), kept
 

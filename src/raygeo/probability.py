@@ -34,15 +34,15 @@ from .linalg import EPS_ABS
 from .rays import (
     Ray,
     Subspace,
-    commutation_defects,
     commutes,
+    commuting_subspaces,
     complements,
     equal_subspaces,
     is_member,
     is_orthogonal,
     joins,
     meets,
-    orthogonality_defects,
+    orthogonal_subspaces,
     project_rays,
     project_rows,
     ray_from,
@@ -176,7 +176,7 @@ def total_probability_residuals(qa, qb, x) -> tuple[np.ndarray, np.ndarray]:
     # the commutation defects only where a and b do not commute locally at
     # x; np.array makes the mask writable for a single row too
     undefined = np.array(~equal_projections(ab, zero_ab | zero_b, ba, zero_ba | zero_a))
-    undefined[undefined] = commutation_defects(qa[undefined], qb[undefined]) > EPS_ABS
+    undefined[undefined] = ~commuting_subspaces(qa[undefined], qb[undefined])
     total = 0.0
     for q in (qa, complements(qa)):
         weight, p_b = measurement_chain(x, q, qb)
@@ -361,9 +361,9 @@ def commuting_decompositions(qa, qb) -> tuple[np.ndarray, np.ndarray, np.ndarray
     of the first check the row fails."""
     g1, g2, g3 = meets(qa, qb), meets(qa, complements(qb)), meets(complements(qa), qb)
     pairs = itertools.combinations((g1, g2, g3), 2)
-    overlap = np.maximum.reduce([orthogonality_defects(p, q) for p, q in pairs])
+    orthogonal = np.logical_and.reduce([orthogonal_subspaces(p, q) for p, q in pairs])
     regenerates = equal_subspaces(joins(g1, g2), qa) & equal_subspaces(joins(g1, g3), qb)
-    defects = [commutation_defects(qa, qb) > EPS_ABS, overlap > EPS_ABS, ~regenerates]
+    defects = [~commuting_subspaces(qa, qb), ~orthogonal, ~regenerates]
     return g1, g2, g3, np.select(defects, [1, 2, 3], 0)
 
 

@@ -364,10 +364,32 @@ def commutation_defects(qa, qb) -> np.ndarray:
     return np.abs(pa @ pb - pb @ pa).max(axis=(-2, -1))
 
 
+# The lattice relations as verdicts: each one's defect at most EPS_ABS,
+# the one threshold its single forms and every law read.
+
+
+def contained_subspaces(qa, qb) -> np.ndarray:
+    """Whether stacked subspaces lie inside others, a ⊆ b: containment
+    defect at most ``EPS_ABS``."""
+    return containment_defects(qa, qb) <= EPS_ABS
+
+
+def orthogonal_subspaces(qa, qb) -> np.ndarray:
+    """Whether stacked subspaces are orthogonal: orthogonality defect at
+    most ``EPS_ABS``."""
+    return orthogonality_defects(qa, qb) <= EPS_ABS
+
+
+def commuting_subspaces(qa, qb) -> np.ndarray:
+    """Whether the projections of stacked subspaces commute: commutation
+    defect at most ``EPS_ABS``."""
+    return commutation_defects(qa, qb) <= EPS_ABS
+
+
 def equal_subspaces(qa, qb) -> np.ndarray:
-    """Whether stacked subspaces coincide: equal ranks, containment
-    within ``EPS_ABS``."""
-    return (ranks(qa) == ranks(qb)) & (containment_defects(qa, qb) <= EPS_ABS)
+    """Whether stacked subspaces coincide: equal ranks, and a ⊆ b
+    (:func:`contained_subspaces`)."""
+    return (ranks(qa) == ranks(qb)) & contained_subspaces(qa, qb)
 
 
 def ortho_complement(a: Subspace) -> Subspace:
@@ -390,9 +412,10 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
 
 
 def is_member(x: Ray, a: Subspace) -> bool:
-    """Whether the ray lies inside the subspace, to ``EPS_ABS``."""
+    """Whether the ray lies inside the subspace: the single form of
+    :func:`contained_subspaces`."""
     require_dims(x, a)
-    return bool(containment_defects(x.rep[:, np.newaxis], a.basis.T) <= EPS_ABS)
+    return bool(contained_subspaces(x.rep[:, np.newaxis], a.basis.T))
 
 
 def _columns(obj) -> np.ndarray:
@@ -404,11 +427,11 @@ def _columns(obj) -> np.ndarray:
 
 
 def is_orthogonal(p, q) -> bool:
-    """Whether two rays/subspaces are orthogonal, to ``EPS_ABS``: the
-    single form of :func:`orthogonality_defects`."""
+    """Whether two rays/subspaces are orthogonal: the single form of
+    :func:`orthogonal_subspaces`."""
     cols_p, cols_q = _columns(p), _columns(q)
     require_dims(p, q)
-    return bool(orthogonality_defects(cols_p, cols_q) <= EPS_ABS)
+    return bool(orthogonal_subspaces(cols_p, cols_q))
 
 
 def subspaces_equal(a: Subspace, b: Subspace) -> bool:
@@ -418,7 +441,7 @@ def subspaces_equal(a: Subspace, b: Subspace) -> bool:
 
 
 def commutes(a: Subspace, b: Subspace) -> bool:
-    """Whether the projections of two propositions commute, to
-    ``EPS_ABS``: the single form of :func:`commutation_defects`."""
+    """Whether the projections of two propositions commute: the single
+    form of :func:`commuting_subspaces`."""
     require_dims(a, b)
-    return bool(commutation_defects(a.basis.T, b.basis.T) <= EPS_ABS)
+    return bool(commuting_subspaces(a.basis.T, b.basis.T))

@@ -11,8 +11,8 @@ are therefore a pure function of (law id, generator spec, stream
 version), and blocks can run in any order, or in parallel, without
 changing a single drawn number.
 :data:`STREAM_VERSION` names the scheme; it is bumped whenever a
-change alters what a law draws.  At version 11, the current one, every
-law draws its block as stacks, and every frame through
+change alters what a law draws, and CHANGES.md records each version.
+Every law draws its block as stacks, and every frame through
 :func:`ranked_frames` but the isometries of :mod:`raygeo.morphisms`'
 map samplers, Gram–Schmidt Q factors of Gaussian draws with zeroed rows;
 a rejected draw, such as a tuple of rays that :func:`near_orthogonal`
@@ -22,9 +22,7 @@ a map's superposition samples only while its verdict is open (sample 0
 of every map, then the rest for the maps that preserved it) and only
 the kind of map each trial keeps; and ``corollary.p_max`` draws α of
 rank at least 2, x, then one Gaussian member of α per trial, from which
-it builds its candidates next to α(x), where at version 10 it drew α of
-rank 1..d − 1 and 200 Gaussian members of α per trial.  The README's
-determinism contract gives versions 1–10.
+it builds its candidates next to α(x).
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
@@ -55,7 +53,7 @@ from .rays import a_sims, rays_from
 MIN_OVERLAP = 1e-6
 
 #: Version of the stream scheme, written into every serialized report;
-#: the module docstring gives its history.
+#: the module docstring states the scheme, CHANGES.md its history.
 STREAM_VERSION = 11
 
 

@@ -7,8 +7,14 @@ prints a single CRITERION line; run with ``pytest -v -s`` to see them
 all on a green suite.
 """
 
+import ctypes
+import glob
+import hashlib
 import json
 import math
+import os
+import pathlib
+import re
 import time
 
 import numpy as np
@@ -29,9 +35,12 @@ from raygeo import (
     tensor_ray,
     theta,
 )
+from raygeo import lawcheck, serialize
 from raygeo.cli import main as cli_main
 from raygeo.morphisms import RegularMap, isometry_maps, non_isometry_maps
-from raygeo.sampling import substream
+from raygeo.sampling import STREAM_VERSION, substream
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="session")
@@ -267,6 +276,52 @@ def test_criterion_10_determinism(tmp_path):
         f"two verify runs with identical config produced byte-identical JSON "
         f"({len(first.read_bytes())} bytes, {len(reports)} laws)",
     )
+
+
+def _readme_fact(text, pattern):
+    """The one match of ``pattern``'s group in the README: a fact stated
+    twice, or not at all, fails."""
+    found = re.findall(pattern, text, re.MULTILINE)
+    assert len(found) == 1, f"README states {pattern!r} {len(found)} times"
+    return found[0]
+
+
+def _running_blas():
+    """(OpenBLAS version, kernel) as numpy's bundled OpenBLAS reports them
+    at run time, or None where numpy bundles no such library.  Loading
+    the library numpy already loaded returns that instance, so the kernel
+    is the one it picked for this CPU, not the one its build names."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+    if len(libs) != 1:
+        return None
+    lib = ctypes.CDLL(libs[0])
+    config, corename = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
+    config.restype = corename.restype = ctypes.c_char_p
+    return config().decode().split()[1], corename().decode()
+
+
+def test_readme_states_current_facts(sweep, tmp_path):
+    text = README.read_text(encoding="utf-8")
+    assert int(_readme_fact(text, r"the (\d+) laws")) == len(lawcheck.registry())
+    assert int(_readme_fact(text, r"^\| `stream_version` \| (\d+) \|$")) == STREAM_VERSION
+    recorded = (
+        _readme_fact(text, r"^\| numpy \| (\S+) \|$"),
+        _readme_fact(text, r"^\| OpenBLAS \(bundled with numpy\) \| (\S+) \|$"),
+        _readme_fact(text, r"^\| OpenBLAS kernel, picked at run time \| (\S+) \|$"),
+    )
+    verify_digest = _readme_fact(text, r"^\| sha256 of the file `raygeo verify --seed 42 .* \| `(\w{64})` \|$")
+    search_digest = _readme_fact(text, r"^\| sha256 of what `raygeo search --budget 100000 --seed 42` .* \| `(\w{64})` \|$")
+    # the digests hold only on the build they were taken on (the "Bytes" tier)
+    if "OPENBLAS_CORETYPE" in os.environ:
+        pytest.skip("OPENBLAS_CORETYPE is set; the README's digests were taken without it")
+    running = (np.__version__, *(_running_blas() or ("no bundled OpenBLAS", "")))
+    if running != recorded:
+        pytest.skip(f"numpy, OpenBLAS and kernel {running} are not the README's recorded build {recorded}")
+    # the session sweep is the default run of `raygeo verify --seed 42`
+    assert hashlib.sha256(serialize.dumps_reports(list(sweep.values())).encode()).hexdigest() == verify_digest
+    witness = tmp_path / "witness.json"
+    assert cli_main(["search", "--budget", "100000", "--seed", "42", "--output", str(witness)]) == 0
+    assert hashlib.sha256(witness.read_bytes()).hexdigest() == search_digest
 
 
 def test_all_laws_green(sweep):

@@ -29,6 +29,8 @@ from raygeo import (
     ZeroVectorError,
     commutes,
     coplanar,
+    is_member,
+    is_orthogonal,
     join,
     meet,
     ortho_complement,
@@ -62,11 +64,16 @@ from raygeo.probability import (
 )
 from raygeo.rays import (
     commutation_defects,
+    commuting_subspaces,
     complements,
+    contained_subspaces,
     containment_defects,
     equal_rays,
+    equal_subspaces,
     joins,
     meets,
+    orthogonal_subspaces,
+    orthogonality_defects,
     project_rows,
     rays_from,
 )
@@ -536,6 +543,25 @@ def test_stacked_verdicts_match_references(dim):
     rays = [[Ray(rep=s[i]) for s in (x, y, z)] for i in range(len(x))]
     assert [coplanar(*t) for t in rays] == coplanar_rows(x, y, z).tolist()
     assert [reciprocity_holds(*t) for t in rays] == reciprocity_rows(x, y, z).tolist()
+    # the lattice verdicts, on rays as rank-1 subspaces and on the planes
+    # span(x, y) and span(y, z), with a zero column where the pair is one
+    # ray: row for row their single forms and their defects at EPS_ABS
+    xy, yz = (orthonormalize_rows(np.stack(pair, axis=1))[0].swapaxes(1, 2) for pair in ((x, y), (y, z)))
+    span_xy, span_yz = ([Subspace.from_columns(q) for q in qs] for qs in (xy, yz))
+    xs, zs = x[..., np.newaxis], z[..., np.newaxis]
+    ray_x, _, ray_z = zip(*rays)
+    cases = (
+        (contained_subspaces(zs, xy), containment_defects(zs, xy), list(map(is_member, ray_z, span_xy))),
+        (orthogonal_subspaces(xs, yz), orthogonality_defects(xs, yz), list(map(is_orthogonal, ray_x, span_yz))),
+        (commuting_subspaces(xy, yz), commutation_defects(xy, yz), list(map(commutes, span_xy, span_yz))),
+    )
+    for verdict, defects, single in cases:
+        assert verdict.any() and (dim == 2 or not verdict.all())  # in C², most planes are the space
+        np.testing.assert_array_equal(verdict, defects <= EPS_ABS)
+        assert verdict.tolist() == single
+    equal = equal_subspaces(xy, yz)
+    assert equal.any() and (dim == 2 or not equal.all())
+    assert equal.tolist() == list(map(subspaces_equal, span_xy, span_yz))
 
 
 def _ref_closed_form(r, y, z, x):
