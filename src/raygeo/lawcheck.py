@@ -18,19 +18,21 @@ A trial is *skipped* when its instance is too degenerate to measure
 (near-orthogonal where strict non-orthogonality is required, vanishing
 closed-form denominators); the stacked kernels mark such rows with a
 value (NaN, a mask, a defect code) and never raise for them, and a
-skipped row's residual is never read.  A law passes when its worst
-residual is within tolerance, every residual of a checked trial is
-finite, and the skip rate stays below the cap.  A block that raises is
-a :class:`Block` like any other: an infinite residual on each of its
-trials and an ``error`` column naming the exception.  The
-counterexample of a failing law names its first failing (dim, trial)
-cell and that row of its block's instance stacks; nothing is rerun.
+skipped row's residual is never read.  Every law passes by one rule:
+no residual of a checked trial is NaN, infinite or above the law's
+tolerance, and at most :data:`MAX_SKIP_RATE` of its trials are skipped.
+A block that raises is a :class:`Block` like any other: an infinite
+residual on each of its trials and an ``error`` column naming the
+exception.  The counterexample of a failing law names its first failing
+(dim, trial) cell and that row of its block's instance stacks; nothing
+is rerun.
 The library calls inside a law apply the fixed thresholds of
 :mod:`raygeo.linalg`; the law's ``tolerance`` judges the residual.
 
 Negative-control laws, the ids ``counterexample.*``, invert the game:
 they assert that an identity *fails* on generic instances exactly as
-predicted, and they pass when it does.
+predicted.  Their residual is the distance of the measured failure from
+the predicted one, so they pass by the same rule.
 """
 
 from __future__ import annotations
@@ -157,11 +159,9 @@ class Law:
     ``batch(rng, dim, n)`` checks ``n`` trials drawn from one stream
     and returns a :class:`Block`.
 
-    ``aggregate``, when set, converts the full residual list into the
-    (passed, reported_worst) verdict; used by negative controls that
-    assert a failure *fraction* rather than a worst case.  The negative
-    controls are exactly the laws whose id starts with
-    ``counterexample.``.
+    Every law, negative control or not, passes by the one rule of the
+    module docstring, with its ``tolerance``.  The negative controls are
+    exactly the laws whose id starts with ``counterexample.``.
     """
 
     id: str
@@ -170,7 +170,6 @@ class Law:
     tolerance: float = 1e-10
     dims: tuple[int, ...] | None = None
     trials_per_dim: int | None = None
-    aggregate: Callable | None = None
 
     @property
     def negative_control(self) -> bool:
@@ -210,13 +209,6 @@ def law_ids() -> list[str]:
     return list(registry())
 
 
-def _worse(worst: float, value: float) -> float:
-    """The worse of two residuals; NaN is worse than anything."""
-    if math.isnan(worst):
-        return worst
-    return value if math.isnan(value) or value > worst else worst
-
-
 def _blocks(law: Law, seed: int, dim: int, trials: int):
     """The blocks of a law in one dimension, each with the trial it
     starts at.  A block that raises becomes an ordinary :class:`Block`:
@@ -254,9 +246,7 @@ class _Tally:
         self.run = 0
         self.skipped = 0
         self.worst = 0.0
-        self.nonfinite = False
         self.failure: dict | None = None
-        self.values: list[float] | None = [] if law.aggregate is not None else None
 
     def add(self, dim: int, start: int, block: Block) -> None:
         checked = np.flatnonzero(~block.skipped)
@@ -265,13 +255,8 @@ class _Tally:
         self.run += checked.size
         if checked.size == 0:
             return
-        if self.values is not None:
-            self.values.extend(residuals.tolist())
-        self.worst = _worse(self.worst, float(residuals.max()))
-        bad = ~np.isfinite(residuals)
-        self.nonfinite = self.nonfinite or bool(bad.any())
-        if self.law.aggregate is None:
-            bad |= residuals > self.law.tolerance
+        self.worst = np.maximum(self.worst, residuals.max())  # NaN is worse than anything
+        bad = ~np.isfinite(residuals) | (residuals > self.law.tolerance)
         if self.failure is None and bad.any():
             i = int(checked[np.argmax(bad)])
             cell = {"dim": dim, "trial": start + i, "residual": float(block.residuals[i])}
@@ -305,21 +290,9 @@ def run_law(law_id: str, gen: GeneratorSpec) -> LawReport:
     failure = tally.failure
     total_cells = len(dims) * trials
     skip_rate = tally.skipped / total_cells if total_cells else 0.0
-    if law.aggregate is not None:
-        passed, worst = law.aggregate(tally.values)
-        if not passed and failure is None:
-            failure = {"note": "aggregate criterion not met", "metric": worst}
-    else:
-        worst = tally.worst
-        passed = worst <= law.tolerance
-    if tally.nonfinite:
-        passed = False
-    if skip_rate > MAX_SKIP_RATE:
-        passed = False
-        failure = failure or {
-            "note": "skip rate above cap",
-            "skip_rate": skip_rate,
-        }
+    if failure is None and skip_rate > MAX_SKIP_RATE:
+        failure = {"note": "skip rate above cap", "skip_rate": skip_rate}
+    passed = failure is None
 
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return LawReport(
@@ -328,11 +301,11 @@ def run_law(law_id: str, gen: GeneratorSpec) -> LawReport:
         negative_control=law.negative_control,
         trials_run=tally.run,
         trials_skipped=tally.skipped,
-        worst_residual=float(worst),
+        worst_residual=float(tally.worst),
         tolerance=law.tolerance,
         seed=gen.seed,
         dim_range=tuple(dims),
-        counterexample=failure if not passed else None,
+        counterexample=failure,
         elapsed_ms=elapsed_ms,
     )
 

@@ -10,8 +10,8 @@ inequality together with a search for the counterexample showing its
 square cannot be dropped.
 
 Each identity has one stacked kernel, which returns residuals
-(absolute deviation from the identity) so the law harness can aggregate
-worst cases, and marks with a mask the rows outside its domain:
+(absolute deviation from the identity) for the law harness to judge,
+and marks with a mask the rows outside its domain:
 ``total_probability_residuals`` and ``interference_margins`` return an
 ``undefined`` mask beside their values.  The single forms ``check_*``
 read one row and raise only when a stated precondition is violated.

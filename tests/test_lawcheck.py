@@ -18,7 +18,7 @@ from raygeo import (
     run_law,
 )
 from raygeo.geometry import triple_phases
-from raygeo.linalg import circular_distances
+from raygeo.linalg import EPS_ABS, circular_distances
 from raygeo.sampling import STREAM_VERSION, law_stream_key, substream
 from raygeo.serialize import dumps_reports, to_jsonable
 
@@ -320,12 +320,18 @@ class TestRegistryCompleteness:
 
 
 class TestNegativeControls:
-    def test_total_probability_control_fails_often(self):
-        gen = GeneratorSpec(dims=(2, 3, 4), trials_per_dim=120, seed=8)
-        report = run_law("counterexample.total_probability", gen)
-        assert report.negative_control
-        assert report.passed  # i.e. the identity failed on > 90% of trials
-        assert report.worst_residual <= 0.1  # 1 − failing fraction
+    @pytest.mark.parametrize("seed", [42, 7, 21])
+    def test_total_probability_fails_by_its_interference_term(self, seed):
+        # the identity fails on every generic trial, by exactly its cross term
+        law = registry()["counterexample.total_probability"]
+        report = run_law(law.id, GeneratorSpec(seed=seed))
+        assert report.negative_control and report.passed
+        assert report.tolerance == 1e-10 and report.worst_residual < 1e-13
+        assert report.trials_skipped == 0
+        for dim in report.dim_range:
+            for _, block in lawcheck._blocks(law, seed, dim, law.trials_per_dim):
+                checked = block.instance["interference"][~block.skipped]
+                assert (np.abs(checked) > EPS_ABS).all()
 
     def test_2d_family_matches_analytic(self):
         gen = GeneratorSpec(dims=(2,), trials_per_dim=200, seed=9)
@@ -381,6 +387,8 @@ def _phase_guard(rng, dim, n):
 
 #: Each broken law as a batch function.
 BROKEN = {
+    "-inf": _constant_blocks(-math.inf),
+    "inf": _constant_blocks(math.inf),
     "nan": _constant_blocks(math.nan),
     "raise": _raise,
     "wrong": _constant_blocks(0.5),
@@ -438,8 +446,9 @@ class TestBrokenLawsFail:
         if kind in ("nan", "phase_guard"):
             assert rows[0]["worst_residual"] == "NaN"
             assert "error" not in report.counterexample  # a marked row, not a raise
-        if kind == "raise":
+        if kind in ("inf", "raise"):
             assert rows[0]["worst_residual"] == "Infinity"
+        if kind == "raise":
             assert "RuntimeError: boom" in report.counterexample["error"]
 
     def test_broken_laws_left_no_trace(self):
@@ -454,16 +463,14 @@ class TestBrokenLawsFail:
         assert (report.counterexample["dim"], report.counterexample["trial"]) == (2, 1)
         assert report.counterexample["value"] == second_value  # row 1 of the block's stacks
 
-    @pytest.mark.parametrize("form", ["batched"])
-    def test_unmet_aggregate_is_noted(self, private_registry, form):
-        report = private_registry(
-            "broken.aggregate",
-            batch=_constant_blocks(0.0),
-            aggregate=lambda residuals: (False, 0.25),
-        )
-        assert not report.passed
-        assert report.worst_residual == 0.25
-        assert report.counterexample == {"note": "aggregate criterion not met", "metric": 0.25}
+    def test_tolerance_is_inclusive(self, private_registry):
+        tol = Law.tolerance  # the default, 1e-10
+        at = private_registry("broken.at_tolerance", batch=_constant_blocks(tol))
+        assert at.passed and at.counterexample is None and at.worst_residual == tol
+        above = np.nextafter(tol, 1)
+        report = private_registry("broken.above_tolerance", batch=_constant_blocks(above))
+        assert not report.passed and report.worst_residual == above
+        assert (report.counterexample["dim"], report.counterexample["trial"]) == (2, 0)
 
     def test_nan_in_skipped_rows_passes(self, private_registry):
         # a stacked kernel marks an out-of-domain row with NaN; when the law
@@ -482,7 +489,6 @@ class TestBrokenLawsFail:
         report = private_registry(
             "counterexample.broken_nan",
             batch=_constant_blocks(math.nan),
-            aggregate=lambda residuals: (True, 0.0),
         )
         assert report.negative_control
         assert not report.passed

@@ -13,7 +13,10 @@ lattice, as observed once the subspace laws were stacked
 9); for the projection equality, at ``stream_version`` 10; for
 ``corollary.p_max``, once it checked candidates next to the projection
 (``stream_version`` 11), where its 200 random members per trial had
-failed under none of these mutants.  Each must still fail now.
+failed under none of these mutants; for ``counterexample.total_probability``,
+once it checked the exact interference term on each trial (still
+``stream_version`` 11), where its failing fraction had survived every
+mutant.  Each must still fail now.
 """
 
 import sys
@@ -22,7 +25,7 @@ import numpy as np
 import pytest
 
 from raygeo import GeneratorSpec, registry, run_all
-from raygeo import geometry, rays, superposition
+from raygeo import geometry, probability, rays, superposition
 from raygeo.linalg import EPS_ABS
 
 GEN = GeneratorSpec(dims=(2, 3), trials_per_dim=20, seed=7)
@@ -89,6 +92,15 @@ def _projections_never_equal(p, zero_p, q, zero_q):
     return np.zeros_like(zero_p)
 
 
+_TOTAL_PROBABILITY = probability.total_probability_residuals
+
+
+def _total_probability_holds(qa, qb, x):
+    """The total-probability residuals all zero, the domain mask kept."""
+    residual, undefined = _TOTAL_PROBABILITY(qa, qb, x)
+    return np.zeros_like(residual), undefined
+
+
 MUTANTS = {
     "equal_projections=never": (geometry, "equal_projections", _projections_never_equal),
     "p_sims=a": (geometry, "p_sims", _p_is_overlap),
@@ -97,6 +109,7 @@ MUTANTS = {
     "superposition_rows=unaligned": (superposition, "_superposition_rows", _rows_unaligned),
     "joins=short": (rays, "joins", _joins_short),
     "project_rows=long": (rays, "project_rows", _project_rows_long),
+    "total_probability_residuals=holds": (probability, "total_probability_residuals", _total_probability_holds),
 }
 
 KILLED = {
@@ -114,6 +127,7 @@ KILLED = {
         "corollary.ortho_additivity_family",
         "corollary.p_max",
         "corollary.total_probability",
+        "counterexample.total_probability",
         "counterexample.total_probability_2d",
         "lemma.born_rule",
         "lemma.complement_sum",
@@ -133,6 +147,10 @@ KILLED = {
         "lemma.prop1_component_form",
         "lemma.prop1_dominance",
         "lemma.prop1_theta_zero",
+    },
+    "total_probability_residuals=holds": {
+        "counterexample.total_probability",
+        "counterexample.total_probability_2d",
     },
 }
 
