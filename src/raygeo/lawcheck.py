@@ -57,9 +57,9 @@ MIN_DIM, MAX_DIM = 2, 32
 
 #: Trials per block, and so per substream, at d = 8, the size that sets
 #: the memory of every block's stacks.  At d = 8, by tracemalloc, a
-#: block of 256 trials peaks at 1.07 MB for the interference law (its
-#: two frames; the state is a column of one of them) and at up to about
-#: 4.5 MB for the subspace lattice laws.
+#: block of 256 trials peaks at 0.82 MB for the interference law (β's
+#: drawn frame and α's coordinate frame, whose first column is the
+#: state) and at up to about 4.5 MB for the subspace lattice laws.
 BLOCK_TRIALS = 256
 
 
@@ -238,6 +238,13 @@ def _record(block: Block, i: int) -> dict:
         return {}
 
 
+def _severity(residual: float) -> tuple:
+    """Order of residuals for a report's worst: NaN, then +inf, then
+    −inf, each above every finite residual, which rank by size."""
+    finite = math.isfinite(residual)
+    return (math.isnan(residual), residual == math.inf, not finite, residual if finite else 0.0)
+
+
 class _Tally:
     """Counts, worst residual and first failure of one law run."""
 
@@ -255,8 +262,10 @@ class _Tally:
         self.run += checked.size
         if checked.size == 0:
             return
-        self.worst = np.maximum(self.worst, residuals.max())  # NaN is worse than anything
-        bad = ~np.isfinite(residuals) | (residuals > self.law.tolerance)
+        finite = np.isfinite(residuals)
+        worst = residuals.max() if finite.all() else max(residuals[~finite], key=_severity)
+        self.worst = max(self.worst, float(worst), key=_severity)
+        bad = ~finite | (residuals > self.law.tolerance)
         if self.failure is None and bad.any():
             i = int(checked[np.argmax(bad)])
             cell = {"dim": dim, "trial": start + i, "residual": float(block.residuals[i])}

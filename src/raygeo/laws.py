@@ -39,6 +39,7 @@ from .linalg import (
 )
 from .rays import (
     a_sims,
+    commutation_defects,
     commuting_subspaces,
     complements,
     contained_subspaces,
@@ -231,17 +232,20 @@ def _batch_orthomodular_identity(rng, dim, n):
 @law(
     "subspace.commutes_complement",
     "commuting survives complementation of either argument",
-    tolerance=0.5,
+    tolerance=EPS_ABS,
     trials_per_dim=400,
 )
 def _batch_commutes_complement(rng, dim, n):
+    # [¬a, b] = −[a, b], so the two commutation defects agree on every
+    # pair, and on the constructed commuting pairs both vanish
     expect_commuting = rng.integers(0, 2, n) == 0
     pairs = sampling.commuting_pairs(rng, n, dim)
     generic = [sampling.random_subspaces(rng, n, dim, 1, dim - 1) for _ in range(2)]
     a, b = (np.where(expect_commuting[:, np.newaxis, np.newaxis], c, g) for c, g in zip(pairs, generic))
-    verdict = commuting_subspaces(a, b)
-    bad = (verdict != commuting_subspaces(complements(a), b)) | (expect_commuting & ~verdict)
-    return _block(bad.astype(float), alpha=a, beta=b, expect_commuting=expect_commuting)
+    defect = commutation_defects(a, b)
+    residual = np.abs(commutation_defects(complements(a), b) - defect)
+    residual = np.where(expect_commuting, np.maximum(residual, defect), residual)
+    return _block(residual, alpha=a, beta=b, expect_commuting=expect_commuting)
 
 
 @law(
@@ -268,7 +272,7 @@ def _batch_commuting_decomposition(rng, dim, n):
 @law(
     "corollary.contained_or_orthogonal_commute",
     "nested or orthogonal propositions commute",
-    tolerance=0.5,
+    tolerance=EPS_ABS,
     trials_per_dim=400,
 )
 def _batch_contained_or_orthogonal_commute(rng, dim, n):
@@ -276,8 +280,8 @@ def _batch_contained_or_orthogonal_commute(rng, dim, n):
     frame = sampling.random_frames(rng, n, dim, dim)
     cut = rng.integers(0, dim + 1, n)
     p, q = sampling.column_ranges(frame, 0, cut), sampling.column_ranges(frame, cut, dim)
-    ok = commuting_subspaces(a, b) & commuting_subspaces(p, q)
-    return _block((~ok).astype(float), nested_a=a, nested_b=b, p=p, q=q)
+    residual = np.maximum(commutation_defects(a, b), commutation_defects(p, q))
+    return _block(residual, nested_a=a, nested_b=b, p=p, q=q)
 
 
 @law(
@@ -788,17 +792,22 @@ def _batch_local_total_probability(rng, dim, n):
     trials_per_dim=10_000,
 )
 def _batch_interference_inequality(rng, dim, n):
-    # 10^4 trials per dimension: one ranked frame of d − 1 columns per
-    # proposition.  The trials are ordered by descending rank of α,
-    # which leaves them independent (β's ranks are drawn after the
-    # sort) and spares α's frames the gather back in ranked_frames.
-    # The state is α's first column: q₁ = g₁/|g₁| of a Gaussian g₁, so
-    # given α it is uniform on α's unit sphere, the law of a normalized
-    # Gaussian combination of α's columns, and needs no draw of its own.
-    ra = np.sort(rng.integers(1, dim, size=n))[::-1]
-    rb = rng.integers(1, dim, size=n)
-    qa = sampling.ranked_frames(rng, ra, dim, dim - 1)
+    # 10^4 trials per dimension, drawn in α's own coordinates: α =
+    # span(e₁ … e_rₐ), x = e₁, and β one ranked Haar frame of d − 1
+    # columns.  Both sides of the inequality are built from p and Lüders
+    # projections, which a unitary U acting on the whole instance leaves
+    # unchanged, and for a Haar U, (Uα, Ux, Uβ) has the joint law of α
+    # Haar, x uniform on α's unit sphere and β independent Haar
+    # (Mezzadri, Notices AMS 54, 2007): the margins have exactly the
+    # law of that draw.  The trials are ordered by descending rank of
+    # β, which leaves them independent (α's ranks are drawn on their
+    # own) and spares β's frames the gather back in ranked_frames.
+    ra = rng.integers(1, dim, size=n)
+    rb = np.sort(rng.integers(1, dim, size=n))[::-1]
     qb = sampling.ranked_frames(rng, rb, dim, dim - 1)
+    qa = np.zeros((n, dim, dim - 1), dtype=np.complex128)
+    j = np.arange(dim - 1)
+    qa[:, j, j] = j < ra[:, np.newaxis]
     x = qa[..., 0]
     margin, undefined = interference_margins(qa, qb, x)
     instance = dict(alpha=qa, alpha_rank=ra, beta=qb, beta_rank=rb, x=x, margin=margin)

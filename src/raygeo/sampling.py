@@ -16,8 +16,10 @@ Every law draws its block as stacks, and every frame through
 :func:`ranked_frames` but the isometries of :mod:`raygeo.morphisms`'
 map samplers, Gram–Schmidt Q factors of Gaussian draws with zeroed rows;
 a rejected draw, such as a tuple of rays that :func:`near_orthogonal`
-flags, is a skipped trial, never a redraw; the interference law takes
-its state as the first column of α's frame; the morphism laws draw
+flags, is a skipped trial, never a redraw; the interference law works
+in α's own coordinates, α = span(e₁ … e_rₐ) and x = e₁, and draws only
+β's frame: its margins are unitarily invariant, so they have the law
+of α Haar, x uniform on α's unit sphere and β Haar; the morphism laws draw
 a map's superposition samples only while its verdict is open (sample 0
 of every map, then the rest for the maps that preserved it) and only
 the kind of map each trial keeps; and ``corollary.p_max`` draws α of
@@ -54,7 +56,7 @@ MIN_OVERLAP = 1e-6
 
 #: Version of the stream scheme, written into every serialized report;
 #: the module docstring states the scheme, CHANGES.md its history.
-STREAM_VERSION = 11
+STREAM_VERSION = 12
 
 
 def law_stream_key(law_id: str) -> int:

@@ -448,6 +448,8 @@ class TestBrokenLawsFail:
             assert "error" not in report.counterexample  # a marked row, not a raise
         if kind in ("inf", "raise"):
             assert rows[0]["worst_residual"] == "Infinity"
+        if kind == "-inf":  # a non-finite residual is worse than any finite one
+            assert rows[0]["worst_residual"] == "-Infinity"
         if kind == "raise":
             assert "RuntimeError: boom" in report.counterexample["error"]
 

@@ -35,7 +35,7 @@ from raygeo import (
     search_nonsquared_counterexample,
     subspaces_equal,
 )
-from raygeo import probability
+from raygeo import probability, sampling
 from raygeo.linalg import EPS_ABS
 from raygeo.probability import interference_margins, measurement_chain
 from raygeo.sampling import keyed_generator, keyed_generators
@@ -271,6 +271,20 @@ class TestInterferenceInequality:
         assert undefined
         with pytest.raises(PreconditionUnmetError):
             check_interference_inequality(x, a, b)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+    def test_margins_are_unitarily_invariant(self, dim):
+        # the interference law draws its instances in alpha's own
+        # coordinates, which is sound because one unitary U acting on the
+        # whole instance (x, alpha, beta) leaves every margin unchanged
+        rng = keyed_generator(29, dim)
+        qa, qb = (sampling.random_subspaces(rng, 200, dim, 1, dim - 1) for _ in range(2))
+        x = sampling.member_rays(rng, qa)
+        u = sampling.random_frames(rng, 200, dim, dim)
+        margin, undefined = interference_margins(qa, qb, x)
+        moved, moved_undefined = interference_margins(u @ qa, u @ qb, (u @ x[..., np.newaxis])[..., 0])
+        assert (moved_undefined == undefined).all()
+        assert np.abs(moved - margin).max() <= 1e-13
 
 
 FROZEN_WITNESS = {

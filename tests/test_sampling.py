@@ -59,7 +59,7 @@ class TestSamplers:
                 assert is_member(Ray(rep=rep), a)
 
     def test_interference_ranks_independent(self):
-        # the law orders its trials by descending rank of alpha; beta's
+        # the law orders its trials by descending rank of beta; alpha's
         # ranks must not follow that order: at d = 8 every (rank alpha,
         # rank beta) cell holds about 1/49 of 10 240 trials (209 expected,
         # sd 14), and a cell outside [1/2, 3/2] of that is 7 sd out
@@ -72,26 +72,26 @@ class TestSamplers:
         share = cells * 49 / cells.sum()
         assert 0.5 < share.min() and share.max() < 1.5, share
 
-    @pytest.mark.parametrize("dim", [4, 8])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
     def test_interference_state_law(self, dim):
-        # The law's state is the first column of alpha's frame.  Over 20 496
-        # trials its chain p(x,b), p(b(x),a), p(a(b(x)),b) has the means
-        # and deciles of the version-8 state, a normalized Gaussian
-        # combination of alpha's columns drawn after the frames (written
-        # out below), within 4 standard errors; the state lies in alpha
-        # and has unit norm.
+        # The law draws in alpha's own coordinates (alpha spanned by the
+        # first basis vectors, x the first of them) and only beta's frame.
+        # Over 20 496 trials its chain p(x,b), p(b(x),a), p(a(b(x)),b) and
+        # its margin have the means and deciles of the two-frame draw it
+        # replaced (written out below: alpha and beta Haar, x alpha's first
+        # column, uniform on alpha's unit sphere), within 4 standard
+        # errors; the state lies in alpha and has unit norm.
         from raygeo.lawcheck import block_trials
         from raygeo.laws import _batch_interference_inequality
-        from raygeo.probability import MIN_CONDITIONING_P, measurement_chain
+        from raygeo.probability import interference_margins, measurement_chain
         from raygeo.rays import project_rows
 
-        def version_8(rng, n):
+        def two_frames(rng, n):
             ra = np.sort(rng.integers(1, dim, size=n))[::-1]
             rb = rng.integers(1, dim, size=n)
             qa = sampling.ranked_frames(rng, ra, dim, dim - 1)
             qb = sampling.ranked_frames(rng, rb, dim, dim - 1)
-            x = (qa @ sampling.gaussian_stack(rng, (n, dim - 1))[..., np.newaxis])[..., 0]
-            return qa, qb, x / np.linalg.norm(x, axis=-1, keepdims=True)
+            return qa, qb, qa[..., 0]
 
         def chains(draw, seed):
             n = block_trials(dim)
@@ -99,8 +99,9 @@ class TestSamplers:
             # full blocks, and a short tail block, which takes LAPACK's QR
             for index, count in enumerate([n] * (20_480 // n) + [16]):
                 qa, qb, x = draw(substream(seed, "theorem.interference_inequality", dim, index), count)
-                p = np.stack(measurement_chain(x, qb, qa, qb))
-                out.append(p[:, (p[0] > MIN_CONDITIONING_P) & (p[1] > MIN_CONDITIONING_P)])
+                margin, undefined = interference_margins(qa, qb, x)
+                p = np.stack([*measurement_chain(x, qb, qa, qb), margin])
+                out.append(p[:, ~undefined])
             return np.concatenate(out, axis=1)
 
         def law(rng, n):
@@ -110,8 +111,8 @@ class TestSamplers:
             assert np.abs(np.linalg.norm(x, axis=-1) - 1.0).max() <= 1e-15
             return qa, block.instance["beta"], x
 
-        new, old = chains(law, 5), chains(version_8, 6)
-        for name, a, b in zip(("p(x,b)", "p(b(x),a)", "p(a(b(x)),b)"), new, old):
+        new, old = chains(law, 5), chains(two_frames, 6)
+        for name, a, b in zip(("p(x,b)", "p(b(x),a)", "p(a(b(x)),b)", "margin"), new, old):
             se = np.sqrt(a.var() / a.size + b.var() / b.size)
             assert abs(a.mean() - b.mean()) < 4 * se, (name, a.mean(), b.mean(), se)
             for q in np.arange(1, 10) / 10:
