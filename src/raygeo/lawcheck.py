@@ -46,7 +46,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import UnknownLawError
-from .sampling import check_seed, is_integer, substream
+from .linalg import EPS_ABS, is_integer
+from .sampling import check_seed, substream
 from .serialize import to_jsonable
 
 #: Ceiling on the fraction of skipped trials before a law fails outright.
@@ -167,7 +168,7 @@ class Law:
     id: str
     description: str
     batch: Callable
-    tolerance: float = 1e-10
+    tolerance: float = EPS_ABS
     dims: tuple[int, ...] | None = None
     trials_per_dim: int | None = None
 

@@ -232,7 +232,6 @@ def _batch_orthomodular_identity(rng, dim, n):
 @law(
     "subspace.commutes_complement",
     "commuting survives complementation of either argument",
-    tolerance=EPS_ABS,
     trials_per_dim=400,
 )
 def _batch_commutes_complement(rng, dim, n):
@@ -272,7 +271,6 @@ def _batch_commuting_decomposition(rng, dim, n):
 @law(
     "corollary.contained_or_orthogonal_commute",
     "nested or orthogonal propositions commute",
-    tolerance=EPS_ABS,
     trials_per_dim=400,
 )
 def _batch_contained_or_orthogonal_commute(rng, dim, n):
@@ -895,7 +893,10 @@ def _samples(rng, n, count, dim):
 
 #: Sample rows that :func:`_superposition_residuals` draws and checks at
 #: once: 8 maps of 200 samples, so its (maps, samples, d) stacks stay
-#: small, while sample 0 of a whole block of maps is one chunk.
+#: small, while sample 0 of a whole block of maps is one chunk.  Drawn
+#: unchunked, a ``theorem.char_morph`` block at d = 5 peaks at 2.57 MB
+#: against 1.42 MB (tracemalloc), and one in-process ``verify --dims 2
+#: --trials 1000`` reaches a maxrss of 43.6 MB against 42.2 MB.
 SUPERPOSITION_ROWS = 1600
 
 

@@ -34,6 +34,21 @@ EPS_ABS = 1e-10
 ANGLE_GUARD = 1e-8
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` or ``np.integer`` and not a ``bool``:
+    a count or a seed that no coercion changes, where ``int()`` would
+    truncate a fraction or parse a string."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(value, what: str) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is a positive
+    integer (:func:`is_integer`): a dimension or a sample count."""
+    if not is_integer(value) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def inners(u, v) -> np.ndarray:
     """Inner products ``sum_i u_i * conj(v_i)`` of stacked vectors,
     shape (..., d) → (...)."""

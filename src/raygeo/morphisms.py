@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotIsometryError
-from .linalg import EPS_ABS, circular_distances, norms, orthonormalize_rows
+from .linalg import EPS_ABS, check_count, circular_distances, norms, orthonormalize_rows
 from .rays import Ray, ray_from, rays_from
 from .geometry import a_sims, p_sims, triple_phases
 from .sampling import (
     gaussian_stack,
-    is_integer,
     keyed_generator,
     near_orthogonal,
     random_frames,
@@ -194,13 +193,6 @@ def superposition_residuals(m, y, z, r) -> tuple[np.ndarray, np.ndarray]:
     return np.where(kept, residual, 0.0), kept
 
 
-def _check_trials(trials: int) -> None:
-    """Raise ``ValueError`` unless ``trials`` is a positive integer
-    (:func:`~raygeo.sampling.is_integer`): the sample count of a check."""
-    if not is_integer(trials) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-
-
 def preserves_superpositions(f: RegularMap, trials: int = 500, seed: int = 0) -> PreservationReport:
     """Sampled check that the induced map carries superpositions to
     superpositions of the images: :func:`superposition_residuals` on
@@ -215,7 +207,7 @@ def preserves_superpositions(f: RegularMap, trials: int = 500, seed: int = 0) ->
         If ``trials`` is not a positive integer, or ``seed`` is not an
         integer in [0, 2**64).
     """
-    _check_trials(trials)
+    check_count(trials, "trials")
     rng = keyed_generator(seed, 0x5052455345525645)
     y, z = random_rays(rng, trials, f.dim_in), random_rays(rng, trials, f.dim_in)
     r = rng.uniform(0.0, 1.0, trials)
@@ -286,7 +278,7 @@ def check_preserves_p_theta(f: RegularMap, trials: int = 200, seed: int = 0) -> 
     """
     if isometry_scale(f) is None:
         raise NotIsometryError("p/theta preservation holds only for isometries")
-    _check_trials(trials)
+    check_count(trials, "trials")
     rng = keyed_generator(seed, 0x5051554E54)
     x, y, z = (random_rays(rng, trials, f.dim_in) for _ in range(3))
     p_residual, theta_residual, kept = p_theta_residuals(_normalized(f)[0], x, y, z)

@@ -30,7 +30,7 @@ from .errors import (
     NotOrthogonalError,
     PreconditionUnmetError,
 )
-from .linalg import EPS_ABS
+from .linalg import EPS_ABS, is_integer
 from .rays import (
     Ray,
     Subspace,
@@ -49,7 +49,7 @@ from .rays import (
     require_dims,
 )
 from .geometry import equal_projections, p_props
-from .sampling import is_integer, keyed_generators
+from .sampling import keyed_generators
 
 
 def ortho_additivity_residuals(x, *qs) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
-from .linalg import EPS_ABS, checked_rows, norms, orthonormalize
+from .linalg import EPS_ABS, check_count, checked_rows, norms, orthonormalize
 
 
 class ZeroProjection:
@@ -203,27 +203,28 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors, dim=None) -> "Subspace":
-        """Span of arbitrary vectors; orthonormalizes and drops dependents."""
+        """Span of arbitrary vectors; orthonormalizes and drops dependents.
+        ``dim``, if given, must be a positive integer (:func:`check_count`)
+        and the vectors' length."""
+        if dim is not None:
+            dim = check_count(dim, "dim")
         rows = orthonormalize(vectors)
-        if rows:
-            d = rows[0].shape[0]
-        elif dim is not None:
-            d = int(dim)
-        else:
+        d = rows[0].shape[0] if rows else dim
+        if d is None:
             raise ValueError("dim is required when no independent vector remains")
-        if dim is not None and int(dim) != d:
+        if dim is not None and dim != d:
             raise DimensionMismatchError(f"declared dim {dim}, vectors have dim {d}")
-        mat = np.array(rows, dtype=np.complex128).reshape(len(rows), d)
-        return cls(basis=mat, dim=d)
+        return cls.from_orthonormal(rows, d)
 
     @classmethod
     def from_orthonormal(cls, rows, dim) -> "Subspace":
         """The span of rows already known to be orthonormal (no re-check),
         held as a copy: writing to ``rows`` afterwards changes neither
         the subspace nor its hash, and the subspace keeps no larger
-        array alive."""
-        mat = np.array(rows, dtype=np.complex128).reshape(-1, int(dim))
-        return cls(basis=mat, dim=int(dim))
+        array alive.  ``dim`` must be a positive integer
+        (:func:`check_count`)."""
+        dim = check_count(dim, "dim")
+        return cls(basis=np.array(rows, dtype=np.complex128).reshape(-1, dim), dim=dim)
 
     @classmethod
     def from_columns(cls, q) -> "Subspace":
@@ -237,12 +238,13 @@ class Subspace:
     @classmethod
     def falsehood(cls, dim: int) -> "Subspace":
         """The null subspace {0}."""
-        return cls.from_orthonormal(np.zeros((0, dim), dtype=np.complex128), dim)
+        return cls.from_orthonormal((), dim)
 
     @classmethod
     def truth(cls, dim: int) -> "Subspace":
         """The whole space C^d."""
-        return cls.from_orthonormal(np.eye(dim, dtype=np.complex128), dim)
+        dim = check_count(dim, "dim")
+        return cls(basis=np.eye(dim, dtype=np.complex128), dim=dim)
 
     def __repr__(self):
         return f"Subspace(rank={self.rank}, dim={self.dim})"

@@ -30,11 +30,11 @@ The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
 generator as ``[seed, word]``, with a word of their own; the search
 takes one word per candidate.  Every key is built by
-:func:`keyed_generators`, which re-keys one Philox per call for each
-word and refuses base seeds that are not integers in [0, 2**64), the
-range of the key's first word (:func:`check_seed`);
-:func:`keyed_generator` is its one-word form, and :func:`substream`
-keys through it.
+:func:`keyed_generator`, which refuses base seeds that are not integers
+in [0, 2**64), the range of the key's first word (:func:`check_seed`);
+:func:`substream` keys through it, and :func:`keyed_generators` re-keys
+its Philox for each later word by assigning numpy's fresh state with
+the word as the key's second entry.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .linalg import gram_schmidt, norms
+from .linalg import gram_schmidt, is_integer, norms
 from .rays import a_sims, rays_from
 
 #: Rejection threshold where a law or a morphism check needs
@@ -64,37 +64,40 @@ def law_stream_key(law_id: str) -> int:
     return int.from_bytes(hashlib.blake2b(law_id.encode(), digest_size=8).digest(), "little")
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is an ``int`` or ``np.integer`` and not a ``bool``:
-    a count or a seed that no coercion changes, where ``int()`` would
-    truncate a fraction or parse a string."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def check_seed(seed: int) -> None:
     """Raise ``ValueError`` unless ``seed`` is a base seed: an integer
-    (:func:`is_integer`) in [0, 2**64)."""
+    (:func:`~raygeo.linalg.is_integer`) in [0, 2**64)."""
     if not is_integer(seed):
         raise ValueError(f"the seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"the seed must lie in [0, 2^64), got {seed}")
 
 
+def keyed_generator(seed: int, word: int) -> np.random.Generator:
+    """The Philox generator keyed by ``[seed, word]``.
+
+    Raises
+    ------
+    ValueError
+        If ``seed`` is not an integer in [0, 2**64).
+    """
+    check_seed(seed)
+    # a key given as a list casts a word at or above 2**63 through float
+    return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
+
+
 def keyed_generators(seed: int, words) -> Iterator[np.random.Generator]:
     """The Philox generators keyed by ``[seed, word]``, one per word in turn.
 
-    One bit generator is built per call, on the first key, and re-keyed
-    for each later word by assigning its state: counter 0, empty
-    buffers.  A counter-based stream is a pure function of its key and
-    counter, so each yielded generator draws exactly what a fresh one
-    with that key would.  The same object is yielded every time, so a
-    caller finishes its draws before requesting the next word; nothing
-    is shared between calls.  The state dict and its key array are
-    built once per call, on the second word, and each later word is
-    written into that key, so a re-key costs one assignment of the same
-    dict, where a new ``Philox`` also seeds a ``SeedSequence`` from OS
-    entropy only to discard it.  A one-word call, such as
-    :func:`substream`, builds neither.
+    The first is :func:`keyed_generator`'s; for each later word its bit
+    generator is re-keyed by assigning numpy's fresh state, read once
+    before any draw, with the word as the key's second entry.  A
+    counter-based stream is a pure function of its key and counter, so
+    each yielded generator draws exactly what a fresh one with that key
+    would, and a re-key skips the ``SeedSequence`` a new ``Philox``
+    seeds from OS entropy only to discard it.  The same object is
+    yielded every time, so a caller finishes its draws before
+    requesting the next word; nothing is shared between calls.
 
     Raises
     ------
@@ -104,35 +107,13 @@ def keyed_generators(seed: int, words) -> Iterator[np.random.Generator]:
     """
     check_seed(seed)
     for i, word in enumerate(words):
-        if i == 0:
-            bits = np.random.Philox(key=np.array([seed, word], dtype=np.uint64))
-            rng = np.random.Generator(bits)
+        if i:
+            state["state"]["key"][1] = word
+            rng.bit_generator.state = state
         else:
-            if i == 1:
-                key = np.array([seed, 0], dtype=np.uint64)
-                state = {
-                    "bit_generator": "Philox",
-                    "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-                    "buffer": np.zeros(4, dtype=np.uint64),
-                    "buffer_pos": 4,
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-            key[1] = word
-            bits.state = state
+            rng = keyed_generator(seed, word)
+            state = rng.bit_generator.state
         yield rng
-
-
-def keyed_generator(seed: int, word: int) -> np.random.Generator:
-    """The Philox generator keyed by ``[seed, word]``: the one-word form
-    of :func:`keyed_generators`.
-
-    Raises
-    ------
-    ValueError
-        If ``seed`` is not an integer in [0, 2**64).
-    """
-    return next(keyed_generators(seed, (word,)))
 
 
 def substream(seed: int, law_id: str, dim: int, index: int) -> np.random.Generator:

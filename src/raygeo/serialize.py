@@ -29,6 +29,7 @@ import math
 
 import numpy as np
 
+from .linalg import check_count
 from .rays import Ray, Subspace, ray_from
 from .sampling import STREAM_VERSION
 from .superposition import SuperpositionSpec
@@ -55,13 +56,6 @@ def _number(data, what: str) -> float:
         return float(data)
     except OverflowError:
         raise ValueError(f"{what} is out of the float range") from None
-
-
-def _size(data, what: str) -> int:
-    """A dimension or matrix size: a positive JSON integer."""
-    if isinstance(data, bool) or not isinstance(data, int) or data < 1:
-        raise ValueError(f"{what} must be a positive integer, got {data!r}")
-    return data
 
 
 def complex_to_json(c) -> list[float]:
@@ -100,7 +94,7 @@ def ray_to_json(x: Ray) -> dict:
 
 
 def ray_from_json(data) -> Ray:
-    dim = _size(_field(data, "dim", "a ray"), "dim")
+    dim = check_count(_field(data, "dim", "a ray"), "dim")
     rep = vec_from_json(_field(data, "rep", "a ray"))
     if len(rep) != dim:
         raise ValueError("ray dim does not match representative length")
@@ -112,7 +106,7 @@ def subspace_to_json(a: Subspace) -> dict:
 
 
 def subspace_from_json(data) -> Subspace:
-    dim = _size(_field(data, "dim", "a subspace"), "dim")
+    dim = check_count(_field(data, "dim", "a subspace"), "dim")
     vectors = [vec_from_json(row) for row in _list(_field(data, "basis", "a subspace"), "basis")]
     for v in vectors:
         if len(v) != dim:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,24 @@ def rays(tmp_path):
         "diag": write_json(tmp_path / "diag.json", ray_json(1, 1)),
         "circ": write_json(tmp_path / "circ.json", ray_json(1, 1j)),
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["frobnicate"], ["verify", "--trials", "x"], ["verify", "--format", "xml"], ["compute", "norm", "--a", "a", "--b", "b"]],
+    ids=["no_command", "unknown_command", "trials_not_int", "unknown_format", "unknown_quantity"],
+)
+def test_argparse_usage_error_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and "usage: raygeo" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exit_0(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: raygeo")
 
 
 class TestVerify:
@@ -169,6 +188,12 @@ class TestCompute:
         assert code == 0
         rep = loads(out)["value"]["rep"]
         assert rep[0] == pytest.approx([1.0, 0.0])
+
+    def test_project_onto_ray_file(self, capsys, rays):
+        # a ray as --b projects onto its one-dimensional subspace
+        code, out, _ = run_cli(capsys, "compute", "project", "--a", rays["diag"], "--b", rays["e1"])
+        assert code == 0
+        np.testing.assert_allclose(loads(out)["value"]["rep"], [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_coplanar(self, capsys, rays):
         code, out, _ = run_cli(
@@ -391,6 +416,15 @@ class TestDemoTwoSlit:
         )
         code, out, _ = run_cli(capsys, "demo-two-slit", "--config", config)
         assert code == 3
+
+    @pytest.mark.parametrize("detectors", [None, {"dim": 2}, "e1"], ids=["missing", "object", "string"])
+    def test_detectors_not_a_list_is_usage_error(self, capsys, tmp_path, detectors):
+        config = {"y": ray_json(1, 0.3), "z": ray_json(0.3, 1), "r": 0.5}
+        if detectors is not None:
+            config["detectors"] = detectors
+        code, out, err = run_cli(capsys, "demo-two-slit", "--config", write_json(tmp_path / "cfg.json", config))
+        assert code == 2
+        assert out == "" and "needs a list of detector rays" in err
 
     def test_default_config_table(self, capsys):
         code, out, _ = run_cli(capsys, "demo-two-slit")

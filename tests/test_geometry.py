@@ -15,9 +15,11 @@ from raygeo import (
     DimensionMismatchError,
     OrthogonalPairError,
     Ray,
+    RegularMap,
     Subspace,
     SuperpositionSpec,
     a_sim,
+    apply_ray,
     check_interference_inequality,
     check_total_probability,
     coplanar,
@@ -251,11 +253,13 @@ _B3 = Subspace.from_vectors([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         lambda: p_of_superposition_closed_form(SuperpositionSpec(y=_X2, z=_Y2, r=0.5), _X3),
         lambda: check_interference_inequality(_X2, Subspace.truth(2), _B3),
         lambda: check_total_probability(_X2, Subspace.truth(3), Subspace.falsehood(3)),
+        lambda: triple_phase(_X2.rep, _Y2.rep, _X3.rep),
+        lambda: apply_ray(RegularMap(np.eye(3)), _X2),
     ],
     ids=[
         "a_sim", "p_sim", "p_prop", "theta", "rays_equal", "SuperpositionSpec", "omega",
         "p_of_superposition_closed_form", "check_interference_inequality",
-        "check_total_probability",
+        "check_total_probability", "triple_phase", "apply_ray",
     ],
 )
 def test_mixed_dimensions_raise(call):

@@ -376,6 +376,11 @@ def _constant_blocks(value, skipped=False):
     return batch
 
 
+def _misshapen(rng, dim, n):
+    """A law that returns one residual too many."""
+    return Block(np.zeros(n + 1), np.zeros(n, dtype=bool), {"value": np.zeros(n)})
+
+
 def _phase_guard(rng, dim, n):
     """A θ law that forgets to skip its orthogonal triples: the stacked
     phase kernel marks them with NaN instead of raising."""
@@ -391,6 +396,7 @@ BROKEN = {
     "inf": _constant_blocks(math.inf),
     "nan": _constant_blocks(math.nan),
     "raise": _raise,
+    "misshapen": _misshapen,
     "wrong": _constant_blocks(0.5),
     "skip_all": _constant_blocks(0.0, True),
     "phase_guard": _phase_guard,
@@ -446,12 +452,23 @@ class TestBrokenLawsFail:
         if kind in ("nan", "phase_guard"):
             assert rows[0]["worst_residual"] == "NaN"
             assert "error" not in report.counterexample  # a marked row, not a raise
-        if kind in ("inf", "raise"):
+        if kind in ("inf", "raise", "misshapen"):
             assert rows[0]["worst_residual"] == "Infinity"
         if kind == "-inf":  # a non-finite residual is worse than any finite one
             assert rows[0]["worst_residual"] == "-Infinity"
         if kind == "raise":
             assert "RuntimeError: boom" in report.counterexample["error"]
+        if kind == "misshapen":
+            assert report.counterexample["error"] == "ValueError: block of 3 trials gave shapes (4,), (3,)"
+
+    def test_unserializable_row_still_names_the_failure(self, private_registry):
+        # a (n, 2, 2, 2) instance stack has 3-D rows, which to_jsonable refuses
+        def batch(rng, dim, n):
+            return Block(np.full(n, 0.5), np.zeros(n, dtype=bool), {"cube": np.zeros((n, 2, 2, 2))})
+
+        report = private_registry("broken.unserializable", batch=batch)
+        assert not report.passed
+        assert report.counterexample == {"dim": 2, "trial": 0, "residual": 0.5}
 
     def test_broken_laws_left_no_trace(self):
         assert not any(i.startswith("broken.") for i in law_ids())
@@ -466,7 +483,8 @@ class TestBrokenLawsFail:
         assert report.counterexample["value"] == second_value  # row 1 of the block's stacks
 
     def test_tolerance_is_inclusive(self, private_registry):
-        tol = Law.tolerance  # the default, 1e-10
+        tol = Law.tolerance
+        assert tol == EPS_ABS  # the default
         at = private_registry("broken.at_tolerance", batch=_constant_blocks(tol))
         assert at.passed and at.counterexample is None and at.worst_residual == tol
         above = np.nextafter(tol, 1)

@@ -17,7 +17,7 @@ from raygeo import (
     norm,
     orthonormalize,
 )
-from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distances, wrap_angles
+from raygeo.linalg import ANGLE_GUARD, EPS_ABS, check_count, circular_distances, wrap_angles
 
 RT2 = math.sqrt(2.0)
 
@@ -90,6 +90,10 @@ class TestOrthonormalize:
     def test_empty_input(self):
         assert orthonormalize([]) == []
 
+    def test_mixed_lengths_refused(self):
+        with pytest.raises(DimensionMismatchError, match=r"dims \[2, 3\]"):
+            orthonormalize([[1.0, 0.0], [1.0, 0.0, 0.0]])
+
     def test_rank_matches_and_idempotent(self):
         rng = np.random.default_rng(3)
         vecs = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(3)]
@@ -121,6 +125,18 @@ class TestOrthonormalize:
         with pytest.raises(ValueError, match="must be finite"):
             orthonormalize([np.array(row, dtype=complex)])
 
+
+class TestCounts:
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.uint8(2)])
+    def test_positive_integer_returned_as_int(self, value):
+        count = check_count(value, "dim")
+        assert count == value and type(count) is int
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 2.0, True, "3", None, np.float64(2.0)])
+    def test_other_values_refused(self, value):
+        # int() would truncate 2.5, parse "3" and read True as 1
+        with pytest.raises(ValueError, match=r"^dim must be a positive integer, got "):
+            check_count(value, "dim")
 
 class TestTolerance:
     def test_defaults(self):

@@ -63,6 +63,11 @@ class TestRegularMap:
         with pytest.raises(ValueError, match="not injective"):
             RegularMap(m)
 
+    @pytest.mark.parametrize("m", [np.ones(3), np.ones((3, 3, 1)), np.ones((0, 2))], ids=["1d", "3d", "empty"])
+    def test_rejects_non_matrix(self, m):
+        with pytest.raises(ValueError, match="non-empty 2-D matrix"):
+            RegularMap(m)
+
     def test_wide_matrix_message_names_its_shape(self):
         with pytest.raises(ValueError, match="not injective: 2x3 has fewer rows than columns"):
             RegularMap(np.eye(2, 3))

@@ -147,6 +147,12 @@ class TestChainRule:
         x = ray_from([0.0, 1.0, 1.0])  # orthogonal to a
         assert check_chain_rule(x, a, b) < 1e-12  # p(x, a^b) itself must vanish
 
+    def test_non_commuting_pair_refused(self):
+        a = Subspace.from_vectors([[1.0, 0.0]])
+        b = Subspace.from_vectors([[1.0, 1.0]])
+        with pytest.raises(NotCommutingError, match="chain rule"):
+            check_chain_rule(ray_from([1.0, 2.0]), a, b)
+
 
 class TestMonotone:
     """p(x, a) ≤ p(x, b) for nested a ⊆ b."""

@@ -57,6 +57,45 @@ class TestRayFrom:
         with pytest.raises(ValueError):
             x.rep[0] = 5.0
 
+    def test_hash_consistent_with_equality(self):
+        x, same, other = ray_from([1.0, 2.0]), ray_from([1.0, 2.0]), ray_from([2.0, 1.0])
+        assert x == same and hash(x) == hash(same)
+        assert x != other and len({x, same, other}) == 2
+
+
+class TestSubspaceDim:
+    """Every constructor refuses a ``dim`` that is not a positive integer
+    before it builds an array, where ``int()`` would coerce it."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda dim: Subspace.from_vectors([[1.0, 0.0]], dim=dim),
+            lambda dim: Subspace.from_vectors([], dim=dim),
+            lambda dim: Subspace.from_orthonormal(np.eye(2)[:1], dim),
+            Subspace.falsehood,
+            Subspace.truth,
+        ],
+        ids=["from_vectors", "from_vectors_empty", "from_orthonormal", "falsehood", "truth"],
+    )
+    @pytest.mark.parametrize("dim", [2.5, 2.0, 0, -1, True, "2"])
+    def test_dim_not_a_positive_integer_refused(self, build, dim):
+        with pytest.raises(ValueError, match="dim must be a positive integer") as err:
+            build(dim)
+        assert not isinstance(err.value, DimensionMismatchError)
+
+    def test_numpy_dim_held_as_int(self):
+        for s in (Subspace.truth(np.int64(2)), Subspace.from_vectors([], dim=np.int32(2))):
+            assert type(s.dim) is int and s.dim == 2
+
+    def test_no_vectors_without_dim_refused(self):
+        with pytest.raises(ValueError, match="dim is required"):
+            Subspace.from_vectors([[0.0, 0.0]])
+
+    def test_declared_dim_must_match(self):
+        with pytest.raises(DimensionMismatchError, match="declared dim 3, vectors have dim 2"):
+            Subspace.from_vectors([[1.0, 0.0]], dim=3)
+
 
 class TestSubspaceFromOrthonormal:
     def test_holds_a_copy_of_its_rows(self):

@@ -17,6 +17,17 @@ class TestScalarsVectors:
         assert serialize.complex_to_json(1 - 2j) == [1.0, -2.0]
         assert serialize.complex_from_json([1.0, -2.0]) == 1 - 2j
 
+    @pytest.mark.parametrize(
+        "part, match",
+        [("1", "re must be a number, got str"), (None, "re must be a number, got NoneType"),
+         (True, "re must be a number, got bool"), ([1.0], "re must be a number, got list"),
+         (10**400, "re is out of the float range")],
+        ids=["str", "null", "bool", "list", "huge_int"],
+    )
+    def test_complex_part_not_a_float_refused(self, part, match):
+        with pytest.raises(ValueError, match=match):
+            serialize.complex_from_json([part, 0.0])
+
     def test_vector_roundtrip(self):
         v = np.array([1.0, 0.5j, -2.0 + 0.25j])
         back = serialize.vec_from_json(serialize.vec_to_json(v))

@@ -256,6 +256,19 @@ class TestCosThetaPrime:
         with pytest.raises(DegenerateTripleError):
             cos_theta_prime(x, xp, near_x, ray_from([1.0, 0.5]))
 
+    @pytest.mark.parametrize(
+        "x_perp, y, match",
+        [
+            ([1.0, 1.0], [1.0, 0.5], "must be orthogonal"),
+            ([0.0, 1.0], [1.0, 1e-9], "non-orthogonality"),  # a_sim(x_perp, y) below ANGLE_GUARD
+        ],
+        ids=["x_perp_not_orthogonal", "near_orthogonal_pair"],
+    )
+    def test_rejects_violated_precondition(self, x_perp, y, match):
+        x, z = ray_from([1.0, 0.0]), ray_from([1.0, 1.0])
+        with pytest.raises(DegenerateTripleError, match=match):
+            cos_theta_prime(x, ray_from(x_perp), ray_from(y), z)
+
     def test_rejects_non_coplanar(self):
         x = ray_from([1.0, 0.1, 0.0])
         xp = ray_from([-0.1, 1.0, 0.0])
