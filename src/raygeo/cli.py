@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 law failure or search exhausted, 2 usage or
 malformed input, 3 domain precondition violation (reported as
-structured error JSON).  The seed defaults to the RAYGEO_SEED
-environment variable, then 42; a --seed flag overrides both.  Seeds
-must lie in [0, 2^64).
+structured error JSON on stdout).  Commands refuse by raising where
+they detect the fault; :func:`main` alone maps exceptions to exit
+codes: ``RayGeoError`` to 3, and ``OSError``, ``ValueError`` and
+``KeyError`` to 2 with one ``error: ...`` line on stderr.  The seed
+defaults to the RAYGEO_SEED environment variable, then 42; a --seed
+flag overrides both.  Seeds must lie in [0, 2^64).
 """
 
 from __future__ import annotations
@@ -111,34 +114,30 @@ def cmd_verify(args) -> int:
     )
     reports = run_all(gen, pattern=args.laws)
     if not reports:
-        sys.stderr.write(f"no law matches {args.laws!r}\n")
-        return 2
+        raise ValueError(f"no law matches {args.laws!r}")
     text = _report_table(reports) if args.format == "table" else serialize.dumps_reports(reports)
     _write(text, args.output)
     return 0 if all_passed(reports) else 1
 
 
 def cmd_compute(args) -> int:
-    if args.quantity == "p":
+    if args.quantity in ("theta", "coplanar"):
+        if args.c is None:
+            raise ValueError(f"compute {args.quantity} needs --a, --b and --c")
+        x, y, z = _load_ray(args.a), _load_ray(args.b), _load_ray(args.c)
+        value = theta(x, y, z) if args.quantity == "theta" else bool(coplanar(x, y, z))
+    elif args.quantity == "p":
         x = _load_ray(args.a)
         other = _load_ray_or_subspace(args.b)
         value = p_sim(x, other) if isinstance(other, Ray) else p_prop(x, other)
-        _emit({"value": value}, args.output)
-        return 0
-    if args.quantity == "theta":
-        x, y, z = _load_ray(args.a), _load_ray(args.b), _load_ray(args.c)
-        _emit({"value": theta(x, y, z)}, args.output)
-        return 0
-    if args.quantity == "project":
+    else:
         x = _load_ray(args.a)
         sub = _load_ray_or_subspace(args.b)
         if isinstance(sub, Ray):
             sub = Subspace.from_ray(sub)
         image = project_ray(sub, x)
-        _emit({"value": None if image is ZERO else serialize.ray_to_json(image)}, args.output)
-        return 0
-    x, y, z = _load_ray(args.a), _load_ray(args.b), _load_ray(args.c)
-    _emit({"value": bool(coplanar(x, y, z))}, args.output)
+        value = None if image is ZERO else serialize.ray_to_json(image)
+    _emit({"value": value}, args.output)
     return 0
 
 
@@ -164,8 +163,7 @@ def cmd_superpose(args) -> int:
 
 def cmd_search(args) -> int:
     if args.budget < 1:
-        sys.stderr.write(f"search: --budget must be at least 1, got {args.budget}\n")
-        return 2
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
     witness = search_nonsquared_counterexample(seed=args.seed, budget=args.budget)
     if witness is None:
         _emit({"result": "NotFound", "budget": args.budget, "seed": args.seed}, args.output)
@@ -274,17 +272,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "command", None) == "compute" and args.quantity in ("theta", "coplanar"):
-        if args.c is None:
-            sys.stderr.write("compute theta/coplanar needs --a, --b and --c\n")
-            return 2
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
     except RayGeoError as exc:
         return _domain_error(exc)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

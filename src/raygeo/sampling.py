@@ -12,19 +12,10 @@ version), and blocks can run in any order, or in parallel, without
 changing a single drawn number.
 :data:`STREAM_VERSION` names the scheme; it is bumped whenever a
 change alters what a law draws, and CHANGES.md records each version.
-Every law draws its block as stacks, and every frame through
-:func:`ranked_frames` but the isometries of :mod:`raygeo.morphisms`'
-map samplers, Gram–Schmidt Q factors of Gaussian draws with zeroed rows;
-a rejected draw, such as a tuple of rays that :func:`near_orthogonal`
-flags, is a skipped trial, never a redraw; the interference law works
-in α's own coordinates, α = span(e₁ … e_rₐ) and x = e₁, and draws only
-β's frame: its margins are unitarily invariant, so they have the law
-of α Haar, x uniform on α's unit sphere and β Haar; the morphism laws draw
-a map's superposition samples only while its verdict is open (sample 0
-of every map, then the rest for the maps that preserved it) and only
-the kind of map each trial keeps; and ``corollary.p_max`` draws α of
-rank at least 2, x, then one Gaussian member of α per trial, from which
-it builds its candidates next to α(x).
+Frames come from :func:`ranked_frames` (the map samplers of
+:mod:`raygeo.morphisms` pad their own); a rejected draw, such as a
+tuple of rays that :func:`near_orthogonal` flags, is a skipped trial,
+never a redraw.  What each law draws is stated at the law.
 
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their

@@ -85,7 +85,7 @@ def mat_to_json(m) -> dict:
     return {
         "rows": int(rows),
         "cols": int(cols),
-        "entries": [[float(c.real), float(c.imag)] for c in m.reshape(-1)],
+        "entries": vec_to_json(m.reshape(-1)),
     }
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -170,6 +171,12 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", "theta", "--a", rays["e1"], "--b", rays["e2"])
         assert code == 2
 
+    def test_coplanar_missing_argument_is_usage(self, capsys, rays):
+        code, out, err = run_cli(capsys, "compute", "coplanar", "--a", rays["e1"], "--b", rays["e2"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: compute coplanar needs --a, --b and --c\n"
+
     def test_project_to_zero_is_null(self, capsys, rays, tmp_path):
         sub = write_json(
             tmp_path / "axis.json",
@@ -208,6 +215,14 @@ class TestCompute:
         bad.write_text("{not json", encoding="utf-8")
         code, _, err = run_cli(capsys, "compute", "p", "--a", str(bad), "--b", str(bad))
         assert code == 2
+
+    def test_subspace_dim_mismatch_exit_2(self, capsys, tmp_path, rays):
+        # a basis vector longer than the stated dim is malformed input, not a domain error
+        bad = write_json(tmp_path / "bad.json", {"dim": 2, "basis": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]})
+        code, out, err = run_cli(capsys, "compute", "p", "--a", rays["e1"], "--b", bad)
+        assert code == 2
+        assert out == ""
+        assert err == "error: subspace dim does not match basis vector length\n"
 
     @pytest.mark.parametrize(
         "payload",
@@ -336,6 +351,16 @@ class TestSearch:
         assert code == 2
         assert out == ""
         assert "--budget" in err
+
+    def test_invalid_witness_is_a_failure(self, capsys, monkeypatch):
+        # a witness that breaks the squared inequality, which is a theorem, is a fault
+        monkeypatch.setattr(
+            "raygeo.cli.search_nonsquared_counterexample",
+            lambda seed, budget: types.SimpleNamespace(squared_margin=-1e-9),
+        )
+        code, out, _ = run_cli(capsys, "search", "--seed", "0", "--budget", "10")
+        assert code == 1
+        assert loads(out) == {"result": "InvalidWitness"}
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
     def test_seed_outside_64_bits_is_usage_error(self, capsys, seed):

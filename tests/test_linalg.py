@@ -90,6 +90,11 @@ class TestOrthonormalize:
     def test_empty_input(self):
         assert orthonormalize([]) == []
 
+    @pytest.mark.parametrize("vectors", [[[[1.0, 0.0]]], [[]], [[], []]], ids=["2-D", "empty", "two-empty"])
+    def test_not_vectors_refused(self, vectors):
+        with pytest.raises(ValueError, match="non-empty one-dimensional vectors"):
+            orthonormalize(vectors)
+
     def test_mixed_lengths_refused(self):
         with pytest.raises(DimensionMismatchError, match=r"dims \[2, 3\]"):
             orthonormalize([[1.0, 0.0], [1.0, 0.0, 0.0]])

@@ -23,7 +23,7 @@ from raygeo import (
     subspaces_equal,
 )
 
-from raygeo.rays import project_rows, projectors
+from raygeo.rays import project_rows, projectors, rays_from
 
 RT2 = math.sqrt(2.0)
 
@@ -51,6 +51,16 @@ class TestRayFrom:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
             ray_from([0.0, 0.0])
+
+    @pytest.mark.parametrize("v", [[], [[1.0, 0.0], [0.0, 1.0]]], ids=["empty", "2-D"])
+    def test_not_a_vector_rejected(self, v):
+        with pytest.raises(ValueError, match="non-empty one-dimensional vector"):
+            ray_from(v)
+
+    @pytest.mark.parametrize("v", [1.0, np.zeros((3, 0))], ids=["scalar", "empty-rows"])
+    def test_stack_not_of_vectors_rejected(self, v):
+        with pytest.raises(ValueError, match="stack of non-empty vectors"):
+            rays_from(v)
 
     def test_rep_is_read_only(self):
         x = ray_from([1.0, 2.0])
@@ -244,6 +254,10 @@ class TestMembershipOrthogonality:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             is_orthogonal(ray_from([1.0, 0.0]), Subspace.truth(3))
+
+    def test_non_lattice_argument_raises(self):
+        with pytest.raises(TypeError, match="expected Ray or Subspace, got str"):
+            is_orthogonal(ray_from([1.0, 0.0]), "x")
 
 
 class TestCommutes:

@@ -131,6 +131,10 @@ class TestSamplers:
                     for u, v in zip(rays[i], rays[j]):
                         assert is_orthogonal(Ray(rep=u), Ray(rep=v))
 
+    def test_more_classical_rays_than_dim_refused(self):
+        with pytest.raises(ValueError, match="more distinct basis rays than dim"):
+            sampling.classical_ray_stacks(np.random.default_rng(0), 3, 2, 3)
+
     def test_coplanar_triples_coplanar(self):
         for rng in streams(13, 4, trials=2):
             x, y, z, skip = sampling.coplanar_triples(rng, 50, 4)

@@ -64,6 +64,11 @@ class TestRaySubspace:
         with pytest.raises(ValueError):
             serialize.ray_from_json({"dim": 3, "rep": [[1.0, 0.0]]})
 
+    def test_subspace_dim_mismatch_rejected(self):
+        # malformed input (ValueError), not a DimensionMismatchError of the lattice
+        with pytest.raises(ValueError, match="subspace dim does not match basis vector length"):
+            serialize.subspace_from_json({"dim": 2, "basis": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]})
+
 
 class TestSuperpositionSpec:
     def test_from_json(self):
@@ -169,6 +174,14 @@ class TestToJsonable:
         assert out["c"] == [2.0, 0.0]
         assert out["error"] == "RuntimeError: boom" and type(out["error"]) is str
         json.dumps(out)  # must be JSON-clean
+
+    def test_matrix_row_bytes(self):
+        # a 2-D row encodes row-major as [re, im] pairs of Python floats, signed zeros kept
+        row = np.array([[1.0 - 2.0j, -0.0, 0.5j], [3.0, -1e-300 + 0.0j, 2.0**60]])
+        assert json.dumps(serialize.to_jsonable(row)) == (
+            '{"rows": 2, "cols": 3, "entries": [[1.0, -2.0], [-0.0, 0.0], [0.0, 0.5], '
+            '[3.0, 0.0], [-1e-300, 0.0], [1.152921504606847e+18, 0.0]]}'
+        )
 
     def test_rejects_unknown(self):
         # library objects, containers and None are no rows of an instance stack
