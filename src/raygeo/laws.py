@@ -45,7 +45,6 @@ from .rays import (
     contained_subspaces,
     containment_defects,
     equal_rays,
-    equal_subspaces,
     joins,
     meets,
     orthogonal_subspaces,
@@ -206,15 +205,19 @@ def _batch_projection_residual(rng, dim, n):
 @law(
     "subspace.complement_involution",
     "complement ranks add to dim; double complement returns the subspace",
-    tolerance=0.5,
     trials_per_dim=400,
 )
 def _batch_complement_involution(rng, dim, n):
     a = sampling.random_subspaces(rng, n, dim, 0, dim)
     na = complements(a)
-    rank_defect = np.abs(ranks(na) - (dim - ranks(a))) + ~equal_subspaces(complements(na), a)
-    ortho_defect = ~orthogonal_subspaces(a, na)
-    return _block((rank_defect + ortho_defect).astype(float), alpha=a)
+    nna = complements(na)
+    residual = np.maximum.reduce([
+        containment_defects(nna, a),
+        containment_defects(a, nna),
+        orthogonality_defects(a, na),
+    ])
+    rank_mismatch = (ranks(na) != dim - ranks(a)) | (ranks(nna) != ranks(a))
+    return _block(np.where(rank_mismatch, 1.0, residual), alpha=a)
 
 
 @law(

@@ -281,6 +281,38 @@ class TestPMax:
         assert report.trials_run == 7 * 500 and report.trials_skipped == 0
 
 
+class TestComplementInvolution:
+    """``subspace.complement_involution`` reports the largest of the two
+    containment defects between ¬¬a and a and the orthogonality defect
+    of a and ¬a, and 1.0 on a rank mismatch."""
+
+    @pytest.mark.parametrize("seed", [42, 7, 21])
+    def test_passes_tightly_at_default_dims(self, seed):
+        report = run_law("subspace.complement_involution", GeneratorSpec(seed=seed))
+        assert report.passed and report.tolerance == 1e-10
+        assert report.worst_residual <= 1e-13
+        assert report.trials_run == 7 * 400 and report.trials_skipped == 0
+
+    def test_lengthened_complement_fails(self, monkeypatch):
+        # the 0/1 verdict form passed complements lengthened by 1 + 1e-6
+        from raygeo import laws
+
+        complements = laws.complements
+        monkeypatch.setattr(laws, "complements", lambda q: complements(q) * (1.0 + 1e-6))
+        report = run_law("subspace.complement_involution", GeneratorSpec(dims=(2, 3, 4), seed=42))
+        assert not report.passed
+        assert report.worst_residual == pytest.approx(2e-6, rel=1e-3)
+
+    def test_rank_mismatch_reads_one(self, monkeypatch):
+        # null complements: ¬¬a has rank 0, so a mismatches a rank unless
+        # it is null, and then ¬a does
+        from raygeo import laws
+
+        monkeypatch.setattr(laws, "complements", lambda q: np.zeros_like(q))
+        block = laws._batch_complement_involution(substream(5, "subspace.complement_involution", 4, 0), 4, 200)
+        assert (block.residuals == 1.0).all() and not block.skipped.any()
+
+
 class TestRunAll:
     def test_filter_glob(self):
         gen = GeneratorSpec(dims=(2, 3), trials_per_dim=10, seed=5)

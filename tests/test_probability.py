@@ -395,6 +395,18 @@ class TestNonsquaredSearch:
             assert p_prop(bx, w.alpha) == pytest.approx(w.p_bx_alpha, abs=1e-12)
             assert p_prop(abx, w.beta) == pytest.approx(w.p_abx_beta, abs=1e-12)
 
+    def test_benchmark_witnesses_reverify(self):
+        # the check of the benchmark's search workload on 500 of its held-out
+        # seeds: each witness, re-verified through the public single forms,
+        # fails the non-squared inequality and satisfies the squared one
+        for seed in np.random.SeedSequence(7).generate_state(500, np.uint64):
+            w = search_nonsquared_counterexample(seed=int(seed), budget=100_000)
+            bx = project_ray(w.beta, w.x)
+            abx = project_ray(w.alpha, bx)
+            p_xb, p_bx_a, p_abx_b = p_prop(w.x, w.beta), p_prop(bx, w.alpha), p_prop(abx, w.beta)
+            assert p_xb * (1.0 - p_bx_a) - p_bx_a * (1.0 - p_abx_b) > 0.0, seed
+            assert p_bx_a * (1.0 - p_abx_b) - p_xb * (1.0 - p_bx_a) ** 2 >= -1e-12, seed
+
     def test_chunked_scan_matches_one_candidate_scan(self):
         for seed in range(200):
             _assert_same_witness(
@@ -441,6 +453,31 @@ class TestNonsquaredSearch:
             rngs = keyed_generators(seed, range(index + 1))
             expected = sum(rng.integers(1, 3, size=2).tolist() == [2, 2] for rng in rngs)
             assert sum(rows) == expected, seed
+
+    def test_scored_candidate_builds_its_subspaces_once(self, monkeypatch):
+        # two Subspace.from_orthonormal calls per scored (2, 2) candidate,
+        # no from_columns copy, and the witness holds the last two built
+        made, copied = [], []
+        from_orthonormal, from_columns = Subspace.from_orthonormal, Subspace.from_columns
+
+        def counting_from_orthonormal(cls, rows, dim):
+            made.append(from_orthonormal(rows, dim))
+            return made[-1]
+
+        def counting_from_columns(cls, q):
+            copied.append(q)
+            return from_columns(q)
+
+        monkeypatch.setattr(Subspace, "from_orthonormal", classmethod(counting_from_orthonormal))
+        monkeypatch.setattr(Subspace, "from_columns", classmethod(counting_from_columns))
+        for seed, index in enumerate(FIRST_WITNESS_INDICES):
+            made.clear()
+            w = search_nonsquared_counterexample(seed=seed, budget=100_000)
+            assert w.trial_index == index and copied == [], seed
+            rngs = keyed_generators(seed, range(index + 1))
+            scored = sum(rng.integers(1, 3, size=2).tolist() == [2, 2] for rng in rngs)
+            assert len(made) == 2 * scored, seed
+            assert w.alpha is made[-2] and w.beta is made[-1], seed
 
     def test_rank_word_matches_integer_draws(self):
         # the search reads its two ranks off bits 31 and 63 of one raw
