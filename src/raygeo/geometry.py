@@ -5,8 +5,8 @@ extension, to a ray and a subspace): the transition probability between
 the states.  The triple phase ``theta`` attaches an angle to a triple of
 pairwise non-orthogonal rays; it is the source of interference terms
 and is independent of the representatives chosen.  Also here:
-coplanarity of three rays, the reciprocity implication, and the
-orthocomplement ("primed") triple.
+coplanarity of three rays, the reciprocity implication and its defect,
+and the orthocomplement ("primed") triple.
 """
 
 from __future__ import annotations
@@ -243,6 +243,14 @@ def equal_projections(p, zero_p, q, zero_q) -> np.ndarray:
     return np.where(zero_p | zero_q, zero_p & zero_q, equal_rays(p, q))
 
 
+def _reciprocity_projections(u, v, w):
+    """The antecedent of the reciprocity implication, and the two
+    projections its consequent compares: of w and of u on the
+    orthocomplement of v."""
+    antecedent = equal_projections(*complement_projections(u, v), *complement_projections(u, w))
+    return antecedent, complement_projections(v, w), complement_projections(v, u)
+
+
 def reciprocity_rows(u, v, w) -> np.ndarray:
     """The reciprocity implication for stacked triples, shape (..., d) → (...).
 
@@ -251,9 +259,20 @@ def reciprocity_rows(u, v, w) -> np.ndarray:
     of v.  Vacuously true when the antecedent fails — in particular on
     any triple of pairwise-orthogonal (classical) states.
     """
-    antecedent = equal_projections(*complement_projections(u, v), *complement_projections(u, w))
-    consequent = equal_projections(*complement_projections(v, w), *complement_projections(v, u))
-    return ~antecedent | consequent
+    antecedent, vw, vu = _reciprocity_projections(u, v, w)
+    return ~antecedent | equal_projections(*vw, *vu)
+
+
+def reciprocity_defects(u, v, w) -> np.ndarray:
+    """How far stacked triples are from the consequent of the
+    reciprocity implication where its antecedent holds, shape
+    (..., d) → (...): the gap 1 − a between the two projections on the
+    orthocomplement of v, 1.0 where exactly one of them is ``ZERO`` and
+    0.0 where both are.  Zero where the implication is vacuous (see
+    :func:`reciprocity_rows`)."""
+    antecedent, (p, zero_p), (q, zero_q) = _reciprocity_projections(u, v, w)
+    gap = np.where(zero_p | zero_q, zero_p != zero_q, 1.0 - a_sims(p, q))
+    return np.where(antecedent, gap, 0.0)
 
 
 def reciprocity_holds(x: Ray, y: Ray, z: Ray) -> bool:

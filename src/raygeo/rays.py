@@ -114,6 +114,9 @@ def rays_from(v) -> np.ndarray:
     for row the same leading entry and, to rounding, the same unit
     vector.  A row whose squared norm overflows is rescaled first
     (:func:`~raygeo.linalg.checked_rows`), since a ray has no scale.
+    The leading entry is read from column 0 whenever every row's first
+    entry qualifies, as a random row's almost always does; only
+    otherwise are the rows scanned for it.
 
     Raises
     ------
@@ -130,9 +133,13 @@ def rays_from(v) -> np.ndarray:
     if (n <= EPS_ABS).any():
         raise ZeroVectorError(f"cannot span a ray from a vector of norm {n.min():.3e}")
     u = v / n
-    # the first entry of modulus above EPS_ABS; a unit row has one of modulus >= 1/sqrt(d)
-    lead = np.take_along_axis(u, np.argmax(np.abs(u) > EPS_ABS, axis=-1)[..., np.newaxis], axis=-1)
-    return u * (np.conj(lead) / np.abs(lead))
+    lead = u[..., :1]
+    mod = np.abs(lead)
+    if not (mod > EPS_ABS).all():
+        # the first entry of modulus above EPS_ABS; a unit row has one of modulus >= 1/sqrt(d)
+        lead = np.take_along_axis(u, np.argmax(np.abs(u) > EPS_ABS, axis=-1)[..., np.newaxis], axis=-1)
+        mod = np.abs(lead)
+    return u * (np.conj(lead) / mod)
 
 
 def a_sims(u, v) -> np.ndarray:

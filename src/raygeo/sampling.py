@@ -20,12 +20,13 @@ never a redraw.  What each law draws is stated at the law.
 The library functions that take a base seed outside the harness (the
 witness search and the morphism preservation checks) key their
 generator as ``[seed, word]``, with a word of their own; the search
-takes one word per candidate.  Every key is built by
-:func:`keyed_generator`, which refuses base seeds that are not integers
-in [0, 2**64), the range of the key's first word (:func:`check_seed`);
-:func:`substream` keys through it, and :func:`keyed_generators` re-keys
-its Philox for each later word by assigning numpy's fresh state with
-the word as the key's second entry.
+takes one word per candidate.  Every key is set by one path,
+:func:`keyed_generators`, which refuses base seeds that are not integers
+in [0, 2**64), the range of the key's first word (:func:`check_seed`),
+and draws no OS entropy: it builds one Philox from a fixed
+``SeedSequence`` and keys it, for each word in turn, by assigning
+numpy's fresh state with ``[seed, word]`` as the key.
+:func:`keyed_generator` and :func:`substream` take its first generator.
 """
 
 from __future__ import annotations
@@ -65,30 +66,36 @@ def check_seed(seed: int) -> None:
 
 
 def keyed_generator(seed: int, word: int) -> np.random.Generator:
-    """The Philox generator keyed by ``[seed, word]``.
+    """The Philox generator keyed by ``[seed, word]``: the first of
+    :func:`keyed_generators`.
 
     Raises
     ------
     ValueError
         If ``seed`` is not an integer in [0, 2**64).
     """
-    check_seed(seed)
-    # a key given as a list casts a word at or above 2**63 through float
-    return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
+    return next(keyed_generators(seed, [word]))
+
+
+@functools.cache
+def _fixed_seed_sequence() -> np.random.SeedSequence:
+    # built on first use: a module-level one would import numpy.random,
+    # which numpy otherwise loads lazily, into every `import raygeo`
+    return np.random.SeedSequence(0)
 
 
 def keyed_generators(seed: int, words) -> Iterator[np.random.Generator]:
     """The Philox generators keyed by ``[seed, word]``, one per word in turn.
 
-    The first is :func:`keyed_generator`'s; for each later word its bit
-    generator is re-keyed by assigning numpy's fresh state, read once
-    before any draw, with the word as the key's second entry.  A
-    counter-based stream is a pure function of its key and counter, so
-    each yielded generator draws exactly what a fresh one with that key
-    would, and a re-key skips the ``SeedSequence`` a new ``Philox``
-    seeds from OS entropy only to discard it.  The same object is
-    yielded every time, so a caller finishes its draws before
-    requesting the next word; nothing is shared between calls.
+    One Philox is built from a fixed ``SeedSequence``, and numpy's fresh
+    state, read once before any draw, is assigned to it for each word
+    with ``[seed, word]`` as the key.  A counter-based stream is a pure
+    function of its key and counter (Salmon et al., SC 2011), so each
+    yielded generator draws exactly what ``Philox(key=[seed, word])``
+    would, without the ``SeedSequence`` that constructor seeds from OS
+    entropy only to discard it.  The same object is yielded every time,
+    so a caller finishes its draws before requesting the next word;
+    nothing is shared between calls.
 
     Raises
     ------
@@ -97,13 +104,13 @@ def keyed_generators(seed: int, words) -> Iterator[np.random.Generator]:
         generator is requested.
     """
     check_seed(seed)
-    for i, word in enumerate(words):
-        if i:
-            state["state"]["key"][1] = word
-            rng.bit_generator.state = state
-        else:
-            rng = keyed_generator(seed, word)
-            state = rng.bit_generator.state
+    rng = np.random.Generator(np.random.Philox(_fixed_seed_sequence()))
+    state = rng.bit_generator.state
+    key = state["state"]["key"]
+    key[0] = seed
+    for word in words:
+        key[1] = word
+        rng.bit_generator.state = state
         yield rng
 
 

@@ -51,11 +51,20 @@ from raygeo.geometry import (
     coplanar_rows,
     p_sims,
     prime_triples,
+    reciprocity_defects,
     reciprocity_rows,
     triple_phase,
     triple_phases,
 )
-from raygeo.linalg import ANGLE_GUARD, EPS_ABS, circular_distances, gram_schmidt, inners, orthonormalize_rows
+from raygeo.linalg import (
+    ANGLE_GUARD,
+    EPS_ABS,
+    checked_rows,
+    circular_distances,
+    gram_schmidt,
+    inners,
+    orthonormalize_rows,
+)
 from raygeo.probability import (
     chain_rule_residuals,
     measurement_chain,
@@ -393,6 +402,15 @@ def _ref_reciprocity(x, y, z):
     return _ref_same(_ref_projection(y, z), _ref_projection(y, x))
 
 
+def _ref_reciprocity_defect(x, y, z):
+    if not _ref_same(_ref_projection(x, y), _ref_projection(x, z)):
+        return 0.0
+    p, q = _ref_projection(y, z), _ref_projection(y, x)
+    if p is None or q is None:
+        return float((p is None) != (q is None))
+    return 1.0 - abs(_inner(p, q))
+
+
 def _ref_prime(x, y, z):
     """The primed triple, or the index of the first failed precondition."""
     pairs = ((x, y), (y, z), (z, x))
@@ -445,6 +463,47 @@ def test_rays_from_matches_ray_from(dim):
         assert np.flatnonzero(np.abs(rep) > EPS_ABS)[0] == lead
         assert abs(rep[lead].imag) < 1e-15 and rep[lead].real > 0.0
     np.testing.assert_allclose(rays_from(v[7]), ray_from(v[7]).rep, rtol=0, atol=1e-15)  # one row
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_reciprocity_defects_match_reference(dim):
+    rng = np.random.default_rng(70 + dim)
+    x, y, z = _triples(rng, dim)
+    defects = reciprocity_defects(x, y, z)
+    ref = [_ref_reciprocity_defect(*r) for r in zip(x, y, z)]
+    np.testing.assert_allclose(defects, ref, rtol=0, atol=1e-14)
+    # z = y: the consequent compares ZERO with a ray; coplanar: it holds
+    assert defects[1] == 1.0 and defects[2] <= 1e-15
+    np.testing.assert_array_equal(reciprocity_rows(x, y, z), defects <= EPS_ABS)
+
+
+def _full_scan_reps(v):
+    """``rays_from``'s formula with the leading entry always found by a
+    scan of every entry."""
+    v, n = checked_rows(np.asarray(v, dtype=np.complex128))
+    u = v / n[..., np.newaxis]
+    lead = np.take_along_axis(u, np.argmax(np.abs(u) > EPS_ABS, axis=-1)[..., np.newaxis], axis=-1)
+    return u * (np.conj(lead) / np.abs(lead))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_rays_from_matches_full_scan_bit_for_bit(dim):
+    def same_bits(got, want):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    rng = np.random.default_rng(90 + dim)
+    ordinary = _units(rng, (30, dim)) * rng.uniform(1e-6, 1e6, (30, 1))
+    assert (np.abs(ordinary[:, 0]) > 1e-3 * np.linalg.norm(ordinary, axis=-1)).all()  # all lead at column 0
+    near = ordinary.copy()
+    near[2, 0] = 2e-10 * np.linalg.norm(near[2])  # qualifies: the stack still leads at column 0
+    mixed = near.copy()
+    mixed[0, 0] = 0.0
+    mixed[1, 0] = 1e-12 * np.linalg.norm(mixed[1])
+    for v in (ordinary, near, mixed, mixed.reshape(5, 6, dim)):
+        same_bits(rays_from(v), _full_scan_reps(v))
+    for row in mixed:
+        same_bits(rays_from(row), _full_scan_reps(row))
+        same_bits(ray_from(row).rep, _full_scan_reps(row))
 
 
 def _ref_subspace_projection(cols, v):

@@ -313,6 +313,29 @@ class TestComplementInvolution:
         assert (block.residuals == 1.0).all() and not block.skipped.any()
 
 
+class TestReciprocity:
+    """``principle.reciprocity`` reports, where its antecedent holds, the
+    gap 1 − a between the two projections its consequent compares."""
+
+    @pytest.mark.parametrize("seed", [42, 7, 21])
+    def test_passes_tightly_at_default_dims(self, seed):
+        report = run_law("principle.reciprocity", GeneratorSpec(seed=seed))
+        assert report.passed and report.tolerance == 1e-10
+        assert report.worst_residual <= 1e-13
+        assert report.trials_run == 7 * 400 and report.trials_skipped == 0
+
+    def test_shortened_overlap_fails(self, monkeypatch):
+        # the residual is the gap itself: overlaps shortened by 1 − 1e-6
+        # read as 1e-6, where the 0/1 verdict form passed
+        from raygeo import geometry
+
+        a_sims = geometry.a_sims
+        monkeypatch.setattr(geometry, "a_sims", lambda u, v: a_sims(u, v) * (1.0 - 1e-6))
+        report = run_law("principle.reciprocity", GeneratorSpec(dims=(2, 3, 4), seed=42))
+        assert not report.passed
+        assert report.worst_residual == pytest.approx(1e-6, rel=1e-3)
+
+
 class TestRunAll:
     def test_filter_glob(self):
         gen = GeneratorSpec(dims=(2, 3), trials_per_dim=10, seed=5)

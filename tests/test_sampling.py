@@ -6,9 +6,14 @@ rely on.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import raygeo
 
 from raygeo import (
     Ray,
@@ -232,6 +237,59 @@ class TestKeyedGenerator:
         for word in words:
             for seed, rngs in calls.items():
                 np.testing.assert_array_equal(draws(next(rngs)), draws(keyed_generator(seed, word)))
+
+    def test_no_os_entropy_drawn(self, monkeypatch):
+        # a counter-based stream is a pure function of its key: nothing
+        # here may seed a SeedSequence from OS entropy
+        def refuse(bits):
+            raise AssertionError("OS entropy drawn")
+
+        monkeypatch.setattr(np.random.bit_generator, "randbits", refuse)
+        keyed_generator(3, 4).standard_normal(2)
+        for rng in keyed_generators(3, range(3)):
+            rng.standard_normal(2)
+        substream(3, "test.sampling", 2, 0).standard_normal(2)
+        assert search_nonsquared_counterexample(seed=42, budget=100000) is not None
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("word", [0, 2**63, 2**64 - 1])
+    def test_fresh_state_is_that_of_a_keyed_philox(self, seed, word):
+        fresh = np.random.Philox(key=np.array([seed, word], dtype=np.uint64))
+        want = fresh.state
+        first = keyed_generator(seed, word)
+        # re-keyed after a draw that leaves half a word buffered
+        rngs = keyed_generators(seed, [1, word])
+        next(rngs).integers(0, 2**32, size=1)
+        rekeyed = next(rngs)
+        for rng in (first, rekeyed):
+            got = rng.bit_generator.state
+            assert got.keys() == want.keys() and got["state"].keys() == want["state"].keys()
+            assert got["bit_generator"] == want["bit_generator"]
+            arrays = [(got["state"][name], want["state"][name]) for name in ("counter", "key")]
+            for value, expected in (*arrays, (got["buffer"], want["buffer"])):
+                assert value.dtype == expected.dtype
+                np.testing.assert_array_equal(value, expected)
+            for name in ("buffer_pos", "has_uint32", "uinteger"):
+                assert got[name] == want[name]
+        expected = np.random.Generator(fresh).standard_normal(5)
+        np.testing.assert_array_equal(first.standard_normal(5), expected)
+        np.testing.assert_array_equal(next(keyed_generators(seed, [word])).standard_normal(5), expected)
+
+    def test_import_loads_no_numpy_random(self):
+        # numpy loads numpy.random lazily; a module-level generator or
+        # SeedSequence would add it to every interpreter start
+        package_dir = os.path.dirname(os.path.dirname(raygeo.__file__))
+        path = os.pathsep.join(filter(None, [package_dir, os.environ.get("PYTHONPATH")]))
+        code = "import sys, raygeo; from raygeo import lawcheck; lawcheck.registry(); print('numpy.random' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_generators_reject_seed_before_any_draw(self, seed):
