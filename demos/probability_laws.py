@@ -5,7 +5,8 @@ familiar calculus (additivity, complement, inclusion-exclusion, chain
 rule, total probability) precisely on commuting propositions.  This
 script demonstrates the laws on constructed commuting pairs, exhibits
 the planar family where total probability fails with a computable
-residual, and runs the interference-inequality counterexample search.
+residual, runs the interference-inequality counterexample search, and
+shows that the lattice of propositions is not distributive.
 
 Run:  python3 demos/probability_laws.py
 """
@@ -23,11 +24,14 @@ from raygeo import (
     check_ortho_additivity,
     check_total_probability,
     decompose_commuting,
+    join,
+    meet,
     ortho_complement,
     p_prop,
     project_ray,
     ray_from,
     search_nonsquared_counterexample,
+    subspaces_equal,
 )
 
 rng = np.random.default_rng(7)
@@ -88,3 +92,16 @@ print(f"  p(x,b)={witness.p_x_beta:.6f}  p(b(x),a)={witness.p_bx_alpha:.6f}  "
       f"p(a(b(x)),b)={witness.p_abx_beta:.6f}")
 print(f"  non-squared excess {witness.nonsquared_excess:.6f}  "
       f"(squared margin stays {witness.squared_margin:+.6f})")
+
+# --- the lattice is not distributive ---------------------------------------
+# Any two distinct lines of C^2 join to the whole plane and meet in {0}, so
+# with three of them a ^ (b v c) = a while (a ^ b) v (a ^ c) = {0}: the
+# quantum logic of Birkhoff & von Neumann (Ann. Math. 37, 823, 1936).
+a = Subspace.from_vectors([[1.0, 0.0]])
+b = Subspace.from_vectors([[1.0, 1.0]])
+c = Subspace.from_vectors([[1.0, 1j]])
+print()
+print("the lines a = span(1,0), b = span(1,1), c = span(1,i) of C^2 break distributivity:")
+print(f"  b v c = C^2                {subspaces_equal(join(b, c), Subspace.truth(2))}")
+print(f"  a ^ (b v c) = a            {subspaces_equal(meet(a, join(b, c)), a)}")
+print(f"  (a ^ b) v (a ^ c) = {{0}}    {subspaces_equal(join(meet(a, b), meet(a, c)), Subspace.falsehood(2))}")

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .linalg import (
     inner,
-    norm,
     orthonormalize,
 )
 from .rays import (

@@ -5,8 +5,8 @@ extension, to a ray and a subspace): the transition probability between
 the states.  The triple phase ``theta`` attaches an angle to a triple of
 pairwise non-orthogonal rays; it is the source of interference terms
 and is independent of the representatives chosen.  Also here:
-coplanarity of three rays, the reciprocity implication and its defect,
-and the orthocomplement ("primed") triple.
+successive measurement, coplanarity of three rays, the reciprocity
+defect, and the orthocomplement ("primed") triple.
 """
 
 from __future__ import annotations
@@ -52,12 +52,33 @@ def p_sim(x: Ray, y: Ray) -> float:
     return float(p_sims(x.rep, y.rep))
 
 
+def measurement_chain(x, *qs) -> tuple[np.ndarray, ...]:
+    """The similarities p(x, q₁), p(q₁(x), q₂), … of successive
+    measurement (Lüders' rule) on stacked instances, shape (...) each.
+
+    Each of ``qs`` has shape (..., d, k) and orthonormal columns (zero
+    columns span nothing, so stacks of mixed rank pad with zeros); ``x``
+    holds unit vectors, shape (..., d).  Each similarity is the squared
+    norm of the projection of the state before it (the Born rule,
+    unclipped), which is then normalized.  After a similarity of zero
+    the state stays unnormalized, and the later values of that row are
+    meaningless.
+    """
+    ps = []
+    u = x
+    for q in qs:
+        if ps:
+            u = u / np.sqrt(np.where(ps[-1] > 0.0, ps[-1], 1.0))[..., np.newaxis]
+        u = project_rows(q, u)
+        ps.append(np.vecdot(u, u).real)
+    return tuple(ps)
+
+
 def p_props(q, x) -> np.ndarray:
     """Similarities between stacked rays x (..., d) and stacked
-    propositions (..., d, k): the squared norms of the projections (the
-    Born rule), clipped to [0, 1]."""
-    p = project_rows(q, x)
-    return np.clip(np.vecdot(p, p).real, 0.0, 1.0)
+    propositions (..., d, k): the first value of
+    :func:`measurement_chain`, clipped to [0, 1]."""
+    return np.clip(measurement_chain(x, q)[0], 0.0, 1.0)
 
 
 def p_prop(x: Ray, a: Subspace) -> float:
@@ -243,40 +264,22 @@ def equal_projections(p, zero_p, q, zero_q) -> np.ndarray:
     return np.where(zero_p | zero_q, zero_p & zero_q, equal_rays(p, q))
 
 
-def _reciprocity_projections(u, v, w):
-    """The antecedent of the reciprocity implication, and the two
-    projections its consequent compares: of w and of u on the
-    orthocomplement of v."""
-    antecedent = equal_projections(*complement_projections(u, v), *complement_projections(u, w))
-    return antecedent, complement_projections(v, w), complement_projections(v, u)
-
-
-def reciprocity_rows(u, v, w) -> np.ndarray:
-    """The reciprocity implication for stacked triples, shape (..., d) → (...).
-
-    If v and w project to the same ray on the orthocomplement of u,
-    then w and u must project to the same ray on the orthocomplement
-    of v.  Vacuously true when the antecedent fails — in particular on
-    any triple of pairwise-orthogonal (classical) states.
-    """
-    antecedent, vw, vu = _reciprocity_projections(u, v, w)
-    return ~antecedent | equal_projections(*vw, *vu)
-
-
 def reciprocity_defects(u, v, w) -> np.ndarray:
-    """How far stacked triples are from the consequent of the
-    reciprocity implication where its antecedent holds, shape
-    (..., d) → (...): the gap 1 − a between the two projections on the
-    orthocomplement of v, 1.0 where exactly one of them is ``ZERO`` and
-    0.0 where both are.  Zero where the implication is vacuous (see
-    :func:`reciprocity_rows`)."""
-    antecedent, (p, zero_p), (q, zero_q) = _reciprocity_projections(u, v, w)
+    """How far stacked triples are from the reciprocity implication,
+    shape (..., d) → (...): if v and w project to the same ray on the
+    orthocomplement of u, then w and u project to the same ray on the
+    orthocomplement of v.  Where the antecedent holds, the gap 1 − a
+    between those two projections, 1.0 where exactly one of them is
+    ``ZERO`` and 0.0 where both are; elsewhere zero, the implication
+    being vacuous, as on any pairwise-orthogonal (classical) triple."""
+    antecedent = equal_projections(*complement_projections(u, v), *complement_projections(u, w))
+    (p, zero_p), (q, zero_q) = complement_projections(v, w), complement_projections(v, u)
     gap = np.where(zero_p | zero_q, zero_p != zero_q, 1.0 - a_sims(p, q))
     return np.where(antecedent, gap, 0.0)
 
 
 def reciprocity_holds(x: Ray, y: Ray, z: Ray) -> bool:
-    """The reciprocity implication for one instance: the single-triple
-    form of :func:`reciprocity_rows`."""
+    """The reciprocity implication for one instance: its
+    :func:`reciprocity_defects` at most ``EPS_ABS``."""
     require_dims(x, y, z)
-    return bool(reciprocity_rows(x.rep, y.rep, z.rep))
+    return bool(reciprocity_defects(x.rep, y.rep, z.rep) <= EPS_ABS)

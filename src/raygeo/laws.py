@@ -58,6 +58,7 @@ from .rays import (
 from .geometry import (
     complement_projections,
     coplanar_rows,
+    equal_projections,
     p_props,
     p_sims,
     prime_triples,
@@ -407,12 +408,16 @@ def _batch_p_bounds(rng, dim, n):
     trials_per_dim=400,
 )
 def _batch_reciprocity(rng, dim, n):
+    # A coplanar triple meets the antecedent, so a constructed row that
+    # misses it reads 1.0: a broken antecedent cannot pass the law vacuously.
     constructed = (rng.integers(0, 2, n) == 0) | (dim < 3)
     x, y, z, skip = sampling.coplanar_triples(rng, n, dim)
     if dim >= 3:
         classical = sampling.classical_ray_stacks(rng, n, dim, 3)
         x, y, z = (np.where(constructed[:, np.newaxis], s, c) for s, c in zip((x, y, z), classical))
-    return _block(reciprocity_defects(x, y, z), skip & constructed, x=x, y=y, z=z)
+    antecedent = equal_projections(*complement_projections(x, y), *complement_projections(x, z))
+    residual = np.where(constructed & ~antecedent, 1.0, reciprocity_defects(x, y, z))
+    return _block(residual, skip & constructed, x=x, y=y, z=z)
 
 
 @law(

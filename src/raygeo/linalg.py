@@ -115,12 +115,6 @@ def checked_rows(u) -> tuple[np.ndarray, np.ndarray]:
     return u, n
 
 
-def norm(u) -> float:
-    """Euclidean norm ``sqrt(inner(u, u))``: the single-vector form of
-    :func:`norms`; ``ValueError`` unless ``u`` is one-dimensional."""
-    return float(norms(_vector(u)))
-
-
 def wrap_angles(angle) -> np.ndarray:
     """Angles reduced modulo 2π to the canonical branch (−π, π]."""
     a = np.asarray(angle, dtype=np.float64) % TWO_PI  # in [0, 2π)

@@ -15,6 +15,8 @@ and marks with a mask the rows outside its domain:
 ``total_probability_residuals`` and ``interference_margins`` return an
 ``undefined`` mask beside their values.  The single forms ``check_*``
 read one row and raise only when a stated precondition is violated.
+The chain rule, total probability and the interference inequality
+read successive measurement, :func:`~raygeo.geometry.measurement_chain`.
 """
 
 from __future__ import annotations
@@ -44,11 +46,10 @@ from .rays import (
     meets,
     orthogonal_subspaces,
     project_rays,
-    project_rows,
     ray_from,
     require_dims,
 )
-from .geometry import equal_projections, p_props
+from .geometry import equal_projections, measurement_chain, p_props
 from .sampling import keyed_generators
 
 
@@ -93,27 +94,6 @@ def check_inclusion_exclusion(x: Ray, a: Subspace, b: Subspace) -> float:
     if not commutes(a, b):
         raise NotCommutingError("inclusion-exclusion requires commuting propositions")
     return float(inclusion_exclusion_residuals(a.basis.T, b.basis.T, x.rep))
-
-
-def measurement_chain(x, *qs) -> tuple[np.ndarray, ...]:
-    """The similarities p(x, q₁), p(q₁(x), q₂), … of successive
-    measurement (Lüders' rule) on stacked instances, shape (...) each.
-
-    Each of ``qs`` has shape (..., d, k) and orthonormal columns (zero
-    columns span nothing, so stacks of mixed rank pad with zeros); ``x``
-    holds unit vectors, shape (..., d).  Each similarity is the squared
-    norm of the projection of the state before it, which is then
-    normalized.  After a similarity of zero the state stays
-    unnormalized, and the later values of that row are meaningless.
-    """
-    ps = []
-    u = x
-    for q in qs:
-        if ps:
-            u = u / np.sqrt(np.where(ps[-1] > 0.0, ps[-1], 1.0))[..., np.newaxis]
-        u = project_rows(q, u)
-        ps.append(np.vecdot(u, u).real)
-    return tuple(ps)
 
 
 def chain_rule_residuals(qa, qb, x) -> np.ndarray:

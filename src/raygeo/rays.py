@@ -96,7 +96,7 @@ def ray_from(v) -> Ray:
     Raises
     ------
     ZeroVectorError
-        If ``norm(v) <= EPS_ABS``.
+        If ``v`` has norm ``<= EPS_ABS``.
     ValueError
         If ``v`` is not a finite vector.
     """
@@ -176,7 +176,8 @@ def rays_equal(x: Ray, y: Ray) -> bool:
 class Subspace:
     """A closed subspace of C^d as an orthonormal basis.
 
-    ``==`` is exact entrywise basis equality; use
+    ``==`` is exact entrywise basis equality, shape included, so rank-0
+    subspaces of different ambient dimensions differ; use
     :func:`subspaces_equal` for the basis-independent comparison.
 
     Attributes
@@ -185,25 +186,25 @@ class Subspace:
         Shape ``(rank, dim)``; rows are pairwise-orthonormal basis
         vectors.  Rank 0 encodes falsehood, rank ``dim`` encodes truth.
     dim : int
-        Ambient dimension.
+        Ambient dimension, read off the basis (a property).
     """
 
     basis: np.ndarray
-    dim: int
 
     def __post_init__(self):
         self.basis.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        """Ambient dimension."""
+        return int(self.basis.shape[1])
 
     @property
     def rank(self) -> int:
         return int(self.basis.shape[0])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.dim == other.dim
-            and np.array_equal(self.basis, other.basis)
-        )
+        return isinstance(other, Subspace) and np.array_equal(self.basis, other.basis)
 
     def __hash__(self):
         return hash((self.dim, self.basis.tobytes()))
@@ -229,9 +230,10 @@ class Subspace:
         held as a copy: writing to ``rows`` afterwards changes neither
         the subspace nor its hash, and the subspace keeps no larger
         array alive.  ``dim`` must be a positive integer
-        (:func:`check_count`)."""
+        (:func:`check_count`); it shapes the basis, so a rank-0 subspace
+        keeps it."""
         dim = check_count(dim, "dim")
-        return cls(basis=np.array(rows, dtype=np.complex128).reshape(-1, dim), dim=dim)
+        return cls(basis=np.array(rows, dtype=np.complex128).reshape(-1, dim))
 
     @classmethod
     def from_columns(cls, q) -> "Subspace":
@@ -250,8 +252,7 @@ class Subspace:
     @classmethod
     def truth(cls, dim: int) -> "Subspace":
         """The whole space C^d."""
-        dim = check_count(dim, "dim")
-        return cls(basis=np.eye(dim, dtype=np.complex128), dim=dim)
+        return cls(basis=np.eye(check_count(dim, "dim"), dtype=np.complex128))
 
     def __repr__(self):
         return f"Subspace(rank={self.rank}, dim={self.dim})"

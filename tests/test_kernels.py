@@ -52,7 +52,6 @@ from raygeo.geometry import (
     p_sims,
     prime_triples,
     reciprocity_defects,
-    reciprocity_rows,
     triple_phase,
     triple_phases,
 )
@@ -474,7 +473,7 @@ def test_reciprocity_defects_match_reference(dim):
     np.testing.assert_allclose(defects, ref, rtol=0, atol=1e-14)
     # z = y: the consequent compares ZERO with a ray; coplanar: it holds
     assert defects[1] == 1.0 and defects[2] <= 1e-15
-    np.testing.assert_array_equal(reciprocity_rows(x, y, z), defects <= EPS_ABS)
+    np.testing.assert_array_equal([_ref_reciprocity(*r) for r in zip(x, y, z)], defects <= EPS_ABS)
 
 
 def _full_scan_reps(v):
@@ -584,7 +583,7 @@ def test_stacked_verdicts_match_references(dim):
         if ref is not None:
             np.testing.assert_allclose(reps[i], ref, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(coplanar_rows(x, y, z), [_ref_coplanar(*r) for r in zip(x, y, z)])
-    np.testing.assert_array_equal(reciprocity_rows(x, y, z), [_ref_reciprocity(*r) for r in zip(x, y, z)])
+    np.testing.assert_array_equal(reciprocity_defects(x, y, z) <= EPS_ABS, [_ref_reciprocity(*r) for r in zip(x, y, z)])
     assert coplanar_rows(x, y, z)[[0, 1, 2, 5, 6]].all()
     if dim > 2:
         assert not coplanar_rows(x, y, z)[3]
@@ -601,7 +600,7 @@ def test_stacked_verdicts_match_references(dim):
     # the single-instance forms are rows of the stacked ones
     rays = [[Ray(rep=s[i]) for s in (x, y, z)] for i in range(len(x))]
     assert [coplanar(*t) for t in rays] == coplanar_rows(x, y, z).tolist()
-    assert [reciprocity_holds(*t) for t in rays] == reciprocity_rows(x, y, z).tolist()
+    assert [reciprocity_holds(*t) for t in rays] == (reciprocity_defects(x, y, z) <= EPS_ABS).tolist()
     # the lattice verdicts, on rays as rank-1 subspaces and on the planes
     # span(x, y) and span(y, z), with a zero column where the pair is one
     # ray: row for row their single forms and their defects at EPS_ABS

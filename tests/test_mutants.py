@@ -16,7 +16,9 @@ lattice, as observed once the subspace laws were stacked
 failed under none of these mutants; for ``counterexample.total_probability``,
 once it checked the exact interference term on each trial (still
 ``stream_version`` 11), where its failing fraction had survived every
-mutant.  Each must still fail now.
+mutant; for ``principle.reciprocity``, once a constructed triple that
+misses the antecedent read 1.0 (``stream_version`` 12), where a broken
+antecedent had made every row vacuous.  Each must still fail now.
 """
 
 import sys
@@ -113,7 +115,7 @@ MUTANTS = {
 }
 
 KILLED = {
-    "equal_projections=never": {"lemma.local_total_probability"},
+    "equal_projections=never": {"lemma.local_total_probability", "principle.reciprocity"},
     "joins=short": {
         "corollary.ortho_additivity_family",
         "lemma.commuting_decomposition",

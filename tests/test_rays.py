@@ -106,6 +106,31 @@ class TestSubspaceDim:
         with pytest.raises(DimensionMismatchError, match="declared dim 3, vectors have dim 2"):
             Subspace.from_vectors([[1.0, 0.0]], dim=3)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Subspace.from_vectors([[1.0, 1j, 0.0]]),
+            lambda: Subspace.from_vectors([], dim=3),
+            lambda: Subspace.from_orthonormal(np.eye(3)[:2], 3),
+            lambda: Subspace.from_orthonormal((), 3),
+            lambda: Subspace.from_columns(np.eye(3)[:, :2]),
+            lambda: Subspace.from_ray(ray_from([1.0, 2.0, 3.0])),
+            lambda: Subspace.truth(3),
+            lambda: Subspace.falsehood(3),
+        ],
+        ids=["from_vectors", "from_vectors_empty", "from_orthonormal", "from_orthonormal_empty",
+             "from_columns", "from_ray", "truth", "falsehood"],
+    )
+    def test_dim_read_off_basis(self, build):
+        s = build()
+        assert s.dim == s.basis.shape[1] == 3
+
+    def test_rank_zero_identity_keeps_the_dim(self):
+        # the empty bases of C² and C³ differ in shape, so == and hash tell them apart
+        a, b = Subspace.falsehood(2), Subspace.falsehood(3)
+        assert a != b and hash(a) != hash(b)
+        assert a == Subspace.from_orthonormal((), 2) and hash(a) == hash(Subspace.from_orthonormal((), 2))
+
 
 class TestSubspaceFromOrthonormal:
     def test_holds_a_copy_of_its_rows(self):

@@ -60,6 +60,11 @@ class TestRaySubspace:
         gram = back.basis @ back.basis.conj().T
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rank_zero_subspace_keeps_its_dim(self, dim):
+        back = serialize.subspace_from_json(serialize.subspace_to_json(Subspace.falsehood(dim)))
+        assert back.rank == 0 and back.dim == dim and back == Subspace.falsehood(dim)
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             serialize.ray_from_json({"dim": 3, "rep": [[1.0, 0.0]]})
